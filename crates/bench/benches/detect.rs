@@ -6,52 +6,46 @@ use std::hint::black_box;
 
 use jcc_core::detect::lockorder::LockOrderGraph;
 use jcc_core::detect::lockset::LocksetAnalyzer;
-use jcc_core::detect::normalize::{MonEvent, MonEventKind};
+use jcc_core::petri::{Event, EventKind, Transition};
+
+fn ev(thread: u64, kind: EventKind) -> Event {
+    Event {
+        seq: 0,
+        thread,
+        kind,
+    }
+}
+
+fn fire(thread: u64, t: Transition, lock: u64) -> Event {
+    ev(thread, EventKind::Transition { t, lock })
+}
 
 /// A well-locked workload: `threads` threads each do `ops` lock-protected
 /// increments over `vars` variables.
-fn locked_stream(threads: u64, ops: usize, vars: usize) -> Vec<MonEvent> {
+fn locked_stream(threads: u64, ops: usize, vars: usize) -> Vec<Event> {
     let mut out = Vec::with_capacity(threads as usize * ops * 4);
     for t in 1..=threads {
         for i in 0..ops {
             let var = format!("v{}", i % vars);
-            out.push(MonEvent {
-                thread: t,
-                kind: MonEventKind::Acquire(1),
-            });
-            out.push(MonEvent {
-                thread: t,
-                kind: MonEventKind::Read(var.clone()),
-            });
-            out.push(MonEvent {
-                thread: t,
-                kind: MonEventKind::Write(var),
-            });
-            out.push(MonEvent {
-                thread: t,
-                kind: MonEventKind::Release(1),
-            });
+            out.push(fire(t, Transition::T2, 1));
+            out.push(ev(t, EventKind::Read { var: var.clone() }));
+            out.push(ev(t, EventKind::Write { var }));
+            out.push(fire(t, Transition::T4, 1));
         }
     }
     out
 }
 
 /// A nested-lock workload building a deep lock-order graph.
-fn nested_stream(threads: u64, depth: u64) -> Vec<MonEvent> {
+fn nested_stream(threads: u64, depth: u64) -> Vec<Event> {
     let mut out = Vec::new();
     for t in 1..=threads {
         for start in 0..depth {
             for l in start..depth {
-                out.push(MonEvent {
-                    thread: t,
-                    kind: MonEventKind::Acquire(l),
-                });
+                out.push(fire(t, Transition::T2, l));
             }
             for l in (start..depth).rev() {
-                out.push(MonEvent {
-                    thread: t,
-                    kind: MonEventKind::Release(l),
-                });
+                out.push(fire(t, Transition::T4, l));
             }
         }
     }

@@ -10,8 +10,8 @@
 //!    Budget: < 5% at `summary` level.
 //! 2. **Losslessness** — at sampling rate 1 with a live collector the CI
 //!    smoke workload must complete with **zero drops**, and the online
-//!    verdicts must byte-match the post-hoc `jcc-detect` classification on
-//!    every corpus stream.
+//!    verdicts on every corpus stream must equal the golden table pinned
+//!    in `tests/online_verdicts.rs`.
 //! 3. **Degradation** — with a deliberately tiny ring the producer never
 //!    blocks: it sheds events, the stream carries `CaptureGap` records,
 //!    and the online monitor flags itself degraded.
@@ -21,13 +21,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use jcc_core::components::zoo::full_corpus;
-use jcc_core::detect::classify_runtime_events;
-use jcc_core::runtime::{EventKind, EventLog, MonitorId, OnlineMonitor};
+use jcc_core::detect::OnlineMonitor;
+use jcc_core::petri::{Event, EventKind};
+use jcc_core::runtime::EventLog;
 use jcc_core::testgen::corpus::space_for;
-use jcc_core::vm::{compile, RunConfig, ThreadSpec, TraceEvent, TraceEventKind, Vm};
+use jcc_core::vm::{compile, RunConfig, ThreadSpec, Vm};
 
-/// One capture call, pre-decoded from a VM trace.
-type Op = (MonitorId, EventKind);
+/// Online verdicts per corpus stream (and the Gate walkthrough), shared
+/// with the `online_monitor` integration suite.
+const GOLDEN: &[(&str, &[&str])] = include!("../../../../tests/online_verdicts.rs");
 
 /// Producer threads in the saturation arms. Fixed, so the workload (and
 /// the baseline it is compared to) is identical on every host.
@@ -61,53 +63,9 @@ fn work_unit(seed: u64) -> u64 {
     acc
 }
 
-/// Decode a VM trace into capture calls, the same mapping the online
-/// differential suite uses (lock index = monitor id, field = variable).
-fn ops_of(trace: &[TraceEvent]) -> Vec<(u64, Op)> {
-    let mut out = Vec::with_capacity(trace.len());
-    for e in trace {
-        let thread = e.thread as u64 + 1;
-        let op = match &e.kind {
-            TraceEventKind::Transition { t, lock } => {
-                Some((MonitorId(*lock as u64), EventKind::Transition(*t)))
-            }
-            TraceEventKind::NotifyIssued { lock, all, waiters } => Some((
-                MonitorId(*lock as u64),
-                EventKind::NotifyIssued {
-                    all: *all,
-                    waiters: *waiters,
-                },
-            )),
-            TraceEventKind::FieldRead { field } => {
-                Some((MonitorId(0), EventKind::Read { var: field.clone() }))
-            }
-            TraceEventKind::FieldWrite { field } => {
-                Some((MonitorId(0), EventKind::Write { var: field.clone() }))
-            }
-            TraceEventKind::MethodStart { method } => Some((
-                MonitorId(0),
-                EventKind::MethodStart {
-                    method: method.clone(),
-                },
-            )),
-            TraceEventKind::MethodEnd { method } => Some((
-                MonitorId(0),
-                EventKind::MethodEnd {
-                    method: method.clone(),
-                },
-            )),
-            _ => None,
-        };
-        if let Some(op) = op {
-            out.push((thread, op));
-        }
-    }
-    out
-}
-
-/// One deterministic VM run per corpus component, decoded into capture
-/// calls (with the originating VM thread, for the controlled replays).
-fn corpus_streams() -> Vec<(String, Vec<(u64, Op)>)> {
+/// One deterministic VM run per corpus component: its trace is the stream
+/// the producers capture.
+fn corpus_streams() -> Vec<(String, Vec<Event>)> {
     full_corpus()
         .into_iter()
         .map(|(name, component)| {
@@ -126,14 +84,14 @@ fn corpus_streams() -> Vec<(String, Vec<(u64, Op)>)> {
                     .collect(),
             );
             let out = vm.run(&RunConfig::default());
-            (name.to_string(), ops_of(&out.trace))
+            (name.to_string(), out.trace)
         })
         .collect()
 }
 
 /// The uninstrumented arm: every producer does the identical per-event
 /// work, no capture. Returns wall seconds.
-fn run_baseline(master: &Arc<Vec<Op>>, reps: usize) -> f64 {
+fn run_baseline(master: &Arc<Vec<EventKind>>, reps: usize) -> f64 {
     let t0 = Instant::now();
     let handles: Vec<_> = (0..PRODUCERS)
         .map(|p| {
@@ -158,7 +116,7 @@ fn run_baseline(master: &Arc<Vec<Op>>, reps: usize) -> f64 {
 /// The instrumented arm: same work, plus one capture per event, with a
 /// live collector draining the rings into the online detectors. Returns
 /// (wall seconds, drops, events captured, findings the collector saw).
-fn run_instrumented(master: &Arc<Vec<Op>>, reps: usize) -> (f64, u64, u64, usize) {
+fn run_instrumented(master: &Arc<Vec<EventKind>>, reps: usize) -> (f64, u64, u64, usize) {
     let log = EventLog::new();
     log.set_ring_capacity_words(1 << 15);
     let done = Arc::new(AtomicBool::new(false));
@@ -184,9 +142,9 @@ fn run_instrumented(master: &Arc<Vec<Op>>, reps: usize) -> (f64, u64, u64, usize
             std::thread::spawn(move || {
                 let mut acc = p as u64;
                 for rep in 0..reps {
-                    for (i, (monitor, kind)) in master.iter().enumerate() {
+                    for (i, kind) in master.iter().enumerate() {
                         acc = work_unit(acc ^ (rep as u64) << 32 ^ i as u64);
-                        log.log(*monitor, kind.clone());
+                        log.log(kind.clone());
                     }
                 }
                 std::hint::black_box(acc)
@@ -211,9 +169,9 @@ fn main() {
     say!("=== E12: always-on monitor saturation ===\n");
 
     let streams = corpus_streams();
-    let master: Vec<Op> = streams
+    let master: Vec<EventKind> = streams
         .iter()
-        .flat_map(|(_, ops)| ops.iter().map(|(_, op)| op.clone()))
+        .flat_map(|(_, trace)| trace.iter().map(|e| e.kind.clone()))
         .collect();
     let master = Arc::new(master);
     assert!(!master.is_empty(), "corpus produced no events");
@@ -227,29 +185,29 @@ fn main() {
         events_per_run
     );
 
-    // --- differential gate: online verdicts byte-match post-hoc detect ---
+    // --- golden gate: online verdicts equal the pinned table ---
     // Controlled single-driver replays of every corpus stream, before any
-    // saturation: rate 1, no drops, verdict strings must be identical.
+    // saturation: rate 1, no drops, verdict strings must be the golden ones.
     let mut online_findings = 0usize;
-    for (name, ops) in &streams {
+    for (name, trace) in &streams {
         let log = EventLog::new();
-        for (thread, (monitor, kind)) in ops {
-            log.log_as(*thread, *monitor, kind.clone());
+        for e in trace {
+            log.log_as(e.thread, e.kind.clone());
         }
         assert_eq!(log.drop_count(), 0, "{name}: controlled replay dropped");
-        let events = log.snapshot();
         let mut online = OnlineMonitor::default();
-        online.observe_all(&events);
+        online.observe_all(&log.snapshot());
         let got: Vec<String> = online.verdicts().iter().map(|f| f.to_string()).collect();
-        let want: Vec<String> = classify_runtime_events(&events)
+        let want = GOLDEN
             .iter()
-            .map(|f| f.to_string())
-            .collect();
-        assert_eq!(got, want, "{name}: online diverged from post-hoc detect");
+            .find(|(stream, _)| stream == name)
+            .unwrap_or_else(|| panic!("{name}: no golden verdicts"))
+            .1;
+        assert_eq!(got, want, "{name}: verdicts differ from the golden table");
         online_findings += got.len();
     }
     say!(
-        "differential gate: online == post-hoc on all {} corpus streams ({} findings)",
+        "golden gate: online verdicts match the table on all {} corpus streams ({} findings)",
         streams.len(),
         online_findings
     );
@@ -317,22 +275,21 @@ fn main() {
     }
 
     // --- sampling sweep: deterministic, sync-exact, monotone ---
-    let (sweep_name, sweep_ops) = streams
+    let (sweep_name, sweep_trace) = streams
         .iter()
-        .max_by_key(|(_, ops)| ops.len())
+        .max_by_key(|(_, trace)| trace.len())
         .expect("streams nonempty");
-    let replay_sampled = |shift: u32| -> Vec<jcc_core::runtime::Event> {
+    let replay_sampled = |shift: u32| -> Vec<Event> {
         let log = EventLog::new();
         log.set_sampling(shift, 0xe12_5eed);
-        for (thread, (monitor, kind)) in sweep_ops {
-            log.log_as(*thread, *monitor, kind.clone());
+        for e in sweep_trace {
+            log.log_as(e.thread, e.kind.clone());
         }
         log.snapshot()
     };
-    let full_len = sweep_ops.len();
-    let is_sync = |k: &EventKind| {
-        matches!(k, EventKind::Transition(_) | EventKind::NotifyIssued { .. })
-    };
+    let full_len = sweep_trace.len();
+    let is_sync =
+        |k: &EventKind| matches!(k, EventKind::Transition { .. } | EventKind::Notify { .. });
     let sync_total = replay_sampled(0)
         .iter()
         .filter(|e| is_sync(&e.kind))
@@ -368,11 +325,9 @@ fn main() {
     {
         let log = EventLog::new();
         log.set_ring_capacity_words(64);
-        let m = MonitorId(1);
         for i in 0..64 {
             log.log_as(
                 1,
-                m,
                 EventKind::Write {
                     var: format!("v{}", i % 4),
                 },
@@ -382,7 +337,7 @@ fn main() {
         assert!(shed > 0, "a 64-word ring must overflow under 64 events");
         let mut online = OnlineMonitor::default();
         log.drain_for_each(|e| online.observe(&e));
-        log.log_as(1, m, EventKind::Write { var: "v0".into() });
+        log.log_as(1, EventKind::Write { var: "v0".into() });
         log.drain_for_each(|e| online.observe(&e));
         assert!(online.degraded(), "the gap record must mark degraded mode");
         assert_eq!(online.dropped_events(), shed, "gap records carry the tally");

@@ -5,7 +5,6 @@
 use jcc_core::detect::classify::{classify_cycles, classify_races};
 use jcc_core::detect::lockorder::LockOrderGraph;
 use jcc_core::detect::lockset::LocksetAnalyzer;
-use jcc_core::detect::normalize::from_vm_trace;
 use jcc_core::model::examples;
 use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, RunConfig, ThreadSpec, Vm};
 
@@ -33,7 +32,7 @@ fn main() {
         ],
     );
     let out = vm.run(&RunConfig::default());
-    let races = LocksetAnalyzer::analyze(&from_vm_trace(&out.trace));
+    let races = LocksetAnalyzer::analyze(&out.trace);
     for finding in classify_races(&races) {
         say!("  {finding}");
     }
@@ -72,7 +71,7 @@ fn main() {
         }],
     );
     let out = vm.run(&RunConfig::default());
-    let graph = LockOrderGraph::build(&from_vm_trace(&out.trace));
+    let graph = LockOrderGraph::build(&out.trace);
     say!("  lock-order edges: {:?}", graph.edges());
     let cycles = graph.cycles();
     for finding in classify_cycles(&cycles) {

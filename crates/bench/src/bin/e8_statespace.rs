@@ -378,13 +378,13 @@ fn main() {
     // histogram. Forced to `summary` like the overhead arms, restored
     // after.
     {
-        use jcc_core::petri::Transition as T;
-        use jcc_core::runtime::{EventKind, EventLog, MonitorId};
+        use jcc_core::petri::{EventKind, Transition as T};
+        use jcc_core::runtime::EventLog;
         jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Summary);
         let log = EventLog::new();
         for i in 0..100_000u64 {
             let t = if i % 2 == 0 { T::T2 } else { T::T4 };
-            log.log_as(1 + (i & 3), MonitorId(i & 7), EventKind::Transition(t));
+            log.log_as(1 + (i & 3), EventKind::Transition { t, lock: i & 7 });
             if i % 4096 == 0 {
                 log.drain_for_each(|_| {});
             }

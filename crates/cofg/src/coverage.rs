@@ -9,6 +9,7 @@
 use std::collections::HashMap;
 
 use jcc_model::ast::StmtPath;
+use jcc_petri::event::{Event, EventKind};
 
 use crate::graph::{Cofg, NodeId};
 
@@ -150,6 +151,28 @@ impl CoverageTracker {
             }
             None => self.strays += 1,
         }
+    }
+
+    /// Fold one event: method starts and ends and coverage sites become
+    /// markers of the event's thread; every other kind is ignored.
+    pub fn observe(&mut self, event: &Event) {
+        let site = match &event.kind {
+            EventKind::MethodStart { method } => SiteId::start(method.clone()),
+            EventKind::MethodEnd { method } => SiteId::end(method.clone()),
+            EventKind::Site { method, path, exit } => {
+                let path = StmtPath(path.clone());
+                SiteId {
+                    method: method.clone(),
+                    marker: if *exit {
+                        Marker::SyncExit(path)
+                    } else {
+                        Marker::Stmt(path)
+                    },
+                }
+            }
+            _ => return,
+        };
+        self.record(event.thread, &site);
     }
 
     /// Total arcs across all methods.

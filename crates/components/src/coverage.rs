@@ -1,69 +1,38 @@
-//! Folding a native runtime event log into CoFG coverage — the runtime
-//! counterpart of `jcc_vm::trace::apply_trace`.
+//! Coverage markers for the native components. A runtime log snapshot
+//! folds into CoFG coverage through `CoverageTracker::observe`, exactly
+//! like a VM trace.
 
-use jcc_cofg::coverage::{CoverageTracker, Marker, SiteId};
-use jcc_model::ast::StmtPath;
-use jcc_runtime::{Event, EventKind, EventLog, MonitorId};
-
-/// Fold marker events of a runtime log snapshot into the tracker.
-pub fn apply_log(events: &[Event], tracker: &mut CoverageTracker) {
-    for event in events {
-        match &event.kind {
-            EventKind::MethodStart { method } => {
-                tracker.record(event.thread, &SiteId::start(method.clone()));
-            }
-            EventKind::MethodEnd { method } => {
-                tracker.record(event.thread, &SiteId::end(method.clone()));
-            }
-            EventKind::Marker { method, path } => {
-                tracker.record(
-                    event.thread,
-                    &SiteId {
-                        method: method.clone(),
-                        marker: Marker::Stmt(StmtPath(path.clone())),
-                    },
-                );
-            }
-            _ => {}
-        }
-    }
-}
+use jcc_petri::event::EventKind;
+use jcc_runtime::EventLog;
 
 /// Helper used by the native components: log a statement marker.
 pub(crate) fn mark(log: &EventLog, method: &str, path: &[usize]) {
-    log.log(
-        MonitorId(0),
-        EventKind::Marker {
-            method: method.to_string(),
-            path: path.to_vec(),
-        },
-    );
+    log.log(EventKind::Site {
+        method: method.to_string(),
+        path: path.to_vec(),
+        exit: false,
+    });
 }
 
 /// Helper: log a method start.
 pub(crate) fn method_start(log: &EventLog, method: &str) {
-    log.log(
-        MonitorId(0),
-        EventKind::MethodStart {
-            method: method.to_string(),
-        },
-    );
+    log.log(EventKind::MethodStart {
+        method: method.to_string(),
+    });
 }
 
 /// Helper: log a method end.
 pub(crate) fn method_end(log: &EventLog, method: &str) {
-    log.log(
-        MonitorId(0),
-        EventKind::MethodEnd {
-            method: method.to_string(),
-        },
-    );
+    log.log(EventKind::MethodEnd {
+        method: method.to_string(),
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use jcc_cofg::build_component_cofgs;
+    use jcc_cofg::coverage::CoverageTracker;
 
     #[test]
     fn markers_flow_into_tracker() {
@@ -73,7 +42,9 @@ mod tests {
         method_start(&log, "send");
         mark(&log, "send", &[4]); // notifyAll
         method_end(&log, "send");
-        apply_log(&log.snapshot(), &mut tracker);
+        for e in log.snapshot() {
+            tracker.observe(&e);
+        }
         assert_eq!(tracker.covered_arcs(), 2);
         assert_eq!(tracker.strays, 0);
     }

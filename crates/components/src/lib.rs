@@ -55,5 +55,4 @@ pub mod model {
     };
 }
 
-pub use coverage::apply_log;
 pub use producer_consumer::{PcFaults, ProducerConsumer};

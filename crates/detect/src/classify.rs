@@ -2,11 +2,13 @@
 
 use std::fmt;
 
+use jcc_petri::event::Event;
 use jcc_petri::{Deviation, FailureClass, Transition};
 use jcc_vm::{ExploreResult, RunOutcome, Verdict};
 
 use crate::lockorder::LockOrderCycle;
 use crate::lockset::RaceReport;
+use crate::online::OnlineMonitor;
 
 /// A classified finding: a Table-1 failure class with supporting evidence.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -23,6 +25,59 @@ impl Finding {
             class: FailureClass::new(deviation, transition),
             evidence: evidence.into(),
         }
+    }
+
+    /// FF-T1 (interference): a lockset race.
+    pub(crate) fn race(r: &RaceReport) -> Self {
+        Finding::new(
+            Deviation::FailureToFire,
+            Transition::T1,
+            format!(
+                "variable `{}` accessed by multiple threads with an \
+                 empty candidate lockset (thread {} {} without consistent locking)",
+                r.var,
+                r.thread,
+                if r.on_write { "wrote" } else { "read" }
+            ),
+        )
+    }
+
+    /// Potential FF-T2 (permanent suspension): a lock-order cycle.
+    pub(crate) fn cycle(locks: &[u64]) -> Self {
+        Finding::new(
+            Deviation::FailureToFire,
+            Transition::T2,
+            format!(
+                "locks {locks:?} are acquired in inconsistent orders — two threads can block \
+                 each other forever"
+            ),
+        )
+    }
+
+    /// The mid-run FF-T2 alert: acquiring `lock` while holding `held` added
+    /// the edge that closed a lock-order cycle.
+    pub(crate) fn cycle_closed(held: u64, lock: u64) -> Self {
+        Finding::new(
+            Deviation::FailureToFire,
+            Transition::T2,
+            format!(
+                "acquiring lock {lock} while holding lock {held} closes a lock-order \
+                 cycle — threads taking the opposite order can deadlock"
+            ),
+        )
+    }
+
+    /// FF-T5: `count` notifications issued on `monitor` while its wait set
+    /// was empty — wake-ups nobody could receive.
+    pub(crate) fn lost_notifications(monitor: u64, count: u64) -> Self {
+        Finding::new(
+            Deviation::FailureToFire,
+            Transition::T5,
+            format!(
+                "monitor {monitor} issued {count} notification(s) with no thread in the wait \
+                 set — the wake-ups were lost"
+            ),
+        )
     }
 }
 
@@ -129,131 +184,24 @@ pub fn classify_explore(result: &ExploreResult) -> Vec<Finding> {
 
 /// Classify lockset race reports (FF-T1: interference).
 pub fn classify_races(races: &[RaceReport]) -> Vec<Finding> {
-    races
-        .iter()
-        .map(|r| {
-            Finding::new(
-                Deviation::FailureToFire,
-                Transition::T1,
-                format!(
-                    "variable `{}` accessed by multiple threads with an empty candidate \
-                     lockset (thread {} {} without consistent locking)",
-                    r.var,
-                    r.thread,
-                    if r.on_write { "wrote" } else { "read" }
-                ),
-            )
-        })
-        .collect()
+    races.iter().map(Finding::race).collect()
 }
 
 /// Classify lock-order cycles (potential FF-T2: permanent suspension).
 pub fn classify_cycles(cycles: &[LockOrderCycle]) -> Vec<Finding> {
-    cycles
-        .iter()
-        .map(|c| {
-            Finding::new(
-                Deviation::FailureToFire,
-                Transition::T2,
-                format!(
-                    "locks {:?} are acquired in inconsistent orders — two threads can block \
-                     each other forever",
-                    c.locks
-                ),
-            )
-        })
-        .collect()
+    cycles.iter().map(|c| Finding::cycle(&c.locks)).collect()
 }
 
-/// One-call dynamic analysis of a normalized event stream: lockset races,
-/// happens-before races and lock-order cycles, merged into Table-1
-/// findings. A race flagged by *both* lockset and happens-before is
-/// reported once, with the stronger (precise) evidence.
-pub fn classify_trace_events(events: &[crate::normalize::MonEvent]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let hb_races = crate::hb::HbAnalyzer::analyze(events);
-    let hb_vars: std::collections::BTreeSet<&str> =
-        hb_races.iter().map(|r| r.var.as_str()).collect();
-    for r in &hb_races {
-        out.push(Finding::new(
-            Deviation::FailureToFire,
-            Transition::T1,
-            format!(
-                "variable `{}` has two unordered accesses (happens-before race, thread {} {})",
-                r.var,
-                r.thread,
-                if r.on_write { "writing" } else { "reading" }
-            ),
-        ));
-    }
-    // Lockset findings only for variables HB did not already prove racy
-    // (lockset is the heuristic over-approximation of the same failure).
-    let lockset_races = crate::lockset::LocksetAnalyzer::analyze(events);
-    for r in &lockset_races {
-        if !hb_vars.contains(r.var.as_str()) {
-            out.push(Finding::new(
-                Deviation::FailureToFire,
-                Transition::T1,
-                format!(
-                    "variable `{}` accessed with inconsistent locking (empty candidate lockset; no race observed in this trace, but none of the locks protects it)",
-                    r.var
-                ),
-            ));
-        }
-    }
-    let cycles = crate::lockorder::LockOrderGraph::build(events).cycles();
-    out.extend(classify_cycles(&cycles));
-    dedupe(&mut out);
-    out
+/// Dynamic analysis of a whole event stream: lockset races, lock-order
+/// cycles and lost notifications, in that order, deduped — the final
+/// verdicts of an [`OnlineMonitor`] fed the same stream.
+pub fn classify_runtime_events(events: &[Event]) -> Vec<Finding> {
+    let mut monitor = OnlineMonitor::new();
+    monitor.observe_all(events);
+    monitor.verdicts()
 }
 
-/// Classify lost notifications (FF-T5): notifications issued on a monitor
-/// while its wait set was empty — a wake-up nobody could receive. One
-/// finding per monitor, tallying every wasted notify.
-pub fn classify_lost_notifications(events: &[jcc_runtime::Event]) -> Vec<Finding> {
-    let mut counts: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-    for e in events {
-        if let jcc_runtime::EventKind::NotifyIssued { waiters: 0, .. } = e.kind {
-            *counts.entry(e.monitor.0).or_insert(0) += 1;
-        }
-    }
-    counts
-        .into_iter()
-        .map(|(monitor, count)| {
-            Finding::new(
-                Deviation::FailureToFire,
-                Transition::T5,
-                format!(
-                    "monitor {monitor} issued {count} notification(s) with no thread in the wait \
-                     set — the wake-ups were lost"
-                ),
-            )
-        })
-        .collect()
-}
-
-/// The post-hoc reference for the online monitor's differential guarantee
-/// (`jcc_runtime::online`): lockset races, lock-order cycles and lost
-/// notifications over a full runtime event stream, in that order, deduped.
-/// On any fully-sampled, no-drop stream,
-/// `OnlineMonitor::verdicts()` byte-matches this classification — pinned
-/// by the `online_monitor` integration suite.
-///
-/// (Deliberately *not* [`classify_trace_events`]: that one adds
-/// happens-before analysis and suppresses lockset findings HB already
-/// proved, which a single-pass online detector cannot reproduce.)
-pub fn classify_runtime_events(events: &[jcc_runtime::Event]) -> Vec<Finding> {
-    let norm = crate::normalize::from_runtime_log(events);
-    let mut out = classify_races(&crate::lockset::LocksetAnalyzer::analyze(&norm));
-    out.extend(classify_cycles(
-        &crate::lockorder::LockOrderGraph::build(&norm).cycles(),
-    ));
-    out.extend(classify_lost_notifications(events));
-    dedupe(&mut out);
-    out
-}
-
-fn dedupe(findings: &mut Vec<Finding>) {
+pub(crate) fn dedupe(findings: &mut Vec<Finding>) {
     let mut seen = std::collections::HashSet::new();
     findings.retain(|f| seen.insert((f.class, f.evidence.clone())));
 }
@@ -359,7 +307,7 @@ mod tests {
             var: "count".into(),
             on_write: true,
             thread: 2,
-            event_index: 5,
+            seq: 5,
         }];
         let f = classify_races(&races);
         assert_eq!(f[0].class.code(), "FF-T1");
@@ -378,110 +326,48 @@ mod tests {
 
     #[test]
     fn classify_runtime_events_is_the_online_reference() {
+        use jcc_petri::event::EventKind;
         use jcc_petri::Transition as T;
-        use jcc_runtime::{Event, EventKind, MonitorId};
-        let ev = |seq: u64, thread: u64, monitor: u64, kind: EventKind| Event {
-            seq,
-            thread,
-            monitor: MonitorId(monitor),
-            kind,
+        let ev = |seq: u64, thread: u64, kind: EventKind| Event { seq, thread, kind };
+        let fire = |seq, thread, t, lock| ev(seq, thread, EventKind::Transition { t, lock });
+        let notify = |seq, lock, all, waiters| {
+            ev(seq, 1, EventKind::Notify { lock, all, waiters })
         };
         let events = vec![
             // Unprotected cross-thread writes: FF-T1 on `x`.
-            ev(0, 1, 0, EventKind::Write { var: "x".into() }),
-            ev(1, 2, 0, EventKind::Write { var: "x".into() }),
+            ev(0, 1, EventKind::Write { var: "x".into() }),
+            ev(1, 2, EventKind::Write { var: "x".into() }),
             // Opposite nesting of monitors 1 and 2: FF-T2.
-            ev(2, 1, 1, EventKind::Transition(T::T2)),
-            ev(3, 1, 2, EventKind::Transition(T::T2)),
-            ev(4, 1, 2, EventKind::Transition(T::T4)),
-            ev(5, 1, 1, EventKind::Transition(T::T4)),
-            ev(6, 2, 2, EventKind::Transition(T::T2)),
-            ev(7, 2, 1, EventKind::Transition(T::T2)),
-            ev(8, 2, 1, EventKind::Transition(T::T4)),
-            ev(9, 2, 2, EventKind::Transition(T::T4)),
+            fire(2, 1, T::T2, 1),
+            fire(3, 1, T::T2, 2),
+            fire(4, 1, T::T4, 2),
+            fire(5, 1, T::T4, 1),
+            fire(6, 2, T::T2, 2),
+            fire(7, 2, T::T2, 1),
+            fire(8, 2, T::T4, 1),
+            fire(9, 2, T::T4, 2),
             // Two wasted notifies on monitor 3: FF-T5, tallied once.
-            ev(10, 1, 3, EventKind::NotifyIssued { all: false, waiters: 0 }),
-            ev(11, 1, 3, EventKind::NotifyIssued { all: true, waiters: 0 }),
+            notify(10, 3, false, 0),
+            notify(11, 3, true, 0),
             // A received notify is not lost.
-            ev(12, 1, 2, EventKind::NotifyIssued { all: true, waiters: 1 }),
-            // Capture gaps are ignored post-hoc.
-            ev(13, 2, 0, EventKind::CaptureGap { dropped: 5 }),
+            notify(12, 2, true, 1),
+            // A trailing capture gap changes nothing already observed.
+            ev(13, 2, EventKind::CaptureGap { dropped: 5 }),
         ];
         let texts: Vec<String> = classify_runtime_events(&events)
             .iter()
             .map(|f| f.to_string())
             .collect();
-        assert_eq!(texts.len(), 3, "{texts:?}");
-        assert!(texts[0].starts_with("FF-T1") && texts[0].contains("`x`"), "{texts:?}");
-        assert!(texts[1].starts_with("FF-T2") && texts[1].contains("[1, 2]"), "{texts:?}");
         assert_eq!(
-            texts[2],
-            "FF-T5: monitor 3 issued 2 notification(s) with no thread in the wait \
-             set — the wake-ups were lost"
-        );
-    }
-
-    #[test]
-    fn classify_trace_events_merges_detectors() {
-        use crate::normalize::{MonEvent, MonEventKind};
-        // An HB race on `x`, a lockset-only inconsistency on `y` (ordered
-        // via a handoff lock but protected by different locks), and a lock
-        // order cycle between 8 and 9.
-        let e = |thread, kind| MonEvent { thread, kind };
-        use MonEventKind::*;
-        let events = vec![
-            // HB race on x
-            e(1, Write("x".into())),
-            e(2, Write("x".into())),
-            // y: thread 1 under lock 10, handoff to thread 2 via lock 7,
-            // thread 2 under lock 20, handoff back via lock 6, thread 1
-            // under lock 10 again — every pair ordered, but no common lock.
-            e(1, Acquire(10)),
-            e(1, Write("y".into())),
-            e(1, Release(10)),
-            e(1, Acquire(7)),
-            e(1, Release(7)),
-            e(2, Acquire(7)),
-            e(2, Release(7)),
-            e(2, Acquire(20)),
-            e(2, Write("y".into())),
-            e(2, Release(20)),
-            e(2, Acquire(6)),
-            e(2, Release(6)),
-            e(1, Acquire(6)),
-            e(1, Release(6)),
-            e(1, Acquire(10)),
-            e(1, Write("y".into())),
-            e(1, Release(10)),
-            // lock-order cycle
-            e(3, Acquire(8)),
-            e(3, Acquire(9)),
-            e(3, Release(9)),
-            e(3, Release(8)),
-            e(4, Acquire(9)),
-            e(4, Acquire(8)),
-            e(4, Release(8)),
-            e(4, Release(9)),
-        ];
-        let findings = classify_trace_events(&events);
-        let texts: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
-        assert!(
-            texts.iter().any(|t| t.contains("`x`") && t.contains("happens-before")),
-            "{texts:?}"
-        );
-        assert!(
-            texts.iter().any(|t| t.contains("`y`") && t.contains("inconsistent locking")),
-            "{texts:?}"
-        );
-        assert!(
-            texts.iter().any(|t| t.starts_with("FF-T2")),
-            "{texts:?}"
-        );
-        // x reported once, by the precise detector only.
-        assert_eq!(
-            texts.iter().filter(|t| t.contains("`x`")).count(),
-            1,
-            "{texts:?}"
+            texts,
+            [
+                "FF-T1: variable `x` accessed by multiple threads with an empty candidate \
+                 lockset (thread 2 wrote without consistent locking)",
+                "FF-T2: locks [1, 2] are acquired in inconsistent orders — two threads can \
+                 block each other forever",
+                "FF-T5: monitor 3 issued 2 notification(s) with no thread in the wait \
+                 set — the wake-ups were lost",
+            ]
         );
     }
 }

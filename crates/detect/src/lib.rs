@@ -8,36 +8,29 @@
 //!
 //! * [`lockset`] — the Eraser algorithm (Savage et al., cited by the paper
 //!   as the dynamic detector for interference / FF-T1),
-//! * [`hb`] — a precise happens-before (vector-clock) race detector in the
-//!   DJIT⁺ family (the paper cites Choi et al.'s precise datarace
-//!   detection as the refined alternative),
 //! * [`lockorder`] — lock-order-graph cycle detection (the LockTree idea the
 //!   paper cites from JPF's runtime analysis; FF-T2/FF-T4),
 //! * [`completion`] — the completion-time oracle of the ConAn method
 //!   (FF-T3, EF-T3, EF-T4, FF-T5, EF-T5),
+//! * [`online`] — the three dynamic detectors (lockset, lock order, lost
+//!   notifications) composed into one gap-aware streaming monitor,
 //! * [`classify`] — mapping detector output and VM verdicts onto the ten
 //!   [`FailureClass`](jcc_petri::FailureClass)es of Table 1.
 //!
-//! Both event sources — the native runtime's [`jcc_runtime::EventLog`] and
-//! the VM's [`jcc_vm::TraceEvent`] stream — normalize into one monitor-event
-//! shape ([`normalize`]).
+//! Every detector consumes the one event type, [`jcc_petri::event::Event`],
+//! which both the VM trace and the native runtime's capture log emit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod classify;
 pub mod completion;
-pub mod hb;
 pub mod lockorder;
 pub mod lockset;
-pub mod normalize;
+pub mod online;
 
-pub use classify::{
-    classify_explore, classify_lost_notifications, classify_outcome, classify_runtime_events,
-    classify_trace_events, Finding,
-};
-pub use hb::{HbAnalyzer, HbRace};
+pub use classify::{classify_explore, classify_outcome, classify_runtime_events, Finding};
 pub use completion::{check_completions, CompletionExpectation, Expectation, Violation};
 pub use lockorder::{LockOrderCycle, LockOrderGraph};
 pub use lockset::{LocksetAnalyzer, RaceReport};
-pub use normalize::{from_runtime_log, from_vm_trace, MonEvent, MonEventKind};
+pub use online::{LostNotifications, OnlineAlert, OnlineMonitor};

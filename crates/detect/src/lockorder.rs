@@ -6,10 +6,15 @@
 //! threads can acquire the same locks in opposite orders — the potential
 //! deadlock the paper's FF-T2 row describes ("one thread continuously holds
 //! the lock" from the victim's point of view).
+//!
+//! The graph is built incrementally: [`LockOrderGraph::observe`] reports
+//! each fresh edge that closes a cycle at the acquire that inserted it, so
+//! an online monitor can raise the alert mid-run; [`LockOrderGraph::cycles`]
+//! computes the strongly connected components of the whole graph.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::normalize::{MonEvent, MonEventKind};
+use jcc_petri::event::Event;
 
 /// A cycle found in the lock-order graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -33,7 +38,7 @@ impl LockOrderGraph {
     }
 
     /// Build the graph from a whole event stream.
-    pub fn build(events: &[MonEvent]) -> Self {
+    pub fn build(events: &[Event]) -> Self {
         let mut g = Self::new();
         for e in events {
             g.observe(e);
@@ -41,32 +46,38 @@ impl LockOrderGraph {
         g
     }
 
-    /// Feed one event.
-    pub fn observe(&mut self, event: &MonEvent) {
-        match event.kind {
-            MonEventKind::Acquire(lock) => {
-                let held = self.held.entry(event.thread).or_default();
-                for &h in held.iter() {
-                    if h != lock {
-                        self.edges
-                            .entry(h)
-                            .or_default()
-                            .entry(lock)
-                            .or_default()
-                            .insert(event.thread);
-                    }
-                }
-                held.push(lock);
-            }
-            MonEventKind::Release(lock) => {
-                if let Some(held) = self.held.get_mut(&event.thread) {
-                    if let Some(pos) = held.iter().rposition(|&h| h == lock) {
-                        held.remove(pos);
-                    }
+    /// Feed one event. An acquire (T2) adds an edge from every lock the
+    /// thread holds; the returned `(held, acquired)` edges are the fresh
+    /// ones that closed a cycle. A T3 or T4 pops the lock off the thread's
+    /// nesting.
+    pub fn observe(&mut self, event: &Event) -> Vec<(u64, u64)> {
+        let mut closing = Vec::new();
+        if let Some(lock) = event.kind.acquired() {
+            let held = self.held.entry(event.thread).or_default();
+            for &h in held.iter().filter(|&&h| h != lock) {
+                let threads = self.edges.entry(h).or_default().entry(lock).or_default();
+                let fresh = threads.is_empty();
+                threads.insert(event.thread);
+                if fresh && reaches(&self.edges, lock, h) {
+                    closing.push((h, lock));
                 }
             }
-            _ => {}
+            held.push(lock);
+        } else if let Some(lock) = event.kind.released() {
+            if let Some(held) = self.held.get_mut(&event.thread) {
+                if let Some(pos) = held.iter().rposition(|&h| h == lock) {
+                    held.remove(pos);
+                }
+            }
         }
+        closing
+    }
+
+    /// Forget `thread`'s nesting after a capture gap. Post-gap nesting is
+    /// rebuilt only from observed acquires, so every later edge is still a
+    /// real nesting (missing edges only shrink cycles).
+    pub fn forget_thread(&mut self, thread: u64) {
+        self.held.remove(&thread);
     }
 
     /// Edges as (from, to, threads) triples.
@@ -123,6 +134,23 @@ impl LockOrderGraph {
     pub fn is_acyclic(&self) -> bool {
         self.cycles().is_empty()
     }
+}
+
+/// Is `to` reachable from `from` along `edges`?
+fn reaches(edges: &BTreeMap<u64, BTreeMap<u64, BTreeSet<u64>>>, from: u64, to: u64) -> bool {
+    let mut stack = vec![from];
+    let mut seen = BTreeSet::new();
+    while let Some(n) = stack.pop() {
+        if n == to {
+            return true;
+        }
+        if seen.insert(n) {
+            if let Some(targets) = edges.get(&n) {
+                stack.extend(targets.keys().copied());
+            }
+        }
+    }
+    false
 }
 
 fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
@@ -193,17 +221,22 @@ fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
 mod tests {
     use super::*;
 
-    fn acq(thread: u64, lock: u64) -> MonEvent {
-        MonEvent {
+    use jcc_petri::event::EventKind;
+    use jcc_petri::Transition;
+
+    fn fire(thread: u64, t: Transition, lock: u64) -> Event {
+        let kind = EventKind::Transition { t, lock };
+        Event {
+            seq: 0,
             thread,
-            kind: MonEventKind::Acquire(lock),
+            kind,
         }
     }
-    fn rel(thread: u64, lock: u64) -> MonEvent {
-        MonEvent {
-            thread,
-            kind: MonEventKind::Release(lock),
-        }
+    fn acq(thread: u64, lock: u64) -> Event {
+        fire(thread, Transition::T2, lock)
+    }
+    fn rel(thread: u64, lock: u64) -> Event {
+        fire(thread, Transition::T4, lock)
     }
 
     #[test]
@@ -290,8 +323,7 @@ mod tests {
             }],
         );
         let out = vm.run(&RunConfig::default());
-        let norm = crate::normalize::from_vm_trace(&out.trace);
-        let g = LockOrderGraph::build(&norm);
+        let g = LockOrderGraph::build(&out.trace);
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1, "opposite lock orders must cycle");
         // Locks 1 and 2 are `a` and `b` (0 is `this`).
@@ -324,7 +356,7 @@ mod tests {
             }],
         );
         let out = vm.run(&RunConfig::default());
-        let g = LockOrderGraph::build(&crate::normalize::from_vm_trace(&out.trace));
+        let g = LockOrderGraph::build(&out.trace);
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks.len(), 3);
@@ -343,7 +375,7 @@ mod tests {
             }],
         );
         let out = vm.run(&RunConfig::default());
-        let g = LockOrderGraph::build(&crate::normalize::from_vm_trace(&out.trace));
+        let g = LockOrderGraph::build(&out.trace);
         assert!(g.is_acyclic());
     }
 

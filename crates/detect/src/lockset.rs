@@ -11,12 +11,16 @@
 //!   (writes), refining `C(v)` to the intersection of locks held at each
 //!   access,
 //! * an empty `C(v)` in **SharedModified** is a race report.
+//!
+//! A thread holds a lock from its T2 until its T3 (wait) or T4; reentrant
+//! re-entries are invisible, which is right for lockset purposes — the lock
+//! stays held.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
-use crate::normalize::{MonEvent, MonEventKind};
+use jcc_petri::event::{Event, EventKind};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum VarState {
     Virgin,
     Exclusive(u64),
@@ -33,8 +37,8 @@ pub struct RaceReport {
     pub on_write: bool,
     /// The accessing thread.
     pub thread: u64,
-    /// Index of the offending event in the analyzed stream.
-    pub event_index: usize,
+    /// `seq` of the offending access.
+    pub seq: u64,
 }
 
 /// The lockset analyzer. Feed events with [`LocksetAnalyzer::observe`] or
@@ -46,7 +50,8 @@ pub struct LocksetAnalyzer {
     candidates: HashMap<String, BTreeSet<u64>>,
     reported: BTreeSet<String>,
     races: Vec<RaceReport>,
-    index: usize,
+    /// Threads whose held sets can no longer be trusted (capture gaps).
+    forgotten: HashSet<u64>,
 }
 
 impl LocksetAnalyzer {
@@ -56,12 +61,12 @@ impl LocksetAnalyzer {
     }
 
     /// Run the whole stream and return the race reports.
-    pub fn analyze(events: &[MonEvent]) -> Vec<RaceReport> {
+    pub fn analyze(events: &[Event]) -> Vec<RaceReport> {
         let mut a = Self::new();
         for e in events {
             a.observe(e);
         }
-        a.into_races()
+        a.races
     }
 
     /// Locks currently held by `thread` as far as the analyzer has seen.
@@ -69,83 +74,88 @@ impl LocksetAnalyzer {
         self.held.get(&thread).cloned().unwrap_or_default()
     }
 
-    /// Feed one event.
-    pub fn observe(&mut self, event: &MonEvent) {
+    /// The race reports so far, one per variable, in report order.
+    pub fn races(&self) -> &[RaceReport] {
+        &self.races
+    }
+
+    /// Feed one event; returns the race it newly reported, if any.
+    pub fn observe(&mut self, event: &Event) -> Option<&RaceReport> {
+        let thread = event.thread;
         match &event.kind {
-            MonEventKind::Acquire(lock) => {
-                self.held.entry(event.thread).or_default().insert(*lock);
-            }
-            MonEventKind::Release(lock) => {
-                if let Some(set) = self.held.get_mut(&event.thread) {
-                    set.remove(lock);
+            EventKind::Read { var } => return self.access(event.seq, thread, var, false),
+            EventKind::Write { var } => return self.access(event.seq, thread, var, true),
+            kind => {
+                if let Some(lock) = kind.acquired() {
+                    self.held.entry(thread).or_default().insert(lock);
+                } else if let Some(lock) = kind.released() {
+                    if let Some(set) = self.held.get_mut(&thread) {
+                        set.remove(&lock);
+                    }
                 }
             }
-            MonEventKind::Read(var) => self.access(event.thread, var, false),
-            MonEventKind::Write(var) => self.access(event.thread, var, true),
         }
-        self.index += 1;
+        None
     }
 
-    fn access(&mut self, thread: u64, var: &str, is_write: bool) {
-        let held = self.held.get(&thread).cloned().unwrap_or_default();
-        let state = self
-            .state
-            .get(var)
-            .cloned()
-            .unwrap_or(VarState::Virgin);
-        let next = match (&state, is_write) {
+    /// Stop trusting `thread` after a capture gap. Its held set may now
+    /// under-approximate reality, so counting its later accesses could
+    /// empty a candidate set that a full capture would keep populated — a
+    /// false positive. Its accesses are ignored from here on.
+    pub fn forget_thread(&mut self, thread: u64) {
+        self.held.remove(&thread);
+        self.forgotten.insert(thread);
+    }
+
+    fn access(&mut self, seq: u64, thread: u64, var: &str, is_write: bool) -> Option<&RaceReport> {
+        if self.forgotten.contains(&thread) {
+            return None;
+        }
+        let no_locks = BTreeSet::new();
+        let held = self.held.get(&thread).unwrap_or(&no_locks);
+        let state = self.state.get(var).copied().unwrap_or(VarState::Virgin);
+        let next = match (state, is_write) {
             (VarState::Virgin, _) => VarState::Exclusive(thread),
-            (VarState::Exclusive(t), _) if *t == thread => VarState::Exclusive(thread),
-            (VarState::Exclusive(_), false) => {
-                // Second thread reads: enter Shared, initialize candidates.
+            (VarState::Exclusive(t), _) if t == thread => state,
+            (VarState::Exclusive(_), _) => {
+                // A second thread: initialize the candidates.
                 self.candidates.insert(var.to_string(), held.clone());
-                VarState::Shared
+                if is_write {
+                    VarState::SharedModified
+                } else {
+                    VarState::Shared
+                }
             }
-            (VarState::Exclusive(_), true) => {
-                self.candidates.insert(var.to_string(), held.clone());
-                VarState::SharedModified
-            }
-            (VarState::Shared, false) => {
-                self.refine(var, &held);
-                VarState::Shared
-            }
-            (VarState::Shared, true) => {
-                self.refine(var, &held);
-                VarState::SharedModified
-            }
-            (VarState::SharedModified, _) => {
-                self.refine(var, &held);
-                VarState::SharedModified
+            (VarState::Shared | VarState::SharedModified, _) => {
+                if let Some(c) = self.candidates.get_mut(var) {
+                    c.retain(|lock| held.contains(lock));
+                }
+                if is_write {
+                    VarState::SharedModified
+                } else {
+                    state
+                }
             }
         };
-        let in_shared_modified = next == VarState::SharedModified;
-        self.state.insert(var.to_string(), next);
-        if in_shared_modified
-            && self
-                .candidates
-                .get(var)
-                .map(BTreeSet::is_empty)
-                .unwrap_or(false)
-            && self.reported.insert(var.to_string())
-        {
-            self.races.push(RaceReport {
-                var: var.to_string(),
-                on_write: is_write,
-                thread,
-                event_index: self.index,
-            });
+        match self.state.get_mut(var) {
+            Some(s) => *s = next,
+            None => {
+                self.state.insert(var.to_string(), next);
+            }
         }
-    }
-
-    fn refine(&mut self, var: &str, held: &BTreeSet<u64>) {
-        if let Some(c) = self.candidates.get_mut(var) {
-            *c = c.intersection(held).copied().collect();
+        let racy = next == VarState::SharedModified
+            && self.candidates.get(var).is_some_and(BTreeSet::is_empty)
+            && self.reported.insert(var.to_string());
+        if !racy {
+            return None;
         }
-    }
-
-    /// Finish and return the reports.
-    pub fn into_races(self) -> Vec<RaceReport> {
-        self.races
+        self.races.push(RaceReport {
+            var: var.to_string(),
+            on_write: is_write,
+            thread,
+            seq,
+        });
+        self.races.last()
     }
 }
 
@@ -153,29 +163,30 @@ impl LocksetAnalyzer {
 mod tests {
     use super::*;
 
-    fn acq(thread: u64, lock: u64) -> MonEvent {
-        MonEvent {
+    use jcc_petri::Transition;
+
+    fn ev(thread: u64, kind: EventKind) -> Event {
+        Event {
+            seq: 0,
             thread,
-            kind: MonEventKind::Acquire(lock),
+            kind,
         }
     }
-    fn rel(thread: u64, lock: u64) -> MonEvent {
-        MonEvent {
-            thread,
-            kind: MonEventKind::Release(lock),
-        }
+    fn acq(thread: u64, lock: u64) -> Event {
+        let t = Transition::T2;
+        ev(thread, EventKind::Transition { t, lock })
     }
-    fn rd(thread: u64, var: &str) -> MonEvent {
-        MonEvent {
-            thread,
-            kind: MonEventKind::Read(var.to_string()),
-        }
+    fn rel(thread: u64, lock: u64) -> Event {
+        let t = Transition::T4;
+        ev(thread, EventKind::Transition { t, lock })
     }
-    fn wr(thread: u64, var: &str) -> MonEvent {
-        MonEvent {
-            thread,
-            kind: MonEventKind::Write(var.to_string()),
-        }
+    fn rd(thread: u64, var: &str) -> Event {
+        let var = var.to_string();
+        ev(thread, EventKind::Read { var })
+    }
+    fn wr(thread: u64, var: &str) -> Event {
+        let var = var.to_string();
+        ev(thread, EventKind::Write { var })
     }
 
     #[test]
@@ -296,8 +307,7 @@ mod tests {
             scheduler: Scheduler::RoundRobin,
             max_steps: 10_000,
         });
-        let norm = crate::normalize::from_vm_trace(&out.trace);
-        let races = LocksetAnalyzer::analyze(&norm);
+        let races = LocksetAnalyzer::analyze(&out.trace);
         assert!(
             races.iter().any(|r| r.var == "count"),
             "unsynchronized counter must race: {races:?}"

@@ -11,7 +11,10 @@
 //!   lock — and its N-thread composition ([`java_model`]),
 //! * the shared vocabulary of the classification: [`Transition`] (T1–T5),
 //!   [`Deviation`] (failure-to-fire / erroneous-firing) and the ten
-//!   [`FailureClass`] values of Table 1 ([`transition`]).
+//!   [`FailureClass`] values of Table 1 ([`transition`]),
+//! * the one observable-event type, [`Event`]: T1–T5 firings, notifications,
+//!   data accesses and CoFG markers, emitted by the VM and the native
+//!   runtime alike ([`event`]).
 //!
 //! The petri net is *descriptive*: the paper uses it to model the possible
 //! states of a thread at any point in time, and every other crate in this
@@ -21,6 +24,7 @@
 #![warn(missing_docs)]
 
 pub mod dot;
+pub mod event;
 pub mod invariant;
 pub mod java_model;
 pub mod net;
@@ -30,6 +34,7 @@ pub mod reduce;
 pub mod state;
 pub mod transition;
 
+pub use event::{Event, EventKind};
 pub use java_model::{JavaNet, ThreadPlace};
 pub use net::{Marking, Net, NetBuilder, NetError, PlaceId, TransId};
 pub use parallel::{parallel_map, BatchPolicy, Parallelism};

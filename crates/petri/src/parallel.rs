@@ -149,7 +149,7 @@ where
     let mut slots: Vec<Mutex<Option<U>>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || Mutex::new(None));
 
-    crossbeam::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);

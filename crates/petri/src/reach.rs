@@ -826,7 +826,7 @@ impl ReachGraph {
             .insert(m0.clone());
         queues[0].lock().expect("queue lock").push_back(m0.clone());
 
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..threads {
                 let shards = &shards;
                 let queues = &queues;

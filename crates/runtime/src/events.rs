@@ -29,8 +29,8 @@
 //! [`EventLog::set_sampling`] installs a probabilistic, seeded sampling
 //! knob with a power-of-two rate (`shift` = log2 of the rate). Sampling
 //! applies **only** to data and coverage events (`Read`, `Write`,
-//! `MethodStart`, `MethodEnd`, `Marker`); synchronization events
-//! (`Transition`, `NotifyIssued`) are always captured. That asymmetry is
+//! `MethodStart`, `MethodEnd`, `Site`); synchronization events
+//! (`Transition`, `Notify`) are always captured. That asymmetry is
 //! what keeps downstream detectors *sound under sampling*: held-lock sets
 //! stay exact and only the set of observed accesses shrinks, so a sampled
 //! stream can under-report but never invent a finding. The keep/skip
@@ -62,6 +62,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use jcc_petri::event::{timeline_verb, Event, EventKind};
 use jcc_petri::Transition;
 
 use crate::ring::{SpscRing, DEFAULT_CAPACITY_WORDS, EXTRA_SHIFT, HEADER_WORDS};
@@ -89,79 +90,12 @@ pub fn current_thread_id() -> u64 {
     THREAD_ID.with(|id| *id)
 }
 
-/// What happened.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// A Figure-1 model transition fired on a monitor.
-    Transition(Transition),
-    /// The thread issued a notification on the monitor (`all` =
-    /// `notifyAll`). The woken threads each log their own
-    /// `Transition(T5)`.
-    NotifyIssued {
-        /// Whether every waiter was woken.
-        all: bool,
-        /// How many waiters were present when the notification was issued.
-        waiters: usize,
-    },
-    /// A read of a shared variable (for lockset analysis).
-    Read {
-        /// Variable name.
-        var: String,
-    },
-    /// A write of a shared variable (for lockset analysis).
-    Write {
-        /// Variable name.
-        var: String,
-    },
-    /// Coverage marker: a component method was entered.
-    MethodStart {
-        /// Method name.
-        method: String,
-    },
-    /// Coverage marker: a component method returned.
-    MethodEnd {
-        /// Method name.
-        method: String,
-    },
-    /// Coverage marker: a concurrency statement at `path` was executed.
-    Marker {
-        /// Method name.
-        method: String,
-        /// Statement path in `jcc-model` convention.
-        path: Vec<usize>,
-    },
-    /// Capture degradation marker: the producer ring was full and
-    /// `dropped` events *from this logical thread* were discarded before
-    /// this point. Online detectors treat the thread as degraded from
-    /// here on (see [`crate::online`]); post-hoc analyses ignore it.
-    CaptureGap {
-        /// How many events from this thread were lost.
-        dropped: u64,
-    },
-}
-
-/// One logged event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Event {
-    /// Global sequence number within the log (0-based, gap-free).
-    pub seq: u64,
-    /// The logging thread as a dense per-log id: 1 for the first thread to
-    /// log into this [`EventLog`], 2 for the second, … (stable across test
-    /// orderings; see the module docs). Events appended with
-    /// [`EventLog::log_as`] carry the caller's explicit id instead.
-    pub thread: u64,
-    /// The monitor involved, if any ([`MonitorId(0)`](MonitorId) is used for
-    /// monitor-less events such as markers and unsynchronized accesses).
-    pub monitor: MonitorId,
-    /// What happened.
-    pub kind: EventKind,
-}
-
 // --- record encoding -----------------------------------------------------
 //
-// [header, stamp, thread, monitor, extra...] where the header packs
-// tag (bits 56..64), flags (48..56) and the extra-word count (32..48, the
-// framing field the ring's consumer uses).
+// [header, stamp, thread, lock, extra...] where the header packs tag
+// (bits 56..64), flags (48..56) and the extra-word count (32..48, the
+// framing field the ring's consumer uses). The lock word is 0 for kinds
+// that carry no lock.
 
 const TAG_SHIFT: u32 = 56;
 const FLAGS_SHIFT: u32 = 48;
@@ -172,8 +106,9 @@ const TAG_READ: u64 = 2; // extra: [name id]
 const TAG_WRITE: u64 = 3; // extra: [name id]
 const TAG_METHOD_START: u64 = 4; // extra: [name id]
 const TAG_METHOD_END: u64 = 5; // extra: [name id]
-const TAG_MARKER: u64 = 6; // extra: [name id, path...]
+const TAG_SITE: u64 = 6; // flags = exit; extra: [name id, path...]
 const TAG_GAP: u64 = 7; // extra: [dropped]
+const TAG_FAULT: u64 = 8; // extra: [message id]
 
 /// SplitMix64 finalizer — the sampling hash (no external hasher dep).
 fn mix64(mut z: u64) -> u64 {
@@ -191,7 +126,7 @@ fn sampling_applies(kind: &EventKind) -> bool {
             | EventKind::Write { .. }
             | EventKind::MethodStart { .. }
             | EventKind::MethodEnd { .. }
-            | EventKind::Marker { .. }
+            | EventKind::Site { .. }
     )
 }
 
@@ -370,14 +305,18 @@ impl ProducerSlot {
         id as u64
     }
 
-    /// Encode `kind` into `self.scratch` (header/stamp/thread/monitor +
+    /// Encode `kind` into `self.scratch` (header/stamp/thread/lock +
     /// payload), taking the global stamp last.
-    fn encode(&mut self, shared: &LogShared, thread: u64, monitor: MonitorId, kind: &EventKind) {
+    fn encode(&mut self, shared: &LogShared, thread: u64, kind: &EventKind) {
         self.scratch.clear();
-        self.scratch.extend_from_slice(&[0, 0, thread, monitor.0]);
+        self.scratch.extend_from_slice(&[0, 0, thread, 0]);
         let (tag, flags) = match kind {
-            EventKind::Transition(t) => (TAG_TRANSITION, t.index() as u64),
-            EventKind::NotifyIssued { all, waiters } => {
+            EventKind::Transition { t, lock } => {
+                self.scratch[3] = *lock;
+                (TAG_TRANSITION, t.index() as u64)
+            }
+            EventKind::Notify { lock, all, waiters } => {
+                self.scratch[3] = *lock;
                 self.scratch.push(*waiters as u64);
                 (TAG_NOTIFY, *all as u64)
             }
@@ -401,13 +340,18 @@ impl ProducerSlot {
                 self.scratch.push(id);
                 (TAG_METHOD_END, 0)
             }
-            EventKind::Marker { method, path } => {
+            EventKind::Site { method, path, exit } => {
                 let id = self.intern(shared, method);
                 self.scratch.push(id);
                 for &p in path {
                     self.scratch.push(p as u64);
                 }
-                (TAG_MARKER, 0)
+                (TAG_SITE, *exit as u64)
+            }
+            EventKind::Fault { message } => {
+                let id = self.intern(shared, message);
+                self.scratch.push(id);
+                (TAG_FAULT, 0)
             }
             EventKind::CaptureGap { dropped } => {
                 self.scratch.push(*dropped);
@@ -452,7 +396,7 @@ impl ProducerSlot {
         true
     }
 
-    fn capture(&mut self, shared: &LogShared, explicit: Option<u64>, monitor: MonitorId, kind: EventKind) {
+    fn capture(&mut self, shared: &LogShared, explicit: Option<u64>, kind: EventKind) {
         let obs_on = jcc_obs::enabled();
         let t0 = if obs_on && self.ops & 0x3f == 0 {
             Some(Instant::now())
@@ -482,7 +426,7 @@ impl ProducerSlot {
         }
 
         if obs_on {
-            self.bridge(thread, monitor, &kind);
+            self.bridge(thread, &kind);
         }
 
         if !self.flush_gaps(shared) {
@@ -490,7 +434,7 @@ impl ProducerSlot {
             self.drop_event(thread, obs_on);
             return;
         }
-        self.encode(shared, thread, monitor, &kind);
+        self.encode(shared, thread, &kind);
         if !self.ring.try_push(&self.scratch) {
             self.drop_event(thread, obs_on);
             return;
@@ -513,21 +457,21 @@ impl ProducerSlot {
     }
 
     /// Fold one captured event into the global obs registry (and, at
-    /// `trace` level, the structured trace stream). `NotifyIssued` with
+    /// `trace` level, the structured trace stream). `Notify` with
     /// zero waiters is the *lost notification* shape — a wake-up nobody
     /// was there to receive — so it gets its own tally. Sampled-out and
     /// dropped events are counted separately, never here.
-    fn bridge(&mut self, thread: u64, monitor: MonitorId, kind: &EventKind) {
+    fn bridge(&mut self, thread: u64, kind: &EventKind) {
         let h = self.obs_handles();
         h.events.inc();
         match kind {
-            EventKind::Transition(t) => {
+            EventKind::Transition { t, .. } => {
                 h.transitions[t.index()].inc();
                 if *t == Transition::T3 {
                     h.waits.inc();
                 }
             }
-            EventKind::NotifyIssued { all, waiters } => {
+            EventKind::Notify { all, waiters, .. } => {
                 h.notify_issued.inc();
                 if *all {
                     h.notify_all.inc();
@@ -540,7 +484,8 @@ impl ProducerSlot {
             EventKind::Write { .. } => h.writes.inc(),
             EventKind::MethodStart { .. }
             | EventKind::MethodEnd { .. }
-            | EventKind::Marker { .. } => h.markers.inc(),
+            | EventKind::Site { .. } => h.markers.inc(),
+            EventKind::Fault { .. } => {}
             EventKind::CaptureGap { .. } => h.gaps.inc(),
         }
         if jcc_obs::trace_enabled() {
@@ -548,7 +493,6 @@ impl ProducerSlot {
                 "runtime.event",
                 vec![
                     ("thread".to_string(), thread.to_string()),
-                    ("monitor".to_string(), monitor.0.to_string()),
                     ("kind".to_string(), format!("{kind:?}")),
                 ],
             );
@@ -563,7 +507,7 @@ fn decode(words: &[u64], names: &NameTable) -> Option<(u64, Event)> {
     let flags = (header >> FLAGS_SHIFT) & 0xff;
     let stamp = words[1];
     let thread = words[2];
-    let monitor = MonitorId(words[3]);
+    let lock = words[3];
     let extra = &words[HEADER_WORDS..];
     let name = |i: usize| -> String {
         names
@@ -573,8 +517,12 @@ fn decode(words: &[u64], names: &NameTable) -> Option<(u64, Event)> {
             .unwrap_or_default()
     };
     let kind = match tag {
-        TAG_TRANSITION => EventKind::Transition(Transition::from_index(flags as usize)),
-        TAG_NOTIFY => EventKind::NotifyIssued {
+        TAG_TRANSITION => EventKind::Transition {
+            t: Transition::from_index(flags as usize),
+            lock,
+        },
+        TAG_NOTIFY => EventKind::Notify {
+            lock,
             all: flags & 1 == 1,
             waiters: extra[0] as usize,
         },
@@ -582,10 +530,12 @@ fn decode(words: &[u64], names: &NameTable) -> Option<(u64, Event)> {
         TAG_WRITE => EventKind::Write { var: name(0) },
         TAG_METHOD_START => EventKind::MethodStart { method: name(0) },
         TAG_METHOD_END => EventKind::MethodEnd { method: name(0) },
-        TAG_MARKER => EventKind::Marker {
+        TAG_SITE => EventKind::Site {
             method: name(0),
             path: extra[1..].iter().map(|&p| p as usize).collect(),
+            exit: flags & 1 == 1,
         },
+        TAG_FAULT => EventKind::Fault { message: name(0) },
         TAG_GAP => EventKind::CaptureGap { dropped: extra[0] },
         _ => return None,
     };
@@ -594,7 +544,6 @@ fn decode(words: &[u64], names: &NameTable) -> Option<(u64, Event)> {
         Event {
             seq: 0,
             thread,
-            monitor,
             kind,
         },
     ))
@@ -642,22 +591,22 @@ impl EventLog {
     /// logs observe ids 1, 2, … in first-log order no matter how many
     /// threads ran earlier in the process. Lock-free and non-blocking (see
     /// the module docs).
-    pub fn log(&self, monitor: MonitorId, kind: EventKind) {
-        self.capture(None, monitor, kind);
+    pub fn log(&self, kind: EventKind) {
+        self.capture(None, kind);
     }
 
     /// Append an event attributed to an explicit thread id (used by the VM,
     /// whose logical threads are not OS threads). Explicit ids bypass the
     /// per-log allocator; the calling OS thread's ring carries the event.
-    pub fn log_as(&self, thread: u64, monitor: MonitorId, kind: EventKind) {
-        self.capture(Some(thread), monitor, kind);
+    pub fn log_as(&self, thread: u64, kind: EventKind) {
+        self.capture(Some(thread), kind);
     }
 
-    fn capture(&self, explicit: Option<u64>, monitor: MonitorId, kind: EventKind) {
+    fn capture(&self, explicit: Option<u64>, kind: EventKind) {
         PRODUCERS.with(|cell| {
             let mut slots = cell.borrow_mut();
             let slot = self.slot_index(&mut slots);
-            slots[slot].capture(&self.shared, explicit, monitor, kind);
+            slots[slot].capture(&self.shared, explicit, kind);
         });
     }
 
@@ -697,7 +646,7 @@ impl EventLog {
 
     /// Convenience: log a transition.
     pub fn transition(&self, monitor: MonitorId, t: Transition) {
-        self.log(monitor, EventKind::Transition(t));
+        self.log(EventKind::Transition { t, lock: monitor.0 });
     }
 
     /// Drain all producer rings into the collector, merging by stamp and
@@ -841,7 +790,7 @@ impl EventLog {
         self.collect(None)
             .events
             .iter()
-            .filter(|e| e.kind == EventKind::Transition(t))
+            .filter(|e| matches!(e.kind, EventKind::Transition { t: fired, .. } if fired == t))
             .count()
     }
 
@@ -879,25 +828,9 @@ impl EventLog {
                 .or_insert_with(|| b.lane(&format!("thread-{}", e.thread)));
         }
         for e in &events {
-            let lane = lanes[&e.thread];
-            let at = e.seq;
-            let monitor = self.monitor_name(e.monitor);
-            match &e.kind {
-                EventKind::Transition(Transition::T1) => b.requests(lane, at, &monitor),
-                EventKind::Transition(Transition::T2) => b.acquires(lane, at, &monitor),
-                EventKind::Transition(Transition::T3) => b.waits(lane, at, &monitor),
-                EventKind::Transition(Transition::T4) => b.releases(lane, at, &monitor),
-                EventKind::Transition(Transition::T5) => b.woken(lane, at, &monitor),
-                EventKind::NotifyIssued { all, waiters } => {
-                    b.notify(lane, at, &monitor, *all, *waiters);
-                }
-                EventKind::MethodStart { .. } => b.begins(lane, at),
-                EventKind::MethodEnd { .. } => b.idles(lane, at),
-                EventKind::Read { .. }
-                | EventKind::Write { .. }
-                | EventKind::Marker { .. }
-                | EventKind::CaptureGap { .. } => {}
-            }
+            timeline_verb(&mut b, lanes[&e.thread], e, |lock| {
+                self.monitor_name(MonitorId(lock))
+            });
         }
         b.finish(events.len() as u64)
     }
@@ -988,7 +921,7 @@ mod tests {
     #[test]
     fn log_as_attributes_thread() {
         let log = EventLog::new();
-        log.log_as(42, MonitorId(0), EventKind::MethodStart { method: "m".into() });
+        log.log_as(42, EventKind::MethodStart { method: "m".into() });
         assert_eq!(log.snapshot()[0].thread, 42);
     }
 
@@ -1018,18 +951,18 @@ mod tests {
         let log = EventLog::new();
         let m = log.register_monitor("buffer");
         // Thread 1 waits; thread 2 notifies and hands the lock over.
-        log.log_as(1, m, EventKind::MethodStart { method: "receive".into() });
-        log.log_as(1, m, EventKind::Transition(T::T1));
-        log.log_as(1, m, EventKind::Transition(T::T2));
-        log.log_as(1, m, EventKind::Transition(T::T3));
-        log.log_as(2, m, EventKind::MethodStart { method: "send".into() });
-        log.log_as(2, m, EventKind::Transition(T::T1));
-        log.log_as(2, m, EventKind::Transition(T::T2));
-        log.log_as(2, m, EventKind::NotifyIssued { all: true, waiters: 1 });
-        log.log_as(1, m, EventKind::Transition(T::T5));
-        log.log_as(2, m, EventKind::Transition(T::T4));
-        log.log_as(1, m, EventKind::Transition(T::T2));
-        log.log_as(1, m, EventKind::Transition(T::T4));
+        log.log_as(1, EventKind::MethodStart { method: "receive".into() });
+        log.log_as(1, EventKind::Transition { t: T::T1, lock: m.0 });
+        log.log_as(1, EventKind::Transition { t: T::T2, lock: m.0 });
+        log.log_as(1, EventKind::Transition { t: T::T3, lock: m.0 });
+        log.log_as(2, EventKind::MethodStart { method: "send".into() });
+        log.log_as(2, EventKind::Transition { t: T::T1, lock: m.0 });
+        log.log_as(2, EventKind::Transition { t: T::T2, lock: m.0 });
+        log.log_as(2, EventKind::Notify { lock: m.0, all: true, waiters: 1 });
+        log.log_as(1, EventKind::Transition { t: T::T5, lock: m.0 });
+        log.log_as(2, EventKind::Transition { t: T::T4, lock: m.0 });
+        log.log_as(1, EventKind::Transition { t: T::T2, lock: m.0 });
+        log.log_as(1, EventKind::Transition { t: T::T4, lock: m.0 });
         let t = log.timeline();
         assert_eq!(t.lanes.len(), 2);
         assert_eq!(t.clock, "events");
@@ -1062,13 +995,11 @@ mod tests {
                 let l = log.clone();
                 std::thread::spawn(move || {
                     for j in 0..500usize {
-                        l.log(
-                            MonitorId(0),
-                            EventKind::Marker {
-                                method: "m".into(),
-                                path: vec![j],
-                            },
-                        );
+                        l.log(EventKind::Site {
+                            method: "m".into(),
+                            path: vec![j],
+                            exit: false,
+                        });
                     }
                 })
             })
@@ -1083,7 +1014,7 @@ mod tests {
         let mut next_path: HashMap<u64, usize> = HashMap::new();
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
-            if let EventKind::Marker { path, .. } = &e.kind {
+            if let EventKind::Site { path, .. } = &e.kind {
                 let expect = next_path.entry(e.thread).or_insert(0);
                 assert_eq!(path[0], *expect, "thread {} reordered", e.thread);
                 *expect += 1;
@@ -1099,7 +1030,7 @@ mod tests {
         log.set_ring_capacity_words(16);
         let m = log.register_monitor("m");
         for _ in 0..10 {
-            log.log_as(7, m, EventKind::Transition(T::T1));
+            log.log_as(7, EventKind::Transition { t: T::T1, lock: m.0 });
         }
         // Four fit, six dropped; the producer never blocked.
         assert_eq!(log.drop_count(), 6);
@@ -1107,12 +1038,12 @@ mod tests {
         assert_eq!(events.len(), 4);
         // Draining freed the ring: the next event is preceded by the gap
         // record carrying the losses, attributed to the gapped thread.
-        log.log_as(7, m, EventKind::Transition(T::T2));
+        log.log_as(7, EventKind::Transition { t: T::T2, lock: m.0 });
         let events = log.snapshot();
         assert_eq!(events.len(), 6);
         assert_eq!(events[4].kind, EventKind::CaptureGap { dropped: 6 });
         assert_eq!(events[4].thread, 7);
-        assert_eq!(events[5].kind, EventKind::Transition(T::T2));
+        assert_eq!(events[5].kind, EventKind::Transition { t: T::T2, lock: m.0 });
         // seq stays dense across the gap.
         for (i, e) in events.iter().enumerate() {
             assert_eq!(e.seq, i as u64);
@@ -1127,9 +1058,9 @@ mod tests {
             let m = log.register_monitor("m");
             for i in 0..256u64 {
                 let t = 1 + (i % 3);
-                log.log_as(t, m, EventKind::Transition(T::T2));
-                log.log_as(t, m, EventKind::Write { var: format!("v{}", i % 7) });
-                log.log_as(t, m, EventKind::Transition(T::T4));
+                log.log_as(t, EventKind::Transition { t: T::T2, lock: m.0 });
+                log.log_as(t, EventKind::Write { var: format!("v{}", i % 7) });
+                log.log_as(t, EventKind::Transition { t: T::T4, lock: m.0 });
             }
             log.snapshot()
         };
@@ -1139,7 +1070,7 @@ mod tests {
         // Sync events are never sampled out; data events thin out.
         let transitions = a
             .iter()
-            .filter(|e| matches!(e.kind, EventKind::Transition(_)))
+            .filter(|e| matches!(e.kind, EventKind::Transition { .. }))
             .count();
         assert_eq!(transitions, 512);
         let writes = a

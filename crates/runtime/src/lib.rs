@@ -5,10 +5,10 @@
 //! has exactly *one* wait set, and `wait`/`notify`/`notifyAll` are methods
 //! of the locked object itself. [`JavaMonitor`] restores those semantics on
 //! top of `parking_lot` (owner/hold-count bookkeeping, a single logical wait
-//! set, monitor-method API) and emits a [`Transition`](jcc_petri::Transition)
-//! event for every T1–T5 firing of the paper's Figure-1 model, into a shared
+//! set, monitor-method API) and emits a [`jcc_petri::event::Event`] for
+//! every T1–T5 firing of the paper's Figure-1 model, into a shared
 //! [`EventLog`] that the detectors (`jcc-detect`) and coverage tracking
-//! (`jcc-cofg`) consume.
+//! (`jcc-cofg`) consume — the same event type the VM's traces use.
 //!
 //! The log also accepts *data-access* events (for the Eraser-style lockset
 //! race detector) and *method/statement markers* (for CoFG arc coverage).
@@ -46,11 +46,9 @@
 pub mod events;
 pub mod live;
 pub mod monitor;
-pub mod online;
 pub mod ring;
 
-pub use events::{current_thread_id, Event, EventKind, EventLog, MonitorId};
+pub use events::{current_thread_id, EventLog, MonitorId};
 pub use live::LiveTimeline;
 pub use monitor::{JavaMonitor, MonitorGuard};
-pub use online::{OnlineAlert, OnlineFinding, OnlineMonitor};
 pub use ring::SpscRing;

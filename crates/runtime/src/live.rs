@@ -7,8 +7,8 @@
 //! the same translation applied incrementally — feed it each drained event
 //! and it grows the in-flight [`Timeline`](jcc_obs::timeline::Timeline) one
 //! event at a time, runs an [`OnlineMonitor`] alongside, and appends every
-//! [`OnlineAlert`] as a note on the triggering thread's lane at the
-//! triggering event's clock value.
+//! [`OnlineAlert`](jcc_detect::OnlineAlert) as a note on the triggering
+//! thread's lane at the triggering event's clock value.
 //!
 //! The translation is byte-compatible with the post-hoc path: on a no-drop
 //! stream with no alerts, [`LiveTimeline::finish`] renders byte-identically
@@ -22,11 +22,11 @@
 
 use std::collections::HashMap;
 
+use jcc_detect::OnlineMonitor;
 use jcc_obs::timeline::{Timeline, TimelineBuilder};
+use jcc_petri::event::{timeline_verb, Event};
 
-use crate::events::{Event, EventKind, EventLog};
-use crate::online::OnlineMonitor;
-use jcc_petri::Transition;
+use crate::events::{EventLog, MonitorId};
 
 /// An incrementally-built causal timeline with online alerts stamped in as
 /// they fire. See the module docs.
@@ -70,9 +70,10 @@ impl LiveTimeline {
         live
     }
 
-    /// Feed one drained event: translate it into the timeline (the exact
-    /// [`EventLog::timeline`] verb table), run the online monitor on it,
-    /// and stamp any alert it raised as a note at the event's clock value.
+    /// Feed one drained event: translate it into the timeline (the
+    /// [`timeline_verb`] table [`EventLog::timeline`] uses), run the online
+    /// monitor on it, and stamp any alert it raised as a note at the
+    /// event's clock value.
     /// `log` resolves monitor display names; pass the log the event came
     /// from.
     pub fn observe(&mut self, log: &EventLog, e: &Event) {
@@ -85,24 +86,9 @@ impl LiveTimeline {
                 lane
             }
         };
-        let at = e.seq;
-        let monitor = log.monitor_name(e.monitor);
-        match &e.kind {
-            EventKind::Transition(Transition::T1) => self.builder.requests(lane, at, &monitor),
-            EventKind::Transition(Transition::T2) => self.builder.acquires(lane, at, &monitor),
-            EventKind::Transition(Transition::T3) => self.builder.waits(lane, at, &monitor),
-            EventKind::Transition(Transition::T4) => self.builder.releases(lane, at, &monitor),
-            EventKind::Transition(Transition::T5) => self.builder.woken(lane, at, &monitor),
-            EventKind::NotifyIssued { all, waiters } => {
-                self.builder.notify(lane, at, &monitor, *all, *waiters);
-            }
-            EventKind::MethodStart { .. } => self.builder.begins(lane, at),
-            EventKind::MethodEnd { .. } => self.builder.idles(lane, at),
-            EventKind::Read { .. }
-            | EventKind::Write { .. }
-            | EventKind::Marker { .. }
-            | EventKind::CaptureGap { .. } => {}
-        }
+        timeline_verb(&mut self.builder, lane, e, |lock| {
+            log.monitor_name(MonitorId(lock))
+        });
         self.monitor.observe(e);
         // Stamp anything the monitor just raised. Alerts carry the seq of
         // the triggering event — this event — so the note lands on this
@@ -142,37 +128,33 @@ impl LiveTimeline {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::MonitorId;
+    use jcc_petri::event::EventKind;
     use jcc_petri::Transition as T;
 
     /// A clean handoff: two threads take the same lock in turn. No races,
     /// no cycles, no notifications — the online monitor stays silent.
     fn quiet_handoff(log: &EventLog) {
-        let m = log.register_monitor("slot");
-        log.log_as(1, m, EventKind::Transition(T::T1));
-        log.log_as(1, m, EventKind::Transition(T::T2));
-        log.log_as(1, m, EventKind::Transition(T::T4));
-        log.log_as(2, m, EventKind::Transition(T::T1));
-        log.log_as(2, m, EventKind::Transition(T::T2));
-        log.log_as(2, m, EventKind::Transition(T::T4));
+        let lock = log.register_monitor("slot").0;
+        for thread in [1, 2] {
+            for t in [T::T1, T::T2, T::T4] {
+                log.log_as(thread, EventKind::Transition { t, lock });
+            }
+        }
     }
 
     /// The FF-T5 walkthrough: the opener notifies into an empty wait set,
     /// then the passer waits forever (the losing Gate schedule).
     fn gate_walkthrough(log: &EventLog) {
-        let gate = log.register_monitor("gate");
-        log.log_as(2, gate, EventKind::Transition(T::T2));
-        log.log_as(
-            2,
-            gate,
-            EventKind::Write {
-                var: "open".to_string(),
-            },
-        );
-        log.log_as(2, gate, EventKind::NotifyIssued { all: false, waiters: 0 });
-        log.log_as(2, gate, EventKind::Transition(T::T4));
-        log.log_as(1, gate, EventKind::Transition(T::T2));
-        log.log_as(1, gate, EventKind::Transition(T::T3));
+        let lock = log.register_monitor("gate").0;
+        let fire = |thread, t| log.log_as(thread, EventKind::Transition { t, lock });
+        fire(2, T::T2);
+        let var = "open".to_string();
+        log.log_as(2, EventKind::Write { var });
+        let (all, waiters) = (false, 0);
+        log.log_as(2, EventKind::Notify { lock, all, waiters });
+        fire(2, T::T4);
+        fire(1, T::T2);
+        fire(1, T::T3);
     }
 
     #[test]
@@ -217,7 +199,7 @@ mod tests {
         let events = log.snapshot();
         let notify_seq = events
             .iter()
-            .find(|e| matches!(e.kind, EventKind::NotifyIssued { .. }))
+            .find(|e| matches!(e.kind, EventKind::Notify { .. }))
             .unwrap()
             .seq;
         let t = live.finish();
@@ -253,10 +235,10 @@ mod tests {
         let log = EventLog::new();
         log.log_as(
             1,
-            MonitorId(0),
-            EventKind::Marker {
+            EventKind::Site {
                 method: "m".into(),
                 path: vec![0],
+                exit: false,
             },
         );
         let live = LiveTimeline::from_log(&log);

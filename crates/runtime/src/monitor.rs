@@ -8,7 +8,7 @@
 //! | [`JavaMonitor::enter`]      | T1 (request), then T2 once granted       |
 //! | [`MonitorGuard::wait`]      | T3 (suspend+release), then T5 on wake-up, then T2 on re-acquisition |
 //! | guard drop / final exit     | T4 (release)                             |
-//! | [`MonitorGuard::notify`]    | `NotifyIssued` (the woken thread logs its own T5) |
+//! | [`MonitorGuard::notify`]    | `Notify` (the woken thread logs its own T5) |
 //!
 //! Reentrant `enter` while already owning the lock emits no transitions —
 //! in the model the thread is already in place C.
@@ -17,9 +17,10 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use jcc_petri::event::EventKind;
 use jcc_petri::Transition;
 
-use crate::events::{current_thread_id, EventKind, EventLog, MonitorId};
+use crate::events::{current_thread_id, EventLog, MonitorId};
 
 #[derive(Debug)]
 struct State<T> {
@@ -133,7 +134,7 @@ impl<T> JavaMonitor<T> {
     /// FF-T1 (interference) experiments. Logs a `Read` event with an empty
     /// lockset context.
     pub fn unsync_read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
-        self.log.log(self.id, EventKind::Read { var: var.to_string() });
+        self.log.log(EventKind::Read { var: var.to_string() });
         let s = self.state.lock();
         f(&s.data)
     }
@@ -141,7 +142,7 @@ impl<T> JavaMonitor<T> {
     /// Write `data` *without* holding the lock — deliberately racy, for
     /// FF-T1 experiments.
     pub fn unsync_write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
-        self.log.log(self.id, EventKind::Write { var: var.to_string() });
+        self.log.log(EventKind::Write { var: var.to_string() });
         let mut s = self.state.lock();
         f(&mut s.data)
     }
@@ -170,7 +171,7 @@ impl<T> MonitorGuard<'_, T> {
     /// Access the protected data immutably, logging a `Read` of `var`.
     pub fn read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
         let m = self.monitor;
-        m.log.log(m.id, EventKind::Read { var: var.to_string() });
+        m.log.log(EventKind::Read { var: var.to_string() });
         let s = m.state.lock();
         debug_assert_eq!(s.owner, Some(current_thread_id()));
         f(&s.data)
@@ -179,7 +180,7 @@ impl<T> MonitorGuard<'_, T> {
     /// Access the protected data mutably, logging a `Write` of `var`.
     pub fn write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
         let m = self.monitor;
-        m.log.log(m.id, EventKind::Write { var: var.to_string() });
+        m.log.log(EventKind::Write { var: var.to_string() });
         let mut s = m.state.lock();
         debug_assert_eq!(s.owner, Some(current_thread_id()));
         f(&mut s.data)
@@ -262,13 +263,11 @@ impl<T> MonitorGuard<'_, T> {
         let mut s = m.state.lock();
         assert_eq!(s.owner, Some(current_thread_id()), "notify by non-owner");
         let waiters = s.unnotified();
-        m.log.log(
-            m.id,
-            EventKind::NotifyIssued {
-                all: false,
-                waiters,
-            },
-        );
+        m.log.log(EventKind::Notify {
+            lock: m.id.0,
+            all: false,
+            waiters,
+        });
         // Wake the longest-waiting un-notified ticket (Java may pick any;
         // FIFO keeps runs reproducible). Wake-ups are ticketed, so a later
         // waiter can never consume this one.
@@ -293,7 +292,11 @@ impl<T> MonitorGuard<'_, T> {
             "notifyAll by non-owner"
         );
         let waiters = s.unnotified();
-        m.log.log(m.id, EventKind::NotifyIssued { all: true, waiters });
+        m.log.log(EventKind::Notify {
+            lock: m.id.0,
+            all: true,
+            waiters,
+        });
         let all: Vec<u64> = s.wait_set.clone();
         s.notified.extend(all);
         m.waitset.notify_all();
@@ -340,7 +343,7 @@ mod tests {
             .snapshot()
             .into_iter()
             .filter_map(|e| match e.kind {
-                EventKind::Transition(t) => Some(t),
+                EventKind::Transition { t, .. } => Some(t),
                 _ => None,
             })
             .collect();
@@ -437,7 +440,7 @@ mod tests {
             assert!(h.join().unwrap());
         }
         let waiters_seen = log.snapshot().iter().any(|e| {
-            matches!(e.kind, EventKind::NotifyIssued { all: true, waiters } if waiters == 4)
+            matches!(e.kind, EventKind::Notify { all: true, waiters, .. } if waiters == 4)
         });
         assert!(waiters_seen, "notifyAll should have seen 4 waiters");
     }
@@ -507,6 +510,23 @@ mod tests {
         assert!(!notified);
         // Still owner: data accessible, and a further exit works.
         assert_eq!(g.with(|d| *d), 5);
+    }
+
+    #[test]
+    fn guarded_accesses_sit_between_acquire_and_release() {
+        let log = EventLog::new();
+        let m = JavaMonitor::new("m", &log, 0u32);
+        {
+            let g = m.enter();
+            g.write("v", |d| *d = 1);
+            g.read("v", |d| *d);
+        }
+        let kinds: Vec<EventKind> = log.snapshot().into_iter().map(|e| e.kind).collect();
+        let lock = m.id().0;
+        assert_eq!(kinds[1].acquired(), Some(lock));
+        assert!(matches!(kinds[2], EventKind::Write { ref var } if var == "v"));
+        assert!(matches!(kinds[3], EventKind::Read { ref var } if var == "v"));
+        assert_eq!(kinds[4].released(), Some(lock));
     }
 
     #[test]

@@ -31,8 +31,9 @@ use jcc_cofg::build_component_cofgs;
 use jcc_cofg::coverage::CoverageTracker;
 use jcc_model::ast::Stmt;
 use jcc_model::Component;
+use jcc_petri::event::{Event, EventKind};
 use jcc_petri::{Parallelism, Transition};
-use jcc_vm::trace::{apply_trace, TraceEvent, TraceEventKind};
+use jcc_vm::trace::apply_trace;
 use jcc_vm::{compile, explore_observed, CompiledComponent, ExploreConfig, Vm};
 
 use crate::scenario::{sample_scenarios, Scenario, ScenarioSpace};
@@ -156,20 +157,20 @@ impl SuiteGoals {
     }
 
     /// Fold one path's trace into the goals.
-    pub fn observe_trace(&mut self, trace: &[TraceEvent]) {
+    pub fn observe_trace(&mut self, trace: &[Event]) {
         // Current method (and its start index) per thread; waiting counts
         // per lock; last concurrency site per thread.
-        let mut current: HashMap<usize, (String, usize)> = HashMap::new();
-        let mut waiting: HashMap<usize, Vec<(usize, String)>> = HashMap::new();
-        let mut last_site: HashMap<usize, (String, Vec<usize>)> = HashMap::new();
+        let mut current: HashMap<u64, (String, usize)> = HashMap::new();
+        let mut waiting: HashMap<u64, Vec<(u64, String)>> = HashMap::new();
+        let mut last_site: HashMap<u64, (String, Vec<usize>)> = HashMap::new();
         // Wake positions: (trace index, method) of each T5.
         let mut wakes: Vec<(usize, String)> = Vec::new();
         for (i, e) in trace.iter().enumerate() {
             match &e.kind {
-                TraceEventKind::MethodStart { method } => {
+                EventKind::MethodStart { method } => {
                     current.insert(e.thread, (method.clone(), i));
                 }
-                TraceEventKind::MethodEnd { method } => {
+                EventKind::MethodEnd { method } => {
                     let started = current.remove(&e.thread).map(|(_, s)| s).unwrap_or(0);
                     // Post-wake observation: a value-returning call by one
                     // thread *began and completed* after another thread's
@@ -186,10 +187,10 @@ impl SuiteGoals {
                         }
                     }
                 }
-                TraceEventKind::Site { method, path, .. } => {
+                EventKind::Site { method, path, .. } => {
                     last_site.insert(e.thread, (method.clone(), path.clone()));
                 }
-                TraceEventKind::NotifyIssued { waiters, .. }
+                EventKind::Notify { waiters, .. }
                     if *waiters > 0 => {
                         if let Some((m, p)) = last_site.get(&e.thread) {
                             let key = (m.clone(), p.clone());
@@ -198,7 +199,7 @@ impl SuiteGoals {
                             }
                         }
                     }
-                TraceEventKind::Transition { t, lock } => match t {
+                EventKind::Transition { t, lock } => match t {
                     Transition::T3 => {
                         let method = current
                             .get(&e.thread)

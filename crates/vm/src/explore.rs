@@ -534,7 +534,7 @@ pub fn explore_portfolio(vm: Vm, config: &PortfolioConfig) -> PortfolioResult {
     let probe_failures: Mutex<Vec<(u64, RunOutcome)>> = Mutex::new(Vec::new());
     let probes_run = std::sync::atomic::AtomicUsize::new(0);
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let exhaustive_vm = vm.clone();
         let stop_ref = &stop;
         let slot_ref = &exhaustive_slot;

@@ -20,8 +20,8 @@
 //! lock has one FIFO wait set; `notify` wakes the longest-waiting thread
 //! (the JVM may pick arbitrarily — FIFO keeps runs reproducible).
 //!
-//! Every run yields a [`machine::RunOutcome`]: a full trace (convertible to
-//! CoFG coverage markers), per-call results and completion steps, and a
+//! Every run yields a [`machine::RunOutcome`]: a full trace of
+//! [`jcc_petri::event::Event`]s (convertible to CoFG coverage markers), per-call results and completion steps, and a
 //! verdict (completed / deadlocked / step-limit).
 
 #![forbid(unsafe_code)]
@@ -44,5 +44,4 @@ pub use machine::{
     CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,
 };
 pub use timeline::timeline_of_outcome;
-pub use trace::{TraceEvent, TraceEventKind};
 pub use value::Value;

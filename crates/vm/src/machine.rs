@@ -38,7 +38,7 @@ fn transition_counter(t: Transition) -> &'static jcc_obs::Counter {
     };
     &counters[idx]
 }
-use crate::trace::{TraceEvent, TraceEventKind};
+use jcc_petri::event::{Event, EventKind};
 use crate::value::{eval, Env, Value};
 
 /// One method call a logical thread will perform.
@@ -162,7 +162,7 @@ pub struct RunOutcome {
     /// Steps executed.
     pub steps: usize,
     /// The full event trace.
-    pub trace: Vec<TraceEvent>,
+    pub trace: Vec<Event>,
     /// Per thread, per call: results.
     pub results: Vec<Vec<CallResult>>,
     /// Thread display names, indexed by the trace's thread indices.
@@ -236,7 +236,7 @@ pub struct Vm {
     fields: BTreeMap<String, Value>,
     locks: Vec<LockState>,
     threads: Vec<ThreadState>,
-    trace: Vec<TraceEvent>,
+    trace: Vec<Event>,
     results: Vec<Vec<CallResult>>,
     steps: usize,
     fault: Option<(usize, String)>,
@@ -307,7 +307,7 @@ impl Vm {
     }
 
     /// The trace so far.
-    pub fn trace(&self) -> &[TraceEvent] {
+    pub fn trace(&self) -> &[Event] {
         &self.trace
     }
 
@@ -337,29 +337,40 @@ impl Vm {
             .all(|t| matches!(t.status, Status::Finished | Status::Faulted))
     }
 
-    fn emit(&mut self, thread: usize, kind: TraceEventKind) {
+    fn emit(&mut self, thread: usize, kind: EventKind) {
         match &kind {
-            TraceEventKind::MethodStart { method } => {
+            EventKind::MethodStart { method } => {
                 self.last_marker[thread] = marker_hash(method, None, false, 1);
             }
-            TraceEventKind::MethodEnd { method } => {
+            EventKind::MethodEnd { method } => {
                 self.last_marker[thread] = marker_hash(method, None, false, 2);
             }
-            TraceEventKind::Site { method, path, exit } => {
+            EventKind::Site { method, path, exit } => {
                 self.last_marker[thread] = marker_hash(method, Some(path), *exit, 3);
             }
             _ => {}
         }
         if jcc_obs::enabled() {
-            if let TraceEventKind::Transition { t, .. } = &kind {
+            if let EventKind::Transition { t, .. } = &kind {
                 transition_counter(*t).inc();
             }
         }
-        self.trace.push(TraceEvent {
-            step: self.steps,
-            thread,
+        self.trace.push(Event {
+            seq: self.steps as u64,
+            thread: thread as u64,
             kind,
         });
+    }
+
+    /// Record a Figure-1 firing of `t` on `lock` by thread `idx`.
+    fn fire(&mut self, idx: usize, t: Transition, lock: usize) {
+        self.emit(
+            idx,
+            EventKind::Transition {
+                t,
+                lock: lock as u64,
+            },
+        );
     }
 
     /// A 64-bit hash of the complete execution state (fields, locks, thread
@@ -549,7 +560,7 @@ impl Vm {
             .collect();
         self.emit(
             idx,
-            TraceEventKind::MethodStart {
+            EventKind::MethodStart {
                 method: call.method.clone(),
             },
         );
@@ -572,19 +583,13 @@ impl Vm {
         debug_assert!(self.locks[lock].owner.is_none());
         self.locks[lock].owner = Some(idx);
         self.locks[lock].count = holds;
-        self.emit(
-            idx,
-            TraceEventKind::Transition {
-                t: Transition::T2,
-                lock,
-            },
-        );
+        self.fire(idx, Transition::T2, lock);
     }
 
     fn fault_thread(&mut self, idx: usize, message: String) {
         self.emit(
             idx,
-            TraceEventKind::Fault {
+            EventKind::Fault {
                 message: message.clone(),
             },
         );
@@ -599,13 +604,7 @@ impl Vm {
             }
         }
         for li in released {
-            self.emit(
-                idx,
-                TraceEventKind::Transition {
-                    t: Transition::T4,
-                    lock: li,
-                },
-            );
+            self.fire(idx, Transition::T4, li);
         }
         self.threads[idx].status = Status::Faulted;
         self.threads[idx].frame = None;
@@ -624,7 +623,7 @@ impl Vm {
         let mut reads = Vec::new();
         collect_field_reads(expr, &mut reads);
         for field in reads {
-            self.emit(idx, TraceEventKind::FieldRead { field });
+            self.emit(idx, EventKind::Read { var: field });
         }
         let frame = self.threads[idx].frame.as_ref().expect("running frame");
         let env = Env {
@@ -654,7 +653,7 @@ impl Vm {
                 if let Some(p) = path {
                     self.emit(
                         idx,
-                        TraceEventKind::Site {
+                        EventKind::Site {
                             method: self.current_method_name(idx),
                             path: p.clone(),
                             exit: false,
@@ -666,13 +665,7 @@ impl Vm {
                     self.locks[lock].count += 1;
                     self.advance(idx);
                 } else {
-                    self.emit(
-                        idx,
-                        TraceEventKind::Transition {
-                            t: Transition::T1,
-                            lock,
-                        },
-                    );
+                    self.fire(idx, Transition::T1, lock);
                     self.advance(idx);
                     if self.locks[lock].owner.is_none() {
                         self.acquire(idx, lock, 1);
@@ -696,7 +689,7 @@ impl Vm {
                 if let Some(p) = path {
                     self.emit(
                         idx,
-                        TraceEventKind::Site {
+                        EventKind::Site {
                             method: self.current_method_name(idx),
                             path: p.clone(),
                             exit: true,
@@ -706,13 +699,7 @@ impl Vm {
                 self.locks[lock].count -= 1;
                 if self.locks[lock].count == 0 {
                     self.locks[lock].owner = None;
-                    self.emit(
-                        idx,
-                        TraceEventKind::Transition {
-                            t: Transition::T4,
-                            lock,
-                        },
-                    );
+                    self.fire(idx, Transition::T4, lock);
                 }
                 self.advance(idx);
             }
@@ -730,7 +717,7 @@ impl Vm {
                 }
                 self.emit(
                     idx,
-                    TraceEventKind::Site {
+                    EventKind::Site {
                         method: self.current_method_name(idx),
                         path: path.clone(),
                         exit: false,
@@ -740,13 +727,7 @@ impl Vm {
                 self.locks[lock].owner = None;
                 self.locks[lock].count = 0;
                 self.locks[lock].wait_set.push(idx);
-                self.emit(
-                    idx,
-                    TraceEventKind::Transition {
-                        t: Transition::T3,
-                        lock,
-                    },
-                );
+                self.fire(idx, Transition::T3, lock);
                 self.advance(idx);
                 self.threads[idx].status = Status::Waiting { lock, holds };
             }
@@ -764,14 +745,21 @@ impl Vm {
                 }
                 self.emit(
                     idx,
-                    TraceEventKind::Site {
+                    EventKind::Site {
                         method: self.current_method_name(idx),
                         path: path.clone(),
                         exit: false,
                     },
                 );
                 let waiters = self.locks[lock].wait_set.len();
-                self.emit(idx, TraceEventKind::NotifyIssued { lock, all, waiters });
+                self.emit(
+                    idx,
+                    EventKind::Notify {
+                        lock: lock as u64,
+                        all,
+                        waiters,
+                    },
+                );
                 let to_wake: Vec<usize> = if all {
                     std::mem::take(&mut self.locks[lock].wait_set)
                 } else if waiters > 0 {
@@ -785,20 +773,14 @@ impl Vm {
                         unreachable!("wait-set member not waiting");
                     };
                     debug_assert_eq!(wl, lock);
-                    self.emit(
-                        w,
-                        TraceEventKind::Transition {
-                            t: Transition::T5,
-                            lock,
-                        },
-                    );
+                    self.fire(w, Transition::T5, lock);
                     self.threads[w].status = Status::Reacquire { lock, holds };
                 }
                 self.advance(idx);
             }
             Instr::StoreField { name, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
-                    self.emit(idx, TraceEventKind::FieldWrite { field: name.clone() });
+                    self.emit(idx, EventKind::Write { var: name.clone() });
                     self.fields.insert(name.clone(), v);
                     self.advance(idx);
                 }
@@ -835,7 +817,7 @@ impl Vm {
             Instr::Ret => {
                 let method = self.current_method_name(idx);
                 let frame = self.threads[idx].frame.take().expect("running frame");
-                self.emit(idx, TraceEventKind::MethodEnd { method });
+                self.emit(idx, EventKind::MethodEnd { method });
                 let result = self.results[idx]
                     .last_mut()
                     .expect("call result opened at begin_call");
@@ -1389,7 +1371,7 @@ mod tests {
             .trace
             .iter()
             .filter_map(|e| match e.kind {
-                TraceEventKind::Transition { t, .. } => Some(t),
+                EventKind::Transition { t, .. } => Some(t),
                 _ => None,
             })
             .collect();

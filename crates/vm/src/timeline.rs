@@ -18,10 +18,9 @@
 use jcc_cofg::{Cofg, NodeId};
 use jcc_model::ast::StmtPath;
 use jcc_obs::timeline::{Timeline, TimelineBuilder};
-use jcc_petri::Transition;
+use jcc_petri::event::{timeline_verb, EventKind};
 
 use crate::machine::RunOutcome;
-use crate::trace::TraceEventKind;
 
 /// Label the CoFG arc `from -> to` of `cofg`, or `None` when no such arc
 /// exists (the traversal would be a coverage stray).
@@ -43,10 +42,10 @@ pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Time
     for name in &outcome.thread_names {
         b.lane(name);
     }
-    let lock_name = |lock: usize| -> &str {
+    let lock_name = |lock: u64| -> &str {
         outcome
             .lock_names
-            .get(lock)
+            .get(lock as usize)
             .map(String::as_str)
             .unwrap_or("?")
     };
@@ -58,16 +57,16 @@ pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Time
     let mut walk: Vec<Option<(String, NodeId)>> = vec![None; outcome.thread_names.len()];
 
     for e in &outcome.trace {
-        let at = e.step as u64;
-        let i = e.thread;
+        let i = e.thread as usize;
+        // CoFG arc attribution first: the arc into `end` belongs to the
+        // call's last interval, before the lane goes idle.
         match &e.kind {
-            TraceEventKind::MethodStart { method } => {
-                b.begins(i, at);
+            EventKind::MethodStart { method } => {
                 if let Some(g) = cofg_of(method) {
                     walk[i] = Some((method.clone(), g.start()));
                 }
             }
-            TraceEventKind::MethodEnd { method } => {
+            EventKind::MethodEnd { method } => {
                 if let Some((m, prev)) = walk[i].take() {
                     if &m == method {
                         if let Some(label) =
@@ -77,9 +76,8 @@ pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Time
                         }
                     }
                 }
-                b.idles(i, at);
             }
-            TraceEventKind::Site { method, path, exit } => {
+            EventKind::Site { method, path, exit } => {
                 if let Some(g) = cofg_of(method) {
                     let path = StmtPath(path.clone());
                     let node = if *exit {
@@ -99,22 +97,9 @@ pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Time
                     }
                 }
             }
-            TraceEventKind::Transition { t, lock } => {
-                let l = lock_name(*lock);
-                match t {
-                    Transition::T1 => b.requests(i, at, l),
-                    Transition::T2 => b.acquires(i, at, l),
-                    Transition::T3 => b.waits(i, at, l),
-                    Transition::T4 => b.releases(i, at, l),
-                    Transition::T5 => b.woken(i, at, l),
-                }
-            }
-            TraceEventKind::NotifyIssued { lock, all, waiters } => {
-                b.notify(i, at, lock_name(*lock), *all, *waiters);
-            }
-            TraceEventKind::FieldRead { .. } | TraceEventKind::FieldWrite { .. } => {}
-            TraceEventKind::Fault { message } => b.faults(i, at, message),
+            _ => {}
         }
+        timeline_verb(&mut b, i, e, lock_name);
     }
     b.finish(outcome.steps as u64 + 1)
 }

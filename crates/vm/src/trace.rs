@@ -1,127 +1,44 @@
-//! VM trace events and their conversion to CoFG coverage markers.
+//! VM traces — [`jcc_petri::event::Event`] streams — and their conversion
+//! to CoFG coverage markers.
 
-use jcc_cofg::coverage::{CoverageTracker, Marker, SiteId};
-use jcc_model::ast::StmtPath;
+use jcc_cofg::coverage::CoverageTracker;
+use jcc_petri::event::{Event, EventKind};
 use jcc_petri::Transition;
-
-/// What a trace event records.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEventKind {
-    /// A Figure-1 transition fired on `lock`.
-    Transition {
-        /// Which transition.
-        t: Transition,
-        /// Lock index within the compiled component (0 = `this`).
-        lock: usize,
-    },
-    /// The thread issued a notification.
-    NotifyIssued {
-        /// Lock index.
-        lock: usize,
-        /// `notifyAll`?
-        all: bool,
-        /// Waiters present at the instant of notification.
-        waiters: usize,
-    },
-    /// A method call began.
-    MethodStart {
-        /// Method name.
-        method: String,
-    },
-    /// A method call returned.
-    MethodEnd {
-        /// Method name.
-        method: String,
-    },
-    /// A concurrency statement was executed (coverage site). For explicit
-    /// `synchronized` blocks, `exit` distinguishes leaving from entering.
-    Site {
-        /// Method name.
-        method: String,
-        /// Statement path.
-        path: Vec<usize>,
-        /// True for the exit side of an explicit `synchronized` block.
-        exit: bool,
-    },
-    /// A shared field was read (while evaluating an expression).
-    FieldRead {
-        /// Field name.
-        field: String,
-    },
-    /// A shared field was written.
-    FieldWrite {
-        /// Field name.
-        field: String,
-    },
-    /// The thread faulted.
-    Fault {
-        /// Description.
-        message: String,
-    },
-}
-
-/// One trace event.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// The global step counter when the event fired.
-    pub step: usize,
-    /// The logical thread index.
-    pub thread: usize,
-    /// What happened.
-    pub kind: TraceEventKind,
-}
 
 /// Fold a trace into a CoFG coverage tracker. Thread indices become
 /// tracker thread ids directly.
-pub fn apply_trace(trace: &[TraceEvent], tracker: &mut CoverageTracker) {
+pub fn apply_trace(trace: &[Event], tracker: &mut CoverageTracker) {
     for event in trace {
-        let thread = event.thread as u64;
-        match &event.kind {
-            TraceEventKind::MethodStart { method } => {
-                tracker.record(thread, &SiteId::start(method.clone()));
-            }
-            TraceEventKind::MethodEnd { method } => {
-                tracker.record(thread, &SiteId::end(method.clone()));
-            }
-            TraceEventKind::Site { method, path, exit } => {
-                let marker = if *exit {
-                    Marker::SyncExit(StmtPath(path.clone()))
-                } else {
-                    Marker::Stmt(StmtPath(path.clone()))
-                };
-                tracker.record(
-                    thread,
-                    &SiteId {
-                        method: method.clone(),
-                        marker,
-                    },
-                );
-            }
-            _ => {}
-        }
+        tracker.observe(event);
     }
 }
 
 /// Render a trace as a human-readable interleaving story, one line per
 /// event, with thread names substituted. The `locks` slice supplies lock
 /// display names (index 0 is `this`).
-pub fn render_trace(trace: &[TraceEvent], thread_names: &[String], locks: &[String]) -> String {
+pub fn render_trace(trace: &[Event], thread_names: &[String], locks: &[String]) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let name = |i: usize| {
+    let name = |i: u64| {
         thread_names
-            .get(i)
+            .get(i as usize)
             .map(String::as_str)
             .unwrap_or("?")
             .to_string()
     };
-    let lock_name = |i: usize| locks.get(i).map(String::as_str).unwrap_or("?").to_string();
+    let lock_name = |i: u64| {
+        locks
+            .get(i as usize)
+            .map(String::as_str)
+            .unwrap_or("?")
+            .to_string()
+    };
     for e in trace {
         let who = name(e.thread);
         let line = match &e.kind {
-            TraceEventKind::MethodStart { method } => format!("{who} calls {method}()"),
-            TraceEventKind::MethodEnd { method } => format!("{who} returns from {method}()"),
-            TraceEventKind::Transition { t, lock } => {
+            EventKind::MethodStart { method } => format!("{who} calls {method}()"),
+            EventKind::MethodEnd { method } => format!("{who} returns from {method}()"),
+            EventKind::Transition { t, lock } => {
                 let l = lock_name(*lock);
                 match t {
                     Transition::T1 => format!("{who} requests lock `{l}` (T1)"),
@@ -131,35 +48,30 @@ pub fn render_trace(trace: &[TraceEvent], thread_names: &[String], locks: &[Stri
                     Transition::T5 => format!("{who} is woken on `{l}` (T5)"),
                 }
             }
-            TraceEventKind::NotifyIssued { lock, all, waiters } => format!(
+            EventKind::Notify { lock, all, waiters } => format!(
                 "{who} calls {} on `{}` ({} waiter(s) present)",
                 if *all { "notifyAll" } else { "notify" },
                 lock_name(*lock),
                 waiters
             ),
-            TraceEventKind::Site { .. } => continue_marker(),
-            TraceEventKind::FieldRead { field } => format!("{who} reads `{field}`"),
-            TraceEventKind::FieldWrite { field } => format!("{who} writes `{field}`"),
-            TraceEventKind::Fault { message } => format!("{who} FAULTS: {message}"),
+            // Coverage sites are bookkeeping, not narrative.
+            EventKind::Site { .. } => continue,
+            EventKind::Read { var } => format!("{who} reads `{var}`"),
+            EventKind::Write { var } => format!("{who} writes `{var}`"),
+            EventKind::Fault { message } => format!("{who} FAULTS: {message}"),
+            EventKind::CaptureGap { dropped } => format!("{who} lost {dropped} event(s)"),
         };
-        if line.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "  [{:>4}] {line}", e.step);
+        let _ = writeln!(out, "  [{:>4}] {line}", e.seq);
     }
     out
 }
 
-fn continue_marker() -> String {
-    String::new() // coverage sites are bookkeeping, not narrative
-}
-
 /// Count occurrences of each Figure-1 transition in a trace, indexed by
 /// [`Transition::index`].
-pub fn transition_counts(trace: &[TraceEvent]) -> [usize; 5] {
+pub fn transition_counts(trace: &[Event]) -> [usize; 5] {
     let mut counts = [0usize; 5];
     for event in trace {
-        if let TraceEventKind::Transition { t, .. } = event.kind {
+        if let EventKind::Transition { t, .. } = event.kind {
             counts[t.index()] += 1;
         }
     }
@@ -214,6 +126,31 @@ mod tests {
         let counts = transition_counts(&out.trace);
         // T1, T2, T4 once each; no wait or wake.
         assert_eq!(counts, [1, 1, 0, 1, 0]);
+    }
+
+    #[test]
+    fn trace_records_acquires_and_field_writes() {
+        let c = examples::producer_consumer();
+        let mut vm = Vm::new(
+            compile(&c).unwrap(),
+            vec![ThreadSpec {
+                name: "p".into(),
+                calls: vec![CallSpec::new("send", vec![Value::Str("a".into())])],
+            }],
+        );
+        let out = vm.run(&RunConfig::default());
+        // The first lock event is the acquire of `this` (lock 0).
+        let first_lock = out.trace.iter().find_map(|e| e.kind.acquired());
+        assert_eq!(first_lock, Some(0));
+        let writes: Vec<&str> = out
+            .trace
+            .iter()
+            .filter_map(|e| match &e.kind {
+                EventKind::Write { var } => Some(var.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(writes, ["contents", "totalLength", "curPos"]);
     }
 
     #[test]

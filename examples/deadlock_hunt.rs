@@ -6,7 +6,6 @@
 
 use jcc_core::detect::classify::{classify_cycles, classify_explore};
 use jcc_core::detect::lockorder::LockOrderGraph;
-use jcc_core::detect::normalize::from_vm_trace;
 use jcc_core::model::examples;
 use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, RunConfig, ThreadSpec, Vm};
 
@@ -30,7 +29,7 @@ fn main() {
     );
     let out = probe.run(&RunConfig::default());
     assert!(!out.verdict.is_failure(), "probe itself cannot deadlock");
-    let graph = LockOrderGraph::build(&from_vm_trace(&out.trace));
+    let graph = LockOrderGraph::build(&out.trace);
     println!("  lock-order edges: {:?}", graph.edges());
     let cycles = graph.cycles();
     for finding in classify_cycles(&cycles) {

@@ -5,10 +5,10 @@ use std::sync::Arc;
 
 use jcc_core::clock::{Schedule, TestDriver};
 use jcc_core::cofg::{build_component_cofgs, CoverageTracker};
-use jcc_core::components::{apply_log, ProducerConsumer};
+use jcc_core::components::ProducerConsumer;
 use jcc_core::model::examples;
-use jcc_core::petri::Transition;
-use jcc_core::runtime::{EventLog, EventKind};
+use jcc_core::petri::{EventKind, Transition};
+use jcc_core::runtime::EventLog;
 use jcc_core::vm::trace::apply_trace;
 use jcc_core::vm::{compile, CallSpec, RunConfig, ThreadSpec, Value, Vm};
 
@@ -51,7 +51,7 @@ fn coverage_agrees_between_native_and_vm() {
     let (records, _) = TestDriver::new().run(schedule);
     assert!(records.iter().all(|r| !r.suspended()), "{records:?}");
     let mut native_cov = CoverageTracker::new(build_component_cofgs(&component));
-    apply_log(&log.snapshot(), &mut native_cov);
+    apply_trace(&log.snapshot(), &mut native_cov);
 
     assert_eq!(native_cov.strays, 0);
     assert_eq!(
@@ -87,7 +87,9 @@ fn native_transition_sequence_matches_model() {
     let waiter = events
         .iter()
         .find_map(|e| match e.kind {
-            EventKind::Transition(Transition::T3) => Some(e.thread),
+            EventKind::Transition {
+                t: Transition::T3, ..
+            } => Some(e.thread),
             _ => None,
         })
         .expect("someone waited");
@@ -95,7 +97,7 @@ fn native_transition_sequence_matches_model() {
         .iter()
         .filter(|e| e.thread == waiter)
         .filter_map(|e| match e.kind {
-            EventKind::Transition(t) => Some(t),
+            EventKind::Transition { t, .. } => Some(t),
             _ => None,
         })
         .collect();

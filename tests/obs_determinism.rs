@@ -308,22 +308,29 @@ fn live_timeline_byte_matches_posthoc_on_the_gate_walkthrough() {
     // the post-hoc timeline plus the alert notes — and incremental vs
     // batch construction must agree byte-for-byte on the FF-T5 Gate
     // walkthrough (the paper's lost-notification schedule).
-    use jcc_core::petri::Transition as T;
-    use jcc_core::runtime::{EventKind, EventLog, LiveTimeline};
+    use jcc_core::petri::{EventKind, Transition as T};
+    use jcc_core::runtime::{EventLog, LiveTimeline};
     let log = EventLog::new();
-    let gate = log.register_monitor("gate");
-    log.log_as(2, gate, EventKind::Transition(T::T2));
+    let gate = log.register_monitor("gate").0;
+    let fire = |thread, t| log.log_as(thread, EventKind::Transition { t, lock: gate });
+    fire(2, T::T2);
     log.log_as(
         2,
-        gate,
         EventKind::Write {
             var: "open".to_string(),
         },
     );
-    log.log_as(2, gate, EventKind::NotifyIssued { all: false, waiters: 0 });
-    log.log_as(2, gate, EventKind::Transition(T::T4));
-    log.log_as(1, gate, EventKind::Transition(T::T2));
-    log.log_as(1, gate, EventKind::Transition(T::T3));
+    log.log_as(
+        2,
+        EventKind::Notify {
+            lock: gate,
+            all: false,
+            waiters: 0,
+        },
+    );
+    fire(2, T::T4);
+    fire(1, T::T2);
+    fire(1, T::T3);
 
     // Live, one event at a time — as the watcher drains the stream.
     let mut live = LiveTimeline::new();

@@ -1,80 +1,44 @@
-//! Integration: the always-on online detectors agree with the post-hoc
-//! classifier.
+//! Integration: the always-on online detectors over the capture path.
 //!
 //! Every corpus component's VM trace is replayed through the lock-free
-//! capture path (`EventLog::log_as`) and consumed twice: incrementally by
-//! [`jcc_core::runtime::OnlineMonitor`] and post-hoc by
-//! [`jcc_core::detect::classify_runtime_events`]. On a fully-sampled,
-//! no-drop stream the two verdict lists must **byte-match**. Under
-//! degradation — injected capture gaps or probabilistic sampling — the
-//! online verdicts may shrink but must never invent a finding: every
-//! degraded race variable, lock-order cycle, and lost monitor must appear
-//! in the full-stream result.
+//! capture path (`EventLog::log_as`) and consumed by
+//! [`jcc_core::detect::OnlineMonitor`]. On a fully-sampled, no-drop stream
+//! the verdicts must equal the golden table in `tests/online_verdicts.rs`.
+//! Under degradation — injected capture gaps or probabilistic sampling —
+//! the verdicts may shrink but must never invent a finding: every degraded
+//! race variable, lock-order cycle, and lost monitor must appear in the
+//! full-stream result.
 
 use std::collections::BTreeSet;
 
 use jcc_core::components::zoo::full_corpus;
-use jcc_core::detect::classify_runtime_events;
-use jcc_core::runtime::{Event, EventKind, EventLog, MonitorId, OnlineMonitor};
+use jcc_core::detect::OnlineMonitor;
+use jcc_core::petri::{Event, EventKind};
+use jcc_core::runtime::EventLog;
 use jcc_core::testgen::corpus::{registered, space_for};
-use jcc_core::vm::{compile, CallSpec, RunConfig, ThreadSpec, TraceEvent, TraceEventKind, Vm};
+use jcc_core::vm::{compile, CallSpec, RunConfig, ThreadSpec, Vm};
 
-/// Replay a VM trace into a fresh capture log via `log_as`, mapping lock
-/// indices to monitor ids directly (the same mapping `from_vm_trace`
-/// uses), and VM thread indices to 1-based logical thread ids.
-fn replay(log: &EventLog, trace: &[TraceEvent]) {
+/// Golden verdicts per stream name.
+const GOLDEN: &[(&str, &[&str])] = include!("online_verdicts.rs");
+
+fn golden(name: &str) -> Vec<String> {
+    let (_, verdicts) = GOLDEN
+        .iter()
+        .find(|(stream, _)| *stream == name)
+        .unwrap_or_else(|| panic!("{name}: no golden verdicts"));
+    verdicts.iter().map(|v| v.to_string()).collect()
+}
+
+/// Replay a VM trace into a fresh capture log via `log_as`.
+fn replay(log: &EventLog, trace: &[Event]) {
     for e in trace {
-        let thread = e.thread as u64 + 1;
-        match &e.kind {
-            TraceEventKind::Transition { t, lock } => {
-                log.log_as(thread, MonitorId(*lock as u64), EventKind::Transition(*t));
-            }
-            TraceEventKind::NotifyIssued { lock, all, waiters } => {
-                log.log_as(
-                    thread,
-                    MonitorId(*lock as u64),
-                    EventKind::NotifyIssued {
-                        all: *all,
-                        waiters: *waiters,
-                    },
-                );
-            }
-            TraceEventKind::FieldRead { field } => {
-                log.log_as(thread, MonitorId(0), EventKind::Read { var: field.clone() });
-            }
-            TraceEventKind::FieldWrite { field } => {
-                log.log_as(
-                    thread,
-                    MonitorId(0),
-                    EventKind::Write { var: field.clone() },
-                );
-            }
-            TraceEventKind::MethodStart { method } => {
-                log.log_as(
-                    thread,
-                    MonitorId(0),
-                    EventKind::MethodStart {
-                        method: method.clone(),
-                    },
-                );
-            }
-            TraceEventKind::MethodEnd { method } => {
-                log.log_as(
-                    thread,
-                    MonitorId(0),
-                    EventKind::MethodEnd {
-                        method: method.clone(),
-                    },
-                );
-            }
-            _ => {}
-        }
+        log.log_as(e.thread, e.kind.clone());
     }
 }
 
 /// One VM run per corpus component: one thread per session template from
 /// the canonical scenario registry, default (deterministic) scheduling.
-fn corpus_traces() -> Vec<(String, Vec<TraceEvent>)> {
+fn corpus_traces() -> Vec<(String, Vec<Event>)> {
     full_corpus()
         .into_iter()
         .map(|(name, component)| {
@@ -103,37 +67,37 @@ fn corpus_traces() -> Vec<(String, Vec<TraceEvent>)> {
 /// fires while the wait set is empty, then the passer waits forever.
 fn gate_walkthrough(log: &EventLog) {
     use jcc_core::petri::Transition as T;
-    let gate = MonitorId(9);
+    let gate = 9;
+    let fire = |thread, t| log.log_as(thread, EventKind::Transition { t, lock: gate });
     // Opener: enter, write the flag, notify into an empty wait set, leave.
-    log.log_as(2, gate, EventKind::Transition(T::T2));
+    fire(2, T::T2);
     log.log_as(
         2,
-        gate,
         EventKind::Write {
             var: "open".to_string(),
         },
     );
-    log.log_as(2, gate, EventKind::NotifyIssued { all: false, waiters: 0 });
-    log.log_as(2, gate, EventKind::Transition(T::T4));
+    log.log_as(
+        2,
+        EventKind::Notify {
+            lock: gate,
+            all: false,
+            waiters: 0,
+        },
+    );
+    fire(2, T::T4);
     // Passer: enter, wait (T3) — and nobody will ever wake it.
-    log.log_as(1, gate, EventKind::Transition(T::T2));
-    log.log_as(1, gate, EventKind::Transition(T::T3));
+    fire(1, T::T2);
+    fire(1, T::T3);
 }
 
 fn verdict_strings(online: &OnlineMonitor) -> Vec<String> {
     online.verdicts().iter().map(|f| f.to_string()).collect()
 }
 
-fn posthoc_strings(events: &[Event]) -> Vec<String> {
-    classify_runtime_events(events)
-        .iter()
-        .map(|f| f.to_string())
-        .collect()
-}
-
-/// Tentpole differential guarantee: on a fully-sampled no-drop stream the
-/// online verdicts byte-match the post-hoc classification — for every
-/// corpus component and the Gate walkthrough.
+/// On a fully-sampled no-drop stream the online verdicts equal the golden
+/// table — recorded from the post-hoc classifier — for every corpus
+/// component.
 #[test]
 fn online_verdicts_byte_match_posthoc_on_all_corpus_streams() {
     let mut checked = 0;
@@ -147,11 +111,7 @@ fn online_verdicts_byte_match_posthoc_on_all_corpus_streams() {
         let mut online = OnlineMonitor::default();
         online.observe_all(&events);
         assert!(!online.degraded(), "{name}: no gaps were injected");
-        assert_eq!(
-            verdict_strings(&online),
-            posthoc_strings(&events),
-            "{name}: online and post-hoc verdicts diverge"
-        );
+        assert_eq!(verdict_strings(&online), golden(&name), "{name}");
         checked += 1;
     }
     assert_eq!(
@@ -159,6 +119,14 @@ fn online_verdicts_byte_match_posthoc_on_all_corpus_streams() {
         registered().len(),
         "every registered corpus component must be exercised"
     );
+    assert_eq!(GOLDEN.len(), checked + 1, "the table also pins the Gate");
+}
+
+#[test]
+fn event_stays_within_72_bytes() {
+    // The VM clones its trace for every explored successor; a wider event
+    // would slow exploration.
+    assert!(std::mem::size_of::<Event>() <= 72);
 }
 
 #[test]
@@ -169,7 +137,7 @@ fn gate_walkthrough_byte_matches_and_reports_the_lost_notification() {
     let mut online = OnlineMonitor::default();
     online.observe_all(&events);
     let verdicts = verdict_strings(&online);
-    assert_eq!(verdicts, posthoc_strings(&events));
+    assert_eq!(verdicts, golden("Gate"));
     assert!(
         verdicts.iter().any(|v| v.starts_with("FF-T5:")),
         "the lost notification must be classified: {verdicts:?}"
@@ -182,7 +150,7 @@ fn gate_walkthrough_byte_matches_and_reports_the_lost_notification() {
         .expect("an FF-T5 alert was raised while the run was still going");
     assert!(matches!(
         events[alert.seq as usize].kind,
-        EventKind::NotifyIssued { waiters: 0, .. }
+        EventKind::Notify { waiters: 0, .. }
     ));
 }
 
@@ -211,7 +179,6 @@ fn inject_gap(events: &[Event], victim: u64) -> Vec<Event> {
             out.push(Event {
                 seq: e.seq,
                 thread: victim,
-                monitor: MonitorId(0),
                 kind: EventKind::CaptureGap {
                     dropped: window.len() as u64,
                 },
@@ -307,7 +274,7 @@ fn sampled_streams_never_invent_findings() {
                 evs.iter().filter(|e| pred(&e.kind)).count()
             };
             let is_sync = |k: &EventKind| {
-                matches!(k, EventKind::Transition(_) | EventKind::NotifyIssued { .. })
+                matches!(k, EventKind::Transition { .. } | EventKind::Notify { .. })
             };
             assert_eq!(
                 count(&events, is_sync),

@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 
 use jcc_core::detect::lockset::LocksetAnalyzer;
-use jcc_core::detect::normalize::{MonEvent, MonEventKind};
 use jcc_core::model::ast::{BinOp, Expr, UnOp};
 use jcc_core::model::mutate::all_mutants;
 use jcc_core::model::pretty::{print_component, print_expr};
@@ -315,20 +314,22 @@ proptest! {
         ops in proptest::collection::vec((1u64..5, 0usize..4, proptest::bool::ANY), 1..80),
     ) {
         // Every access to variable v_i is protected by lock i.
+        use jcc_core::petri::{Event, EventKind, Transition};
+        let ev = |thread, kind| Event { seq: 0, thread, kind };
         let mut events = Vec::new();
         for (thread, var, is_write) in ops {
             let lock = var as u64 + 10;
-            events.push(MonEvent { thread, kind: MonEventKind::Acquire(lock) });
-            let name = format!("v{var}");
-            events.push(MonEvent {
+            events.push(ev(thread, EventKind::Transition { t: Transition::T2, lock }));
+            let var = format!("v{var}");
+            events.push(ev(
                 thread,
-                kind: if is_write {
-                    MonEventKind::Write(name)
+                if is_write {
+                    EventKind::Write { var }
                 } else {
-                    MonEventKind::Read(name)
+                    EventKind::Read { var }
                 },
-            });
-            events.push(MonEvent { thread, kind: MonEventKind::Release(lock) });
+            ));
+            events.push(ev(thread, EventKind::Transition { t: Transition::T4, lock }));
         }
         prop_assert!(LocksetAnalyzer::analyze(&events).is_empty());
     }

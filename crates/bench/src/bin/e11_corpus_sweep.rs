@@ -12,8 +12,9 @@
 //! * `size<n>_states_per_sec` — sequential exploration throughput,
 //! * `size<n>_diag_count` — total analyzer diagnostics (all severities),
 //!
-//! plus the usual auto-derived aggregate `states_per_sec` that
-//! `perf_guard` gates against `ci/bench_baseline_e11.json`.
+//! plus the usual auto-derived aggregate `states_per_sec`, which the
+//! ledger's floor rule gates (with the ladder's `reduction_factor`) via
+//! `jcc-report ci/bench_baseline_e11.json BENCH_e11.json --gate`.
 //!
 //! **Determinism gates** (asserted, not just reported): the generated
 //! source is byte-identical across two in-process generations; the

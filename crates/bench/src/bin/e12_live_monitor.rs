@@ -5,9 +5,9 @@
 //! Three questions, answered with internal gates:
 //!
 //! 1. **Overhead** — per-event capture cost against an uninstrumented
-//!    baseline doing the identical synthetic work (warmed, interleaved,
-//!    best-of-3; the same clamp discipline as e8's obs-overhead figure).
-//!    Budget: < 5% at `summary` level.
+//!    baseline doing the identical synthetic work, timed by the shared
+//!    warmed, interleaved best-of-3 harness (`obs::ab_best_of_3`).
+//!    Budget: < 5% at `summary` level, the ledger's overhead budget.
 //! 2. **Losslessness** — at sampling rate 1 with a live collector the CI
 //!    smoke workload must complete with **zero drops**, and the online
 //!    verdicts on every corpus stream must equal the golden table pinned
@@ -115,8 +115,8 @@ fn run_baseline(master: &Arc<Vec<EventKind>>, reps: usize) -> f64 {
 
 /// The instrumented arm: same work, plus one capture per event, with a
 /// live collector draining the rings into the online detectors. Returns
-/// (wall seconds, drops, events captured, findings the collector saw).
-fn run_instrumented(master: &Arc<Vec<EventKind>>, reps: usize) -> (f64, u64, u64, usize) {
+/// (wall seconds, drops, events captured).
+fn run_instrumented(master: &Arc<Vec<EventKind>>, reps: usize) -> (f64, u64, u64) {
     let log = EventLog::new();
     log.set_ring_capacity_words(1 << 15);
     let done = Arc::new(AtomicBool::new(false));
@@ -158,7 +158,7 @@ fn run_instrumented(master: &Arc<Vec<EventKind>>, reps: usize) -> (f64, u64, u64
     done.store(true, Ordering::Release);
     let online = collector.join().unwrap();
     let drops = log.drop_count();
-    (wall, drops, online.events_seen(), online.verdicts().len())
+    (wall, drops, online.events_seen())
 }
 
 fn main() {
@@ -214,23 +214,21 @@ fn main() {
     reporter.set_derived("online_findings", online_findings as f64);
 
     // --- saturation: capture overhead vs uninstrumented baseline ---
-    // Warm both arms untimed (first-arm allocator/cache warm-up must not
-    // skew the subtraction), then three interleaved rounds, best of each.
-    run_baseline(&master, reps);
-    run_instrumented(&master, reps);
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
+    // The warmed, interleaved best-of-3 harness. Every instrumented run,
+    // the warm-up included, is tallied for the losslessness gates.
     let mut total_drops = 0u64;
     let mut total_captured = 0u64;
     let mut total_produced = 0u64;
-    for _ in 0..3 {
-        best_off = best_off.min(run_baseline(&master, reps));
-        let (wall, drops, captured, _) = run_instrumented(&master, reps);
-        best_on = best_on.min(wall);
-        total_drops += drops;
-        total_captured += captured;
-        total_produced += events_per_run;
-    }
+    let ab = jcc_core::obs::ab_best_of_3(
+        || run_baseline(&master, reps),
+        || {
+            let (wall, drops, captured) = run_instrumented(&master, reps);
+            total_drops += drops;
+            total_captured += captured;
+            total_produced += events_per_run;
+            wall
+        },
+    );
     assert_eq!(
         total_captured + total_drops,
         total_produced,
@@ -239,9 +237,8 @@ fn main() {
     // The acceptance bar: the CI smoke workload completes losslessly at
     // sampling rate 1 — the ring plus a live collector absorb saturation.
     assert_eq!(total_drops, 0, "rate-1 smoke workload must not drop events");
-    let raw_overhead_pct = (best_on - best_off) / best_off * 100.0;
-    let overhead_pct = raw_overhead_pct.max(0.0);
-    let noise_floor_pct = (-raw_overhead_pct).max(0.0);
+    let (best_off, best_on) = (ab.best_off, ab.best_on);
+    let (overhead_pct, noise_floor_pct) = (ab.overhead_pct(), ab.noise_floor_pct());
     let events_per_sec = events_per_run as f64 / best_on.max(1e-9);
     let ns_per_event = best_on * 1e9 / events_per_run as f64;
     let drop_rate_pct = total_drops as f64 / total_produced as f64 * 100.0;

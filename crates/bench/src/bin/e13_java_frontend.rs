@@ -14,7 +14,8 @@
 //! comparing rendered text and JSON byte-for-byte. Throughput is
 //! published as `java_loc_per_sec` (lines of code through the full
 //! pipeline per second, measured over repeated in-memory sweeps) and
-//! gated by `perf_guard` against `ci/bench_baseline_e13.json`.
+//! gated by the ledger's floor rule via
+//! `jcc-report ci/bench_baseline_e13.json BENCH_e13.json --gate`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

@@ -4,13 +4,14 @@
 //! workload with the stack off.
 //!
 //! The claim under test: watching a run live is free enough to leave on.
-//! Three interleaved rounds, best-of-three each way (the e8/e12 defence
-//! against one-off scheduler noise), with both arms warmed untimed first.
-//! The off arm still records at `summary` level — the subtraction isolates
-//! what the *live* additions (tree + mirror + sampler + heartbeat +
-//! progress publication) cost on top of ordinary metrics. Acceptance: the
-//! explored graph is identical in both arms, and overhead stays under the
-//! 5% budget (`max_introspection_overhead_pct` in the e14 baseline).
+//! Both arms go through the shared warmed, interleaved best-of-3 harness
+//! (`obs::ab_best_of_3`, as in e8 and e12). The off arm still records at
+//! `summary` level — the subtraction isolates what the *live* additions
+//! (tree + mirror + sampler + heartbeat + progress publication) cost on
+//! top of ordinary metrics. Acceptance: every arm's graph, warm-ups
+//! included, is identical to a reference exploration, and
+//! `introspection_overhead_pct` stays under the ledger's 5% overhead
+//! budget, which `jcc-report --gate` applies against the e14 baseline.
 
 use std::time::{Duration, Instant};
 
@@ -43,80 +44,64 @@ fn main() {
         ..ReachLimits::default()
     };
 
-    // Warm BOTH arms untimed: whichever arm runs first in a cold process
-    // pays allocator/cache warm-up for both (the e8 lesson).
-    obs::set_span_tree(false);
-    obs::set_progress(false);
-    let warm_off = ReachGraph::explore(j.net(), seq_limits);
-    obs::set_span_tree(true);
-    obs::set_progress(true);
-    let warm_on = {
-        let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
-        let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
-        let g = ReachGraph::explore(j.net(), seq_limits);
-        heartbeat.stop();
-        let _ = profiler.stop();
-        g
+    // The graph both arms must reproduce: same states, edges, frontier
+    // peak — and the same dead states.
+    let reference = ReachGraph::explore(j.net(), seq_limits);
+    let agrees = |g: &ReachGraph| {
+        assert_eq!(g.stats(), reference.stats(), "arms must agree");
+        assert_eq!(
+            g.dead_states(),
+            reference.dead_states(),
+            "dead-state sets must agree"
+        );
     };
-    assert_eq!(
-        warm_off.stats(),
-        warm_on.stats(),
-        "introspection must not change the explored graph"
-    );
+    let explore_batch = || {
+        let t0 = Instant::now();
+        let mut g = ReachGraph::explore(j.net(), seq_limits);
+        for _ in 1..REPS {
+            g = ReachGraph::explore(j.net(), seq_limits);
+        }
+        (t0.elapsed().as_secs_f64(), g)
+    };
 
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
     let mut on_wall = 0.0f64;
     let mut last_profile = None;
-    for _ in 0..3 {
+    let ab = obs::ab_best_of_3(
         // OFF arm: live features disabled, no watcher threads.
-        obs::set_span_tree(false);
-        obs::set_progress(false);
-        let t0 = Instant::now();
-        let mut g_off = ReachGraph::explore(j.net(), seq_limits);
-        for _ in 1..REPS {
-            g_off = ReachGraph::explore(j.net(), seq_limits);
-        }
-        best_off = best_off.min(t0.elapsed().as_secs_f64());
-
+        || {
+            obs::set_span_tree(false);
+            obs::set_progress(false);
+            let (secs, g) = explore_batch();
+            agrees(&g);
+            secs
+        },
         // ON arm: the whole stack. Profiler/heartbeat start and stop
         // outside the timed region — their *running* cost is the claim,
         // not their spawn cost — and one untimed exploration runs after
         // the spawn so the watcher threads' lazy setup (stack, TLS, first
         // sleep) finishes before the clock starts; on a single-core host
         // that setup otherwise lands inside the timed window.
-        obs::set_span_tree(true);
-        obs::set_progress(true);
-        let seg0 = Instant::now();
-        let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
-        let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
-        let _settle = ReachGraph::explore(j.net(), seq_limits);
-        let t0 = Instant::now();
-        let mut g_on = ReachGraph::explore(j.net(), seq_limits);
-        for _ in 1..REPS {
-            g_on = ReachGraph::explore(j.net(), seq_limits);
-        }
-        best_on = best_on.min(t0.elapsed().as_secs_f64());
-        heartbeat.stop();
-        last_profile = Some(profiler.stop());
-        on_wall += seg0.elapsed().as_secs_f64();
-
-        // The graph must be identical with the introspection stack on:
-        // same states, edges, frontier peak — and the same dead states.
-        assert_eq!(g_off.stats(), g_on.stats(), "arms must agree");
-        assert_eq!(
-            g_off.dead_states(),
-            g_on.dead_states(),
-            "dead-state sets must agree"
-        );
-    }
+        || {
+            obs::set_span_tree(true);
+            obs::set_progress(true);
+            let seg0 = Instant::now();
+            let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
+            let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
+            let _settle = ReachGraph::explore(j.net(), seq_limits);
+            let (secs, g) = explore_batch();
+            heartbeat.stop();
+            last_profile = Some(profiler.stop());
+            on_wall += seg0.elapsed().as_secs_f64();
+            agrees(&g);
+            secs
+        },
+    );
     obs::set_span_tree(false);
     obs::set_progress(false);
 
-    let states = warm_off.stats().states;
-    let raw_overhead_pct = (best_on - best_off) / best_off.max(1e-9) * 100.0;
-    let overhead_pct = raw_overhead_pct.max(0.0);
-    let noise_floor_pct = (-raw_overhead_pct).max(0.0);
+    let states = reference.stats().states;
+    let (best_off, best_on) = (ab.best_off, ab.best_on);
+    let (overhead_pct, noise_floor_pct) = (ab.overhead_pct(), ab.noise_floor_pct());
     say!(
         "--- introspection overhead (petri reach N={n}, {states} states, warmed, best of 3) ---\n\
          off: {best_off:.4}s, live: {best_on:.4}s -> overhead {overhead_pct:.2}% \

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use jcc_core::cofg::{build_component_cofgs, CoverageTracker};
 use jcc_core::model::examples;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits, ReachStats};
 use jcc_core::vm::{
     compile, explore, explore_portfolio, timeline_of_outcome, CallSpec, ExploreConfig,
     PortfolioConfig, RunConfig, ThreadSpec, Value, Vm,
@@ -252,20 +252,23 @@ fn main() {
             parallelism: Parallelism::sequential(),
             ..ReachLimits::default()
         };
-        // Interleaved best-of-3, the same defence against one-off scheduler
-        // and warm-up noise the obs-overhead measurement uses.
-        let mut packed_time = f64::INFINITY;
-        let mut boxed_time = f64::INFINITY;
-        let mut packed = ReachGraph::explore(&ring, seq_limits);
-        let mut boxed = ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true);
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            packed = ReachGraph::explore(&ring, seq_limits);
-            packed_time = packed_time.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            boxed = ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true);
-            boxed_time = boxed_time.min(t0.elapsed().as_secs_f64());
-        }
+        // Warmed, interleaved best-of-3, the same harness the obs-overhead
+        // measurement uses.
+        let (mut packed, mut boxed) = (None, None);
+        let ab = jcc_core::obs::ab_best_of_3(
+            || {
+                let t0 = Instant::now();
+                packed = Some(ReachGraph::explore(&ring, seq_limits));
+                t0.elapsed().as_secs_f64()
+            },
+            || {
+                let t0 = Instant::now();
+                boxed = Some(ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true));
+                t0.elapsed().as_secs_f64()
+            },
+        );
+        let (packed, boxed) = (packed.unwrap(), boxed.unwrap());
+        let (packed_time, boxed_time) = (ab.best_off, ab.best_on);
         assert_eq!(packed.stats(), boxed.stats(), "engines must agree");
         let packed_rate = packed.stats().states as f64 / packed_time.max(1e-9);
         let boxed_rate = boxed.stats().states as f64 / boxed_time.max(1e-9);
@@ -322,52 +325,38 @@ fn main() {
     reporter.set_derived("vm_portfolio_seconds", par_time.as_secs_f64());
 
     // --- obs overhead self-measurement ---
-    // The same N=6 sequential reachability, observed vs unobserved; three
-    // interleaved rounds, best-of-three each way (the standard defence
-    // against one-off scheduler noise). The acceptance bar for the obs
-    // subsystem is < 5% at `summary` level.
+    // The same N=6 sequential reachability, observed vs unobserved, through
+    // the warmed, interleaved best-of-3 harness. The acceptance bar for the
+    // obs subsystem is < 5% at `summary` level.
     let saved_level = reporter.level();
     let seq_limits = ReachLimits {
         parallelism: Parallelism::sequential(),
         ..ReachLimits::default()
     };
-    // Warm BOTH arms untimed first: whichever arm runs first in a cold
-    // process pays allocator/cache warm-up for both, which used to skew the
-    // subtraction negative (the "observed" arm looked *faster* than off).
-    jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Off);
-    let warm_off = ReachGraph::explore(big.net(), seq_limits);
-    jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Summary);
-    let warm_on = ReachGraph::explore(big.net(), seq_limits);
-    assert_eq!(warm_off.stats(), warm_on.stats());
-    let mut best_off = f64::INFINITY;
-    let mut best_on = f64::INFINITY;
-    let mut states_off = 0usize;
-    let mut states_on = 0usize;
-    for _ in 0..3 {
-        jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Off);
+    let timed_at = |level, stats: &mut Option<ReachStats>| {
+        jcc_core::obs::set_level(level);
         let t0 = Instant::now();
         let g = ReachGraph::explore(big.net(), seq_limits);
-        best_off = best_off.min(t0.elapsed().as_secs_f64());
-        states_off = g.stats().states;
-
-        jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Summary);
-        let t0 = Instant::now();
-        let g = ReachGraph::explore(big.net(), seq_limits);
-        best_on = best_on.min(t0.elapsed().as_secs_f64());
-        states_on = g.stats().states;
-    }
+        let secs = t0.elapsed().as_secs_f64();
+        *stats = Some(g.stats().clone());
+        secs
+    };
+    let (mut stats_off, mut stats_on) = (None, None);
+    let ab = jcc_core::obs::ab_best_of_3(
+        || timed_at(jcc_core::obs::ObsLevel::Off, &mut stats_off),
+        || timed_at(jcc_core::obs::ObsLevel::Summary, &mut stats_on),
+    );
     jcc_core::obs::set_level(saved_level);
-    assert_eq!(states_off, states_on, "observation must not change results");
+    assert_eq!(stats_off, stats_on, "observation must not change results");
+    let states_off = stats_off.map_or(0, |s| s.states);
     // Anything the subtraction says below zero is measurement noise, not a
-    // speedup from observing: report the raw residue separately so a noisy
-    // host is visible, but never let it masquerade as negative overhead.
-    let raw_overhead_pct = (best_on - best_off) / best_off * 100.0;
-    let overhead_pct = raw_overhead_pct.max(0.0);
-    let noise_floor_pct = (-raw_overhead_pct).max(0.0);
+    // speedup from observing: the harness reports that residue separately
+    // so a noisy host is visible, but never as negative overhead.
+    let (overhead_pct, noise_floor_pct) = (ab.overhead_pct(), ab.noise_floor_pct());
     say!(
         "\n--- obs overhead (petri reach N=6, {} states, warmed, best of 3) ---\n\
          off: {:.4}s, summary: {:.4}s -> overhead {:.2}% (noise floor {:.2}%, budget: < 5%)",
-        states_off, best_off, best_on, overhead_pct, noise_floor_pct
+        states_off, ab.best_off, ab.best_on, overhead_pct, noise_floor_pct
     );
     reporter.set_derived("obs_overhead_pct", overhead_pct);
     reporter.set_derived("obs_noise_floor_pct", noise_floor_pct);

@@ -1,27 +1,27 @@
-//! `jcc-report` — the cross-run regression ledger.
+//! `jcc-report` — the cross-run regression ledger and the one regression
+//! gate.
 //!
-//! Takes two or more `BENCH_*.json` run reports (as written by
-//! `BenchReporter` / `JCC_OBS=summary`) in chronological order, diffs each
-//! consecutive pair — counters, derived throughputs, coverage percentages —
-//! and renders the result as a human table plus, with `--out=PATH`, the
-//! stable machine-readable `jcc-ledger/v1` JSON.
+//! Takes two or more `jcc-obs/v1` run reports in chronological order —
+//! `BENCH_*.json` files as written by `BenchReporter` / `JCC_OBS=summary`,
+//! or a checked-in `ci/bench_baseline*.json` — diffs each consecutive pair
+//! with the `obs::ledger` rule table (throughput floors, coverage, drop
+//! rates, overhead budgets), and renders the result as a human table plus,
+//! with `--out=PATH`, the stable machine-readable `jcc-ledger/v1` JSON.
 //!
 //! ```text
-//! cargo run -p jcc-bench --bin jcc-report -- BENCH_old.json BENCH_new.json \
+//! cargo run -p jcc-bench --bin jcc-report -- ci/bench_baseline.json BENCH_e8.json \
 //!     --out=jcc-ledger.json --gate
 //! ```
 //!
 //! Flags:
 //!
 //! * `--out=PATH` — also write the ledger JSON to `PATH`,
-//! * `--gate` — exit non-zero when any comparison regressed (throughput
-//!   below the floor, coverage dropped by more than the epsilon, or a
-//!   coverage key disappeared) — the CI wiring,
+//! * `--gate` — exit 1 when any comparison regressed, and exit 2 when no
+//!   base report carries a key a floor, coverage or budget rule gates (a
+//!   gate that checks nothing is a configuration error, not a pass) — the
+//!   CI wiring,
 //! * `--quiet` — suppress the human table (the exit code and `--out` file
 //!   still carry the verdict).
-//!
-//! Diffing a report against itself yields zero regressions by construction;
-//! CI runs exactly that as a self-check.
 
 use std::process::ExitCode;
 
@@ -89,6 +89,10 @@ fn main() -> ExitCode {
         if !quiet {
             println!("ledger written to {path}");
         }
+    }
+    if gate && ledger.gated_count() == 0 {
+        eprintln!("jcc-report: no base report carries a gated key — the gate would check nothing");
+        return ExitCode::from(2);
     }
     let regressions = ledger.regression_count();
     if gate && regressions > 0 {

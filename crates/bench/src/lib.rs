@@ -15,11 +15,15 @@
 //! | `e8_statespace`         | E8 — state-space growth                      |
 //! | `e9_ablation`           | E9 — arc-only vs strengthened suite criteria |
 //! | `e10_static_analysis`   | E10 — static analyzer precision/recall       |
+//! | `e11_corpus_sweep`      | E11 — corpus scaling sweep                   |
+//! | `e12_live_monitor`      | E12 — always-on monitor saturation           |
+//! | `e13_java_frontend`     | E13 — Java frontend end to end               |
+//! | `e14_live_introspection`| E14 — live-introspection overhead            |
 //!
-//! Two operational binaries ride along: `perf_guard` (single-run
-//! throughput/coverage gate against `ci/bench_baseline.json`) and
-//! `jcc-report` (the cross-run regression ledger: diffs two or more
-//! `BENCH_*.json` run reports into `jcc-ledger/v1` JSON plus a human
-//! table, `--gate` for CI).
+//! One operational binary rides along: `jcc-report`, the cross-run
+//! regression ledger and the only regression gate. It diffs two or more
+//! run reports into `jcc-ledger/v1` JSON plus a human table; CI runs
+//! `jcc-report ci/bench_baseline*.json BENCH_eN.json --gate` once per
+//! gated bench, judged by the `obs::ledger` rule table.
 //!
 //! Criterion benchmarks live in `benches/`.

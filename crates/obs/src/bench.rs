@@ -9,6 +9,9 @@
 //! [`RunReport`], derives `states_per_sec`, writes `BENCH_<prefix>.json`
 //! (prefix = bin name up to the first `_`, e.g. `BENCH_e8.json`), appends
 //! the JSONL trace at `trace` level, and prints the summary unless quiet.
+//!
+//! [`ab_best_of_3`] is the one A/B timing harness the overhead and
+//! representation comparisons share.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -165,6 +168,50 @@ impl BenchReporter {
     }
 }
 
+/// The best wall time of each arm of an [`ab_best_of_3`] comparison.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct AbTiming {
+    /// Best seconds of the reference ("off") arm.
+    pub best_off: f64,
+    /// Best seconds of the measured ("on") arm.
+    pub best_on: f64,
+}
+
+impl AbTiming {
+    /// The on arm's cost over the off arm, percent of the off time.
+    fn raw_pct(&self) -> f64 {
+        (self.best_on - self.best_off) / self.best_off.max(1e-9) * 100.0
+    }
+
+    /// The on arm's overhead, percent, clamped at zero: a negative residue
+    /// is measurement noise, never a speedup from instrumenting.
+    pub fn overhead_pct(&self) -> f64 {
+        self.raw_pct().max(0.0)
+    }
+
+    /// How far the on arm came out *faster*, percent — the noise the
+    /// clamp hid, reported so a noisy host is visible.
+    pub fn noise_floor_pct(&self) -> f64 {
+        (-self.raw_pct()).max(0.0)
+    }
+}
+
+/// Time two arms, each a closure returning the seconds it measured: both
+/// run once untimed first (whichever arm runs first in a cold process pays
+/// allocator and cache warm-up for both), then three interleaved rounds
+/// (off, on) keep each arm's best — the standard defence against one-off
+/// scheduler noise.
+pub fn ab_best_of_3(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> AbTiming {
+    off();
+    on();
+    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        best_off = best_off.min(off());
+        best_on = best_on.min(on());
+    }
+    AbTiming { best_off, best_on }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -196,5 +243,41 @@ mod tests {
             .report_path()
             .to_string_lossy()
             .ends_with("BENCH_e8.json"));
+    }
+
+    #[test]
+    fn ab_keeps_the_best_of_three_after_one_warm_up_each() {
+        // The warm-up runs are the fastest here, and must still not count.
+        let mut off_times = [0.1, 2.0, 1.5, 3.0].into_iter();
+        let mut on_times = [0.1, 2.4, 1.8, 1.6].into_iter();
+        let order = std::cell::RefCell::new(Vec::new());
+        let t = ab_best_of_3(
+            || {
+                order.borrow_mut().push('o');
+                off_times.next().unwrap()
+            },
+            || {
+                order.borrow_mut().push('n');
+                on_times.next().unwrap()
+            },
+        );
+        let order = order.into_inner();
+        assert_eq!(t, AbTiming { best_off: 1.5, best_on: 1.6 });
+        assert_eq!(order.len(), 8, "one warm-up plus three rounds per arm");
+        assert!(order.chunks(2).all(|pair| pair == ['o', 'n']), "interleaved: {order:?}");
+    }
+
+    #[test]
+    fn overhead_is_clamped_and_the_residue_is_the_noise_floor() {
+        let slower = AbTiming { best_off: 2.0, best_on: 2.1 };
+        assert!((slower.overhead_pct() - 5.0).abs() < 1e-9);
+        assert_eq!(slower.noise_floor_pct(), 0.0);
+        let faster = AbTiming { best_off: 2.0, best_on: 1.9 };
+        assert_eq!(faster.overhead_pct(), 0.0);
+        assert!((faster.noise_floor_pct() - 5.0).abs() < 1e-9);
+        // A zero off time is guarded, not a division by zero.
+        let instant = AbTiming { best_off: 0.0, best_on: 1e-9 };
+        assert!((instant.overhead_pct() - 100.0).abs() < 1e-6);
+        assert!(instant.overhead_pct().is_finite());
     }
 }

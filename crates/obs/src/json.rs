@@ -435,5 +435,7 @@ mod tests {
         assert_eq!(v.get("s").unwrap().as_str(), Some("x"));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Num(1.5).as_u64(), None);
+        // Scientific notation, as a hand-written baseline may use.
+        assert_eq!(Json::parse("1.25e5").unwrap().as_f64(), Some(1.25e5));
     }
 }

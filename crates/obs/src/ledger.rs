@@ -1,23 +1,33 @@
-//! The cross-run regression ledger (`jcc-ledger/v1`).
+//! The cross-run regression ledger (`jcc-ledger/v1`) and the one
+//! regression gate.
 //!
-//! Every bench binary writes a `BENCH_<bin>.json` [`RunReport`]; until now
-//! nothing consumed those files *across* runs. A [`Ledger`] diffs a
-//! sequence of reports pairwise — raw counters, derived rates, and
-//! arc-coverage percentages — flags regressions against the same floors
-//! the CI perf guard enforces, and serializes to a stable `jcc-ledger/v1`
-//! JSON document plus a human table. Diffing a report against itself
-//! always yields zero regressions (the CI self-diff smoke).
+//! Every bench binary writes a `BENCH_<bin>.json` [`RunReport`]; the
+//! checked-in baselines (`ci/bench_baseline*.json`) are `RunReport`s too,
+//! carrying only the derived keys they gate. A [`Ledger`] diffs a sequence
+//! of reports pairwise — raw counters, derived rates, coverage and
+//! overhead percentages — flags regressions with the rule table below, and
+//! serializes to a stable `jcc-ledger/v1` JSON document plus a human
+//! table. `jcc-report <baseline> <current> --gate` is the CI gate.
 //!
-//! Regression rules:
-//! * a derived key ending in `_per_sec` regresses when the current value
-//!   falls below [`THROUGHPUT_FLOOR`] × base (the perf-guard floor);
-//! * a derived key ending in `_pct` whose name contains `coverage`
-//!   regresses when it drops more than [`COVERAGE_EPSILON`] percentage
-//!   points, or disappears entirely;
-//! * a derived key ending in `_pct` whose name contains `drop` (the E12
-//!   live-monitor drop rates) regresses in the *opposite* direction: it
-//!   flags when the value **rises** more than [`DROP_EPSILON`] percentage
-//!   points above base, or newly appears above [`DROP_EPSILON`].
+//! The rule table (`RULES`, each row a key predicate, a direction and a
+//! bound); a derived key matches at most one rule:
+//! * **floor** — `*_per_sec` and `*_factor` keys regress below
+//!   [`THROUGHPUT_FLOOR`] × base;
+//! * **coverage** — `*_pct` keys naming `coverage` regress more than
+//!   [`COVERAGE_EPSILON`] points below base;
+//! * **drop** — `*_pct` keys naming `drop` (the E12 drop rates) regress
+//!   more than [`DROP_EPSILON`] points *above* base, a base of 0 when the
+//!   base lacks the key;
+//! * **budget** — `*_overhead_pct` keys regress above the absolute
+//!   [`OVERHEAD_BUDGET_PCT`].
+//!
+//! Floor, coverage and budget rules judge only keys the base carries, so
+//! a baseline opts into a gate by carrying the key, and a base key of one
+//! of those rules is *gated*: [`Ledger::gated_count`] counts them, and a
+//! gate run whose base reports gate nothing is a configuration error. The
+//! drop rule instead judges whatever the current run reports: a drop-rate
+//! key vanishing is an uninstrumented run, but one appearing above the
+//! epsilon fires.
 
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -28,8 +38,7 @@ use crate::report::RunReport;
 /// The schema identifier written into every ledger document.
 pub const SCHEMA: &str = "jcc-ledger/v1";
 
-/// Throughput keys may lose at most 20% before flagging (matches the CI
-/// perf guard).
+/// Throughput and ratio keys may lose at most 20% before flagging.
 pub const THROUGHPUT_FLOOR: f64 = 0.8;
 
 /// Coverage keys may lose at most this many percentage points.
@@ -38,6 +47,98 @@ pub const COVERAGE_EPSILON: f64 = 0.5;
 /// Drop-rate keys may rise at most this many percentage points before the
 /// monitor is considered to be shedding events it used to keep.
 pub const DROP_EPSILON: f64 = 0.5;
+
+/// The absolute budget, in percent, for every measured overhead figure:
+/// the always-on capture path (E12) and the live-introspection stack (E14)
+/// must each cost less than this to be worth leaving on.
+pub const OVERHEAD_BUDGET_PCT: f64 = 5.0;
+
+/// How a rule's limit follows from the base value.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// This fraction of the base value.
+    TimesBase(f64),
+    /// This many percentage points away from the base value.
+    PointsFromBase(f64),
+    /// This absolute value, whatever the base.
+    Absolute(f64),
+}
+
+/// One row of the regression policy: which keys, which way, how far.
+struct Rule {
+    name: &'static str,
+    matches: fn(&str) -> bool,
+    /// The current value must stay at or above the limit (else at or below).
+    higher_is_better: bool,
+    bound: Bound,
+    /// Only keys the base carries are judged, and losing one regresses.
+    /// When `false`, any current value is judged (against a base of 0 when
+    /// absent) and a lost key is quiet.
+    gates: bool,
+}
+
+/// The regression policy. See the module docs.
+const RULES: &[Rule] = &[
+    Rule {
+        name: "floor",
+        matches: |k| k.ends_with("_per_sec") || k.ends_with("_factor"),
+        higher_is_better: true,
+        bound: Bound::TimesBase(THROUGHPUT_FLOOR),
+        gates: true,
+    },
+    Rule {
+        name: "coverage",
+        matches: |k| k.ends_with("_pct") && k.contains("coverage"),
+        higher_is_better: true,
+        bound: Bound::PointsFromBase(COVERAGE_EPSILON),
+        gates: true,
+    },
+    Rule {
+        name: "drop",
+        matches: |k| k.ends_with("_pct") && k.contains("drop"),
+        higher_is_better: false,
+        bound: Bound::PointsFromBase(DROP_EPSILON),
+        gates: false,
+    },
+    Rule {
+        name: "budget",
+        matches: |k| k.ends_with("_overhead_pct"),
+        higher_is_better: false,
+        bound: Bound::Absolute(OVERHEAD_BUDGET_PCT),
+        gates: true,
+    },
+];
+
+impl Rule {
+    /// The regression this rule flags for `key`, if any.
+    fn check(&self, key: &str, base: Option<f64>, current: Option<f64>) -> Option<String> {
+        let name = self.name;
+        let Some(c) = current else {
+            return base
+                .filter(|_| self.gates)
+                .map(|b| format!("{key} disappeared (was {b:.1}; {name} rule)"));
+        };
+        if self.gates && base.is_none() {
+            return None;
+        }
+        let b = base.unwrap_or(0.0);
+        let (limit, why) = match self.bound {
+            Bound::TimesBase(f) => (b * f, format!("{:.0}% of base", f * 100.0)),
+            Bound::PointsFromBase(p) if self.higher_is_better => (b - p, format!("{p} points")),
+            Bound::PointsFromBase(p) => (b + p, format!("{p} points")),
+            Bound::Absolute(a) => (a, "absolute".to_string()),
+        };
+        if self.higher_is_better && c >= limit || !self.higher_is_better && c <= limit {
+            return None;
+        }
+        let verb = match base {
+            None => "appeared at".to_string(),
+            Some(b) if self.higher_is_better => format!("fell {b:.1} ->"),
+            Some(b) => format!("rose {b:.1} ->"),
+        };
+        Some(format!("{key} {verb} {c:.1} ({name} rule: limit {limit:.1}, {why})"))
+    }
+}
 
 /// One counter whose value differs between two runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -97,20 +198,10 @@ pub struct LedgerEntry {
     pub counters_unchanged: u64,
     /// Every derived key from either run, name-sorted.
     pub derived: Vec<DerivedDelta>,
+    /// How many base keys a gating rule judged.
+    pub gated: usize,
     /// Human descriptions of each regression the rules flagged.
     pub regressions: Vec<String>,
-}
-
-fn is_throughput_key(name: &str) -> bool {
-    name.ends_with("_per_sec")
-}
-
-fn is_coverage_key(name: &str) -> bool {
-    name.ends_with("_pct") && name.contains("coverage")
-}
-
-fn is_drop_rate_key(name: &str) -> bool {
-    name.ends_with("_pct") && name.contains("drop")
 }
 
 /// Diff `current` against `base` and flag regressions.
@@ -137,36 +228,16 @@ pub fn diff_reports(base: &RunReport, current: &RunReport) -> LedgerEntry {
         base.derived.keys().chain(current.derived.keys()).collect();
     let mut derived = Vec::new();
     let mut regressions = Vec::new();
+    let mut gated = 0;
     for name in derived_names {
         let d = DerivedDelta {
             name: name.clone(),
             base: base.derived.get(name).copied(),
             current: current.derived.get(name).copied(),
         };
-        match (d.base, d.current) {
-            (Some(b), Some(c)) if is_throughput_key(name) && b > 0.0 && c < b * THROUGHPUT_FLOOR => {
-                regressions.push(format!(
-                    "{name} fell {b:.1} -> {c:.1} (below {:.0}% floor)",
-                    THROUGHPUT_FLOOR * 100.0
-                ));
-            }
-            (Some(b), Some(c)) if is_coverage_key(name) && c < b - COVERAGE_EPSILON => {
-                regressions.push(format!(
-                    "{name} dropped {b:.1} -> {c:.1} (more than {COVERAGE_EPSILON} points)"
-                ));
-            }
-            (Some(b), None) if is_coverage_key(name) => {
-                regressions.push(format!("{name} disappeared (was {b:.1})"));
-            }
-            (Some(b), Some(c)) if is_drop_rate_key(name) && c > b + DROP_EPSILON => {
-                regressions.push(format!(
-                    "{name} rose {b:.1} -> {c:.1} (more than {DROP_EPSILON} points)"
-                ));
-            }
-            (None, Some(c)) if is_drop_rate_key(name) && c > DROP_EPSILON => {
-                regressions.push(format!("{name} appeared at {c:.1} (above {DROP_EPSILON})"));
-            }
-            _ => {}
+        if let Some(rule) = RULES.iter().find(|r| (r.matches)(name)) {
+            gated += usize::from(rule.gates && d.base.is_some());
+            regressions.extend(rule.check(name, d.base, d.current));
         }
         derived.push(d);
     }
@@ -179,6 +250,7 @@ pub fn diff_reports(base: &RunReport, current: &RunReport) -> LedgerEntry {
         counters_changed,
         counters_unchanged,
         derived,
+        gated,
         regressions,
     }
 }
@@ -199,6 +271,13 @@ impl Ledger {
                 .map(|w| diff_reports(&w[0], &w[1]))
                 .collect(),
         }
+    }
+
+    /// Base keys judged by a gating rule, across all entries. Zero means
+    /// the reports gate nothing, so a gate over them would pass by
+    /// construction.
+    pub fn gated_count(&self) -> usize {
+        self.entries.iter().map(|e| e.gated).sum()
     }
 
     /// Total regressions flagged across all entries.
@@ -350,6 +429,7 @@ impl Ledger {
                     );
                 }
             }
+            let _ = writeln!(out, "  gated base keys: {}", e.gated);
             match e.regressions.len() {
                 0 => {
                     let _ = writeln!(out, "  regressions: none");
@@ -453,7 +533,7 @@ mod tests {
         let back = RunReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r, "BENCH_e11.json round-trips losslessly");
         let ledger = Ledger::from_reports(&[back, r]);
-        assert_eq!(ledger.regression_count(), 0, "self-diff is the CI smoke");
+        assert_eq!(ledger.regression_count(), 0, "a self-diff is clean");
         let derived_names: Vec<&str> = ledger.entries[0]
             .derived
             .iter()
@@ -484,8 +564,8 @@ mod tests {
     fn older_e11_reports_without_per_size_keys_still_diff() {
         // An old-format BENCH_e11.json (before the per-size curve keys)
         // must still parse leniently and diff against a new report without
-        // phantom regressions: a *_per_sec key present on only one side is
-        // not a throughput regression (only coverage keys flag absence).
+        // phantom regressions: the floor rule judges only keys the base
+        // carries, so a key that appeared is not gated.
         let old_text: String = {
             let mut r = e11_report(1.0);
             r.derived.retain(|k, _| !k.starts_with("size"));
@@ -523,7 +603,7 @@ mod tests {
         let back = RunReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r, "BENCH_e12.json round-trips losslessly");
         let ledger = Ledger::from_reports(&[back, r]);
-        assert_eq!(ledger.regression_count(), 0, "self-diff is the CI smoke");
+        assert_eq!(ledger.regression_count(), 0, "a self-diff is clean");
         let derived_names: Vec<&str> = ledger.entries[0]
             .derived
             .iter()
@@ -598,7 +678,7 @@ mod tests {
         let back = RunReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r, "BENCH_e13.json round-trips losslessly");
         let ledger = Ledger::from_reports(&[back, r]);
-        assert_eq!(ledger.regression_count(), 0, "self-diff is the CI smoke");
+        assert_eq!(ledger.regression_count(), 0, "a self-diff is clean");
         let derived_names: Vec<&str> = ledger.entries[0]
             .derived
             .iter()
@@ -611,9 +691,8 @@ mod tests {
 
     #[test]
     fn e13_loc_throughput_drop_fires_the_per_sec_rule() {
-        // `java_loc_per_sec` ends in `_per_sec`, so the generic throughput
-        // floor covers the Java frontend with no ledger changes — the same
-        // 0.8x rule the CI perf guard applies against the e13 baseline.
+        // `java_loc_per_sec` ends in `_per_sec`, so the floor rule covers
+        // the Java frontend with no ledger changes.
         let base = e13_report(800_000.0);
         let ok = diff_reports(&base, &e13_report(700_000.0));
         assert_eq!(ok.regressions.len(), 0, "within floor: {:?}", ok.regressions);
@@ -653,7 +732,7 @@ mod tests {
         let back = RunReport::from_json_str(&r.to_json_string()).unwrap();
         assert_eq!(back, r, "BENCH_e14.json round-trips losslessly");
         let ledger = Ledger::from_reports(&[back, r]);
-        assert_eq!(ledger.regression_count(), 0, "self-diff is the CI smoke");
+        assert_eq!(ledger.regression_count(), 0, "a self-diff is clean");
         let derived_names: Vec<&str> = ledger.entries[0]
             .derived
             .iter()
@@ -682,11 +761,10 @@ mod tests {
     }
 
     #[test]
-    fn e14_overhead_is_budgeted_by_perf_guard_not_the_ledger() {
-        // `introspection_overhead_pct` is neither a coverage nor a drop
-        // key: the ledger records the movement but never flags it — the
-        // absolute 5% budget lives in the CI perf guard
-        // (`max_introspection_overhead_pct`), where a cap belongs.
+    fn e14_overhead_is_budgeted_by_the_ledger() {
+        // `introspection_overhead_pct` is judged against the absolute 5%
+        // budget, not against the base figure: a rise from 0.5 to 4.9 is
+        // quiet, 5.1 is over budget.
         let base = e14_report(0.5, 8.0);
         let worse = e14_report(4.9, 8.0);
         let e = diff_reports(&base, &worse);
@@ -695,6 +773,9 @@ mod tests {
             .derived
             .iter()
             .any(|d| d.name == "introspection_overhead_pct" && d.current == Some(4.9)));
+        let over = diff_reports(&base, &e14_report(5.1, 8.0));
+        assert_eq!(over.regressions.len(), 1, "{:?}", over.regressions);
+        assert!(over.regressions[0].contains("introspection_overhead_pct"));
     }
 
     #[test]
@@ -716,6 +797,68 @@ mod tests {
             .filter(|d| d.base.is_none() && d.current.is_some())
             .count();
         assert_eq!(appeared, 4, "the four live-introspection keys appeared");
+    }
+
+    /// A checked-in baseline: no metrics, only the derived keys it gates.
+    fn baseline(derived: &[(&str, f64)]) -> RunReport {
+        let mut r = RunReport::from_registry("baseline", ObsLevel::Summary, 0.0, &Registry::new());
+        for (k, v) in derived {
+            r.set_derived(k, *v);
+        }
+        r
+    }
+
+    #[test]
+    fn floor_and_budget_rules_gate_what_the_base_carries() {
+        type Keys = &'static [(&'static str, f64)];
+        let cases: &[(Keys, Keys, usize)] = &[
+            // Floor: 0.80x and faster pass, 0.79x fails, a lost figure fails.
+            (&[("states_per_sec", 100.0)], &[("states_per_sec", 80.0)], 0),
+            (&[("states_per_sec", 100.0)], &[("states_per_sec", 500.0)], 0),
+            (&[("states_per_sec", 100.0)], &[("states_per_sec", 79.0)], 1),
+            (&[("events_per_sec", 100.0)], &[("packed_events_per_sec", 100.0)], 1),
+            // `reduction_factor` is a floor key: deeper passes, shallower fails.
+            (&[("reduction_factor", 120.0)], &[("reduction_factor", 200.0)], 0),
+            (&[("reduction_factor", 120.0)], &[("reduction_factor", 90.0)], 1),
+            // Budget: absolute 5% whatever the base; a lost figure fails.
+            (&[("capture_overhead_pct", 5.0)], &[("capture_overhead_pct", 5.0)], 0),
+            (&[("capture_overhead_pct", 5.0)], &[("capture_overhead_pct", 5.1)], 1),
+            (&[("introspection_overhead_pct", 5.0)], &[], 1),
+        ];
+        for &(base, current, want) in cases {
+            let e = diff_reports(&baseline(base), &baseline(current));
+            assert_eq!(e.regressions.len(), want, "{base:?} -> {current:?}: {:?}", e.regressions);
+            assert_eq!(e.gated, 1, "{base:?}");
+        }
+    }
+
+    #[test]
+    fn a_baseline_that_gates_nothing_is_detected() {
+        let current = e12_report(0.0, 4_000_000.0);
+        let empty = Ledger::from_reports(&[baseline(&[]), current.clone()]);
+        assert_eq!(empty.gated_count(), 0);
+        // Drop rates and census keys are not gated either.
+        let ungated = baseline(&[("drop_rate_pct", 0.0), ("java_loc", 305.0)]);
+        assert_eq!(Ledger::from_reports(&[ungated, current]).gated_count(), 0);
+    }
+
+    #[test]
+    fn every_report_key_matches_at_most_one_rule() {
+        let shapes = [
+            report(1000, 450_000.0, Some(60.0)),
+            e11_report(1.0),
+            e12_report(0.0, 4_000_000.0),
+            e13_report(800_000.0),
+            e14_report(1.8, 8.0),
+        ];
+        for key in shapes.iter().flat_map(|r| r.derived.keys()) {
+            let rules: Vec<&str> = RULES
+                .iter()
+                .filter(|r| (r.matches)(key))
+                .map(|r| r.name)
+                .collect();
+            assert!(rules.len() <= 1, "{key} matches {rules:?}");
+        }
     }
 
     #[test]

@@ -23,8 +23,9 @@
 //!   causality edges (notify→wake, release→acquire), an ASCII renderer and
 //!   a Chrome Trace Event Format (Perfetto-loadable) exporter,
 //! * [`ledger`] — the cross-run regression ledger (`jcc-ledger/v1`):
-//!   pairwise diffs of [`RunReport`]s with throughput and arc-coverage
-//!   regression flags,
+//!   pairwise diffs of [`RunReport`]s judged by one rule table (throughput
+//!   floors, coverage, drop rates, overhead budgets) — the only regression
+//!   gate,
 //! * [`live`] — live introspection: the hierarchical [`SpanTree`], a
 //!   sampling [`Profiler`] over registered engine threads, and the
 //!   [`ProgressCell`]/[`Heartbeat`] pair that turns engine progress into
@@ -34,7 +35,9 @@
 //!   listener behind `--expose=PORT`,
 //! * [`bench`] — [`BenchReporter`], the front door for the `jcc-bench`
 //!   binaries: parses the shared `--quiet` / `JCC_OBS=off|summary|trace`
-//!   knob, times the run, and writes `BENCH_<bin>.json`.
+//!   knob, times the run, and writes `BENCH_<bin>.json`; and
+//!   [`ab_best_of_3`], the warmed, interleaved A/B timing harness behind
+//!   every overhead figure.
 //!
 //! Determinism contract: observation never feeds back into exploration.
 //! Enabling any level changes no engine result — only what is recorded
@@ -74,7 +77,7 @@ pub mod span;
 pub mod timeline;
 pub mod trace;
 
-pub use bench::{parse_knobs, BenchReporter};
+pub use bench::{ab_best_of_3, parse_knobs, AbTiming, BenchReporter};
 pub use expose::{fetch_metrics, render_prometheus, ExposeServer};
 pub use ledger::Ledger;
 pub use level::{enabled, level, set_level, trace_enabled, ObsLevel};

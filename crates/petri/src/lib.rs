@@ -40,5 +40,7 @@ pub use net::{Marking, Net, NetBuilder, NetError, PlaceId, TransId};
 pub use parallel::{parallel_map, BatchPolicy, Parallelism};
 pub use reach::{ReachGraph, ReachLimits, ReachStats};
 pub use reduce::{Reduction, StubbornSets, SymmetrySpec};
-pub use state::{PackedMarking, PackedNet, StateId, StateStore, MAX_PACKED_PLACES};
+pub use state::{
+    PackedMarking, PackedNet, SliceStore, StateId, StateStore, MAX_PACKED_PLACES,
+};
 pub use transition::{Deviation, FailureClass, Transition, ALL_FAILURE_CLASSES};

@@ -15,12 +15,13 @@
 //! * [`StateStore`] — an append-only flat arena for wider nets: each
 //!   interned marking is a `stride`-long run of `u32`s stored exactly
 //!   once, addressed by a dense `u32` [`StateId`]. Dedup goes through an
-//!   FxHash → candidate-id bucket map, comparing token slices only on a
-//!   (deterministic) hash match.
+//!   FxHash → newest-id index with a per-id collision chain, comparing
+//!   token slices only on a (deterministic) hash match. [`SliceStore`]
+//!   is its variable-length sibling.
 //!
 //! Both representations are *deterministic by construction*: FxHash has no
-//! per-process seed, arena ids are assigned in insertion order, and bucket
-//! candidates are compared in insertion order — so the interleaving-free
+//! per-process seed, arena ids are assigned in insertion order, and at most
+//! one candidate on a hash chain can match — so the interleaving-free
 //! sequential engines produce identical ids on every run, and the parallel
 //! engine never relies on store ids for its canonical renumbering.
 
@@ -256,20 +257,56 @@ fn aggregate_arcs(
     Some(out)
 }
 
-/// Append-only interning arena for markings of nets too wide to pack.
+/// The dedup index both stores share: a hash maps to the newest id filed
+/// under it, and `older` links each id to the previous one with the same
+/// hash. Probes compare the stored slices along the chain, so a hash
+/// collision costs a comparison, never a wrong answer, and filing an id
+/// allocates nothing per state.
+#[derive(Debug, Default)]
+struct HashChains {
+    newest: FxHashMap<u64, StateId>,
+    /// Per id: the next-older id with the same hash ([`NO_STATE`] ends
+    /// the chain). Its length is the number of ids filed.
+    older: Vec<StateId>,
+}
+
+/// Chain terminator of [`HashChains`].
+const NO_STATE: StateId = StateId(u32::MAX);
+
+impl HashChains {
+    /// The newest id filed under `hash` whose slice `matches`.
+    fn find(&self, hash: u64, matches: impl Fn(StateId) -> bool) -> Option<StateId> {
+        let mut id = *self.newest.get(&hash)?;
+        while id != NO_STATE {
+            if matches(id) {
+                return Some(id);
+            }
+            id = self.older[id.index()];
+        }
+        None
+    }
+
+    /// File the next dense id under `hash`.
+    fn push(&mut self, hash: u64) -> StateId {
+        let id = StateId(self.older.len() as u32);
+        let older = self.newest.insert(hash, id).unwrap_or(NO_STATE);
+        self.older.push(older);
+        id
+    }
+}
+
+/// Append-only interning arena for markings of nets too wide to pack, and
+/// for the VM explorer's states (one section id per word).
 ///
 /// Token vectors live contiguously in one flat `Vec<u32>` (`stride` words
-/// per state); the dedup index maps an FxHash of the token slice to the
-/// ids of every state with that hash, compared by slice on probe. Ids are
-/// insertion-ordered, so a store filled by sequential BFS *is* the
-/// canonical state numbering.
+/// per state), deduplicated through hash chains with full-slice
+/// confirmation. Ids are insertion-ordered, so a store filled by
+/// sequential BFS *is* the canonical state numbering.
 #[derive(Debug)]
 pub struct StateStore {
     stride: usize,
     arena: Vec<u32>,
-    /// hash → insertion-ordered candidate ids (collisions are ~never, but
-    /// correctness does not depend on that).
-    index: FxHashMap<u64, Vec<StateId>>,
+    chains: HashChains,
 }
 
 impl StateStore {
@@ -278,18 +315,14 @@ impl StateStore {
         StateStore {
             stride,
             arena: Vec::new(),
-            index: FxHashMap::default(),
+            chains: HashChains::default(),
         }
     }
 
     /// Number of interned states.
     #[inline]
     pub fn len(&self) -> usize {
-        match self.arena.len().checked_div(self.stride) {
-            Some(n) => n,
-            // Degenerate zero-place nets still intern the empty marking.
-            None => self.index.values().map(Vec::len).sum(),
-        }
+        self.chains.older.len()
     }
 
     /// True when nothing has been interned yet.
@@ -307,34 +340,27 @@ impl StateStore {
     /// Look up `tokens` without interning.
     pub fn get(&self, tokens: &[u32]) -> Option<StateId> {
         debug_assert_eq!(tokens.len(), self.stride);
-        let hash = fxhash::hash64(tokens);
-        self.index
-            .get(&hash)?
-            .iter()
-            .copied()
-            .find(|&id| self.tokens(id) == tokens)
+        self.chains
+            .find(fxhash::hash64(tokens), |id| self.tokens(id) == tokens)
     }
 
     /// Intern `tokens`: return its id and whether it was newly inserted.
     pub fn intern(&mut self, tokens: &[u32]) -> (StateId, bool) {
+        self.intern_hashed(tokens, fxhash::hash64(tokens))
+    }
+
+    /// [`intern`](Self::intern) under a hash the caller computed. Any
+    /// function of the slice will do — a weak one only lengthens the
+    /// collision chains, because every hit is confirmed against the full
+    /// slice. Callers that hash with their own function (and tests that
+    /// truncate it to force collisions) use this entry point.
+    pub fn intern_hashed(&mut self, tokens: &[u32], hash: u64) -> (StateId, bool) {
         debug_assert_eq!(tokens.len(), self.stride);
-        let hash = fxhash::hash64(tokens);
-        let candidates = self.index.entry(hash).or_default();
-        for &id in candidates.iter() {
-            let start = id.index() * self.stride;
-            if &self.arena[start..start + self.stride] == tokens {
-                return (id, false);
-            }
+        if let Some(id) = self.chains.find(hash, |id| self.tokens(id) == tokens) {
+            return (id, false);
         }
-        let id = StateId(match self.arena.len().checked_div(self.stride) {
-            Some(n) => n as u32,
-            // Zero-place nets: the arena stays empty, only the empty
-            // marking is ever interned.
-            None => candidates.len() as u32,
-        });
         self.arena.extend_from_slice(tokens);
-        candidates.push(id);
-        (id, true)
+        (self.chains.push(hash), true)
     }
 
     /// Materialize every interned state as a [`Marking`], in id order —
@@ -344,6 +370,36 @@ impl StateStore {
         (0..self.len())
             .map(|i| Marking(self.tokens(StateId(i as u32)).to_vec().into_boxed_slice()))
             .collect()
+    }
+}
+
+/// Append-only interner of variable-length `u32` slices (the VM
+/// explorer's state sections), with the same dense ids and exact
+/// hash-chain dedup as [`StateStore`].
+#[derive(Debug, Default)]
+pub struct SliceStore {
+    words: Vec<u32>,
+    /// Slice `k` is `words[ends[k - 1]..ends[k]]`, starting at 0 for `k = 0`.
+    ends: Vec<usize>,
+    chains: HashChains,
+}
+
+impl SliceStore {
+    /// The words of an interned slice.
+    pub fn words(&self, id: StateId) -> &[u32] {
+        let start = id.index().checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.words[start..self.ends[id.index()]]
+    }
+
+    /// Intern `words` under `hash` (any function of the words; see
+    /// [`StateStore::intern_hashed`]): its id and whether it is new.
+    pub fn intern_hashed(&mut self, words: &[u32], hash: u64) -> (StateId, bool) {
+        if let Some(id) = self.chains.find(hash, |id| self.words(id) == words) {
+            return (id, false);
+        }
+        self.words.extend_from_slice(words);
+        self.ends.push(self.words.len());
+        (self.chains.push(hash), true)
     }
 }
 
@@ -489,6 +545,29 @@ mod tests {
         assert!(!new2);
         assert_eq!(id2, id);
         assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn store_confirms_every_hash_hit() {
+        // One hash for every slice: each lookup walks the whole chain and
+        // still tells the slices apart.
+        let mut store = StateStore::new(2);
+        let slices = [[1, 2], [3, 4], [1, 3], [2, 1]];
+        for (i, s) in slices.iter().enumerate() {
+            assert_eq!(store.intern_hashed(s, 7), (StateId(i as u32), true));
+        }
+        for (i, s) in slices.iter().enumerate() {
+            assert_eq!(store.intern_hashed(s, 7), (StateId(i as u32), false));
+        }
+        assert_eq!(store.len(), slices.len());
+        let mut slices_store = SliceStore::default();
+        let varied: [&[u32]; 4] = [&[], &[1], &[1, 2], &[2]];
+        for round in [true, false] {
+            for (i, s) in varied.iter().enumerate() {
+                assert_eq!(slices_store.intern_hashed(s, 7), (StateId(i as u32), round));
+                assert_eq!(slices_store.words(StateId(i as u32)), *s);
+            }
+        }
     }
 
     proptest! {

@@ -5,7 +5,9 @@
 
 use std::collections::BTreeSet;
 
-use jcc_vm::{RunOutcome, Value, Verdict, Vm};
+use jcc_vm::{
+    explore_observed, CallResult, ExploreConfig, PathEnd, RunOutcome, Value, Verdict, Vm,
+};
 
 /// How a run ended, abstracted for comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -40,8 +42,12 @@ pub fn run_signature(outcome: &RunOutcome) -> Signature {
         Verdict::Faulted { .. } => EndState::Faulted,
         Verdict::StepLimit => EndState::NoProgress,
     };
-    let results = outcome
-        .results
+    signature(end, &outcome.results)
+}
+
+/// The signature of a run that ended as `end` with these call results.
+fn signature(end: EndState, results: &[Vec<CallResult>]) -> Signature {
+    let results = results
         .iter()
         .map(|calls| {
             calls
@@ -71,72 +77,33 @@ impl Default for EnumLimits {
     }
 }
 
-/// Enumerate the set of signatures reachable under *any* schedule, by
-/// depth-first exploration with state deduplication. Paths that close a
-/// cycle on themselves contribute a [`EndState::NoProgress`] signature
-/// (the system can loop forever there).
+/// Enumerate the set of signatures reachable under *any* schedule: a fold
+/// over the VM explorer's path ends ([`explore_observed`], no reduction).
+/// A terminal path contributes its verdict's signature; a path that
+/// closes a cycle on itself contributes a [`EndState::NoProgress`]
+/// signature (the system can loop forever there). The explorer's limits
+/// apply as they do to [`jcc_vm::explore`]: at most `max_states` distinct
+/// states, so a space of exactly `max_states` states is not truncated.
 ///
 /// Returns `(signatures, truncated)`.
 pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>, bool) {
+    let config = ExploreConfig {
+        max_states: limits.max_states,
+        max_depth: limits.max_depth,
+        ..ExploreConfig::default()
+    };
     let mut signatures = BTreeSet::new();
-    let mut seen = std::collections::HashSet::new();
-    let mut on_path = std::collections::HashSet::new();
-    let key0 = vm.state_key();
-    seen.insert(key0);
-    on_path.insert(key0);
-    let mut truncated = false;
-    dfs(
-        vm,
-        0,
-        &limits,
-        &mut seen,
-        &mut on_path,
-        &mut signatures,
-        &mut truncated,
-    );
-    (signatures, truncated)
-}
-
-fn dfs(
-    vm: Vm,
-    depth: usize,
-    limits: &EnumLimits,
-    seen: &mut std::collections::HashSet<u64>,
-    on_path: &mut std::collections::HashSet<u64>,
-    signatures: &mut BTreeSet<Signature>,
-    truncated: &mut bool,
-) {
-    if let Some(verdict) = vm.current_verdict() {
-        signatures.insert(run_signature(&vm.into_outcome(verdict)));
-        return;
-    }
-    if depth >= limits.max_depth {
-        *truncated = true;
-        return;
-    }
-    for t in vm.runnable() {
-        let mut next = vm.clone();
-        next.step(t);
-        let key = next.state_key();
-        if on_path.contains(&key) {
-            // A self-cycle: record the no-progress signature with the
-            // current completion picture.
-            let mut sig = run_signature(&next.into_outcome(Verdict::StepLimit));
-            sig.end = EndState::NoProgress;
-            signatures.insert(sig);
-            continue;
-        }
-        if !seen.insert(key) {
-            continue;
-        }
-        if seen.len() >= limits.max_states {
-            *truncated = true;
-            continue;
-        }
-        on_path.insert(key);
-        dfs(next, depth + 1, limits, seen, on_path, signatures, truncated);
-        on_path.remove(&key);
-    }
+    let result = explore_observed(vm, &config, |vm, _, end| {
+        let end = match end {
+            PathEnd::Terminal(Verdict::Completed) => EndState::Completed,
+            PathEnd::Terminal(Verdict::Deadlock { .. }) => EndState::Deadlock,
+            PathEnd::Terminal(Verdict::Faulted { .. }) => EndState::Faulted,
+            PathEnd::Terminal(Verdict::StepLimit) | PathEnd::Cycle => EndState::NoProgress,
+            PathEnd::Join => return,
+        };
+        signatures.insert(signature(end, vm.results()));
+    });
+    (signatures, result.truncated)
 }
 
 #[cfg(test)]
@@ -214,6 +181,23 @@ mod tests {
             max_steps: 20_000,
         });
         assert_eq!(run_signature(&out1), run_signature(&out2));
+    }
+
+    #[test]
+    fn a_space_of_exactly_max_states_is_not_truncated() {
+        let c = examples::producer_consumer();
+        let make = || Vm::new(compile(&c).unwrap(), pc_scenario());
+        let census = jcc_vm::explore(make(), &jcc_vm::ExploreConfig::default(), None);
+        assert!(!census.truncated);
+        let k = census.states;
+        let (all, truncated) = enumerate_signatures(make(), EnumLimits::default());
+        assert!(!truncated);
+        let limits = |max_states| EnumLimits {
+            max_states,
+            max_depth: 1_500,
+        };
+        assert_eq!(enumerate_signatures(make(), limits(k)), (all, false));
+        assert!(enumerate_signatures(make(), limits(k - 1)).1);
     }
 
     #[test]

@@ -366,10 +366,10 @@ pub fn greedy_cover_suite(
         let mut candidate_cov = CoverageTracker::new(cofgs.clone());
         let mut candidate_goals = goals.clone();
         let vm = Vm::new(compiled.clone(), scenario.clone());
-        let _ = explore_observed(vm, &config.explore, |vm| {
+        let _ = explore_observed(vm, &config.explore, |_, trace, _| {
             candidate_cov.reset_threads();
-            apply_trace(vm.trace(), &mut candidate_cov);
-            candidate_goals.observe_trace(vm.trace());
+            apply_trace(trace, &mut candidate_cov);
+            candidate_goals.observe_trace(trace);
         });
         let mut merged = coverage.clone();
         merged.merge(&candidate_cov);

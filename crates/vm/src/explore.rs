@@ -1,10 +1,8 @@
 //! Exhaustive bounded exploration of every schedule — a small explicit-state
 //! model checker over the VM.
 //!
-//! From each reachable VM state, every runnable thread is tried; states are
-//! deduplicated by [`Vm::state_key`] (which includes per-thread coverage
-//! context, so arc-coverage union over schedules is exact). The result
-//! aggregates every distinct terminal outcome:
+//! From each reachable VM state, every runnable thread is tried. The
+//! result aggregates every distinct terminal outcome:
 //!
 //! * **completed** paths — all calls returned,
 //! * **deadlock** paths — no thread can progress (FF-T2 / FF-T5 pictures),
@@ -15,15 +13,40 @@
 //!
 //! The paper's deterministic-testing premise — that a failure only shows up
 //! under *some* schedules — is exactly what this module quantifies.
+//!
+//! How the search is built:
+//!
+//! * **Exact dedup.** States are interned in a collapse-compressed
+//!   `StateTable` — one id per distinct global section
+//!   (fields) and per distinct thread section (control state, frame,
+//!   coverage marker, call results, lock roles), and the state as the
+//!   vector of those ids. Every hash hit is confirmed against the words,
+//!   so a collision never prunes a subtree. The thread sections include
+//!   each thread's coverage context, so arc-coverage union over schedules
+//!   is exact.
+//! * **An explicit stack.** The DFS keeps one frame per state on the
+//!   current path, so a path of any depth costs heap, not call stack.
+//!   `on_path` (cycle detection) is one bit per state id.
+//! * **One path trace.** States carry no trace: each step's events are
+//!   moved onto a single path trace, which is truncated on backtrack. Only
+//!   witnesses copy it, and observers see it as a slice.
+//! * **Clone only for siblings.** A state's last successor takes the
+//!   state itself instead of a clone.
+//!
+//! [`explore_observed`] exposes every path end to an observer; signature
+//! enumeration (`jcc_testgen::signature`) and coverage-directed suite
+//! search are folds over it.
 
-use fxhash::FxHashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use jcc_cofg::coverage::CoverageTracker;
+use jcc_petri::event::Event;
 use jcc_petri::parallel::Parallelism;
+use jcc_petri::state::StateId;
 
 use crate::machine::{RunConfig, RunOutcome, Scheduler, Verdict, Vm};
+use crate::machine::state::StateTable;
 use crate::trace::apply_trace;
 
 /// Exploration limits.
@@ -40,11 +63,11 @@ pub struct ExploreConfig {
     pub parallelism: Parallelism,
     /// Quotient the state space by thread symmetry: states that differ
     /// only by a permutation of threads with identical `ThreadSpec`s
-    /// (via [`Vm::symmetry_groups`]) are deduplicated through
-    /// [`Vm::state_key_symmetric`]. Sound for the failure-class verdicts
-    /// (permuting interchangeable threads is an automorphism), but path
-    /// and state *counts* shrink, so leave it off when the exact census
-    /// matters. Default off.
+    /// (via [`Vm::symmetry_groups`]) are deduplicated as one, by sorting
+    /// each group's thread-section ids. Sound for the failure-class
+    /// verdicts (permuting interchangeable threads is an automorphism),
+    /// but path and state *counts* shrink, so leave it off when the exact
+    /// census matters. Default off.
     pub symmetry: bool,
     /// Ample-set partial-order reduction: from a state where some
     /// runnable thread's next step is thread-local (commutes with every
@@ -67,6 +90,18 @@ impl Default for ExploreConfig {
             ample: false,
         }
     }
+}
+
+/// How an observed path ended (see [`explore_observed`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PathEnd<'a> {
+    /// The state is terminal: every call returned, or no thread can run.
+    Terminal(&'a Verdict),
+    /// The last step closed a cycle on the path: it can repeat forever.
+    Cycle,
+    /// The last step reached a state first explored on another path; its
+    /// continuations are observed from there.
+    Join,
 }
 
 /// Aggregated result of exploring all schedules.
@@ -154,22 +189,24 @@ pub fn explore(
     coverage: Option<&mut CoverageTracker>,
 ) -> ExploreResult {
     match coverage {
-        Some(tracker) => explore_observed(vm, config, |vm| {
+        Some(tracker) => explore_observed(vm, config, |_, trace, _| {
             tracker.reset_threads();
-            apply_trace(vm.trace(), tracker);
+            apply_trace(trace, tracker);
         }),
-        None => explore_observed(vm, config, |_| {}),
+        None => explore_observed(vm, config, |_, _, _| {}),
     }
 }
 
-/// Like [`explore`], but calls `observer` with the VM at the end of every
-/// maximal path prefix (terminal states, cycle closures and first revisits
-/// of shared states) — the points where a path's trace is complete enough
-/// to measure path properties such as coverage or waiter profiles.
+/// Like [`explore`], but calls `observer` at the end of every maximal path
+/// prefix — terminal states, cycle closures and first revisits of shared
+/// states, told apart by [`PathEnd`] — with the VM there and the path's
+/// event trace from the initial state. These are the points where a
+/// path's trace is complete enough to measure path properties such as
+/// coverage, waiter profiles or behavioural signatures.
 pub fn explore_observed(
     vm: Vm,
     config: &ExploreConfig,
-    observer: impl FnMut(&Vm),
+    observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
 ) -> ExploreResult {
     explore_stoppable(vm, config, observer, None).0
 }
@@ -180,9 +217,9 @@ pub fn explore_observed(
 /// the stop flag (not a state/depth limit) cut the search short. Used by
 /// the portfolio's early-exit.
 fn explore_stoppable(
-    vm: Vm,
+    mut vm: Vm,
     config: &ExploreConfig,
-    mut observer: impl FnMut(&Vm),
+    observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
     stop: Option<&AtomicBool>,
 ) -> (ExploreResult, bool) {
     let _span = jcc_obs::span!("vm.explore");
@@ -192,45 +229,38 @@ fn explore_stoppable(
     if jcc_obs::progress_enabled() {
         jcc_obs::explore_progress().begin(config.max_states as u64);
     }
-    let mut result = ExploreResult {
-        states: 1,
-        transitions: 0,
-        completed_paths: 0,
-        deadlock_paths: 0,
-        deadlock_witness: None,
-        fault_paths: 0,
-        fault_witness: None,
-        cycle_paths: 0,
-        inescapable_cycles: 0,
-        cycle_witness: None,
-        depth_limited_paths: 0,
-        truncated: false,
-        ample_pruned: 0,
-        full_expansions: 0,
-    };
-    let groups = if config.symmetry {
-        vm.symmetry_groups()
-    } else {
-        Vec::new()
-    };
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
-    let mut on_path: FxHashSet<u64> = FxHashSet::default();
-    let key0 = key_of(&vm, &groups);
-    seen.insert(key0);
-    on_path.insert(key0);
-    let mut stopped = false;
-    dfs(
-        vm,
-        0,
+    let mut table = StateTable::new(&vm, config.symmetry);
+    let (root, _) = table.intern(&vm);
+    let mut trace = Vec::new();
+    vm.drain_trace_into(&mut trace);
+    let mut dfs = Dfs {
         config,
-        &groups,
-        &mut seen,
-        &mut on_path,
-        &mut result,
-        &mut observer,
-        stop,
-        &mut stopped,
-    );
+        table,
+        on_path: Vec::new(),
+        trace,
+        stack: Vec::new(),
+        succ: Vec::new(),
+        pending: None,
+        observer,
+        result: ExploreResult {
+            states: 1,
+            transitions: 0,
+            completed_paths: 0,
+            deadlock_paths: 0,
+            deadlock_witness: None,
+            fault_paths: 0,
+            fault_witness: None,
+            cycle_paths: 0,
+            inescapable_cycles: 0,
+            cycle_witness: None,
+            depth_limited_paths: 0,
+            truncated: false,
+            ample_pruned: 0,
+            full_expansions: 0,
+        },
+    };
+    let stopped = dfs.run(vm, root, stop);
+    let result = dfs.result;
     if jcc_obs::enabled() {
         flush_explore_stats(&result);
     }
@@ -276,160 +306,203 @@ fn flush_explore_stats(result: &ExploreResult) {
     }
 }
 
-/// The dedup key of a state: the plain [`Vm::state_key`], or the
-/// symmetry-quotiented key when thread-symmetry groups are in play.
-fn key_of(vm: &Vm, groups: &[Vec<usize>]) -> u64 {
-    if groups.is_empty() {
-        vm.state_key()
-    } else {
-        vm.state_key_symmetric(groups)
-    }
+/// One state on the current DFS path.
+struct Frame {
+    /// The state, kept until its last successor takes it.
+    vm: Option<Vm>,
+    id: StateId,
+    /// Length of the path trace at this state.
+    trace_len: usize,
+    /// This state's successor threads are `succ[next..end]`.
+    next: usize,
+    end: usize,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    vm: Vm,
-    depth: usize,
-    config: &ExploreConfig,
-    groups: &[Vec<usize>],
-    seen: &mut FxHashSet<u64>,
-    on_path: &mut FxHashSet<u64>,
-    result: &mut ExploreResult,
-    observer: &mut impl FnMut(&Vm),
-    stop: Option<&AtomicBool>,
-    stopped: &mut bool,
-) {
-    if let Some(stop) = stop {
-        if *stopped || stop.load(Ordering::Relaxed) {
-            *stopped = true;
-            result.truncated = true;
+/// A stepped successor with its interned id and whether the id is new.
+type Successor = (Vm, StateId, bool);
+
+/// The explicit-stack DFS and everything it threads through the search.
+struct Dfs<'c, O> {
+    config: &'c ExploreConfig,
+    table: StateTable,
+    /// One bit per state id: is the state on the current path?
+    on_path: Vec<u64>,
+    /// The event trace from the initial state to the state being visited.
+    trace: Vec<Event>,
+    stack: Vec<Frame>,
+    /// The frames' successor thread lists, stacked like the frames.
+    succ: Vec<usize>,
+    /// The top frame's ample successor, stepped while choosing it.
+    pending: Option<Successor>,
+    observer: O,
+    result: ExploreResult,
+}
+
+impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
+    /// Search from `root` (already interned as `id`); true iff `stop`
+    /// ended the search.
+    fn run(&mut self, root: Vm, id: StateId, stop: Option<&AtomicBool>) -> bool {
+        self.enter(root, id);
+        while let Some(top) = self.stack.last_mut() {
+            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
+                self.result.truncated = true;
+                return true;
+            }
+            self.trace.truncate(top.trace_len);
+            let next = match self.pending.take() {
+                Some(successor) => successor,
+                None if top.next < top.end => {
+                    let t = self.succ[top.next];
+                    top.next += 1;
+                    let mut vm = if top.next == top.end {
+                        top.vm.take().expect("state kept until its last successor")
+                    } else {
+                        top.vm.clone().expect("state kept until its last successor")
+                    };
+                    vm.step(t);
+                    let (id, fresh) = self.table.intern(&vm);
+                    (vm, id, fresh)
+                }
+                None => {
+                    let done = self.stack.pop().expect("non-empty stack");
+                    self.set_on_path(done.id, false);
+                    self.succ.truncate(self.stack.last().map_or(0, |f| f.end));
+                    continue;
+                }
+            };
+            self.visit(next);
+        }
+        false
+    }
+
+    /// Process one successor of the top frame: count the transition,
+    /// classify cycle / already-seen / fresh, and enter fresh states.
+    fn visit(&mut self, (mut next, id, fresh): Successor) {
+        next.drain_trace_into(&mut self.trace);
+        self.result.transitions += 1;
+        if self.is_on_path(id) {
+            // The path closed a loop on itself: it can repeat forever.
+            self.result.cycle_paths += 1;
+            if next.runnable().len() == 1 {
+                self.result.inescapable_cycles += 1;
+            }
+            (self.observer)(&next, &self.trace, PathEnd::Cycle);
+            if self.result.cycle_witness.is_none() {
+                self.result.cycle_witness =
+                    Some(next.outcome_with_trace(Verdict::StepLimit, self.trace.clone()));
+            }
             return;
         }
-    }
-    if let Some(verdict) = vm.current_verdict() {
-        observer(&vm);
-        match &verdict {
-            Verdict::Completed => result.completed_paths += 1,
-            Verdict::Faulted { .. } => {
-                result.fault_paths += 1;
-                if result.fault_witness.is_none() {
-                    result.fault_witness = Some(vm.into_outcome(verdict));
-                }
-            }
-            Verdict::Deadlock { .. } => {
-                result.deadlock_paths += 1;
-                if result.deadlock_witness.is_none() {
-                    result.deadlock_witness = Some(vm.into_outcome(verdict));
-                }
-            }
-            Verdict::StepLimit => unreachable!("explorer does not use step budgets"),
+        if !fresh {
+            // Reached a state first visited on another path: its subtree is
+            // observed from there; report this path's prefix only.
+            (self.observer)(&next, &self.trace, PathEnd::Join);
+            return;
         }
-        return;
-    }
-    if depth >= config.max_depth {
-        result.depth_limited_paths += 1;
-        result.truncated = true;
-        return;
-    }
-    let runnable = vm.runnable();
-    if config.ample && runnable.len() > 1 {
-        // Ample-set reduction: when some runnable thread's next step is
-        // thread-local, that step commutes with every other thread's
-        // steps, so expanding it *alone* reaches the same failure classes
-        // as the full expansion — unless the step closes a cycle on the
-        // current path, where postponing the other threads forever could
-        // hide them behind a local loop (the cycle proviso).
-        if let Some(&cand) = runnable.iter().find(|&&i| vm.is_local_step(i)) {
-            let mut next = vm.clone();
-            next.step(cand);
-            let key = key_of(&next, groups);
-            if on_path.contains(&key) {
-                result.full_expansions += 1;
-            } else {
-                result.ample_pruned += runnable.len() - 1;
-                visit(
-                    next, key, depth, config, groups, seen, on_path, result, observer, stop,
-                    stopped,
-                );
-                return;
-            }
+        if self.result.states >= self.config.max_states {
+            self.result.truncated = true;
+            return;
         }
+        self.result.states += 1;
+        if self.result.states & 1023 == 0 && jcc_obs::progress_enabled() {
+            // The DFS has no frontier width; publish the explicit stack's
+            // depth (the current schedule prefix length) as the frontier.
+            jcc_obs::explore_progress().publish(
+                self.result.states as u64,
+                self.stack.len() as u64,
+                (self.stack.len() - 1) as u64,
+            );
+        }
+        self.enter(next, id);
     }
-    for t in runnable {
-        let mut next = vm.clone();
-        next.step(t);
-        let key = key_of(&next, groups);
-        visit(
-            next, key, depth, config, groups, seen, on_path, result, observer, stop, stopped,
-        );
-    }
-}
 
-/// Process one successor state of the DFS (shared by the full expansion
-/// and the ample singleton): count the transition, classify cycle /
-/// already-seen / fresh, and recurse on fresh states.
-#[allow(clippy::too_many_arguments)]
-fn visit(
-    next: Vm,
-    key: u64,
-    depth: usize,
-    config: &ExploreConfig,
-    groups: &[Vec<usize>],
-    seen: &mut FxHashSet<u64>,
-    on_path: &mut FxHashSet<u64>,
-    result: &mut ExploreResult,
-    observer: &mut impl FnMut(&Vm),
-    stop: Option<&AtomicBool>,
-    stopped: &mut bool,
-) {
-    result.transitions += 1;
-    if on_path.contains(&key) {
-        // The path closed a loop on itself: it can repeat forever.
-        result.cycle_paths += 1;
-        let runnable = next.runnable();
-        if runnable.len() == 1 {
-            result.inescapable_cycles += 1;
+    /// Arrive at a newly counted state at depth `self.stack.len()`:
+    /// record a terminal verdict or the depth bound, or push a frame with
+    /// the successors to expand.
+    fn enter(&mut self, vm: Vm, id: StateId) {
+        if let Some(verdict) = vm.current_verdict() {
+            (self.observer)(&vm, &self.trace, PathEnd::Terminal(&verdict));
+            let r = &mut self.result;
+            let slot = match &verdict {
+                Verdict::Completed => {
+                    r.completed_paths += 1;
+                    return;
+                }
+                Verdict::Faulted { .. } => {
+                    r.fault_paths += 1;
+                    &mut r.fault_witness
+                }
+                Verdict::Deadlock { .. } => {
+                    r.deadlock_paths += 1;
+                    &mut r.deadlock_witness
+                }
+                Verdict::StepLimit => unreachable!("explorer does not use step budgets"),
+            };
+            if slot.is_none() {
+                *slot = Some(vm.outcome_with_trace(verdict, self.trace.clone()));
+            }
+            return;
         }
-        observer(&next);
-        if result.cycle_witness.is_none() {
-            result.cycle_witness = Some(next.into_outcome(Verdict::StepLimit));
+        if self.stack.len() >= self.config.max_depth {
+            self.result.depth_limited_paths += 1;
+            self.result.truncated = true;
+            return;
         }
-        return;
+        self.set_on_path(id, true);
+        let start = self.succ.len();
+        self.succ
+            .extend((0..vm.thread_count()).filter(|&i| vm.is_runnable(i)));
+        let runnable = self.succ.len() - start;
+        // False once the ample successor stands in for every other one.
+        let mut keep = true;
+        if self.config.ample && runnable > 1 {
+            // Ample-set reduction: when some runnable thread's next step is
+            // thread-local, that step commutes with every other thread's
+            // steps, so expanding it *alone* reaches the same failure
+            // classes as the full expansion — unless the step closes a
+            // cycle on the current path, where postponing the other threads
+            // forever could hide them behind a local loop (the cycle
+            // proviso).
+            if let Some(&cand) = self.succ[start..].iter().find(|&&i| vm.is_local_step(i)) {
+                let mut next = vm.clone();
+                next.step(cand);
+                let (next_id, fresh) = self.table.intern(&next);
+                if self.is_on_path(next_id) {
+                    self.result.full_expansions += 1;
+                } else {
+                    self.result.ample_pruned += runnable - 1;
+                    self.succ.truncate(start);
+                    self.pending = Some((next, next_id, fresh));
+                    keep = false;
+                }
+            }
+        }
+        self.stack.push(Frame {
+            vm: keep.then_some(vm),
+            id,
+            trace_len: self.trace.len(),
+            next: start,
+            end: self.succ.len(),
+        });
     }
-    if !seen.insert(key) {
-        // Reached a state first visited on another path: its subtree is
-        // observed from there; report this path's prefix only.
-        observer(&next);
-        return;
+
+    fn is_on_path(&self, id: StateId) -> bool {
+        self.on_path
+            .get(id.index() / 64)
+            .is_some_and(|w| w & (1 << (id.index() % 64)) != 0)
     }
-    if result.states >= config.max_states {
-        result.truncated = true;
-        return;
+
+    fn set_on_path(&mut self, id: StateId, on: bool) {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if word >= self.on_path.len() {
+            self.on_path.resize(word + 1, 0);
+        }
+        if on {
+            self.on_path[word] |= bit;
+        } else {
+            self.on_path[word] &= !bit;
+        }
     }
-    result.states += 1;
-    if result.states & 1023 == 0 && jcc_obs::progress_enabled() {
-        // The DFS has no frontier width; publish the on-path set size
-        // (current schedule prefix length) and the recursion depth.
-        jcc_obs::explore_progress().publish(
-            result.states as u64,
-            on_path.len() as u64,
-            depth as u64,
-        );
-    }
-    on_path.insert(key);
-    dfs(
-        next,
-        depth + 1,
-        config,
-        groups,
-        seen,
-        on_path,
-        result,
-        observer,
-        stop,
-        stopped,
-    );
-    on_path.remove(&key);
 }
 
 /// Which portfolio strategy produced the first failure witness.
@@ -542,7 +615,7 @@ pub fn explore_portfolio(vm: Vm, config: &PortfolioConfig) -> PortfolioResult {
         let early_exit = config.early_exit;
         scope.spawn(move || {
             let stop = early_exit.then_some(stop_ref);
-            let outcome = explore_stoppable(exhaustive_vm, explore_config, |_| {}, stop);
+            let outcome = explore_stoppable(exhaustive_vm, explore_config, |_, _, _| {}, stop);
             if early_exit && outcome.0.found_failure() {
                 stop_ref.store(true, Ordering::Relaxed);
             }
@@ -650,6 +723,16 @@ mod tests {
         ]
     }
 
+    /// The FF-T3 mutant whose `receive` skips its wait.
+    fn skip_wait_mutant() -> jcc_model::ast::Component {
+        let c = examples::producer_consumer();
+        let m = jcc_model::mutate::enumerate_mutations(&c)
+            .into_iter()
+            .find(|m| m.kind == jcc_model::mutate::MutationKind::SkipWait && m.method == "receive")
+            .unwrap();
+        jcc_model::mutate::apply_mutation(&c, &m).unwrap()
+    }
+
     #[test]
     fn producer_consumer_never_fails() {
         let c = examples::producer_consumer();
@@ -690,15 +773,7 @@ mod tests {
         // busy-waits while *holding the monitor*, so the producer can never
         // enter — an inescapable cycle (the runtime picture of FF-T4 for
         // every other thread: FF-T2).
-        let c = examples::producer_consumer();
-        let m = jcc_model::mutate::enumerate_mutations(&c)
-            .into_iter()
-            .find(|m| {
-                m.kind == jcc_model::mutate::MutationKind::SkipWait && m.method == "receive"
-            })
-            .unwrap();
-        let mutant = jcc_model::mutate::apply_mutation(&c, &m).unwrap();
-        let vm = Vm::new(compile(&mutant).unwrap(), pc_threads());
+        let vm = Vm::new(compile(&skip_wait_mutant()).unwrap(), pc_threads());
         let r = explore(vm, &ExploreConfig::default(), None);
         assert!(r.cycle_paths > 0, "{r:?}");
         assert!(r.inescapable_cycles > 0, "{r:?}");
@@ -882,14 +957,7 @@ mod tests {
         // monitor: without the cycle proviso, the looping thread's local
         // jumps could be the ample pick forever and the cycle verdicts
         // could be distorted. Class booleans must match the full search.
-        let c = examples::producer_consumer();
-        let m = jcc_model::mutate::enumerate_mutations(&c)
-            .into_iter()
-            .find(|m| {
-                m.kind == jcc_model::mutate::MutationKind::SkipWait && m.method == "receive"
-            })
-            .unwrap();
-        let mutant = jcc_model::mutate::apply_mutation(&c, &m).unwrap();
+        let mutant = skip_wait_mutant();
         let full = explore(
             Vm::new(compile(&mutant).unwrap(), pc_threads()),
             &ExploreConfig::default(),
@@ -906,6 +974,110 @@ mod tests {
         );
         assert_eq!(classes(&full), classes(&reduced));
         assert!(reduced.cycle_paths > 0 && reduced.inescapable_cycles > 0);
+    }
+
+    /// The producer-consumer scenario with two interchangeable consumers.
+    fn symmetric_pc_threads() -> Vec<ThreadSpec> {
+        let receive = ThreadSpec {
+            name: "c".into(),
+            calls: vec![CallSpec::new("receive", vec![])],
+        };
+        vec![
+            receive.clone(),
+            receive,
+            ThreadSpec {
+                name: "p".into(),
+                calls: vec![
+                    CallSpec::new("send", vec![Value::Str("a".into())]),
+                    CallSpec::new("send", vec![Value::Str("a".into())]),
+                ],
+            },
+        ]
+    }
+
+    /// Everything an exploration reports, witnesses included.
+    fn census(r: &ExploreResult) -> String {
+        format!(
+            "{:?} {} {} {:?} {:?} {:?}",
+            r.tally(),
+            r.ample_pruned,
+            r.full_expansions,
+            r.deadlock_witness,
+            r.fault_witness,
+            r.cycle_witness
+        )
+    }
+
+    #[test]
+    fn dedup_stays_exact_under_a_truncated_hash() {
+        let pc = examples::producer_consumer();
+        let lock_order = examples::lock_order_deadlock();
+        let skip_wait = skip_wait_mutant();
+        let lock_threads = vec![
+            ThreadSpec {
+                name: "f".into(),
+                calls: vec![CallSpec::new("forward", vec![])],
+            },
+            ThreadSpec {
+                name: "b".into(),
+                calls: vec![CallSpec::new("backward", vec![])],
+            },
+        ];
+        let plain = ExploreConfig::default();
+        let reduced = ExploreConfig {
+            ample: true,
+            symmetry: true,
+            ..ExploreConfig::default()
+        };
+        let cases = [
+            ("producer-consumer", &pc, pc_threads(), &plain),
+            ("lock-order deadlock", &lock_order, lock_threads, &plain),
+            ("SkipWait mutant", &skip_wait, pc_threads(), &plain),
+            ("symmetric 3-thread", &pc, symmetric_pc_threads(), &plain),
+            ("symmetric reduced", &pc, symmetric_pc_threads(), &reduced),
+        ];
+        for (label, component, threads, config) in cases {
+            let make = || Vm::new(compile(component).unwrap(), threads.clone());
+            let full = explore(make(), config, None);
+            // Three hash bits: eight buckets for hundreds of sections and
+            // states, so nearly every lookup walks a collision chain.
+            crate::machine::state::force_collisions(3);
+            let weak = explore(make(), config, None);
+            crate::machine::state::force_collisions(64);
+            assert!(full.states > 8, "{label}: too small to collide");
+            assert_eq!(census(&weak), census(&full), "{label}");
+        }
+    }
+
+    #[test]
+    fn a_deep_single_path_needs_no_deep_stack() {
+        // One thread counting a field up: every state is new and has one
+        // successor, so the only path is as long as the state space.
+        let src = "class Counter { var n: int = 0; \
+                   fn count() { while (n < 40000) { n = n + 1; } } }";
+        let c = jcc_model::parse_component(src).unwrap();
+        let vm = Vm::new(
+            compile(&c).unwrap(),
+            vec![ThreadSpec {
+                name: "t".into(),
+                calls: vec![CallSpec::new("count", vec![])],
+            }],
+        );
+        let config = ExploreConfig {
+            max_states: 1_000_000,
+            max_depth: 1_000_000,
+            ..ExploreConfig::default()
+        };
+        let r = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || explore(vm, &config, None))
+            .unwrap()
+            .join()
+            .expect("exploration returns on a 256 KiB stack");
+        assert!(r.states > 100_000, "{r:?}");
+        assert_eq!(r.completed_paths, 1);
+        assert_eq!(r.transitions + 1, r.states);
+        assert!(!r.truncated);
     }
 
     fn portfolio_config(threads: usize, early_exit: bool) -> PortfolioConfig {

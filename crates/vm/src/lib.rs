@@ -10,9 +10,9 @@
 //!   (reproducible noise, the paper's "non-deterministic" baseline),
 //! * [`machine::Scheduler::Fixed`] — an explicit schedule (deterministic
 //!   testing in the Brinch Hansen / ConAn sense),
-//! * [`explore`] — exhaustive bounded DFS over *all* schedules, with state
-//!   hashing (a small model checker, used to prove a mutant deadlocks or to
-//!   union coverage over every interleaving).
+//! * [`explore`] — exhaustive bounded DFS over *all* schedules, with exact
+//!   interned-state dedup (a small model checker, used to prove a mutant
+//!   deadlocks or to union coverage over every interleaving).
 //!
 //! Monitor semantics follow the paper's Figure-1 model exactly: `enter`
 //! fires T1 then T2, `wait` fires T3 (and the wake-up path fires T5 then
@@ -37,7 +37,7 @@ pub mod value;
 pub use compile::{compile, CompileError, CompiledComponent};
 pub use explore::{
     explore, explore_observed, explore_portfolio, ExploreConfig, ExploreResult, FoundBy,
-    PortfolioConfig, PortfolioResult,
+    PathEnd, PortfolioConfig, PortfolioResult,
 };
 pub use jcc_petri::Parallelism;
 pub use machine::{

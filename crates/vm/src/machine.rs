@@ -13,6 +13,9 @@ use rand::{Rng, SeedableRng};
 use jcc_petri::Transition;
 
 use crate::compile::{CompiledComponent, Instr};
+use state::Layout;
+
+pub(crate) mod state;
 
 /// Cached obs counter handles for the five Figure-1 transitions. The global
 /// registry resets metrics *in place*, so these handles stay valid across
@@ -182,7 +185,7 @@ impl RunOutcome {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Status {
     /// Between calls (or before the first).
     Idle,
@@ -200,7 +203,7 @@ enum Status {
     Faulted,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct Frame {
     method_idx: usize,
     pc: usize,
@@ -208,14 +211,14 @@ struct Frame {
     ret_reg: Option<Value>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct ThreadState {
     call_idx: usize,
     frame: Option<Frame>,
     status: Status,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct LockState {
     owner: Option<usize>,
     count: u32,
@@ -224,15 +227,16 @@ struct LockState {
 }
 
 /// The virtual machine. Clone it to snapshot the whole execution state
-/// (used by the exhaustive explorer). The compiled component and thread
-/// specs are immutable for the life of the machine and shared behind
-/// `Arc`s, so a snapshot copies only the mutable state (fields, locks,
-/// frames, trace) — the explorer clones a `Vm` per branch, and those
-/// clones dominated its profile before the sharing.
+/// (used by the exhaustive explorer). The compiled component, thread
+/// specs and state layout are immutable for the life of the machine and
+/// shared behind `Arc`s, so a snapshot copies only the mutable state
+/// (fields, locks, frames, trace). The explorer drains each step's events
+/// onto its own path trace, so the states it clones carry no trace.
 #[derive(Debug, Clone)]
 pub struct Vm {
     component: Arc<CompiledComponent>,
     specs: Arc<[ThreadSpec]>,
+    layout: Arc<Layout>,
     fields: BTreeMap<String, Value>,
     locks: Vec<LockState>,
     threads: Vec<ThreadState>,
@@ -272,6 +276,7 @@ impl Vm {
         let results = threads.iter().map(|_| Vec::new()).collect();
         let n_threads = threads.len();
         Vm {
+            layout: Arc::new(Layout::of(&component)),
             component: Arc::new(component),
             specs: threads.into(),
             fields,
@@ -306,9 +311,16 @@ impl Vm {
         self.fields.get(name)
     }
 
-    /// The trace so far.
-    pub fn trace(&self) -> &[Event] {
-        &self.trace
+    /// Move the trace's events onto the end of `out`, leaving the
+    /// machine's own trace empty (the explorer keeps one path trace
+    /// instead of one per state).
+    pub(crate) fn drain_trace_into(&mut self, out: &mut Vec<Event>) {
+        out.append(&mut self.trace);
+    }
+
+    /// Per thread, per call: the results so far.
+    pub fn results(&self) -> &[Vec<CallResult>] {
+        &self.results
     }
 
     /// Indices of threads that can take a step right now.
@@ -318,7 +330,8 @@ impl Vm {
             .collect()
     }
 
-    fn is_runnable(&self, i: usize) -> bool {
+    /// True when thread `i` can take a step right now.
+    pub(crate) fn is_runnable(&self, i: usize) -> bool {
         let t = &self.threads[i];
         match &t.status {
             Status::Finished | Status::Faulted | Status::Waiting { .. } => false,
@@ -373,28 +386,19 @@ impl Vm {
         );
     }
 
-    /// A 64-bit hash of the complete execution state (fields, locks, thread
-    /// frames) — used by the explorer to prune revisited states. The trace
-    /// and step counter are deliberately excluded.
+    /// A 64-bit hash of the complete execution state: the global section
+    /// and every thread's section (see `Vm::encode_thread`), in thread
+    /// order.
+    /// The trace, the step counter and call-completion steps are
+    /// deliberately excluded. The explorer does not dedup on this hash; it
+    /// interns the sections themselves.
     pub fn state_key(&self) -> u64 {
-        let mut h = FxHasher::default();
-        self.fields.hash(&mut h);
-        self.locks.hash(&mut h);
-        self.threads.hash(&mut h);
-        self.last_marker.hash(&mut h);
-        // The observable projection of the call results (method, completed,
-        // returned value) is part of the state: two paths that reach the
-        // same machine configuration but with different values already
-        // returned to callers must not be merged, or signature enumeration
-        // would under-approximate. Step counters are deliberately excluded.
-        for calls in &self.results {
-            for call in calls {
-                call.method.hash(&mut h);
-                call.completed_step.is_some().hash(&mut h);
-                call.returned.hash(&mut h);
-            }
+        let mut words = Vec::with_capacity(64);
+        self.encode_global(&mut words);
+        for i in 0..self.threads.len() {
+            self.encode_thread(i, &mut words);
         }
-        h.finish()
+        fxhash::hash64(&words)
     }
 
     /// Groups of interchangeable thread indices: threads whose
@@ -415,76 +419,6 @@ impl Vm {
         }
         groups.retain(|g| g.len() > 1);
         groups
-    }
-
-    /// Everything thread `i` contributes to the state key, hashed in
-    /// isolation so interchangeable threads can be ordered canonically:
-    /// its control state, coverage marker, observable call results and its
-    /// role in every lock (owner? position in the FIFO wait set?).
-    fn thread_fingerprint(&self, i: usize) -> u64 {
-        let mut h = FxHasher::default();
-        self.threads[i].hash(&mut h);
-        self.last_marker[i].hash(&mut h);
-        for call in &self.results[i] {
-            call.method.hash(&mut h);
-            call.completed_step.is_some().hash(&mut h);
-            call.returned.hash(&mut h);
-        }
-        for lock in &self.locks {
-            (lock.owner == Some(i)).hash(&mut h);
-            lock.wait_set.iter().position(|&w| w == i).hash(&mut h);
-        }
-        h.finish()
-    }
-
-    /// [`state_key`](Self::state_key) quotiented by thread symmetry: all
-    /// states related by permuting the threads of one `groups` entry hash
-    /// to the same key. Within each group, threads are sorted by
-    /// [fingerprint](Self::thread_fingerprint) (ties broken by index —
-    /// a tie can only lose reduction, never merge inequivalent states),
-    /// and the whole state is hashed with every thread index remapped
-    /// through that canonical permutation, including lock owners and
-    /// wait-set entries (FIFO order preserved).
-    pub fn state_key_symmetric(&self, groups: &[Vec<usize>]) -> u64 {
-        if groups.is_empty() {
-            return self.state_key();
-        }
-        let n = self.threads.len();
-        // new_at[slot] = old thread index placed at `slot` canonically.
-        let mut new_at: Vec<usize> = (0..n).collect();
-        let mut keyed: Vec<(u64, usize)> = Vec::new();
-        for group in groups {
-            keyed.clear();
-            keyed.extend(group.iter().map(|&i| (self.thread_fingerprint(i), i)));
-            keyed.sort_unstable();
-            for (&slot, &(_, old)) in group.iter().zip(keyed.iter()) {
-                new_at[slot] = old;
-            }
-        }
-        let mut old_to_new = vec![0usize; n];
-        for (slot, &old) in new_at.iter().enumerate() {
-            old_to_new[old] = slot;
-        }
-        let mut h = FxHasher::default();
-        self.fields.hash(&mut h);
-        for lock in &self.locks {
-            lock.owner.map(|o| old_to_new[o]).hash(&mut h);
-            lock.count.hash(&mut h);
-            lock.wait_set.len().hash(&mut h);
-            for &w in &lock.wait_set {
-                old_to_new[w].hash(&mut h);
-            }
-        }
-        for &old in &new_at {
-            self.threads[old].hash(&mut h);
-            self.last_marker[old].hash(&mut h);
-            for call in &self.results[old] {
-                call.method.hash(&mut h);
-                call.completed_step.is_some().hash(&mut h);
-                call.returned.hash(&mut h);
-            }
-        }
-        h.finish()
     }
 
     /// True when thread `i`'s next step is *thread-local*: it touches
@@ -858,7 +792,7 @@ impl Vm {
                 None => Verdict::Completed,
             });
         }
-        if self.runnable().is_empty() {
+        if !(0..self.threads.len()).any(|i| self.is_runnable(i)) {
             // A fault that stranded other threads is the root cause; report
             // it rather than the secondary deadlock.
             if let Some((thread, message)) = &self.fault {
@@ -881,10 +815,18 @@ impl Vm {
         None
     }
 
-    /// Package the current state as a [`RunOutcome`] with the given verdict
-    /// (used by the explorer to produce witnesses).
-    pub fn into_outcome(mut self, verdict: Verdict) -> RunOutcome {
-        self.finish(verdict)
+    /// Package the current state with the given verdict and `trace` in
+    /// place of the machine's own (the explorer's witnesses carry the
+    /// path trace).
+    pub(crate) fn outcome_with_trace(&self, verdict: Verdict, trace: Vec<Event>) -> RunOutcome {
+        RunOutcome {
+            verdict,
+            steps: self.steps,
+            trace,
+            results: self.results.clone(),
+            thread_names: self.specs.iter().map(|s| s.name.clone()).collect(),
+            lock_names: self.component.locks.clone(),
+        }
     }
 
     /// Run to completion (or deadlock / step budget) under `config`.
@@ -940,14 +882,7 @@ impl Vm {
     }
 
     fn finish(&mut self, verdict: Verdict) -> RunOutcome {
-        RunOutcome {
-            verdict,
-            steps: self.steps,
-            trace: self.trace.clone(),
-            results: self.results.clone(),
-            thread_names: self.specs.iter().map(|s| s.name.clone()).collect(),
-            lock_names: self.component.locks.clone(),
-        }
+        self.outcome_with_trace(verdict, self.trace.clone())
     }
 }
 
@@ -982,6 +917,7 @@ fn collect_field_reads(expr: &jcc_model::ast::Expr, out: &mut Vec<String>) {
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use super::state::StateTable;
     use jcc_model::examples;
 
     fn pc_vm(threads: Vec<ThreadSpec>) -> Vm {
@@ -1019,8 +955,8 @@ mod tests {
             spec("c", recv()),
             spec("p", vec![CallSpec::new("send", vec![Value::Str("a".into())])]),
         ]);
-        let groups = vm.symmetry_groups();
-        assert_eq!(groups, vec![vec![0, 1]]);
+        assert_eq!(vm.symmetry_groups(), vec![vec![0, 1]]);
+        let mut table = StateTable::new(&vm, true);
         // Start thread 0 in one copy, thread 1 in the other: the states
         // are thread-permutations of each other.
         let mut a = vm.clone();
@@ -1028,21 +964,17 @@ mod tests {
         let mut b = vm.clone();
         b.step(1);
         assert_ne!(a.state_key(), b.state_key());
-        assert_eq!(
-            a.state_key_symmetric(&groups),
-            b.state_key_symmetric(&groups)
-        );
-        // Advance both copies identically: keys stay in lockstep, and a
-        // genuinely different state (the producer moved) changes the key.
+        let (id, new) = table.intern(&a);
+        assert!(new);
+        assert_eq!(table.intern(&b), (id, false));
+        // Advance both copies identically: ids stay in lockstep, and a
+        // genuinely different state (the producer moved) gets a new id.
         a.step(0);
         b.step(1);
-        assert_eq!(
-            a.state_key_symmetric(&groups),
-            b.state_key_symmetric(&groups)
-        );
-        let before = a.state_key_symmetric(&groups);
+        let (id, _) = table.intern(&a);
+        assert_eq!(table.intern(&b), (id, false));
         a.step(2);
-        assert_ne!(a.state_key_symmetric(&groups), before);
+        assert!(table.intern(&a).1);
     }
 
     #[test]

@@ -45,9 +45,9 @@ fn main() {
     println!("building up coverage scenario by scenario:\n");
     for (i, scenario) in suite.scenarios.iter().enumerate() {
         let vm = Vm::new(compiled.clone(), scenario.clone());
-        let _ = explore_observed(vm, &ExploreConfig::default(), |vm| {
+        let _ = explore_observed(vm, &ExploreConfig::default(), |_, trace, _| {
             tracker.reset_threads();
-            apply_trace(vm.trace(), &mut tracker);
+            apply_trace(trace, &mut tracker);
         });
         reg.gauge("coverage.ProducerConsumer.covered_arcs")
             .set(tracker.covered_arcs() as u64);

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use jcc_core::petri::{invariant, JavaNet, Parallelism, ReachGraph, ReachLimits, Transition};
+use jcc_core::petri::{invariant, JavaNet, ReachGraph, ReachLimits, Transition};
 
 fn bench_fire_cycle(c: &mut Criterion) {
     let j = JavaNet::new(1);
@@ -46,31 +46,6 @@ fn bench_reachability(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_reachability_workers(c: &mut Criterion) {
-    // Sequential vs parallel frontier on one fixed net (N=5 threads,
-    // ~10^4 states): same graph by construction, throughput differs.
-    let j = JavaNet::new(5);
-    let mut group = c.benchmark_group("petri/reachability_workers");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                let limits = ReachLimits {
-                    parallelism: Parallelism::with_threads(workers),
-                    ..ReachLimits::default()
-                };
-                b.iter(|| {
-                    let g = ReachGraph::explore(j.net(), limits);
-                    black_box(g.stats().states)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_invariants(c: &mut Criterion) {
     let mut group = c.benchmark_group("petri/invariant_basis");
     for threads in [1usize, 4, 8] {
@@ -89,6 +64,6 @@ fn bench_invariants(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_fire_cycle, bench_reachability, bench_reachability_workers, bench_invariants
+    targets = bench_fire_cycle, bench_reachability, bench_invariants
 }
 criterion_main!(benches);

@@ -1,13 +1,11 @@
 //! Benchmarks for test-sequence generation (E5 substrate): greedy suite
 //! construction, signature enumeration and the abstract clock.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use jcc_core::clock::AbstractClock;
 use jcc_core::model::examples;
-use jcc_core::petri::Parallelism;
-use jcc_core::pipeline::{mutation_study, MutationStudyConfig};
 use jcc_core::testgen::scenario::ScenarioSpace;
 use jcc_core::testgen::signature::{enumerate_signatures, EnumLimits};
 use jcc_core::testgen::suite::{greedy_cover_suite, GreedyConfig};
@@ -58,34 +56,6 @@ fn bench_signatures(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_mutation_study(c: &mut Criterion) {
-    // The full (mutant x scenario) matrix, sequential vs fanned-out; the
-    // detection matrix is identical at every worker count.
-    let component = examples::producer_consumer();
-    let space = ScenarioSpace::new(vec![
-        CallSpec::new("receive", vec![]),
-        CallSpec::new("send", vec![Value::Str("a".into())]),
-    ]);
-    let mut group = c.benchmark_group("testgen/mutation_study");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                let config = MutationStudyConfig {
-                    parallelism: Parallelism::with_threads(workers),
-                    ..MutationStudyConfig::default()
-                };
-                b.iter(|| {
-                    black_box(mutation_study(&component, &space, &config).directed_score())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_clock(c: &mut Criterion) {
     c.bench_function("clock/tick", |b| {
         let clock = AbstractClock::new();
@@ -104,6 +74,6 @@ fn bench_clock(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_greedy_suite, bench_signatures, bench_mutation_study, bench_clock
+    targets = bench_greedy_suite, bench_signatures, bench_clock
 }
 criterion_main!(benches);

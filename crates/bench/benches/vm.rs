@@ -6,8 +6,7 @@ use std::hint::black_box;
 
 use jcc_core::model::examples;
 use jcc_core::vm::{
-    compile, explore, explore_portfolio, CallSpec, ExploreConfig, Parallelism, PortfolioConfig,
-    RunConfig, Scheduler, ThreadSpec, Value, Vm,
+    compile, explore, CallSpec, ExploreConfig, RunConfig, Scheduler, ThreadSpec, Value, Vm,
 };
 
 fn pc_threads(chars: usize) -> Vec<ThreadSpec> {
@@ -88,36 +87,6 @@ fn bench_explore(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_portfolio(c: &mut Criterion) {
-    // Exhaustive census + seeded-random probes across worker counts; the
-    // census is identical to sequential `explore` at every point.
-    let component = examples::producer_consumer();
-    let compiled = compile(&component).unwrap();
-    let mut group = c.benchmark_group("vm/explore_portfolio");
-    group.sample_size(10);
-    for workers in [1usize, 2, 4] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(workers),
-            &workers,
-            |b, &workers| {
-                let config = PortfolioConfig {
-                    explore: ExploreConfig {
-                        parallelism: Parallelism::with_threads(workers),
-                        ..ExploreConfig::default()
-                    },
-                    probes_per_worker: 16,
-                    ..PortfolioConfig::default()
-                };
-                b.iter(|| {
-                    let vm = Vm::new(compiled.clone(), pc_threads(2));
-                    black_box(explore_portfolio(vm, &config).probes_run)
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_native_monitor(c: &mut Criterion) {
     use jcc_core::runtime::{EventLog, JavaMonitor};
     c.bench_function("runtime/enter_exit_uncontended", |b| {
@@ -135,7 +104,6 @@ fn bench_native_monitor(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_scheduled_run, bench_random_run, bench_explore, bench_portfolio,
-        bench_native_monitor
+    targets = bench_scheduled_run, bench_random_run, bench_explore, bench_native_monitor
 }
 criterion_main!(benches);

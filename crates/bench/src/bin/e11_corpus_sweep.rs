@@ -17,24 +17,19 @@
 //! `jcc-report ci/bench_baseline_e11.json BENCH_e11.json --gate`.
 //!
 //! **Determinism gates** (asserted, not just reported): the generated
-//! source is byte-identical across two in-process generations; the
-//! portfolio census at 2 and 4 workers equals the sequential census; and
-//! the whole sweep, run twice, produces the same canonical curve. The
+//! source is byte-identical across two in-process generations, and the
+//! whole sweep, run twice, produces the same canonical curve. The
 //! timing-free part of the curve is written to `BENCH_e11_curve.txt`,
-//! which is byte-identical for a fixed seed across runs, machines and
-//! thread counts — that file (not the timing-bearing JSON) is the
-//! reproducibility artifact CI uploads.
+//! which is byte-identical for a fixed seed across runs and machines —
+//! that file (not the timing-bearing JSON) is the reproducibility
+//! artifact CI uploads.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use jcc_core::analyze::{analyze, Severity};
 use jcc_core::components::gen::{call_plan, generate, generate_source, GenConfig};
-use jcc_core::petri::Parallelism;
-use jcc_core::vm::{
-    compile, explore, explore_portfolio, CallSpec, ExploreConfig, ExploreResult,
-    PortfolioConfig, ThreadSpec, Vm,
-};
+use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Vm};
 
 /// The size ladder: `GenConfig::sized(n)` for each entry.
 const SIZES: [usize; 4] = [1, 2, 3, 4];
@@ -90,7 +85,7 @@ fn symmetric_scenario_vm(cfg: &GenConfig) -> Vm {
 
 /// One pass over the ladder. Returns the canonical (timing-free) curve and
 /// the per-size figures `(states, seconds, diag_count)`.
-fn sweep(check_portfolio: bool) -> (String, Vec<(usize, usize, f64, usize)>) {
+fn sweep() -> (String, Vec<(usize, usize, f64, usize)>) {
     let mut curve = String::new();
     let mut figures = Vec::new();
     for &n in &SIZES {
@@ -122,28 +117,6 @@ fn sweep(check_portfolio: bool) -> (String, Vec<(usize, usize, f64, usize)>) {
             "size {n}: generated scenario must be deadlock-free"
         );
 
-        if check_portfolio {
-            for threads in [2usize, 4] {
-                let p = explore_portfolio(
-                    scenario_vm(&cfg),
-                    &PortfolioConfig {
-                        explore: ExploreConfig {
-                            parallelism: Parallelism::with_threads(threads),
-                            ..explore_cfg
-                        },
-                        ..PortfolioConfig::default()
-                    },
-                );
-                let census: ExploreResult =
-                    p.result.expect("census completes without early_exit");
-                assert_eq!(
-                    census.tally(),
-                    seq.tally(),
-                    "size {n}: census diverged at {threads} workers"
-                );
-            }
-        }
-
         writeln!(
             curve,
             "size={n} guards={} wait_sites={} locks={} padding={} seed={SEED} \
@@ -171,11 +144,9 @@ fn main() {
     }
 
     say!("E11 corpus sweep: sizes {SIZES:?}, seed {SEED}");
-    let (curve, figures) = sweep(true);
-    // Gate: a second full pass (portfolio checks elided — the censuses
-    // already proved thread-count independence) reproduces the curve
-    // byte for byte.
-    let (curve_again, _) = sweep(false);
+    let (curve, figures) = sweep();
+    // Gate: a second full pass reproduces the curve byte for byte.
+    let (curve_again, _) = sweep();
     assert_eq!(curve, curve_again, "sweep curve must be reproducible");
 
     say!("\ncanonical curve:\n{curve}");

@@ -16,7 +16,7 @@
 use std::time::{Duration, Instant};
 
 use jcc_core::obs;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
 
 fn main() {
     let mut reporter = obs::BenchReporter::init("e14_live_introspection");
@@ -39,10 +39,7 @@ fn main() {
     const REPS: usize = 5;
     let n = 7;
     let j = JavaNet::new(n);
-    let seq_limits = ReachLimits {
-        parallelism: Parallelism::sequential(),
-        ..ReachLimits::default()
-    };
+    let seq_limits = ReachLimits::default();
 
     // The graph both arms must reproduce: same states, edges, frontier
     // peak — and the same dead states.

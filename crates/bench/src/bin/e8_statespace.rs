@@ -5,10 +5,10 @@ use std::time::Instant;
 
 use jcc_core::cofg::{build_component_cofgs, CoverageTracker};
 use jcc_core::model::examples;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits, ReachStats};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits, ReachStats};
 use jcc_core::vm::{
-    compile, explore, explore_portfolio, timeline_of_outcome, CallSpec, ExploreConfig,
-    PortfolioConfig, RunConfig, ThreadSpec, Value, Vm,
+    compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, RunConfig, ThreadSpec, Value,
+    Vm,
 };
 
 fn main() {
@@ -111,40 +111,17 @@ fn main() {
         reporter.write_chrome_trace(&timeline);
     }
 
-    say!("\n--- sequential vs parallel throughput ---");
-    // At least two workers, so the parallel engine is exercised even on a
-    // single-core host (where it can only show its overhead, not a speedup).
-    let threads = Parallelism::available().threads.max(2);
-    let parallel = Parallelism::with_threads(threads);
+    say!("\n--- exploration wall clock ---");
     let big = JavaNet::new(6);
     let t0 = Instant::now();
-    let seq = ReachGraph::explore(
-        big.net(),
-        ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        },
-    );
+    let seq = ReachGraph::explore(big.net(), ReachLimits::default());
     let seq_time = t0.elapsed();
-    let t0 = Instant::now();
-    let par = ReachGraph::explore(
-        big.net(),
-        ReachLimits {
-            parallelism: parallel,
-            ..ReachLimits::default()
-        },
-    );
-    let par_time = t0.elapsed();
-    assert_eq!(seq.stats(), par.stats(), "parallel graph must be identical");
     say!(
-        "petri reachability (N=6, {} states): sequential {:.1?}, parallel x{} {:.1?}",
+        "petri reachability (N=6, {} states): {:.1?}",
         seq.stats().states,
-        seq_time,
-        threads,
-        par_time
+        seq_time
     );
     reporter.set_derived("petri_seq_seconds", seq_time.as_secs_f64());
-    reporter.set_derived("petri_par_seconds", par_time.as_secs_f64());
 
     // --- state-space reduction: ample sets + thread-symmetry quotient ---
     // The same net explored full and reduced. The reduced run reaches the
@@ -155,19 +132,15 @@ fn main() {
         use jcc_core::petri::Reduction;
         let n = 10;
         let j = JavaNet::new(n);
-        let seq_limits = ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        };
         let t0 = Instant::now();
-        let full = ReachGraph::explore(j.net(), seq_limits);
+        let full = ReachGraph::explore(j.net(), ReachLimits::default());
         let full_secs = t0.elapsed().as_secs_f64().max(1e-9);
         let t0 = Instant::now();
         let reduced = ReachGraph::explore(
             j.net(),
             ReachLimits {
                 reduction: Reduction::full(Some(j.thread_symmetry())),
-                ..seq_limits
+                ..ReachLimits::default()
             },
         );
         let red_secs = t0.elapsed().as_secs_f64().max(1e-9);
@@ -248,22 +221,19 @@ fn main() {
             b.transition(format!("step{i}"), &[places[i]], &[places[(i + 1) % 8]]);
         }
         let ring = b.build().unwrap();
-        let seq_limits = ReachLimits {
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        };
+        let limits = ReachLimits::default();
         // Warmed, interleaved best-of-3, the same harness the obs-overhead
         // measurement uses.
         let (mut packed, mut boxed) = (None, None);
         let ab = jcc_core::obs::ab_best_of_3(
             || {
                 let t0 = Instant::now();
-                packed = Some(ReachGraph::explore(&ring, seq_limits));
+                packed = Some(ReachGraph::explore(&ring, limits));
                 t0.elapsed().as_secs_f64()
             },
             || {
                 let t0 = Instant::now();
-                boxed = Some(ReachGraph::explore_boxed(&ring, seq_limits, |_, _| true));
+                boxed = Some(ReachGraph::explore_boxed(&ring, limits, |_, _| true));
                 t0.elapsed().as_secs_f64()
             },
         );
@@ -300,43 +270,24 @@ fn main() {
         t
     });
     let t0 = Instant::now();
-    let seq = explore(vm.clone(), &ExploreConfig::default(), None);
+    let seq = explore(vm, &ExploreConfig::default(), None);
     let seq_time = t0.elapsed();
-    let t0 = Instant::now();
-    let par = explore_portfolio(
-        vm,
-        &PortfolioConfig {
-            explore: ExploreConfig {
-                parallelism: parallel,
-                ..ExploreConfig::default()
-            },
-            ..PortfolioConfig::default()
-        },
-    );
-    let par_time = t0.elapsed();
-    let census = par.result.expect("no early_exit: census completes");
-    assert_eq!(census.tally(), seq.tally(), "portfolio census must match");
     say!(
-        "vm schedule portfolio (3 consumers, {} states, {} probes): sequential {:.1?}, \
-         portfolio x{} {:.1?}",
-        census.states, par.probes_run, seq_time, threads, par_time
+        "vm schedule exploration (3 consumers, {} states): {:.1?}",
+        seq.states,
+        seq_time
     );
     reporter.set_derived("vm_seq_seconds", seq_time.as_secs_f64());
-    reporter.set_derived("vm_portfolio_seconds", par_time.as_secs_f64());
 
     // --- obs overhead self-measurement ---
-    // The same N=6 sequential reachability, observed vs unobserved, through
+    // The same N=6 reachability, observed vs unobserved, through
     // the warmed, interleaved best-of-3 harness. The acceptance bar for the
     // obs subsystem is < 5% at `summary` level.
     let saved_level = reporter.level();
-    let seq_limits = ReachLimits {
-        parallelism: Parallelism::sequential(),
-        ..ReachLimits::default()
-    };
     let timed_at = |level, stats: &mut Option<ReachStats>| {
         jcc_core::obs::set_level(level);
         let t0 = Instant::now();
-        let g = ReachGraph::explore(big.net(), seq_limits);
+        let g = ReachGraph::explore(big.net(), ReachLimits::default());
         let secs = t0.elapsed().as_secs_f64();
         *stats = Some(g.stats().clone());
         secs

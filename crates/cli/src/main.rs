@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! jcc check   [--deny=high|medium|low] [--format=text|json] [--obs-out=DIR] <paths...>
-//! jcc profile [--threads=K] [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
+//! jcc profile [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
 //! ```
 //!
 //! `check` lints real Java sources; paths may be `.java` files or
@@ -31,7 +31,7 @@ use jcc_javasrc::check::{check_paths, CheckOptions, Format};
 
 const USAGE: &str = "\
 usage: jcc check [--deny=high|medium|low] [--format=text|json] [--obs-out=DIR] <paths...>
-       jcc profile [--threads=K] [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
+       jcc profile [--interval-ms=MS] [--expose=PORT] [--obs-out=DIR] <scenario>
 
 check: lint Java sources with the jcc static concurrency analyzer.
 Paths may be .java files or directories (searched recursively).
@@ -50,7 +50,6 @@ scenarios:
   javanet[:N]            petri reachability of the N-thread Figure-1 net (default N=6)
   producer-consumer[:C]  VM schedule exploration with C consumers (default C=3)
 
-  --threads=K       parallel reachability with K workers (javanet only)
   --interval-ms=MS  heartbeat refresh interval (default 200)
   --expose=PORT     serve Prometheus metrics on 127.0.0.1:PORT during the run
   --obs-out=DIR     write profile_report.json, profile_flame.txt and
@@ -178,38 +177,60 @@ struct ScenarioOutcome {
     states: u64,
 }
 
-fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, String> {
-    use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
-    use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Value, Vm};
+/// A `jcc profile` scenario, parsed and validated before any thread starts.
+#[derive(Debug, PartialEq, Eq)]
+enum Scenario {
+    /// Petri reachability of the N-thread Figure-1 net.
+    JavaNet(usize),
+    /// VM schedule exploration of the producer-consumer with C consumers.
+    ProducerConsumer(usize),
+}
 
+fn parse_scenario(scenario: &str) -> Result<Scenario, String> {
     let (name, param) = match scenario.split_once(':') {
         Some((n, p)) => (n, Some(p)),
         None => (scenario, None),
     };
     match name {
-        "javanet" => {
-            let n: usize = match param {
-                Some(p) => p
-                    .parse()
-                    .map_err(|_| format!("invalid thread count `{p}` in `{scenario}`"))?,
-                None => 6,
-            };
-            let parallelism = if threads > 1 {
-                Parallelism::with_threads(threads)
-            } else {
-                Parallelism::sequential()
-            };
+        "javanet" => match param {
+            // The Figure-1 composition needs at least one thread.
+            Some(p) => match p.parse() {
+                Ok(n) if n > 0 => Ok(Scenario::JavaNet(n)),
+                _ => Err(format!("invalid thread count `{p}` in `{scenario}`")),
+            },
+            None => Ok(Scenario::JavaNet(6)),
+        },
+        "producer-consumer" | "pc" => match param {
+            Some(p) => p
+                .parse()
+                .map(Scenario::ProducerConsumer)
+                .map_err(|_| format!("invalid consumer count `{p}` in `{scenario}`")),
+            None => Ok(Scenario::ProducerConsumer(3)),
+        },
+        other => Err(format!(
+            "unknown scenario `{other}` (try `javanet:6` or `producer-consumer:3`)"
+        )),
+    }
+}
+
+fn run_scenario(scenario: Scenario) -> Result<ScenarioOutcome, String> {
+    use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
+    use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Value, Vm};
+
+    match scenario {
+        Scenario::JavaNet(n) => {
             let j = JavaNet::new(n);
-            let g = ReachGraph::explore(
-                j.net(),
-                ReachLimits {
-                    parallelism,
-                    ..ReachLimits::default()
-                },
-            );
+            let g = ReachGraph::explore(j.net(), ReachLimits::default());
+            let truncated = match g.stats().truncated {
+                Some(t) => format!(
+                    ", truncated ({t:?}) after expanding {} states",
+                    g.stats().expanded
+                ),
+                None => String::new(),
+            };
             Ok(ScenarioOutcome {
                 what: format!(
-                    "petri reachability, JavaNet({n}): {} states, {} edges, {} dead",
+                    "petri reachability, JavaNet({n}): {} states, {} edges, {} dead{truncated}",
                     g.stats().states,
                     g.stats().edges,
                     g.dead_states().len()
@@ -217,13 +238,7 @@ fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, Strin
                 states: g.stats().states as u64,
             })
         }
-        "producer-consumer" | "pc" => {
-            let consumers: usize = match param {
-                Some(p) => p
-                    .parse()
-                    .map_err(|_| format!("invalid consumer count `{p}` in `{scenario}`"))?,
-                None => 3,
-            };
+        Scenario::ProducerConsumer(consumers) => {
             let component = jcc_core::model::examples::producer_consumer();
             let compiled = compile(&component).map_err(|e| format!("compile: {e:?}"))?;
             let mut specs = vec![ThreadSpec {
@@ -244,30 +259,26 @@ fn run_scenario(scenario: &str, threads: usize) -> Result<ScenarioOutcome, Strin
             Ok(ScenarioOutcome {
                 what: format!(
                     "VM exploration, producer-consumer x{consumers}: {} states, {} transitions, \
-                     {} completed, {} deadlocked",
-                    r.states, r.transitions, r.completed_paths, r.deadlock_paths
+                     {} completed, {} deadlocked{}",
+                    r.states,
+                    r.transitions,
+                    r.completed_paths,
+                    r.deadlock_paths,
+                    if r.truncated { ", truncated" } else { "" }
                 ),
                 states: r.states as u64,
             })
         }
-        other => Err(format!(
-            "unknown scenario `{other}` (try `javanet:6` or `producer-consumer:3`)"
-        )),
     }
 }
 
 fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> {
-    let mut threads = 1usize;
     let mut interval_ms = 200u64;
     let mut expose: Option<u16> = None;
     let mut obs_out: Option<PathBuf> = None;
     let mut scenario: Option<String> = None;
     for arg in it {
-        if let Some(v) = arg.strip_prefix("--threads=") {
-            threads = v
-                .parse()
-                .map_err(|_| format!("invalid --threads `{v}`"))?;
-        } else if let Some(v) = arg.strip_prefix("--interval-ms=") {
+        if let Some(v) = arg.strip_prefix("--interval-ms=") {
             interval_ms = v
                 .parse()
                 .map_err(|_| format!("invalid --interval-ms `{v}`"))?;
@@ -286,7 +297,7 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
             return Err(format!("unexpected argument `{arg}`"));
         }
     }
-    let scenario = scenario.ok_or_else(|| "missing scenario".to_string())?;
+    let scenario = parse_scenario(&scenario.ok_or_else(|| "missing scenario".to_string())?)?;
     if let Some(dir) = &obs_out {
         std::fs::create_dir_all(dir).map_err(|e| format!("--obs-out: {e}"))?;
     }
@@ -316,12 +327,11 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
     });
 
     let t0 = Instant::now();
-    let scenario_name = scenario.clone();
     let worker = std::thread::Builder::new()
         .name("jcc-profile-worker".to_string())
         .spawn(move || {
             let _reg = obs::register_thread("worker");
-            run_scenario(&scenario_name, threads)
+            run_scenario(scenario)
         })
         .map_err(|e| format!("spawn worker: {e}"))?;
     let outcome = worker.join().map_err(|_| "worker panicked".to_string())??;
@@ -369,4 +379,23 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
     drop(server);
     obs::set_level(obs::ObsLevel::Off);
     Ok(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn scenarios_parse_with_defaults_and_reject_bad_counts() {
+        assert_eq!(parse_scenario("javanet"), Ok(Scenario::JavaNet(6)));
+        assert_eq!(parse_scenario("javanet:2"), Ok(Scenario::JavaNet(2)));
+        assert_eq!(parse_scenario("pc"), Ok(Scenario::ProducerConsumer(3)));
+        // A zero-thread net does not exist: a usage error (exit 2), not a
+        // panic in the worker thread.
+        let err = parse_scenario("javanet:0").unwrap_err();
+        assert!(err.contains("invalid thread count `0`"), "{err}");
+        assert_eq!(run(&["profile".into(), "javanet:0".into()]), Err(err));
+        assert!(parse_scenario("javanet:x").is_err());
+        assert!(parse_scenario("nope").is_err());
+    }
 }

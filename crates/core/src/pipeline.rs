@@ -149,6 +149,9 @@ impl Pipeline {
             witness,
             timeline,
             arc_heat,
+            states: result.states,
+            truncated: result.truncated,
+            depth_limited_paths: result.depth_limited_paths,
         }
     }
 }
@@ -172,7 +175,8 @@ pub struct ArcHeat {
 
 /// Everything [`Pipeline::explore_evidence`] learns from exploring one
 /// scenario: the classified findings plus — when any schedule failed — the
-/// deterministic witness, its causal timeline and per-arc heat.
+/// deterministic witness, its causal timeline and per-arc heat, and how
+/// far the exploration got.
 #[derive(Debug)]
 pub struct ScheduleEvidence {
     /// Classified Table-1 findings (same as [`Pipeline::explore_and_classify`]).
@@ -184,9 +188,22 @@ pub struct ScheduleEvidence {
     pub timeline: Option<jcc_obs::Timeline>,
     /// Per-arc heat of the witness, one row per CoFG arc.
     pub arc_heat: Vec<ArcHeat>,
+    /// Distinct states the exploration visited.
+    pub states: usize,
+    /// True when the state or depth budget cut the exploration short: with
+    /// no witness, the scenario is then inconclusive, not clean.
+    pub truncated: bool,
+    /// Paths cut off by the depth budget.
+    pub depth_limited_paths: usize,
 }
 
 impl ScheduleEvidence {
+    /// True when no schedule failed but a budget ran out first, so the
+    /// exploration cannot call the scenario clean.
+    pub fn inconclusive(&self) -> bool {
+        self.truncated && self.witness.is_none()
+    }
+
     /// Arcs the failing schedule traversed that the directed suite never
     /// covered — the coverage gap the failure exposes.
     pub fn hot_uncovered(&self) -> Vec<&ArcHeat> {

@@ -132,13 +132,24 @@ pub fn render_study(result: &MutationStudyResult) -> String {
 /// to additionally print the failing schedule itself — an ASCII causal
 /// timeline of the deterministic witness — and the CoFG arc-heat table
 /// showing which arcs the failure traversed versus what the directed
-/// suite covers.
+/// suite covers. An exploration that ran out of budget without a witness
+/// renders as inconclusive, never as "no findings".
 pub fn render_findings_with_evidence(
     analysis: &AnalysisReport,
     dynamic: &[Finding],
     evidence: Option<&ScheduleEvidence>,
 ) -> String {
-    let mut out = render_findings(analysis, dynamic);
+    let none = match evidence {
+        Some(ev) if ev.inconclusive() && ev.depth_limited_paths > 0 => format!(
+            "inconclusive (depth budget, {} path(s) cut off, {} states reached)",
+            ev.depth_limited_paths, ev.states
+        ),
+        Some(ev) if ev.inconclusive() => {
+            format!("inconclusive (state budget, {} states reached)", ev.states)
+        }
+        _ => "no findings".to_string(),
+    };
+    let mut out = render_comparison(analysis, dynamic, &none);
     let Some(ev) = evidence else { return out };
     if let Some(timeline) = &ev.timeline {
         let _ = writeln!(out, "Failing schedule (deterministic witness):");
@@ -174,6 +185,12 @@ pub fn render_findings_with_evidence(
 /// Render the static-vs-dynamic comparison without schedule evidence.
 /// Shorthand for [`render_findings_with_evidence`] with `None`.
 pub fn render_findings(analysis: &AnalysisReport, dynamic: &[Finding]) -> String {
+    render_comparison(analysis, dynamic, "no findings")
+}
+
+/// The static-vs-dynamic comparison; `none` is what the dynamic section
+/// says when it has no finding.
+fn render_comparison(analysis: &AnalysisReport, dynamic: &[Finding], none: &str) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Static analysis ({} prediction)", jcc_analyze::SCHEMA);
     if analysis.diagnostics.is_empty() {
@@ -185,7 +202,7 @@ pub fn render_findings(analysis: &AnalysisReport, dynamic: &[Finding]) -> String
     }
     let _ = writeln!(out, "Dynamic classification (observed)");
     if dynamic.is_empty() {
-        let _ = writeln!(out, "  no findings");
+        let _ = writeln!(out, "  {none}");
     } else {
         for f in dynamic {
             let _ = writeln!(out, "  {f}");
@@ -326,6 +343,25 @@ mod tests {
             render_findings_with_evidence(&p.analysis, &evidence.findings, Some(&evidence));
         assert!(!text.contains("Failing schedule"), "{text}");
         assert!(!text.contains("arc heat"), "{text}");
+        assert!(text.contains("no findings"), "{text}");
+        // One state short of the full space: the budget ran out before any
+        // witness, so the run is inconclusive, not clean.
+        assert!(!evidence.truncated);
+        let config = ExploreConfig {
+            max_states: evidence.states - 1,
+            ..ExploreConfig::default()
+        };
+        let cut = p.explore_evidence(&scenario, &config, None);
+        assert!(cut.findings.is_empty() && cut.inconclusive());
+        let text = render_findings_with_evidence(&p.analysis, &cut.findings, Some(&cut));
+        assert!(!text.contains("no findings"), "{text}");
+        assert!(
+            text.contains(&format!(
+                "inconclusive (state budget, {} states reached)",
+                evidence.states - 1
+            )),
+            "{text}"
+        );
     }
 
     #[test]

@@ -6,11 +6,22 @@
 //! recovery fixture asserts exactly this). `package`/`import` headers,
 //! `extends`/`implements` clauses, `throws` lists, and access modifiers
 //! are parsed and discarded — they carry no concurrency meaning.
+//!
+//! Nesting is bounded by [`MAX_NESTING_DEPTH`]: input nested deeper gets
+//! one diagnostic and the rest of the file is abandoned, so hostile input
+//! cannot overflow the stack.
 
 use crate::ast::*;
 use crate::diag::{FrontDiag, Phase};
 use crate::lexer::{lex, Tok, Token};
 use crate::span::Span;
+
+/// How deep statements and expressions may nest: each nested statement,
+/// bare block, expression (parenthesised or an argument) and unary
+/// operator is one level. The parser recurses once per level, and lowering
+/// and analysis walk the tree it builds, so deeper input is rejected with a
+/// diagnostic instead of overflowing the stack.
+pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// Parse one `.java` source text. Always returns a unit (possibly with no
 /// classes); syntax errors are reported in the diagnostic list.
@@ -20,6 +31,8 @@ pub fn parse(src: &str) -> (CompilationUnit, Vec<FrontDiag>) {
         tokens,
         pos: 0,
         diags: Vec::new(),
+        depth: 0,
+        abandoned: false,
     };
     let unit = p.parse_unit();
     diags.append(&mut p.diags);
@@ -30,6 +43,11 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Vec<FrontDiag>,
+    /// Current nesting depth (see [`MAX_NESTING_DEPTH`]).
+    depth: usize,
+    /// Set once the input nested too deep: the parser then sits at `Eof`
+    /// and reports nothing more.
+    abandoned: bool,
 }
 
 /// Statement-level parse failure; the caller synchronizes.
@@ -76,7 +94,29 @@ impl Parser {
     }
 
     fn error(&mut self, span: Span, message: impl Into<String>) {
-        self.diags.push(FrontDiag::new(Phase::Parse, span, message));
+        if !self.abandoned {
+            self.diags.push(FrontDiag::new(Phase::Parse, span, message));
+        }
+    }
+
+    /// Run `f` one nesting level deeper. Past [`MAX_NESTING_DEPTH`], report
+    /// the input as too deep and abandon the rest of the file: every
+    /// enclosing level then unwinds at `Eof` without further diagnostics.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        if self.depth >= MAX_NESTING_DEPTH {
+            let span = self.peek_span();
+            self.error(
+                span,
+                format!("nesting deeper than {MAX_NESTING_DEPTH} levels is not supported"),
+            );
+            self.abandoned = true;
+            self.pos = self.tokens.len() - 1;
+            return Err(Recover);
+        }
+        self.depth += 1;
+        let result = f(self);
+        self.depth -= 1;
+        result
     }
 
     fn expect(&mut self, kind: &Tok, what: &str) -> PResult<Span> {
@@ -389,7 +429,7 @@ impl Parser {
         if self.eat(&Tok::LBrace) {
             // A bare `{ ... }` scope: Java scoping has no concurrency
             // meaning here, so its statements are spliced inline.
-            let inner = self.parse_block_body();
+            let inner = self.nested(|p| Ok(p.parse_block_body()))?;
             out.extend(inner);
             return Ok(());
         }
@@ -408,6 +448,10 @@ impl Parser {
     }
 
     fn parse_stmt(&mut self) -> PResult<JStmt> {
+        self.nested(Self::parse_stmt_here)
+    }
+
+    fn parse_stmt_here(&mut self) -> PResult<JStmt> {
         let start = self.peek_span();
         match self.peek().clone() {
             Tok::Semi => {
@@ -646,7 +690,7 @@ impl Parser {
     // ---- expressions -----------------------------------------------------
 
     fn parse_expr(&mut self) -> PResult<JExpr> {
-        self.parse_or()
+        self.nested(Self::parse_or)
     }
 
     fn parse_or(&mut self) -> PResult<JExpr> {
@@ -759,7 +803,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let operand = self.parse_unary()?;
+            let operand = self.nested(Self::parse_unary)?;
             let span = start.to(operand.span);
             return Ok(JExpr {
                 kind: JExprKind::Unary(op, Box::new(operand)),

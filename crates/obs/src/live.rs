@@ -19,7 +19,7 @@
 //!   a seeded, jittered tick and aggregates an ASCII flame table (plus a
 //!   Chrome-trace rendering),
 //! * **progress cells** ([`set_progress`] / [`ProgressCell`]) —
-//!   `petri::reach` and `vm::explore` publish states/frontier/steals into
+//!   `petri::reach` and `vm::explore` publish states/frontier/depth into
 //!   two global cells; a [`Heartbeat`] watcher drains them into EWMA
 //!   states/sec, an ETA against the exploration budget, heartbeat metrics
 //!   and a `jcc top`-style one-line rendering.
@@ -438,7 +438,6 @@ pub struct ProgressCell {
     states: AtomicU64,
     frontier: AtomicU64,
     depth: AtomicU64,
-    steals: AtomicU64,
     saved: AtomicU64,
     budget: AtomicU64,
     done: AtomicU64,
@@ -456,8 +455,6 @@ pub struct ProgressSnapshot {
     pub frontier: u64,
     /// Frontier cursor (BFS) or current recursion depth (DFS).
     pub depth: u64,
-    /// Work-stealing events so far (parallel engines only).
-    pub steals: u64,
     /// States pruned by ample-set/symmetry reduction so far.
     pub saved: u64,
     /// The exploration's state budget (`max_states`), 0 when unknown.
@@ -474,7 +471,6 @@ impl ProgressCell {
             states: AtomicU64::new(0),
             frontier: AtomicU64::new(0),
             depth: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
             saved: AtomicU64::new(0),
             budget: AtomicU64::new(0),
             done: AtomicU64::new(0),
@@ -487,7 +483,6 @@ impl ProgressCell {
         self.states.store(0, Ordering::Relaxed);
         self.frontier.store(0, Ordering::Relaxed);
         self.depth.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
         self.saved.store(0, Ordering::Relaxed);
         self.budget.store(budget, Ordering::Relaxed);
         self.done.store(0, Ordering::Relaxed);
@@ -500,19 +495,6 @@ impl ProgressCell {
         self.states.store(states, Ordering::Relaxed);
         self.frontier.store(frontier, Ordering::Relaxed);
         self.depth.store(depth, Ordering::Relaxed);
-    }
-
-    /// Publish the running steal total (parallel engines).
-    #[inline]
-    pub fn set_steals(&self, steals: u64) {
-        self.steals.store(steals, Ordering::Relaxed);
-    }
-
-    /// Bump the steal total (parallel workers that only know their own
-    /// deltas).
-    #[inline]
-    pub fn add_steals(&self, n: u64) {
-        self.steals.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Publish the running reduction-pruned total.
@@ -535,7 +517,6 @@ impl ProgressCell {
             states: self.states.load(Ordering::Relaxed),
             frontier: self.frontier.load(Ordering::Relaxed),
             depth: self.depth.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
             saved: self.saved.load(Ordering::Relaxed),
             budget: self.budget.load(Ordering::Relaxed),
             done: self.done.load(Ordering::Relaxed) != 0,
@@ -592,9 +573,6 @@ impl HeartbeatStats {
             ));
         }
         line.push_str(&format!(" frontier {} depth {}", s.frontier, s.depth));
-        if s.steals > 0 {
-            line.push_str(&format!(" steals {}", s.steals));
-        }
         if s.saved > 0 {
             line.push_str(&format!(" pruned {}", s.saved));
         }
@@ -843,7 +821,6 @@ mod tests {
         let cell = reach_progress();
         cell.begin(1_000);
         cell.publish(100, 40, 7);
-        cell.set_steals(3);
         let beats: Arc<Mutex<Vec<HeartbeatStats>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&beats);
         let hb = Heartbeat::start(Duration::from_millis(5), move |s| {
@@ -892,7 +869,6 @@ mod tests {
             states: 500,
             frontier: 10,
             depth: 3,
-            steals: 0,
             saved: 0,
             budget: 1_000,
             done: false,

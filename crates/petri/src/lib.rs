@@ -37,7 +37,7 @@ pub mod transition;
 pub use event::{Event, EventKind};
 pub use java_model::{JavaNet, ThreadPlace};
 pub use net::{Marking, Net, NetBuilder, NetError, PlaceId, TransId};
-pub use parallel::{parallel_map, BatchPolicy, Parallelism};
+pub use parallel::{parallel_map, Parallelism};
 pub use reach::{ReachGraph, ReachLimits, ReachStats};
 pub use reduce::{Reduction, StubbornSets, SymmetrySpec};
 pub use state::{

@@ -1,26 +1,24 @@
-//! Shared parallel-execution primitives: the [`Parallelism`] knob threaded
-//! through every exploration config in the workspace, and a deterministic
-//! [`parallel_map`] used to fan independent work items across scoped
-//! worker threads.
+//! Shared parallel-execution primitives: the [`Parallelism`] knob and a
+//! deterministic [`parallel_map`] that fans independent work items across
+//! scoped worker threads. The mutation study's (mutant × scenario) matrix
+//! is its one fan-out; exploration itself is single-threaded.
 //!
-//! Design rules (see DESIGN.md §4 "Parallel exploration"):
+//! Design rules (see DESIGN.md §4 "One engine per representation"):
 //!
-//! * `threads = 1` must take the *existing sequential code path* — no
-//!   thread is ever spawned, so single-threaded behaviour is bit-for-bit
-//!   what it was before parallelism existed.
-//! * Parallel results must be deterministic: work is partitioned by item
-//!   index (never by completion order) and reassembled positionally, so
-//!   the output of [`parallel_map`] is independent of scheduling.
+//! * `threads = 1` runs the plain sequential map on the calling thread —
+//!   no thread is ever spawned.
+//! * Results are deterministic: work is partitioned by item index (never
+//!   by completion order) and reassembled positionally, so the output of
+//!   [`parallel_map`] is independent of scheduling.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How many worker threads exploration fans out across.
+/// How many worker threads a [`parallel_map`] fans out across.
 ///
-/// `threads = 1` selects the sequential code path everywhere; any higher
-/// value enables the parallel engines. The default is the machine's
-/// available core count, so parallelism scales with the hardware without
-/// configuration — results are identical either way by construction.
+/// `threads = 1` runs on the calling thread. The default is the machine's
+/// available core count, so the fan-out scales with the hardware without
+/// configuration; results are identical either way by construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     /// Number of worker threads (>= 1).
@@ -48,73 +46,11 @@ impl Parallelism {
                 .unwrap_or(1),
         }
     }
-
-    /// True when this configuration takes the sequential path.
-    pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
-    }
 }
 
 impl Default for Parallelism {
     fn default() -> Self {
         Parallelism::available()
-    }
-}
-
-/// How many frontier states a parallel worker pops from its own queue (and
-/// steals from a victim) per lock acquisition.
-///
-/// The original fixed sizes (8 own / 4 steal) starve the steal path on
-/// small frontiers: one worker drains its whole queue in a few batched
-/// pops before anyone else sees work, so `petri.reach.steals` stays
-/// near zero and the frontier never spreads. `Adaptive` takes at most
-/// half of what is visible, leaving the rest stealable. Batch sizes only
-/// affect scheduling — the canonically renumbered result graph is
-/// byte-identical under every policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// Take `min(cap, max(1, len/2))` states per pop: half the visible
-    /// queue, capped at the old fixed sizes (8 own / 4 steal).
-    #[default]
-    Adaptive,
-    /// Fixed batch sizes (clamped up to 1 each).
-    Fixed {
-        /// States popped from the worker's own queue per lock hold.
-        own: usize,
-        /// States stolen from a victim's queue per lock hold.
-        steal: usize,
-    },
-}
-
-/// Cap on adaptive own-queue batches (the old fixed own size).
-pub const OWN_BATCH_CAP: usize = 8;
-/// Cap on adaptive steal batches (the old fixed steal size).
-pub const STEAL_BATCH_CAP: usize = 4;
-
-impl BatchPolicy {
-    /// The legacy fixed 8/4 policy.
-    pub const FIXED_LEGACY: BatchPolicy = BatchPolicy::Fixed {
-        own: OWN_BATCH_CAP,
-        steal: STEAL_BATCH_CAP,
-    };
-
-    /// How many states to pop from the worker's own queue, given its
-    /// current visible length.
-    #[inline]
-    pub fn own_batch(self, queue_len: usize) -> usize {
-        match self {
-            BatchPolicy::Adaptive => (queue_len / 2).clamp(1, OWN_BATCH_CAP),
-            BatchPolicy::Fixed { own, .. } => own.max(1),
-        }
-    }
-
-    /// How many states to steal from a victim queue of the given length.
-    #[inline]
-    pub fn steal_batch(self, victim_len: usize) -> usize {
-        match self {
-            BatchPolicy::Adaptive => (victim_len / 2).clamp(1, STEAL_BATCH_CAP),
-            BatchPolicy::Fixed { steal, .. } => steal.max(1),
-        }
     }
 }
 
@@ -176,7 +112,7 @@ mod tests {
 
     #[test]
     fn sequential_parallelism_is_one_thread() {
-        assert!(Parallelism::sequential().is_sequential());
+        assert_eq!(Parallelism::sequential().threads, 1);
         assert_eq!(Parallelism::with_threads(0).threads, 1);
         assert!(Parallelism::available().threads >= 1);
     }

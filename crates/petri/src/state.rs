@@ -1,10 +1,10 @@
 //! Interned state storage for reachability exploration.
 //!
 //! Exploration used to carry heap-allocated `Marking(Box<[u32]>)` values
-//! everywhere: the BFS frontier, the dedup maps, the parallel shard sets
-//! and the per-worker successor records each held (and cloned, and
-//! SipHash-hashed) their own copies. This module replaces that with two
-//! representations the engines in [`crate::reach`] choose between per net:
+//! everywhere: the BFS frontier and the dedup maps each held (and cloned,
+//! and SipHash-hashed) their own copies. This module replaces that with
+//! two representations, one engine each in [`crate::reach`], chosen per
+//! net:
 //!
 //! * [`PackedMarking`] — the whole marking in one `u64`, one byte per
 //!   place, for nets with at most [`MAX_PACKED_PLACES`] places and token
@@ -21,9 +21,8 @@
 //!
 //! Both representations are *deterministic by construction*: FxHash has no
 //! per-process seed, arena ids are assigned in insertion order, and at most
-//! one candidate on a hash chain can match — so the interleaving-free
-//! sequential engines produce identical ids on every run, and the parallel
-//! engine never relies on store ids for its canonical renumbering.
+//! one candidate on a hash chain can match — so the sequential engines
+//! produce identical ids on every run.
 
 use crate::net::{Marking, Net, TransId};
 use crate::reach::ReachLimits;

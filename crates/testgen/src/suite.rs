@@ -32,7 +32,7 @@ use jcc_cofg::coverage::CoverageTracker;
 use jcc_model::ast::Stmt;
 use jcc_model::Component;
 use jcc_petri::event::{Event, EventKind};
-use jcc_petri::{Parallelism, Transition};
+use jcc_petri::Transition;
 use jcc_vm::trace::apply_trace;
 use jcc_vm::{compile, explore_observed, CompiledComponent, ExploreConfig, Vm};
 
@@ -317,9 +317,6 @@ impl Default for GreedyConfig {
             explore: ExploreConfig {
                 max_states: 30_000,
                 max_depth: 800,
-                // Candidate evaluation stays on the caller's thread; the
-                // mutation study parallelises across cells instead.
-                parallelism: Parallelism::sequential(),
                 ..ExploreConfig::default()
             },
             extra_goals: true,

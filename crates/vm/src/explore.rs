@@ -37,16 +37,13 @@
 //! enumeration (`jcc_testgen::signature`) and coverage-directed suite
 //! search are folds over it.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
-
 use jcc_cofg::coverage::CoverageTracker;
 use jcc_petri::event::Event;
 use jcc_petri::parallel::Parallelism;
 use jcc_petri::state::StateId;
 
-use crate::machine::{RunConfig, RunOutcome, Scheduler, Verdict, Vm};
 use crate::machine::state::StateTable;
+use crate::machine::{RunOutcome, Verdict, Vm};
 use crate::trace::apply_trace;
 
 /// Exploration limits.
@@ -56,10 +53,7 @@ pub struct ExploreConfig {
     pub max_states: usize,
     /// Maximum scheduler decisions along one path (depth bound).
     pub max_depth: usize,
-    /// Worker threads for [`explore_portfolio`]. The exhaustive DFS of
-    /// [`explore`] is inherently order-dependent (path counts depend on
-    /// which path reaches a shared state first), so it always runs on one
-    /// thread; extra threads run seeded-random failure probes alongside it.
+    /// Ignored: exploration is single-threaded.
     pub parallelism: Parallelism,
     /// Quotient the state space by thread symmetry: states that differ
     /// only by a permutation of threads with identical `ThreadSpec`s
@@ -163,7 +157,7 @@ impl ExploreResult {
     }
 
     /// The numeric outcome of the exploration, witnesses excluded — what
-    /// the determinism suite compares across thread counts and runs.
+    /// the determinism and equivalence suites compare across runs.
     #[allow(clippy::type_complexity)]
     pub fn tally(&self) -> (usize, usize, usize, usize, usize, usize, usize, usize, bool) {
         (
@@ -204,28 +198,12 @@ pub fn explore(
 /// path's trace is complete enough to measure path properties such as
 /// coverage, waiter profiles or behavioural signatures.
 pub fn explore_observed(
-    vm: Vm,
-    config: &ExploreConfig,
-    observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
-) -> ExploreResult {
-    explore_stoppable(vm, config, observer, None).0
-}
-
-/// [`explore_observed`] with an optional cooperative stop flag: when the
-/// flag flips, the DFS abandons the remaining frontier and returns its
-/// partial result marked truncated. The second return value is true iff
-/// the stop flag (not a state/depth limit) cut the search short. Used by
-/// the portfolio's early-exit.
-fn explore_stoppable(
     mut vm: Vm,
     config: &ExploreConfig,
     observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
-    stop: Option<&AtomicBool>,
-) -> (ExploreResult, bool) {
+) -> ExploreResult {
     let _span = jcc_obs::span!("vm.explore");
-    // Live progress is publish-only (a mailbox watcher threads read);
-    // portfolio probes share the cell, so the heartbeat tracks whichever
-    // exploration reported most recently.
+    // Live progress is publish-only (a mailbox watcher threads read).
     if jcc_obs::progress_enabled() {
         jcc_obs::explore_progress().begin(config.max_states as u64);
     }
@@ -259,7 +237,7 @@ fn explore_stoppable(
             full_expansions: 0,
         },
     };
-    let stopped = dfs.run(vm, root, stop);
+    dfs.run(vm, root);
     let result = dfs.result;
     if jcc_obs::enabled() {
         flush_explore_stats(&result);
@@ -267,7 +245,7 @@ fn explore_stoppable(
     if jcc_obs::progress_enabled() {
         jcc_obs::explore_progress().finish(result.states as u64);
     }
-    (result, stopped)
+    result
 }
 
 /// Publish one exploration's census into the global obs registry. Counters
@@ -339,15 +317,10 @@ struct Dfs<'c, O> {
 }
 
 impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
-    /// Search from `root` (already interned as `id`); true iff `stop`
-    /// ended the search.
-    fn run(&mut self, root: Vm, id: StateId, stop: Option<&AtomicBool>) -> bool {
+    /// Search from `root` (already interned as `id`).
+    fn run(&mut self, root: Vm, id: StateId) {
         self.enter(root, id);
         while let Some(top) = self.stack.last_mut() {
-            if stop.is_some_and(|s| s.load(Ordering::Relaxed)) {
-                self.result.truncated = true;
-                return true;
-            }
             self.trace.truncate(top.trace_len);
             let next = match self.pending.take() {
                 Some(successor) => successor,
@@ -372,7 +345,6 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
             };
             self.visit(next);
         }
-        false
     }
 
     /// Process one successor of the top frame: count the transition,
@@ -502,202 +474,6 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
         } else {
             self.on_path[word] &= !bit;
         }
-    }
-}
-
-/// Which portfolio strategy produced the first failure witness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FoundBy {
-    /// The exhaustive bounded-DFS worker.
-    Exhaustive,
-    /// A seeded-random probe; the seed reproduces the schedule.
-    RandomProbe {
-        /// Scheduler seed of the failing probe run.
-        seed: u64,
-    },
-}
-
-/// Configuration of the parallel exploration portfolio.
-#[derive(Debug, Clone)]
-pub struct PortfolioConfig {
-    /// Limits for the exhaustive worker; `explore.parallelism` sets the
-    /// total worker count (1 = plain sequential [`explore`]).
-    pub explore: ExploreConfig,
-    /// Seeded-random probe schedules each probe worker attempts.
-    pub probes_per_worker: usize,
-    /// Base seed; probe `k` of worker `w` runs seed
-    /// `probe_seed + w * probes_per_worker + k`, so the probe set is
-    /// identical for every run and any worker count.
-    pub probe_seed: u64,
-    /// Step budget of one probe run.
-    pub probe_max_steps: usize,
-    /// Stop every worker as soon as any strategy finds a failure. The
-    /// exhaustive result is then partial (`result: None`); leave this off
-    /// when the full schedule census is required.
-    pub early_exit: bool,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            explore: ExploreConfig::default(),
-            probes_per_worker: 64,
-            probe_seed: 0x5EED,
-            probe_max_steps: 20_000,
-            early_exit: false,
-        }
-    }
-}
-
-/// Result of a portfolio exploration.
-#[derive(Debug)]
-pub struct PortfolioResult {
-    /// The exhaustive census. `None` only when `early_exit` abandoned the
-    /// DFS after another strategy found a failure first.
-    pub result: Option<ExploreResult>,
-    /// A failing run, if any strategy found one.
-    pub first_failure: Option<RunOutcome>,
-    /// Which strategy produced `first_failure`.
-    pub found_by: Option<FoundBy>,
-    /// Seeded-random probe runs executed.
-    pub probes_run: usize,
-}
-
-impl PortfolioResult {
-    /// True when any strategy found a deadlock, fault or livelock.
-    pub fn found_failure(&self) -> bool {
-        self.first_failure.is_some()
-            || self.result.as_ref().is_some_and(|r| r.found_failure())
-    }
-}
-
-/// Extract a deterministic failure witness from an exhaustive result
-/// (preference order: deadlock, fault, cycle — fixed so reruns agree).
-fn exhaustive_witness(result: &ExploreResult) -> Option<&RunOutcome> {
-    result.first_witness()
-}
-
-/// Parallel portfolio exploration: one worker runs the exhaustive bounded
-/// DFS of [`explore`]; the remaining `threads - 1` workers race seeded
-/// pseudo-random schedules as failure probes. With `early_exit` set, the
-/// first failure found by *any* strategy stops the whole portfolio — the
-/// fast path for "does any schedule fail?". Without it, the exhaustive
-/// census always completes, so the portfolio's `result` is identical to a
-/// sequential [`explore`] regardless of thread count; the probes only
-/// contribute an (often earlier) failure witness.
-pub fn explore_portfolio(vm: Vm, config: &PortfolioConfig) -> PortfolioResult {
-    let _span = jcc_obs::span!("vm.portfolio");
-    let threads = config.explore.parallelism.threads;
-    if threads <= 1 {
-        // Sequential path: the portfolio degenerates to plain exploration.
-        let result = explore(vm, &config.explore, None);
-        let first_failure = exhaustive_witness(&result).cloned();
-        let found_by = first_failure.as_ref().map(|_| FoundBy::Exhaustive);
-        return PortfolioResult {
-            result: Some(result),
-            first_failure,
-            found_by,
-            probes_run: 0,
-        };
-    }
-
-    let stop = AtomicBool::new(false);
-    let exhaustive_slot: Mutex<Option<(ExploreResult, bool)>> = Mutex::new(None);
-    // (seed, outcome) of each probe failure; min-seed wins deterministically.
-    let probe_failures: Mutex<Vec<(u64, RunOutcome)>> = Mutex::new(Vec::new());
-    let probes_run = std::sync::atomic::AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        let exhaustive_vm = vm.clone();
-        let stop_ref = &stop;
-        let slot_ref = &exhaustive_slot;
-        let explore_config = &config.explore;
-        let early_exit = config.early_exit;
-        scope.spawn(move || {
-            let stop = early_exit.then_some(stop_ref);
-            let outcome = explore_stoppable(exhaustive_vm, explore_config, |_, _, _| {}, stop);
-            if early_exit && outcome.0.found_failure() {
-                stop_ref.store(true, Ordering::Relaxed);
-            }
-            *slot_ref.lock().expect("slot lock") = Some(outcome);
-        });
-
-        for w in 0..threads - 1 {
-            let probe_vm = &vm;
-            let stop_ref = &stop;
-            let failures_ref = &probe_failures;
-            let probes_ref = &probes_run;
-            let config = &*config;
-            scope.spawn(move || {
-                for k in 0..config.probes_per_worker {
-                    if config.early_exit && stop_ref.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    let seed = config
-                        .probe_seed
-                        .wrapping_add((w * config.probes_per_worker + k) as u64);
-                    let mut run = probe_vm.clone();
-                    let started = jcc_obs::enabled().then(std::time::Instant::now);
-                    let outcome = run.run(&RunConfig {
-                        scheduler: Scheduler::Random(seed),
-                        max_steps: config.probe_max_steps,
-                    });
-                    if let Some(t0) = started {
-                        jcc_obs::global()
-                            .histogram("vm.portfolio.probe_nanos")
-                            .record(t0.elapsed().as_nanos() as u64);
-                    }
-                    probes_ref.fetch_add(1, Ordering::Relaxed);
-                    if outcome.verdict.is_failure() {
-                        jcc_obs::event!("vm.portfolio.probe_failure";
-                            "seed" => seed, "worker" => w);
-                        failures_ref
-                            .lock()
-                            .expect("failure lock")
-                            .push((seed, outcome));
-                        if config.early_exit {
-                            stop_ref.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let (exhaustive, aborted) = exhaustive_slot
-        .into_inner()
-        .expect("slot lock")
-        .expect("exhaustive worker always reports");
-    let mut failures = probe_failures.into_inner().expect("failure lock");
-    failures.sort_by_key(|(seed, _)| *seed);
-    if jcc_obs::enabled() {
-        let reg = jcc_obs::global();
-        reg.counter("vm.portfolio.probes")
-            .add(probes_run.load(Ordering::Relaxed) as u64);
-        reg.counter("vm.portfolio.probe_failures")
-            .add(failures.len() as u64);
-    }
-
-    // Witness preference: the exhaustive census when it completed (its
-    // witness is deterministic), otherwise the lowest-seed probe failure.
-    let (first_failure, found_by) = match exhaustive_witness(&exhaustive) {
-        Some(w) if !aborted => (Some(w.clone()), Some(FoundBy::Exhaustive)),
-        _ => match failures.into_iter().next() {
-            Some((seed, outcome)) => (Some(outcome), Some(FoundBy::RandomProbe { seed })),
-            None if !aborted => (
-                exhaustive_witness(&exhaustive).cloned(),
-                exhaustive_witness(&exhaustive).map(|_| FoundBy::Exhaustive),
-            ),
-            None => (None, None),
-        },
-    };
-
-    PortfolioResult {
-        result: (!aborted).then_some(exhaustive),
-        first_failure,
-        found_by,
-        probes_run: probes_run.load(Ordering::Relaxed),
     }
 }
 
@@ -1078,86 +854,5 @@ mod tests {
         assert_eq!(r.completed_paths, 1);
         assert_eq!(r.transitions + 1, r.states);
         assert!(!r.truncated);
-    }
-
-    fn portfolio_config(threads: usize, early_exit: bool) -> PortfolioConfig {
-        PortfolioConfig {
-            explore: ExploreConfig {
-                parallelism: Parallelism::with_threads(threads),
-                ..ExploreConfig::default()
-            },
-            probes_per_worker: 8,
-            early_exit,
-            ..PortfolioConfig::default()
-        }
-    }
-
-    #[test]
-    fn portfolio_census_matches_sequential_explore() {
-        let c = examples::producer_consumer();
-        let make_vm = || Vm::new(compile(&c).unwrap(), pc_threads());
-        let seq = explore(make_vm(), &ExploreConfig::default(), None);
-        for threads in [1, 2, 4] {
-            let p = explore_portfolio(make_vm(), &portfolio_config(threads, false));
-            assert!(!p.found_failure());
-            let census = p.result.expect("census completes without early_exit");
-            assert_eq!(census.tally(), seq.tally(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn portfolio_finds_deadlock_with_early_exit() {
-        let c = examples::lock_order_deadlock();
-        let threads = vec![
-            ThreadSpec {
-                name: "f".into(),
-                calls: vec![CallSpec::new("forward", vec![])],
-            },
-            ThreadSpec {
-                name: "b".into(),
-                calls: vec![CallSpec::new("backward", vec![])],
-            },
-        ];
-        for workers in [1, 2, 4] {
-            let vm = Vm::new(compile(&c).unwrap(), threads.clone());
-            let p = explore_portfolio(vm, &portfolio_config(workers, true));
-            assert!(p.found_failure(), "workers={workers}: {p:?}");
-            let witness = p.first_failure.as_ref().unwrap();
-            assert!(witness.verdict.is_failure(), "workers={workers}");
-            assert!(p.found_by.is_some());
-        }
-    }
-
-    #[test]
-    fn portfolio_witness_is_deterministic_without_early_exit() {
-        // With early_exit off the exhaustive census always completes, so the
-        // witness comes from the same deterministic DFS on every run.
-        let c = examples::lock_order_deadlock();
-        let make_vm = || {
-            Vm::new(
-                compile(&c).unwrap(),
-                vec![
-                    ThreadSpec {
-                        name: "f".into(),
-                        calls: vec![CallSpec::new("forward", vec![])],
-                    },
-                    ThreadSpec {
-                        name: "b".into(),
-                        calls: vec![CallSpec::new("backward", vec![])],
-                    },
-                ],
-            )
-        };
-        let baseline = explore_portfolio(make_vm(), &portfolio_config(3, false));
-        let baseline_trace = &baseline.first_failure.as_ref().unwrap().trace;
-        for _ in 0..3 {
-            let p = explore_portfolio(make_vm(), &portfolio_config(3, false));
-            assert_eq!(p.found_by, Some(FoundBy::Exhaustive));
-            assert_eq!(
-                &p.first_failure.as_ref().unwrap().trace,
-                baseline_trace,
-                "witness must not depend on probe timing"
-            );
-        }
     }
 }

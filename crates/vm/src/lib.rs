@@ -35,10 +35,7 @@ pub mod trace;
 pub mod value;
 
 pub use compile::{compile, CompileError, CompiledComponent};
-pub use explore::{
-    explore, explore_observed, explore_portfolio, ExploreConfig, ExploreResult, FoundBy,
-    PathEnd, PortfolioConfig, PortfolioResult,
-};
+pub use explore::{explore, explore_observed, ExploreConfig, ExploreResult, PathEnd};
 pub use jcc_petri::Parallelism;
 pub use machine::{
     CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,

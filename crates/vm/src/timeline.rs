@@ -11,8 +11,8 @@
 //! The timeline is a pure post-hoc function of the recorded trace (the
 //! clock is the VM's logical step counter, never wall time), so it
 //! inherits the determinism of the trace: the exhaustive explorer's
-//! witness for a component is byte-identical at any parallelism, and so is
-//! its rendered timeline. Building a timeline can never change an
+//! witness for a component is byte-identical on every run, and so is its
+//! rendered timeline. Building a timeline can never change an
 //! exploration result — it only reads what the run already recorded.
 
 use jcc_cofg::{Cofg, NodeId};

@@ -160,6 +160,51 @@ fn parse_error_recovers_and_still_flags_the_rest() {
     assert!(!report.diagnostics.is_empty(), "{}", out.output);
 }
 
+// ---------- hostile nesting ----------
+
+/// A class whose method nests `levels` synchronized blocks around `n++;`.
+fn nested_synchronized(levels: usize) -> String {
+    format!(
+        "class Deep {{ private int n = 0; private final Object lock = new Object(); \
+         public void f() {{ {} n++; {} }} }}",
+        "synchronized (lock) { ".repeat(levels),
+        "} ".repeat(levels)
+    )
+}
+
+fn check_one(src: String) -> jcc_core::javasrc::CheckOutcome {
+    check_files(&[("Deep.java".into(), src)], &CheckOptions::default())
+}
+
+#[test]
+fn hostile_nesting_is_a_frontend_error_not_a_stack_overflow() {
+    let parens = format!(
+        "class Deep {{ private int n = 0; public void f() {{ n = {}1{}; }} }}",
+        "(".repeat(5_000),
+        ")".repeat(5_000)
+    );
+    for src in [parens, nested_synchronized(20_000)] {
+        let out = check_one(src);
+        assert_eq!(out.exit_code(), 2, "{}", out.output);
+        assert_eq!(out.front_errors, 1, "{}", out.output);
+        // Spanned: the diagnostic points into the file at a line.
+        assert!(out.output.contains("Deep.java:1:"), "{}", out.output);
+        assert!(out.output.contains("nesting deeper than"), "{}", out.output);
+    }
+}
+
+#[test]
+fn nesting_at_the_limit_still_lints_on_a_default_test_thread() {
+    use jcc_core::javasrc::parser::MAX_NESTING_DEPTH;
+    // The innermost statement sits one level inside the blocks, so this is
+    // the deepest synchronized nesting the limit admits.
+    let out = check_one(nested_synchronized(MAX_NESTING_DEPTH - 1));
+    assert_eq!(out.front_errors, 0, "{}", out.output);
+    assert_ne!(out.exit_code(), 2, "{}", out.output);
+    let out = check_one(nested_synchronized(MAX_NESTING_DEPTH));
+    assert_eq!(out.exit_code(), 2, "{}", out.output);
+}
+
 // ---------- determinism and totality (proptest) ----------
 
 /// Build a small Java-ish source from indexed fragment pools. Many are

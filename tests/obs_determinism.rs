@@ -9,10 +9,9 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use jcc_core::model::examples;
 use jcc_core::obs;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
 use jcc_core::vm::{
-    compile, explore, explore_portfolio, timeline_of_outcome, CallSpec, ExploreConfig,
-    PortfolioConfig, ThreadSpec, Value, Vm,
+    compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, ThreadSpec, Value, Vm,
 };
 
 /// Serializes tests in this binary: they flip the process-global obs level.
@@ -50,30 +49,21 @@ fn graph_fingerprint(g: &ReachGraph) -> GraphFingerprint {
     (markings, successors, g.dead_states())
 }
 
-fn limits(threads: usize) -> ReachLimits {
-    ReachLimits {
-        parallelism: Parallelism::with_threads(threads),
-        ..ReachLimits::default()
-    }
-}
-
 #[test]
 fn reach_graph_unchanged_by_observation() {
     let _guard = obs_lock();
     for n in 1..=3 {
         let j = JavaNet::new(n);
-        let reference = with_level(obs::ObsLevel::Off, || ReachGraph::explore(j.net(), limits(1)));
-        let reference_fp = graph_fingerprint(&reference);
+        let explore = || ReachGraph::explore(j.net(), ReachLimits::default());
+        let reference_fp = graph_fingerprint(&with_level(obs::ObsLevel::Off, explore));
         for level in [obs::ObsLevel::Summary, obs::ObsLevel::Trace] {
-            for threads in [1usize, 4] {
-                let g = with_level(level, || ReachGraph::explore(j.net(), limits(threads)));
-                assert_eq!(
-                    graph_fingerprint(&g),
-                    reference_fp,
-                    "n={n} level={} threads={threads}",
-                    level.name()
-                );
-            }
+            let g = with_level(level, explore);
+            assert_eq!(
+                graph_fingerprint(&g),
+                reference_fp,
+                "n={n} level={}",
+                level.name()
+            );
         }
     }
 }
@@ -83,7 +73,7 @@ fn reach_counters_agree_with_stats() {
     let _guard = obs_lock();
     let j = JavaNet::new(2);
     let g = with_level(obs::ObsLevel::Summary, || {
-        ReachGraph::explore(j.net(), limits(1))
+        ReachGraph::explore(j.net(), ReachLimits::default())
     });
     let reg = obs::global();
     assert_eq!(reg.counter("petri.reach.explorations").get(), 1);
@@ -168,11 +158,11 @@ fn vm_transition_counters_populated_under_observation() {
 }
 
 #[test]
-fn timeline_renderings_identical_at_any_parallelism() {
+fn timeline_renderings_identical_at_any_observation_level() {
     // The causal timeline is a pure function of the witness trace, and the
-    // witness is deterministic without early_exit — so both the ASCII chart
-    // and the Chrome-trace JSON must be byte-identical whatever the worker
-    // count and whatever the observation level.
+    // exhaustive DFS fixes the witness — so both the ASCII chart and the
+    // Chrome-trace JSON must be byte-identical whatever the observation
+    // level.
     let _guard = obs_lock();
     let c = examples::lock_order_deadlock();
     let cofgs = jcc_core::cofg::build_component_cofgs(&c);
@@ -191,33 +181,30 @@ fn timeline_renderings_identical_at_any_parallelism() {
             ],
         )
     };
-    let renderings: Vec<(String, String)> = [1usize, 2, 4]
-        .into_iter()
-        .map(|threads| {
-            with_level(obs::ObsLevel::Summary, || {
-                let p = explore_portfolio(
-                    make_vm(),
-                    &PortfolioConfig {
-                        explore: ExploreConfig {
-                            parallelism: Parallelism::with_threads(threads),
-                            ..ExploreConfig::default()
-                        },
-                        ..PortfolioConfig::default()
-                    },
-                );
-                let census = p.result.expect("census completes without early_exit");
-                let witness = census.first_witness().expect("lock-order deadlocks");
-                let t = timeline_of_outcome(witness, Some(&cofgs));
-                (t.render_ascii(), t.to_chrome_string())
-            })
+    let renderings: Vec<(String, String)> = [
+        obs::ObsLevel::Off,
+        obs::ObsLevel::Summary,
+        obs::ObsLevel::Trace,
+    ]
+    .into_iter()
+    .map(|level| {
+        with_level(level, || {
+            let census = explore(make_vm(), &ExploreConfig::default(), None);
+            let witness = census.first_witness().expect("lock-order deadlocks");
+            let t = timeline_of_outcome(witness, Some(&cofgs));
+            (t.render_ascii(), t.to_chrome_string())
         })
-        .collect();
+    })
+    .collect();
     let (ascii, chrome) = &renderings[0];
     assert!(ascii.contains("causal timeline"), "{ascii}");
     assert!(chrome.contains("\"traceEvents\":"), "{chrome}");
     for (i, (a, c)) in renderings.iter().enumerate().skip(1) {
-        assert_eq!(a, ascii, "ascii differs at parallelism index {i}");
-        assert_eq!(c, chrome, "chrome trace differs at parallelism index {i}");
+        assert_eq!(a, ascii, "ascii differs at observation level index {i}");
+        assert_eq!(
+            c, chrome,
+            "chrome trace differs at observation level index {i}"
+        );
     }
 }
 
@@ -253,20 +240,18 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
 fn reach_graph_unchanged_by_live_introspection() {
     // The tentpole guarantee: the full live stack (profiler sampling the
     // engine thread, heartbeats draining the progress cell, exposition
-    // serving scrapes) produces byte-identical reachability graphs at any
-    // worker count.
+    // serving scrapes) produces byte-identical reachability graphs.
     let _guard = obs_lock();
     let j = JavaNet::new(3);
-    let reference = with_level(obs::ObsLevel::Off, || ReachGraph::explore(j.net(), limits(1)));
-    let reference_fp = graph_fingerprint(&reference);
-    for threads in [1usize, 2, 4] {
-        let g = with_live_stack(|| ReachGraph::explore(j.net(), limits(threads)));
-        assert_eq!(
-            graph_fingerprint(&g),
-            reference_fp,
-            "live stack changed the graph at threads={threads}"
-        );
-    }
+    let reference = with_level(obs::ObsLevel::Off, || {
+        ReachGraph::explore(j.net(), ReachLimits::default())
+    });
+    let g = with_live_stack(|| ReachGraph::explore(j.net(), ReachLimits::default()));
+    assert_eq!(
+        graph_fingerprint(&g),
+        graph_fingerprint(&reference),
+        "live stack changed the graph"
+    );
 }
 
 #[test]
@@ -275,31 +260,8 @@ fn explore_verdicts_unchanged_by_live_introspection() {
     let reference = with_level(obs::ObsLevel::Off, || {
         explore(pc_vm(), &ExploreConfig::default(), None)
     });
-    // Sequential explorer under the live stack.
     let live = with_live_stack(|| explore(pc_vm(), &ExploreConfig::default(), None));
     assert_eq!(live.tally(), reference.tally());
-    // Portfolio census at parallelism 1/2/4 under the live stack.
-    for threads in [1usize, 2, 4] {
-        let census = with_live_stack(|| {
-            explore_portfolio(
-                pc_vm(),
-                &PortfolioConfig {
-                    explore: ExploreConfig {
-                        parallelism: Parallelism::with_threads(threads),
-                        ..ExploreConfig::default()
-                    },
-                    ..PortfolioConfig::default()
-                },
-            )
-            .result
-            .expect("census completes without early_exit")
-        });
-        assert_eq!(
-            census.tally(),
-            reference.tally(),
-            "live stack changed the verdict at parallelism {threads}"
-        );
-    }
 }
 
 #[test]

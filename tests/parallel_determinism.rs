@@ -1,205 +1,19 @@
-//! Parallel determinism: every parallel engine must produce results
-//! *identical* to its sequential counterpart — same ReachGraph, same
-//! exploration tallies, same mutation detection matrix — for any worker
-//! count and across repeated runs. Scheduling may vary; results may not.
+//! Parallel determinism: the mutation study's (mutant × scenario) matrix,
+//! fanned across workers by `parallel_map`, must be *identical* to the
+//! sequential run — same detection matrix, suite sizes and coverage — for
+//! any worker count and across repeated runs. Scheduling may vary; results
+//! may not.
 //!
-//! (See DESIGN.md §4: parallel reachability renumbers canonically, the
-//! portfolio keeps the exhaustive DFS on one worker, and the mutation
-//! study fans independent matrix rows reassembled positionally.)
+//! (See DESIGN.md §4: exploration itself is single-threaded; the matrix
+//! cells are independent and reassembled positionally.)
 
 use jcc_core::components::zoo::full_corpus;
 use jcc_core::model::examples;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::Parallelism;
 use jcc_core::pipeline::{mutation_study, MutationStudyConfig, MutationStudyResult};
 use jcc_core::testgen::corpus::space_for;
 use jcc_core::testgen::scenario::ScenarioSpace;
-use jcc_core::vm::{
-    compile, explore, explore_portfolio, CallSpec, ExploreConfig, PortfolioConfig, ThreadSpec,
-    Value, Vm,
-};
-
-fn limits(threads: usize) -> ReachLimits {
-    ReachLimits {
-        parallelism: Parallelism::with_threads(threads),
-        ..ReachLimits::default()
-    }
-}
-
-/// Everything observable about a reach graph, in canonical order.
-type GraphFingerprint = (Vec<Vec<u32>>, Vec<Vec<(usize, usize)>>, Vec<usize>);
-
-fn graph_fingerprint(g: &ReachGraph) -> GraphFingerprint {
-    let markings = g
-        .markings()
-        .iter()
-        .map(|m| m.0.to_vec())
-        .collect::<Vec<_>>();
-    let successors = (0..g.markings().len())
-        .map(|i| {
-            g.successors(i)
-                .iter()
-                .map(|(t, j)| (t.index(), *j))
-                .collect::<Vec<_>>()
-        })
-        .collect::<Vec<_>>();
-    (markings, successors, g.dead_states())
-}
-
-#[test]
-fn reach_graph_identical_across_thread_counts_and_runs() {
-    for n in 1..=3 {
-        let j = JavaNet::new(n);
-        let reference = ReachGraph::explore(j.net(), limits(1));
-        let reference_fp = graph_fingerprint(&reference);
-        for threads in [2usize, 3, 8] {
-            for run in 0..3 {
-                let g = ReachGraph::explore(j.net(), limits(threads));
-                assert_eq!(g.stats(), reference.stats(), "n={n} threads={threads}");
-                assert_eq!(
-                    graph_fingerprint(&g),
-                    reference_fp,
-                    "n={n} threads={threads} run={run}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn filtered_reach_graph_identical_across_thread_counts() {
-    for n in 1..=3 {
-        let j = JavaNet::new(n);
-        let reference =
-            ReachGraph::explore_filtered(j.net(), limits(1), j.notify_side_condition());
-        for threads in [2usize, 4] {
-            let g =
-                ReachGraph::explore_filtered(j.net(), limits(threads), j.notify_side_condition());
-            assert_eq!(
-                graph_fingerprint(&g),
-                graph_fingerprint(&reference),
-                "n={n} threads={threads}"
-            );
-            assert_eq!(g.is_k_bounded(1), reference.is_k_bounded(1));
-        }
-    }
-}
-
-/// The adaptive batch policy must leave work visible to thieves: on a
-/// frontier large enough to occupy four workers (JavaNet(8): ~24k
-/// states), at least one steal happens. The moment of a steal is
-/// scheduling-dependent, so retry a few times before declaring the steal
-/// path starved — the determinism of the *result* is covered by the
-/// fingerprint tests above, this one guards the fix for the old fixed
-/// 8/4 batches draining whole queues before anyone else saw work.
-#[test]
-fn adaptive_batching_lets_workers_steal() {
-    use jcc_core::obs;
-    let j = JavaNet::new(8);
-    let mut steals = 0u64;
-    for _attempt in 0..3 {
-        obs::set_level(obs::ObsLevel::Summary);
-        obs::global().reset();
-        let g = ReachGraph::explore(j.net(), limits(4));
-        steals = obs::global().counter("petri.reach.steals").get();
-        obs::set_level(obs::ObsLevel::Off);
-        assert!(g.stats().truncated.is_none());
-        if steals > 0 {
-            break;
-        }
-    }
-    assert!(
-        steals > 0,
-        "no steals in 3 runs — adaptive batching is starving the steal path"
-    );
-}
-
-fn pc_vm() -> Vm {
-    let c = examples::producer_consumer();
-    Vm::new(
-        compile(&c).unwrap(),
-        vec![
-            ThreadSpec {
-                name: "c".into(),
-                calls: vec![CallSpec::new("receive", vec![])],
-            },
-            ThreadSpec {
-                name: "p".into(),
-                calls: vec![CallSpec::new("send", vec![Value::Str("ab".into())])],
-            },
-        ],
-    )
-}
-
-#[test]
-fn portfolio_census_identical_across_thread_counts_and_runs() {
-    let reference = explore(pc_vm(), &ExploreConfig::default(), None);
-    for threads in [1usize, 2, 4] {
-        for run in 0..3 {
-            let p = explore_portfolio(
-                pc_vm(),
-                &PortfolioConfig {
-                    explore: ExploreConfig {
-                        parallelism: Parallelism::with_threads(threads),
-                        ..ExploreConfig::default()
-                    },
-                    ..PortfolioConfig::default()
-                },
-            );
-            let census = p.result.expect("census completes without early_exit");
-            assert_eq!(
-                census.tally(),
-                reference.tally(),
-                "threads={threads} run={run}"
-            );
-        }
-    }
-}
-
-/// Every component of the full corpus (seed monitors and zoo): the
-/// portfolio census equals sequential exploration at any worker count
-/// (including scenarios that deadlock or leave waiters — their path
-/// counts must agree too). One thread per session template from the
-/// canonical scenario registry.
-#[test]
-fn portfolio_census_identical_for_every_corpus_component() {
-    for (name, component) in full_corpus() {
-        let compiled = compile(&component).unwrap();
-        let space = space_for(name).expect("corpus component is registered");
-        let make_vm = || {
-            Vm::new(
-                compiled.clone(),
-                space
-                    .templates
-                    .iter()
-                    .enumerate()
-                    .map(|(i, session)| ThreadSpec {
-                        name: format!("t{i}"),
-                        calls: session.clone(),
-                    })
-                    .collect(),
-            )
-        };
-        let reference = explore(make_vm(), &ExploreConfig::default(), None);
-        for threads in [2usize, 4] {
-            let p = explore_portfolio(
-                make_vm(),
-                &PortfolioConfig {
-                    explore: ExploreConfig {
-                        parallelism: Parallelism::with_threads(threads),
-                        ..ExploreConfig::default()
-                    },
-                    ..PortfolioConfig::default()
-                },
-            );
-            let census = p.result.expect("census completes without early_exit");
-            assert_eq!(
-                census.tally(),
-                reference.tally(),
-                "{name} threads={threads}"
-            );
-        }
-    }
-}
+use jcc_core::vm::{CallSpec, Value};
 
 fn study_config(threads: usize) -> MutationStudyConfig {
     MutationStudyConfig {

@@ -7,7 +7,7 @@ use jcc_core::model::ast::{BinOp, Expr, UnOp};
 use jcc_core::model::mutate::all_mutants;
 use jcc_core::model::pretty::{print_component, print_expr};
 use jcc_core::model::{examples, parse_component};
-use jcc_core::petri::{invariant, JavaNet, NetBuilder, Parallelism, ReachGraph, ReachLimits};
+use jcc_core::petri::{invariant, JavaNet};
 use jcc_core::vm::{compile, CallSpec, RunConfig, Scheduler, ThreadSpec, Value, Vm};
 
 // ---------- petri: invariants hold along random firing sequences ----------
@@ -42,70 +42,6 @@ proptest! {
             prop_assert_eq!(&sums, &initial);
             // Safety: 1-bounded along the way.
             prop_assert!(marking.0.iter().all(|&t| t <= 1));
-        }
-    }
-}
-
-// ---------- petri: parallel reachability agrees with sequential ----------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// For arbitrary small nets, the parallel frontier explores exactly
-    /// the marking set of the sequential BFS — same states in the same
-    /// canonical order, same edges, same boundedness and dead-state
-    /// verdicts. (Unbounded nets hit the token bound; the parallel engine
-    /// then falls back to the sequential prefix, so they still agree.)
-    #[test]
-    fn parallel_reachability_explores_same_markings_as_sequential(
-        places in proptest::collection::vec(0u32..3, 1..5),
-        transitions in proptest::collection::vec(
-            (proptest::collection::vec(0usize..16, 0..3),
-             proptest::collection::vec(0usize..16, 0..3)),
-            1..6,
-        ),
-        threads in 2usize..5,
-    ) {
-        let mut b = NetBuilder::new();
-        let ids: Vec<_> = places
-            .iter()
-            .enumerate()
-            .map(|(i, &tokens)| b.place(format!("p{i}"), tokens))
-            .collect();
-        for (i, (ins, outs)) in transitions.iter().enumerate() {
-            // Map free-range indices onto real places; dedupe so arc
-            // weights stay unit.
-            let mut ins: Vec<_> = ins.iter().map(|&x| ids[x % ids.len()]).collect();
-            ins.sort();
-            ins.dedup();
-            let mut outs: Vec<_> = outs.iter().map(|&x| ids[x % ids.len()]).collect();
-            outs.sort();
-            outs.dedup();
-            b.transition(format!("t{i}"), &ins, &outs);
-        }
-        let net = b.build().unwrap();
-        let limits = ReachLimits {
-            max_states: 3_000,
-            max_tokens_per_place: 8,
-            parallelism: Parallelism::sequential(),
-            ..ReachLimits::default()
-        };
-        let seq = ReachGraph::explore(&net, limits);
-        let par = ReachGraph::explore(
-            &net,
-            ReachLimits {
-                parallelism: Parallelism::with_threads(threads),
-                ..limits
-            },
-        );
-        prop_assert_eq!(par.stats(), seq.stats());
-        prop_assert_eq!(par.markings(), seq.markings());
-        for i in 0..seq.markings().len() {
-            prop_assert_eq!(par.successors(i), seq.successors(i));
-        }
-        prop_assert_eq!(par.dead_states(), seq.dead_states());
-        for bound in [1u32, 2, 4] {
-            prop_assert_eq!(par.is_k_bounded(bound), seq.is_k_bounded(bound));
         }
     }
 }
@@ -186,15 +122,15 @@ proptest! {
 
     /// Any sized generator config yields a component that validates,
     /// compiles, survives the printer round-trip, and explores to the
-    /// *same* census sequentially and under the portfolio at 1, 2 and 4
-    /// workers — with a deadlock-free call plan, for any seed.
+    /// *same* census on every run — with a deadlock-free call plan, for
+    /// any seed.
     #[test]
     fn generated_components_roundtrip_and_explore_deterministically(
         n in 1usize..=2,
         seed in 0u64..1000,
     ) {
         use jcc_core::components::gen::{call_plan, generate, generate_source, GenConfig};
-        use jcc_core::vm::{explore, explore_portfolio, ExploreConfig, PortfolioConfig};
+        use jcc_core::vm::{explore, ExploreConfig};
 
         let cfg = GenConfig::sized(n, seed);
         prop_assert_eq!(generate_source(&cfg), generate_source(&cfg));
@@ -221,20 +157,8 @@ proptest! {
         prop_assert!(!reference.truncated);
         prop_assert!(reference.completed_paths > 0);
         prop_assert_eq!(reference.deadlock_paths, 0, "call plan must be deadlock-free");
-        for threads in [1usize, 2, 4] {
-            let p = explore_portfolio(
-                make_vm(),
-                &PortfolioConfig {
-                    explore: ExploreConfig {
-                        parallelism: Parallelism::with_threads(threads),
-                        ..ExploreConfig::default()
-                    },
-                    ..PortfolioConfig::default()
-                },
-            );
-            let census = p.result.expect("census completes without early_exit");
-            prop_assert_eq!(census.tally(), reference.tally(), "threads={}", threads);
-        }
+        let again = explore(make_vm(), &ExploreConfig::default(), None);
+        prop_assert_eq!(again.tally(), reference.tally());
     }
 }
 

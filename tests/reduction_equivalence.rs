@@ -7,12 +7,12 @@
 //! VM side: [`ExploreConfig::symmetry`] + [`ExploreConfig::ample`] against
 //! the plain exhaustive search, over the full corpus (seed monitors + zoo)
 //! and a capped mutant slice in CI; the full mutant sweep runs behind
-//! `--ignored`. Petri side: a fully reduced [`ReachGraph`] must stay
-//! byte-deterministic across worker counts.
+//! `--ignored`. Petri side: a fully reduced [`ReachGraph`] must shrink the
+//! graph and stay byte-deterministic across runs.
 
 use jcc_core::components::zoo::full_corpus;
 use jcc_core::model::mutate::all_mutants;
-use jcc_core::petri::{JavaNet, Parallelism, ReachGraph, ReachLimits, Reduction};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits, Reduction};
 use jcc_core::testgen::corpus::space_for;
 use jcc_core::testgen::scenario::ScenarioSpace;
 use jcc_core::vm::{
@@ -145,31 +145,27 @@ fn stress_every_corpus_mutant_preserves_classes_under_reduction() {
     assert!(compared > 0);
 }
 
-/// Petri side: the fully reduced reach graph (ample + symmetry) is
-/// byte-identical across worker counts — reduction composes with the
-/// parallel engine's canonical renumbering.
+/// Petri side: the fully reduced reach graph (ample + symmetry) shrinks
+/// the full graph and is byte-identical across runs.
 #[test]
-fn reduced_reach_graph_is_deterministic_across_worker_counts() {
+fn reduced_reach_graph_is_deterministic_across_runs() {
     for n in [2usize, 4] {
         let j = JavaNet::new(n);
-        let limits = |threads: usize| ReachLimits {
-            parallelism: Parallelism::with_threads(threads),
+        let limits = ReachLimits {
             reduction: Reduction::full(Some(j.thread_symmetry())),
             ..ReachLimits::default()
         };
-        let reference = ReachGraph::explore(j.net(), limits(1));
+        let reference = ReachGraph::explore(j.net(), limits);
         let full = ReachGraph::explore(j.net(), ReachLimits::default());
         assert!(
             reference.markings().len() < full.markings().len(),
             "n={n}: reduction must shrink the graph"
         );
-        for threads in [2usize, 4] {
-            let g = ReachGraph::explore(j.net(), limits(threads));
-            assert_eq!(g.stats(), reference.stats(), "n={n} threads={threads}");
-            assert_eq!(g.markings(), reference.markings(), "n={n} threads={threads}");
-            for i in 0..reference.markings().len() {
-                assert_eq!(g.successors(i), reference.successors(i), "n={n} state {i}");
-            }
+        let g = ReachGraph::explore(j.net(), limits);
+        assert_eq!(g.stats(), reference.stats(), "n={n}");
+        assert_eq!(g.markings(), reference.markings(), "n={n}");
+        for i in 0..reference.markings().len() {
+            assert_eq!(g.successors(i), reference.successors(i), "n={n} state {i}");
         }
     }
 }

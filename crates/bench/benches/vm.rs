@@ -17,7 +17,7 @@ fn pc_threads(chars: usize) -> Vec<ThreadSpec> {
         },
         ThreadSpec {
             name: "p".into(),
-            calls: vec![CallSpec::new("send", vec![Value::Str("x".repeat(chars))])],
+            calls: vec![CallSpec::new("send", vec![Value::Str("x".repeat(chars).into())])],
         },
     ]
 }
@@ -69,7 +69,7 @@ fn bench_explore(c: &mut Criterion) {
                         name: "p".into(),
                         calls: vec![CallSpec::new(
                             "send",
-                            vec![Value::Str("x".repeat(consumers))],
+                            vec![Value::Str("x".repeat(consumers).into())],
                         )],
                     }];
                     for i in 0..consumers {

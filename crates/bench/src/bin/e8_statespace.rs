@@ -60,7 +60,7 @@ fn main() {
             name: "p".into(),
             calls: vec![CallSpec::new(
                 "send",
-                vec![Value::Str("x".repeat(consumers))],
+                vec![Value::Str("x".repeat(consumers).into())],
             )],
         }];
         for i in 0..consumers {

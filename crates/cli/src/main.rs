@@ -245,7 +245,7 @@ fn run_scenario(scenario: Scenario) -> Result<ScenarioOutcome, String> {
                 name: "p".into(),
                 calls: vec![CallSpec::new(
                     "send",
-                    vec![Value::Str("x".repeat(consumers))],
+                    vec![Value::Str("x".repeat(consumers).into())],
                 )],
             }];
             for i in 0..consumers {

@@ -101,7 +101,7 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
             PathEnd::Terminal(Verdict::StepLimit) | PathEnd::Cycle => EndState::NoProgress,
             PathEnd::Join => return,
         };
-        signatures.insert(signature(end, vm.results()));
+        signatures.insert(signature(end, &vm.results()));
     });
     (signatures, result.truncated)
 }

@@ -22,22 +22,34 @@
 //!   coverage marker, call results, lock roles), and the state as the
 //!   vector of those ids. Every hash hit is confirmed against the words,
 //!   so a collision never prunes a subtree. The thread sections include
-//!   each thread's coverage context, so arc-coverage union over schedules
-//!   is exact.
+//!   each thread's coverage context (an exact site id), so arc-coverage
+//!   union over schedules is exact.
+//! * **Dirty sections.** Each frame keeps its state's section ids, and a
+//!   successor re-encodes and re-interns only the sections its step
+//!   changed (`machine::state` says which those are).
 //! * **An explicit stack.** The DFS keeps one frame per state on the
 //!   current path, so a path of any depth costs heap, not call stack.
 //!   `on_path` (cycle detection) is one bit per state id.
 //! * **One path trace.** States carry no trace: each step's events are
 //!   moved onto a single path trace, which is truncated on backtrack. Only
 //!   witnesses copy it, and observers see it as a slice.
-//! * **Clone only for siblings.** A state's last successor takes the
-//!   state itself instead of a clone.
+//! * **Clone only for siblings, into spare buffers.** A state's last
+//!   successor takes the state itself instead of a clone, and a clone
+//!   overwrites a machine the search no longer needs (a joined, cyclic or
+//!   terminal successor) instead of allocating a new one.
+//! * **A per-layer split.** With observation on, one transition in 64 is
+//!   timed into the `vm.explore.clone_ns`, `vm.explore.step_ns` and
+//!   `vm.explore.intern_ns` histograms.
 //!
 //! [`explore_observed`] exposes every path end to an observer; signature
 //! enumeration (`jcc_testgen::signature`) and coverage-directed suite
 //! search are folds over it.
 
+use std::sync::Arc;
+use std::time::Instant;
+
 use jcc_cofg::coverage::CoverageTracker;
+use jcc_obs::Histogram;
 use jcc_petri::event::Event;
 use jcc_petri::parallel::Parallelism;
 use jcc_petri::state::StateId;
@@ -198,7 +210,7 @@ pub fn explore(
 /// path's trace is complete enough to measure path properties such as
 /// coverage, waiter profiles or behavioural signatures.
 pub fn explore_observed(
-    mut vm: Vm,
+    vm: Vm,
     config: &ExploreConfig,
     observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
 ) -> ExploreResult {
@@ -208,17 +220,21 @@ pub fn explore_observed(
         jcc_obs::explore_progress().begin(config.max_states as u64);
     }
     let mut table = StateTable::new(&vm, config.symmetry);
-    let (root, _) = table.intern(&vm);
-    let mut trace = Vec::new();
-    vm.drain_trace_into(&mut trace);
+    let mut next_ids = Vec::new();
+    let (root, _) = table.intern_all(&vm, &mut next_ids);
     let mut dfs = Dfs {
         config,
         table,
         on_path: Vec::new(),
-        trace,
+        trace: Vec::new(),
         stack: Vec::new(),
         succ: Vec::new(),
+        width: next_ids.len(),
+        ids: Vec::new(),
+        next_ids,
+        spare: Vec::new(),
         pending: None,
+        timers: jcc_obs::enabled().then(LayerTimers::new),
         observer,
         result: ExploreResult {
             states: 1,
@@ -284,6 +300,43 @@ fn flush_explore_stats(result: &ExploreResult) {
     }
 }
 
+/// One transition in this many is timed by [`LayerTimers`].
+const SAMPLE_EVERY: usize = 64;
+
+/// The per-layer split of exploration time, published as the
+/// `vm.explore.clone_ns`, `vm.explore.step_ns` and `vm.explore.intern_ns`
+/// histograms: copying the parent state, executing the step, and
+/// encoding and interning the successor. Only present when observation
+/// is on, and only one transition in [`SAMPLE_EVERY`] is timed.
+struct LayerTimers {
+    clone: Arc<Histogram>,
+    step: Arc<Histogram>,
+    intern: Arc<Histogram>,
+}
+
+impl LayerTimers {
+    fn new() -> LayerTimers {
+        let reg = jcc_obs::global();
+        LayerTimers {
+            clone: reg.histogram("vm.explore.clone_ns"),
+            step: reg.histogram("vm.explore.step_ns"),
+            intern: reg.histogram("vm.explore.intern_ns"),
+        }
+    }
+
+    /// Record one sampled transition from the instants before cloning,
+    /// before stepping, before interning and after interning.
+    fn record(&self, [start, cloned, stepped, interned]: [Instant; 4]) {
+        let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
+        self.clone.record(ns(start, cloned));
+        self.step.record(ns(cloned, stepped));
+        self.intern.record(ns(stepped, interned));
+    }
+}
+
+/// Most machines [`Dfs::spare`] keeps for reuse.
+const SPARE_LIMIT: usize = 16;
+
 /// One state on the current DFS path.
 struct Frame {
     /// The state, kept until its last successor takes it.
@@ -297,6 +350,7 @@ struct Frame {
 }
 
 /// A stepped successor with its interned id and whether the id is new.
+/// Its section ids are in [`Dfs::next_ids`].
 type Successor = (Vm, StateId, bool);
 
 /// The explicit-stack DFS and everything it threads through the search.
@@ -310,14 +364,25 @@ struct Dfs<'c, O> {
     stack: Vec<Frame>,
     /// The frames' successor thread lists, stacked like the frames.
     succ: Vec<usize>,
+    /// Section ids per state: the global section's and one per thread.
+    width: usize,
+    /// The frames' section ids (before any symmetry sort), `width` per
+    /// frame, stacked like the frames.
+    ids: Vec<u32>,
+    /// The section ids of the successor being visited.
+    next_ids: Vec<u32>,
+    /// Machines no longer needed, kept so a clone can reuse their buffers.
+    spare: Vec<Vm>,
     /// The top frame's ample successor, stepped while choosing it.
     pending: Option<Successor>,
+    timers: Option<LayerTimers>,
     observer: O,
     result: ExploreResult,
 }
 
 impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
-    /// Search from `root` (already interned as `id`).
+    /// Search from `root` (already interned as `id`, its section ids in
+    /// `next_ids`).
     fn run(&mut self, root: Vm, id: StateId) {
         self.enter(root, id);
         while let Some(top) = self.stack.last_mut() {
@@ -327,23 +392,63 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
                 None if top.next < top.end => {
                     let t = self.succ[top.next];
                     top.next += 1;
-                    let mut vm = if top.next == top.end {
-                        top.vm.take().expect("state kept until its last successor")
-                    } else {
-                        top.vm.clone().expect("state kept until its last successor")
-                    };
-                    vm.step(t);
-                    let (id, fresh) = self.table.intern(&vm);
-                    (vm, id, fresh)
+                    let last = top.next == top.end;
+                    self.successor(t, last)
                 }
                 None => {
                     let done = self.stack.pop().expect("non-empty stack");
                     self.set_on_path(done.id, false);
                     self.succ.truncate(self.stack.last().map_or(0, |f| f.end));
+                    self.ids.truncate(self.stack.len() * self.width);
                     continue;
                 }
             };
             self.visit(next);
+        }
+    }
+
+    /// Step the top frame's state by thread `t` — the state itself when
+    /// `take`, else a copy — and intern the result, re-encoding only the
+    /// sections the step changed.
+    fn successor(&mut self, t: usize, take: bool) -> Successor {
+        let sampled = self.timers.is_some() && self.result.transitions.is_multiple_of(SAMPLE_EVERY);
+        let start = sampled.then(Instant::now);
+        let top = self.stack.last_mut().expect("a frame to expand");
+        let mut vm = if take {
+            top.vm.take().expect("state kept until its last successor")
+        } else {
+            let parent = top
+                .vm
+                .as_ref()
+                .expect("state kept until its last successor");
+            match self.spare.pop() {
+                Some(mut spare) => {
+                    spare.clone_from(parent);
+                    spare
+                }
+                None => parent.clone(),
+            }
+        };
+        let cloned = sampled.then(Instant::now);
+        vm.step(t);
+        let stepped = sampled.then(Instant::now);
+        let base = (self.stack.len() - 1) * self.width;
+        self.next_ids.clear();
+        self.next_ids
+            .extend_from_slice(&self.ids[base..base + self.width]);
+        let (id, fresh) = self.table.intern_step(&vm, &mut self.next_ids);
+        if let (Some(timers), Some(start), Some(cloned), Some(stepped)) =
+            (&self.timers, start, cloned, stepped)
+        {
+            timers.record([start, cloned, stepped, Instant::now()]);
+        }
+        (vm, id, fresh)
+    }
+
+    /// Keep `vm`'s buffers for a later clone.
+    fn recycle(&mut self, vm: Vm) {
+        if self.spare.len() < SPARE_LIMIT {
+            self.spare.push(vm);
         }
     }
 
@@ -363,16 +468,19 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
                 self.result.cycle_witness =
                     Some(next.outcome_with_trace(Verdict::StepLimit, self.trace.clone()));
             }
+            self.recycle(next);
             return;
         }
         if !fresh {
             // Reached a state first visited on another path: its subtree is
             // observed from there; report this path's prefix only.
             (self.observer)(&next, &self.trace, PathEnd::Join);
+            self.recycle(next);
             return;
         }
         if self.result.states >= self.config.max_states {
             self.result.truncated = true;
+            self.recycle(next);
             return;
         }
         self.result.states += 1;
@@ -388,9 +496,9 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
         self.enter(next, id);
     }
 
-    /// Arrive at a newly counted state at depth `self.stack.len()`:
-    /// record a terminal verdict or the depth bound, or push a frame with
-    /// the successors to expand.
+    /// Arrive at a newly counted state at depth `self.stack.len()` (its
+    /// section ids in `next_ids`): record a terminal verdict or the depth
+    /// bound, or push a frame with the successors to expand.
     fn enter(&mut self, vm: Vm, id: StateId) {
         if let Some(verdict) = vm.current_verdict() {
             (self.observer)(&vm, &self.trace, PathEnd::Terminal(&verdict));
@@ -398,6 +506,7 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
             let slot = match &verdict {
                 Verdict::Completed => {
                     r.completed_paths += 1;
+                    self.recycle(vm);
                     return;
                 }
                 Verdict::Faulted { .. } => {
@@ -413,11 +522,13 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
             if slot.is_none() {
                 *slot = Some(vm.outcome_with_trace(verdict, self.trace.clone()));
             }
+            self.recycle(vm);
             return;
         }
         if self.stack.len() >= self.config.max_depth {
             self.result.depth_limited_paths += 1;
             self.result.truncated = true;
+            self.recycle(vm);
             return;
         }
         self.set_on_path(id, true);
@@ -425,37 +536,44 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
         self.succ
             .extend((0..vm.thread_count()).filter(|&i| vm.is_runnable(i)));
         let runnable = self.succ.len() - start;
-        // False once the ample successor stands in for every other one.
-        let mut keep = true;
-        if self.config.ample && runnable > 1 {
-            // Ample-set reduction: when some runnable thread's next step is
-            // thread-local, that step commutes with every other thread's
-            // steps, so expanding it *alone* reaches the same failure
-            // classes as the full expansion — unless the step closes a
-            // cycle on the current path, where postponing the other threads
-            // forever could hide them behind a local loop (the cycle
-            // proviso).
-            if let Some(&cand) = self.succ[start..].iter().find(|&&i| vm.is_local_step(i)) {
-                let mut next = vm.clone();
-                next.step(cand);
-                let (next_id, fresh) = self.table.intern(&next);
-                if self.is_on_path(next_id) {
-                    self.result.full_expansions += 1;
-                } else {
-                    self.result.ample_pruned += runnable - 1;
-                    self.succ.truncate(start);
-                    self.pending = Some((next, next_id, fresh));
-                    keep = false;
-                }
-            }
-        }
+        // Ample-set reduction: when some runnable thread's next step is
+        // thread-local, that step commutes with every other thread's
+        // steps, so expanding it *alone* reaches the same failure classes
+        // as the full expansion — unless the step closes a cycle on the
+        // current path, where postponing the other threads forever could
+        // hide them behind a local loop (the cycle proviso).
+        let ample = (self.config.ample && runnable > 1)
+            .then(|| {
+                self.succ[start..]
+                    .iter()
+                    .copied()
+                    .find(|&i| vm.is_local_step(i))
+            })
+            .flatten();
+        self.ids.extend_from_slice(&self.next_ids);
         self.stack.push(Frame {
-            vm: keep.then_some(vm),
+            vm: Some(vm),
             id,
             trace_len: self.trace.len(),
             next: start,
             end: self.succ.len(),
         });
+        if let Some(cand) = ample {
+            let (next, next_id, fresh) = self.successor(cand, false);
+            if self.is_on_path(next_id) {
+                self.result.full_expansions += 1;
+                self.recycle(next);
+            } else {
+                // The ample successor stands in for every other one.
+                self.result.ample_pruned += runnable - 1;
+                self.succ.truncate(start);
+                let top = self.stack.last_mut().expect("frame just pushed");
+                top.end = start;
+                let parent = top.vm.take().expect("frame just pushed");
+                self.recycle(parent);
+                self.pending = Some((next, next_id, fresh));
+            }
+        }
     }
 
     fn is_on_path(&self, id: StateId) -> bool {
@@ -854,5 +972,77 @@ mod tests {
         assert_eq!(r.completed_paths, 1);
         assert_eq!(r.transitions + 1, r.states);
         assert!(!r.truncated);
+    }
+
+    /// The E11 ladder's scenario at `size`: the generated component with
+    /// its deadlock-free call plan, one thread per session.
+    fn e11_scenario(size: usize) -> (jcc_model::ast::Component, Vec<ThreadSpec>) {
+        let cfg = jcc_components::gen::GenConfig::sized(size, 2024);
+        let threads = jcc_components::gen::call_plan(&cfg)
+            .into_iter()
+            .enumerate()
+            .map(|(i, calls)| ThreadSpec {
+                name: format!("t{i}"),
+                calls: calls
+                    .into_iter()
+                    .map(|m| CallSpec::new(m, vec![]))
+                    .collect(),
+            })
+            .collect();
+        (jcc_components::gen::generate(&cfg), threads)
+    }
+
+    #[test]
+    fn incremental_interning_matches_full_encoding() {
+        // In debug builds every successor's incremental intern is checked
+        // against a full re-encoding (`StateTable::assert_sections`); this
+        // runs that guard over wait sets, notifies, symmetric threads and
+        // forced hash collisions, and pins the E11 census.
+        let pc = examples::producer_consumer();
+        let lock_order = examples::lock_order_deadlock();
+        let lock_threads = vec![
+            ThreadSpec {
+                name: "f".into(),
+                calls: vec![CallSpec::new("forward", vec![])],
+            },
+            ThreadSpec {
+                name: "b".into(),
+                calls: vec![CallSpec::new("backward", vec![])],
+            },
+        ];
+        let (e11_1, e11_1_threads) = e11_scenario(1);
+        let (e11_2, e11_2_threads) = e11_scenario(2);
+        let cases = [
+            ("producer-consumer", &pc, pc_threads(), None),
+            (
+                "symmetric producer-consumer",
+                &pc,
+                symmetric_pc_threads(),
+                None,
+            ),
+            ("lock-order deadlock", &lock_order, lock_threads, None),
+            ("E11 size 1", &e11_1, e11_1_threads, Some(339)),
+            ("E11 size 2", &e11_2, e11_2_threads, Some(12_032)),
+        ];
+        for (label, component, threads, e11_states) in cases {
+            let make = || Vm::new(compile(component).unwrap(), threads.clone());
+            let plain = explore(make(), &ExploreConfig::default(), None);
+            if let Some(states) = e11_states {
+                assert_eq!(plain.states, states, "{label}");
+            }
+            let symmetric = ExploreConfig {
+                symmetry: true,
+                ..ExploreConfig::default()
+            };
+            let quotient = explore(make(), &symmetric, None);
+            assert!(quotient.states <= plain.states, "{label}");
+            for config in [ExploreConfig::default(), symmetric] {
+                let full = explore(make(), &config, None);
+                crate::machine::state::force_collisions(4);
+                let weak = explore(make(), &config, None);
+                crate::machine::state::force_collisions(64);
+                assert_eq!(census(&weak), census(&full), "{label}");
+            }
+        }
     }
 }

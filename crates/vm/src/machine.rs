@@ -1,19 +1,25 @@
 //! The virtual machine: logical threads executing compiled components under
 //! a pluggable scheduler, with full trace recording.
+//!
+//! A [`Vm`]'s mutable state is a handful of flat buffers laid out by
+//! `compile`: field slots, one fixed array of local slots per thread,
+//! per-thread control records, `(owner, count)` lock pairs and one
+//! fixed-size record per spec call. Everything immutable — the compiled
+//! component, the thread specs and each spec call's resolved method — is
+//! shared behind one `Arc`, so a snapshot copies slots and words, and a
+//! value never allocates to copy (the `state` module says how a state is
+//! encoded and interned).
 
-use std::collections::BTreeMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-
-use fxhash::FxHasher;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use jcc_petri::event::{Event, EventKind};
 use jcc_petri::Transition;
 
-use crate::compile::{CompiledComponent, Instr};
-use state::Layout;
+use crate::compile::{CompiledComponent, Instr, Operand, Site, SiteId};
+use crate::value::{eval, Env, Scope, Slot, Value};
 
 pub(crate) mod state;
 
@@ -32,17 +38,8 @@ fn transition_counter(t: Transition) -> &'static jcc_obs::Counter {
             reg.counter("vm.transition.T5"),
         ]
     });
-    let idx = match t {
-        Transition::T1 => 0,
-        Transition::T2 => 1,
-        Transition::T3 => 2,
-        Transition::T4 => 3,
-        Transition::T5 => 4,
-    };
-    &counters[idx]
+    &counters[t.index()]
 }
-use jcc_petri::event::{Event, EventKind};
-use crate::value::{eval, Env, Value};
 
 /// One method call a logical thread will perform.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -98,7 +95,7 @@ pub enum Verdict {
     /// Every thread finished all its calls.
     Completed,
     /// No thread could make progress: the classic deadlock picture.
-    /// Threads in `waiting` are suspended in a wait set (FF-T5 / EF-T3
+    /// Threads in `waiting` are suspended in wait sets (FF-T5 / EF-T3
     /// exposure); threads in `blocked` are stuck acquiring a lock (FF-T2).
     Deadlock {
         /// Thread indices suspended in wait sets.
@@ -185,7 +182,7 @@ impl RunOutcome {
     }
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Between calls (or before the first).
     Idle,
@@ -193,8 +190,14 @@ enum Status {
     Running,
     /// Issued T1, waiting for the lock (model place B).
     BlockedEntry { lock: usize },
-    /// In a wait set (model place D). `holds` restores reentrancy depth.
-    Waiting { lock: usize, holds: u32 },
+    /// In `lock`'s wait set (model place D). `holds` restores reentrancy
+    /// depth; `ticket` orders the wait set, the lowest ticket having
+    /// waited longest.
+    Waiting {
+        lock: usize,
+        holds: u32,
+        ticket: u64,
+    },
     /// Notified, re-acquiring the lock (back in place B).
     Reacquire { lock: usize, holds: u32 },
     /// All calls done.
@@ -203,102 +206,246 @@ enum Status {
     Faulted,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Where a running thread is: which method, which instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Frame {
     method_idx: usize,
     pc: usize,
-    locals: BTreeMap<String, Value>,
-    ret_reg: Option<Value>,
 }
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct ThreadState {
     call_idx: usize,
-    frame: Option<Frame>,
     status: Status,
+    frame: Option<Frame>,
+    /// The return register of the call in progress.
+    ret_reg: Slot,
+    /// The last coverage marker passed (0 before the first). Part of the
+    /// state, so that exhaustive exploration distinguishes states that
+    /// differ only in which CoFG node a thread last crossed (coverage is a
+    /// path property; without it, state dedup would under-count arcs).
+    marker: SiteId,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A lock: its owner and reentrancy count (0 when free).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LockState {
     owner: Option<usize>,
     count: u32,
-    /// FIFO wait set of thread indices.
-    wait_set: Vec<usize>,
+}
+
+/// One spec call's outcome so far.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+struct CallRecord {
+    started_step: Option<usize>,
+    completed_step: Option<usize>,
+    returned: Slot,
+}
+
+/// The state sections one step changed (see `state`): the global section
+/// (the fields) and a set of thread sections. Threads from 63 up share one
+/// bit, so marking any of them marks them all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Dirty {
+    global: bool,
+    threads: u64,
+}
+
+impl Dirty {
+    /// Every section.
+    const ALL: Dirty = Dirty {
+        global: true,
+        threads: u64::MAX,
+    };
+
+    fn bit(thread: usize) -> u64 {
+        1 << thread.min(63)
+    }
+
+    /// Only `thread`'s section.
+    fn thread(thread: usize) -> Dirty {
+        Dirty {
+            global: false,
+            threads: Self::bit(thread),
+        }
+    }
+
+    fn mark(&mut self, thread: usize) {
+        self.threads |= Self::bit(thread);
+    }
+
+    /// Did `thread`'s section change?
+    fn has_thread(self, thread: usize) -> bool {
+        self.threads & Self::bit(thread) != 0
+    }
+}
+
+/// What every state of one machine shares, fixed when it is created.
+#[derive(Debug)]
+struct Program {
+    component: CompiledComponent,
+    specs: Box<[ThreadSpec]>,
+    /// Every spec call resolved once, thread after thread: its method
+    /// index, or the fault message the call raises when it begins.
+    calls: Box<[Result<usize, String>]>,
+    /// Thread `i`'s calls (and call records) are
+    /// `call_base[i]..call_base[i + 1]`.
+    call_base: Box<[usize]>,
+    /// Local slots per thread: the most any method needs.
+    frame_size: usize,
+}
+
+impl Program {
+    fn calls_of(&self, thread: usize) -> std::ops::Range<usize> {
+        self.call_base[thread]..self.call_base[thread + 1]
+    }
+}
+
+/// Resolve `call` against `component`: the method index, or why the call
+/// faults when it begins.
+fn resolve_call(component: &CompiledComponent, call: &CallSpec) -> Result<usize, String> {
+    let Some(mi) = component.method_index(&call.method) else {
+        return Err(format!("no such method `{}`", call.method));
+    };
+    let method = &component.methods[mi];
+    if method.params.len() != call.args.len() {
+        return Err(format!(
+            "`{}` expects {} arguments, got {}",
+            call.method,
+            method.params.len(),
+            call.args.len()
+        ));
+    }
+    Ok(mi)
 }
 
 /// The virtual machine. Clone it to snapshot the whole execution state
-/// (used by the exhaustive explorer). The compiled component, thread
-/// specs and state layout are immutable for the life of the machine and
-/// shared behind `Arc`s, so a snapshot copies only the mutable state
-/// (fields, locks, frames, trace). The explorer drains each step's events
-/// onto its own path trace, so the states it clones carry no trace.
-#[derive(Debug, Clone)]
+/// (used by the exhaustive explorer): a clone copies the flat state
+/// buffers and shares everything else. The machine keeps only the events
+/// of its last step, and a clone does not copy even those.
+#[derive(Debug)]
 pub struct Vm {
-    component: Arc<CompiledComponent>,
-    specs: Arc<[ThreadSpec]>,
-    layout: Arc<Layout>,
-    fields: BTreeMap<String, Value>,
-    locks: Vec<LockState>,
+    program: Arc<Program>,
+    /// Field slots, as laid out by `CompiledComponent::fields`.
+    fields: Vec<Slot>,
+    /// Thread `i`'s local slots are `locals[i * frame_size..][..frame_size]`,
+    /// laid out by its method's `CompiledMethod::locals` during a call and
+    /// all unset between calls.
+    locals: Vec<Slot>,
     threads: Vec<ThreadState>,
-    trace: Vec<Event>,
-    results: Vec<Vec<CallResult>>,
+    locks: Vec<LockState>,
+    /// One record per spec call, indexed like `Program::calls`.
+    calls: Vec<CallRecord>,
+    /// The events of the last step.
+    events: Vec<Event>,
     steps: usize,
-    fault: Option<(usize, String)>,
+    fault: Option<(usize, Arc<str>)>,
     last_scheduled: usize,
-    /// Per-thread hash of the last coverage marker passed. Part of the
-    /// state key so that exhaustive exploration distinguishes states that
-    /// differ only in which CoFG node a thread last crossed (coverage is a
-    /// path property; without this, state dedup would under-count arcs).
-    last_marker: Vec<u64>,
+    next_ticket: u64,
+    /// The sections the last step changed (everything, for a new machine).
+    dirty: Dirty,
+}
+
+impl Clone for Vm {
+    fn clone(&self) -> Self {
+        Vm {
+            program: Arc::clone(&self.program),
+            fields: self.fields.clone(),
+            locals: self.locals.clone(),
+            threads: self.threads.clone(),
+            locks: self.locks.clone(),
+            calls: self.calls.clone(),
+            events: Vec::new(),
+            steps: self.steps,
+            fault: self.fault.clone(),
+            last_scheduled: self.last_scheduled,
+            next_ticket: self.next_ticket,
+            dirty: self.dirty,
+        }
+    }
+
+    /// Overwrite `self` with a snapshot of `source`, reusing `self`'s
+    /// buffers: no allocation when both machines run the same program.
+    fn clone_from(&mut self, source: &Self) {
+        if !Arc::ptr_eq(&self.program, &source.program) {
+            self.program = Arc::clone(&source.program);
+        }
+        self.fields.clone_from(&source.fields);
+        self.locals.clone_from(&source.locals);
+        self.threads.clone_from(&source.threads);
+        self.locks.clone_from(&source.locks);
+        self.calls.clone_from(&source.calls);
+        self.events.clear();
+        self.steps = source.steps;
+        self.fault.clone_from(&source.fault);
+        self.last_scheduled = source.last_scheduled;
+        self.next_ticket = source.next_ticket;
+        self.dirty = source.dirty;
+    }
 }
 
 impl Vm {
     /// Create a VM over `component` with the given logical threads.
     pub fn new(component: CompiledComponent, threads: Vec<ThreadSpec>) -> Self {
-        let fields = component.fields.iter().cloned().collect();
-        let locks = component
-            .locks
+        let mut calls = Vec::new();
+        let mut call_base = vec![0];
+        for spec in &threads {
+            calls.extend(spec.calls.iter().map(|call| resolve_call(&component, call)));
+            call_base.push(calls.len());
+        }
+        let frame_size = component
+            .methods
             .iter()
-            .map(|_| LockState {
-                owner: None,
-                count: 0,
-                wait_set: Vec::new(),
-            })
-            .collect();
-        let thread_states = threads
-            .iter()
-            .map(|_| ThreadState {
-                call_idx: 0,
-                frame: None,
-                status: Status::Idle,
-            })
-            .collect();
-        let results = threads.iter().map(|_| Vec::new()).collect();
-        let n_threads = threads.len();
-        Vm {
-            layout: Arc::new(Layout::of(&component)),
-            component: Arc::new(component),
+            .map(|m| m.locals.len())
+            .max()
+            .unwrap_or(0);
+        let n = threads.len();
+        let program = Program {
             specs: threads.into(),
-            fields,
-            locks,
-            threads: thread_states,
-            trace: Vec::new(),
-            results,
+            calls: calls.into(),
+            call_base: call_base.into(),
+            frame_size,
+            component,
+        };
+        Vm {
+            fields: program.component.initial.clone(),
+            locals: vec![None; n * frame_size],
+            threads: vec![
+                ThreadState {
+                    call_idx: 0,
+                    status: Status::Idle,
+                    frame: None,
+                    ret_reg: None,
+                    marker: 0,
+                };
+                n
+            ],
+            locks: vec![
+                LockState {
+                    owner: None,
+                    count: 0
+                };
+                program.component.locks.len()
+            ],
+            calls: vec![CallRecord::default(); program.calls.len()],
+            events: Vec::new(),
             steps: 0,
             fault: None,
             last_scheduled: usize::MAX,
-            last_marker: vec![0; n_threads],
+            next_ticket: 0,
+            dirty: Dirty::ALL,
+            program: Arc::new(program),
         }
     }
 
     /// Thread display name.
     pub fn thread_name(&self, idx: usize) -> &str {
-        &self.specs[idx].name
+        &self.program.specs[idx].name
     }
 
     /// Number of logical threads.
     pub fn thread_count(&self) -> usize {
-        self.specs.len()
+        self.threads.len()
     }
 
     /// Steps executed so far.
@@ -306,21 +453,38 @@ impl Vm {
         self.steps
     }
 
-    /// Current shared field values (for assertions in tests).
+    /// Current value of the named shared field (for assertions in tests);
+    /// `None` when the component has no such field or it is still unset.
     pub fn field(&self, name: &str) -> Option<&Value> {
-        self.fields.get(name)
+        let slot = self.program.component.field_slot(name)?;
+        self.fields[slot].as_ref()
     }
 
-    /// Move the trace's events onto the end of `out`, leaving the
-    /// machine's own trace empty (the explorer keeps one path trace
-    /// instead of one per state).
+    /// Move the last step's events onto the end of `out` (the explorer
+    /// keeps one path trace instead of one per state).
     pub(crate) fn drain_trace_into(&mut self, out: &mut Vec<Event>) {
-        out.append(&mut self.trace);
+        out.append(&mut self.events);
     }
 
-    /// Per thread, per call: the results so far.
-    pub fn results(&self) -> &[Vec<CallResult>] {
-        &self.results
+    /// Per thread, per call begun so far: its result.
+    pub fn results(&self) -> Vec<Vec<CallResult>> {
+        (0..self.threads.len())
+            .map(|i| {
+                let range = self.program.calls_of(i);
+                self.calls[range]
+                    .iter()
+                    .zip(&self.program.specs[i].calls)
+                    .map_while(|(record, spec)| {
+                        Some(CallResult {
+                            method: spec.method.clone(),
+                            started_step: record.started_step?,
+                            completed_step: record.completed_step,
+                            returned: record.returned.clone(),
+                        })
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Indices of threads that can take a step right now.
@@ -333,11 +497,11 @@ impl Vm {
     /// True when thread `i` can take a step right now.
     pub(crate) fn is_runnable(&self, i: usize) -> bool {
         let t = &self.threads[i];
-        match &t.status {
+        match t.status {
             Status::Finished | Status::Faulted | Status::Waiting { .. } => false,
-            Status::Idle => t.call_idx < self.specs[i].calls.len(),
+            Status::Idle => t.call_idx < self.program.specs[i].calls.len(),
             Status::BlockedEntry { lock } | Status::Reacquire { lock, .. } => {
-                self.locks[*lock].owner.is_none()
+                self.locks[lock].owner.is_none()
             }
             Status::Running => true,
         }
@@ -351,24 +515,12 @@ impl Vm {
     }
 
     fn emit(&mut self, thread: usize, kind: EventKind) {
-        match &kind {
-            EventKind::MethodStart { method } => {
-                self.last_marker[thread] = marker_hash(method, None, false, 1);
-            }
-            EventKind::MethodEnd { method } => {
-                self.last_marker[thread] = marker_hash(method, None, false, 2);
-            }
-            EventKind::Site { method, path, exit } => {
-                self.last_marker[thread] = marker_hash(method, Some(path), *exit, 3);
-            }
-            _ => {}
-        }
         if jcc_obs::enabled() {
             if let EventKind::Transition { t, .. } = &kind {
                 transition_counter(*t).inc();
             }
         }
-        self.trace.push(Event {
+        self.events.push(Event {
             seq: self.steps as u64,
             thread: thread as u64,
             kind,
@@ -384,6 +536,23 @@ impl Vm {
                 lock: lock as u64,
             },
         );
+    }
+
+    /// Thread `idx` passes the synchronization site `id`.
+    fn pass_site(&mut self, idx: usize, id: SiteId) {
+        let program = Arc::clone(&self.program);
+        let Some(Site::Stmt { method, path, exit }) = program.component.site(id) else {
+            unreachable!("instructions name statement sites");
+        };
+        self.emit(
+            idx,
+            EventKind::Site {
+                method: program.component.methods[*method].name.clone(),
+                path: path.clone(),
+                exit: *exit,
+            },
+        );
+        self.threads[idx].marker = id;
     }
 
     /// A 64-bit hash of the complete execution state: the global section
@@ -407,12 +576,10 @@ impl Vm {
     /// automorphism of the transition system. Groups preserve first-index
     /// order; singletons are dropped (no permutation to exploit).
     pub fn symmetry_groups(&self) -> Vec<Vec<usize>> {
+        let specs = &self.program.specs;
         let mut groups: Vec<Vec<usize>> = Vec::new();
-        for i in 0..self.specs.len() {
-            match groups
-                .iter_mut()
-                .find(|g| self.specs[g[0]] == self.specs[i])
-            {
+        for i in 0..specs.len() {
+            match groups.iter_mut().find(|g| specs[g[0]] == specs[i]) {
                 Some(g) => g.push(i),
                 None => groups.push(vec![i]),
             }
@@ -429,19 +596,15 @@ impl Vm {
     /// explorer's ample-set reduction.
     pub fn is_local_step(&self, i: usize) -> bool {
         let t = &self.threads[i];
-        match &t.status {
-            Status::Idle => {
-                let Some(call) = self.specs[i].calls.get(t.call_idx) else {
-                    return false;
-                };
-                match self.component.method_index(&call.method) {
-                    Some(mi) => self.component.methods[mi].params.len() == call.args.len(),
-                    None => false,
-                }
-            }
+        match t.status {
+            Status::Idle => self
+                .program
+                .calls_of(i)
+                .nth(t.call_idx)
+                .is_some_and(|call| self.program.calls[call].is_ok()),
             Status::Running => {
-                let frame = t.frame.as_ref().expect("running frame");
-                self.component.methods[frame.method_idx].code[frame.pc].is_thread_local()
+                let frame = t.frame.expect("running frame");
+                self.program.component.methods[frame.method_idx].code[frame.pc].is_thread_local()
             }
             _ => false,
         }
@@ -451,8 +614,10 @@ impl Vm {
     /// runnable (callers choose from [`runnable`](Self::runnable)).
     pub fn step(&mut self, idx: usize) {
         assert!(self.is_runnable(idx), "thread {idx} is not runnable");
+        self.events.clear();
+        self.dirty = Dirty::thread(idx);
         self.steps += 1;
-        match self.threads[idx].status.clone() {
+        match self.threads[idx].status {
             Status::Idle => self.begin_call(idx),
             Status::BlockedEntry { lock } => {
                 self.acquire(idx, lock, 1);
@@ -467,57 +632,60 @@ impl Vm {
         }
     }
 
+    /// Thread `idx`'s local slots.
+    fn frame_slots(&mut self, idx: usize) -> &mut [Slot] {
+        let n = self.program.frame_size;
+        &mut self.locals[idx * n..(idx + 1) * n]
+    }
+
     fn begin_call(&mut self, idx: usize) {
-        let call = self.specs[idx].calls[self.threads[idx].call_idx].clone();
-        let Some(mi) = self.component.method_index(&call.method) else {
-            self.fault_thread(idx, format!("no such method `{}`", call.method));
-            return;
+        let program = Arc::clone(&self.program);
+        let call_idx = self.threads[idx].call_idx;
+        let call = program.call_base[idx] + call_idx;
+        let mi = match &program.calls[call] {
+            Ok(mi) => *mi,
+            Err(message) => {
+                self.fault_thread(idx, message.clone());
+                return;
+            }
         };
-        let method = &self.component.methods[mi];
-        if method.params.len() != call.args.len() {
-            self.fault_thread(
-                idx,
-                format!(
-                    "`{}` expects {} arguments, got {}",
-                    call.method,
-                    method.params.len(),
-                    call.args.len()
-                ),
-            );
-            return;
+        let method = &program.component.methods[mi];
+        let spec = &program.specs[idx].calls[call_idx];
+        let slots = self.frame_slots(idx);
+        for (&slot, arg) in method.param_slots.iter().zip(&spec.args) {
+            slots[slot] = Some(arg.clone());
         }
-        let locals: BTreeMap<String, Value> = method
-            .params
-            .iter()
-            .cloned()
-            .zip(call.args.iter().cloned())
-            .collect();
         self.emit(
             idx,
             EventKind::MethodStart {
-                method: call.method.clone(),
+                method: spec.method.clone(),
             },
         );
-        self.results[idx].push(CallResult {
-            method: call.method.clone(),
-            started_step: self.steps,
-            completed_step: None,
-            returned: None,
-        });
-        self.threads[idx].frame = Some(Frame {
+        self.calls[call].started_step = Some(self.steps);
+        let thread = &mut self.threads[idx];
+        thread.marker = method.start_site;
+        thread.frame = Some(Frame {
             method_idx: mi,
             pc: 0,
-            locals,
-            ret_reg: None,
         });
-        self.threads[idx].status = Status::Running;
+        thread.status = Status::Running;
     }
 
     fn acquire(&mut self, idx: usize, lock: usize, holds: u32) {
         debug_assert!(self.locks[lock].owner.is_none());
-        self.locks[lock].owner = Some(idx);
-        self.locks[lock].count = holds;
+        self.locks[lock] = LockState {
+            owner: Some(idx),
+            count: holds,
+        };
         self.fire(idx, Transition::T2, lock);
+    }
+
+    /// End thread `idx`'s call in progress: its frame is gone.
+    fn clear_frame(&mut self, idx: usize) {
+        self.frame_slots(idx).fill(None);
+        let thread = &mut self.threads[idx];
+        thread.frame = None;
+        thread.ret_reg = None;
     }
 
     fn fault_thread(&mut self, idx: usize, message: String) {
@@ -529,42 +697,45 @@ impl Vm {
         );
         // Release anything the thread holds so others can continue —
         // mirrors Java unwinding synchronized blocks on an exception.
-        let mut released = Vec::new();
-        for (li, lock) in self.locks.iter_mut().enumerate() {
-            if lock.owner == Some(idx) {
-                lock.owner = None;
-                lock.count = 0;
-                released.push(li);
+        for li in 0..self.locks.len() {
+            if self.locks[li].owner == Some(idx) {
+                self.locks[li] = LockState {
+                    owner: None,
+                    count: 0,
+                };
+                self.fire(idx, Transition::T4, li);
             }
         }
-        for li in released {
-            self.fire(idx, Transition::T4, li);
-        }
         self.threads[idx].status = Status::Faulted;
-        self.threads[idx].frame = None;
+        self.clear_frame(idx);
         if self.fault.is_none() {
-            self.fault = Some((idx, message));
+            self.fault = Some((idx, message.into()));
         }
     }
 
-    fn current_method_name(&self, idx: usize) -> String {
-        let frame = self.threads[idx].frame.as_ref().expect("running frame");
-        self.component.methods[frame.method_idx].name.clone()
-    }
-
-    fn eval_in_frame(&mut self, idx: usize, expr: &jcc_model::ast::Expr) -> Option<Value> {
-        // Log field reads for the race detectors.
-        let mut reads = Vec::new();
-        collect_field_reads(expr, &mut reads);
-        for field in reads {
-            self.emit(idx, EventKind::Read { var: field });
+    /// Log `operand`'s field reads (for the race detectors), then evaluate
+    /// it in thread `idx`'s frame; a failed evaluation faults the thread.
+    fn eval_in_frame(&mut self, idx: usize, operand: &Operand) -> Option<Value> {
+        let program = Arc::clone(&self.program);
+        let component = &program.component;
+        for &slot in &operand.reads {
+            let var = component.fields[slot].clone();
+            self.emit(idx, EventKind::Read { var });
         }
-        let frame = self.threads[idx].frame.as_ref().expect("running frame");
+        let frame = self.threads[idx].frame.expect("running frame");
+        let method = &component.methods[frame.method_idx];
+        let n = program.frame_size;
         let env = Env {
-            fields: &self.fields,
-            locals: &frame.locals,
+            fields: Scope {
+                slots: &self.fields,
+                names: &component.fields,
+            },
+            locals: Scope {
+                slots: &self.locals[idx * n..idx * n + method.locals.len()],
+                names: &method.locals,
+            },
         };
-        match eval(expr, &env) {
+        match eval(&operand.expr, &env) {
             Ok(v) => Some(v),
             Err(e) => {
                 self.fault_thread(idx, e.message);
@@ -573,29 +744,44 @@ impl Vm {
         }
     }
 
+    /// True when thread `idx` owns `lock`; otherwise the thread faults
+    /// with an `IllegalMonitorStateException` for `{action} `lock` {why}`.
+    fn check_owner(&mut self, idx: usize, lock: usize, action: &str, why: &str) -> bool {
+        if self.locks[lock].owner == Some(idx) {
+            return true;
+        }
+        let name = &self.program.component.locks[lock];
+        let message = format!("IllegalMonitorStateException: {action} `{name}` {why}");
+        self.fault_thread(idx, message);
+        false
+    }
+
+    /// The thread that has waited longest on `lock`, if any.
+    fn longest_waiter(&self, lock: usize) -> Option<usize> {
+        (0..self.threads.len())
+            .filter_map(|i| match self.threads[i].status {
+                Status::Waiting {
+                    lock: l, ticket, ..
+                } if l == lock => Some((ticket, i)),
+                _ => None,
+            })
+            .min()
+            .map(|(_, i)| i)
+    }
+
     fn exec_instr(&mut self, idx: usize) {
-        let frame = self.threads[idx].frame.as_ref().expect("running frame");
-        let mi = frame.method_idx;
-        let pc = frame.pc;
-        // A refcount bump on the shared component lets the instruction be
-        // borrowed while the machine mutates; the per-step deep clone of
-        // the instruction (strings + expression trees) was a hot-path cost.
-        let component = Arc::clone(&self.component);
-        match &component.methods[mi].code[pc] {
-            Instr::EnterSync { lock, path } => {
+        let frame = self.threads[idx].frame.expect("running frame");
+        // A refcount bump on the shared program lets the instruction be
+        // borrowed while the machine mutates.
+        let program = Arc::clone(&self.program);
+        let method = &program.component.methods[frame.method_idx];
+        match &method.code[frame.pc] {
+            Instr::EnterSync { lock, site } => {
                 let lock = *lock;
-                if let Some(p) = path {
-                    self.emit(
-                        idx,
-                        EventKind::Site {
-                            method: self.current_method_name(idx),
-                            path: p.clone(),
-                            exit: false,
-                        },
-                    );
+                if let Some(site) = *site {
+                    self.pass_site(idx, site);
                 }
-                let l = &self.locks[lock];
-                if l.owner == Some(idx) {
+                if self.locks[lock].owner == Some(idx) {
                     self.locks[lock].count += 1;
                     self.advance(idx);
                 } else {
@@ -608,27 +794,13 @@ impl Vm {
                     }
                 }
             }
-            Instr::ExitSync { lock, path } => {
+            Instr::ExitSync { lock, site } => {
                 let lock = *lock;
-                if self.locks[lock].owner != Some(idx) {
-                    self.fault_thread(
-                        idx,
-                        format!(
-                            "IllegalMonitorStateException: release of `{}` by non-owner",
-                            self.component.locks[lock]
-                        ),
-                    );
+                if !self.check_owner(idx, lock, "release of", "by non-owner") {
                     return;
                 }
-                if let Some(p) = path {
-                    self.emit(
-                        idx,
-                        EventKind::Site {
-                            method: self.current_method_name(idx),
-                            path: p.clone(),
-                            exit: true,
-                        },
-                    );
+                if let Some(site) = *site {
+                    self.pass_site(idx, site);
                 }
                 self.locks[lock].count -= 1;
                 if self.locks[lock].count == 0 {
@@ -637,55 +809,43 @@ impl Vm {
                 }
                 self.advance(idx);
             }
-            Instr::Wait { lock, path } => {
+            Instr::Wait { lock, site } => {
                 let lock = *lock;
-                if self.locks[lock].owner != Some(idx) {
-                    self.fault_thread(
-                        idx,
-                        format!(
-                            "IllegalMonitorStateException: wait on `{}` without lock",
-                            self.component.locks[lock]
-                        ),
-                    );
+                if !self.check_owner(idx, lock, "wait on", "without lock") {
                     return;
                 }
-                self.emit(
-                    idx,
-                    EventKind::Site {
-                        method: self.current_method_name(idx),
-                        path: path.clone(),
-                        exit: false,
-                    },
-                );
+                self.pass_site(idx, *site);
                 let holds = self.locks[lock].count;
-                self.locks[lock].owner = None;
-                self.locks[lock].count = 0;
-                self.locks[lock].wait_set.push(idx);
+                self.locks[lock] = LockState {
+                    owner: None,
+                    count: 0,
+                };
+                let ticket = self.next_ticket;
+                self.next_ticket += 1;
                 self.fire(idx, Transition::T3, lock);
                 self.advance(idx);
-                self.threads[idx].status = Status::Waiting { lock, holds };
+                self.threads[idx].status = Status::Waiting {
+                    lock,
+                    holds,
+                    ticket,
+                };
             }
-            Instr::Notify { lock, all, path } => {
+            Instr::Notify { lock, all, site } => {
                 let (lock, all) = (*lock, *all);
-                if self.locks[lock].owner != Some(idx) {
-                    self.fault_thread(
-                        idx,
-                        format!(
-                            "IllegalMonitorStateException: notify on `{}` without lock",
-                            self.component.locks[lock]
-                        ),
-                    );
+                if !self.check_owner(idx, lock, "notify on", "without lock") {
                     return;
                 }
-                self.emit(
-                    idx,
-                    EventKind::Site {
-                        method: self.current_method_name(idx),
-                        path: path.clone(),
-                        exit: false,
-                    },
-                );
-                let waiters = self.locks[lock].wait_set.len();
+                self.pass_site(idx, *site);
+                // Every waiter's section changes: the woken leave the wait
+                // set and the rest move up in it.
+                let mut waiters = 0;
+                for i in 0..self.threads.len() {
+                    if matches!(self.threads[i].status, Status::Waiting { lock: l, .. } if l == lock)
+                    {
+                        waiters += 1;
+                        self.dirty.mark(i);
+                    }
+                }
                 self.emit(
                     idx,
                     EventKind::Notify {
@@ -694,35 +854,29 @@ impl Vm {
                         waiters,
                     },
                 );
-                let to_wake: Vec<usize> = if all {
-                    std::mem::take(&mut self.locks[lock].wait_set)
-                } else if waiters > 0 {
-                    vec![self.locks[lock].wait_set.remove(0)]
-                } else {
-                    Vec::new()
-                };
-                for w in to_wake {
-                    let Status::Waiting { lock: wl, holds } = self.threads[w].status.clone()
-                    else {
-                        unreachable!("wait-set member not waiting");
+                let woken = if all { waiters } else { waiters.min(1) };
+                for _ in 0..woken {
+                    let w = self.longest_waiter(lock).expect("a counted waiter");
+                    let Status::Waiting { holds, .. } = self.threads[w].status else {
+                        unreachable!("a waiter is waiting");
                     };
-                    debug_assert_eq!(wl, lock);
                     self.fire(w, Transition::T5, lock);
                     self.threads[w].status = Status::Reacquire { lock, holds };
                 }
                 self.advance(idx);
             }
-            Instr::StoreField { name, value } => {
+            Instr::StoreField { slot, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
-                    self.emit(idx, EventKind::Write { var: name.clone() });
-                    self.fields.insert(name.clone(), v);
+                    let var = program.component.fields[*slot].clone();
+                    self.emit(idx, EventKind::Write { var });
+                    self.fields[*slot] = Some(v);
+                    self.dirty.global = true;
                     self.advance(idx);
                 }
             }
-            Instr::StoreLocal { name, value } => {
+            Instr::StoreLocal { slot, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
-                    let frame = self.threads[idx].frame.as_mut().expect("running frame");
-                    frame.locals.insert(name.clone(), v);
+                    self.frame_slots(idx)[*slot] = Some(v);
                     self.advance(idx);
                 }
             }
@@ -744,26 +898,29 @@ impl Vm {
                     },
                     None => None,
                 };
-                let frame = self.threads[idx].frame.as_mut().expect("running frame");
-                frame.ret_reg = v;
+                self.threads[idx].ret_reg = v;
                 self.advance(idx);
             }
             Instr::Ret => {
-                let method = self.current_method_name(idx);
-                let frame = self.threads[idx].frame.take().expect("running frame");
-                self.emit(idx, EventKind::MethodEnd { method });
-                let result = self.results[idx]
-                    .last_mut()
-                    .expect("call result opened at begin_call");
-                result.completed_step = Some(self.steps);
-                result.returned = frame.ret_reg;
-                self.threads[idx].call_idx += 1;
-                self.threads[idx].status =
-                    if self.threads[idx].call_idx < self.specs[idx].calls.len() {
-                        Status::Idle
-                    } else {
-                        Status::Finished
-                    };
+                self.emit(
+                    idx,
+                    EventKind::MethodEnd {
+                        method: method.name.clone(),
+                    },
+                );
+                let call_idx = self.threads[idx].call_idx;
+                let record = &mut self.calls[program.call_base[idx] + call_idx];
+                record.completed_step = Some(self.steps);
+                record.returned = self.threads[idx].ret_reg.take();
+                self.clear_frame(idx);
+                let thread = &mut self.threads[idx];
+                thread.marker = method.end_site;
+                thread.call_idx += 1;
+                thread.status = if thread.call_idx < program.specs[idx].calls.len() {
+                    Status::Idle
+                } else {
+                    Status::Finished
+                };
             }
         }
     }
@@ -780,26 +937,27 @@ impl Vm {
         }
     }
 
+    /// The first fault's verdict, if a thread has faulted.
+    fn fault_verdict(&self) -> Option<Verdict> {
+        self.fault
+            .as_ref()
+            .map(|(thread, message)| Verdict::Faulted {
+                thread: *thread,
+                message: message.to_string(),
+            })
+    }
+
     /// The verdict if the machine is in a terminal state (quiescent or
     /// globally blocked), else `None`.
     pub fn current_verdict(&self) -> Option<Verdict> {
         if self.quiescent() {
-            return Some(match &self.fault {
-                Some((thread, message)) => Verdict::Faulted {
-                    thread: *thread,
-                    message: message.clone(),
-                },
-                None => Verdict::Completed,
-            });
+            return Some(self.fault_verdict().unwrap_or(Verdict::Completed));
         }
         if !(0..self.threads.len()).any(|i| self.is_runnable(i)) {
             // A fault that stranded other threads is the root cause; report
             // it rather than the secondary deadlock.
-            if let Some((thread, message)) = &self.fault {
-                return Some(Verdict::Faulted {
-                    thread: *thread,
-                    message: message.clone(),
-                });
+            if let Some(verdict) = self.fault_verdict() {
+                return Some(verdict);
             }
             let mut waiting = Vec::new();
             let mut blocked = Vec::new();
@@ -815,43 +973,39 @@ impl Vm {
         None
     }
 
-    /// Package the current state with the given verdict and `trace` in
-    /// place of the machine's own (the explorer's witnesses carry the
-    /// path trace).
+    /// Package the current state with the given verdict and `trace` (the
+    /// explorer's witnesses carry the path trace).
     pub(crate) fn outcome_with_trace(&self, verdict: Verdict, trace: Vec<Event>) -> RunOutcome {
         RunOutcome {
             verdict,
             steps: self.steps,
             trace,
-            results: self.results.clone(),
-            thread_names: self.specs.iter().map(|s| s.name.clone()).collect(),
-            lock_names: self.component.locks.clone(),
+            results: self.results(),
+            thread_names: self.program.specs.iter().map(|s| s.name.clone()).collect(),
+            lock_names: self.program.component.locks.clone(),
         }
     }
 
-    /// Run to completion (or deadlock / step budget) under `config`.
+    /// Run to completion (or deadlock / step budget) under `config`. The
+    /// outcome's trace holds the events of the steps this run takes.
     pub fn run(&mut self, config: &RunConfig) -> RunOutcome {
         let mut rng = match &config.scheduler {
             Scheduler::Random(seed) => Some(StdRng::seed_from_u64(*seed)),
             _ => None,
         };
+        let mut trace = Vec::new();
         let mut plan_pos = 0usize;
         while self.steps < config.max_steps {
             if self.quiescent() {
-                return self.finish(match &self.fault {
-                    Some((thread, message)) => Verdict::Faulted {
-                        thread: *thread,
-                        message: message.clone(),
-                    },
-                    None => Verdict::Completed,
-                });
+                let verdict = self.fault_verdict().unwrap_or(Verdict::Completed);
+                return self.outcome_with_trace(verdict, trace);
             }
             let runnable = self.runnable();
             if runnable.is_empty() {
                 let verdict = self
                     .current_verdict()
                     .expect("no runnable threads is terminal");
-                return self.finish(verdict);
+                return self.outcome_with_trace(verdict, trace);
             }
             let chosen = match &config.scheduler {
                 Scheduler::RoundRobin => {
@@ -877,39 +1031,9 @@ impl Vm {
                 }
             };
             self.step(chosen);
+            trace.append(&mut self.events);
         }
-        self.finish(Verdict::StepLimit)
-    }
-
-    fn finish(&mut self, verdict: Verdict) -> RunOutcome {
-        self.outcome_with_trace(verdict, self.trace.clone())
-    }
-}
-
-fn marker_hash(method: &str, path: Option<&Vec<usize>>, exit: bool, tag: u8) -> u64 {
-    let mut h = FxHasher::default();
-    tag.hash(&mut h);
-    method.hash(&mut h);
-    path.hash(&mut h);
-    exit.hash(&mut h);
-    h.finish()
-}
-
-fn collect_field_reads(expr: &jcc_model::ast::Expr, out: &mut Vec<String>) {
-    use jcc_model::ast::Expr as E;
-    match expr {
-        E::Field(name) => out.push(name.clone()),
-        E::Unary(_, e) => collect_field_reads(e, out),
-        E::Binary(_, a, b) => {
-            collect_field_reads(a, out);
-            collect_field_reads(b, out);
-        }
-        E::Call(_, args) => {
-            for a in args {
-                collect_field_reads(a, out);
-            }
-        }
-        _ => {}
+        self.outcome_with_trace(Verdict::StepLimit, trace)
     }
 }
 
@@ -957,6 +1081,7 @@ mod tests {
         ]);
         assert_eq!(vm.symmetry_groups(), vec![vec![0, 1]]);
         let mut table = StateTable::new(&vm, true);
+        let mut ids = Vec::new();
         // Start thread 0 in one copy, thread 1 in the other: the states
         // are thread-permutations of each other.
         let mut a = vm.clone();
@@ -964,17 +1089,17 @@ mod tests {
         let mut b = vm.clone();
         b.step(1);
         assert_ne!(a.state_key(), b.state_key());
-        let (id, new) = table.intern(&a);
+        let (id, new) = table.intern_all(&a, &mut ids);
         assert!(new);
-        assert_eq!(table.intern(&b), (id, false));
+        assert_eq!(table.intern_all(&b, &mut ids), (id, false));
         // Advance both copies identically: ids stay in lockstep, and a
         // genuinely different state (the producer moved) gets a new id.
         a.step(0);
         b.step(1);
-        let (id, _) = table.intern(&a);
-        assert_eq!(table.intern(&b), (id, false));
+        let (id, _) = table.intern_all(&a, &mut ids);
+        assert_eq!(table.intern_all(&b, &mut ids), (id, false));
         a.step(2);
-        assert!(table.intern(&a).1);
+        assert!(table.intern_all(&a, &mut ids).1);
     }
 
     #[test]
@@ -1063,7 +1188,7 @@ mod tests {
         let received: Vec<String> = out.results[1]
             .iter()
             .map(|r| match &r.returned {
-                Some(Value::Str(s)) => s.clone(),
+                Some(Value::Str(s)) => s.to_string(),
                 other => panic!("expected char, got {other:?}"),
             })
             .collect();
@@ -1319,5 +1444,138 @@ mod tests {
         let mut vm = pc_vm(vec![spec("p", vec![CallSpec::new("send", vec![])])]);
         let out = vm.run(&RunConfig::default());
         assert!(matches!(out.verdict, Verdict::Faulted { .. }));
+    }
+
+    /// Run one call of `method` on `component` alone, round robin.
+    fn run_alone(component: &jcc_model::ast::Component, method: &str) -> (Vm, RunOutcome) {
+        let mut vm = Vm::new(
+            compile(component).unwrap(),
+            vec![spec("t", vec![CallSpec::new(method, vec![])])],
+        );
+        let out = vm.run(&RunConfig::default());
+        (vm, out)
+    }
+
+    fn fault_of(out: &RunOutcome) -> &str {
+        match &out.verdict {
+            Verdict::Faulted { thread: 0, message } => message,
+            other => panic!("expected a fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn reading_an_undeclared_field_faults() {
+        // The DSL reads an undeclared name as a local, so seed the field
+        // read by hand, as a mutant would.
+        let src = "class U { var n: int = 0; fn m() -> int { return n; } }";
+        let mut c = jcc_model::parse_component(src).unwrap();
+        c.methods[0].body = vec![jcc_model::ast::Stmt::Return(Some(
+            jcc_model::ast::Expr::Field("ghost".into()),
+        ))];
+        let (_, out) = run_alone(&c, "m");
+        assert_eq!(fault_of(&out), "undefined field `ghost`");
+        // The read is still logged before the evaluation faults.
+        assert!(out.trace.iter().any(|e| e.kind
+            == EventKind::Read {
+                var: "ghost".into()
+            }));
+    }
+
+    #[test]
+    fn reading_a_local_before_it_is_assigned_faults() {
+        // `x` has a slot (the skipped branch stores to it) but no value.
+        let src = "class U { fn m() -> int { if (false) { let x: int = 1; } return x; } }";
+        let c = jcc_model::parse_component(src).unwrap();
+        let (_, out) = run_alone(&c, "m");
+        assert_eq!(fault_of(&out), "undefined local `x`");
+        // A name no method stores to has no slot at all.
+        let src = "class U { fn m() -> int { return y; } }";
+        let (_, out) = run_alone(&jcc_model::parse_component(src).unwrap(), "m");
+        assert_eq!(fault_of(&out), "undefined local `y`");
+    }
+
+    #[test]
+    fn locals_do_not_survive_their_call() {
+        // The second call reads `x` before assigning it: the first call's
+        // value must be gone.
+        let src = "class U { fn set() { let x: int = 7; } \
+                   fn get() -> int { if (false) { let x: int = 0; } return x; } }";
+        let c = jcc_model::parse_component(src).unwrap();
+        let mut vm = Vm::new(
+            compile(&c).unwrap(),
+            vec![spec(
+                "t",
+                vec![CallSpec::new("set", vec![]), CallSpec::new("get", vec![])],
+            )],
+        );
+        let out = vm.run(&RunConfig::default());
+        assert_eq!(fault_of(&out), "undefined local `x`");
+    }
+
+    #[test]
+    fn a_mutant_storing_to_an_undeclared_field_runs() {
+        use jcc_model::ast::{Expr, LValue, Stmt};
+        let src = "class U { var n: int = 0; fn m() -> int { return n; } }";
+        let mut c = jcc_model::parse_component(src).unwrap();
+        c.methods[0].body.insert(
+            0,
+            Stmt::Assign {
+                target: LValue::Field("extra".into()),
+                value: Expr::Int(5),
+            },
+        );
+        let (vm, out) = run_alone(&c, "m");
+        assert_eq!(out.verdict, Verdict::Completed);
+        assert_eq!(vm.field("extra"), Some(&Value::Int(5)));
+        assert_eq!(vm.field("n"), Some(&Value::Int(0)));
+        assert_eq!(vm.field("nothing"), None);
+        // Before the store runs, the field has a slot but no value.
+        let fresh = Vm::new(compile(&c).unwrap(), vec![]);
+        assert_eq!(fresh.field("extra"), None);
+    }
+
+    #[test]
+    fn string_builtins_run_on_slots() {
+        let src = r#"
+            class S {
+              var s: str = "ab";
+              fn m(i: int) -> str {
+                let c: str = charAt(s, i);
+                s = concat(s, c);
+                return concat(s, toStr(len(s)));
+              }
+            }
+        "#;
+        let c = jcc_model::parse_component(src).unwrap();
+        let mut vm = Vm::new(
+            compile(&c).unwrap(),
+            vec![spec("t", vec![CallSpec::new("m", vec![Value::Int(1)])])],
+        );
+        let out = vm.run(&RunConfig::default());
+        assert_eq!(out.verdict, Verdict::Completed);
+        assert_eq!(out.results[0][0].returned, Some(Value::Str("abb3".into())));
+        assert_eq!(vm.field("s"), Some(&Value::Str("abb".into())));
+        let mut vm = Vm::new(
+            compile(&c).unwrap(),
+            vec![spec("t", vec![CallSpec::new("m", vec![Value::Int(2)])])],
+        );
+        let out = vm.run(&RunConfig::default());
+        assert_eq!(fault_of(&out), "string index 2 out of bounds for \"ab\"");
+    }
+
+    #[test]
+    fn a_clone_reuses_buffers_and_forgets_events() {
+        let mut vm = pc_vm(vec![spec(
+            "p",
+            vec![CallSpec::new("send", vec![Value::Str("a".into())])],
+        )]);
+        let mut copy = vm.clone();
+        vm.step(0);
+        assert!(!vm.events.is_empty());
+        copy.clone_from(&vm);
+        assert!(copy.events.is_empty());
+        assert_eq!(copy.state_key(), vm.state_key());
+        assert_eq!(copy.results(), vm.results());
+        assert!(vm.clone().events.is_empty());
     }
 }

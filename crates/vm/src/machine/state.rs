@@ -1,18 +1,48 @@
 //! The VM state encoding, and the explorer's exact, collapse-compressed
 //! state storage.
 //!
-//! A VM state is encoded as `u32` words in sections: one *global* section
-//! (the shared fields) and one section per thread (its control state,
-//! frame, coverage marker, observable call results, and its role in every
-//! lock — held with a reentrancy count, or waiting at a FIFO position).
-//! No section mentions a thread index, so a thread's section means the
-//! same thing in any slot. Each distinct section is interned once in a
-//! [`SliceStore`]; the state itself is the fixed-stride vector
-//! `[global id, thread 0 id, …, thread n-1 id]`, interned in
-//! [`jcc_petri::state::StateStore`]. Most successors change one thread and
-//! perhaps the fields, so a state costs `1 + n` words plus an index entry,
-//! while the sections are shared by every state that contains them
-//! (collapse compression, as in SPIN's `-DCOLLAPSE`).
+//! **The flat state.** A [`Vm`] is a handful of flat buffers whose layout
+//! `compile` fixes once per component:
+//!
+//! * one *field slot* per field (declared, or only stored to), and per
+//!   thread one fixed array of *local slots* — as many as the largest
+//!   method needs, laid out by the running method's parameters and locals.
+//!   A slot is a `Option<Value>`: `None` is the explicit unset tag, for a
+//!   stored-only field before its first store and for a local before its
+//!   assignment (or outside a call). A `Value` copies without allocating
+//!   (strings are shared `Arc<str>`s);
+//! * per thread a control record: call index, status, program counter,
+//!   return register and *coverage marker* — the exact, dense site id of
+//!   the last method start, method end or synchronization site the thread
+//!   passed (compile numbers every such context once, so two contexts
+//!   never share an id);
+//! * per lock an `(owner, count)` pair. Wait sets hold no lists: a waiting
+//!   thread's status carries a *wait ticket* from a machine-wide counter,
+//!   and a lock's FIFO wait order is its waiters' ticket order;
+//! * one fixed-size record per spec call (started, completed, returned).
+//!
+//! **The encoding.** A state is encoded as `u32` words in sections: one
+//! *global* section (the field slots) and one section per thread (its
+//! control record, local slots, marker, observable call results, and its
+//! role in every lock — held with a reentrancy count, or waiting at a FIFO
+//! position, the rank of its ticket). No section mentions a thread index
+//! or a raw ticket, so a thread's section means the same thing in any slot.
+//! Each distinct section is interned once in a [`SliceStore`]; the state
+//! itself is the fixed-stride vector `[global id, thread 0 id, …, thread
+//! n-1 id]`, interned in [`jcc_petri::state::StateStore`]. Most successors
+//! change one thread and perhaps the fields, so a state costs `1 + n`
+//! words plus an index entry, while the sections are shared by every state
+//! that contains them (collapse compression, as in SPIN's `-DCOLLAPSE`).
+//!
+//! **Dirty sections.** A step records which sections it changed: the
+//! stepping thread's; the global section on a field store; and on
+//! `notify`/`notifyAll` every thread then in the lock's wait set (the
+//! woken leave it, the rest move up). No other step changes another
+//! thread's section: lock ownership is encoded in the owner's section
+//! only, and a new waiter joins at the back of the FIFO order. The
+//! explorer keeps each path state's section ids, so interning a successor
+//! re-encodes and re-interns only its dirty sections; in debug builds
+//! every incremental intern is checked against a full re-encoding.
 //!
 //! Every store confirms a hash hit against the full word slice, so dedup
 //! is exact: a collision costs a comparison, never a pruned subtree.
@@ -25,13 +55,10 @@
 //! states share a vector exactly when some renaming within groups makes
 //! them identical.
 
-use std::collections::BTreeMap;
-
 use jcc_petri::state::{SliceStore, StateId, StateStore};
 
-use super::{Status, Vm};
-use crate::compile::{CompiledComponent, Instr};
-use crate::value::Value;
+use super::{Dirty, Status, Vm};
+use crate::value::{Slot, Value};
 
 /// The hash every store in this module files a word slice under. Tests
 /// can truncate it to a few bits ([`force_collisions`]) to prove that
@@ -56,88 +83,65 @@ pub(crate) fn force_collisions(bits: u32) {
     HASH_MASK.with(|m| m.set(mask.unwrap_or(0)));
 }
 
-/// Names the encoder resolves map keys against: every field and, per
-/// method, every local a state can hold, sorted so a `BTreeMap` walk
-/// meets them in order.
-#[derive(Debug)]
-pub(crate) struct Layout {
-    fields: Vec<String>,
-    locals: Vec<Vec<String>>,
-}
-
-impl Layout {
-    /// The declared fields plus every stored-to field, and per method its
-    /// parameters plus every stored-to local.
-    pub(crate) fn of(component: &CompiledComponent) -> Layout {
-        let mut fields: Vec<String> = component.fields.iter().map(|(n, _)| n.clone()).collect();
-        let mut locals = Vec::with_capacity(component.methods.len());
-        for method in &component.methods {
-            let mut names = method.params.clone();
-            for instr in &method.code {
-                match instr {
-                    Instr::StoreField { name, .. } => fields.push(name.clone()),
-                    Instr::StoreLocal { name, .. } => names.push(name.clone()),
-                    _ => {}
-                }
-            }
-            names.sort_unstable();
-            names.dedup();
-            locals.push(names);
-        }
-        fields.sort_unstable();
-        fields.dedup();
-        Layout { fields, locals }
-    }
-}
-
 impl Vm {
-    /// Encode the global section of the state: the shared fields. Lock
-    /// state lives in the thread sections (see
+    /// Encode the global section of the state: the field slots. Lock state
+    /// lives in the thread sections (see
     /// [`encode_thread`](Self::encode_thread)).
     pub(crate) fn encode_global(&self, out: &mut Vec<u32>) {
-        encode_map(&self.fields, &self.layout.fields, out);
+        for slot in &self.fields {
+            encode_slot(slot, out);
+        }
     }
 
-    /// Encode thread `i`'s section: its control state and frame, its last
-    /// coverage marker, the observable projection of its call results
-    /// (completed, returned value), and its role in every lock. The
-    /// section never names a thread index, so interchangeable threads in
-    /// the same situation encode identically.
+    /// Encode thread `i`'s section: its control state, frame and local
+    /// slots, its last coverage marker, the observable projection of its
+    /// call results (completed, returned value), and its role in every
+    /// lock. The section never names a thread index, so interchangeable
+    /// threads in the same situation encode identically.
     ///
     /// Lock roles are `(lock << 1, count)` for a held lock and
-    /// `(lock << 1 | 1, position)` for a wait-set entry. Together they
-    /// restore every lock exactly: a lock no thread holds has count 0, and
-    /// the positions rebuild the FIFO order. The call results are part of
-    /// the state because two paths that reach the same configuration with
-    /// different values already returned must not merge, or signature
-    /// enumeration would under-approximate; a result's method name is not
-    /// encoded, because call `k` of a thread is always its spec's call `k`.
+    /// `(lock << 1 | 1, position)` for the wait set the thread is in.
+    /// Together they restore every lock exactly: a lock no thread holds
+    /// has count 0, and the positions rebuild the FIFO order. The call
+    /// results are part of the state because two paths that reach the same
+    /// configuration with different values already returned must not
+    /// merge, or signature enumeration would under-approximate; a result's
+    /// method name is not encoded, because call `k` of a thread is always
+    /// its spec's call `k`.
     pub(crate) fn encode_thread(&self, i: usize, out: &mut Vec<u32>) {
         let t = &self.threads[i];
         out.push(t.call_idx as u32);
-        match &t.status {
+        match t.status {
             Status::Idle => out.push(0),
             Status::Running => out.push(1),
-            Status::BlockedEntry { lock } => out.extend([2, *lock as u32]),
-            Status::Waiting { lock, holds } => out.extend([3, *lock as u32, *holds]),
-            Status::Reacquire { lock, holds } => out.extend([4, *lock as u32, *holds]),
+            Status::BlockedEntry { lock } => out.extend([2, lock as u32]),
+            Status::Waiting { lock, holds, .. } => out.extend([3, lock as u32, holds]),
+            Status::Reacquire { lock, holds } => out.extend([4, lock as u32, holds]),
             Status::Finished => out.push(5),
             Status::Faulted => out.push(6),
         }
-        match &t.frame {
+        match t.frame {
             None => out.push(0),
             Some(f) => {
                 out.extend([1, f.method_idx as u32, f.pc as u32]);
-                encode_opt_value(&f.ret_reg, out);
-                encode_map(&f.locals, &self.layout.locals[f.method_idx], out);
+                encode_slot(&t.ret_reg, out);
+                let used = self.program.component.methods[f.method_idx].locals.len();
+                let base = i * self.program.frame_size;
+                for slot in &self.locals[base..base + used] {
+                    encode_slot(slot, out);
+                }
             }
         }
-        let marker = self.last_marker[i];
-        out.extend([marker as u32, (marker >> 32) as u32]);
-        out.push(self.results[i].len() as u32);
-        for call in &self.results[i] {
+        out.push(t.marker);
+        let calls = &self.calls[self.program.calls_of(i)];
+        let started = calls
+            .iter()
+            .take_while(|c| c.started_step.is_some())
+            .count();
+        out.push(started as u32);
+        for call in &calls[..started] {
             out.push(u32::from(call.completed_step.is_some()));
-            encode_opt_value(&call.returned, out);
+            encode_slot(&call.returned, out);
         }
         let roles = out.len();
         out.push(0);
@@ -145,47 +149,27 @@ impl Vm {
             if lock.owner == Some(i) {
                 out.extend([(l as u32) << 1, lock.count]);
             }
-            if let Some(pos) = lock.wait_set.iter().position(|&w| w == i) {
-                out.extend([(l as u32) << 1 | 1, pos as u32]);
-            }
+        }
+        if let Status::Waiting { lock, ticket, .. } = t.status {
+            let ahead = self
+                .threads
+                .iter()
+                .filter(|w| matches!(w.status, Status::Waiting { lock: l, ticket: u, .. } if l == lock && u < ticket))
+                .count();
+            out.extend([(lock as u32) << 1 | 1, ahead as u32]);
         }
         out[roles] = ((out.len() - roles - 1) / 2) as u32;
     }
 }
 
-/// Encode `map` as a presence bitmask over `names` followed by the present
-/// values in name order. `names` is sorted and holds every key.
-fn encode_map(map: &BTreeMap<String, Value>, names: &[String], out: &mut Vec<u32>) {
-    let mask = out.len();
-    out.resize(mask + names.len().div_ceil(32), 0);
-    if map.len() == names.len() {
-        // The keys are a subset of `names`, so equal sizes mean equal sets.
-        for slot in 0..names.len() {
-            out[mask + slot / 32] |= 1 << (slot % 32);
-        }
-        for value in map.values() {
-            encode_value(value, out);
-        }
-        return;
-    }
-    let mut slot = 0;
-    for (key, value) in map {
-        while names[slot] != *key {
-            slot += 1;
-        }
-        out[mask + slot / 32] |= 1 << (slot % 32);
-        encode_value(value, out);
-        slot += 1;
-    }
-}
-
-/// Encode a value. The low two bits of the first word say which kind
-/// follows, so the encoding is self-delimiting.
-fn encode_value(value: &Value, out: &mut Vec<u32>) {
-    match value {
-        Value::Int(n) => out.extend([0, *n as u32, (*n >> 32) as u32]),
-        Value::Bool(b) => out.push(1 | (u32::from(*b) << 2)),
-        Value::Str(s) => {
+/// Encode a slot. The low two bits of the first word say which kind
+/// follows (the fourth kind is an unset slot), so the encoding is
+/// self-delimiting.
+fn encode_slot(slot: &Slot, out: &mut Vec<u32>) {
+    match slot {
+        Some(Value::Int(n)) => out.extend([0, *n as u32, (*n >> 32) as u32]),
+        Some(Value::Bool(b)) => out.push(1 | (u32::from(*b) << 2)),
+        Some(Value::Str(s)) => {
             out.push(2 | ((s.len() as u32) << 2));
             out.extend(s.as_bytes().chunks(4).map(|c| {
                 c.iter()
@@ -193,13 +177,6 @@ fn encode_value(value: &Value, out: &mut Vec<u32>) {
                     .fold(0u32, |w, (i, &b)| w | (u32::from(b) << (8 * i)))
             }));
         }
-    }
-}
-
-/// Encode an optional value (`None` takes the fourth kind tag).
-fn encode_opt_value(value: &Option<Value>, out: &mut Vec<u32>) {
-    match value {
-        Some(v) => encode_value(v, out),
         None => out.push(3),
     }
 }
@@ -242,17 +219,38 @@ impl StateTable {
         }
     }
 
-    /// Intern `vm`'s state: its id and whether it is new.
-    pub(crate) fn intern(&mut self, vm: &Vm) -> (StateId, bool) {
-        self.scratch.clear();
-        vm.encode_global(&mut self.scratch);
-        self.root.clear();
-        self.root.push(intern(&mut self.globals, &self.scratch));
-        for i in 0..vm.thread_count() {
+    /// Intern `vm`'s state from scratch: its id and whether it is new.
+    /// `ids` receives the state's section ids, global first, in thread
+    /// order (before any symmetry sort).
+    pub(crate) fn intern_all(&mut self, vm: &Vm, ids: &mut Vec<u32>) -> (StateId, bool) {
+        ids.resize(1 + vm.thread_count(), 0);
+        self.intern_sections(vm, Dirty::ALL, ids)
+    }
+
+    /// Intern `vm`, one step past the state whose section ids `ids` holds:
+    /// only the sections that step changed are re-encoded and re-interned,
+    /// and `ids` is left holding `vm`'s own.
+    pub(crate) fn intern_step(&mut self, vm: &Vm, ids: &mut [u32]) -> (StateId, bool) {
+        self.intern_sections(vm, vm.dirty, ids)
+    }
+
+    fn intern_sections(&mut self, vm: &Vm, dirty: Dirty, ids: &mut [u32]) -> (StateId, bool) {
+        if dirty.global {
             self.scratch.clear();
-            vm.encode_thread(i, &mut self.scratch);
-            self.root.push(intern(&mut self.threads, &self.scratch));
+            vm.encode_global(&mut self.scratch);
+            ids[0] = intern(&mut self.globals, &self.scratch);
         }
+        for i in 0..vm.thread_count() {
+            if dirty.has_thread(i) {
+                self.scratch.clear();
+                vm.encode_thread(i, &mut self.scratch);
+                ids[1 + i] = intern(&mut self.threads, &self.scratch);
+            }
+        }
+        #[cfg(debug_assertions)]
+        self.assert_sections(vm, ids);
+        self.root.clear();
+        self.root.extend_from_slice(ids);
         for group in &self.groups {
             self.sorted.clear();
             self.sorted.extend(group.iter().map(|&i| self.root[1 + i]));
@@ -262,6 +260,28 @@ impl StateTable {
             }
         }
         self.roots.intern_hashed(&self.root, hash_words(&self.root))
+    }
+
+    /// The differential guard for incremental interning: every section id
+    /// in `ids` names exactly the words a full re-encoding of `vm` gives.
+    #[cfg(debug_assertions)]
+    fn assert_sections(&mut self, vm: &Vm, ids: &[u32]) {
+        self.scratch.clear();
+        vm.encode_global(&mut self.scratch);
+        assert_eq!(
+            self.globals.words(StateId(ids[0])),
+            &self.scratch[..],
+            "stale global section"
+        );
+        for i in 0..vm.thread_count() {
+            self.scratch.clear();
+            vm.encode_thread(i, &mut self.scratch);
+            assert_eq!(
+                self.threads.words(StateId(ids[1 + i])),
+                &self.scratch[..],
+                "stale section of thread {i}"
+            );
+        }
     }
 }
 
@@ -297,35 +317,40 @@ mod tests {
         run_until_stuck(&mut b, 1);
         run_until_stuck(&mut b, 0);
         assert!(a.runnable().is_empty() && b.runnable().is_empty());
+        let mut ids = Vec::new();
         let mut plain = StateTable::new(&vm, false);
-        assert_ne!(plain.intern(&a).0, plain.intern(&b).0);
+        assert_ne!(
+            plain.intern_all(&a, &mut ids).0,
+            plain.intern_all(&b, &mut ids).0
+        );
         let mut quotient = StateTable::new(&vm, true);
-        assert_eq!(quotient.intern(&a).0, quotient.intern(&b).0);
+        assert_eq!(
+            quotient.intern_all(&a, &mut ids).0,
+            quotient.intern_all(&b, &mut ids).0
+        );
     }
 
     #[test]
     fn value_encodings_are_distinct_and_self_delimiting() {
-        let values = [
-            Value::Int(0),
-            Value::Int(-1),
-            Value::Int(1 << 40),
-            Value::Bool(false),
-            Value::Bool(true),
-            Value::Str(String::new()),
-            Value::Str("abcd".into()),
-            Value::Str("abcde".into()),
+        let slots = [
+            Some(Value::Int(0)),
+            Some(Value::Int(-1)),
+            Some(Value::Int(1 << 40)),
+            Some(Value::Bool(false)),
+            Some(Value::Bool(true)),
+            Some(Value::Str("".into())),
+            Some(Value::Str("abcd".into())),
+            Some(Value::Str("abcde".into())),
+            None,
         ];
-        let mut encoded: Vec<Vec<u32>> = values
+        let encoded: Vec<Vec<u32>> = slots
             .iter()
-            .map(|v| {
+            .map(|slot| {
                 let mut words = Vec::new();
-                encode_value(v, &mut words);
+                encode_slot(slot, &mut words);
                 words
             })
             .collect();
-        let mut none = Vec::new();
-        encode_opt_value(&None, &mut none);
-        encoded.push(none);
         // No encoding is a prefix of another, so concatenations decode
         // unambiguously.
         for (i, a) in encoded.iter().enumerate() {
@@ -333,5 +358,36 @@ mod tests {
                 assert!(i == j || !b.starts_with(a), "{a:?} is a prefix of {b:?}");
             }
         }
+    }
+
+    #[test]
+    fn notify_dirties_every_waiter_and_nothing_else() {
+        let consumer = ThreadSpec {
+            name: "c".into(),
+            calls: vec![CallSpec::new("receive", vec![])],
+        };
+        let producer = ThreadSpec {
+            name: "p".into(),
+            calls: vec![CallSpec::new("send", vec![Value::Str("a".into())])],
+        };
+        let mut vm = Vm::new(
+            compile(&examples::producer_consumer()).unwrap(),
+            vec![consumer.clone(), consumer, producer],
+        );
+        run_until_stuck(&mut vm, 0);
+        run_until_stuck(&mut vm, 1);
+        // The producer's steps up to its notifyAll change its own section,
+        // and the fields when it stores; the notifyAll also changes both
+        // waiters'.
+        let mut woke = false;
+        while vm.runnable().contains(&2) {
+            vm.step(2);
+            let dirty = vm.dirty;
+            assert!(dirty.has_thread(2));
+            let waiters = dirty.has_thread(0) && dirty.has_thread(1);
+            assert_eq!(waiters, dirty.has_thread(0) || dirty.has_thread(1));
+            woke |= waiters;
+        }
+        assert!(woke, "the producer's notifyAll dirties both waiters");
     }
 }

@@ -1,11 +1,17 @@
-//! Runtime values and expression evaluation.
+//! Runtime values, slot-resolved expressions and their evaluation.
+//!
+//! `compile` resolves every field and local name an expression mentions to
+//! a slot index once (`SlotExpr::resolve`), so evaluation reads `&[Slot]`
+//! arrays instead of name-keyed maps. Reading a slot nothing has assigned
+//! raises the usual `undefined field` / `undefined local` fault.
 
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use jcc_model::ast::{BinOp, Builtin, Expr, Type, UnOp};
 
-/// A runtime value of the Monitor IR.
+/// A runtime value of the Monitor IR. Cloning one never allocates: strings
+/// are shared, immutable `Arc<str>`s.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Value {
     /// 64-bit signed integer.
@@ -13,8 +19,11 @@ pub enum Value {
     /// Boolean.
     Bool(bool),
     /// Immutable string.
-    Str(String),
+    Str(Arc<str>),
 }
+
+/// A field or local slot: `None` until something is stored in it.
+pub type Slot = Option<Value>;
 
 impl Value {
     /// The IR type of this value.
@@ -31,7 +40,7 @@ impl Value {
         match ty {
             Type::Int => Value::Int(0),
             Type::Bool => Value::Bool(false),
-            Type::Str => Value::Str(String::new()),
+            Type::Str => Value::Str("".into()),
         }
     }
 
@@ -96,32 +105,100 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
+/// An expression with every name resolved to a slot.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SlotExpr {
+    /// A literal.
+    Lit(Value),
+    /// The local (or parameter) in this slot of the executing frame.
+    Local(usize),
+    /// The component field in this slot.
+    Field(usize),
+    /// Unary operation.
+    Unary(UnOp, Box<SlotExpr>),
+    /// Binary operation.
+    Binary(BinOp, Box<SlotExpr>, Box<SlotExpr>),
+    /// Builtin call.
+    Call(Builtin, Vec<SlotExpr>),
+}
+
+impl SlotExpr {
+    /// Resolve `expr` against the slot names of the fields and of the
+    /// executing method's locals, giving every name it mentions a slot
+    /// (appended when new). `reads` receives the slot of every field
+    /// named, in tree order with repeats.
+    pub(crate) fn resolve(
+        expr: &Expr,
+        fields: &mut Vec<String>,
+        locals: &mut Vec<String>,
+        reads: &mut Vec<usize>,
+    ) -> SlotExpr {
+        let mut resolve = |e: &Expr| Self::resolve(e, fields, locals, reads);
+        match expr {
+            Expr::Int(n) => SlotExpr::Lit(Value::Int(*n)),
+            Expr::Bool(b) => SlotExpr::Lit(Value::Bool(*b)),
+            Expr::Str(s) => SlotExpr::Lit(Value::Str(s.as_str().into())),
+            Expr::Var(name) => SlotExpr::Local(slot_of(locals, name)),
+            Expr::Field(name) => {
+                let slot = slot_of(fields, name);
+                reads.push(slot);
+                SlotExpr::Field(slot)
+            }
+            Expr::Unary(op, e) => SlotExpr::Unary(*op, Box::new(resolve(e))),
+            Expr::Binary(op, a, b) => {
+                let a = resolve(a);
+                SlotExpr::Binary(*op, Box::new(a), Box::new(resolve(b)))
+            }
+            Expr::Call(builtin, args) => {
+                SlotExpr::Call(*builtin, args.iter().map(resolve).collect())
+            }
+        }
+    }
+}
+
+/// The slot of `name` in `names`, appending it when it has none.
+pub(crate) fn slot_of(names: &mut Vec<String>, name: &str) -> usize {
+    match names.iter().position(|n| n == name) {
+        Some(slot) => slot,
+        None => {
+            names.push(name.to_string());
+            names.len() - 1
+        }
+    }
+}
+
+/// One scope's slots and their names (the names only word faults).
+#[derive(Debug, Clone, Copy)]
+pub struct Scope<'a> {
+    /// The slot values.
+    pub slots: &'a [Slot],
+    /// The slot names, indexed like `slots`.
+    pub names: &'a [String],
+}
+
 /// The variable environment an expression is evaluated in.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 pub struct Env<'a> {
     /// Component fields (shared state).
-    pub fields: &'a BTreeMap<String, Value>,
+    pub fields: Scope<'a>,
     /// Locals and parameters of the executing frame.
-    pub locals: &'a BTreeMap<String, Value>,
+    pub locals: Scope<'a>,
+}
+
+/// Read `slot` of `scope`; an unset slot faults as an undefined `kind`.
+fn read(scope: Scope<'_>, slot: usize, kind: &str) -> Result<Value, EvalError> {
+    scope.slots[slot]
+        .clone()
+        .ok_or_else(|| EvalError::new(format!("undefined {kind} `{}`", scope.names[slot])))
 }
 
 /// Evaluate `expr` in `env`.
-pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
+pub fn eval(expr: &SlotExpr, env: &Env<'_>) -> Result<Value, EvalError> {
     match expr {
-        Expr::Int(n) => Ok(Value::Int(*n)),
-        Expr::Bool(b) => Ok(Value::Bool(*b)),
-        Expr::Str(s) => Ok(Value::Str(s.clone())),
-        Expr::Var(name) => env
-            .locals
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::new(format!("undefined local `{name}`"))),
-        Expr::Field(name) => env
-            .fields
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::new(format!("undefined field `{name}`"))),
-        Expr::Unary(op, e) => {
+        SlotExpr::Lit(v) => Ok(v.clone()),
+        SlotExpr::Local(slot) => read(env.locals, *slot, "local"),
+        SlotExpr::Field(slot) => read(env.fields, *slot, "field"),
+        SlotExpr::Unary(op, e) => {
             let v = eval(e, env)?;
             match op {
                 UnOp::Neg => Ok(Value::Int(
@@ -132,18 +209,23 @@ pub fn eval(expr: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
                 UnOp::Not => Ok(Value::Bool(!v.as_bool()?)),
             }
         }
-        Expr::Binary(op, a, b) => eval_binary(*op, a, b, env),
-        Expr::Call(builtin, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, env)?);
+        SlotExpr::Binary(op, a, b) => eval_binary(*op, a, b, env),
+        SlotExpr::Call(builtin, args) => {
+            // Every builtin takes one or two arguments; all are evaluated,
+            // in order, so a faulting argument faults the call.
+            let mut vals = [None, None];
+            for (i, a) in args.iter().enumerate() {
+                let v = eval(a, env)?;
+                if let Some(slot) = vals.get_mut(i) {
+                    *slot = Some(v);
+                }
             }
             eval_builtin(*builtin, &vals)
         }
     }
 }
 
-fn eval_binary(op: BinOp, a: &Expr, b: &Expr, env: &Env<'_>) -> Result<Value, EvalError> {
+fn eval_binary(op: BinOp, a: &SlotExpr, b: &SlotExpr, env: &Env<'_>) -> Result<Value, EvalError> {
     // Short-circuit operators first.
     match op {
         BinOp::And => {
@@ -196,26 +278,30 @@ fn eval_binary(op: BinOp, a: &Expr, b: &Expr, env: &Env<'_>) -> Result<Value, Ev
     }
 }
 
-fn eval_builtin(builtin: Builtin, args: &[Value]) -> Result<Value, EvalError> {
+fn eval_builtin(builtin: Builtin, args: &[Option<Value>; 2]) -> Result<Value, EvalError> {
+    let arg = |i: usize| {
+        args[i]
+            .as_ref()
+            .unwrap_or_else(|| panic!("`{}` called without argument {i}", builtin.name()))
+    };
     match builtin {
-        Builtin::Len => Ok(Value::Int(args[0].as_str()?.chars().count() as i64)),
+        Builtin::Len => Ok(Value::Int(arg(0).as_str()?.chars().count() as i64)),
         Builtin::CharAt => {
-            let s = args[0].as_str()?;
-            let i = args[1].as_int()?;
+            let s = arg(0).as_str()?;
+            let i = arg(1).as_int()?;
             let ch = usize::try_from(i)
                 .ok()
                 .and_then(|i| s.chars().nth(i))
                 .ok_or_else(|| {
                     EvalError::new(format!("string index {i} out of bounds for {s:?}"))
                 })?;
-            Ok(Value::Str(ch.to_string()))
+            Ok(Value::Str(ch.encode_utf8(&mut [0; 4]).into()))
         }
         Builtin::Concat => {
-            let mut s = args[0].as_str()?.to_string();
-            s.push_str(args[1].as_str()?);
-            Ok(Value::Str(s))
+            let (a, b) = (arg(0).as_str()?, arg(1).as_str()?);
+            Ok(Value::Str([a, b].concat().into()))
         }
-        Builtin::ToStr => Ok(Value::Str(args[0].as_int()?.to_string())),
+        Builtin::ToStr => Ok(Value::Str(arg(0).as_int()?.to_string().into())),
     }
 }
 
@@ -224,13 +310,43 @@ mod tests {
     use super::*;
     use jcc_model::ast::Builtin;
 
-    fn env_empty() -> (BTreeMap<String, Value>, BTreeMap<String, Value>) {
-        (BTreeMap::new(), BTreeMap::new())
+    /// Resolve `expr` against `fields` and `locals` (name, value) pairs and
+    /// evaluate it there; a name not in them gets an unset slot.
+    fn eval_in(
+        expr: &Expr,
+        fields: &[(&str, Slot)],
+        locals: &[(&str, Slot)],
+    ) -> Result<Value, EvalError> {
+        let names = |scope: &[(&str, Slot)]| scope.iter().map(|(n, _)| n.to_string()).collect();
+        let (mut field_names, mut local_names): (Vec<String>, Vec<String>) =
+            (names(fields), names(locals));
+        let resolved = SlotExpr::resolve(expr, &mut field_names, &mut local_names, &mut Vec::new());
+        let slots = |scope: &[(&str, Slot)], len: usize| {
+            let mut slots: Vec<Slot> = scope.iter().map(|(_, v)| v.clone()).collect();
+            slots.resize(len, None);
+            slots
+        };
+        let field_slots = slots(fields, field_names.len());
+        let local_slots = slots(locals, local_names.len());
+        let env = Env {
+            fields: Scope {
+                slots: &field_slots,
+                names: &field_names,
+            },
+            locals: Scope {
+                slots: &local_slots,
+                names: &local_names,
+            },
+        };
+        eval(&resolved, &env)
     }
 
     fn ev(expr: &Expr) -> Result<Value, EvalError> {
-        let (f, l) = env_empty();
-        eval(expr, &Env { fields: &f, locals: &l })
+        eval_in(expr, &[], &[])
+    }
+
+    fn fault(expr: &Expr, fields: &[(&str, Slot)], locals: &[(&str, Slot)]) -> String {
+        eval_in(expr, fields, locals).unwrap_err().message
     }
 
     #[test]
@@ -258,7 +374,7 @@ mod tests {
     #[test]
     fn division_by_zero_faults() {
         let e = Expr::Binary(BinOp::Div, Box::new(Expr::Int(1)), Box::new(Expr::Int(0)));
-        assert!(ev(&e).is_err());
+        assert_eq!(fault(&e, &[], &[]), "arithmetic fault in 1 / 0");
         let e = Expr::Binary(BinOp::Mod, Box::new(Expr::Int(1)), Box::new(Expr::Int(0)));
         assert!(ev(&e).is_err());
     }
@@ -290,26 +406,58 @@ mod tests {
             )),
         );
         assert_eq!(ev(&e).unwrap(), Value::Bool(false));
+        // Nor does a short-circuited read of an unassigned name.
+        let e = Expr::Binary(
+            BinOp::And,
+            Box::new(Expr::Bool(false)),
+            Box::new(Expr::Field("ghost".into())),
+        );
+        assert_eq!(ev(&e).unwrap(), Value::Bool(false));
     }
 
     #[test]
     fn fields_and_locals_resolve() {
-        let mut fields = BTreeMap::new();
-        fields.insert("f".to_string(), Value::Int(10));
-        let mut locals = BTreeMap::new();
-        locals.insert("x".to_string(), Value::Int(32));
-        let env = Env {
-            fields: &fields,
-            locals: &locals,
-        };
+        let fields = [("f", Some(Value::Int(10)))];
+        let locals = [("x", Some(Value::Int(32)))];
         let e = Expr::Binary(
             BinOp::Add,
             Box::new(Expr::Field("f".into())),
             Box::new(Expr::Var("x".into())),
         );
-        assert_eq!(eval(&e, &env).unwrap(), Value::Int(42));
-        assert!(eval(&Expr::Var("ghost".into()), &env).is_err());
-        assert!(eval(&Expr::Field("ghost".into()), &env).is_err());
+        assert_eq!(eval_in(&e, &fields, &locals).unwrap(), Value::Int(42));
+        assert_eq!(
+            fault(&Expr::Var("ghost".into()), &fields, &locals),
+            "undefined local `ghost`"
+        );
+        assert_eq!(
+            fault(&Expr::Field("ghost".into()), &fields, &locals),
+            "undefined field `ghost`"
+        );
+    }
+
+    #[test]
+    fn unset_slots_fault_like_missing_names() {
+        // A local read before it is assigned, and a field that is only
+        // ever stored to, have slots but no value yet.
+        let fields = [("later", None)];
+        let locals = [("tmp", None)];
+        assert_eq!(
+            fault(&Expr::Var("tmp".into()), &fields, &locals),
+            "undefined local `tmp`"
+        );
+        assert_eq!(
+            fault(&Expr::Field("later".into()), &fields, &locals),
+            "undefined field `later`"
+        );
+        // A field name never resolves to a local slot, nor the reverse.
+        assert_eq!(
+            fault(&Expr::Field("tmp".into()), &fields, &locals),
+            "undefined field `tmp`"
+        );
+        assert_eq!(
+            fault(&Expr::Var("later".into()), &fields, &locals),
+            "undefined local `later`"
+        );
     }
 
     #[test]
@@ -325,12 +473,17 @@ mod tests {
             Builtin::CharAt,
             vec![Expr::Str("abc".into()), Expr::Int(5)],
         );
-        assert!(ev(&oob).is_err());
+        assert_eq!(
+            fault(&oob, &[], &[]),
+            "string index 5 out of bounds for \"abc\""
+        );
         let neg = Expr::Call(
             Builtin::CharAt,
             vec![Expr::Str("abc".into()), Expr::Int(-1)],
         );
         assert!(ev(&neg).is_err());
+        let multibyte = Expr::Call(Builtin::CharAt, vec![Expr::Str("aé".into()), Expr::Int(1)]);
+        assert_eq!(ev(&multibyte).unwrap(), Value::Str("é".into()));
         let cc = Expr::Call(
             Builtin::Concat,
             vec![Expr::Str("ab".into()), Expr::Str("cd".into())],
@@ -338,13 +491,37 @@ mod tests {
         assert_eq!(ev(&cc).unwrap(), Value::Str("abcd".into()));
         let ts = Expr::Call(Builtin::ToStr, vec![Expr::Int(-7)]);
         assert_eq!(ev(&ts).unwrap(), Value::Str("-7".into()));
+        // Builtins read slots like any other expression.
+        let locals = [
+            ("s", Some(Value::Str("xy".into()))),
+            ("i", Some(Value::Int(1))),
+        ];
+        let at = Expr::Call(
+            Builtin::CharAt,
+            vec![Expr::Var("s".into()), Expr::Var("i".into())],
+        );
+        assert_eq!(eval_in(&at, &[], &locals).unwrap(), Value::Str("y".into()));
+        let cc = Expr::Call(
+            Builtin::Concat,
+            vec![
+                Expr::Var("s".into()),
+                Expr::Call(Builtin::ToStr, vec![Expr::Var("i".into())]),
+            ],
+        );
+        assert_eq!(
+            eval_in(&cc, &[], &locals).unwrap(),
+            Value::Str("xy1".into())
+        );
+        // A type error names the offending value.
+        let bad = Expr::Call(Builtin::ToStr, vec![Expr::Var("s".into())]);
+        assert_eq!(fault(&bad, &[], &locals), "expected int, got \"xy\"");
     }
 
     #[test]
     fn value_helpers() {
         assert_eq!(Value::default_of(Type::Int), Value::Int(0));
         assert_eq!(Value::default_of(Type::Bool), Value::Bool(false));
-        assert_eq!(Value::default_of(Type::Str), Value::Str(String::new()));
+        assert_eq!(Value::default_of(Type::Str), Value::Str("".into()));
         assert_eq!(Value::Int(1).ty(), Type::Int);
         assert!(Value::Bool(true).as_int().is_err());
         assert!(Value::Int(1).as_bool().is_err());
@@ -359,6 +536,6 @@ mod tests {
             Box::new(Expr::Int(1)),
             Box::new(Expr::Bool(true)),
         );
-        assert!(ev(&e).is_err());
+        assert_eq!(fault(&e, &[], &[]), "== on mismatched types");
     }
 }

@@ -140,7 +140,7 @@ fn native_and_vm_return_same_values() {
     let vm_chars: Vec<String> = out.results[1]
         .iter()
         .map(|r| match &r.returned {
-            Some(Value::Str(s)) => s.clone(),
+            Some(Value::Str(s)) => s.to_string(),
             other => panic!("{other:?}"),
         })
         .collect();

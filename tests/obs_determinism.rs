@@ -158,6 +158,30 @@ fn vm_transition_counters_populated_under_observation() {
 }
 
 #[test]
+fn explore_layer_split_is_sampled_only_under_observation() {
+    // One transition in 64 is timed into the clone / step / intern
+    // histograms — under observation only, and without touching the search.
+    let _guard = obs_lock();
+    let layers = [
+        "vm.explore.clone_ns",
+        "vm.explore.step_ns",
+        "vm.explore.intern_ns",
+    ];
+    let counts = || layers.map(|name| obs::global().histogram(name).snapshot().count);
+    let off = with_level(obs::ObsLevel::Off, || {
+        explore(pc_vm(), &ExploreConfig::default(), None)
+    });
+    assert_eq!(counts(), [0; 3]);
+    let on = with_level(obs::ObsLevel::Summary, || {
+        explore(pc_vm(), &ExploreConfig::default(), None)
+    });
+    assert_eq!(on.tally(), off.tally());
+    let sampled = on.transitions.div_ceil(64) as u64;
+    assert!(sampled > 1, "{} transitions", on.transitions);
+    assert_eq!(counts(), [sampled; 3]);
+}
+
+#[test]
 fn timeline_renderings_identical_at_any_observation_level() {
     // The causal timeline is a pure function of the witness trace, and the
     // exhaustive DFS fixes the witness — so both the ASCII chart and the

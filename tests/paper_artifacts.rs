@@ -109,7 +109,7 @@ fn figure2_behaviour_via_vm() {
     let received: String = out.results[0]
         .iter()
         .map(|r| match &r.returned {
-            Some(jcc_core::vm::Value::Str(s)) => s.clone(),
+            Some(jcc_core::vm::Value::Str(s)) => s.to_string(),
             other => panic!("{other:?}"),
         })
         .collect();

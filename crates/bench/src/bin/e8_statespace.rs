@@ -207,55 +207,6 @@ fn main() {
         reporter.set_derived("vm_reduction_factor", vm_reduction_factor);
     }
 
-    // --- packed vs boxed representation, same net, same engine shape ---
-    // An 8-place token ring with 10 tokens: C(17,7) = 19448 reachable
-    // markings, eligible for the packed `u64` representation. The boxed
-    // reference engine explores the identical net for the before/after
-    // comparison the interning work targets.
-    {
-        let mut b = jcc_core::petri::NetBuilder::new();
-        let places: Vec<_> = (0..8)
-            .map(|i| b.place(format!("r{i}"), if i == 0 { 10 } else { 0 }))
-            .collect();
-        for i in 0..8 {
-            b.transition(format!("step{i}"), &[places[i]], &[places[(i + 1) % 8]]);
-        }
-        let ring = b.build().unwrap();
-        let limits = ReachLimits::default();
-        // Warmed, interleaved best-of-3, the same harness the obs-overhead
-        // measurement uses.
-        let (mut packed, mut boxed) = (None, None);
-        let ab = jcc_core::obs::ab_best_of_3(
-            || {
-                let t0 = Instant::now();
-                packed = Some(ReachGraph::explore(&ring, limits));
-                t0.elapsed().as_secs_f64()
-            },
-            || {
-                let t0 = Instant::now();
-                boxed = Some(ReachGraph::explore_boxed(&ring, limits, |_, _| true));
-                t0.elapsed().as_secs_f64()
-            },
-        );
-        let (packed, boxed) = (packed.unwrap(), boxed.unwrap());
-        let (packed_time, boxed_time) = (ab.best_off, ab.best_on);
-        assert_eq!(packed.stats(), boxed.stats(), "engines must agree");
-        let packed_rate = packed.stats().states as f64 / packed_time.max(1e-9);
-        let boxed_rate = boxed.stats().states as f64 / boxed_time.max(1e-9);
-        say!(
-            "\n--- packed vs boxed (8-place ring, {} states) ---\n\
-             packed {:.4}s ({:.0} states/s), boxed {:.4}s ({:.0} states/s) -> x{:.2}",
-            packed.stats().states,
-            packed_time,
-            packed_rate,
-            boxed_time,
-            boxed_rate,
-            packed_rate / boxed_rate.max(1e-9)
-        );
-        reporter.set_derived("packed_states_per_sec", packed_rate);
-        reporter.set_derived("boxed_states_per_sec", boxed_rate);
-    }
-
     let vm = Vm::new(compiled.clone(), {
         let mut t = vec![ThreadSpec {
             name: "p".into(),
@@ -349,5 +300,22 @@ fn main() {
         reporter.set_derived("capture_latency_p90_ns", p90 as f64);
         reporter.set_derived("capture_latency_p99_ns", p99 as f64);
     }
+
+    // Per-engine throughput: each engine's states over its own span's
+    // total time, so neither figure mixes workloads the way the run-wide
+    // `states_per_sec` does.
+    let reg = jcc_core::obs::global();
+    let rate = |states: &str, span: &str| {
+        let secs = reg.histogram(span).snapshot().sum as f64 / 1e9;
+        reg.counter(states).get() as f64 / secs.max(1e-9)
+    };
+    reporter.set_derived(
+        "petri_states_per_sec",
+        rate("petri.reach.states", "span.petri.reach.sequential"),
+    );
+    reporter.set_derived(
+        "vm_states_per_sec",
+        rate("vm.explore.states", "span.vm.explore"),
+    );
     reporter.finish();
 }

@@ -1,6 +1,6 @@
 //! Metrics exposition: a Prometheus-text-format snapshot of a registry,
-//! and a minimal blocking-thread-per-connection HTTP listener serving it
-//! (the `--expose=PORT` flag; the groundwork for `jcc-serve`).
+//! and a minimal one-thread HTTP listener serving it (the `--expose=PORT`
+//! flag; the groundwork for `jcc-serve`).
 //!
 //! The format targets Prometheus text exposition 0.0.4: `# TYPE` comments,
 //! one sample per line, histograms as cumulative `_bucket{le="…"}` series
@@ -80,9 +80,12 @@ pub fn render_prometheus(reg: &Registry) -> String {
 
 /// A minimal metrics endpoint: a `TcpListener` accept loop that answers
 /// every connection with one `HTTP/1.0 200` response carrying
-/// [`render_prometheus`] of the global registry, one blocking thread per
-/// connection. No routing, no keep-alive — exactly enough for
-/// `curl localhost:PORT/metrics` and a Prometheus scrape.
+/// [`render_prometheus`] of the global registry. Each scrape is served on
+/// the accept thread itself, under a 500 ms timeout both ways, so the server
+/// runs exactly one thread however many clients connect; a silent client
+/// delays the queue by at most one timeout. No routing, no keep-alive —
+/// exactly enough for `curl localhost:PORT/metrics` and a Prometheus
+/// scrape.
 #[derive(Debug)]
 pub struct ExposeServer {
     addr: SocketAddr,
@@ -90,10 +93,15 @@ pub struct ExposeServer {
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
+/// How long one scrape may block on reading its request or writing its
+/// response.
+const IO_TIMEOUT: Duration = Duration::from_millis(500);
+
 fn serve_conn(mut stream: TcpStream) {
     // Drain (a prefix of) the request so well-behaved clients aren't cut
     // off mid-send; the response is the same whatever they asked for.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
+    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let mut buf = [0u8; 1024];
     let _ = stream.read(&mut buf);
     let body = render_prometheus(global());
@@ -121,10 +129,9 @@ impl ExposeServer {
                     if stop2.load(Ordering::Relaxed) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
-                    let _ = std::thread::Builder::new()
-                        .name("jcc-obs-expose-conn".to_string())
-                        .spawn(move || serve_conn(stream));
+                    if let Ok(stream) = conn {
+                        serve_conn(stream);
+                    }
                 }
             })?;
         Ok(ExposeServer {
@@ -247,9 +254,33 @@ mod tests {
         let addr = server.local_addr();
         let body = fetch_metrics(addr).expect("fetch metrics");
         assert!(body.contains("jcc_expose_test_hits 3"), "{body}");
-        // Two fetches: thread-per-conn keeps serving.
+        // Two fetches: the accept loop keeps serving.
         let again = fetch_metrics(addr).expect("second fetch");
         assert!(again.contains("jcc_expose_test_hits"), "{again}");
+        server.stop();
+    }
+
+    /// A flood of clients that never send is served one at a time on the
+    /// accept thread: no per-connection thread exists while they hang, and
+    /// the endpoint still answers once they go away.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_silent_connection_flood_spawns_no_threads() {
+        let server = ExposeServer::start(0).expect("bind ephemeral port");
+        let addr = server.local_addr();
+        let silent: Vec<TcpStream> = (0..16)
+            .map(|_| TcpStream::connect(addr).expect("connect"))
+            .collect();
+        std::thread::sleep(Duration::from_millis(100));
+        // Thread names are truncated to 15 bytes in `comm`.
+        let per_connection = std::fs::read_dir("/proc/self/task")
+            .expect("list threads")
+            .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("jcc-obs-expose-"))
+            .count();
+        assert_eq!(per_connection, 0, "one thread per connection");
+        drop(silent);
+        fetch_metrics(addr).expect("fetch after the flood");
         server.stop();
     }
 }

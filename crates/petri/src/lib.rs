@@ -40,7 +40,5 @@ pub use net::{Marking, Net, NetBuilder, NetError, PlaceId, TransId};
 pub use parallel::{parallel_map, Parallelism};
 pub use reach::{ReachGraph, ReachLimits, ReachStats};
 pub use reduce::{Reduction, StubbornSets, SymmetrySpec};
-pub use state::{
-    PackedMarking, PackedNet, SliceStore, StateId, StateStore, MAX_PACKED_PLACES,
-};
+pub use state::{SliceStore, StateId, StateStore};
 pub use transition::{Deviation, FailureClass, Transition, ALL_FAILURE_CLASSES};

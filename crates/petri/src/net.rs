@@ -167,8 +167,7 @@ impl NetBuilder {
     /// Duplicate arcs between one transition and one place are folded into
     /// a single arc with the summed weight, so `enabled` (per-arc weight
     /// check) and `fire` (per-arc token movement) always agree on the
-    /// aggregate demand — and so the packed firing engine's per-place
-    /// delta words describe exactly the same semantics.
+    /// aggregate demand.
     pub fn build(mut self) -> Result<Net, NetError> {
         let mut seen = std::collections::HashSet::new();
         for name in self

@@ -1,17 +1,14 @@
 //! Reachability analysis: exhaustive state-space exploration with
 //! configurable limits, deadlock detection and boundedness statistics.
 //!
-//! One sequential BFS engine per state representation (see
-//! [`crate::state`]): nets with at most [`crate::state::MAX_PACKED_PLACES`]
-//! places and byte-range token counts explore entirely over `Copy`
-//! [`PackedMarking`] words, and wider nets intern each marking once into a
-//! [`StateStore`] arena so the frontier and dedup maps carry dense `u32`
-//! ids instead of cloned boxed slices. Dedup hashing uses the vendored
-//! deterministic FxHash. State ids are discovery order and edge lists are
-//! in transition order, so a graph is a pure function of the net and the
-//! limits. The pre-interning engine survives as
-//! [`ReachGraph::explore_boxed`], the reference for differential tests and
-//! benchmarks.
+//! One sequential BFS engine explores every net: each marking is interned
+//! once into a [`StateStore`] arena (see [`crate::state`]), so the frontier
+//! and the dedup index carry dense `u32` ids instead of cloned boxed
+//! slices, and firing writes into a reused scratch marking. Dedup hashing
+//! uses the vendored deterministic FxHash. State ids are discovery order
+//! and edge lists are in transition order, so a graph is a pure function
+//! of the net and the limits. The differential tests compare the engine
+//! against a pre-interning boxed reference kept in this module's tests.
 //!
 //! A truncated exploration (state limit or token bound) keeps the exact
 //! prefix it discovered and records in [`ReachStats::expanded`] how many
@@ -28,22 +25,19 @@
 //! side-condition filters carry dependencies the static independence
 //! relation cannot see.
 //!
-//! When `jcc-obs` recording is enabled, the engines publish `petri.reach.*`
+//! When `jcc-obs` recording is enabled, the engine publishes `petri.reach.*`
 //! metrics (states, edges, deadlocks, dedup hits, frontier high-water,
-//! interned/packed state counts, truncations) and time themselves under
-//! `span.petri.reach.sequential`. Tallies are accumulated in plain locals
-//! and flushed once per exploration, so the hot loop is untouched and
-//! totals are deterministic; observation never changes the resulting
-//! graph.
+//! truncations) and times itself under `span.petri.reach.sequential`.
+//! Tallies are accumulated in plain locals and flushed once per
+//! exploration, so the hot loop is untouched and totals are deterministic;
+//! observation never changes the resulting graph.
 
-use std::collections::{HashMap, VecDeque};
-
-use fxhash::FxHashMap;
+use std::collections::VecDeque;
 
 use crate::net::{Marking, Net, TransId};
 use crate::parallel::Parallelism;
 use crate::reduce::{LaneCanon, Reduction, StubbornSets, SymmetrySpec};
-use crate::state::{PackedMarking, PackedNet, StateId, StateStore};
+use crate::state::{StateId, StateStore};
 
 /// Limits on state-space exploration.
 #[derive(Debug, Clone, Copy)]
@@ -56,8 +50,8 @@ pub struct ReachLimits {
     /// Ignored: exploration is single-threaded.
     pub parallelism: Parallelism,
     /// State-space reduction knobs (symmetry quotient + ample sets).
-    /// Off by default; ignored by [`ReachGraph::explore_filtered`] and
-    /// [`ReachGraph::explore_boxed`], which stay exhaustive ground truth.
+    /// Off by default; ignored by [`ReachGraph::explore_filtered`], which
+    /// stays exhaustive.
     pub reduction: Reduction,
 }
 
@@ -104,8 +98,8 @@ impl ActiveReduction {
     }
 }
 
-/// Per-exploration tallies the interned engines accumulate in locals and
-/// flush once, keeping the hot loop free of registry traffic.
+/// Per-exploration tallies the engine accumulates in locals and flushes
+/// once, keeping the hot loop free of registry traffic.
 #[derive(Default)]
 struct Tallies {
     dedup_hits: u64,
@@ -114,8 +108,6 @@ struct Tallies {
     symmetry_hits: u64,
     ample_active: bool,
     symmetry_active: bool,
-    /// The exploration ran over packed `u64` markings.
-    packed: bool,
 }
 
 /// Why exploration stopped before exhausting the state space.
@@ -154,7 +146,6 @@ pub struct ReachStats {
 #[derive(Debug, Clone)]
 pub struct ReachGraph {
     markings: Vec<Marking>,
-    index: FxHashMap<Marking, usize>,
     /// edges[state] = (transition fired, successor state)
     edges: Vec<Vec<(TransId, usize)>>,
     stats: ReachStats,
@@ -187,9 +178,11 @@ impl ReachGraph {
         Self::explore_with(net, limits, &filter, ActiveReduction::none())
     }
 
-    /// Shared dispatch behind [`ReachGraph::explore`] and
-    /// [`ReachGraph::explore_filtered`]: packed engine when the net fits
-    /// one `u64` per marking, interned wide engine otherwise.
+    /// The one engine behind [`ReachGraph::explore`] and
+    /// [`ReachGraph::explore_filtered`]: a BFS whose markings are interned
+    /// once into a [`StateStore`] arena, with a cursor over its dense ids
+    /// as the frontier; the only per-state allocation left is the arena
+    /// growth itself.
     fn explore_with(
         net: &Net,
         limits: ReachLimits,
@@ -203,229 +196,6 @@ impl ReachGraph {
         if live {
             jcc_obs::reach_progress().begin(limits.max_states as u64);
         }
-        let graph = match PackedNet::try_new(net, &limits) {
-            Some(pn) => Self::explore_packed(net, &pn, limits, filter, &mut red),
-            None => Self::explore_wide(net, limits, filter, &mut red),
-        };
-        if live {
-            jcc_obs::reach_progress().finish(graph.stats.states as u64);
-        }
-        graph
-    }
-
-    /// The pre-interning single-threaded engine, kept verbatim as the
-    /// reference implementation: boxed markings in a `VecDeque` frontier,
-    /// SipHash dedup map, one clone per queue hop. Differential tests pit
-    /// the interned engines against it, and the benchmark suite uses it to
-    /// measure the packed-vs-boxed gap. Never publishes obs metrics, so a
-    /// reference run does not pollute throughput counters.
-    pub fn explore_boxed(
-        net: &Net,
-        limits: ReachLimits,
-        filter: impl Fn(&Marking, TransId) -> bool,
-    ) -> ReachGraph {
-        let mut markings: Vec<Marking> = Vec::new();
-        let mut index: HashMap<Marking, usize> = HashMap::new();
-        let mut edges: Vec<Vec<(TransId, usize)>> = Vec::new();
-        let mut queue = VecDeque::new();
-        let mut truncated = None;
-        let mut max_tokens_seen = 0;
-        let mut expanded = 0;
-
-        let m0 = net.initial_marking();
-        max_tokens_seen = max_tokens_seen.max(m0.0.iter().copied().max().unwrap_or(0));
-        index.insert(m0.clone(), 0);
-        markings.push(m0);
-        edges.push(Vec::new());
-        queue.push_back(0usize);
-
-        'outer: while let Some(cur) = queue.pop_front() {
-            let marking = markings[cur].clone();
-            for t in net.transitions() {
-                if !net.enabled(&marking, t) || !filter(&marking, t) {
-                    continue;
-                }
-                let next = net.fire(&marking, t).expect("enabled");
-                let peak = next.0.iter().copied().max().unwrap_or(0);
-                if peak > limits.max_tokens_per_place {
-                    let place_index = next
-                        .0
-                        .iter()
-                        .position(|&x| x > limits.max_tokens_per_place)
-                        .unwrap_or(0);
-                    truncated = Some(Truncation::TokenBound { place_index });
-                    break 'outer;
-                }
-                max_tokens_seen = max_tokens_seen.max(peak);
-                let next_id = match index.get(&next) {
-                    Some(&id) => id,
-                    None => {
-                        if markings.len() >= limits.max_states {
-                            truncated = Some(Truncation::StateLimit);
-                            break 'outer;
-                        }
-                        let id = markings.len();
-                        index.insert(next.clone(), id);
-                        markings.push(next);
-                        edges.push(Vec::new());
-                        queue.push_back(id);
-                        id
-                    }
-                };
-                edges[cur].push((t, next_id));
-            }
-            // Ids leave the queue in order, so `0..=cur` are now expanded.
-            expanded = cur + 1;
-        }
-
-        let deadlocks = markings.iter().filter(|m| net.is_deadlocked(m)).count();
-        let edge_count = edges.iter().map(Vec::len).sum();
-        let stats = ReachStats {
-            states: markings.len(),
-            edges: edge_count,
-            deadlocks,
-            max_tokens_seen,
-            truncated,
-            expanded,
-        };
-        ReachGraph {
-            markings,
-            index: index.into_iter().collect(),
-            edges,
-            stats,
-        }
-    }
-
-    /// BFS over `u64`-packed markings: the frontier is an arena cursor (no
-    /// queue allocation at all), dedup is a word → id map, and firing is
-    /// two wide adds per transition.
-    fn explore_packed(
-        net: &Net,
-        pn: &PackedNet,
-        limits: ReachLimits,
-        filter: &impl Fn(&Marking, TransId) -> bool,
-        red: &mut ActiveReduction,
-    ) -> ReachGraph {
-        let bound = limits.max_tokens_per_place;
-        let places = net.num_places();
-        let sym = red.symmetry;
-        let mut tallies = Tallies {
-            ample_active: red.stubborn.is_some(),
-            symmetry_active: sym.is_some(),
-            packed: true,
-            ..Tallies::default()
-        };
-        let mut ample_buf: Vec<TransId> = Vec::new();
-        let mut states: Vec<PackedMarking> = Vec::new();
-        let mut seen: FxHashMap<u64, u32> = FxHashMap::default();
-        let mut edges: Vec<Vec<(TransId, usize)>> = Vec::new();
-        let mut truncated = None;
-
-        let mut m0 = pn.initial();
-        if let Some(s) = sym {
-            m0 = s.canonicalize_packed(m0);
-        }
-        let mut max_tokens_seen = (0..places).map(|i| m0.tokens(i)).max().unwrap_or(0);
-        seen.insert(m0.0, 0);
-        states.push(m0);
-        edges.push(Vec::new());
-
-        // `filter` speaks boxed markings; one scratch buffer serves every
-        // expanded state.
-        let mut scratch = net.initial_marking();
-        let mut cur = 0usize;
-        // States `cur..states.len()` *are* the BFS queue: ids are assigned
-        // in discovery order, so the arena doubles as the frontier.
-        'outer: while cur < states.len() {
-            tallies.frontier_peak = tallies.frontier_peak.max(states.len() - cur);
-            if cur & 1023 == 0 && jcc_obs::progress_enabled() {
-                let cell = jcc_obs::reach_progress();
-                cell.publish(states.len() as u64, (states.len() - cur) as u64, cur as u64);
-                cell.set_saved(tallies.ample_pruned + tallies.symmetry_hits);
-            }
-            let m = states[cur];
-            m.unpack_into(&mut scratch.0);
-            // One successor: fire, canonicalize, dedup, record the edge.
-            macro_rules! visit {
-                ($t:expr) => {{
-                    let t = $t;
-                    let next = match pn.fire(m, t, bound, &mut max_tokens_seen) {
-                        Ok(next) => next,
-                        Err(place_index) => {
-                            truncated = Some(Truncation::TokenBound { place_index });
-                            break 'outer;
-                        }
-                    };
-                    let next = match sym {
-                        Some(s) => {
-                            let canon = s.canonicalize_packed(next);
-                            if canon.0 != next.0 {
-                                tallies.symmetry_hits += 1;
-                            }
-                            canon
-                        }
-                        None => next,
-                    };
-                    let next_id = match seen.get(&next.0) {
-                        Some(&id) => {
-                            tallies.dedup_hits += 1;
-                            id as usize
-                        }
-                        None => {
-                            if states.len() >= limits.max_states {
-                                truncated = Some(Truncation::StateLimit);
-                                break 'outer;
-                            }
-                            let id = states.len();
-                            seen.insert(next.0, id as u32);
-                            states.push(next);
-                            edges.push(Vec::new());
-                            id
-                        }
-                    };
-                    edges[cur].push((t, next_id));
-                }};
-            }
-            if let Some(st) = red.stubborn.as_mut() {
-                let n_enabled = st.ample_into(&scratch.0, &mut ample_buf);
-                tallies.ample_pruned += (n_enabled - ample_buf.len()) as u64;
-                for &t in &ample_buf {
-                    visit!(t);
-                }
-            } else {
-                for t in net.transitions() {
-                    if !pn.enabled(m, t) || !filter(&scratch, t) {
-                        continue;
-                    }
-                    visit!(t);
-                }
-            }
-            cur += 1;
-        }
-
-        let markings: Vec<Marking> = states.iter().map(|s| s.unpack(places)).collect();
-        // A truncating `break` leaves `cur` at the state it was expanding.
-        let expanded = cur;
-        Self::finish(
-            net,
-            markings,
-            edges,
-            max_tokens_seen,
-            truncated,
-            expanded,
-            tallies,
-        )
-    }
-
-    /// BFS for nets too wide to pack: markings are interned once into a
-    /// [`StateStore`] arena and the frontier is a cursor over its dense
-    /// ids; the only per-state allocation left is the arena growth itself.
-    fn explore_wide(
-        net: &Net,
-        limits: ReachLimits,
-        filter: &impl Fn(&Marking, TransId) -> bool,
-        red: &mut ActiveReduction,
-    ) -> ReachGraph {
         let places = net.num_places();
         let mut tallies = Tallies {
             ample_active: red.stubborn.is_some(),
@@ -525,21 +295,23 @@ impl ReachGraph {
             cur += 1;
         }
 
-        let markings = store.to_markings();
-        let expanded = cur;
-        Self::finish(
+        // A truncating `break` leaves `cur` at the state it was expanding.
+        let graph = Self::finish(
             net,
-            markings,
+            store.to_markings(),
             edges,
             max_tokens_seen,
             truncated,
-            expanded,
+            cur,
             tallies,
-        )
+        );
+        if live {
+            jcc_obs::reach_progress().finish(graph.stats.states as u64);
+        }
+        graph
     }
 
-    /// Shared tail of the interned engines: stats, obs flush, index
-    /// build.
+    /// The engine's tail: stats and the obs flush.
     fn finish(
         net: &Net,
         markings: Vec<Marking>,
@@ -580,21 +352,9 @@ impl ReachGraph {
             if stats.truncated.is_some() {
                 reg.counter("petri.reach.truncations").inc();
             }
-            // Which state representation carried the exploration.
-            reg.counter("petri.reach.interned").add(stats.states as u64);
-            if tallies.packed {
-                reg.counter("petri.reach.packed").add(stats.states as u64);
-            }
         }
-        let index = markings
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, m)| (m, i))
-            .collect();
         ReachGraph {
             markings,
-            index,
             edges,
             stats,
         }
@@ -613,11 +373,6 @@ impl ReachGraph {
     /// Outgoing edges of state `i` as (transition, successor-state) pairs.
     pub fn successors(&self, i: usize) -> &[(TransId, usize)] {
         &self.edges[i]
-    }
-
-    /// Look up a marking's state index.
-    pub fn state_of(&self, m: &Marking) -> Option<usize> {
-        self.index.get(m).copied()
     }
 
     /// Indices of dead markings: expanded states with no explored
@@ -724,6 +479,87 @@ mod tests {
     use crate::java_model::JavaNet;
     use crate::net::NetBuilder;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// The pre-interning engine, kept verbatim as the reference the
+    /// differential tests compare [`ReachGraph::explore`] against: boxed
+    /// markings in a `VecDeque` frontier, SipHash dedup map, one clone per
+    /// queue hop. Never publishes obs metrics.
+    fn explore_boxed(
+        net: &Net,
+        limits: ReachLimits,
+        filter: impl Fn(&Marking, TransId) -> bool,
+    ) -> ReachGraph {
+        let mut markings: Vec<Marking> = Vec::new();
+        let mut index: HashMap<Marking, usize> = HashMap::new();
+        let mut edges: Vec<Vec<(TransId, usize)>> = Vec::new();
+        let mut queue = VecDeque::new();
+        let mut truncated = None;
+        let mut max_tokens_seen = 0;
+        let mut expanded = 0;
+
+        let m0 = net.initial_marking();
+        max_tokens_seen = max_tokens_seen.max(m0.0.iter().copied().max().unwrap_or(0));
+        index.insert(m0.clone(), 0);
+        markings.push(m0);
+        edges.push(Vec::new());
+        queue.push_back(0usize);
+
+        'outer: while let Some(cur) = queue.pop_front() {
+            let marking = markings[cur].clone();
+            for t in net.transitions() {
+                if !net.enabled(&marking, t) || !filter(&marking, t) {
+                    continue;
+                }
+                let next = net.fire(&marking, t).expect("enabled");
+                let peak = next.0.iter().copied().max().unwrap_or(0);
+                if peak > limits.max_tokens_per_place {
+                    let place_index = next
+                        .0
+                        .iter()
+                        .position(|&x| x > limits.max_tokens_per_place)
+                        .unwrap_or(0);
+                    truncated = Some(Truncation::TokenBound { place_index });
+                    break 'outer;
+                }
+                max_tokens_seen = max_tokens_seen.max(peak);
+                let next_id = match index.get(&next) {
+                    Some(&id) => id,
+                    None => {
+                        if markings.len() >= limits.max_states {
+                            truncated = Some(Truncation::StateLimit);
+                            break 'outer;
+                        }
+                        let id = markings.len();
+                        index.insert(next.clone(), id);
+                        markings.push(next);
+                        edges.push(Vec::new());
+                        queue.push_back(id);
+                        id
+                    }
+                };
+                edges[cur].push((t, next_id));
+            }
+            // Ids leave the queue in order, so `0..=cur` are now expanded.
+            expanded = cur + 1;
+        }
+
+        let deadlocks = markings.iter().filter(|m| net.is_deadlocked(m)).count();
+        let edge_count = edges.iter().map(Vec::len).sum();
+        let stats = ReachStats {
+            states: markings.len(),
+            edges: edge_count,
+            deadlocks,
+            max_tokens_seen,
+            truncated,
+            expanded,
+        };
+        ReachGraph {
+            markings,
+            edges,
+            stats,
+        }
+    }
 
     #[test]
     fn single_thread_java_net_has_five_states() {
@@ -840,15 +676,6 @@ mod tests {
         assert_eq!(g.path_to(0), Some(vec![]));
     }
 
-    #[test]
-    fn state_lookup_roundtrip() {
-        let j = JavaNet::new(1);
-        let g = ReachGraph::explore(j.net(), ReachLimits::default());
-        for (i, m) in g.markings().iter().enumerate() {
-            assert_eq!(g.state_of(m), Some(i));
-        }
-    }
-
     /// Full structural equality between two explorations (markings, edge
     /// lists and stats — the graph's entire observable state).
     fn assert_graphs_identical(a: &ReachGraph, b: &ReachGraph) {
@@ -861,32 +688,25 @@ mod tests {
 
     #[test]
     fn boxed_reference_matches_interned_engines_on_java_nets() {
-        // n=1 → 5 places (packed engine); n=2 → 9 places (wide engine).
         for n in 1..=2 {
             let j = JavaNet::new(n);
             let interned = ReachGraph::explore(j.net(), ReachLimits::default());
-            let boxed =
-                ReachGraph::explore_boxed(j.net(), ReachLimits::default(), |_, _| true);
+            let boxed = explore_boxed(j.net(), ReachLimits::default(), |_, _| true);
             assert_graphs_identical(&interned, &boxed);
             let interned = ReachGraph::explore_filtered(
                 j.net(),
                 ReachLimits::default(),
                 j.notify_side_condition(),
             );
-            let boxed = ReachGraph::explore_boxed(
-                j.net(),
-                ReachLimits::default(),
-                j.notify_side_condition(),
-            );
+            let boxed = explore_boxed(j.net(), ReachLimits::default(), j.notify_side_condition());
             assert_graphs_identical(&interned, &boxed);
         }
     }
 
     #[test]
     fn overloaded_initial_marking_truncates_identically() {
-        // m0 already violates the token bound: the packed engine must
-        // refuse the net (it only checks produced places) and the wide
-        // engine must reproduce the boxed whole-marking scan exactly.
+        // m0 already violates the token bound: the engine must reproduce
+        // the boxed whole-marking scan exactly.
         let mut b = NetBuilder::new();
         let p = b.place("p", 30);
         let q = b.place("q", 0);
@@ -897,7 +717,7 @@ mod tests {
             ..ReachLimits::default()
         };
         let interned = ReachGraph::explore(&net, limits);
-        let boxed = ReachGraph::explore_boxed(&net, limits, |_, _| true);
+        let boxed = explore_boxed(&net, limits, |_, _| true);
         assert_graphs_identical(&interned, &boxed);
         assert_eq!(
             interned.stats().truncated,
@@ -905,9 +725,8 @@ mod tests {
         );
     }
 
-    /// A small random net plus exploration limits, spanning both the packed
-    /// (≤8 places) and wide regimes, with bounds tight enough to exercise
-    /// truncation on some inputs.
+    /// A small random net of 1–10 places plus exploration limits, with
+    /// bounds tight enough to exercise truncation on some inputs.
     fn arb_net_and_limits() -> impl Strategy<Value = (crate::net::Net, ReachLimits)> {
         (1usize..=10).prop_flat_map(|places| {
             let arcs = proptest::collection::vec((0..places, 1u32..=2), 0..=3);
@@ -942,15 +761,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Satellite property: the interned engines (packed and wide) are
-        /// observationally identical to the pre-optimization boxed engine —
-        /// same markings, edges, stats, and truncation reports.
+        /// The interned engine is observationally identical to the
+        /// pre-interning boxed reference — same markings, edges, stats, and
+        /// truncation reports.
         #[test]
         fn interned_engines_match_boxed_reference(
             (net, limits) in arb_net_and_limits(),
         ) {
             let interned = ReachGraph::explore(&net, limits);
-            let boxed = ReachGraph::explore_boxed(&net, limits, |_, _| true);
+            let boxed = explore_boxed(&net, limits, |_, _| true);
             prop_assert_eq!(interned.stats(), boxed.stats());
             prop_assert_eq!(interned.markings(), boxed.markings());
             for i in 0..interned.markings().len() {
@@ -959,13 +778,13 @@ mod tests {
         }
 
         /// Ample-set reduction preserves the set of reachable dead
-        /// markings *exactly* on random nets (both packed and wide
-        /// regimes), for every non-truncating exploration.
+        /// markings *exactly* on random nets, for every non-truncating
+        /// exploration.
         #[test]
         fn ample_reduction_preserves_dead_markings(
             (net, limits) in arb_net_and_limits(),
         ) {
-            let full = ReachGraph::explore_boxed(&net, limits, |_, _| true);
+            let full = explore_boxed(&net, limits, |_, _| true);
             let reduced = ReachGraph::explore(
                 &net,
                 ReachLimits {
@@ -1051,9 +870,9 @@ mod tests {
     }
 
     #[test]
-    fn packed_engine_symmetry_quotient_matches_full_orbits() {
-        // A 5-place net (packed regime): shared token s, two symmetric
-        // lanes [a_i, b_i] with t_i: a_i+s -> b_i and u_i: b_i -> a_i+s.
+    fn symmetry_quotient_matches_full_orbits_on_a_small_net() {
+        // A 5-place net: shared token s, two symmetric lanes [a_i, b_i]
+        // with t_i: a_i+s -> b_i and u_i: b_i -> a_i+s.
         let mut b = NetBuilder::new();
         let s = b.place("s", 1);
         let a0 = b.place("a0", 1);
@@ -1071,7 +890,7 @@ mod tests {
             lane_width: 2,
         };
         assert!(spec.is_automorphism(&net));
-        let full = ReachGraph::explore(&net, ReachLimits::default());
+        let full = explore_boxed(&net, ReachLimits::default(), |_, _| true);
         let quotient = ReachGraph::explore(
             &net,
             ReachLimits {
@@ -1096,6 +915,45 @@ mod tests {
     }
 
     #[test]
+    fn token_bound_reports_lowest_violating_place() {
+        // t feeds both q and r past a bound of 10: the report names place
+        // index 1 (q), the lowest offender, whatever the arc order.
+        let mut b = NetBuilder::new();
+        let p = b.place("p", 1);
+        let q = b.place("q", 10);
+        let r = b.place("r", 10);
+        b.transition("t", &[p], &[r, q]);
+        let net = b.build().unwrap();
+        let limits = ReachLimits {
+            max_tokens_per_place: 10,
+            ..ReachLimits::default()
+        };
+        let g = ReachGraph::explore(&net, limits);
+        assert_graphs_identical(&g, &explore_boxed(&net, limits, |_, _| true));
+        assert_eq!(
+            g.stats().truncated,
+            Some(Truncation::TokenBound { place_index: 1 })
+        );
+    }
+
+    #[test]
+    fn duplicate_arcs_fire_as_their_aggregate() {
+        // q appears twice in the outputs: firing t adds two tokens to it.
+        let mut b = NetBuilder::new();
+        let p = b.place("p", 2);
+        let q = b.place("q", 0);
+        b.transition("t", &[p], &[q, q]);
+        let net = b.build().unwrap();
+        let g = ReachGraph::explore(&net, ReachLimits::default());
+        assert_graphs_identical(
+            &g,
+            &explore_boxed(&net, ReachLimits::default(), |_, _| true),
+        );
+        let tokens: Vec<&[u32]> = g.markings().iter().map(|m| &m.0[..]).collect();
+        assert_eq!(tokens, [&[2, 0][..], &[1, 2], &[0, 4]]);
+    }
+
+    #[test]
     fn full_reduction_preserves_dead_markings_orbitwise() {
         // Ample sets plus the lane-symmetry quotient: the deadlock verdict
         // matches the exhaustive reference orbit-wise, over fewer states.
@@ -1109,8 +967,7 @@ mod tests {
                     ..ReachLimits::default()
                 },
             );
-            let full =
-                ReachGraph::explore_boxed(j.net(), ReachLimits::default(), |_, _| true);
+            let full = explore_boxed(j.net(), ReachLimits::default(), |_, _| true);
             assert_eq!(
                 dead_marking_set(&reduced, j.net(), Some(spec)),
                 dead_marking_set(&full, j.net(), Some(spec)),

@@ -33,7 +33,6 @@
 use fxhash::FxHashMap;
 
 use crate::net::{Marking, Net, TransId};
-use crate::state::PackedMarking;
 
 /// A block of interchangeable per-thread place lanes: `lanes` runs of
 /// `lane_width` contiguous places starting at `first_place`. Swapping any
@@ -124,41 +123,9 @@ impl SymmetrySpec {
     }
 
     /// Canonical representative of `m`'s orbit under lane permutation:
-    /// lanes sorted ascending by their place-order byte sequence. Places
-    /// outside the lane block are untouched.
-    #[inline]
-    pub fn canonicalize_packed(&self, m: PackedMarking) -> PackedMarking {
-        let (first, n, w) = (
-            self.first_place as usize,
-            self.lanes as usize,
-            self.lane_width as usize,
-        );
-        // Lane key: first place in the most significant byte, so numeric
-        // order equals lexicographic place order (matching the wide path).
-        let mut keys = [0u64; crate::state::MAX_PACKED_PLACES];
-        for (k, key) in keys.iter_mut().enumerate().take(n) {
-            for j in 0..w {
-                *key = (*key << 8) | ((m.0 >> (8 * (first + k * w + j))) & 0xff);
-            }
-        }
-        keys[..n].sort_unstable();
-        let mut block = 0u64;
-        for (k, &key) in keys.iter().enumerate().take(n) {
-            let mut key = key;
-            for j in (0..w).rev() {
-                block |= (key & 0xff) << (8 * (first + k * w + j));
-                key >>= 8;
-            }
-        }
-        let mut mask = 0u64;
-        for p in first..first + n * w {
-            mask |= 0xffu64 << (8 * p);
-        }
-        PackedMarking((m.0 & !mask) | block)
-    }
-
-    /// Canonicalize an owned marking (test/bench convenience; the engines
-    /// go through [`LaneCanon`] to avoid per-state allocation).
+    /// lanes sorted lexicographically by their token sequence, places
+    /// outside the lane block untouched. A test convenience; the engine
+    /// goes through [`LaneCanon`] to avoid per-state allocation.
     pub fn canonicalize_marking(&self, m: &Marking) -> Marking {
         let mut tokens = m.0.to_vec();
         let mut canon = LaneCanon::new(*self);
@@ -167,7 +134,7 @@ impl SymmetrySpec {
     }
 }
 
-/// Reusable scratch for sorting the lanes of wide (unpacked) markings.
+/// Reusable scratch for sorting the lanes of markings in place.
 #[derive(Debug, Clone)]
 pub struct LaneCanon {
     spec: SymmetrySpec,
@@ -468,23 +435,20 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_wide_canonicalization_agree() {
+    fn canonicalization_sorts_lanes_and_is_idempotent() {
         let spec = SymmetrySpec {
             first_place: 1,
             lanes: 3,
             lane_width: 2,
         };
-        // Lane contents (b,c), (d,e), (f,g) in every permutation collapse
-        // to the same representative, and packed agrees with wide.
+        // Lane contents (b,c), (d,e), (f,g) sort as sequences; the fixed
+        // place before the block is untouched.
         let m = marking(&[9, 3, 4, 1, 2, 3, 4]);
-        let wide = spec.canonicalize_marking(&m);
-        assert_eq!(wide, marking(&[9, 1, 2, 3, 4, 3, 4]));
-        let packed = spec.canonicalize_packed(PackedMarking::pack(&m).unwrap());
-        assert_eq!(packed.unpack(7), wide);
+        let canon = spec.canonicalize_marking(&m);
+        assert_eq!(canon, marking(&[9, 1, 2, 3, 4, 3, 4]));
 
-        // Idempotent, and a fixed point on the representative itself.
-        assert_eq!(spec.canonicalize_marking(&wide), wide);
-        assert_eq!(spec.canonicalize_packed(packed), packed);
+        // Idempotent: a fixed point on the representative itself.
+        assert_eq!(spec.canonicalize_marking(&canon), canon);
     }
 
     #[test]
@@ -507,8 +471,6 @@ mod tests {
                 spec.canonicalize_marking(&marking(&perm)),
                 marking(&[1, 2, 3])
             );
-            let p = PackedMarking::pack(&marking(&perm)).unwrap();
-            assert_eq!(spec.canonicalize_packed(p).unpack(3), marking(&[1, 2, 3]));
         }
     }
 

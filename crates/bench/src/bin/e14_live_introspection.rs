@@ -1,13 +1,12 @@
 //! E14 — live-introspection overhead: the full live stack (hierarchical
-//! span tree, stack-mirroring sampling profiler, progress heartbeats,
-//! Prometheus exposition) on the e8 exploration workload, against the same
-//! workload with the stack off.
+//! span tree, progress heartbeats, Prometheus exposition) on the e8
+//! exploration workload, against the same workload with the stack off.
 //!
 //! The claim under test: watching a run live is free enough to leave on.
 //! Both arms go through the shared warmed, interleaved best-of-3 harness
 //! (`obs::ab_best_of_3`, as in e8 and e12). The off arm still records at
 //! `summary` level — the subtraction isolates what the *live* additions
-//! (tree + mirror + sampler + heartbeat + progress publication) cost on
+//! (tree + heartbeat + progress publication) cost on
 //! top of ordinary metrics. Acceptance: every arm's graph, warm-ups
 //! included, is identical to a reference exploration, and
 //! `introspection_overhead_pct` stays under the ledger's 5% overhead
@@ -29,7 +28,6 @@ fn main() {
     // Both arms record at summary; only the live features differ.
     obs::set_level(obs::ObsLevel::Summary);
     obs::SpanTree::reset();
-    let _worker = obs::register_thread("bench");
 
     // Each timed arm explores the net REPS times: on a single-core host a
     // ~10ms window is one scheduler decision wide, and a lone watcher
@@ -62,7 +60,6 @@ fn main() {
     };
 
     let mut on_wall = 0.0f64;
-    let mut last_profile = None;
     let ab = obs::ab_best_of_3(
         // OFF arm: live features disabled, no watcher threads.
         || {
@@ -72,22 +69,20 @@ fn main() {
             agrees(&g);
             secs
         },
-        // ON arm: the whole stack. Profiler/heartbeat start and stop
-        // outside the timed region — their *running* cost is the claim,
-        // not their spawn cost — and one untimed exploration runs after
-        // the spawn so the watcher threads' lazy setup (stack, TLS, first
-        // sleep) finishes before the clock starts; on a single-core host
-        // that setup otherwise lands inside the timed window.
+        // ON arm: the whole stack. The heartbeat starts and stops outside
+        // the timed region — its *running* cost is the claim, not its
+        // spawn cost — and one untimed exploration runs after the spawn
+        // so the watcher thread's lazy setup (stack, TLS, first sleep)
+        // finishes before the clock starts; on a single-core host that
+        // setup otherwise lands inside the timed window.
         || {
             obs::set_span_tree(true);
             obs::set_progress(true);
             let seg0 = Instant::now();
-            let profiler = obs::Profiler::start(Duration::from_millis(5), 0xe14);
             let heartbeat = obs::Heartbeat::start(Duration::from_millis(10), |_| {});
             let _settle = ReachGraph::explore(j.net(), seq_limits);
             let (secs, g) = explore_batch();
             heartbeat.stop();
-            last_profile = Some(profiler.stop());
             on_wall += seg0.elapsed().as_secs_f64();
             agrees(&g);
             secs
@@ -112,18 +107,15 @@ fn main() {
         (states * REPS) as f64 / best_on.max(1e-9),
     );
 
-    // Heartbeat / profiler activity while the live arm ran.
+    // Heartbeat activity while the live arm ran.
     let reg = obs::global();
     let beats = reg.counter("live.heartbeat.count").get();
-    let samples = reg.counter("live.profiler.samples").get();
     let heartbeats_per_sec = beats as f64 / on_wall.max(1e-9);
-    let samples_per_sec = samples as f64 / on_wall.max(1e-9);
     say!(
         "live activity over {on_wall:.3}s on-time: {beats} heartbeats \
-         ({heartbeats_per_sec:.1}/s), {samples} profiler samples ({samples_per_sec:.1}/s)"
+         ({heartbeats_per_sec:.1}/s)"
     );
     reporter.set_derived("heartbeats_per_sec", heartbeats_per_sec);
-    reporter.set_derived("profiler_samples_per_sec", samples_per_sec);
 
     // --- exposition self-check -------------------------------------------
     // Serve the populated registry on an ephemeral port and fetch it back
@@ -157,18 +149,15 @@ fn main() {
         reporter.set_derived("exposed_metrics", covered as f64);
     }
 
-    // --- flame-table artifact --------------------------------------------
-    // The profiler's flame table plus the span tree, next to the report
-    // (honoring $JCC_OBS_DIR like every bench artifact).
-    if let Some(profile) = &last_profile {
-        let tree = obs::SpanTree::snapshot();
+    // --- span-tree artifact ----------------------------------------------
+    // The live arm's span tree next to the report (honoring $JCC_OBS_DIR
+    // like every bench artifact).
+    {
+        let text = obs::SpanTree::snapshot().render_ascii();
         let dir = std::env::var("JCC_OBS_DIR").unwrap_or_else(|_| ".".to_string());
         let path = std::path::PathBuf::from(dir).join("BENCH_e14_flame.txt");
-        let mut text = profile.render_flame_table();
-        text.push('\n');
-        text.push_str(&tree.render_ascii());
         match std::fs::write(&path, &text) {
-            Ok(()) => say!("flame table written to {}", path.display()),
+            Ok(()) => say!("span tree written to {}", path.display()),
             Err(e) => eprintln!("obs: cannot write {}: {e}", path.display()),
         }
         if !reporter.quiet() {

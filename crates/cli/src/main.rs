@@ -13,10 +13,11 @@
 //! span stream into the directory.
 //!
 //! `profile` runs a named exploration scenario with the full live
-//! introspection stack on — hierarchical span tree, sampling profiler,
-//! progress heartbeats (a `top`-style one-line refresh on stderr), and
-//! optionally the Prometheus metrics endpoint — then prints the flame
-//! table and span tree.
+//! introspection stack on — hierarchical span tree, progress heartbeats
+//! (a `top`-style one-line refresh on stderr), and optionally the
+//! Prometheus metrics endpoint — then prints the span tree: exact total
+//! and self time per stack of spans. With `--obs-out=DIR` it also writes
+//! the tree as a Chrome-trace flame chart.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +44,8 @@ exit codes:
   1  at least one finding at or above the threshold (default: high)
   2  a file failed to parse or lower, or the command line was invalid
 
-profile: run a scenario with live introspection (span tree, sampling
-profiler, progress heartbeats, optional metrics endpoint).
+profile: run a scenario with live introspection (span tree, progress
+heartbeats, optional metrics endpoint) and print the span tree.
 
 scenarios:
   javanet[:N]            petri reachability of the N-thread Figure-1 net (default N=6)
@@ -52,8 +53,9 @@ scenarios:
 
   --interval-ms=MS  heartbeat refresh interval (default 200)
   --expose=PORT     serve Prometheus metrics on 127.0.0.1:PORT during the run
-  --obs-out=DIR     write profile_report.json, profile_flame.txt and
-                    profile_flame_trace.json into DIR
+  --obs-out=DIR     write profile_report.json, the span tree
+                    (profile_flame.txt) and its Chrome-trace flame chart
+                    (profile_flame_trace.json) into DIR
 ";
 
 fn main() -> ExitCode {
@@ -304,7 +306,7 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
 
     use jcc_core::obs;
     // The full live stack: summary metrics, span tree, progress cells,
-    // stack-mirroring sampler, heartbeat watcher, optional exposition.
+    // heartbeat watcher, optional exposition.
     obs::set_level(obs::ObsLevel::Summary);
     obs::global().reset();
     obs::SpanTree::reset();
@@ -318,7 +320,6 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
         }
         None => None,
     };
-    let profiler = obs::Profiler::start(Duration::from_millis(5), 0x6a6363);
     let heartbeat = obs::Heartbeat::start(Duration::from_millis(interval_ms.max(10)), |stats| {
         // `top`-style single-line refresh; padded so a shorter line fully
         // overwrites a longer one.
@@ -327,31 +328,21 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
     });
 
     let t0 = Instant::now();
-    let worker = std::thread::Builder::new()
-        .name("jcc-profile-worker".to_string())
-        .spawn(move || {
-            let _reg = obs::register_thread("worker");
-            run_scenario(scenario)
-        })
-        .map_err(|e| format!("spawn worker: {e}"))?;
-    let outcome = worker.join().map_err(|_| "worker panicked".to_string())??;
+    let outcome = run_scenario(scenario)?;
     let wall = t0.elapsed().as_secs_f64();
 
     heartbeat.stop();
     eprintln!();
-    let profile = profiler.stop();
     obs::set_span_tree(false);
     obs::set_progress(false);
     let tree = obs::SpanTree::snapshot();
 
     println!("{}", outcome.what);
     println!(
-        "wall {wall:.3}s, {:.0} states/s, {} profiler samples",
-        outcome.states as f64 / wall.max(1e-9),
-        profile.total_samples
+        "wall {wall:.3}s, {:.0} states/s",
+        outcome.states as f64 / wall.max(1e-9)
     );
     print!("{}", tree.render_ascii());
-    print!("{}", profile.render_flame_table());
 
     if let Some(s) = &server {
         let body = obs::fetch_metrics(s.local_addr()).map_err(|e| format!("--expose: {e}"))?;
@@ -367,11 +358,11 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
         report
             .write_to(&dir.join("profile_report.json"))
             .map_err(|e| format!("--obs-out: {e}"))?;
-        std::fs::write(dir.join("profile_flame.txt"), profile.render_flame_table())
+        std::fs::write(dir.join("profile_flame.txt"), tree.render_ascii())
             .map_err(|e| format!("--obs-out: {e}"))?;
         std::fs::write(
             dir.join("profile_flame_trace.json"),
-            profile.to_chrome_string(),
+            tree.to_chrome_string(),
         )
         .map_err(|e| format!("--obs-out: {e}"))?;
         println!("obs: profile artifacts written to {}", dir.display());
@@ -397,5 +388,27 @@ mod tests {
         assert_eq!(run(&["profile".into(), "javanet:0".into()]), Err(err));
         assert!(parse_scenario("javanet:x").is_err());
         assert!(parse_scenario("nope").is_err());
+    }
+
+    #[test]
+    fn profile_writes_the_span_tree_artifacts() {
+        let dir = std::env::temp_dir().join(format!("jcc-profile-test-{}", std::process::id()));
+        let out = format!("--obs-out={}", dir.display());
+        let args: Vec<String> = vec!["profile".into(), "javanet:3".into(), out];
+        assert_eq!(run(&args), Ok(0));
+        for file in ["profile_report.json", "profile_flame.txt"] {
+            assert!(dir.join(file).is_file(), "{file} written");
+        }
+        let trace = std::fs::read_to_string(dir.join("profile_flame_trace.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let doc = jcc_core::obs::json::Json::parse(&trace).expect("the trace is JSON");
+        let names: Vec<&str> = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_arr())
+            .expect("traceEvents array")
+            .iter()
+            .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+            .collect();
+        assert!(names.contains(&"petri.reach.sequential"), "{names:?}");
     }
 }

@@ -1,9 +1,7 @@
 //! The abstract clock: `await(t)`, `tick`, `time`.
 
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use parking_lot::{Condvar, Mutex};
 
 /// The ConAn abstract clock. Cheap to clone (shared handle).
 ///
@@ -29,13 +27,13 @@ impl AbstractClock {
 
     /// The number of units of time passed since the clock started.
     pub fn time(&self) -> u64 {
-        *self.inner.time.lock()
+        *lock(&self.inner.time)
     }
 
     /// Advance the time by one unit, waking any threads awaiting it.
     /// Returns the new time.
     pub fn tick(&self) -> u64 {
-        let mut t = self.inner.time.lock();
+        let mut t = lock(&self.inner.time);
         *t += 1;
         self.inner.advanced.notify_all();
         *t
@@ -43,7 +41,7 @@ impl AbstractClock {
 
     /// Advance the clock to at least `target` (no-op if already there).
     pub fn tick_to(&self, target: u64) -> u64 {
-        let mut t = self.inner.time.lock();
+        let mut t = lock(&self.inner.time);
         if *t < target {
             *t = target;
             self.inner.advanced.notify_all();
@@ -53,9 +51,13 @@ impl AbstractClock {
 
     /// Delay the calling thread until the clock reaches `t`.
     pub fn await_time(&self, t: u64) {
-        let mut cur = self.inner.time.lock();
+        let mut cur = lock(&self.inner.time);
         while *cur < t {
-            self.inner.advanced.wait(&mut cur);
+            cur = self
+                .inner
+                .advanced
+                .wait(cur)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -63,18 +65,27 @@ impl AbstractClock {
     /// of real time; returns `true` if the clock reached `t`.
     pub fn await_time_for(&self, t: u64, timeout: Duration) -> bool {
         let deadline = std::time::Instant::now() + timeout;
-        let mut cur = self.inner.time.lock();
+        let mut cur = lock(&self.inner.time);
         while *cur < t {
             let now = std::time::Instant::now();
             if now >= deadline {
                 return false;
             }
-            self.inner
+            cur = self
+                .inner
                 .advanced
-                .wait_for(&mut cur, deadline - now);
+                .wait_timeout(cur, deadline - now)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
         true
     }
+}
+
+/// Lock `m`, recovering the guard when a thread panicked while holding
+/// it: the clock's time is one integer, valid after any update.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]

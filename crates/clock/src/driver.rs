@@ -183,7 +183,7 @@ impl TestDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
+    use std::sync::{Condvar, Mutex};
 
     #[test]
     fn calls_release_in_clock_order() {
@@ -191,10 +191,10 @@ mod tests {
         let o1 = Arc::clone(&order);
         let o2 = Arc::clone(&order);
         let schedule = Schedule::new()
-            .call("second", 2, move |_| o2.lock().push("second"))
-            .call("first", 1, move |_| o1.lock().push("first"));
+            .call("second", 2, move |_| o2.lock().unwrap().push("second"))
+            .call("first", 1, move |_| o1.lock().unwrap().push("first"));
         let (records, _) = TestDriver::new().run(schedule);
-        assert_eq!(*order.lock(), vec!["first", "second"]);
+        assert_eq!(*order.lock().unwrap(), vec!["first", "second"]);
         assert!(records.iter().all(|r| !r.suspended()));
         // Completion times match release times (instant actions).
         assert!(records[0].completed_at.unwrap() >= 2);
@@ -251,21 +251,20 @@ mod tests {
     #[test]
     fn producer_consumer_style_handoff() {
         // A tiny monitor: consumer at t=1 blocks until producer at t=2.
-        let slot: Arc<(Mutex<Option<i32>>, parking_lot::Condvar)> =
-            Arc::new((Mutex::new(None), parking_lot::Condvar::new()));
+        let slot: Arc<(Mutex<Option<i32>>, Condvar)> = Arc::new((Mutex::new(None), Condvar::new()));
         let s1 = Arc::clone(&slot);
         let s2 = Arc::clone(&slot);
         let schedule = Schedule::new()
             .call("consume", 1, move |_| {
                 let (m, cv) = &*s1;
-                let mut guard = m.lock();
+                let mut guard = m.lock().unwrap();
                 while guard.is_none() {
-                    cv.wait(&mut guard);
+                    guard = cv.wait(guard).unwrap();
                 }
             })
             .call("produce", 2, move |_| {
                 let (m, cv) = &*s2;
-                *m.lock() = Some(42);
+                *m.lock().unwrap() = Some(42);
                 cv.notify_all();
             });
         let (records, _) = TestDriver::new().run(schedule);

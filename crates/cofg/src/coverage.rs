@@ -96,16 +96,18 @@ impl CoverageTracker {
         }
     }
 
-    /// Record one marker from `thread`.
-    pub fn record(&mut self, thread: u64, site: &SiteId) {
+    /// Record one marker from `thread`, returning the index (in the
+    /// method's CoFG arc list) of the arc it covered, if any.
+    pub fn record(&mut self, thread: u64, site: &SiteId) -> Option<usize> {
         let Some(cofg) = self.cofgs.get(&site.method) else {
             self.strays += 1;
-            return;
+            return None;
         };
         match &site.marker {
             Marker::Start => {
                 self.last
                     .insert(thread, (site.method.clone(), cofg.start()));
+                None
             }
             Marker::Stmt(path) | Marker::SyncExit(path) => {
                 let want_exit = matches!(site.marker, Marker::SyncExit(_));
@@ -116,46 +118,51 @@ impl CoverageTracker {
                 };
                 let Some(node) = found else {
                     self.strays += 1;
-                    return;
+                    return None;
                 };
                 match self.last.get(&thread).cloned() {
                     Some((method, prev)) if method == site.method => {
-                        self.cover(&method, prev, node);
+                        let arc = self.cover(&method, prev, node);
                         self.last.insert(thread, (method, node));
+                        arc
                     }
                     _ => {
                         self.strays += 1;
-                        self.last
-                            .insert(thread, (site.method.clone(), node));
+                        self.last.insert(thread, (site.method.clone(), node));
+                        None
                     }
                 }
             }
-            Marker::End => {
-                match self.last.remove(&thread) {
-                    Some((method, prev)) if method == site.method => {
-                        let end = self.cofgs[&method].end();
-                        self.cover(&method, prev, end);
-                    }
-                    _ => self.strays += 1,
+            Marker::End => match self.last.remove(&thread) {
+                Some((method, prev)) if method == site.method => {
+                    let end = self.cofgs[&method].end();
+                    self.cover(&method, prev, end)
                 }
-            }
+                _ => {
+                    self.strays += 1;
+                    None
+                }
+            },
         }
     }
 
-    fn cover(&mut self, method: &str, from: NodeId, to: NodeId) {
+    fn cover(&mut self, method: &str, from: NodeId, to: NodeId) -> Option<usize> {
         let cofg = &self.cofgs[method];
-        match cofg.arc_between(from, to) {
+        let idx = cofg.arc_between(from, to);
+        match idx {
             Some(idx) => {
                 self.covered.get_mut(method).unwrap()[idx] = true;
                 self.hits.get_mut(method).unwrap()[idx] += 1;
             }
             None => self.strays += 1,
         }
+        idx
     }
 
     /// Fold one event: method starts and ends and coverage sites become
-    /// markers of the event's thread; every other kind is ignored.
-    pub fn observe(&mut self, event: &Event) {
+    /// markers of the event's thread; every other kind is ignored. Returns
+    /// the index of the arc the event covered, as [`CoverageTracker::record`].
+    pub fn observe(&mut self, event: &Event) -> Option<usize> {
         let site = match &event.kind {
             EventKind::MethodStart { method } => SiteId::start(method.clone()),
             EventKind::MethodEnd { method } => SiteId::end(method.clone()),
@@ -170,9 +177,9 @@ impl CoverageTracker {
                     },
                 }
             }
-            _ => return,
+            _ => return None,
         };
-        self.record(event.thread, &site);
+        self.record(event.thread, &site)
     }
 
     /// Total arcs across all methods.

@@ -18,6 +18,8 @@
 //! * [`graph`] — the CoFG data structure,
 //! * [`build`] — CoFG construction from `jcc-model` IR,
 //! * [`coverage`] — arc-coverage tracking from event streams,
+//! * [`timeline`] — causal timelines folded from event streams, intervals
+//!   stamped with the CoFG arcs they traverse,
 //! * [`dot`] — Graphviz export,
 //! * [`requirements`] — per-arc test requirements (Brinch Hansen step 1),
 //! * [`paper`] — the published Figure-3 reference data for regression
@@ -46,7 +48,9 @@ pub mod dot;
 pub mod graph;
 pub mod paper;
 pub mod requirements;
+pub mod timeline;
 
 pub use build::{build_cofg, build_component_cofgs};
 pub use coverage::{CoverageTracker, Marker, SiteId};
 pub use graph::{Arc, Cofg, Condition, Node, NodeId, NodeKind};
+pub use timeline::TimelineFold;

@@ -15,8 +15,8 @@ use jcc_testgen::scenario::{Scenario, ScenarioSpace};
 use jcc_testgen::signature::{enumerate_signatures, run_signature, EnumLimits, Signature};
 use jcc_testgen::suite::{greedy_cover_suite, random_suite, CoverageSuite, GreedyConfig};
 use jcc_vm::{
-    compile, explore, timeline_of_outcome, trace::apply_trace, CompiledComponent, ExploreConfig,
-    RunConfig, RunOutcome, Scheduler, Vm,
+    compile, explore, timeline_with_coverage, CompiledComponent, ExploreConfig, RunConfig,
+    RunOutcome, Scheduler, Vm,
 };
 
 /// A prepared component: validated, compiled, with CoFGs built.
@@ -126,9 +126,8 @@ impl Pipeline {
         let mut timeline = None;
         let mut arc_heat = Vec::new();
         if let Some(w) = &witness {
-            timeline = Some(timeline_of_outcome(w, Some(&self.cofgs)));
-            let mut tracker = CoverageTracker::new(self.cofgs.clone());
-            apply_trace(&w.trace, &mut tracker);
+            let (t, tracker) = timeline_with_coverage(w, &self.cofgs);
+            timeline = Some(t);
             for method in tracker.methods() {
                 let (hits, cofg) = match (tracker.arc_hits(method), tracker.cofg(method)) {
                     (Some(h), Some(g)) => (h, g),
@@ -435,7 +434,11 @@ fn mutant_row(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jcc_components::zoo::full_corpus;
     use jcc_model::examples;
+    use jcc_testgen::corpus::space_for;
+    use jcc_testgen::scenario::sample_scenarios;
+    use jcc_vm::trace::apply_trace;
     use jcc_vm::{CallSpec, Value};
 
     fn pc_space() -> ScenarioSpace {
@@ -460,6 +463,40 @@ mod tests {
                 p.analysis.render()
             );
         }
+    }
+
+    #[test]
+    fn witness_arc_heat_matches_a_fresh_coverage_walk() {
+        let mut failing = 0;
+        for (name, component) in full_corpus() {
+            let Some(space) = space_for(name) else {
+                continue;
+            };
+            let p = Pipeline::new(component).unwrap();
+            for scenario in sample_scenarios(&space, 7, 4) {
+                let ev = p.explore_evidence(&scenario, &ExploreConfig::default(), None);
+                let Some(w) = &ev.witness else {
+                    continue;
+                };
+                failing += 1;
+                let mut fresh = CoverageTracker::new(p.cofgs.clone());
+                apply_trace(&w.trace, &mut fresh);
+                let mut want = Vec::new();
+                for method in fresh.methods() {
+                    let g = fresh.cofg(method).unwrap();
+                    for (idx, &hits) in fresh.arc_hits(method).unwrap().iter().enumerate() {
+                        want.push((method.to_string(), g.describe_arc(idx), hits));
+                    }
+                }
+                let got: Vec<(String, String, u64)> = ev
+                    .arc_heat
+                    .iter()
+                    .map(|h| (h.method.clone(), h.arc.clone(), h.hits))
+                    .collect();
+                assert_eq!(got, want, "{name}: {scenario:?}");
+            }
+        }
+        assert!(failing > 0, "the sampled corpus scenarios include failures");
     }
 
     #[test]

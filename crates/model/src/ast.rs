@@ -358,6 +358,39 @@ pub fn visit_stmts<'a>(block: &'a Block, f: &mut impl FnMut(&'a Stmt)) {
     }
 }
 
+/// Walk every statement of a block in pre-order, passing each with its
+/// [`StmtPath`] steps (else-branch steps carry [`ELSE_OFFSET`], so every
+/// path resolves through [`stmt_at`]).
+pub fn walk_paths(block: &Block, f: &mut impl FnMut(&Stmt, &[usize])) {
+    fn walk(
+        block: &Block,
+        offset: usize,
+        path: &mut Vec<usize>,
+        f: &mut impl FnMut(&Stmt, &[usize]),
+    ) {
+        for (i, stmt) in block.iter().enumerate() {
+            path.push(offset + i);
+            f(stmt, path);
+            match stmt {
+                Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => {
+                    walk(body, 0, path, f)
+                }
+                Stmt::If {
+                    then_branch,
+                    else_branch,
+                    ..
+                } => {
+                    walk(then_branch, 0, path, f);
+                    walk(else_branch, ELSE_OFFSET, path, f);
+                }
+                _ => {}
+            }
+            path.pop();
+        }
+    }
+    walk(block, 0, &mut Vec::new(), f);
+}
+
 /// Count statements in a block, including nested ones.
 pub fn count_stmts(block: &Block) -> usize {
     let mut n = 0;
@@ -415,52 +448,28 @@ pub fn stmt_at<'a>(block: &'a Block, path: &StmtPath) -> Option<&'a Stmt> {
 /// Resolve a path to a mutable statement reference, if valid.
 /// Same path semantics as [`stmt_at`].
 pub fn stmt_at_mut<'a>(block: &'a mut Block, path: &StmtPath) -> Option<&'a mut Stmt> {
-    if path.0.is_empty() {
-        return None;
-    }
-    let mut cur_block = block;
-    for depth in 0..path.0.len() {
-        let step = path.0[depth];
-        let idx = if step >= ELSE_OFFSET { step - ELSE_OFFSET } else { step };
-        if depth + 1 == path.0.len() {
-            return cur_block.get_mut(idx);
-        }
-        let next_is_else = path.0[depth + 1] >= ELSE_OFFSET;
-        cur_block = match cur_block.get_mut(idx)? {
-            Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => body,
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                if next_is_else {
-                    else_branch
-                } else {
-                    then_branch
-                }
-            }
-            _ => return None,
-        };
-    }
-    None
+    let (parent, idx) = parent_block_mut(block, path)?;
+    parent.get_mut(idx)
 }
 
 /// Remove the statement addressed by `path`, returning it. Same path
 /// semantics as [`stmt_at`].
 pub fn remove_stmt_at(block: &mut Block, path: &StmtPath) -> Option<Stmt> {
-    if path.0.is_empty() {
-        return None;
-    }
+    let (parent, idx) = parent_block_mut(block, path)?;
+    (idx < parent.len()).then(|| parent.remove(idx))
+}
+
+/// Descend to the block holding the statement `path` addresses, returning
+/// it with the statement's index in it (not checked against its length).
+fn parent_block_mut<'a>(block: &'a mut Block, path: &StmtPath) -> Option<(&'a mut Block, usize)> {
+    let (&last, steps) = path.0.split_last()?;
     let mut cur_block = block;
-    for depth in 0..path.0.len() {
-        let step = path.0[depth];
-        let idx = if step >= ELSE_OFFSET { step - ELSE_OFFSET } else { step };
-        if depth + 1 == path.0.len() {
-            if idx < cur_block.len() {
-                return Some(cur_block.remove(idx));
-            }
-            return None;
-        }
+    for (depth, &step) in steps.iter().enumerate() {
+        let idx = if step >= ELSE_OFFSET {
+            step - ELSE_OFFSET
+        } else {
+            step
+        };
         let next_is_else = path.0[depth + 1] >= ELSE_OFFSET;
         cur_block = match cur_block.get_mut(idx)? {
             Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => body,
@@ -478,7 +487,12 @@ pub fn remove_stmt_at(block: &mut Block, path: &StmtPath) -> Option<Stmt> {
             _ => return None,
         };
     }
-    None
+    let idx = if last >= ELSE_OFFSET {
+        last - ELSE_OFFSET
+    } else {
+        last
+    };
+    Some((cur_block, idx))
 }
 
 #[cfg(test)]

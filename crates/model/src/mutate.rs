@@ -12,8 +12,8 @@ use std::fmt;
 use jcc_petri::{Deviation, FailureClass, Transition};
 
 use crate::ast::{
-    remove_stmt_at, stmt_at, stmt_at_mut, Block, Component, Expr, LockRef, Stmt,
-    StmtPath, Type,
+    remove_stmt_at, stmt_at, stmt_at_mut, walk_paths, Component, Expr, LockRef, Stmt, StmtPath,
+    Type,
 };
 
 /// The ten mutation operators, one (or two) per Table-1 failure class.
@@ -205,82 +205,48 @@ pub fn enumerate_mutations(component: &Component) -> Vec<Mutation> {
             }
         }
         // Statement-level operators.
-        walk_paths(&method.body, &mut Vec::new(), &mut |stmt, path| {
-            match stmt {
-                Stmt::Wait { .. } => out.push(Mutation {
-                    kind: MutationKind::SkipWait,
+        walk_paths(&method.body, &mut |stmt, path| match stmt {
+            Stmt::Wait { .. } => out.push(Mutation {
+                kind: MutationKind::SkipWait,
+                method: method.name.clone(),
+                path: Some(StmtPath(path.to_vec())),
+            }),
+            Stmt::While { body, .. } => {
+                let has_wait = body.iter().any(|s| matches!(s, Stmt::Wait { .. }));
+                if has_wait {
+                    out.push(Mutation {
+                        kind: MutationKind::WaitIfInsteadOfWhile,
+                        method: method.name.clone(),
+                        path: Some(StmtPath(path.to_vec())),
+                    });
+                    out.push(Mutation {
+                        kind: MutationKind::NegateWaitCondition,
+                        method: method.name.clone(),
+                        path: Some(StmtPath(path.to_vec())),
+                    });
+                }
+            }
+            Stmt::NotifyAll { .. } => {
+                out.push(Mutation {
+                    kind: MutationKind::NotifyInsteadOfNotifyAll,
                     method: method.name.clone(),
                     path: Some(StmtPath(path.to_vec())),
-                }),
-                Stmt::While { body, .. } => {
-                    let has_wait = body.iter().any(|s| matches!(s, Stmt::Wait { .. }));
-                    if has_wait {
-                        out.push(Mutation {
-                            kind: MutationKind::WaitIfInsteadOfWhile,
-                            method: method.name.clone(),
-                            path: Some(StmtPath(path.to_vec())),
-                        });
-                        out.push(Mutation {
-                            kind: MutationKind::NegateWaitCondition,
-                            method: method.name.clone(),
-                            path: Some(StmtPath(path.to_vec())),
-                        });
-                    }
-                }
-                Stmt::NotifyAll { .. } => {
-                    out.push(Mutation {
-                        kind: MutationKind::NotifyInsteadOfNotifyAll,
-                        method: method.name.clone(),
-                        path: Some(StmtPath(path.to_vec())),
-                    });
-                    out.push(Mutation {
-                        kind: MutationKind::DropNotify,
-                        method: method.name.clone(),
-                        path: Some(StmtPath(path.to_vec())),
-                    });
-                }
-                Stmt::Notify { .. } => out.push(Mutation {
+                });
+                out.push(Mutation {
                     kind: MutationKind::DropNotify,
                     method: method.name.clone(),
                     path: Some(StmtPath(path.to_vec())),
-                }),
-                _ => {}
+                });
             }
+            Stmt::Notify { .. } => out.push(Mutation {
+                kind: MutationKind::DropNotify,
+                method: method.name.clone(),
+                path: Some(StmtPath(path.to_vec())),
+            }),
+            _ => {}
         });
     }
     out
-}
-
-/// Pre-order walk carrying the statement path (then-branch only for `If`,
-/// matching [`stmt_at`]'s plain-index steps; else branches use the
-/// `ELSE_OFFSET` convention).
-fn walk_paths(block: &Block, path: &mut Vec<usize>, f: &mut impl FnMut(&Stmt, &[usize])) {
-    for (i, stmt) in block.iter().enumerate() {
-        path.push(i);
-        walk_one(stmt, path, f);
-        path.pop();
-    }
-}
-
-fn walk_one(stmt: &Stmt, path: &mut Vec<usize>, f: &mut impl FnMut(&Stmt, &[usize])) {
-    f(stmt, path);
-    match stmt {
-        Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => walk_paths(body, path, f),
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            walk_paths(then_branch, path, f);
-            // Else steps use the offset convention of `StmtPath`.
-            for (j, s) in else_branch.iter().enumerate() {
-                path.push(crate::ast::ELSE_OFFSET + j);
-                walk_one(s, path, f);
-                path.pop();
-            }
-        }
-        _ => {}
-    }
 }
 
 /// Apply `mutation` to a copy of `component`.

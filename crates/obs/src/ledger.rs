@@ -709,20 +709,17 @@ mod tests {
 
     /// A report shaped like the E14 live-introspection bench writes it:
     /// exploration throughput with the full live stack on, the
-    /// introspection overhead subtraction, and the heartbeat / profiler
-    /// activity rates.
+    /// introspection overhead subtraction, and the heartbeat rate.
     fn e14_report(overhead_pct: f64, heartbeats_per_sec: f64) -> RunReport {
         let reg = Registry::new();
         reg.counter("petri.reach.states").add(2187);
         reg.counter("live.heartbeat.count").add(12);
-        reg.counter("live.profiler.samples").add(40);
         let mut r =
             RunReport::from_registry("e14_live_introspection", ObsLevel::Summary, 1.5, &reg);
         r.set_derived("states_per_sec", 80_000.0);
         r.set_derived("introspection_overhead_pct", overhead_pct);
         r.set_derived("introspection_noise_floor_pct", 0.1);
         r.set_derived("heartbeats_per_sec", heartbeats_per_sec);
-        r.set_derived("profiler_samples_per_sec", 180.0);
         r
     }
 
@@ -738,20 +735,19 @@ mod tests {
             .iter()
             .map(|d| d.name.as_str())
             .collect();
-        for key in [
-            "introspection_overhead_pct",
-            "heartbeats_per_sec",
-            "profiler_samples_per_sec",
-        ] {
-            assert!(derived_names.contains(&key), "missing {key} in {derived_names:?}");
+        for key in ["introspection_overhead_pct", "heartbeats_per_sec"] {
+            assert!(
+                derived_names.contains(&key),
+                "missing {key} in {derived_names:?}"
+            );
         }
     }
 
     #[test]
     fn e14_heartbeat_rate_drop_fires_the_per_sec_rule() {
-        // `heartbeats_per_sec` and `profiler_samples_per_sec` end in
-        // `_per_sec`, so the generic throughput floor covers the live
-        // stack's activity rates with no ledger changes.
+        // `heartbeats_per_sec` ends in `_per_sec`, so the generic
+        // throughput floor covers the live stack's activity rate with no
+        // ledger changes.
         let base = e14_report(1.8, 8.0);
         let ok = diff_reports(&base, &e14_report(1.8, 7.0));
         assert_eq!(ok.regressions.len(), 0, "within floor: {:?}", ok.regressions);
@@ -796,7 +792,7 @@ mod tests {
             .iter()
             .filter(|d| d.base.is_none() && d.current.is_some())
             .count();
-        assert_eq!(appeared, 4, "the four live-introspection keys appeared");
+        assert_eq!(appeared, 3, "the three live-introspection keys appeared");
     }
 
     /// A checked-in baseline: no metrics, only the derived keys it gates.

@@ -26,8 +26,8 @@
 //!   pairwise diffs of [`RunReport`]s judged by one rule table (throughput
 //!   floors, coverage, drop rates, overhead budgets) — the only regression
 //!   gate,
-//! * [`live`] — live introspection: the hierarchical [`SpanTree`], a
-//!   sampling [`Profiler`] over registered engine threads, and the
+//! * [`live`] — live introspection: the hierarchical [`SpanTree`] (exact
+//!   per-stack time, with ASCII and Chrome-trace renderings), and the
 //!   [`ProgressCell`]/[`Heartbeat`] pair that turns engine progress into
 //!   EWMA rates, ETAs and heartbeat events while a run is in flight,
 //! * [`expose`] — Prometheus text exposition of a registry
@@ -82,14 +82,13 @@ pub use expose::{fetch_metrics, render_prometheus, ExposeServer};
 pub use ledger::Ledger;
 pub use level::{enabled, level, set_level, trace_enabled, ObsLevel};
 pub use live::{
-    explore_progress, progress_enabled, reach_progress, register_thread, set_progress,
-    set_span_tree, Heartbeat, HeartbeatStats, ProfileReport, Profiler, ProgressCell,
-    ProgressSnapshot, SpanTree, SpanTreeSnapshot,
+    explore_progress, progress_enabled, reach_progress, set_progress, set_span_tree, Heartbeat,
+    HeartbeatStats, ProgressCell, ProgressSnapshot, SpanTree, SpanTreeSnapshot,
 };
 pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use report::{PhaseReport, RunReport};
-pub use timeline::{Timeline, TimelineBuilder};
 pub use span::{span_enter, SpanGuard};
+pub use timeline::{Timeline, TimelineBuilder};
 pub use trace::{drain_trace, trace_event, TraceRecord};
 
 /// Open a timed span: `let _g = jcc_obs::span!("petri.reach");`.

@@ -1,5 +1,5 @@
-//! Live introspection: hierarchical span trees, a sampling self-profiler,
-//! and progress heartbeats over the exploration engines.
+//! Live introspection: the hierarchical span tree and progress heartbeats
+//! over the exploration engines.
 //!
 //! Everything here is *pull-only*: the engines publish monotonically into
 //! lock-free cells (or a thread-local span stack), and watcher threads
@@ -8,23 +8,18 @@
 //! re-asserted by `tests/obs_determinism.rs`. Every hook is one relaxed
 //! atomic load when the matching feature is off.
 //!
-//! Three independently-gated features:
+//! Two independently-gated features:
 //!
 //! * **span tree** ([`set_span_tree`] / [`SpanTree`]) — every span drop
 //!   folds its wall-clock into a global tree keyed by the full stack of
-//!   enclosing span names, giving per-node total *and self* attribution,
-//! * **stack mirroring + profiler** ([`register_thread`] / [`Profiler`]) —
-//!   registered engine threads mirror their current span stack into a
-//!   shared slot; a dependency-free sampling thread snapshots all slots at
-//!   a seeded, jittered tick and aggregates an ASCII flame table (plus a
-//!   Chrome-trace rendering),
+//!   enclosing span names, giving exact per-node total *and self*
+//!   attribution, rendered as an ASCII table or a Chrome-trace flame chart,
 //! * **progress cells** ([`set_progress`] / [`ProgressCell`]) —
 //!   `petri::reach` and `vm::explore` publish states/frontier/depth into
 //!   two global cells; a [`Heartbeat`] watcher drains them into EWMA
 //!   states/sec, an ETA against the exploration budget, heartbeat metrics
 //!   and a `jcc top`-style one-line rendering.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -37,8 +32,7 @@ use crate::metrics::global;
 // ---------------------------------------------------------------------------
 
 const FLAG_TREE: u8 = 1;
-const FLAG_MIRROR: u8 = 2;
-const FLAG_PROGRESS: u8 = 4;
+const FLAG_PROGRESS: u8 = 2;
 
 /// The one word every hook checks. Off (0) means every live-introspection
 /// call site costs a single relaxed load.
@@ -61,16 +55,6 @@ pub fn span_tree_enabled() -> bool {
 /// Turn [`SpanTree`] recording on or off (off by default).
 pub fn set_span_tree(on: bool) {
     set_flag(FLAG_TREE, on);
-}
-
-/// True when registered threads mirror their span stack for the profiler.
-#[inline]
-pub fn stack_mirror_enabled() -> bool {
-    FLAGS.load(Ordering::Relaxed) & FLAG_MIRROR != 0
-}
-
-pub(crate) fn set_stack_mirror(on: bool) {
-    set_flag(FLAG_MIRROR, on);
 }
 
 /// True when the engines publish into the global [`ProgressCell`]s.
@@ -196,231 +180,43 @@ impl SpanTreeSnapshot {
         }
         out
     }
-}
 
-// ---------------------------------------------------------------------------
-// Thread registration + span-stack mirroring
-// ---------------------------------------------------------------------------
-
-#[derive(Debug)]
-struct ThreadSlot {
-    name: String,
-    stack: Mutex<Vec<&'static str>>,
-    alive: AtomicBool,
-}
-
-fn slots() -> &'static Mutex<Vec<Arc<ThreadSlot>>> {
-    static SLOTS: OnceLock<Mutex<Vec<Arc<ThreadSlot>>>> = OnceLock::new();
-    SLOTS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-thread_local! {
-    static MY_SLOT: RefCell<Option<Arc<ThreadSlot>>> = const { RefCell::new(None) };
-}
-
-/// RAII handle from [`register_thread`]; deregisters on drop.
-#[derive(Debug)]
-pub struct ThreadRegistration {
-    slot: Arc<ThreadSlot>,
-}
-
-/// Register the calling thread with the profiler under `name`. While a
-/// [`Profiler`] is running, the thread's current span stack is mirrored
-/// into a shared slot the sampler reads. Returns a guard; the thread is
-/// forgotten when it drops.
-pub fn register_thread(name: &str) -> ThreadRegistration {
-    let slot = Arc::new(ThreadSlot {
-        name: name.to_string(),
-        stack: Mutex::new(Vec::new()),
-        alive: AtomicBool::new(true),
-    });
-    slots().lock().expect("profiler slots").push(Arc::clone(&slot));
-    MY_SLOT.with(|m| *m.borrow_mut() = Some(Arc::clone(&slot)));
-    ThreadRegistration { slot }
-}
-
-impl Drop for ThreadRegistration {
-    fn drop(&mut self) {
-        self.slot.alive.store(false, Ordering::Relaxed);
-        slots()
-            .lock()
-            .expect("profiler slots")
-            .retain(|s| !Arc::ptr_eq(s, &self.slot));
-        MY_SLOT.with(|m| {
-            let clear = m
-                .borrow()
-                .as_ref()
-                .is_some_and(|s| Arc::ptr_eq(s, &self.slot));
-            if clear {
-                *m.borrow_mut() = None;
-            }
-        });
-    }
-}
-
-/// Called by the span guard after every stack change while mirroring is
-/// on: copy the thread's current stack into its slot (if registered).
-pub(crate) fn mirror_stack(stack: &[&'static str]) {
-    MY_SLOT.with(|m| {
-        if let Some(slot) = m.borrow().as_ref() {
-            *slot.stack.lock().expect("slot stack") = stack.to_vec();
-        }
-    });
-}
-
-// ---------------------------------------------------------------------------
-// Sampling profiler
-// ---------------------------------------------------------------------------
-
-/// Aggregated samples from one [`Profiler`] session.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProfileReport {
-    /// The nominal tick, microseconds (samples jitter around it).
-    pub tick_micros: u64,
-    /// Total non-idle samples taken across all registered threads.
-    pub total_samples: u64,
-    /// `(thread name, span stack) -> sample count`, sorted.
-    pub samples: BTreeMap<(String, Vec<String>), u64>,
-}
-
-impl ProfileReport {
-    /// Render the aggregated samples as an ASCII flame table, hottest
-    /// stacks first (ties broken by key order for determinism).
-    pub fn render_flame_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "live profiler: {} samples over {} stacks (tick ~{}us)",
-            self.total_samples,
-            self.samples.len(),
-            self.tick_micros
-        );
-        let mut rows: Vec<(&(String, Vec<String>), &u64)> = self.samples.iter().collect();
-        rows.sort_by(|a, b| b.1.cmp(a.1).then_with(|| a.0.cmp(b.0)));
-        let _ = writeln!(out, "{:>8} {:>6}  {:<16} stack", "samples", "%", "thread");
-        for ((thread, stack), count) in rows {
-            let pct = *count as f64 * 100.0 / self.total_samples.max(1) as f64;
-            let _ = writeln!(
-                out,
-                "{count:>8} {pct:>5.1}%  {thread:<16} {}",
-                stack.join(" > ")
-            );
-        }
-        out
-    }
-
-    /// Render as a Chrome Trace Event Format document: each aggregated
-    /// stack becomes a run of nested `X` slices (one tick each) on its
-    /// thread's lane, so Perfetto shows a flame chart of where samples
-    /// landed.
+    /// Render as a Chrome Trace Event Format document, a flame chart
+    /// Perfetto can load: each node is one `X` slice as long as its total
+    /// time, its children laid out one after another from its start, so
+    /// every child lies inside its parent and width is exact time, not a
+    /// sample count.
     pub fn to_chrome_string(&self) -> String {
         use crate::json::Json;
-        let mut threads: Vec<&str> = self
-            .samples
-            .keys()
-            .map(|(t, _)| t.as_str())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        threads.sort_unstable();
-        let tid_of = |name: &str| threads.iter().position(|t| *t == name).unwrap_or(0) + 1;
-        let mut cursor: BTreeMap<&str, u64> = BTreeMap::new();
+        let micros = |nanos: u64| Json::Num(nanos as f64 / 1e3);
+        let mut root_next = 0u64;
+        // The open ancestors of the current node: (path, where its next
+        // child starts), nanoseconds.
+        let mut open: Vec<(&[String], u64)> = Vec::new();
         let mut events = Vec::new();
-        let tick = self.tick_micros.max(1);
-        for ((thread, stack), count) in &self.samples {
-            let start = *cursor.entry(thread.as_str()).or_insert(0);
-            let dur = count * tick;
-            for name in stack {
-                events.push(Json::obj([
-                    ("name".to_string(), Json::Str(name.clone())),
-                    ("cat".to_string(), Json::Str("profile".to_string())),
-                    ("ph".to_string(), Json::Str("X".to_string())),
-                    ("ts".to_string(), Json::Num(start as f64)),
-                    ("dur".to_string(), Json::Num(dur as f64)),
-                    ("pid".to_string(), Json::Num(1.0)),
-                    (
-                        "tid".to_string(),
-                        Json::Num(tid_of(thread.as_str()) as f64),
-                    ),
-                ]));
+        for node in &self.nodes {
+            while open.last().is_some_and(|(p, _)| !node.path.starts_with(p)) {
+                open.pop();
             }
-            cursor.insert(thread.as_str(), start + dur);
+            let next = match open.last_mut() {
+                Some((_, next)) => next,
+                None => &mut root_next,
+            };
+            let start = *next;
+            *next += node.total_nanos;
+            open.push((&node.path, start));
+            let name = node.path.last().cloned().unwrap_or_default();
+            events.push(Json::obj([
+                ("name".to_string(), Json::Str(name)),
+                ("cat".to_string(), Json::Str("span".to_string())),
+                ("ph".to_string(), Json::Str("X".to_string())),
+                ("ts".to_string(), micros(start)),
+                ("dur".to_string(), micros(node.total_nanos)),
+                ("pid".to_string(), Json::Num(1.0)),
+                ("tid".to_string(), Json::Num(1.0)),
+            ]));
         }
         Json::obj([("traceEvents".to_string(), Json::Arr(events))]).to_string_compact()
-    }
-}
-
-/// A dependency-free sampling profiler: while running, snapshots the
-/// mirrored span stack of every [registered](register_thread) thread at a
-/// seeded, jittered tick and aggregates sample counts per stack.
-#[derive(Debug)]
-pub struct Profiler {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<ProfileReport>,
-}
-
-fn lcg(state: &mut u64) -> u64 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    *state >> 11
-}
-
-impl Profiler {
-    /// Start sampling every ~`tick` (uniformly jittered in
-    /// `[tick/2, 3·tick/2)` from `seed`, so the sampler cannot phase-lock
-    /// with periodic work). Turns stack mirroring on for its lifetime.
-    pub fn start(tick: Duration, seed: u64) -> Profiler {
-        set_stack_mirror(true);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let tick_nanos = tick.as_nanos().max(1) as u64;
-        let handle = std::thread::Builder::new()
-            .name("jcc-obs-profiler".to_string())
-            .spawn(move || {
-                let mut rng = seed | 1;
-                let mut samples: BTreeMap<(String, Vec<String>), u64> = BTreeMap::new();
-                let mut total = 0u64;
-                while !stop2.load(Ordering::Relaxed) {
-                    let jitter = tick_nanos / 2 + lcg(&mut rng) % tick_nanos;
-                    std::thread::sleep(Duration::from_nanos(jitter));
-                    let snapshot: Vec<Arc<ThreadSlot>> =
-                        slots().lock().expect("profiler slots").clone();
-                    for slot in snapshot {
-                        if !slot.alive.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let stack = slot.stack.lock().expect("slot stack").clone();
-                        if stack.is_empty() {
-                            continue;
-                        }
-                        total += 1;
-                        let key = (
-                            slot.name.clone(),
-                            stack.iter().map(|s| s.to_string()).collect(),
-                        );
-                        *samples.entry(key).or_default() += 1;
-                    }
-                }
-                global().counter("live.profiler.samples").add(total);
-                ProfileReport {
-                    tick_micros: tick_nanos / 1_000,
-                    total_samples: total,
-                    samples,
-                }
-            })
-            .expect("spawn profiler thread");
-        Profiler { stop, handle }
-    }
-
-    /// Stop sampling, turn stack mirroring back off, and return the
-    /// aggregated report.
-    pub fn stop(self) -> ProfileReport {
-        self.stop.store(true, Ordering::Relaxed);
-        let report = self.handle.join().expect("profiler thread");
-        set_stack_mirror(false);
-        report
     }
 }
 
@@ -771,6 +567,49 @@ mod tests {
     }
 
     #[test]
+    fn span_tree_chrome_trace_nests_children_inside_parents() {
+        let node = |path: &[&str], total_nanos: u64| SpanTreeNode {
+            path: path.iter().map(|s| s.to_string()).collect(),
+            count: 1,
+            total_nanos,
+            self_nanos: 0,
+        };
+        let snap = SpanTreeSnapshot {
+            nodes: vec![
+                node(&["a"], 10_000),
+                node(&["a", "b"], 4_000),
+                node(&["a", "b", "d"], 1_500),
+                node(&["a", "c"], 5_000),
+                node(&["e"], 2_000),
+            ],
+        };
+        let doc = crate::json::Json::parse(&snap.to_chrome_string()).expect("valid JSON");
+        let slices: Vec<(&str, f64, f64)> = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_arr())
+            .expect("traceEvents array")
+            .iter()
+            .map(|e| {
+                let num = |k| e.get(k).and_then(|v| v.as_f64()).expect("number");
+                let name = e.get("name").and_then(|v| v.as_str()).expect("name");
+                (name, num("ts"), num("dur"))
+            })
+            .collect();
+        // Microseconds: each slice lasts its node's total; a child starts
+        // where its previous sibling ends, the first at its parent's start.
+        assert_eq!(
+            slices,
+            vec![
+                ("a", 0.0, 10.0),
+                ("b", 0.0, 4.0),
+                ("d", 0.0, 1.5),
+                ("c", 4.0, 5.0),
+                ("e", 10.0, 2.0),
+            ]
+        );
+    }
+
+    #[test]
     fn span_tree_off_records_nothing() {
         let _guard = level_lock().lock().unwrap();
         set_level(ObsLevel::Summary);
@@ -780,38 +619,6 @@ mod tests {
         }
         set_level(ObsLevel::Off);
         assert!(SpanTree::snapshot().nodes.is_empty());
-    }
-
-    #[test]
-    fn profiler_samples_registered_thread_stacks() {
-        let _guard = level_lock().lock().unwrap();
-        set_level(ObsLevel::Summary);
-        let profiler = Profiler::start(Duration::from_micros(200), 42);
-        let worker = std::thread::spawn(|| {
-            let _reg = register_thread("busy-worker");
-            let _span = span_enter("busy_phase");
-            std::thread::sleep(Duration::from_millis(30));
-        });
-        worker.join().unwrap();
-        let report = profiler.stop();
-        set_level(ObsLevel::Off);
-        assert!(report.total_samples > 0, "sampler saw the busy thread");
-        let key = ("busy-worker".to_string(), vec!["busy_phase".to_string()]);
-        assert!(
-            report.samples.contains_key(&key),
-            "expected busy_phase stack in {:?}",
-            report.samples.keys().collect::<Vec<_>>()
-        );
-        let table = report.render_flame_table();
-        assert!(table.contains("busy-worker"), "{table}");
-        assert!(table.contains("busy_phase"), "{table}");
-        let chrome = report.to_chrome_string();
-        assert!(chrome.contains("\"traceEvents\""), "{chrome}");
-        assert!(chrome.contains("busy_phase"), "{chrome}");
-        assert!(
-            !stack_mirror_enabled(),
-            "profiler stop turns mirroring back off"
-        );
     }
 
     #[test]

@@ -18,8 +18,7 @@ use crate::trace::push_record;
 thread_local! {
     static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// The stack of open span names on this thread, outermost first. Fed
-    /// to the live span tree and (for registered threads) mirrored for
-    /// the sampling profiler.
+    /// to the live span tree.
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -50,13 +49,7 @@ pub fn span_enter(name: &'static str) -> SpanGuard {
         d.set(depth + 1);
         depth
     });
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        stack.push(name);
-        if live::stack_mirror_enabled() {
-            live::mirror_stack(&stack);
-        }
-    });
+    STACK.with(|s| s.borrow_mut().push(name));
     if trace_enabled() {
         push_record("span_enter", depth, vec![("span".into(), name.into())]);
     }
@@ -95,9 +88,6 @@ impl Drop for SpanGuard {
                     live::record_tree(&stack, nanos);
                 }
                 stack.pop();
-                if live::stack_mirror_enabled() {
-                    live::mirror_stack(&stack);
-                }
             }
         });
         let reg = global();

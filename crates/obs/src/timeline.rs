@@ -12,8 +12,9 @@
 //! CoFG arc being traversed.
 //!
 //! This crate is dependency-free, so the timeline model speaks in plain
-//! strings and numbers; the `jcc-vm` and `jcc-runtime` crates build
-//! timelines from their own event streams via [`TimelineBuilder`]. The
+//! strings and numbers; `jcc-cofg`'s `TimelineFold` drives the
+//! [`TimelineBuilder`] from the shared event stream, for the VM's traces
+//! and the runtime's event logs alike. The
 //! clock is abstract (VM steps or event sequence numbers, never wall
 //! time), so a timeline is a pure function of the schedule: the same
 //! component and seed render byte-identically at any worker count.
@@ -404,8 +405,8 @@ struct LaneState {
 /// Builds a [`Timeline`] from a stream of monitor events in clock order.
 ///
 /// The builder owns the cross-lane bookkeeping — who last released each
-/// lock, who last notified on it — so producers ([`jcc-vm`'s trace walker,
-/// the runtime event log) only translate their own event vocabulary:
+/// lock, who last notified on it — so its one driver (`jcc-cofg`'s
+/// `TimelineFold`) only translates events into verbs:
 ///
 /// ```
 /// use jcc_obs::timeline::TimelineBuilder;

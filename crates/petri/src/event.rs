@@ -6,13 +6,6 @@
 //! accesses and CoFG markers. The VM's trace and the native runtime's
 //! capture rings both emit this type, and the detectors, timelines and
 //! coverage folds all consume it, so what is observed is what is analysed.
-//!
-//! [`timeline_verb`] is the single translation of an event into the
-//! [`TimelineBuilder`] verbs (T1 → requesting, T2 → critical section, …),
-//! shared by the VM's post-hoc timelines and the runtime's post-hoc and
-//! live ones.
-
-use jcc_obs::timeline::TimelineBuilder;
 
 use crate::Transition;
 
@@ -114,41 +107,6 @@ impl EventKind {
             } => Some(lock),
             _ => None,
         }
-    }
-}
-
-/// Apply the timeline verb of `e` on `lane`, at the event's clock value.
-/// `lock_name` renders a lock for display. Data accesses, coverage sites
-/// and capture gaps have no verb.
-pub fn timeline_verb<S: AsRef<str>>(
-    b: &mut TimelineBuilder,
-    lane: usize,
-    e: &Event,
-    lock_name: impl Fn(u64) -> S,
-) {
-    let at = e.seq;
-    match &e.kind {
-        EventKind::Transition { t, lock } => {
-            let name = lock_name(*lock);
-            let l = name.as_ref();
-            match t {
-                Transition::T1 => b.requests(lane, at, l),
-                Transition::T2 => b.acquires(lane, at, l),
-                Transition::T3 => b.waits(lane, at, l),
-                Transition::T4 => b.releases(lane, at, l),
-                Transition::T5 => b.woken(lane, at, l),
-            }
-        }
-        EventKind::Notify { lock, all, waiters } => {
-            b.notify(lane, at, lock_name(*lock).as_ref(), *all, *waiters);
-        }
-        EventKind::MethodStart { .. } => b.begins(lane, at),
-        EventKind::MethodEnd { .. } => b.idles(lane, at),
-        EventKind::Fault { message } => b.faults(lane, at, message),
-        EventKind::Read { .. }
-        | EventKind::Write { .. }
-        | EventKind::Site { .. }
-        | EventKind::CaptureGap { .. } => {}
     }
 }
 

@@ -57,14 +57,14 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, Weak};
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
-use jcc_petri::event::{timeline_verb, Event, EventKind};
+use jcc_cofg::TimelineFold;
+use jcc_petri::event::{Event, EventKind};
 use jcc_petri::Transition;
 
+use crate::lock;
 use crate::ring::{SpscRing, DEFAULT_CAPACITY_WORDS, EXTRA_SHIFT, HEADER_WORDS};
 
 /// Identifies a monitor instance within one [`EventLog`].
@@ -288,7 +288,7 @@ impl ProducerSlot {
         if let Some(id) = self.dense_id {
             return id;
         }
-        let mut reg = shared.registry.lock();
+        let mut reg = lock(&shared.registry);
         let token = current_thread_id();
         let next = reg.thread_ids.len() as u64 + 1;
         let id = *reg.thread_ids.entry(token).or_insert(next);
@@ -300,7 +300,7 @@ impl ProducerSlot {
         if let Some(&id) = self.names.get(name) {
             return id as u64;
         }
-        let id = shared.names.lock().intern(name);
+        let id = lock(&shared.names).intern(name);
         self.names.insert(name.to_string(), id);
         id as u64
     }
@@ -573,7 +573,7 @@ impl EventLog {
     /// Register a monitor name, returning its id. Id 0 is reserved for
     /// "no monitor", so the first registration returns `MonitorId(1)`.
     pub fn register_monitor(&self, name: impl Into<String>) -> MonitorId {
-        let mut names = self.shared.names.lock();
+        let mut names = lock(&self.shared.names);
         names.monitor_names.push(name.into());
         MonitorId(names.monitor_names.len() as u64)
     }
@@ -583,7 +583,7 @@ impl EventLog {
         if id.0 == 0 {
             return "<none>".to_string();
         }
-        self.shared.names.lock().monitor_names[(id.0 - 1) as usize].clone()
+        lock(&self.shared.names).monitor_names[(id.0 - 1) as usize].clone()
     }
 
     /// Append an event from the current thread. The event's thread id is
@@ -627,7 +627,7 @@ impl EventLog {
         let ring = Arc::new(SpscRing::with_capacity_words(
             self.shared.ring_capacity.load(Ordering::Relaxed),
         ));
-        self.shared.registry.lock().rings.push(Arc::clone(&ring));
+        lock(&self.shared.registry).rings.push(Arc::clone(&ring));
         slots.push(ProducerSlot {
             log_id: self.shared.id,
             epoch,
@@ -653,12 +653,12 @@ impl EventLog {
     /// renumbering `seq` densely. With `sink` the freshly drained events
     /// are streamed out (not retained); without it they append to the
     /// retained snapshot. Lock order: collected → registry → names.
-    fn collect(&self, mut sink: Option<&mut dyn FnMut(Event)>) -> parking_lot::MutexGuard<'_, Collected> {
-        let mut collected = self.shared.collected.lock();
-        let rings: Vec<Arc<SpscRing>> = self.shared.registry.lock().rings.clone();
+    fn collect(&self, mut sink: Option<&mut dyn FnMut(Event)>) -> MutexGuard<'_, Collected> {
+        let mut collected = lock(&self.shared.collected);
+        let rings: Vec<Arc<SpscRing>> = lock(&self.shared.registry).rings.clone();
         let mut batch: Vec<(u64, Event)> = Vec::new();
         {
-            let names = self.shared.names.lock();
+            let names = lock(&self.shared.names);
             let mut buf = Vec::new();
             for ring in &rings {
                 while ring.pop_record(&mut buf) {
@@ -694,7 +694,7 @@ impl EventLog {
     /// millions of events would dominate memory. Do not call other log
     /// accessors from inside the callback.
     pub fn drain_for_each<F: FnMut(Event)>(&self, mut f: F) {
-        self.collect(Some(&mut |e| f(e)));
+        drop(self.collect(Some(&mut |e| f(e))));
     }
 
     /// Number of events collected (logged and not sampled out / dropped),
@@ -716,8 +716,8 @@ impl EventLog {
     /// them). Monitor registrations and the interned string table are
     /// *kept* — names are registration-class state, not events.
     pub fn clear(&self) {
-        let mut collected = self.shared.collected.lock();
-        let mut reg = self.shared.registry.lock();
+        let mut collected = lock(&self.shared.collected);
+        let mut reg = lock(&self.shared.registry);
         self.shared.epoch.fetch_add(1, Ordering::Relaxed);
         reg.rings.clear();
         reg.thread_ids.clear();
@@ -775,13 +775,13 @@ impl EventLog {
     /// into the stream, but only materialize once the dropping thread
     /// logs again).
     pub fn drop_count(&self) -> u64 {
-        let reg = self.shared.registry.lock();
+        let reg = lock(&self.shared.registry);
         reg.rings.iter().map(|r| r.dropped()).sum()
     }
 
     /// Highest ring occupancy (words) any producer has seen.
     pub fn ring_occupancy_hwm(&self) -> u64 {
-        let reg = self.shared.registry.lock();
+        let reg = lock(&self.shared.registry);
         reg.rings.iter().map(|r| r.occupancy_hwm()).max().unwrap_or(0)
     }
 
@@ -797,7 +797,7 @@ impl EventLog {
     /// How many distinct threads have logged via [`EventLog::log`] (the
     /// per-log id allocator's high-water mark).
     pub fn allocated_threads(&self) -> usize {
-        self.shared.registry.lock().thread_ids.len()
+        lock(&self.shared.registry).thread_ids.len()
     }
 
     /// All distinct thread ids appearing in the log, in first-seen order.
@@ -818,21 +818,12 @@ impl EventLog {
     /// (see [`jcc_obs::timeline`]). Purely a read of the recorded events —
     /// building a timeline never alters the log.
     pub fn timeline(&self) -> jcc_obs::timeline::Timeline {
-        use jcc_obs::timeline::TimelineBuilder;
         let events = self.snapshot();
-        let mut b = TimelineBuilder::new("events");
-        let mut lanes: HashMap<u64, usize> = HashMap::new();
+        let mut fold = TimelineFold::new("events", None);
         for e in &events {
-            lanes
-                .entry(e.thread)
-                .or_insert_with(|| b.lane(&format!("thread-{}", e.thread)));
+            fold.observe(e, |lock| self.monitor_name(MonitorId(lock)));
         }
-        for e in &events {
-            timeline_verb(&mut b, lanes[&e.thread], e, |lock| {
-                self.monitor_name(MonitorId(lock))
-            });
-        }
-        b.finish(events.len() as u64)
+        fold.finish(events.len() as u64).0
     }
 }
 

@@ -4,7 +4,7 @@
 //! that matter to the paper: Java object locks are *reentrant*, every object
 //! has exactly *one* wait set, and `wait`/`notify`/`notifyAll` are methods
 //! of the locked object itself. [`JavaMonitor`] restores those semantics on
-//! top of `parking_lot` (owner/hold-count bookkeeping, a single logical wait
+//! top of `std::sync` (owner/hold-count bookkeeping, a single logical wait
 //! set, monitor-method API) and emits a [`jcc_petri::event::Event`] for
 //! every T1–T5 firing of the paper's Figure-1 model, into a shared
 //! [`EventLog`] that the detectors (`jcc-detect`) and coverage tracking
@@ -52,3 +52,10 @@ pub use events::{current_thread_id, EventLog, MonitorId};
 pub use live::LiveTimeline;
 pub use monitor::{JavaMonitor, MonitorGuard};
 pub use ring::SpscRing;
+
+/// Lock `m`, recovering the guard when a thread panicked while holding
+/// it: a monitor outlives a panic inside its critical section, as a Java
+/// monitor outlives an exception, so the crate never poisons.
+pub(crate) fn lock<T: ?Sized>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

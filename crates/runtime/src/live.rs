@@ -2,29 +2,26 @@
 //! run is still going*, with online-monitor alerts stamped into it as typed
 //! notes the moment they fire.
 //!
-//! [`EventLog::timeline`] is a post-hoc read: snapshot the log, translate
-//! every event through the Figure-1 verb table, render. [`LiveTimeline`] is
-//! the same translation applied incrementally — feed it each drained event
-//! and it grows the in-flight [`Timeline`](jcc_obs::timeline::Timeline) one
-//! event at a time, runs an [`OnlineMonitor`] alongside, and appends every
+//! [`EventLog::timeline`] is a post-hoc read: snapshot the log, fold every
+//! event through a [`TimelineFold`], render. [`LiveTimeline`] is the same
+//! fold fed incrementally — feed it each drained event and it grows the
+//! in-flight [`Timeline`](jcc_obs::timeline::Timeline) one event at a
+//! time, runs an [`OnlineMonitor`] alongside, and appends every
 //! [`OnlineAlert`](jcc_detect::OnlineAlert) as a note on the triggering
 //! thread's lane at the triggering event's clock value.
 //!
-//! The translation is byte-compatible with the post-hoc path: on a no-drop
-//! stream with no alerts, [`LiveTimeline::finish`] renders byte-identically
-//! to [`EventLog::timeline`] (same lanes, same intervals, same edges, same
-//! notes). Lane allocation is first-sight order, which equals the post-hoc
-//! pre-pass's first-event order, so lane indices agree too. When alerts do
-//! fire, the live timeline is the post-hoc one plus the alert notes — and
-//! feeding the same events in one batch ([`LiveTimeline::from_log`])
-//! produces the identical document, so "watched live" and "replayed later"
-//! tell the same story.
+//! On a no-drop stream with no alerts, [`LiveTimeline::finish`] therefore
+//! renders byte-identically to [`EventLog::timeline`] (same lanes, same
+//! intervals, same edges, same notes). When alerts do fire, the live
+//! timeline is the post-hoc one plus the alert notes — and feeding the
+//! same events in one batch ([`LiveTimeline::from_log`]) produces the
+//! identical document, so "watched live" and "replayed later" tell the
+//! same story.
 
-use std::collections::HashMap;
-
+use jcc_cofg::TimelineFold;
 use jcc_detect::OnlineMonitor;
-use jcc_obs::timeline::{Timeline, TimelineBuilder};
-use jcc_petri::event::{timeline_verb, Event};
+use jcc_obs::timeline::Timeline;
+use jcc_petri::event::Event;
 
 use crate::events::{EventLog, MonitorId};
 
@@ -32,10 +29,8 @@ use crate::events::{EventLog, MonitorId};
 /// they fire. See the module docs.
 #[derive(Debug)]
 pub struct LiveTimeline {
-    builder: TimelineBuilder,
+    fold: TimelineFold,
     monitor: OnlineMonitor,
-    /// thread id → lane index, allocated on first sight (first-event order).
-    lanes: HashMap<u64, usize>,
     /// How many of the monitor's alerts have already been stamped.
     stamped: usize,
     /// Events observed so far — the finished timeline's horizon.
@@ -52,9 +47,8 @@ impl LiveTimeline {
     /// A fresh live timeline (clock: `"events"`, like the post-hoc path).
     pub fn new() -> Self {
         LiveTimeline {
-            builder: TimelineBuilder::new("events"),
+            fold: TimelineFold::new("events", None),
             monitor: OnlineMonitor::new(),
-            lanes: HashMap::new(),
             stamped: 0,
             events_seen: 0,
         }
@@ -70,25 +64,16 @@ impl LiveTimeline {
         live
     }
 
-    /// Feed one drained event: translate it into the timeline (the
-    /// [`timeline_verb`] table [`EventLog::timeline`] uses), run the online
-    /// monitor on it, and stamp any alert it raised as a note at the
-    /// event's clock value.
+    /// Feed one drained event: fold it into the timeline (as
+    /// [`EventLog::timeline`] does), run the online monitor on it, and
+    /// stamp any alert it raised as a note at the event's clock value.
     /// `log` resolves monitor display names; pass the log the event came
     /// from.
     pub fn observe(&mut self, log: &EventLog, e: &Event) {
         self.events_seen += 1;
-        let lane = match self.lanes.get(&e.thread) {
-            Some(&lane) => lane,
-            None => {
-                let lane = self.builder.lane(&format!("thread-{}", e.thread));
-                self.lanes.insert(e.thread, lane);
-                lane
-            }
-        };
-        timeline_verb(&mut self.builder, lane, e, |lock| {
-            log.monitor_name(MonitorId(lock))
-        });
+        let lane = self
+            .fold
+            .observe(e, |lock| log.monitor_name(MonitorId(lock)));
         self.monitor.observe(e);
         // Stamp anything the monitor just raised. Alerts carry the seq of
         // the triggering event — this event — so the note lands on this
@@ -96,8 +81,7 @@ impl LiveTimeline {
         let alerts = self.monitor.alerts();
         while self.stamped < alerts.len() {
             let a = &alerts[self.stamped];
-            self.builder
-                .note(lane, a.seq, &format!("ALERT {}", a.finding));
+            self.fold.note(lane, a.seq, &format!("ALERT {}", a.finding));
             self.stamped += 1;
         }
     }
@@ -121,7 +105,7 @@ impl LiveTimeline {
     /// the number of observed events — the post-hoc path's
     /// `events.len()`.
     pub fn finish(self) -> Timeline {
-        self.builder.finish(self.events_seen)
+        self.fold.finish(self.events_seen).0
     }
 }
 

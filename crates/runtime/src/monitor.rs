@@ -13,14 +13,14 @@
 //! Reentrant `enter` while already owning the lock emits no transitions —
 //! in the model the thread is already in place C.
 
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
-
-use parking_lot::{Condvar, Mutex};
 
 use jcc_petri::event::EventKind;
 use jcc_petri::Transition;
 
 use crate::events::{current_thread_id, EventLog, MonitorId};
+use crate::lock;
 
 #[derive(Debug)]
 struct State<T> {
@@ -96,14 +96,14 @@ impl<T> JavaMonitor<T> {
     /// until the lock is granted. Reentrant.
     pub fn enter(&self) -> MonitorGuard<'_, T> {
         let me = current_thread_id();
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.owner == Some(me) {
             s.hold_count += 1;
             return MonitorGuard { monitor: self };
         }
         self.log.transition(self.id, Transition::T1);
         while s.owner.is_some() {
-            self.entry.wait(&mut s);
+            s = self.entry.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s.owner = Some(me);
         s.hold_count = 1;
@@ -115,7 +115,7 @@ impl<T> JavaMonitor<T> {
     /// lock. Emits T1/T2 only on success.
     pub fn try_enter(&self) -> Option<MonitorGuard<'_, T>> {
         let me = current_thread_id();
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         if s.owner == Some(me) {
             s.hold_count += 1;
             return Some(MonitorGuard { monitor: self });
@@ -135,7 +135,7 @@ impl<T> JavaMonitor<T> {
     /// lockset context.
     pub fn unsync_read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
         self.log.log(EventKind::Read { var: var.to_string() });
-        let s = self.state.lock();
+        let s = lock(&self.state);
         f(&s.data)
     }
 
@@ -143,13 +143,13 @@ impl<T> JavaMonitor<T> {
     /// FF-T1 experiments.
     pub fn unsync_write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
         self.log.log(EventKind::Write { var: var.to_string() });
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         f(&mut s.data)
     }
 
     fn exit(&self) {
         let me = current_thread_id();
-        let mut s = self.state.lock();
+        let mut s = lock(&self.state);
         assert_eq!(s.owner, Some(me), "exit by non-owner");
         s.hold_count -= 1;
         if s.hold_count == 0 {
@@ -172,7 +172,7 @@ impl<T> MonitorGuard<'_, T> {
     pub fn read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
         let m = self.monitor;
         m.log.log(EventKind::Read { var: var.to_string() });
-        let s = m.state.lock();
+        let s = lock(&m.state);
         debug_assert_eq!(s.owner, Some(current_thread_id()));
         f(&s.data)
     }
@@ -181,14 +181,14 @@ impl<T> MonitorGuard<'_, T> {
     pub fn write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
         let m = self.monitor;
         m.log.log(EventKind::Write { var: var.to_string() });
-        let mut s = m.state.lock();
+        let mut s = lock(&m.state);
         debug_assert_eq!(s.owner, Some(current_thread_id()));
         f(&mut s.data)
     }
 
     /// Access without logging (for bookkeeping the detectors should not see).
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut s = self.monitor.state.lock();
+        let mut s = lock(&self.monitor.state);
         f(&mut s.data)
     }
 
@@ -213,7 +213,7 @@ impl<T> MonitorGuard<'_, T> {
     fn wait_internal(&self, timeout: Option<Duration>) -> bool {
         let m = self.monitor;
         let me = current_thread_id();
-        let mut s = m.state.lock();
+        let mut s = lock(&m.state);
         assert_eq!(s.owner, Some(me), "wait by non-owner");
         assert_eq!(
             s.hold_count, 1,
@@ -232,10 +232,18 @@ impl<T> MonitorGuard<'_, T> {
         let mut notified = true;
         while !s.notified.contains(&ticket) {
             match deadline {
-                None => m.waitset.wait(&mut s),
+                None => s = m.waitset.wait(s).unwrap_or_else(PoisonError::into_inner),
                 Some(d) => {
                     let now = Instant::now();
-                    if now >= d || m.waitset.wait_until(&mut s, d).timed_out() {
+                    let timed_out = now >= d || {
+                        let (g, r) = m
+                            .waitset
+                            .wait_timeout(s, d - now)
+                            .unwrap_or_else(PoisonError::into_inner);
+                        s = g;
+                        r.timed_out()
+                    };
+                    if timed_out {
                         notified = s.notified.contains(&ticket);
                         break;
                     }
@@ -249,7 +257,7 @@ impl<T> MonitorGuard<'_, T> {
         // T5: woken (or timed out) — back to requesting the lock.
         m.log.transition(m.id, Transition::T5);
         while s.owner.is_some() {
-            m.entry.wait(&mut s);
+            s = m.entry.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s.owner = Some(me);
         s.hold_count = 1;
@@ -260,7 +268,7 @@ impl<T> MonitorGuard<'_, T> {
     /// Java `notify()`: wake one arbitrary waiter (no-op if none).
     pub fn notify(&self) {
         let m = self.monitor;
-        let mut s = m.state.lock();
+        let mut s = lock(&m.state);
         assert_eq!(s.owner, Some(current_thread_id()), "notify by non-owner");
         let waiters = s.unnotified();
         m.log.log(EventKind::Notify {
@@ -285,7 +293,7 @@ impl<T> MonitorGuard<'_, T> {
     /// Java `notifyAll()`: wake every waiter.
     pub fn notify_all(&self) {
         let m = self.monitor;
-        let mut s = m.state.lock();
+        let mut s = lock(&m.state);
         assert_eq!(
             s.owner,
             Some(current_thread_id()),
@@ -307,7 +315,7 @@ impl<T> MonitorGuard<'_, T> {
     pub fn wait_while(&self, mut blocked_when: impl FnMut(&T) -> bool) {
         loop {
             let blocked = {
-                let s = self.monitor.state.lock();
+                let s = lock(&self.monitor.state);
                 blocked_when(&s.data)
             };
             if !blocked {

@@ -29,7 +29,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use jcc_cofg::build_component_cofgs;
 use jcc_cofg::coverage::CoverageTracker;
-use jcc_model::ast::Stmt;
+use jcc_model::ast::{walk_paths, Stmt};
 use jcc_model::Component;
 use jcc_petri::event::{Event, EventKind};
 use jcc_petri::Transition;
@@ -68,8 +68,7 @@ impl SuiteGoals {
         let mut notify_sites = BTreeSet::new();
         for m in &component.methods {
             let mut has_wait = false;
-            let mut path = Vec::new();
-            collect_sites(&m.body, &mut path, &mut |stmt, path| match stmt {
+            walk_paths(&m.body, &mut |stmt, path| match stmt {
                 Stmt::Wait { .. } => has_wait = true,
                 Stmt::Notify { .. } | Stmt::NotifyAll { .. } => {
                     notify_sites.insert((m.name.clone(), path.to_vec()));
@@ -231,40 +230,6 @@ impl SuiteGoals {
                 _ => {}
             }
         }
-    }
-}
-
-/// Walk statements with paths (same convention as `jcc_model::ast`).
-fn collect_sites(
-    block: &[Stmt],
-    path: &mut Vec<usize>,
-    f: &mut impl FnMut(&Stmt, &[usize]),
-) {
-    for (i, stmt) in block.iter().enumerate() {
-        path.push(i);
-        f(stmt, path);
-        match stmt {
-            Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => {
-                collect_sites(body, path, f)
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_sites(then_branch, path, f);
-                for (j, s) in else_branch.iter().enumerate() {
-                    path.push(jcc_model::ast::ELSE_OFFSET + j);
-                    f(s, path);
-                    if let Stmt::While { body, .. } | Stmt::Synchronized { body, .. } = s {
-                        collect_sites(body, path, f);
-                    }
-                    path.pop();
-                }
-            }
-            _ => {}
-        }
-        path.pop();
     }
 }
 
@@ -430,6 +395,24 @@ mod tests {
             CallSpec::new("send", vec![Value::Str("a".into())]),
             CallSpec::new("send", vec![Value::Str("ab".into())]),
         ])
+    }
+
+    #[test]
+    fn goals_see_wait_and_notify_under_an_else_if() {
+        // `else if` lowers to an `if` inside the else branch.
+        let c = jcc_model::parse_component(
+            "class G { var a: bool = false; var b: bool = false;
+               synchronized fn w() { if (a) { skip; } else { if (b) { wait; } } }
+               synchronized fn n() { if (a) { skip; } else { if (b) { notifyAll; } } } }",
+        )
+        .unwrap();
+        let goals = SuiteGoals::new(&c);
+        assert!(goals.wait_methods.contains("w"), "{goals:?}");
+        let else_if = vec![0, jcc_model::ast::ELSE_OFFSET, 0];
+        assert_eq!(
+            goals.notify_sites.into_iter().collect::<Vec<_>>(),
+            vec![("n".to_string(), else_if)]
+        );
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub use jcc_petri::Parallelism;
 pub use machine::{
     CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,
 };
-pub use timeline::timeline_of_outcome;
+pub use timeline::{timeline_of_outcome, timeline_with_coverage};
 pub use value::Value;

@@ -1,12 +1,12 @@
 //! Building causal schedule timelines from VM run traces.
 //!
-//! [`timeline_of_outcome`] replays a [`RunOutcome`]'s step-stamped event
-//! trace through an [`jcc_obs::timeline::TimelineBuilder`]: one lane per
-//! logical thread, intervals keyed by the Figure-1 transitions each event
-//! fires (T1 → requesting-lock, T2 → critical-section, T3 → waiting,
-//! T5 → re-acquiring), causality edges for notify→wake and
-//! release→acquire, and — when the component's CoFGs are supplied — each
-//! interval stamped with the CoFG arc the thread traversed during it.
+//! [`timeline_of_outcome`] folds a [`RunOutcome`]'s step-stamped event
+//! trace through a [`TimelineFold`]: one lane per logical thread,
+//! intervals keyed by the Figure-1 transitions each event fires (T1 →
+//! requesting-lock, T2 → critical-section, T3 → waiting, T5 →
+//! re-acquiring), causality edges for notify→wake and release→acquire,
+//! and — when the component's CoFGs are supplied — each interval stamped
+//! with the CoFG arc the thread traversed during it.
 //!
 //! The timeline is a pure post-hoc function of the recorded trace (the
 //! clock is the VM's logical step counter, never wall time), so it
@@ -15,33 +15,33 @@
 //! rendered timeline. Building a timeline can never change an
 //! exploration result — it only reads what the run already recorded.
 
-use jcc_cofg::{Cofg, NodeId};
-use jcc_model::ast::StmtPath;
-use jcc_obs::timeline::{Timeline, TimelineBuilder};
-use jcc_petri::event::{timeline_verb, EventKind};
+use jcc_cofg::{Cofg, CoverageTracker, TimelineFold};
+use jcc_obs::timeline::Timeline;
 
 use crate::machine::RunOutcome;
-
-/// Label the CoFG arc `from -> to` of `cofg`, or `None` when no such arc
-/// exists (the traversal would be a coverage stray).
-fn arc_label(cofg: &Cofg, from: NodeId, to: NodeId) -> Option<String> {
-    cofg.arc_between(from, to)?;
-    Some(format!(
-        "{}: {} -> {}",
-        cofg.method,
-        cofg.label(from),
-        cofg.label(to)
-    ))
-}
 
 /// Build the causal timeline of one explored schedule. Pass the
 /// component's CoFGs to stamp intervals and notify edges with the arcs
 /// they traverse; pass `None` to skip arc attribution.
 pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Timeline {
-    let mut b = TimelineBuilder::new("steps");
-    for name in &outcome.thread_names {
-        b.lane(name);
-    }
+    let coverage = cofgs.map(|g| CoverageTracker::new(g.iter().cloned()));
+    fold_outcome(outcome, coverage).0
+}
+
+/// The arc-stamped timeline of one schedule together with the CoFG
+/// coverage (and per-arc traversal counts) its trace earned, from one
+/// walk of the trace.
+pub fn timeline_with_coverage(outcome: &RunOutcome, cofgs: &[Cofg]) -> (Timeline, CoverageTracker) {
+    let (timeline, tracker) =
+        fold_outcome(outcome, Some(CoverageTracker::new(cofgs.iter().cloned())));
+    (timeline, tracker.expect("the fold keeps its tracker"))
+}
+
+fn fold_outcome(
+    outcome: &RunOutcome,
+    coverage: Option<CoverageTracker>,
+) -> (Timeline, Option<CoverageTracker>) {
+    let mut fold = TimelineFold::with_lanes("steps", &outcome.thread_names, coverage);
     let lock_name = |lock: u64| -> &str {
         outcome
             .lock_names
@@ -49,59 +49,10 @@ pub fn timeline_of_outcome(outcome: &RunOutcome, cofgs: Option<&[Cofg]>) -> Time
             .map(String::as_str)
             .unwrap_or("?")
     };
-    let cofg_of = |method: &str| -> Option<&Cofg> {
-        cofgs?.iter().find(|g| g.method == method)
-    };
-    // Per-thread arc walk, mirroring CoverageTracker: the last CoFG node
-    // of the active invocation.
-    let mut walk: Vec<Option<(String, NodeId)>> = vec![None; outcome.thread_names.len()];
-
     for e in &outcome.trace {
-        let i = e.thread as usize;
-        // CoFG arc attribution first: the arc into `end` belongs to the
-        // call's last interval, before the lane goes idle.
-        match &e.kind {
-            EventKind::MethodStart { method } => {
-                if let Some(g) = cofg_of(method) {
-                    walk[i] = Some((method.clone(), g.start()));
-                }
-            }
-            EventKind::MethodEnd { method } => {
-                if let Some((m, prev)) = walk[i].take() {
-                    if &m == method {
-                        if let Some(label) =
-                            cofg_of(method).and_then(|g| arc_label(g, prev, g.end()))
-                        {
-                            b.stamp_arc(i, &label);
-                        }
-                    }
-                }
-            }
-            EventKind::Site { method, path, exit } => {
-                if let Some(g) = cofg_of(method) {
-                    let path = StmtPath(path.clone());
-                    let node = if *exit {
-                        g.sync_exit_by_path(&path)
-                    } else {
-                        g.node_by_path(&path)
-                    };
-                    if let Some(node) = node {
-                        if let Some((m, prev)) = walk[i].clone() {
-                            if &m == method {
-                                if let Some(label) = arc_label(g, prev, node) {
-                                    b.stamp_arc(i, &label);
-                                }
-                            }
-                        }
-                        walk[i] = Some((method.clone(), node));
-                    }
-                }
-            }
-            _ => {}
-        }
-        timeline_verb(&mut b, i, e, lock_name);
+        fold.observe(e, lock_name);
     }
-    b.finish(outcome.steps as u64 + 1)
+    fold.finish(outcome.steps as u64 + 1)
 }
 
 #[cfg(test)]

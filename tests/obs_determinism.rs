@@ -233,9 +233,9 @@ fn timeline_renderings_identical_at_any_observation_level() {
 }
 
 /// Run `f` with the ENTIRE live-introspection stack active: summary
-/// metrics, span tree, progress publication, the stack-mirroring sampling
-/// profiler, a heartbeat watcher, and the metrics exposition endpoint
-/// (scraped once mid-run to exercise the render path).
+/// metrics, span tree, progress publication, a heartbeat watcher, and the
+/// metrics exposition endpoint (scraped once mid-run to exercise the
+/// render path).
 fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
     use std::time::Duration;
     obs::set_level(obs::ObsLevel::Summary);
@@ -244,8 +244,6 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
     obs::SpanTree::reset();
     obs::set_span_tree(true);
     obs::set_progress(true);
-    let _worker = obs::register_thread("determinism-test");
-    let profiler = obs::Profiler::start(Duration::from_millis(2), 7);
     let heartbeat = obs::Heartbeat::start(Duration::from_millis(5), |_| {});
     let server = obs::ExposeServer::start(0).expect("bind ephemeral port");
     let result = f();
@@ -253,7 +251,6 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
     assert!(scrape.contains("# TYPE"), "scrape renders: {scrape}");
     server.stop();
     heartbeat.stop();
-    let _ = profiler.stop();
     obs::set_progress(false);
     obs::set_span_tree(false);
     obs::set_level(obs::ObsLevel::Off);
@@ -262,9 +259,10 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
 
 #[test]
 fn reach_graph_unchanged_by_live_introspection() {
-    // The tentpole guarantee: the full live stack (profiler sampling the
-    // engine thread, heartbeats draining the progress cell, exposition
-    // serving scrapes) produces byte-identical reachability graphs.
+    // The tentpole guarantee: the full live stack (span tree recording
+    // the engine's spans, heartbeats draining the progress cell,
+    // exposition serving scrapes) produces byte-identical reachability
+    // graphs.
     let _guard = obs_lock();
     let j = JavaNet::new(3);
     let reference = with_level(obs::ObsLevel::Off, || {

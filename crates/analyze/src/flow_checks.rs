@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 
-use jcc_model::ast::{Component, Expr, LValue, Stmt, StmtPath};
+use jcc_model::ast::{visit_stmts, Block, Component, Expr, LValue, Stmt, StmtPath};
 use jcc_petri::{Deviation, FailureClass, Transition};
 
 use crate::dataflow::walk_method;
@@ -75,51 +75,24 @@ fn stmt_field_accesses(stmt: &Stmt) -> (BTreeSet<String>, BTreeSet<String>) {
     (reads, writes)
 }
 
-/// Pre-order walk over a single statement and everything nested in it.
-fn visit_stmt<'a>(stmt: &'a Stmt, f: &mut impl FnMut(&'a Stmt)) {
-    f(stmt);
-    match stmt {
-        Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => {
-            for s in body {
-                visit_stmt(s, f);
-            }
-        }
-        Stmt::If {
-            then_branch,
-            else_branch,
-            ..
-        } => {
-            for s in then_branch {
-                visit_stmt(s, f);
-            }
-            for s in else_branch {
-                visit_stmt(s, f);
-            }
-        }
-        _ => {}
-    }
-}
-
 /// A loop body "makes progress" towards changing `cond` if it contains a
 /// `wait` (suspending is progress: another thread runs), a `return`, or an
 /// assignment to any field/local the condition reads.
-fn loop_can_make_progress(cond: &Expr, body: &[Stmt]) -> bool {
+fn loop_can_make_progress(cond: &Expr, body: &Block) -> bool {
     let mut cond_fields = BTreeSet::new();
     let mut cond_vars = BTreeSet::new();
     expr_fields(cond, &mut cond_fields);
     expr_vars(cond, &mut cond_vars);
     let mut progress = false;
-    for stmt in body {
-        visit_stmt(stmt, &mut |s| match s {
-            Stmt::Wait { .. } | Stmt::Return(_) => progress = true,
-            Stmt::Assign { target, .. } => match target {
-                LValue::Field(f) if cond_fields.contains(f) => progress = true,
-                LValue::Local(v) if cond_vars.contains(v) => progress = true,
-                _ => {}
-            },
+    visit_stmts(body, &mut |s| match s {
+        Stmt::Wait { .. } | Stmt::Return(_) => progress = true,
+        Stmt::Assign { target, .. } => match target {
+            LValue::Field(f) if cond_fields.contains(f) => progress = true,
+            LValue::Local(v) if cond_vars.contains(v) => progress = true,
             _ => {}
-        });
-    }
+        },
+        _ => {}
+    });
     progress
 }
 

@@ -13,6 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use jcc_model::ast::Component;
+use jcc_petri::scc::tarjan_scc;
 use jcc_petri::{Deviation, FailureClass, Transition};
 
 use crate::dataflow::walk_method;
@@ -64,72 +65,28 @@ impl LockOrderGraph {
     /// monitor cannot deadlock: reentrancy edges are excluded), each as a
     /// sorted lock set. Deterministic order by smallest member.
     pub fn cycles(&self) -> Vec<Vec<LockId>> {
-        // Kosaraju on a graph of at most a handful of nodes.
-        let nodes: BTreeSet<LockId> = self
+        let nodes: Vec<LockId> = self
             .edges
             .keys()
             .flat_map(|&(a, b)| [a, b])
+            .collect::<BTreeSet<_>>()
+            .into_iter()
             .collect();
-        let fwd: BTreeMap<LockId, Vec<LockId>> = nodes
-            .iter()
-            .map(|&n| {
-                (
-                    n,
-                    self.edges
-                        .keys()
-                        .filter(|&&(a, _)| a == n)
-                        .map(|&(_, b)| b)
-                        .collect(),
-                )
+        let index_of: BTreeMap<LockId, usize> =
+            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        let mut adj = vec![Vec::new(); nodes.len()];
+        for &(a, b) in self.edges.keys() {
+            adj[index_of[&a]].push(index_of[&b]);
+        }
+        let mut sccs: Vec<Vec<LockId>> = tarjan_scc(&adj)
+            .into_iter()
+            .filter(|scc| scc.len() >= 2)
+            .map(|scc| {
+                let mut members: Vec<LockId> = scc.into_iter().map(|i| nodes[i]).collect();
+                members.sort();
+                members
             })
             .collect();
-        let rev: BTreeMap<LockId, Vec<LockId>> = nodes
-            .iter()
-            .map(|&n| {
-                (
-                    n,
-                    self.edges
-                        .keys()
-                        .filter(|&&(_, b)| b == n)
-                        .map(|&(a, _)| a)
-                        .collect(),
-                )
-            })
-            .collect();
-
-        fn dfs(
-            n: LockId,
-            adj: &BTreeMap<LockId, Vec<LockId>>,
-            seen: &mut BTreeSet<LockId>,
-            order: &mut Vec<LockId>,
-        ) {
-            if !seen.insert(n) {
-                return;
-            }
-            for &m in adj.get(&n).map(Vec::as_slice).unwrap_or(&[]) {
-                dfs(m, adj, seen, order);
-            }
-            order.push(n);
-        }
-
-        let mut finish = Vec::new();
-        let mut seen = BTreeSet::new();
-        for &n in &nodes {
-            dfs(n, &fwd, &mut seen, &mut finish);
-        }
-        let mut sccs = Vec::new();
-        let mut assigned = BTreeSet::new();
-        for &n in finish.iter().rev() {
-            if assigned.contains(&n) {
-                continue;
-            }
-            let mut members = Vec::new();
-            dfs(n, &rev, &mut assigned, &mut members);
-            members.sort();
-            if members.len() >= 2 {
-                sccs.push(members);
-            }
-        }
         sccs.sort();
         sccs
     }

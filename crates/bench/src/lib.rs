@@ -1,4 +1,4 @@
-//! # jcc-bench — experiment regeneration and benchmarks
+//! # jcc-bench — experiment regeneration
 //!
 //! One binary per experiment of `DESIGN.md` §8 (`cargo run -p jcc-bench
 //! --bin <name>`):
@@ -25,5 +25,3 @@
 //! run reports into `jcc-ledger/v1` JSON plus a human table; CI runs
 //! `jcc-report ci/bench_baseline*.json BENCH_eN.json --gate` once per
 //! gated bench, judged by the `obs::ledger` rule table.
-//!
-//! Criterion benchmarks live in `benches/`.

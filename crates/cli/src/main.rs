@@ -9,8 +9,8 @@
 //! directories (searched recursively, sorted). Exit codes: 0 = clean at
 //! the deny threshold, 1 = findings at or above the threshold, 2 =
 //! parse/lower error (or bad usage). With `--obs-out=DIR` the run records
-//! at `trace` level and writes a `RunReport` plus a Chrome trace of the
-//! span stream into the directory.
+//! at `summary` level with the span tree on and writes a `RunReport` plus
+//! the span tree as a Chrome trace into the directory.
 //!
 //! `profile` runs a named exploration scenario with the full live
 //! introspection stack on — hierarchical span tree, progress heartbeats
@@ -23,11 +23,12 @@
 #![warn(missing_docs)]
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use jcc_analyze::Severity;
+use jcc_core::obs;
 use jcc_javasrc::check::{check_paths, CheckOptions, Format};
 
 const USAGE: &str = "\
@@ -36,8 +37,9 @@ usage: jcc check [--deny=high|medium|low] [--format=text|json] [--obs-out=DIR] <
 
 check: lint Java sources with the jcc static concurrency analyzer.
 Paths may be .java files or directories (searched recursively).
---obs-out=DIR records the run at trace level and writes a RunReport
-(check_report.json) and a Chrome trace (check_trace.json) into DIR.
+--obs-out=DIR records the run's metrics and span tree and writes a
+RunReport (check_report.json) and the span tree as a Chrome trace
+(check_trace.json) into DIR.
 
 exit codes:
   0  every file parsed and no finding reached the --deny threshold
@@ -117,12 +119,9 @@ fn cmd_check<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> {
         return Err("no input paths".to_string());
     }
 
-    use jcc_core::obs;
     if let Some(dir) = &obs_out {
         std::fs::create_dir_all(dir).map_err(|e| format!("--obs-out: {e}"))?;
-        obs::set_level(obs::ObsLevel::Trace);
-        obs::global().reset();
-        obs::drain_trace();
+        record_span_tree();
     }
     let t0 = Instant::now();
     let outcome = {
@@ -154,23 +153,43 @@ fn cmd_check<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> {
         reg.counter("check.findings").add(findings as u64);
         reg.counter("check.front_errors")
             .add(outcome.front_errors as u64);
-        let (records, _dropped) = obs::drain_trace();
-        let report = obs::RunReport::from_registry("jcc_check", obs::ObsLevel::Trace, wall, reg);
-        let report_path = dir.join("check_report.json");
-        report
-            .write_to(&report_path)
-            .map_err(|e| format!("--obs-out: {e}"))?;
-        let trace_path = dir.join("check_trace.json");
-        std::fs::write(&trace_path, obs::trace::to_chrome_string(&records))
-            .map_err(|e| format!("--obs-out: {e}"))?;
+        obs::set_span_tree(false);
+        let trace = obs::SpanTree::snapshot().to_chrome_string();
+        write_obs_out(&dir, "check", wall, &[("check_trace.json", trace)])?;
         obs::set_level(obs::ObsLevel::Off);
         eprintln!(
             "obs: report written to {}, chrome trace to {}",
-            report_path.display(),
-            trace_path.display()
+            dir.join("check_report.json").display(),
+            dir.join("check_trace.json").display()
         );
     }
     Ok(outcome.exit_code() as u8)
+}
+
+/// Start recording at `summary` level into a fresh registry and span tree.
+fn record_span_tree() {
+    obs::set_level(obs::ObsLevel::Summary);
+    obs::global().reset();
+    obs::SpanTree::reset();
+    obs::set_span_tree(true);
+}
+
+/// The `--obs-out` writer `check` and `profile` share: the run's
+/// `RunReport` as `<cmd>_report.json`, then each `(file, text)` rendering.
+fn write_obs_out(dir: &Path, cmd: &str, wall: f64, files: &[(&str, String)]) -> Result<(), String> {
+    let err = |e: std::io::Error| format!("--obs-out: {e}");
+    obs::RunReport::from_registry(
+        &format!("jcc_{cmd}"),
+        obs::ObsLevel::Summary,
+        wall,
+        obs::global(),
+    )
+    .write_to(&dir.join(format!("{cmd}_report.json")))
+    .map_err(err)?;
+    for (file, text) in files {
+        std::fs::write(dir.join(file), text).map_err(err)?;
+    }
+    Ok(())
 }
 
 /// What `jcc profile` ran and found, for the closing summary.
@@ -304,13 +323,9 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
         std::fs::create_dir_all(dir).map_err(|e| format!("--obs-out: {e}"))?;
     }
 
-    use jcc_core::obs;
     // The full live stack: summary metrics, span tree, progress cells,
     // heartbeat watcher, optional exposition.
-    obs::set_level(obs::ObsLevel::Summary);
-    obs::global().reset();
-    obs::SpanTree::reset();
-    obs::set_span_tree(true);
+    record_span_tree();
     obs::set_progress(true);
     let server = match expose {
         Some(port) => {
@@ -353,18 +368,15 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
         println!("metrics endpoint served {samples} samples at shutdown");
     }
     if let Some(dir) = obs_out {
-        let report =
-            obs::RunReport::from_registry("jcc_profile", obs::ObsLevel::Summary, wall, obs::global());
-        report
-            .write_to(&dir.join("profile_report.json"))
-            .map_err(|e| format!("--obs-out: {e}"))?;
-        std::fs::write(dir.join("profile_flame.txt"), tree.render_ascii())
-            .map_err(|e| format!("--obs-out: {e}"))?;
-        std::fs::write(
-            dir.join("profile_flame_trace.json"),
-            tree.to_chrome_string(),
-        )
-        .map_err(|e| format!("--obs-out: {e}"))?;
+        write_obs_out(
+            &dir,
+            "profile",
+            wall,
+            &[
+                ("profile_flame.txt", tree.render_ascii()),
+                ("profile_flame_trace.json", tree.to_chrome_string()),
+            ],
+        )?;
         println!("obs: profile artifacts written to {}", dir.display());
     }
     drop(server);
@@ -375,6 +387,26 @@ fn cmd_profile<'a, I: Iterator<Item = &'a String>>(it: I) -> Result<u8, String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// Serializes the tests that record: they flip the process-global obs
+    /// level and span tree.
+    fn obs_lock() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The span names of a Chrome trace document.
+    fn trace_names(trace: &str) -> Vec<String> {
+        let doc = obs::json::Json::parse(trace).expect("the trace is JSON");
+        doc.get("traceEvents")
+            .and_then(|e| e.as_arr())
+            .expect("traceEvents array")
+            .iter()
+            .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
+            .map(str::to_string)
+            .collect()
+    }
 
     #[test]
     fn scenarios_parse_with_defaults_and_reject_bad_counts() {
@@ -392,6 +424,7 @@ mod tests {
 
     #[test]
     fn profile_writes_the_span_tree_artifacts() {
+        let _guard = obs_lock();
         let dir = std::env::temp_dir().join(format!("jcc-profile-test-{}", std::process::id()));
         let out = format!("--obs-out={}", dir.display());
         let args: Vec<String> = vec!["profile".into(), "javanet:3".into(), out];
@@ -401,14 +434,29 @@ mod tests {
         }
         let trace = std::fs::read_to_string(dir.join("profile_flame_trace.json")).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let doc = jcc_core::obs::json::Json::parse(&trace).expect("the trace is JSON");
-        let names: Vec<&str> = doc
-            .get("traceEvents")
-            .and_then(|e| e.as_arr())
-            .expect("traceEvents array")
-            .iter()
-            .filter_map(|e| e.get("name").and_then(|n| n.as_str()))
-            .collect();
-        assert!(names.contains(&"petri.reach.sequential"), "{names:?}");
+        let names = trace_names(&trace);
+        assert!(
+            names.iter().any(|n| n == "petri.reach.sequential"),
+            "{names:?}"
+        );
+    }
+
+    #[test]
+    fn check_writes_the_span_tree_artifacts() {
+        let _guard = obs_lock();
+        let dir = std::env::temp_dir().join(format!("jcc-check-test-{}", std::process::id()));
+        let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/java_corpus/clean");
+        let out = format!("--obs-out={}", dir.display());
+        let args: Vec<String> = vec!["check".into(), corpus.into(), out];
+        assert_eq!(run(&args), Ok(0));
+        let report = std::fs::read_to_string(dir.join("check_report.json")).unwrap();
+        let trace = std::fs::read_to_string(dir.join("check_trace.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = obs::RunReport::from_json_str(&report).expect("a run report");
+        assert_eq!(report.level, "summary");
+        let names = trace_names(&trace);
+        for span in ["jcc.check", "analyze.component"] {
+            assert!(names.iter().any(|n| n == span), "{span} missing: {names:?}");
+        }
     }
 }

@@ -15,6 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use jcc_petri::event::Event;
+use jcc_petri::scc::tarjan_scc;
 
 /// A cycle found in the lock-order graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -94,7 +95,6 @@ impl LockOrderGraph {
     /// Find all elementary cycles' node sets (reported once per strongly
     /// connected component with ≥ 2 nodes, or a self-loop).
     pub fn cycles(&self) -> Vec<LockOrderCycle> {
-        // Tarjan-style SCC over the small graph.
         let nodes: Vec<u64> = self
             .edges
             .iter()
@@ -104,7 +104,6 @@ impl LockOrderGraph {
             .collect();
         let index_of: BTreeMap<u64, usize> =
             nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
-        let n = nodes.len();
         let adj: Vec<Vec<usize>> = nodes
             .iter()
             .map(|a| {
@@ -115,7 +114,7 @@ impl LockOrderGraph {
             })
             .collect();
 
-        let mut sccs = tarjan(n, &adj);
+        let mut sccs = tarjan_scc(&adj);
         sccs.retain(|scc| {
             scc.len() > 1 || adj[scc[0]].contains(&scc[0]) // self-loop
         });
@@ -151,70 +150,6 @@ fn reaches(edges: &BTreeMap<u64, BTreeMap<u64, BTreeSet<u64>>>, from: u64, to: u
         }
     }
     false
-}
-
-fn tarjan(n: usize, adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    #[derive(Clone, Copy)]
-    struct NodeInfo {
-        index: Option<usize>,
-        lowlink: usize,
-        on_stack: bool,
-    }
-    struct State<'a> {
-        adj: &'a [Vec<usize>],
-        info: Vec<NodeInfo>,
-        stack: Vec<usize>,
-        next_index: usize,
-        sccs: Vec<Vec<usize>>,
-    }
-    fn strongconnect(v: usize, st: &mut State<'_>) {
-        st.info[v].index = Some(st.next_index);
-        st.info[v].lowlink = st.next_index;
-        st.next_index += 1;
-        st.stack.push(v);
-        st.info[v].on_stack = true;
-        for i in 0..st.adj[v].len() {
-            let w = st.adj[v][i];
-            if st.info[w].index.is_none() {
-                strongconnect(w, st);
-                st.info[v].lowlink = st.info[v].lowlink.min(st.info[w].lowlink);
-            } else if st.info[w].on_stack {
-                st.info[v].lowlink = st.info[v].lowlink.min(st.info[w].index.unwrap());
-            }
-        }
-        if Some(st.info[v].lowlink) == st.info[v].index {
-            let mut scc = Vec::new();
-            loop {
-                let w = st.stack.pop().unwrap();
-                st.info[w].on_stack = false;
-                scc.push(w);
-                if w == v {
-                    break;
-                }
-            }
-            st.sccs.push(scc);
-        }
-    }
-    let mut st = State {
-        adj,
-        info: vec![
-            NodeInfo {
-                index: None,
-                lowlink: 0,
-                on_stack: false
-            };
-            n
-        ],
-        stack: Vec::new(),
-        next_index: 0,
-        sccs: Vec::new(),
-    };
-    for v in 0..n {
-        if st.info[v].index.is_none() {
-            strongconnect(v, &mut st);
-        }
-    }
-    st.sccs
 }
 
 #[cfg(test)]
@@ -272,6 +207,33 @@ mod tests {
         let cycles = g.cycles();
         assert_eq!(cycles.len(), 1);
         assert_eq!(cycles[0].locks, vec![1, 2]);
+    }
+
+    #[test]
+    fn a_hand_over_hand_chain_needs_no_deep_stack() {
+        // Hold l_i, take l_{i+1}, release l_i: a 20 000-lock chain of
+        // edges, then one acquire of l_0 under l_{n-1} closes it into a
+        // ring. Both SCC passes run on a 2 MiB thread.
+        let n = 20_000;
+        let handle = std::thread::Builder::new()
+            .stack_size(2 * 1024 * 1024)
+            .spawn(move || {
+                let mut g = LockOrderGraph::new();
+                g.observe(&acq(1, 0));
+                for i in 0..n - 1 {
+                    g.observe(&acq(1, i + 1));
+                    g.observe(&rel(1, i));
+                }
+                let chain = g.cycles();
+                let closing = g.observe(&acq(1, 0));
+                (chain, closing, g.cycles())
+            })
+            .unwrap();
+        let (chain, closing, ring) = handle.join().unwrap();
+        assert!(chain.is_empty());
+        assert_eq!(closing, vec![(n - 1, 0)]);
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring[0].locks, (0..n).collect::<Vec<u64>>());
     }
 
     #[test]

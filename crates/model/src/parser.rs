@@ -33,8 +33,8 @@
 use std::fmt;
 
 use crate::ast::{
-    BinOp, Block, Builtin, Component, Expr, Field, LValue, LockRef, Method, Param, Stmt, Type,
-    UnOp,
+    visit_stmts, BinOp, Block, Builtin, Component, Expr, Field, LValue, LockRef, Method, Param,
+    Stmt, Type, UnOp,
 };
 use crate::lexer::{lex, LexError, Token, TokenKind};
 
@@ -531,7 +531,11 @@ fn resolve_names(component: &mut Component) {
     let field_names: Vec<String> = component.fields.iter().map(|f| f.name.clone()).collect();
     for method in &mut component.methods {
         let mut locals: Vec<String> = method.params.iter().map(|p| p.name.clone()).collect();
-        collect_locals(&method.body, &mut locals);
+        visit_stmts(&method.body, &mut |stmt| {
+            if let Stmt::Local { name, .. } = stmt {
+                locals.push(name.clone());
+            }
+        });
         let is_field =
             |name: &str| field_names.iter().any(|f| f == name) && !locals.iter().any(|l| l == name);
         rewrite_block(&mut method.body, &is_field);
@@ -539,26 +543,6 @@ fn resolve_names(component: &mut Component) {
     // Field initializers may not reference anything, but resolve for safety.
     for field in &mut component.fields {
         rewrite_expr(&mut field.init, &|_| false);
-    }
-}
-
-fn collect_locals(block: &Block, out: &mut Vec<String>) {
-    for stmt in block {
-        match stmt {
-            Stmt::Local { name, .. } => out.push(name.clone()),
-            Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => {
-                collect_locals(body, out)
-            }
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => {
-                collect_locals(then_branch, out);
-                collect_locals(else_branch, out);
-            }
-            _ => {}
-        }
     }
 }
 

@@ -2,13 +2,13 @@
 //!
 //! Every binary starts with `BenchReporter::init("e8_statespace")` and ends
 //! with `reporter.finish()`. `init` resolves the shared knob — the
-//! `JCC_OBS=off|summary|trace` environment variable (default `summary`) and
+//! `JCC_OBS=off|summary` environment variable (default `summary`) and
 //! the `--quiet` flag (suppress human output; the JSON report is still
 //! written) — resets the global registry so the report covers exactly this
 //! run, and starts the wall clock. `finish` snapshots everything into a
 //! [`RunReport`], derives `states_per_sec`, writes `BENCH_<prefix>.json`
-//! (prefix = bin name up to the first `_`, e.g. `BENCH_e8.json`), appends
-//! the JSONL trace at `trace` level, and prints the summary unless quiet.
+//! (prefix = bin name up to the first `_`, e.g. `BENCH_e8.json`), and
+//! prints the summary unless quiet.
 //!
 //! [`ab_best_of_3`] is the one A/B timing harness the overhead and
 //! representation comparisons share.
@@ -19,7 +19,6 @@ use std::time::Instant;
 use crate::level::{set_level, ObsLevel};
 use crate::metrics::global;
 use crate::report::RunReport;
-use crate::trace::{drain_trace, to_jsonl};
 
 /// Per-binary run reporter; see the module docs.
 #[derive(Debug)]
@@ -52,8 +51,7 @@ pub fn parse_knobs(args: impl IntoIterator<Item = String>) -> (ObsLevel, bool) {
 
 impl BenchReporter {
     /// Initialize reporting for `bin`: parse the process's knobs, set the
-    /// global level, zero the global registry and trace buffer, and start
-    /// the wall clock.
+    /// global level, zero the global registry, and start the wall clock.
     pub fn init(bin: &str) -> BenchReporter {
         let (level, quiet) = parse_knobs(std::env::args().skip(1));
         Self::init_with(bin, level, quiet)
@@ -64,7 +62,6 @@ impl BenchReporter {
     pub fn init_with(bin: &str, level: ObsLevel, quiet: bool) -> BenchReporter {
         set_level(level);
         global().reset();
-        drain_trace();
         BenchReporter {
             bin: bin.to_string(),
             level,
@@ -121,9 +118,8 @@ impl BenchReporter {
         }
     }
 
-    /// Build the report, write the JSON file (and the JSONL trace at
-    /// `trace` level), print the summary unless quiet, and return the
-    /// report.
+    /// Build the report, write the JSON file, print the summary unless
+    /// quiet, and return the report.
     pub fn finish(self) -> RunReport {
         let wall = self.start.elapsed().as_secs_f64();
         let reg = global();
@@ -140,24 +136,6 @@ impl BenchReporter {
         let path = self.report_path();
         if let Err(e) = report.write_to(&path) {
             eprintln!("obs: cannot write {}: {e}", path.display());
-        }
-        if self.level >= ObsLevel::Trace {
-            let (records, dropped) = drain_trace();
-            let trace_path = path.with_extension("trace.jsonl");
-            if let Err(e) = std::fs::write(&trace_path, to_jsonl(&records)) {
-                eprintln!("obs: cannot write {}: {e}", trace_path.display());
-            } else if !self.quiet {
-                println!(
-                    "obs: wrote {} trace records to {}{}",
-                    records.len(),
-                    trace_path.display(),
-                    if dropped > 0 {
-                        format!(" ({dropped} dropped at capacity)")
-                    } else {
-                        String::new()
-                    }
-                );
-            }
         }
         if !self.quiet {
             println!("{}", report.render_summary());
@@ -223,8 +201,8 @@ mod tests {
         let (level, quiet) = parse_knobs(args(&["--quiet", "--obs=off"]));
         assert_eq!(level, ObsLevel::Off);
         assert!(quiet);
-        let (level, quiet) = parse_knobs(args(&["-q", "--obs=trace"]));
-        assert_eq!(level, ObsLevel::Trace);
+        let (level, quiet) = parse_knobs(args(&["-q", "--obs=summary"]));
+        assert_eq!(level, ObsLevel::Summary);
         assert!(quiet);
         let (_, quiet) = parse_knobs(args(&["positional"]));
         assert!(!quiet);

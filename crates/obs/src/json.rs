@@ -1,7 +1,8 @@
 //! A minimal JSON value type with writer and recursive-descent parser.
 //!
 //! The build environment has no registry access, so there is no serde;
-//! this covers exactly what [`crate::report`] and [`crate::trace`] need:
+//! this covers exactly what the run reports, the ledger and the Chrome
+//! trace renderers need:
 //! objects with ordered keys, arrays, strings, finite numbers, booleans
 //! and null. Numbers are `f64` (every metric this crate emits fits well
 //! inside the 2^53 exact-integer range).

@@ -9,8 +9,6 @@ pub enum ObsLevel {
     Off,
     /// Record metrics (counters, gauges, histograms, span timings).
     Summary,
-    /// Record metrics plus the structured trace-event stream.
-    Trace,
 }
 
 impl ObsLevel {
@@ -20,22 +18,20 @@ impl ObsLevel {
     pub fn parse(s: &str) -> ObsLevel {
         match s.trim().to_ascii_lowercase().as_str() {
             "off" | "0" | "none" => ObsLevel::Off,
-            "trace" | "2" => ObsLevel::Trace,
             _ => ObsLevel::Summary,
         }
     }
 
-    /// The level's canonical name (`off` / `summary` / `trace`).
+    /// The level's canonical name (`off` / `summary`).
     pub fn name(self) -> &'static str {
         match self {
             ObsLevel::Off => "off",
             ObsLevel::Summary => "summary",
-            ObsLevel::Trace => "trace",
         }
     }
 }
 
-/// 0 = off, 1 = summary, 2 = trace. Off by default: libraries and tests
+/// 0 = off, 1 = summary. Off by default: libraries and tests
 /// pay nothing unless a binary opts in.
 static LEVEL: AtomicU8 = AtomicU8::new(0);
 
@@ -48,22 +44,15 @@ pub fn set_level(level: ObsLevel) {
 pub fn level() -> ObsLevel {
     match LEVEL.load(Ordering::Relaxed) {
         0 => ObsLevel::Off,
-        1 => ObsLevel::Summary,
-        _ => ObsLevel::Trace,
+        _ => ObsLevel::Summary,
     }
 }
 
-/// True when any recording is on (`summary` or `trace`). The hot-path
-/// guard: one relaxed atomic load.
+/// True when recording is on (`summary`). The hot-path guard: one relaxed
+/// atomic load.
 #[inline]
 pub fn enabled() -> bool {
     LEVEL.load(Ordering::Relaxed) != 0
-}
-
-/// True when the structured trace-event stream is on.
-#[inline]
-pub fn trace_enabled() -> bool {
-    LEVEL.load(Ordering::Relaxed) >= 2
 }
 
 /// Resolve the level a bench binary should run at: `JCC_OBS` if set,
@@ -87,15 +76,16 @@ mod tests {
         assert_eq!(ObsLevel::parse("0"), ObsLevel::Off);
         assert_eq!(ObsLevel::parse("none"), ObsLevel::Off);
         assert_eq!(ObsLevel::parse("summary"), ObsLevel::Summary);
-        assert_eq!(ObsLevel::parse("trace"), ObsLevel::Trace);
-        assert_eq!(ObsLevel::parse(" Trace "), ObsLevel::Trace);
-        // Unknown values degrade to the default, not to off.
+        assert_eq!(ObsLevel::parse(" Summary "), ObsLevel::Summary);
+        // Unknown values, a stray `trace` among them, degrade to the
+        // default, not to off.
         assert_eq!(ObsLevel::parse("verbose"), ObsLevel::Summary);
+        assert_eq!(ObsLevel::parse("trace"), ObsLevel::Summary);
     }
 
     #[test]
     fn names_round_trip() {
-        for l in [ObsLevel::Off, ObsLevel::Summary, ObsLevel::Trace] {
+        for l in [ObsLevel::Off, ObsLevel::Summary] {
             assert_eq!(ObsLevel::parse(l.name()), l);
         }
     }

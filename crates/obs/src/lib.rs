@@ -3,15 +3,14 @@
 //! A dependency-free observability layer for the exploration pipeline:
 //!
 //! * [`level`] — the global recording level ([`ObsLevel`]): `off` (the
-//!   default; every hook is a near-free atomic load), `summary` (metrics
-//!   only) or `trace` (metrics plus a structured event stream),
+//!   default; every hook is a near-free atomic load) or `summary` (metrics
+//!   and span timings),
 //! * [`metrics`] — a registry of named [`Counter`]s, [`Gauge`]s and
 //!   log2-bucketed [`Histogram`]s; the [`global`] registry is what the
 //!   engines write to, but registries are plain values and can be local,
 //! * [`span`] — timed, nested spans ([`span_enter`] / the [`span!`] macro):
 //!   each span records its wall-clock into the `span.<name>` histogram and,
-//!   at `trace` level, emits enter/exit events,
-//! * [`trace`] — the structured event stream and its JSONL rendering,
+//!   when the live span tree is on, into its stack's node of the tree,
 //! * [`json`] — a minimal JSON value type with writer and parser (the crate
 //!   registry is unreachable, so no serde),
 //! * [`report`] — the stable [`RunReport`] schema (`jcc-obs/v1`): a
@@ -29,12 +28,12 @@
 //! * [`live`] — live introspection: the hierarchical [`SpanTree`] (exact
 //!   per-stack time, with ASCII and Chrome-trace renderings), and the
 //!   [`ProgressCell`]/[`Heartbeat`] pair that turns engine progress into
-//!   EWMA rates, ETAs and heartbeat events while a run is in flight,
+//!   EWMA rates, ETAs and heartbeat gauges while a run is in flight,
 //! * [`expose`] — Prometheus text exposition of a registry
 //!   ([`render_prometheus`]) plus the minimal [`ExposeServer`] TCP
 //!   listener behind `--expose=PORT`,
 //! * [`bench`] — [`BenchReporter`], the front door for the `jcc-bench`
-//!   binaries: parses the shared `--quiet` / `JCC_OBS=off|summary|trace`
+//!   binaries: parses the shared `--quiet` / `JCC_OBS=off|summary`
 //!   knob, times the run, and writes `BENCH_<bin>.json`; and
 //!   [`ab_best_of_3`], the warmed, interleaved A/B timing harness behind
 //!   every overhead figure.
@@ -75,12 +74,11 @@ pub mod metrics;
 pub mod report;
 pub mod span;
 pub mod timeline;
-pub mod trace;
 
 pub use bench::{ab_best_of_3, parse_knobs, AbTiming, BenchReporter};
 pub use expose::{fetch_metrics, render_prometheus, ExposeServer};
 pub use ledger::Ledger;
-pub use level::{enabled, level, set_level, trace_enabled, ObsLevel};
+pub use level::{enabled, level, set_level, ObsLevel};
 pub use live::{
     explore_progress, progress_enabled, reach_progress, set_progress, set_span_tree, Heartbeat,
     HeartbeatStats, ProgressCell, ProgressSnapshot, SpanTree, SpanTreeSnapshot,
@@ -89,34 +87,16 @@ pub use metrics::{global, Counter, Gauge, Histogram, Registry};
 pub use report::{PhaseReport, RunReport};
 pub use span::{span_enter, SpanGuard};
 pub use timeline::{Timeline, TimelineBuilder};
-pub use trace::{drain_trace, trace_event, TraceRecord};
 
 /// Open a timed span: `let _g = jcc_obs::span!("petri.reach");`.
 ///
 /// The guard records the span's wall-clock into the `span.<name>` histogram
-/// of the global registry when it drops; at `trace` level it also emits
-/// enter/exit events. When the level is `off` the macro costs one relaxed
-/// atomic load.
+/// of the global registry when it drops, and into the live span tree when
+/// that is on. When the level is `off` the macro costs one relaxed atomic
+/// load.
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
         $crate::span_enter($name)
-    };
-}
-
-/// Emit a structured trace event (recorded only at `trace` level):
-/// `jcc_obs::event!("probe.failure"; "seed" => seed, "verdict" => v)`.
-#[macro_export]
-macro_rules! event {
-    ($name:expr) => {
-        $crate::trace_event($name, Vec::new())
-    };
-    ($name:expr; $($key:expr => $value:expr),+ $(,)?) => {
-        if $crate::trace_enabled() {
-            $crate::trace_event(
-                $name,
-                vec![$(($key.to_string(), format!("{}", $value))),+],
-            );
-        }
     };
 }

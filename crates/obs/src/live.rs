@@ -397,8 +397,8 @@ const EWMA_ALPHA: f64 = 0.3;
 
 /// A watcher thread that drains the global [`ProgressCell`]s every
 /// `interval` into heartbeat metrics (`live.heartbeat.count`,
-/// `live.<engine>.*` gauges), trace events, and a caller-supplied
-/// callback (the `jcc profile` one-line refresh).
+/// `live.<engine>.*` gauges) and a caller-supplied callback (the
+/// `jcc profile` one-line refresh).
 #[derive(Debug)]
 pub struct Heartbeat {
     stop: Arc<AtomicBool>,
@@ -490,14 +490,6 @@ impl Heartbeat {
                             .set(snap.frontier);
                         reg.gauge(&format!("live.{engine}.states_per_sec"))
                             .set(tracker.ewma as u64);
-                        crate::event!(
-                            "heartbeat";
-                            "engine" => engine,
-                            "states" => snap.states,
-                            "frontier" => snap.frontier,
-                            "states_per_sec" => format!("{:.0}", tracker.ewma),
-                            "done" => snap.done
-                        );
                         on_beat(&stats);
                     }
                     if stopping {

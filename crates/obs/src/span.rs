@@ -2,28 +2,22 @@
 //!
 //! A span brackets a phase of work on one thread. Opening is a relaxed
 //! atomic load when the level is `off`; when recording, the guard notes the
-//! start instant and a thread-local depth, and on drop folds the span's
-//! wall-clock into the global `span.<name>` histogram (nanoseconds) and the
-//! `span.<name>.count` counter. At `trace` level it also emits
-//! `span_enter` / `span_exit` records.
+//! start instant and pushes the span onto a thread-local stack, and on drop
+//! folds the span's wall-clock into the global `span.<name>` histogram
+//! (nanoseconds) and, when the live span tree is on, into that stack's
+//! node of the tree.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::time::Instant;
 
-use crate::level::{enabled, trace_enabled};
+use crate::level::enabled;
 use crate::live;
 use crate::metrics::global;
-use crate::trace::push_record;
 
 thread_local! {
-    static DEPTH: Cell<u32> = const { Cell::new(0) };
     /// The stack of open span names on this thread, outermost first. Fed
     /// to the live span tree.
     static STACK: RefCell<Vec<&'static str>> = const { RefCell::new(Vec::new()) };
-}
-
-pub(crate) fn current_depth() -> u32 {
-    DEPTH.with(|d| d.get())
 }
 
 /// The guard returned by [`span_enter`]; closes the span on drop.
@@ -36,7 +30,6 @@ pub struct SpanGuard {
 struct SpanInner {
     name: &'static str,
     start: Instant,
-    depth: u32,
 }
 
 /// Open a span named `name`. Prefer the [`crate::span!`] macro.
@@ -44,20 +37,11 @@ pub fn span_enter(name: &'static str) -> SpanGuard {
     if !enabled() {
         return SpanGuard { inner: None };
     }
-    let depth = DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth
-    });
     STACK.with(|s| s.borrow_mut().push(name));
-    if trace_enabled() {
-        push_record("span_enter", depth, vec![("span".into(), name.into())]);
-    }
     SpanGuard {
         inner: Some(SpanInner {
             name,
             start: Instant::now(),
-            depth,
         }),
     }
 }
@@ -78,7 +62,6 @@ impl Drop for SpanGuard {
             return;
         };
         let nanos = inner.start.elapsed().as_nanos() as u64;
-        DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             // A level flip between enter and drop can desync the stack;
@@ -92,16 +75,6 @@ impl Drop for SpanGuard {
         });
         let reg = global();
         reg.histogram(&format!("span.{}", inner.name)).record(nanos);
-        if trace_enabled() {
-            push_record(
-                "span_exit",
-                inner.depth,
-                vec![
-                    ("span".into(), inner.name.into()),
-                    ("nanos".into(), nanos.to_string()),
-                ],
-            );
-        }
     }
 }
 
@@ -127,6 +100,10 @@ pub(crate) mod tests {
             let _s = span_enter("off_test");
         }
         assert_eq!(global().histogram("span.off_test").snapshot().count, before);
+    }
+
+    fn current_depth() -> usize {
+        STACK.with(|s| s.borrow().len())
     }
 
     #[test]
@@ -155,24 +132,5 @@ pub(crate) mod tests {
             outer.sum,
             inner.sum
         );
-    }
-
-    #[test]
-    fn trace_level_emits_enter_exit_pairs() {
-        let _guard = level_lock().lock().unwrap();
-        set_level(ObsLevel::Trace);
-        crate::trace::drain_trace();
-        {
-            let _s = span_enter("traced");
-            crate::trace_event("inside", vec![("k".into(), "v".into())]);
-        }
-        set_level(ObsLevel::Off);
-        let (records, dropped) = crate::trace::drain_trace();
-        assert_eq!(dropped, 0);
-        let names: Vec<&str> = records.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, vec!["span_enter", "inside", "span_exit"]);
-        assert_eq!(records[1].depth, 1, "event sees the enclosing span");
-        // Timestamps never go backwards within one thread's stream.
-        assert!(records.windows(2).all(|w| w[0].ts_micros <= w[1].ts_micros));
     }
 }

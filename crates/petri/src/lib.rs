@@ -7,6 +7,8 @@
 //! * reachability analysis ([`reach`]) with deadlock and boundedness checks,
 //! * place-invariant (P-semiflow) verification and discovery ([`invariant`]),
 //! * DOT export ([`dot`]),
+//! * strongly connected components on an explicit stack ([`scc`]), shared
+//!   by the static and the dynamic lock-order graphs,
 //! * the paper's Figure-1 net — a single thread interacting with an object
 //!   lock — and its N-thread composition ([`java_model`]),
 //! * the shared vocabulary of the classification: [`Transition`] (T1–T5),
@@ -31,6 +33,7 @@ pub mod net;
 pub mod parallel;
 pub mod reach;
 pub mod reduce;
+pub mod scc;
 pub mod state;
 pub mod transition;
 

@@ -67,8 +67,9 @@ impl Default for ReachLimits {
 }
 
 /// A [`Reduction`] request resolved against a concrete net: the symmetry
-/// spec is dropped unless it verifies as a net automorphism, and the
-/// stubborn-set precomputation is built once per exploration.
+/// spec is dropped unless it verifies as a net automorphism (counted in
+/// `petri.reach.symmetry_rejected`), and the stubborn-set precomputation is
+/// built once per exploration.
 struct ActiveReduction {
     symmetry: Option<SymmetrySpec>,
     stubborn: Option<StubbornSets>,
@@ -84,8 +85,10 @@ impl ActiveReduction {
 
     fn resolve(net: &Net, r: Reduction) -> ActiveReduction {
         let symmetry = r.symmetry.filter(|s| s.lanes > 1 && s.is_automorphism(net));
-        if r.symmetry.is_some() && symmetry.is_none() {
-            jcc_obs::event!("petri.reach.symmetry_rejected"; "reason" => "spec is not a net automorphism");
+        if r.symmetry.is_some() && symmetry.is_none() && jcc_obs::enabled() {
+            jcc_obs::global()
+                .counter("petri.reach.symmetry_rejected")
+                .inc();
         }
         ActiveReduction {
             symmetry,

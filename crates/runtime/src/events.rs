@@ -51,8 +51,7 @@
 //! handles cached per producer, plus capture health: a
 //! `runtime.capture.latency_ns` log2 histogram (timed every 64th event),
 //! `runtime.capture.dropped` / `runtime.capture.sampled_out` counters and
-//! a `runtime.ring.occupancy_hwm_words` high-water gauge. At `trace`
-//! level, events also land in the structured trace stream.
+//! a `runtime.ring.occupancy_hwm_words` high-water gauge.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -426,7 +425,7 @@ impl ProducerSlot {
         }
 
         if obs_on {
-            self.bridge(thread, &kind);
+            self.bridge(&kind);
         }
 
         if !self.flush_gaps(shared) {
@@ -456,12 +455,11 @@ impl ProducerSlot {
         }
     }
 
-    /// Fold one captured event into the global obs registry (and, at
-    /// `trace` level, the structured trace stream). `Notify` with
+    /// Fold one captured event into the global obs registry. `Notify` with
     /// zero waiters is the *lost notification* shape — a wake-up nobody
     /// was there to receive — so it gets its own tally. Sampled-out and
     /// dropped events are counted separately, never here.
-    fn bridge(&mut self, thread: u64, kind: &EventKind) {
+    fn bridge(&mut self, kind: &EventKind) {
         let h = self.obs_handles();
         h.events.inc();
         match kind {
@@ -487,15 +485,6 @@ impl ProducerSlot {
             | EventKind::Site { .. } => h.markers.inc(),
             EventKind::Fault { .. } => {}
             EventKind::CaptureGap { .. } => h.gaps.inc(),
-        }
-        if jcc_obs::trace_enabled() {
-            jcc_obs::trace_event(
-                "runtime.event",
-                vec![
-                    ("thread".to_string(), thread.to_string()),
-                    ("kind".to_string(), format!("{kind:?}")),
-                ],
-            );
         }
     }
 }

@@ -599,6 +599,7 @@ fn compile_method(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jcc_model::ast::{stmt_at, walk_paths, StmtPath};
     use jcc_model::examples;
     use std::collections::HashSet;
 
@@ -864,50 +865,28 @@ mod tests {
     /// start and end, each `wait`/`notify`/`notifyAll`, and each
     /// `synchronized` block's entry and exit.
     fn contexts(c: &Component) -> HashSet<Site> {
-        /// Walk `block`, whose statement `i` has path `path ++ [base + i]`.
-        fn walk(
-            method: usize,
-            block: &Block,
-            base: usize,
-            path: &mut Vec<usize>,
-            out: &mut HashSet<Site>,
-        ) {
-            for (i, stmt) in block.iter().enumerate() {
-                path.push(base + i);
+        let mut out = HashSet::new();
+        for m in &c.methods {
+            let key = method_key(c, &m.name);
+            out.insert(Site::Start(key));
+            out.insert(Site::End(key));
+            walk_paths(&m.body, &mut |stmt, path| {
                 let site = |exit| Site::Stmt {
-                    method,
-                    path: path.clone(),
+                    method: key,
+                    path: path.to_vec(),
                     exit,
                 };
                 match stmt {
                     Stmt::Wait { .. } | Stmt::Notify { .. } | Stmt::NotifyAll { .. } => {
                         out.insert(site(false));
                     }
-                    Stmt::Synchronized { body, .. } => {
+                    Stmt::Synchronized { .. } => {
                         out.insert(site(false));
                         out.insert(site(true));
-                        walk(method, body, 0, path, out);
-                    }
-                    Stmt::While { body, .. } => walk(method, body, 0, path, out),
-                    Stmt::If {
-                        then_branch,
-                        else_branch,
-                        ..
-                    } => {
-                        walk(method, then_branch, 0, path, out);
-                        walk(method, else_branch, jcc_model::ast::ELSE_OFFSET, path, out);
                     }
                     _ => {}
                 }
-                path.pop();
-            }
-        }
-        let mut out = HashSet::new();
-        for m in &c.methods {
-            let key = method_key(c, &m.name);
-            out.insert(Site::Start(key));
-            out.insert(Site::End(key));
-            walk(key, &m.body, 0, &mut Vec::new(), &mut out);
+            });
         }
         out
     }
@@ -915,31 +894,6 @@ mod tests {
     /// How [`Site`] names the method called `name`.
     fn method_key(c: &Component, name: &str) -> usize {
         c.methods.iter().position(|m| m.name == name).unwrap()
-    }
-
-    /// The statement at `path` in `body`.
-    fn stmt_at<'b>(body: &'b Block, path: &[usize]) -> &'b Stmt {
-        let (&i, rest) = path.split_first().expect("a statement path");
-        let stmt = &body[i];
-        let Some(&next) = rest.first() else {
-            return stmt;
-        };
-        match stmt {
-            Stmt::While { body, .. } | Stmt::Synchronized { body, .. } => stmt_at(body, rest),
-            Stmt::If {
-                then_branch,
-                else_branch,
-                ..
-            } => match next.checked_sub(jcc_model::ast::ELSE_OFFSET) {
-                Some(j) => {
-                    let mut tail = rest.to_vec();
-                    tail[0] = j;
-                    stmt_at(else_branch, &tail)
-                }
-                None => stmt_at(then_branch, rest),
-            },
-            other => panic!("no statement below {other:?}"),
-        }
     }
 
     #[test]
@@ -979,8 +933,10 @@ mod tests {
                         panic!("{}: {instr:?} names {:?}", c.name, cc.site(id));
                     };
                     assert_eq!((*method, *e), (key, exit), "{}: {instr:?}", c.name);
+                    let stmt = stmt_at(&source.body, &StmtPath(path.clone()))
+                        .unwrap_or_else(|| panic!("{}: no statement at {path:?}", c.name));
                     let kind_matches = matches!(
-                        (instr, stmt_at(&source.body, path)),
+                        (instr, stmt),
                         (Instr::Wait { .. }, Stmt::Wait { .. })
                             | (Instr::Notify { all: false, .. }, Stmt::Notify { .. })
                             | (Instr::Notify { all: true, .. }, Stmt::NotifyAll { .. })

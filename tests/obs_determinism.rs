@@ -1,5 +1,6 @@
-//! Observation must never change results: with `jcc-obs` recording at any
-//! level, every engine produces results *identical* to an unobserved run —
+//! Observation must never change results: with `jcc-obs` recording metrics,
+//! with or without the span tree, every engine produces results
+//! *identical* to an unobserved run —
 //! same ReachGraph, same exploration tallies — and the published counters
 //! agree exactly with the results they describe. (The obs design records
 //! into local tallies flushed after the fact, so this is by construction;
@@ -9,7 +10,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use jcc_core::model::examples;
 use jcc_core::obs;
-use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
+use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits, Reduction, SymmetrySpec};
 use jcc_core::vm::{
     compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, ThreadSpec, Value, Vm,
 };
@@ -25,10 +26,17 @@ fn obs_lock() -> MutexGuard<'static, ()> {
 /// Run `f` with obs at `level` on a freshly reset registry, restoring the
 /// default (off) level afterwards.
 fn with_level<T>(level: obs::ObsLevel, f: impl FnOnce() -> T) -> T {
+    with_obs(level, false, f)
+}
+
+/// [`with_level`], with the live span tree on or off for the run.
+fn with_obs<T>(level: obs::ObsLevel, span_tree: bool, f: impl FnOnce() -> T) -> T {
     obs::set_level(level);
     obs::global().reset();
-    let _ = obs::drain_trace();
+    obs::SpanTree::reset();
+    obs::set_span_tree(span_tree);
     let result = f();
+    obs::set_span_tree(false);
     obs::set_level(obs::ObsLevel::Off);
     result
 }
@@ -56,13 +64,12 @@ fn reach_graph_unchanged_by_observation() {
         let j = JavaNet::new(n);
         let explore = || ReachGraph::explore(j.net(), ReachLimits::default());
         let reference_fp = graph_fingerprint(&with_level(obs::ObsLevel::Off, explore));
-        for level in [obs::ObsLevel::Summary, obs::ObsLevel::Trace] {
-            let g = with_level(level, explore);
+        for span_tree in [false, true] {
+            let g = with_obs(obs::ObsLevel::Summary, span_tree, explore);
             assert_eq!(
                 graph_fingerprint(&g),
                 reference_fp,
-                "n={n} level={}",
-                level.name()
+                "n={n} span_tree={span_tree}"
             );
         }
     }
@@ -91,6 +98,38 @@ fn reach_counters_agree_with_stats() {
     );
 }
 
+#[test]
+fn a_rejected_symmetry_spec_is_counted_and_changes_nothing() {
+    // Lanes starting at the shared lock place instead of the first thread
+    // place: not an automorphism, so the exploration must ignore the spec,
+    // count the rejection once and produce the unreduced graph.
+    let _guard = obs_lock();
+    let j = JavaNet::new(2);
+    let bogus = SymmetrySpec {
+        first_place: 0,
+        ..j.thread_symmetry()
+    };
+    assert!(!bogus.is_automorphism(j.net()));
+    let full = with_level(obs::ObsLevel::Off, || {
+        ReachGraph::explore(j.net(), ReachLimits::default())
+    });
+    let limits = ReachLimits {
+        reduction: Reduction {
+            ample: false,
+            symmetry: Some(bogus),
+        },
+        ..ReachLimits::default()
+    };
+    let g = with_level(obs::ObsLevel::Summary, || {
+        ReachGraph::explore(j.net(), limits)
+    });
+    assert_eq!(
+        obs::global().counter("petri.reach.symmetry_rejected").get(),
+        1
+    );
+    assert_eq!(graph_fingerprint(&g), graph_fingerprint(&full));
+}
+
 fn pc_vm() -> Vm {
     let c = examples::producer_consumer();
     Vm::new(
@@ -114,14 +153,11 @@ fn explore_tally_unchanged_by_observation() {
     let reference = with_level(obs::ObsLevel::Off, || {
         explore(pc_vm(), &ExploreConfig::default(), None)
     });
-    for level in [obs::ObsLevel::Summary, obs::ObsLevel::Trace] {
-        let observed = with_level(level, || explore(pc_vm(), &ExploreConfig::default(), None));
-        assert_eq!(
-            observed.tally(),
-            reference.tally(),
-            "level={}",
-            level.name()
-        );
+    for span_tree in [false, true] {
+        let observed = with_obs(obs::ObsLevel::Summary, span_tree, || {
+            explore(pc_vm(), &ExploreConfig::default(), None)
+        });
+        assert_eq!(observed.tally(), reference.tally(), "span_tree={span_tree}");
         // And the flushed counters describe exactly this exploration.
         let reg = obs::global();
         assert_eq!(reg.counter("vm.explore.runs").get(), 1);
@@ -206,13 +242,13 @@ fn timeline_renderings_identical_at_any_observation_level() {
         )
     };
     let renderings: Vec<(String, String)> = [
-        obs::ObsLevel::Off,
-        obs::ObsLevel::Summary,
-        obs::ObsLevel::Trace,
+        (obs::ObsLevel::Off, false),
+        (obs::ObsLevel::Summary, false),
+        (obs::ObsLevel::Summary, true),
     ]
     .into_iter()
-    .map(|level| {
-        with_level(level, || {
+    .map(|(level, span_tree)| {
+        with_obs(level, span_tree, || {
             let census = explore(make_vm(), &ExploreConfig::default(), None);
             let witness = census.first_witness().expect("lock-order deadlocks");
             let t = timeline_of_outcome(witness, Some(&cofgs));
@@ -240,7 +276,6 @@ fn with_live_stack<T>(f: impl FnOnce() -> T) -> T {
     use std::time::Duration;
     obs::set_level(obs::ObsLevel::Summary);
     obs::global().reset();
-    let _ = obs::drain_trace();
     obs::SpanTree::reset();
     obs::set_span_tree(true);
     obs::set_progress(true);

@@ -160,8 +160,9 @@ impl fmt::Display for CheckId {
 
 /// A machine-usable source location for a diagnostic, attached by source
 /// frontends (the Java frontend maps MIR method/statement ids back through
-/// its `LowerMap`). The DSL path leaves it `None`, which keeps every
-/// pre-existing rendering and JSON document byte-identical.
+/// its `LowerMap`). Components analyzed without one (the built-ins and
+/// their mutants) leave it `None`, which keeps every pre-existing rendering
+/// and JSON document byte-identical.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SrcLoc {
     /// Source file the diagnostic points into.
@@ -219,7 +220,7 @@ impl Diagnostic {
     }
 
     /// The source-aware sort prefix: `(file, span, check)`. Diagnostics
-    /// without a source location (the DSL path) all share the minimal key,
+    /// without a source location (no `LowerMap`) all share the minimal key,
     /// so their relative order is still decided by the declaration-order
     /// key — the pre-existing byte-identical ordering.
     fn src_key(&self) -> (String, (u32, u32), CheckId) {
@@ -367,7 +368,8 @@ impl AnalysisReport {
                     ));
                 }
                 // Frontend-attached source locations extend the record;
-                // the DSL path has none, keeping its documents unchanged.
+                // without a `LowerMap` there are none, keeping the
+                // documents unchanged.
                 if let Some(s) = &d.src {
                     pairs.push(("file".to_string(), Json::Str(s.file.clone())));
                     pairs.push(("line".to_string(), Json::Num(s.line as f64)));

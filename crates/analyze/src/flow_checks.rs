@@ -323,7 +323,7 @@ pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcc_model::parser::parse_component;
+    use jcc_model::parse_component;
 
     fn analyze_src(src: &str) -> Vec<Diagnostic> {
         let c = parse_component(src).expect("fixture parses");
@@ -339,7 +339,7 @@ mod tests {
 
     #[test]
     fn monitor_not_held_fires_on_unsynchronized_wait() {
-        let d = analyze_src("class X { var v: int = 0; fn m() { wait; } }");
+        let d = analyze_src("class X { int v = 0; void m() { wait(); } }");
         assert!(has(&d, CheckId::MonitorNotHeld));
         assert!(d.iter().all(|x| x.class.code() != "FF-T2"));
     }
@@ -347,7 +347,7 @@ mod tests {
     #[test]
     fn monitor_not_held_quiet_on_synchronized_method() {
         let d = analyze_src(
-            "class X { var v: int = 0; synchronized fn m() { while (v == 0) { wait; } notifyAll; } }",
+            "class X { int v = 0; synchronized void m() { while (v == 0) { wait(); } notifyAll(); } }",
         );
         assert!(!has(&d, CheckId::MonitorNotHeld));
     }
@@ -355,12 +355,12 @@ mod tests {
     #[test]
     fn nested_monitor_wait_fires_only_for_second_lock() {
         let d = analyze_src(
-            "class X { lock a; synchronized fn m() { synchronized (a) { wait; } } }",
+            "class X { final Object a = new Object(); synchronized void m() { synchronized (a) { wait(); } } }",
         );
         assert!(has(&d, CheckId::NestedMonitorWait));
         // Reentrant same-lock nesting is not a nested-monitor wait.
         let d = analyze_src(
-            "class X { synchronized fn m() { synchronized (this) { wait; } } }",
+            "class X { synchronized void m() { synchronized (this) { wait(); } } }",
         );
         assert!(!has(&d, CheckId::NestedMonitorWait));
         assert!(has(&d, CheckId::RedundantSync));
@@ -369,9 +369,9 @@ mod tests {
     #[test]
     fn unlocked_field_access_fires_on_racy_writer_not_on_clean_monitor() {
         let d = analyze_src(
-            "class X { var count: int = 0;
-               fn inc() { let t: int = count; count = t + 1; }
-               synchronized fn get() -> int { return count; } }",
+            "class X { int count = 0;
+               void inc() { int t = count; count = t + 1; }
+               synchronized int get() { return count; } }",
         );
         let hits: Vec<_> = d
             .iter()
@@ -382,7 +382,7 @@ mod tests {
         assert!(hits.iter().any(|x| x.severity == Severity::Medium));
 
         let d = analyze_src(
-            "class X { var v: int = 0; synchronized fn m() { v = v + 1; } }",
+            "class X { int v = 0; synchronized void m() { v = v + 1; } }",
         );
         assert!(!has(&d, CheckId::UnlockedFieldAccess));
     }
@@ -391,14 +391,14 @@ mod tests {
     fn unprotected_everywhere_field_is_not_reported() {
         // A field never accessed under any lock has no protection protocol
         // to violate — not this check's business.
-        let d = analyze_src("class X { var v: int = 0; fn m() { v = 1; } }");
+        let d = analyze_src("class X { int v = 0; void m() { v = 1; } }");
         assert!(!has(&d, CheckId::UnlockedFieldAccess));
     }
 
     #[test]
     fn spin_loop_holding_lock_is_high() {
         let d = analyze_src(
-            "class X { var v: int = 0; synchronized fn m() { while (true) { skip; } v = 1; } }",
+            "class X { int v = 0; synchronized void m() { while (true) { Thread.yield(); } v = 1; } }",
         );
         let hit = d
             .iter()
@@ -411,21 +411,21 @@ mod tests {
     #[test]
     fn guard_loop_without_wait_fires_when_body_cannot_progress() {
         let d = analyze_src(
-            "class X { var v: int = 0; synchronized fn m() { while (v == 0) { skip; } } }",
+            "class X { int v = 0; synchronized void m() { while (v == 0) { Thread.yield(); } } }",
         );
         assert!(has(&d, CheckId::GuardLoopWithoutWait));
         assert!(has(&d, CheckId::LoopHoldsLockForever));
 
         // A wait in the body is progress.
         let d = analyze_src(
-            "class X { var v: int = 0; synchronized fn m() { while (v == 0) { wait; } } }",
+            "class X { int v = 0; synchronized void m() { while (v == 0) { wait(); } } }",
         );
         assert!(!has(&d, CheckId::GuardLoopWithoutWait));
         assert!(!has(&d, CheckId::LoopHoldsLockForever));
 
         // Assigning a condition variable is progress.
         let d = analyze_src(
-            "class X { synchronized fn m() { let i: int = 0; while (i < 3) { i = i + 1; } } }",
+            "class X { synchronized void m() { int i = 0; while (i < 3) { i = i + 1; } } }",
         );
         assert!(!has(&d, CheckId::GuardLoopWithoutWait));
     }
@@ -433,8 +433,8 @@ mod tests {
     #[test]
     fn dead_notify_after_return_is_high_with_lost_notification() {
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { v = 1; return; notifyAll; } }",
+            "class X { int v = 0;
+               synchronized void m() { v = 1; return; notifyAll(); } }",
         );
         let hits: Vec<_> = d
             .iter()
@@ -453,8 +453,8 @@ mod tests {
         // unreachable (including a notifyAll) must NOT also earn
         // dead-code/lost-notification diagnostics.
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { while (true) { skip; } v = 1; notifyAll; } }",
+            "class X { int v = 0;
+               synchronized void m() { while (true) { Thread.yield(); } v = 1; notifyAll(); } }",
         );
         assert!(has(&d, CheckId::LoopHoldsLockForever));
         assert!(!has(&d, CheckId::UnreachableAfterReturn), "{d:?}");
@@ -462,7 +462,7 @@ mod tests {
 
     #[test]
     fn plain_dead_code_is_low() {
-        let d = analyze_src("class X { fn m() { return; skip; } }");
+        let d = analyze_src("class X { void m() { return; Thread.yield(); } }");
         let hit = d
             .iter()
             .find(|x| x.check == CheckId::UnreachableAfterReturn)
@@ -473,14 +473,14 @@ mod tests {
     #[test]
     fn redundant_sync_on_aux_lock() {
         let d = analyze_src(
-            "class X { lock a; var v: int = 0;
-               fn m() { synchronized (a) { synchronized (a) { v = 1; } } } }",
+            "class X { final Object a = new Object(); int v = 0;
+               void m() { synchronized (a) { synchronized (a) { v = 1; } } } }",
         );
         assert!(has(&d, CheckId::RedundantSync));
         // Different locks nested is not redundant.
         let d = analyze_src(
-            "class X { lock a; lock b; var v: int = 0;
-               fn m() { synchronized (a) { synchronized (b) { v = 1; } } } }",
+            "class X { final Object a = new Object(); final Object b = new Object(); int v = 0;
+               void m() { synchronized (a) { synchronized (b) { v = 1; } } } }",
         );
         assert!(!has(&d, CheckId::RedundantSync));
     }

@@ -1,7 +1,7 @@
 //! Guard-predicate analysis: linking every `wait` to the condition that
 //! guards it and every `notify` to the waiters it must wake.
 //!
-//! A monitor's wait loop `while (pred) { wait; }` re-checks `pred` after
+//! A monitor's wait loop `while (pred) { wait(); }` re-checks `pred` after
 //! each wake-up; the fields `pred` reads are the wait's *guard fields* —
 //! the state another thread must change (and then notify) to release the
 //! waiter. From that link the analysis flags:
@@ -398,7 +398,7 @@ fn method_reads_fields(method: &jcc_model::ast::Method) -> bool {
 mod tests {
     use super::*;
     use jcc_model::examples;
-    use jcc_model::parser::parse_component;
+    use jcc_model::parse_component;
 
     fn analyze_src(src: &str) -> Vec<Diagnostic> {
         let c = parse_component(src).expect("fixture parses");
@@ -422,25 +422,25 @@ mod tests {
     #[test]
     fn no_notifier_fires_per_wait_and_respects_lock_identity() {
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { while (v == 0) { wait; } } }",
+            "class X { int v = 0;
+               synchronized void m() { while (v == 0) { wait(); } } }",
         );
         assert!(has(&d, CheckId::NoNotifierForWait));
 
         // The notifier is on a *different* monitor than the wait: a name
         // comparison would miss this, the lock table does not.
         let d = analyze_src(
-            "class X { lock a; var v: int = 0;
-               synchronized fn m() { while (v == 0) { wait; } }
-               fn k() { synchronized (a) { notifyAll(a); } } }",
+            "class X { final Object a = new Object(); int v = 0;
+               synchronized void m() { while (v == 0) { wait(); } }
+               void k() { synchronized (a) { a.notifyAll(); } } }",
         );
         assert!(has(&d, CheckId::NoNotifierForWait));
 
         // Same monitor: no finding.
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { while (v == 0) { wait; } }
-               synchronized fn k() { v = 1; notifyAll; } }",
+            "class X { int v = 0;
+               synchronized void m() { while (v == 0) { wait(); } }
+               synchronized void k() { v = 1; notifyAll(); } }",
         );
         assert!(!has(&d, CheckId::NoNotifierForWait));
     }
@@ -448,15 +448,15 @@ mod tests {
     #[test]
     fn wait_not_in_loop_vs_unconditional() {
         let d = analyze_src(
-            "class X { var go: bool = false;
-               synchronized fn m() { if (!go) { wait; } notifyAll; } }",
+            "class X { boolean go = false;
+               synchronized void m() { if (!go) { wait(); } notifyAll(); } }",
         );
         assert!(has(&d, CheckId::WaitNotInLoop));
         assert!(!has(&d, CheckId::UnconditionalWait));
 
         let d = analyze_src(
-            "class X { var go: bool = false;
-               synchronized fn m() { wait; notifyAll; } }",
+            "class X { boolean go = false;
+               synchronized void m() { wait(); notifyAll(); } }",
         );
         assert!(has(&d, CheckId::UnconditionalWait));
         assert!(
@@ -466,8 +466,8 @@ mod tests {
 
         // A wait inside if inside while is re-checked: neither fires.
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { while (v == 0) { if (v == 0) { wait; } } notifyAll; } }",
+            "class X { int v = 0;
+               synchronized void m() { while (v == 0) { if (v == 0) { wait(); } } notifyAll(); } }",
         );
         assert!(!has(&d, CheckId::WaitNotInLoop));
         assert!(!has(&d, CheckId::UnconditionalWait));
@@ -478,10 +478,10 @@ mod tests {
         // k assigns v (the guard field of m's wait) and never notifies,
         // while another notifier exists (so the structural check is quiet).
         let d = analyze_src(
-            "class X { var v: int = 0;
-               synchronized fn m() { while (v == 0) { wait; } }
-               synchronized fn k() { v = 1; }
-               synchronized fn init() { v = 0; notifyAll; } }",
+            "class X { int v = 0;
+               synchronized void m() { while (v == 0) { wait(); } }
+               synchronized void k() { v = 1; }
+               synchronized void init() { v = 0; notifyAll(); } }",
         );
         let hits: Vec<_> = d
             .iter()
@@ -551,7 +551,7 @@ mod tests {
     #[test]
     fn possibly_unnecessary_sync_is_low_and_quiet_on_corpus() {
         let d = analyze_src(
-            "class X { synchronized fn m(v: int) -> int { return v + 1; } }",
+            "class X { synchronized int m(int v) { return v + 1; } }",
         );
         let hit = d
             .iter()

@@ -127,7 +127,7 @@ pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) 
 mod tests {
     use super::*;
     use jcc_model::examples;
-    use jcc_model::parser::parse_component;
+    use jcc_model::parse_component;
 
     fn run_on(c: &Component) -> Vec<Diagnostic> {
         let table = LockTable::new(c);
@@ -161,8 +161,8 @@ mod tests {
     #[test]
     fn reentrant_nesting_is_not_an_edge() {
         let c = parse_component(
-            "class X { var v: int = 0;
-               synchronized fn m() { synchronized (this) { v = 1; } } }",
+            "class X { int v = 0;
+               synchronized void m() { synchronized (this) { v = 1; } } }",
         )
         .unwrap();
         let table = LockTable::new(&c);
@@ -174,8 +174,8 @@ mod tests {
     #[test]
     fn synchronized_method_orders_this_before_aux() {
         let c = parse_component(
-            "class X { lock a; var v: int = 0;
-               synchronized fn m() { synchronized (a) { v = 1; } } }",
+            "class X { final Object a = new Object(); int v = 0;
+               synchronized void m() { synchronized (a) { v = 1; } } }",
         )
         .unwrap();
         let table = LockTable::new(&c);

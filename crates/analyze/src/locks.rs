@@ -9,6 +9,8 @@
 //! lock handles (which `LockRef` lacks) for lattice maps, `BTreeSet`
 //! dedup, and lock-order graph nodes.
 
+use std::collections::HashMap;
+
 use jcc_model::ast::{Component, LockRef};
 
 /// Dense identity of a monitor inside one component.
@@ -24,6 +26,8 @@ impl LockId {
 #[derive(Debug, Clone)]
 pub struct LockTable {
     names: Vec<String>,
+    /// Declared lock name → id; the first declaration of a name wins.
+    ids: HashMap<String, LockId>,
 }
 
 impl LockTable {
@@ -32,7 +36,11 @@ impl LockTable {
         let mut names = Vec::with_capacity(component.locks.len() + 1);
         names.push("this".to_string());
         names.extend(component.locks.iter().cloned());
-        LockTable { names }
+        let mut ids = HashMap::with_capacity(component.locks.len());
+        for (i, name) in component.locks.iter().enumerate() {
+            ids.entry(name.clone()).or_insert(LockId(i + 1));
+        }
+        LockTable { names, ids }
     }
 
     /// Resolve a [`LockRef`] to its dense id. `None` means the reference
@@ -42,12 +50,7 @@ impl LockTable {
     pub fn resolve(&self, lock: &LockRef) -> Option<LockId> {
         match lock {
             LockRef::This => Some(LockId::THIS),
-            LockRef::Named(n) => self
-                .names
-                .iter()
-                .skip(1)
-                .position(|name| name == n)
-                .map(|i| LockId(i + 1)),
+            LockRef::Named(n) => self.ids.get(n).copied(),
         }
     }
 

@@ -18,7 +18,7 @@ fn main() {
     }
     say!("=== Figure 2: the producer-consumer monitor ===\n");
     let component = examples::producer_consumer();
-    say!("--- Monitor IR (as parsed from the DSL) ---");
+    say!("--- Figure 2 in Java (the Monitor IR, printed) ---");
     say!("{}", print_component(&component));
 
     say!("--- VM run: producer sends \"abc\", consumer receives 3 chars ---");

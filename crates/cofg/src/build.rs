@@ -525,9 +525,9 @@ mod tests {
     fn early_return_threads_through_sync_exits() {
         let src = r#"
             class R {
-              lock a;
-              var n: int = 0;
-              fn m() -> int {
+              final Object a = new Object();
+              int n = 0;
+              int m() {
                 synchronized (a) {
                   if (n > 0) { return 1; }
                   n = n + 1;
@@ -572,10 +572,10 @@ mod tests {
         // concurrency node is reachable from start except through... nothing.
         let src = r#"
             class H {
-              var v: int = 0;
-              synchronized fn m() {
-                while (true) { skip; }
-                notifyAll;
+              int v = 0;
+              synchronized void m() {
+                while (true) { Thread.yield(); }
+                notifyAll();
               }
             }
         "#;

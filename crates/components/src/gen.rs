@@ -1,14 +1,14 @@
 //! A seeded, fully deterministic component generator.
 //!
-//! `generate` emits Monitor IR components that are **valid by
-//! construction** — they parse, pass `validate`, and earn zero High
+//! `generate` builds Monitor IR components directly (no source text) that
+//! are **valid by construction** — they pass `validate` and earn zero High
 //! diagnostics from the static analyzer — while scaling along the axes the
 //! sweep bench (E11) cares about:
 //!
 //! * `guards` counting guard cells `g0..` on the implicit monitor, each
 //!   with a non-blocking `put<i>` (increment + broadcast);
 //! * `wait_sites` blocking `take<i>_<j>` methods distributed round-robin
-//!   over the guards, each a disciplined `while (g<i> == 0) wait;` loop
+//!   over the guards, each a disciplined `while (g<i> == 0) wait();` loop
 //!   (so wait-site count is tunable independently of guard count);
 //! * `locks` named locks `l0..` swept by non-synchronized methods whose
 //!   nested `synchronized` blocks always acquire in ascending index order
@@ -20,8 +20,8 @@
 //! Everything random — padding constants, lock subsets, wait-site spread —
 //! comes from the vendored `StdRng` seeded with `GenConfig::seed`, so a
 //! config is a complete, reproducible description of its component:
-//! `generate_source` is byte-identical across runs, machines and thread
-//! counts.
+//! `generate_source` (the component printed as Java) is byte-identical
+//! across runs, machines and thread counts.
 //!
 //! [`call_plan`] pairs each component with a deadlock-free scenario: every
 //! thread performs all of its (non-blocking) puts before its takes and the
@@ -31,7 +31,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use jcc_model::ast::Component;
+use jcc_model::ast::{BinOp, Block, Component, Expr, Field, LValue, LockRef, Method, Stmt, Type};
+use jcc_model::pretty::print_component;
 
 /// The generator's size and randomness knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,89 +86,101 @@ impl GenConfig {
     }
 }
 
-/// Emit the component's Monitor IR source. Deterministic in `cfg`.
-pub fn generate_source(cfg: &GenConfig) -> String {
+/// Build the component. Deterministic in `cfg`.
+pub fn generate(cfg: &GenConfig) -> Component {
     assert!(cfg.guards > 0, "need at least one guard cell");
     assert!(cfg.threads > 0, "need at least one scenario thread");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let wait_sites = cfg.wait_sites_clamped();
-    let mut src = String::new();
-    src.push_str(&format!("class {} {{\n", cfg.class_name()));
-    for l in 0..cfg.locks {
-        src.push_str(&format!("  lock l{l};\n"));
-    }
-    for g in 0..cfg.guards {
-        src.push_str(&format!("  var g{g}: int = 0;\n"));
-    }
-    src.push_str("  var acc: int = 0;\n");
-    for l in 0..cfg.locks {
-        src.push_str(&format!("  var u{l}: int = 0;\n"));
-    }
+    let int_field = |name: String| Field {
+        name,
+        ty: Type::Int,
+        init: Expr::Int(0),
+    };
+    let mut fields: Vec<Field> = (0..cfg.guards)
+        .map(|g| int_field(format!("g{g}")))
+        .collect();
+    fields.push(int_field("acc".into()));
+    fields.extend((0..cfg.locks).map(|l| int_field(format!("u{l}"))));
+    // `f = f op k;`
+    let update = |f: &str, op: BinOp, k: i64| Stmt::Assign {
+        target: LValue::Field(f.into()),
+        value: Expr::Binary(op, Box::new(Expr::field(f)), Box::new(Expr::Int(k))),
+    };
+    let method = |name: String, synchronized: bool, body: Block| Method {
+        name,
+        params: Vec::new(),
+        ret: None,
+        synchronized,
+        body,
+    };
 
     // Non-blocking producers: one per guard, always broadcasting.
-    for g in 0..cfg.guards {
-        src.push_str(&format!(
-            "\n  synchronized fn put{g}() {{\n    g{g} = g{g} + 1;\n    notifyAll;\n  }}\n"
-        ));
-    }
+    let mut methods: Vec<Method> = (0..cfg.guards)
+        .map(|g| {
+            let body = vec![
+                update(&format!("g{g}"), BinOp::Add, 1),
+                Stmt::NotifyAll {
+                    lock: LockRef::This,
+                },
+            ];
+            method(format!("put{g}"), true, body)
+        })
+        .collect();
 
     // Blocking consumers: wait_sites disciplined guard loops, round-robin
     // over the guards, with the padding spread across their tails.
     let mut pad_left = cfg.padding;
     for site in 0..wait_sites {
-        let g = site % cfg.guards;
-        let j = site / cfg.guards;
-        src.push_str(&format!(
-            "\n  synchronized fn take{g}_{j}() {{\n    while (g{g} == 0) {{\n      wait;\n    }}\n    g{g} = g{g} - 1;\n"
-        ));
+        let (g, j) = (site % cfg.guards, site / cfg.guards);
+        let guard = format!("g{g}");
+        let mut body = vec![
+            Stmt::While {
+                cond: Expr::eq(Expr::field(&guard), Expr::Int(0)),
+                body: vec![Stmt::Wait {
+                    lock: LockRef::This,
+                }],
+            },
+            update(&guard, BinOp::Sub, 1),
+        ];
         let pad_here = pad_left.div_ceil(wait_sites - site);
         for _ in 0..pad_here {
-            let k: i64 = rng.gen_range(1..100);
-            src.push_str(&format!("    acc = acc + {k};\n"));
+            body.push(update("acc", BinOp::Add, rng.gen_range(1..100)));
         }
         pad_left -= pad_here;
-        src.push_str("  }\n");
+        methods.push(method(format!("take{g}_{j}"), true, body));
     }
 
     // Lock sweeps: ascending nested acquisition over a seeded subset, so
     // the global lock order is acyclic by construction.
     for sweep in 0..cfg.locks {
-        let mut subset: Vec<usize> = (0..cfg.locks)
-            .filter(|_| rng.gen_bool(0.7))
-            .collect();
+        let mut subset: Vec<usize> = (0..cfg.locks).filter(|_| rng.gen_bool(0.7)).collect();
         if subset.is_empty() {
             subset.push(sweep % cfg.locks);
         }
-        src.push_str(&format!("\n  fn sweep{sweep}() {{\n"));
-        for (depth, l) in subset.iter().enumerate() {
-            let indent = "  ".repeat(depth + 2);
-            src.push_str(&format!("{indent}synchronized (l{l}) {{\n"));
-        }
-        let body_indent = "  ".repeat(subset.len() + 2);
         let innermost = *subset.last().unwrap();
-        src.push_str(&format!(
-            "{body_indent}u{innermost} = u{innermost} + 1;\n"
-        ));
-        for depth in (0..subset.len()).rev() {
-            let indent = "  ".repeat(depth + 2);
-            src.push_str(&format!("{indent}}}\n"));
+        let mut body = vec![update(&format!("u{innermost}"), BinOp::Add, 1)];
+        for l in subset.iter().rev() {
+            body = vec![Stmt::Synchronized {
+                lock: LockRef::Named(format!("l{l}")),
+                body,
+            }];
         }
-        src.push_str("  }\n");
+        methods.push(method(format!("sweep{sweep}"), false, body));
     }
 
-    src.push_str("}\n");
-    src
+    Component {
+        name: cfg.class_name(),
+        locks: (0..cfg.locks).map(|l| format!("l{l}")).collect(),
+        fields,
+        methods,
+    }
 }
 
-/// Generate and check the component: parses, validates, and is returned
-/// ready for the VM / analyzer / mutation harnesses.
-pub fn generate(cfg: &GenConfig) -> Component {
-    let src = generate_source(cfg);
-    let c = jcc_model::parse_component(&src)
-        .unwrap_or_else(|e| panic!("generated source must parse: {e}\n{src}"));
-    let errors = jcc_model::validate::validate(&c);
-    assert!(errors.is_empty(), "generated source invalid: {errors:?}\n{src}");
-    c
+/// The component's Java source: [`generate`] printed. Deterministic in
+/// `cfg`.
+pub fn generate_source(cfg: &GenConfig) -> String {
+    print_component(&generate(cfg))
 }
 
 /// The deterministic, deadlock-free scenario for a generated component:
@@ -206,7 +219,6 @@ pub fn call_plan(cfg: &GenConfig) -> Vec<Vec<String>> {
 mod tests {
     use super::*;
     use jcc_analyze::{analyze, Severity};
-    use jcc_model::pretty::print_component;
 
     #[test]
     fn generation_is_deterministic_per_seed() {
@@ -223,6 +235,8 @@ mod tests {
                 let cfg = GenConfig::sized(n, seed);
                 let c = generate(&cfg);
                 assert_eq!(c.name, cfg.class_name());
+                let errors = jcc_model::validate::validate(&c);
+                assert!(errors.is_empty(), "size {n}: {errors:?}");
                 jcc_vm::compile(&c).unwrap_or_else(|e| panic!("size {n}: {e:?}"));
                 let report = analyze(&c);
                 assert_eq!(
@@ -237,10 +251,9 @@ mod tests {
 
     #[test]
     fn generated_components_roundtrip_through_the_printer() {
-        let c = generate(&GenConfig::sized(2, 5));
-        let printed = print_component(&c);
-        let reparsed = jcc_model::parse_component(&printed).unwrap();
-        assert_eq!(c, reparsed);
+        let cfg = GenConfig::sized(2, 5);
+        let reparsed = jcc_model::parse_component(&generate_source(&cfg)).unwrap();
+        assert_eq!(generate(&cfg), reparsed);
     }
 
     #[test]

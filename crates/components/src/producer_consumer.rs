@@ -81,7 +81,7 @@ impl ProducerConsumer {
     pub fn receive(&self) -> Result<char, GuardViolation> {
         method_start(self.log(), "receive");
         let guard = self.monitor.enter();
-        // while (curPos == 0) wait;
+        // while (curPos == 0) wait();
         if !self.faults.skip_wait {
             let mut first = true;
             loop {
@@ -133,7 +133,7 @@ impl ProducerConsumer {
         if self.faults.spurious_wait_in_send {
             guard.wait();
         }
-        // while (curPos > 0) wait;
+        // while (curPos > 0) wait();
         if !self.faults.skip_wait {
             let mut first = true;
             loop {

@@ -12,30 +12,30 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the bounded stack.
+/// Java source for the bounded stack.
 pub const BOUNDED_STACK_SRC: &str = r#"
 class BoundedStack {
-  var top: int = 0;
-  var capacity: int = 3;
-  var last: int = 0;
+  private int top = 0;
+  private int capacity = 3;
+  private int last = 0;
 
   // push v; blocks while the stack is full
-  synchronized fn push(v: int) {
+  public synchronized void push(int v) {
     while (top == capacity) {
-      wait;
+      wait();
     }
     last = v;
     top = top + 1;
-    notifyAll;
+    notifyAll();
   }
 
   // pop; blocks while the stack is empty, returns the new depth
-  synchronized fn pop() -> int {
+  public synchronized int pop() {
     while (top == 0) {
-      wait;
+      wait();
     }
     top = top - 1;
-    notifyAll;
+    notifyAll();
     return top;
   }
 }

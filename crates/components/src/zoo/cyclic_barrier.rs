@@ -13,42 +13,42 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the cyclic barrier.
+/// Java source for the cyclic barrier.
 pub const CYCLIC_BARRIER_SRC: &str = r#"
 class CyclicBarrier {
-  var parties: int = 2;
-  var arrived: int = 0;
-  var generation: int = 0;
-  var broken: bool = false;
+  private int parties = 2;
+  private int arrived = 0;
+  private int generation = 0;
+  private boolean broken = false;
 
   // block until all parties arrive; returns the generation entered
-  synchronized fn await() -> int {
-    let gen: int = generation;
+  public synchronized int await() {
+    int gen = generation;
     arrived = arrived + 1;
     if (arrived == parties) {
       arrived = 0;
       generation = generation + 1;
-      notifyAll;
+      notifyAll();
       return gen;
     }
     while (generation == gen && !broken) {
-      wait;
+      wait();
     }
     return gen;
   }
 
   // break the current generation, waking and failing its waiters
-  synchronized fn reset() {
+  public synchronized void reset() {
     broken = true;
     arrived = 0;
     generation = generation + 1;
-    notifyAll;
+    notifyAll();
   }
 
   // re-arm a broken barrier
-  synchronized fn repair() {
+  public synchronized void repair() {
     broken = false;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;

@@ -16,33 +16,33 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the exchanger.
+/// Java source for the exchanger.
 pub const EXCHANGER_SRC: &str = r#"
 class Exchanger {
-  var phase: int = 0;
-  var itemA: int = 0;
-  var itemB: int = 0;
+  private int phase = 0;
+  private int itemA = 0;
+  private int itemB = 0;
 
   // swap v with the partner's item; blocks until a partner arrives
-  synchronized fn exchange(v: int) -> int {
+  public synchronized int exchange(int v) {
     while (phase == 2) {
-      wait;
+      wait();
     }
     if (phase == 0) {
       itemA = v;
       phase = 1;
-      notifyAll;
+      notifyAll();
       while (phase == 1) {
-        wait;
+        wait();
       }
-      let got: int = itemB;
+      int got = itemB;
       phase = 0;
-      notifyAll;
+      notifyAll();
       return got;
     }
     itemB = v;
     phase = 2;
-    notifyAll;
+    notifyAll();
     return itemA;
   }
 }

@@ -12,30 +12,30 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the future cell.
+/// Java source for the future cell.
 pub const FUTURE_CELL_SRC: &str = r#"
 class FutureCell {
-  var done: bool = false;
-  var value: int = 0;
+  private boolean done = false;
+  private int value = 0;
 
   // publish the result exactly once and wake all getters
-  synchronized fn complete(v: int) {
+  public synchronized void complete(int v) {
     if (!done) {
       value = v;
       done = true;
     }
-    notifyAll;
+    notifyAll();
   }
 
   // block until the result is published
-  synchronized fn get() -> int {
+  public synchronized int get() {
     while (!done) {
-      wait;
+      wait();
     }
     return value;
   }
 
-  synchronized fn isDone() -> bool {
+  public synchronized boolean isDone() {
     return done;
   }
 }

@@ -7,7 +7,7 @@
 //! and barging counting-semaphore variants, a read–write lock with
 //! upgrade/downgrade, a two-party exchanger, and a bounded stack.
 //!
-//! Every zoo entry is a Monitor IR component in the same DSL as
+//! Every zoo entry is a Monitor IR component written in Java, like
 //! [`jcc_model::examples`]: it parses, validates, earns **zero High**
 //! diagnostics from the static analyzer (the clean-corpus gate), compiles
 //! for the VM, and contributes its mutant family to the E5/E10 evaluation

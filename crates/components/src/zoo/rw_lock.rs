@@ -16,42 +16,42 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the read–write lock.
+/// Java source for the read–write lock.
 pub const READ_WRITE_LOCK_SRC: &str = r#"
 class ReadWriteLock {
-  var readers: int = 0;
-  var writing: bool = false;
-  var upgrading: int = 0;
+  private int readers = 0;
+  private boolean writing = false;
+  private int upgrading = 0;
 
-  synchronized fn lockRead() {
+  public synchronized void lockRead() {
     while (writing || upgrading > 0) {
-      wait;
+      wait();
     }
     readers = readers + 1;
   }
 
-  synchronized fn unlockRead() {
+  public synchronized void unlockRead() {
     readers = readers - 1;
-    notifyAll;
+    notifyAll();
   }
 
-  synchronized fn lockWrite() {
+  public synchronized void lockWrite() {
     while (writing || readers > 0 || upgrading > 0) {
-      wait;
+      wait();
     }
     writing = true;
   }
 
-  synchronized fn unlockWrite() {
+  public synchronized void unlockWrite() {
     writing = false;
-    notifyAll;
+    notifyAll();
   }
 
   // turn a held read lock into the write lock
-  synchronized fn upgrade() {
+  public synchronized void upgrade() {
     upgrading = upgrading + 1;
     while (writing || readers > 1) {
-      wait;
+      wait();
     }
     upgrading = upgrading - 1;
     readers = readers - 1;
@@ -59,10 +59,10 @@ class ReadWriteLock {
   }
 
   // turn the held write lock back into a read lock
-  synchronized fn downgrade() {
+  public synchronized void downgrade() {
     writing = false;
     readers = readers + 1;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;

@@ -18,46 +18,46 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the ticket-FIFO fair semaphore.
+/// Java source for the ticket-FIFO fair semaphore.
 pub const FAIR_SEMAPHORE_SRC: &str = r#"
 class FairSemaphore {
-  var permits: int = 1;
-  var nextTicket: int = 0;
-  var nowServing: int = 0;
+  private int permits = 1;
+  private int nextTicket = 0;
+  private int nowServing = 0;
 
   // take a ticket, then wait for both turn and permit
-  synchronized fn acquire() {
-    let ticket: int = nextTicket;
+  public synchronized void acquire() {
+    int ticket = nextTicket;
     nextTicket = nextTicket + 1;
     while (ticket != nowServing || permits == 0) {
-      wait;
+      wait();
     }
     nowServing = nowServing + 1;
     permits = permits - 1;
-    notifyAll;
+    notifyAll();
   }
 
-  synchronized fn release() {
+  public synchronized void release() {
     permits = permits + 1;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;
 
-/// Monitor IR source for the barging (nonfair) semaphore.
+/// Java source for the barging (nonfair) semaphore.
 pub const BARGING_SEMAPHORE_SRC: &str = r#"
 class BargingSemaphore {
-  var permits: int = 1;
+  private int permits = 1;
 
-  synchronized fn acquire() {
+  public synchronized void acquire() {
     while (permits == 0) {
-      wait;
+      wait();
     }
     permits = permits - 1;
   }
 
   // barge: never waits, may steal ahead of parked acquirers
-  synchronized fn tryAcquire() -> bool {
+  public synchronized boolean tryAcquire() {
     if (permits > 0) {
       permits = permits - 1;
       return true;
@@ -65,9 +65,9 @@ class BargingSemaphore {
     return false;
   }
 
-  synchronized fn release() {
+  public synchronized void release() {
     permits = permits + 1;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;

@@ -15,45 +15,45 @@ use jcc_model::ast::Component;
 
 use super::parse_checked;
 
-/// Monitor IR source for the thread pool.
+/// Java source for the thread pool.
 pub const THREAD_POOL_SRC: &str = r#"
 class ThreadPool {
-  var queued: int = 0;
-  var capacity: int = 2;
-  var shutdown: bool = false;
-  var executed: int = 0;
+  private int queued = 0;
+  private int capacity = 2;
+  private boolean shutdown = false;
+  private int executed = 0;
 
   // enqueue one task; false once the pool is shut down
-  synchronized fn submit() -> bool {
+  public synchronized boolean submit() {
     while (queued == capacity && !shutdown) {
-      wait;
+      wait();
     }
     if (shutdown) {
       return false;
     }
     queued = queued + 1;
-    notifyAll;
+    notifyAll();
     return true;
   }
 
   // take and execute one task; false once drained after shutdown
-  synchronized fn runTask() -> bool {
+  public synchronized boolean runTask() {
     while (queued == 0 && !shutdown) {
-      wait;
+      wait();
     }
     if (queued == 0) {
       return false;
     }
     queued = queued - 1;
     executed = executed + 1;
-    notifyAll;
+    notifyAll();
     return true;
   }
 
   // wake every blocked submitter and worker
-  synchronized fn shutdownNow() {
+  public synchronized void shutdownNow() {
     shutdown = true;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;

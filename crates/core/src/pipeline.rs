@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn pipeline_rejects_invalid_component() {
-        let c = jcc_model::parse_component("class X { fn m() { wait; } }").unwrap();
+        let c = jcc_model::parse_component("class X { void m() { wait(); } }").unwrap();
         assert!(Pipeline::new(c).is_err());
     }
 

@@ -1,20 +1,10 @@
-//! # jcc-javasrc — a real-Java-subset frontend for the Monitor IR
+//! # jcc-javasrc — `jcc check`: the Java linter over the Monitor IR
 //!
-//! The rest of the workspace writes components in the jcc DSL; this crate
-//! accepts actual `.java` source for the same class shape the paper
-//! studies — classes with fields, `synchronized` methods and
-//! `synchronized (expr)` blocks, `wait()` / `notify()` / `notifyAll()`,
-//! `if`/`while`/assignment — and lowers it onto [`jcc_model::ast`]
-//! unchanged, so every existing analysis runs on Java input for free.
+//! Components are Java classes; the frontend that parses and lowers them
+//! (span, lexer, parser, lowering, diagnostics) lives in
+//! [`jcc_model::java`] and is re-exported here at its old paths. This
+//! crate adds what a linter needs on top of it:
 //!
-//! The pipeline, one module per stage:
-//!
-//! * [`span`] — byte spans and the [`span::SourceMap`] (offset → line:col),
-//! * [`lexer`] — span-carrying tokens with lex-error recovery,
-//! * [`parser`] — recursive descent with panic-mode recovery (sync on
-//!   `;` / `}`): a syntax error never hides the rest of the file,
-//! * [`lower`] — Java AST → Monitor IR, plus the [`lower::LowerMap`]
-//!   carrying MIR method/statement ids back to source spans,
 //! * [`render`] — rustc-style `error[EF-T3]: ...` diagnostics with
 //!   caret-underlined snippets,
 //! * [`check`] — the `jcc check` driver with the 0/1/2 exit contract
@@ -30,17 +20,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ast;
 pub mod check;
-pub mod diag;
-pub mod lexer;
-pub mod lower;
-pub mod parser;
 pub mod render;
-pub mod span;
 
 pub use check::{check_files, check_paths, check_source, CheckOptions, CheckOutcome, Format};
-pub use diag::{FrontDiag, Phase};
-pub use lower::{lower_class, LowerMap, Lowered};
-pub use parser::parse;
-pub use span::{SourceMap, Span};
+pub use jcc_model::java::{ast, diag, lexer, lower, parser, span};
+pub use jcc_model::java::{lower_class, parse, FrontDiag, LowerMap, Lowered, Phase, SourceMap, Span};

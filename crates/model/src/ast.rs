@@ -230,17 +230,17 @@ pub enum Stmt {
         /// Taken when the condition is false (possibly empty).
         else_branch: Block,
     },
-    /// `wait;` — suspend on `lock`'s wait set, releasing the lock.
+    /// `wait()` — suspend on `lock`'s wait set, releasing the lock.
     Wait {
         /// The monitor waited on.
         lock: LockRef,
     },
-    /// `notify;` — wake one arbitrary waiter of `lock`.
+    /// `notify()` — wake one arbitrary waiter of `lock`.
     Notify {
         /// The monitor notified.
         lock: LockRef,
     },
-    /// `notifyAll;` — wake every waiter of `lock`.
+    /// `notifyAll()` — wake every waiter of `lock`.
     NotifyAll {
         /// The monitor notified.
         lock: LockRef,
@@ -252,7 +252,7 @@ pub enum Stmt {
         /// Right-hand side.
         value: Expr,
     },
-    /// `let name: ty = init;`
+    /// `ty name = init;`
     Local {
         /// Variable name.
         name: String,
@@ -270,7 +270,8 @@ pub enum Stmt {
         /// Statements executed under the lock.
         body: Block,
     },
-    /// `skip;` — no-op, useful as a mutation placeholder.
+    /// No-op, useful as a mutation placeholder (a call outside the
+    /// modelled subset, such as `Thread.yield()`, lowers to it).
     Skip,
 }
 

@@ -1,4 +1,4 @@
-//! Reference component sources in the DSL, shared across the workspace.
+//! Reference component sources in Java, shared across the workspace.
 //!
 //! `PRODUCER_CONSUMER_SRC` is the paper's Figure 2 — the asymmetric
 //! producer–consumer monitor (the Java equivalent of Brinch Hansen's
@@ -6,41 +6,41 @@
 //! drains it one character at a time.
 
 use crate::ast::Component;
-use crate::parser::parse_component;
+use crate::java::parse_component;
 
 /// The paper's Figure 2: the asymmetric producer–consumer monitor.
 pub const PRODUCER_CONSUMER_SRC: &str = r#"
 class ProducerConsumer {
-  var contents: str = "";
-  var totalLength: int = 0;
-  var curPos: int = 0;
+  private String contents = "";
+  private int totalLength = 0;
+  private int curPos = 0;
 
   // receive a single character
-  synchronized fn receive() -> str {
+  public synchronized String receive() {
     // wait if no character is available
     while (curPos == 0) {
-      wait;
+      wait();
     }
     // retrieve character
-    let y: str = charAt(contents, totalLength - curPos);
+    String y = contents.charAt(totalLength - curPos);
     curPos = curPos - 1;
     // notify blocked send/receive calls
-    notifyAll;
+    notifyAll();
     return y;
   }
 
   // send a string of characters
-  synchronized fn send(x: str) {
+  public synchronized void send(String x) {
     // wait if there are more characters
     while (curPos > 0) {
-      wait;
+      wait();
     }
     // store string
     contents = x;
-    totalLength = len(x);
+    totalLength = x.length();
     curPos = totalLength;
     // notify blocked send/receive calls
-    notifyAll;
+    notifyAll();
   }
 }
 "#;
@@ -48,24 +48,24 @@ class ProducerConsumer {
 /// A one-slot bounded buffer of integers (symmetric producer–consumer).
 pub const BOUNDED_BUFFER_SRC: &str = r#"
 class BoundedBuffer {
-  var value: int = 0;
-  var full: bool = false;
+  private int value = 0;
+  private boolean full = false;
 
-  synchronized fn put(v: int) {
+  public synchronized void put(int v) {
     while (full) {
-      wait;
+      wait();
     }
     value = v;
     full = true;
-    notifyAll;
+    notifyAll();
   }
 
-  synchronized fn take() -> int {
+  public synchronized int take() {
     while (!full) {
-      wait;
+      wait();
     }
     full = false;
-    notifyAll;
+    notifyAll();
     return value;
   }
 }
@@ -74,23 +74,23 @@ class BoundedBuffer {
 /// A counting semaphore.
 pub const SEMAPHORE_SRC: &str = r#"
 class Semaphore {
-  var permits: int = 0;
+  private int permits = 0;
 
-  synchronized fn init(n: int) {
+  public synchronized void init(int n) {
     permits = n;
-    notifyAll;
+    notifyAll();
   }
 
-  synchronized fn acquire() {
+  public synchronized void acquire() {
     while (permits == 0) {
-      wait;
+      wait();
     }
     permits = permits - 1;
   }
 
-  synchronized fn release() {
+  public synchronized void release() {
     permits = permits + 1;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;
@@ -98,36 +98,36 @@ class Semaphore {
 /// Readers–writers with writer preference, as a monitor.
 pub const READERS_WRITERS_SRC: &str = r#"
 class ReadersWriters {
-  var readers: int = 0;
-  var writing: bool = false;
-  var writersWaiting: int = 0;
+  private int readers = 0;
+  private boolean writing = false;
+  private int writersWaiting = 0;
 
-  synchronized fn startRead() {
+  public synchronized void startRead() {
     while (writing || writersWaiting > 0) {
-      wait;
+      wait();
     }
     readers = readers + 1;
   }
 
-  synchronized fn endRead() {
+  public synchronized void endRead() {
     readers = readers - 1;
     if (readers == 0) {
-      notifyAll;
+      notifyAll();
     }
   }
 
-  synchronized fn startWrite() {
+  public synchronized void startWrite() {
     writersWaiting = writersWaiting + 1;
     while (writing || readers > 0) {
-      wait;
+      wait();
     }
     writersWaiting = writersWaiting - 1;
     writing = true;
   }
 
-  synchronized fn endWrite() {
+  public synchronized void endWrite() {
     writing = false;
-    notifyAll;
+    notifyAll();
   }
 }
 "#;
@@ -135,25 +135,25 @@ class ReadersWriters {
 /// A cyclic barrier for a fixed party count (set by `init`).
 pub const BARRIER_SRC: &str = r#"
 class Barrier {
-  var parties: int = 2;
-  var arrived: int = 0;
-  var generation: int = 0;
+  private int parties = 2;
+  private int arrived = 0;
+  private int generation = 0;
 
-  synchronized fn init(n: int) {
+  public synchronized void init(int n) {
     parties = n;
   }
 
-  synchronized fn await() -> int {
-    let gen: int = generation;
+  public synchronized int await() {
+    int gen = generation;
     arrived = arrived + 1;
     if (arrived == parties) {
       arrived = 0;
       generation = generation + 1;
-      notifyAll;
+      notifyAll();
       return gen;
     }
     while (generation == gen) {
-      wait;
+      wait();
     }
     return gen;
   }
@@ -164,11 +164,11 @@ class Barrier {
 /// the canonical lock-order deadlock (FF-T2 / FF-T4 territory).
 pub const LOCK_ORDER_DEADLOCK_SRC: &str = r#"
 class LockOrder {
-  lock a;
-  lock b;
-  var n: int = 0;
+  private final Object a = new Object();
+  private final Object b = new Object();
+  private int n = 0;
 
-  fn forward() {
+  public void forward() {
     synchronized (a) {
       synchronized (b) {
         n = n + 1;
@@ -176,7 +176,7 @@ class LockOrder {
     }
   }
 
-  fn backward() {
+  public void backward() {
     synchronized (b) {
       synchronized (a) {
         n = n - 1;
@@ -190,12 +190,12 @@ class LockOrder {
 /// classic circular-wait FF-T2 specimen (cycle f0 → f1 → f2 → f0).
 pub const DINING_DEADLOCK_SRC: &str = r#"
 class DiningDeadlock {
-  lock f0;
-  lock f1;
-  lock f2;
-  var meals: int = 0;
+  private final Object f0 = new Object();
+  private final Object f1 = new Object();
+  private final Object f2 = new Object();
+  private int meals = 0;
 
-  fn eat0() {
+  public void eat0() {
     synchronized (f0) {
       synchronized (f1) {
         meals = meals + 1;
@@ -203,7 +203,7 @@ class DiningDeadlock {
     }
   }
 
-  fn eat1() {
+  public void eat1() {
     synchronized (f1) {
       synchronized (f2) {
         meals = meals + 1;
@@ -211,7 +211,7 @@ class DiningDeadlock {
     }
   }
 
-  fn eat2() {
+  public void eat2() {
     synchronized (f2) {
       synchronized (f0) {
         meals = meals + 1;
@@ -226,12 +226,12 @@ class DiningDeadlock {
 /// (the textbook fix).
 pub const DINING_ORDERED_SRC: &str = r#"
 class DiningOrdered {
-  lock f0;
-  lock f1;
-  lock f2;
-  var meals: int = 0;
+  private final Object f0 = new Object();
+  private final Object f1 = new Object();
+  private final Object f2 = new Object();
+  private int meals = 0;
 
-  fn eat0() {
+  public void eat0() {
     synchronized (f0) {
       synchronized (f1) {
         meals = meals + 1;
@@ -239,7 +239,7 @@ class DiningOrdered {
     }
   }
 
-  fn eat1() {
+  public void eat1() {
     synchronized (f1) {
       synchronized (f2) {
         meals = meals + 1;
@@ -247,7 +247,7 @@ class DiningOrdered {
     }
   }
 
-  fn eat2() {
+  public void eat2() {
     synchronized (f0) {
       synchronized (f2) {
         meals = meals + 1;
@@ -261,14 +261,14 @@ class DiningOrdered {
 /// no mutual exclusion — a pure FF-T1 (interference) specimen.
 pub const RACY_COUNTER_SRC: &str = r#"
 class RacyCounter {
-  var count: int = 0;
+  private int count = 0;
 
-  fn increment() {
-    let t: int = count;
+  public void increment() {
+    int t = count;
     count = t + 1;
   }
 
-  synchronized fn get() -> int {
+  public synchronized int get() {
     return count;
   }
 }

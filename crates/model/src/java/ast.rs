@@ -5,7 +5,7 @@
 //! resolving names or monitors — that is the lowering pass's job, so
 //! lowering errors can point at precise source spans.
 
-use crate::span::Span;
+use super::span::Span;
 
 /// A parsed compilation unit: one `.java` file.
 #[derive(Debug, Clone, PartialEq)]
@@ -249,7 +249,7 @@ pub enum UnOpKind {
     Not,
 }
 
-/// Surface binary operators (maps 1:1 onto [`jcc_model::ast::BinOp`]).
+/// Surface binary operators (maps 1:1 onto [`crate::ast::BinOp`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOpKind {
     /// `+`

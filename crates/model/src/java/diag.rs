@@ -1,13 +1,15 @@
 //! Frontend diagnostics: parse and lowering errors with spans.
 //!
-//! These are distinct from analyzer [`jcc_analyze::Diagnostic`]s: a
+//! These are distinct from the analyzer's `Diagnostic`s (`jcc-analyze`): a
 //! [`FrontDiag`] means the *frontend* could not fully understand the
 //! source (syntax error, unsupported construct, unresolved name), while
 //! analyzer diagnostics report concurrency defects in code the frontend
 //! understood. The `jcc check` exit-code contract keeps them apart:
 //! frontend errors exit 2, findings exit 1.
 
-use crate::span::Span;
+use std::fmt;
+
+use super::span::Span;
 
 /// Which frontend phase produced a diagnostic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,3 +61,17 @@ impl FrontDiag {
         self
     }
 }
+
+impl fmt::Display for FrontDiag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} error at {}: {}",
+            self.phase.name(),
+            self.span,
+            self.message
+        )
+    }
+}
+
+impl std::error::Error for FrontDiag {}

@@ -4,8 +4,8 @@
 
 use std::fmt;
 
-use crate::diag::{FrontDiag, Phase};
-use crate::span::Span;
+use super::diag::{FrontDiag, Phase};
+use super::span::Span;
 
 /// A token with its source span.
 #[derive(Debug, Clone, PartialEq)]

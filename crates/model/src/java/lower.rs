@@ -21,14 +21,14 @@
 
 use std::collections::{HashMap, HashSet};
 
-use jcc_model::ast::{
+use crate::ast::{
     BinOp, Block, Builtin, Component, Expr, Field, LValue, LockRef, Method, Param, Stmt, Type,
     UnOp, ELSE_OFFSET,
 };
 
-use crate::ast::*;
-use crate::diag::{FrontDiag, Phase};
-use crate::span::Span;
+use super::ast::*;
+use super::diag::{FrontDiag, Phase};
+use super::span::Span;
 
 /// Maps MIR locations (method name + statement path) back to the source
 /// spans they were lowered from. Resolution falls back outward: statement
@@ -440,7 +440,7 @@ impl Lower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse;
+    use crate::java::parser::parse;
 
     fn lower_src(src: &str) -> Lowered {
         let (unit, diags) = parse(src);

@@ -11,16 +11,17 @@
 //! one diagnostic and the rest of the file is abandoned, so hostile input
 //! cannot overflow the stack.
 
-use crate::ast::*;
-use crate::diag::{FrontDiag, Phase};
-use crate::lexer::{lex, Tok, Token};
-use crate::span::Span;
+use super::ast::*;
+use super::diag::{FrontDiag, Phase};
+use super::lexer::{lex, Tok, Token};
+use super::span::Span;
 
 /// How deep statements and expressions may nest: each nested statement,
-/// bare block, expression (parenthesised or an argument) and unary
-/// operator is one level. The parser recurses once per level, and lowering
-/// and analysis walk the tree it builds, so deeper input is rejected with a
-/// diagnostic instead of overflowing the stack.
+/// bare block, expression (parenthesised or an argument), unary operator,
+/// binary-operator fold and `.member` link is one level. The parser
+/// recurses once per level, and lowering and analysis walk the tree it
+/// builds, so deeper input is rejected with a diagnostic instead of
+/// overflowing the stack.
 pub const MAX_NESTING_DEPTH: usize = 128;
 
 /// Parse one `.java` source text. Always returns a unit (possibly with no
@@ -103,6 +104,23 @@ impl Parser {
     /// the input as too deep and abandon the rest of the file: every
     /// enclosing level then unwinds at `Eof` without further diagnostics.
     fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.scoped(|p| {
+            p.descend()?;
+            f(p)
+        })
+    }
+
+    /// Run `f`, then restore the nesting depth it started at: a fold or a
+    /// chain [`Self::descend`]s once per link and never climbs back itself.
+    fn scoped<T>(&mut self, f: impl FnOnce(&mut Self) -> PResult<T>) -> PResult<T> {
+        let base = self.depth;
+        let result = f(self);
+        self.depth = base;
+        result
+    }
+
+    /// Enter one nesting level, or abandon the file past the limit.
+    fn descend(&mut self) -> PResult<()> {
         if self.depth >= MAX_NESTING_DEPTH {
             let span = self.peek_span();
             self.error(
@@ -114,9 +132,7 @@ impl Parser {
             return Err(Recover);
         }
         self.depth += 1;
-        let result = f(self);
-        self.depth -= 1;
-        result
+        Ok(())
     }
 
     fn expect(&mut self, kind: &Tok, what: &str) -> PResult<Span> {
@@ -694,104 +710,72 @@ impl Parser {
     }
 
     fn parse_or(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_and()?;
-        while self.eat(&Tok::OrOr) {
-            let rhs = self.parse_and()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(BinOpKind::Or, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary(Self::parse_and, |t| (*t == Tok::OrOr).then_some(BinOpKind::Or))
     }
 
     fn parse_and(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_equality()?;
-        while self.eat(&Tok::AndAnd) {
-            let rhs = self.parse_equality()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(BinOpKind::And, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
-        Ok(lhs)
+        self.binary(Self::parse_equality, |t| {
+            (*t == Tok::AndAnd).then_some(BinOpKind::And)
+        })
     }
 
     fn parse_equality(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_relational()?;
-        loop {
-            let op = match self.peek() {
-                Tok::EqEq => BinOpKind::Eq,
-                Tok::NotEq => BinOpKind::Ne,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_relational()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
+        self.binary(Self::parse_relational, |t| match t {
+            Tok::EqEq => Some(BinOpKind::Eq),
+            Tok::NotEq => Some(BinOpKind::Ne),
+            _ => None,
+        })
     }
 
     fn parse_relational(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_additive()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Lt => BinOpKind::Lt,
-                Tok::Le => BinOpKind::Le,
-                Tok::Gt => BinOpKind::Gt,
-                Tok::Ge => BinOpKind::Ge,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_additive()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
+        self.binary(Self::parse_additive, |t| match t {
+            Tok::Lt => Some(BinOpKind::Lt),
+            Tok::Le => Some(BinOpKind::Le),
+            Tok::Gt => Some(BinOpKind::Gt),
+            Tok::Ge => Some(BinOpKind::Ge),
+            _ => None,
+        })
     }
 
     fn parse_additive(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOpKind::Add,
-                Tok::Minus => BinOpKind::Sub,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
+        self.binary(Self::parse_multiplicative, |t| match t {
+            Tok::Plus => Some(BinOpKind::Add),
+            Tok::Minus => Some(BinOpKind::Sub),
+            _ => None,
+        })
     }
 
     fn parse_multiplicative(&mut self) -> PResult<JExpr> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOpKind::Mul,
-                Tok::Slash => BinOpKind::Div,
-                Tok::Percent => BinOpKind::Mod,
-                _ => return Ok(lhs),
-            };
-            self.bump();
-            let rhs = self.parse_unary()?;
-            let span = lhs.span.to(rhs.span);
-            lhs = JExpr {
-                kind: JExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
-                span,
-            };
-        }
+        self.binary(Self::parse_unary, |t| match t {
+            Tok::Star => Some(BinOpKind::Mul),
+            Tok::Slash => Some(BinOpKind::Div),
+            Tok::Percent => Some(BinOpKind::Mod),
+            _ => None,
+        })
+    }
+
+    /// One left-associative precedence level: `operand (op operand)*`.
+    /// Each fold nests the tree one level deeper, so it counts against
+    /// [`MAX_NESTING_DEPTH`] until the level is done.
+    fn binary(
+        &mut self,
+        operand: impl Fn(&mut Self) -> PResult<JExpr>,
+        op_of: impl Fn(&Tok) -> Option<BinOpKind>,
+    ) -> PResult<JExpr> {
+        self.scoped(|p| {
+            let mut lhs = operand(p)?;
+            while let Some(op) = op_of(p.peek()) {
+                p.bump();
+                p.descend()?;
+                let rhs = operand(p)?;
+                let span = lhs.span.to(rhs.span);
+                lhs = JExpr {
+                    kind: JExprKind::Binary(op, Box::new(lhs), Box::new(rhs)),
+                    span,
+                };
+            }
+            Ok(lhs)
+        })
     }
 
     fn parse_unary(&mut self) -> PResult<JExpr> {
@@ -813,9 +797,16 @@ impl Parser {
         self.parse_postfix()
     }
 
+    /// A primary and its `.member` / `.m(..)` chain. Each link wraps the
+    /// tree one level deeper, so it counts against [`MAX_NESTING_DEPTH`].
     fn parse_postfix(&mut self) -> PResult<JExpr> {
+        self.scoped(Self::postfix_chain)
+    }
+
+    fn postfix_chain(&mut self) -> PResult<JExpr> {
         let mut e = self.parse_primary()?;
         while self.eat(&Tok::Dot) {
+            self.descend()?;
             let (name, nspan) = self.expect_ident("a member name after `.`")?;
             if self.eat(&Tok::LParen) {
                 let mut args = Vec::new();

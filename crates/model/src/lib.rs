@@ -6,9 +6,11 @@
 //! what code regions lie between them. This crate provides exactly that
 //! structure as an AST ([`ast`]), together with:
 //!
-//! * a lexer and recursive-descent parser for a small Java-like DSL so
-//!   components can be written textually ([`lexer`], [`parser`]),
-//! * a pretty-printer that round-trips through the parser ([`pretty`]),
+//! * the Java-subset frontend, the only way to write a component
+//!   textually: span-carrying lexer, recovering parser and lowering to the
+//!   MIR ([`java`], with [`parse_component`] for one class),
+//! * a MIR → Java printer whose output lowers back to the same MIR
+//!   ([`pretty`]),
 //! * a static validator / type checker ([`validate`]),
 //! * mutation operators that seed exactly the failure classes of the paper's
 //!   Table 1 ([`mutate`]),
@@ -22,9 +24,8 @@
 
 pub mod ast;
 pub mod examples;
-pub mod lexer;
+pub mod java;
 pub mod mutate;
-pub mod parser;
 pub mod pretty;
 pub mod validate;
 
@@ -32,5 +33,5 @@ pub use ast::{
     BinOp, Block, Component, Expr, Field, LockRef, Method, Param, Stmt, Type, UnOp,
 };
 pub use mutate::{Mutation, MutationKind};
-pub use parser::{parse_component, ParseError};
+pub use java::{parse_component, FrontDiag};
 pub use validate::{validate, ValidationError};

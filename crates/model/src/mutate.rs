@@ -49,7 +49,7 @@ pub enum MutationKind {
     /// `notify`/`notifyAll` — the lock is released prematurely and the
     /// notification never happens. Seeds **EF-T4** (premature release).
     EarlyReturn,
-    /// Insert `while (true) { skip; }` at the start of a synchronized
+    /// Insert `while (true) { Thread.yield(); }` at the start of a synchronized
     /// method — the thread never releases the lock. Seeds **FF-T4**
     /// (retained lock; permanently blocks all other threads → their FF-T2).
     HoldLockForever,

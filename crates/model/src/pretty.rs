@@ -1,121 +1,126 @@
-//! Pretty-printer for the Monitor IR. Output re-parses to the same AST
-//! (`parse(print(c)) == c`), which the property tests rely on.
+//! MIR → Java printer. Its output lowers back to the same MIR
+//! (`parse_component(&print_component(c)) == c`), which the property tests
+//! rely on. [`print_expr`] also labels CoFG arcs and analyzer messages.
 
 use std::fmt::Write as _;
 
-use crate::ast::{BinOp, Block, Component, Expr, LValue, LockRef, Method, Stmt, UnOp};
+use crate::ast::{BinOp, Block, Component, Expr, LValue, LockRef, Method, Stmt, Type, UnOp};
 
-/// Render a component in the DSL's surface syntax.
+/// Render a component as a Java class.
 pub fn print_component(c: &Component) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "class {} {{", c.name);
+    let mut out = format!("class {} {{\n", c.name);
     for lock in &c.locks {
-        let _ = writeln!(out, "  lock {lock};");
+        let _ = writeln!(out, "  private final Object {lock} = new Object();");
     }
     for field in &c.fields {
-        let _ = writeln!(
-            out,
-            "  var {}: {} = {};",
-            field.name,
-            field.ty,
-            print_expr(&field.init)
-        );
+        let (ty, name, init) = (java_type(field.ty), &field.name, print_top(&field.init));
+        let _ = writeln!(out, "  private {ty} {name} = {init};");
     }
     for method in &c.methods {
-        out.push_str(&print_method(method, 1));
+        print_method(&mut out, method);
     }
     out.push_str("}\n");
     out
 }
 
-/// Render a single method at the given indent level.
-pub fn print_method(m: &Method, indent: usize) -> String {
-    let mut out = String::new();
-    let pad = "  ".repeat(indent);
+fn java_type(ty: Type) -> &'static str {
+    match ty {
+        Type::Int => "int",
+        Type::Bool => "boolean",
+        Type::Str => "String",
+    }
+}
+
+fn print_method(out: &mut String, m: &Method) {
     let sync = if m.synchronized { "synchronized " } else { "" };
+    let ret = m.ret.map_or("void", java_type);
     let params = m
         .params
         .iter()
-        .map(|p| format!("{}: {}", p.name, p.ty))
+        .map(|p| format!("{} {}", java_type(p.ty), p.name))
         .collect::<Vec<_>>()
         .join(", ");
-    let ret = match m.ret {
-        Some(t) => format!(" -> {t}"),
-        None => String::new(),
-    };
-    let _ = writeln!(out, "{pad}{sync}fn {}({params}){ret} {{", m.name);
-    out.push_str(&print_block(&m.body, indent + 1));
-    let _ = writeln!(out, "{pad}}}");
-    out
+    let _ = writeln!(out, "\n  public {sync}{ret} {}({params}) {{", m.name);
+    print_block(out, &m.body, 2);
+    out.push_str("  }\n");
 }
 
-/// Render a block's statements at the given indent level.
-pub fn print_block(block: &Block, indent: usize) -> String {
-    let mut out = String::new();
+fn print_block(out: &mut String, block: &Block, indent: usize) {
     for stmt in block {
-        out.push_str(&print_stmt(stmt, indent));
+        print_stmt(out, stmt, indent);
     }
-    out
 }
 
-fn lock_suffix(lock: &LockRef) -> String {
+fn receiver(lock: &LockRef) -> &str {
     match lock {
-        LockRef::This => String::new(),
-        LockRef::Named(n) => format!("({n})"),
+        LockRef::This => "this",
+        LockRef::Named(n) => n,
     }
 }
 
-/// Render one statement at the given indent level.
-pub fn print_stmt(stmt: &Stmt, indent: usize) -> String {
+fn print_stmt(out: &mut String, stmt: &Stmt, indent: usize) {
     let pad = "  ".repeat(indent);
     match stmt {
         Stmt::While { cond, body } => {
-            let mut out = format!("{pad}while ({}) {{\n", print_expr(cond));
-            out.push_str(&print_block(body, indent + 1));
-            out.push_str(&format!("{pad}}}\n"));
-            out
+            let _ = writeln!(out, "{pad}while ({}) {{", print_top(cond));
+            print_block(out, body, indent + 1);
         }
         Stmt::If {
             cond,
             then_branch,
             else_branch,
         } => {
-            let mut out = format!("{pad}if ({}) {{\n", print_expr(cond));
-            out.push_str(&print_block(then_branch, indent + 1));
-            if else_branch.is_empty() {
-                out.push_str(&format!("{pad}}}\n"));
-            } else {
-                out.push_str(&format!("{pad}}} else {{\n"));
-                out.push_str(&print_block(else_branch, indent + 1));
-                out.push_str(&format!("{pad}}}\n"));
+            let _ = writeln!(out, "{pad}if ({}) {{", print_top(cond));
+            print_block(out, then_branch, indent + 1);
+            if !else_branch.is_empty() {
+                let _ = writeln!(out, "{pad}}} else {{");
+                print_block(out, else_branch, indent + 1);
             }
-            out
         }
-        Stmt::Wait { lock } => format!("{pad}wait{};\n", lock_suffix(lock)),
-        Stmt::Notify { lock } => format!("{pad}notify{};\n", lock_suffix(lock)),
-        Stmt::NotifyAll { lock } => format!("{pad}notifyAll{};\n", lock_suffix(lock)),
+        Stmt::Synchronized { lock, body } => {
+            let _ = writeln!(out, "{pad}synchronized ({}) {{", receiver(lock));
+            print_block(out, body, indent + 1);
+        }
+        simple => {
+            let _ = writeln!(out, "{pad}{}", simple_stmt(simple));
+            return;
+        }
+    }
+    let _ = writeln!(out, "{pad}}}");
+}
+
+fn simple_stmt(stmt: &Stmt) -> String {
+    let monitor_call = |lock: &LockRef, op: &str| match lock {
+        LockRef::This => format!("{op}();"),
+        LockRef::Named(n) => format!("{n}.{op}();"),
+    };
+    match stmt {
+        Stmt::Wait { lock } => monitor_call(lock, "wait"),
+        Stmt::Notify { lock } => monitor_call(lock, "notify"),
+        Stmt::NotifyAll { lock } => monitor_call(lock, "notifyAll"),
         Stmt::Assign { target, value } => {
-            let name = match target {
-                LValue::Field(n) | LValue::Local(n) => n,
-            };
-            format!("{pad}{name} = {};\n", print_expr(value))
+            let (LValue::Field(name) | LValue::Local(name)) = target;
+            format!("{name} = {};", print_top(value))
         }
         Stmt::Local { name, ty, init } => {
-            format!("{pad}let {name}: {ty} = {};\n", print_expr(init))
+            format!("{} {name} = {};", java_type(*ty), print_top(init))
         }
-        Stmt::Return(None) => format!("{pad}return;\n"),
-        Stmt::Return(Some(e)) => format!("{pad}return {};\n", print_expr(e)),
-        Stmt::Synchronized { lock, body } => {
-            let name = match lock {
-                LockRef::This => "this".to_string(),
-                LockRef::Named(n) => n.clone(),
-            };
-            let mut out = format!("{pad}synchronized ({name}) {{\n");
-            out.push_str(&print_block(body, indent + 1));
-            out.push_str(&format!("{pad}}}\n"));
-            out
+        Stmt::Return(None) => "return;".to_string(),
+        Stmt::Return(Some(e)) => format!("return {};", print_top(e)),
+        // A call outside the modelled subset lowers to `Skip`.
+        Stmt::Skip => "Thread.yield();".to_string(),
+        Stmt::While { .. } | Stmt::If { .. } | Stmt::Synchronized { .. } => {
+            unreachable!("compound statements print through print_stmt")
         }
-        Stmt::Skip => format!("{pad}skip;\n"),
+    }
+}
+
+/// [`print_expr`] without the parentheses around a top-level binary
+/// expression, for positions that delimit the expression themselves.
+fn print_top(expr: &Expr) -> String {
+    match expr {
+        Expr::Binary(op, a, b) => format!("{} {} {}", print_expr(a), op_symbol(*op), print_expr(b)),
+        _ => print_expr(expr),
     }
 }
 
@@ -135,7 +140,9 @@ pub fn print_expr(expr: &Expr) -> String {
         Expr::Bool(b) => b.to_string(),
         Expr::Str(s) => format!(
             "\"{}\"",
-            s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
+            s.replace('\\', "\\\\")
+                .replace('"', "\\\"")
+                .replace('\n', "\\n")
         ),
         Expr::Var(n) | Expr::Field(n) => n.clone(),
         Expr::Unary(op, e) => {
@@ -170,33 +177,16 @@ fn op_symbol(op: BinOp) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_component;
+    use crate::java::parse_component;
 
     #[test]
     fn roundtrip_producer_consumer() {
-        let src = r#"
-            class ProducerConsumer {
-              var contents: str = "";
-              var totalLength: int = 0;
-              var curPos: int = 0;
-              synchronized fn receive() -> str {
-                while (curPos == 0) { wait; }
-                let y: str = charAt(contents, totalLength - curPos);
-                curPos = curPos - 1;
-                notifyAll;
-                return y;
-              }
-              synchronized fn send(x: str) {
-                while (curPos > 0) { wait; }
-                contents = x;
-                totalLength = len(x);
-                curPos = totalLength;
-                notifyAll;
-              }
-            }
-        "#;
-        let c1 = parse_component(src).unwrap();
+        let c1 = crate::examples::producer_consumer();
         let printed = print_component(&c1);
+        assert!(
+            printed.contains("  public synchronized String receive() {\n"),
+            "{printed}"
+        );
         let c2 = parse_component(&printed).unwrap();
         assert_eq!(c1, c2, "pretty-printed source did not re-parse equal");
     }
@@ -205,16 +195,16 @@ mod tests {
     fn roundtrip_nested_control_flow() {
         let src = r#"
             class Nest {
-              lock aux;
-              var n: int = 0;
-              synchronized fn m(k: int) -> int {
+              final Object aux = new Object();
+              int n = 0;
+              synchronized int m(int k) {
                 if (k > 0) {
                   while (n < k) {
                     n = n + 1;
-                    if (n % 2 == 0) { notify; } else { skip; }
+                    if (n % 2 == 0) { notify(); } else { Thread.yield(); }
                   }
                 } else {
-                  synchronized (aux) { wait(aux); }
+                  synchronized (aux) { aux.wait(); }
                 }
                 return n;
               }
@@ -227,7 +217,7 @@ mod tests {
 
     #[test]
     fn string_escapes_roundtrip() {
-        let src = r#"class S { var s: str = "a\nb\"c\\d"; }"#;
+        let src = r#"class S { String s = "a\nb\"c\\d"; }"#;
         let c1 = parse_component(src).unwrap();
         let c2 = parse_component(&print_component(&c1)).unwrap();
         assert_eq!(c1, c2);
@@ -239,7 +229,7 @@ mod tests {
         let printed = print_expr(&e);
         assert_eq!(printed, "(-5)");
         // Embedded in a component it must re-parse (as unary neg of 5).
-        let src = format!("class N {{ fn m() -> int {{ return {printed}; }} }}");
+        let src = format!("class N {{ int m() {{ return {printed}; }} }}");
         assert!(parse_component(&src).is_ok());
     }
 
@@ -249,7 +239,7 @@ mod tests {
             UnOp::Not,
             Box::new(Expr::Unary(UnOp::Not, Box::new(Expr::Bool(true)))),
         );
-        let src = format!("class N {{ fn m() -> bool {{ return {}; }} }}", print_expr(&e));
+        let src = format!("class N {{ boolean m() {{ return {}; }} }}", print_expr(&e));
         let c = parse_component(&src).unwrap();
         let c2 = parse_component(&print_component(&c)).unwrap();
         assert_eq!(c, c2);

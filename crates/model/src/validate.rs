@@ -506,7 +506,7 @@ fn expect_type(ctx: &mut MethodCtx<'_>, expr: &Expr, expected: Type, context: &s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::parse_component;
+    use crate::java::parse_component;
 
     fn ok(src: &str) -> Component {
         let c = parse_component(src).unwrap();
@@ -527,7 +527,7 @@ mod tests {
 
     #[test]
     fn wait_outside_sync_rejected() {
-        let e = errs("class X { fn m() { wait; } }");
+        let e = errs("class X { void m() { wait(); } }");
         assert!(matches!(
             e[0],
             ValidationError::MonitorNotHeld { operation: "wait", .. }
@@ -537,7 +537,7 @@ mod tests {
     #[test]
     fn notify_in_sync_block_on_other_lock_rejected() {
         let e = errs(
-            "class X { lock a; lock b; fn m() { synchronized (a) { notify(b); } } }",
+            "class X { final Object a = new Object(); final Object b = new Object(); void m() { synchronized (a) { b.notify(); } } }",
         );
         assert!(matches!(
             e[0],
@@ -547,48 +547,61 @@ mod tests {
 
     #[test]
     fn notify_under_matching_block_ok() {
-        ok("class X { lock a; fn m() { synchronized (a) { notifyAll(a); } } }");
+        ok("class X { final Object a = new Object(); void m() { synchronized (a) { a.notifyAll(); } } }");
     }
 
     #[test]
     fn unknown_lock_rejected() {
-        let e = errs("class X { fn m() { synchronized (ghost) { skip; } } }");
+        // The frontend rejects an undeclared lock, so plant it in the MIR.
+        let mut c = ok("class X { void m() { synchronized (this) { Thread.yield(); } } }");
+        let Stmt::Synchronized { lock, .. } = &mut c.methods[0].body[0] else {
+            panic!("expected a synchronized block")
+        };
+        *lock = LockRef::Named("ghost".into());
+        let e = validate(&c);
         assert!(matches!(e[0], ValidationError::UnknownLock { .. }));
     }
 
     #[test]
     fn type_mismatch_in_condition() {
-        let e = errs("class X { var n: int = 0; synchronized fn m() { while (n) { skip; } } }");
+        let e = errs("class X { int n = 0; synchronized void m() { while (n) { Thread.yield(); } } }");
         assert!(matches!(e[0], ValidationError::TypeMismatch { .. }));
     }
 
     #[test]
     fn unknown_variable() {
-        let e = errs("class X { fn m() { let a: int = ghost; } }");
+        // The frontend rejects an unresolved name, so plant it in the MIR.
+        let mut c = ok("class X { void m() { int a = 0; } }");
+        c.methods[0].body[0] = Stmt::Local {
+            name: "a".into(),
+            ty: Type::Int,
+            init: Expr::var("ghost"),
+        };
+        let e = validate(&c);
         assert!(matches!(e[0], ValidationError::UnknownName { .. }));
     }
 
     #[test]
     fn arity_mismatch() {
-        let e = errs(r#"class X { fn m() { let a: int = len("x", "y"); } }"#);
+        let e = errs(r#"class X { void m() { int a = len("x", "y"); } }"#);
         assert!(matches!(e[0], ValidationError::ArityMismatch { .. }));
     }
 
     #[test]
     fn return_mismatches() {
-        let e = errs("class X { fn m() -> int { return; } }");
+        let e = errs("class X { int m() { return; } }");
         assert!(matches!(e[0], ValidationError::ReturnMismatch { .. }));
-        let e = errs("class X { fn m() { return 3; } }");
+        let e = errs("class X { void m() { return 3; } }");
         assert!(matches!(e[0], ValidationError::ReturnMismatch { .. }));
     }
 
     #[test]
     fn duplicate_declarations() {
-        let e = errs("class X { var a: int = 0; var a: int = 1; }");
+        let e = errs("class X { int a = 0; int a = 1; }");
         assert!(matches!(e[0], ValidationError::DuplicateName { kind: "field", .. }));
-        let e = errs("class X { fn m() { skip; } fn m() { skip; } }");
+        let e = errs("class X { void m() { Thread.yield(); } void m() { Thread.yield(); } }");
         assert!(matches!(e[0], ValidationError::DuplicateName { kind: "method", .. }));
-        let e = errs("class X { fn m(a: int, a: int) { skip; } }");
+        let e = errs("class X { void m(int a, int a) { Thread.yield(); } }");
         assert!(matches!(
             e[0],
             ValidationError::DuplicateName { kind: "parameter", .. }
@@ -597,13 +610,13 @@ mod tests {
 
     #[test]
     fn field_initializer_type_checked() {
-        let e = errs(r#"class X { var n: int = "oops"; }"#);
+        let e = errs(r#"class X { int n = "oops"; }"#);
         assert!(matches!(e[0], ValidationError::TypeMismatch { .. }));
     }
 
     #[test]
     fn eq_requires_matching_types() {
-        let e = errs(r#"class X { fn m() -> bool { return 1 == "one"; } }"#);
+        let e = errs(r#"class X { boolean m() { return 1 == "one"; } }"#);
         assert!(matches!(e[0], ValidationError::TypeMismatch { .. }));
     }
 }

@@ -401,9 +401,9 @@ mod tests {
     fn goals_see_wait_and_notify_under_an_else_if() {
         // `else if` lowers to an `if` inside the else branch.
         let c = jcc_model::parse_component(
-            "class G { var a: bool = false; var b: bool = false;
-               synchronized fn w() { if (a) { skip; } else { if (b) { wait; } } }
-               synchronized fn n() { if (a) { skip; } else { if (b) { notifyAll; } } } }",
+            "class G { boolean a = false; boolean b = false;
+               synchronized void w() { if (a) { Thread.yield(); } else { if (b) { wait(); } } }
+               synchronized void n() { if (a) { Thread.yield(); } else { if (b) { notifyAll(); } } } }",
         )
         .unwrap();
         let goals = SuiteGoals::new(&c);

@@ -661,9 +661,9 @@ mod tests {
     fn return_releases_locks_in_order() {
         let src = r#"
             class R {
-              lock a;
-              var n: int = 0;
-              synchronized fn m() -> int {
+              final Object a = new Object();
+              int n = 0;
+              synchronized int m() {
                 synchronized (a) {
                   return n;
                 }
@@ -716,9 +716,9 @@ mod tests {
     fn if_else_paths_use_offset_convention() {
         let src = r#"
             class B {
-              var ready: bool = false;
-              synchronized fn m() {
-                if (ready) { notify; } else { notifyAll; }
+              boolean ready = false;
+              synchronized void m() {
+                if (ready) { notify(); } else { notifyAll(); }
               }
             }
         "#;
@@ -771,9 +771,9 @@ mod tests {
     fn slots_cover_declared_and_stored_names() {
         let src = r#"
             class S {
-              var n: int = 0;
-              fn m(x: int) -> int {
-                let y: int = x;
+              int n = 0;
+              int m(int x) {
+                int y = x;
                 y = y + n;
                 return y;
               }
@@ -821,9 +821,9 @@ mod tests {
     fn a_return_inside_a_block_exits_through_the_block_site() {
         let src = r#"
             class R {
-              lock a;
-              var n: int = 0;
-              fn m() -> int {
+              final Object a = new Object();
+              int n = 0;
+              int m() {
                 synchronized (a) {
                   if (n > 0) { return n; }
                 }

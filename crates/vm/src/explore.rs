@@ -947,8 +947,8 @@ mod tests {
     fn a_deep_single_path_needs_no_deep_stack() {
         // One thread counting a field up: every state is new and has one
         // successor, so the only path is as long as the state space.
-        let src = "class Counter { var n: int = 0; \
-                   fn count() { while (n < 40000) { n = n + 1; } } }";
+        let src = "class Counter { int n = 0; \
+                   void count() { while (n < 40000) { n = n + 1; } } }";
         let c = jcc_model::parse_component(src).unwrap();
         let vm = Vm::new(
             compile(&c).unwrap(),

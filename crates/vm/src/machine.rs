@@ -1298,7 +1298,7 @@ mod tests {
 
     #[test]
     fn step_limit_on_infinite_loop() {
-        let src = "class L { synchronized fn spin() { while (true) { skip; } } }";
+        let src = "class L { synchronized void spin() { while (true) { Thread.yield(); } } }";
         let c = jcc_model::parse_component(src).unwrap();
         let mut vm = Vm::new(
             compile(&c).unwrap(),
@@ -1315,8 +1315,8 @@ mod tests {
     fn runtime_fault_reported() {
         let src = r#"
             class F {
-              var s: str = "ab";
-              synchronized fn bad() -> str {
+              String s = "ab";
+              synchronized String bad() {
                 return charAt(s, 99);
               }
             }
@@ -1339,9 +1339,9 @@ mod tests {
     fn fault_releases_held_locks() {
         let src = r#"
             class F {
-              var s: str = "ab";
-              synchronized fn bad() -> str { return charAt(s, 99); }
-              synchronized fn ok() -> int { return 1; }
+              String s = "ab";
+              synchronized String bad() { return charAt(s, 99); }
+              synchronized int ok() { return 1; }
             }
         "#;
         let c = jcc_model::parse_component(src).unwrap();
@@ -1361,15 +1361,15 @@ mod tests {
     fn notify_fifo_wakes_longest_waiter() {
         let src = r#"
             class N {
-              var go: int = 0;
-              synchronized fn block() -> int {
-                while (go == 0) { wait; }
+              int go = 0;
+              synchronized int block() {
+                while (go == 0) { wait(); }
                 go = go - 1;
                 return 1;
               }
-              synchronized fn release_one() {
+              synchronized void release_one() {
                 go = go + 1;
-                notify;
+                notify();
               }
             }
         "#;
@@ -1465,9 +1465,9 @@ mod tests {
 
     #[test]
     fn reading_an_undeclared_field_faults() {
-        // The DSL reads an undeclared name as a local, so seed the field
-        // read by hand, as a mutant would.
-        let src = "class U { var n: int = 0; fn m() -> int { return n; } }";
+        // The frontend rejects an undeclared name, so seed the field read
+        // by hand, as a mutant would.
+        let src = "class U { int n = 0; int m() { return n; } }";
         let mut c = jcc_model::parse_component(src).unwrap();
         c.methods[0].body = vec![jcc_model::ast::Stmt::Return(Some(
             jcc_model::ast::Expr::Field("ghost".into()),
@@ -1484,13 +1484,17 @@ mod tests {
     #[test]
     fn reading_a_local_before_it_is_assigned_faults() {
         // `x` has a slot (the skipped branch stores to it) but no value.
-        let src = "class U { fn m() -> int { if (false) { let x: int = 1; } return x; } }";
+        let src = "class U { int m() { if (false) { int x = 1; } return x; } }";
         let c = jcc_model::parse_component(src).unwrap();
         let (_, out) = run_alone(&c, "m");
         assert_eq!(fault_of(&out), "undefined local `x`");
-        // A name no method stores to has no slot at all.
-        let src = "class U { fn m() -> int { return y; } }";
-        let (_, out) = run_alone(&jcc_model::parse_component(src).unwrap(), "m");
+        // A name no method stores to has no slot at all. The frontend
+        // rejects it, so plant it in the MIR.
+        let mut c = jcc_model::parse_component("class U { int m() { return 0; } }").unwrap();
+        c.methods[0].body = vec![jcc_model::ast::Stmt::Return(Some(
+            jcc_model::ast::Expr::var("y"),
+        ))];
+        let (_, out) = run_alone(&c, "m");
         assert_eq!(fault_of(&out), "undefined local `y`");
     }
 
@@ -1498,8 +1502,8 @@ mod tests {
     fn locals_do_not_survive_their_call() {
         // The second call reads `x` before assigning it: the first call's
         // value must be gone.
-        let src = "class U { fn set() { let x: int = 7; } \
-                   fn get() -> int { if (false) { let x: int = 0; } return x; } }";
+        let src = "class U { void set() { int x = 7; } \
+                   int get() { if (false) { int x = 0; } return x; } }";
         let c = jcc_model::parse_component(src).unwrap();
         let mut vm = Vm::new(
             compile(&c).unwrap(),
@@ -1515,7 +1519,7 @@ mod tests {
     #[test]
     fn a_mutant_storing_to_an_undeclared_field_runs() {
         use jcc_model::ast::{Expr, LValue, Stmt};
-        let src = "class U { var n: int = 0; fn m() -> int { return n; } }";
+        let src = "class U { int n = 0; int m() { return n; } }";
         let mut c = jcc_model::parse_component(src).unwrap();
         c.methods[0].body.insert(
             0,
@@ -1538,9 +1542,9 @@ mod tests {
     fn string_builtins_run_on_slots() {
         let src = r#"
             class S {
-              var s: str = "ab";
-              fn m(i: int) -> str {
-                let c: str = charAt(s, i);
+              String s = "ab";
+              String m(int i) {
+                String c = charAt(s, i);
                 s = concat(s, c);
                 return concat(s, toStr(len(s)));
               }

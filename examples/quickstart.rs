@@ -1,6 +1,6 @@
 //! Quickstart: the whole method on one page.
 //!
-//! 1. Write a concurrent component in the DSL.
+//! 1. Write a concurrent component as a Java class.
 //! 2. Build its Concurrency Flow Graphs (CoFGs).
 //! 3. Run it on the VM under a controlled schedule.
 //! 4. Measure CoFG arc coverage and see what is left to test.
@@ -17,20 +17,20 @@ fn main() {
     // 1. A component: a one-slot mailbox.
     let source = r#"
         class Mailbox {
-          var message: str = "";
-          var present: bool = false;
+          String message = "";
+          boolean present = false;
 
-          synchronized fn post(m: str) {
-            while (present) { wait; }
+          synchronized void post(String m) {
+            while (present) { wait(); }
             message = m;
             present = true;
-            notifyAll;
+            notifyAll();
           }
 
-          synchronized fn fetch() -> str {
-            while (!present) { wait; }
+          synchronized String fetch() {
+            while (!present) { wait(); }
             present = false;
-            notifyAll;
+            notifyAll();
             return message;
           }
         }

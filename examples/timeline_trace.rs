@@ -22,15 +22,15 @@ use jcc_core::vm::{CallSpec, ExploreConfig, ThreadSpec};
 /// that arrives early is lost and never re-checked.
 const GATE_SRC: &str = r#"
 class Gate {
-  var open: bool = false;
+  boolean open = false;
 
-  synchronized fn pass() {
-    wait;
+  synchronized void pass() {
+    wait();
   }
 
-  synchronized fn open_gate() {
+  synchronized void open_gate() {
     open = true;
-    notify;
+    notify();
   }
 }
 "#;

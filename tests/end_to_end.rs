@@ -111,7 +111,7 @@ fn directed_suites_cover_all_feasible_arcs() {
 #[test]
 fn analyzer_reports_suspect_but_valid_components() {
     let component = jcc_core::model::parse_component(
-        "class OneShot { var fired: bool = false; synchronized fn arm() { if (!fired) { wait; } } }",
+        "class OneShot { boolean fired = false; synchronized void arm() { if (!fired) { wait(); } } }",
     )
     .unwrap();
     // Valid but suspicious: wait outside a loop and no notifier anywhere.

@@ -11,6 +11,7 @@ use jcc_core::analyze::{CheckId, Severity};
 use jcc_core::javasrc::check::{check_files, check_paths, CheckOptions, Format};
 use jcc_core::javasrc::{lower_class, parse};
 use jcc_core::model::ast::{LockRef, Stmt};
+use jcc_core::model::parse_component;
 use jcc_core::model::pretty::print_component;
 
 fn corpus(sub: &str) -> PathBuf {
@@ -172,6 +173,16 @@ fn nested_synchronized(levels: usize) -> String {
     )
 }
 
+/// A class whose method runs `head` extended by `terms` copies of `link`:
+/// a left-deep operator or call chain.
+fn chain(head: &str, link: &str, terms: usize) -> String {
+    format!(
+        "class Deep {{ private int n = 0; private boolean b = true; private String s = \"\"; \
+         public void f() {{ {head}{}; }} }}",
+        link.repeat(terms)
+    )
+}
+
 fn check_one(src: String) -> jcc_core::javasrc::CheckOutcome {
     check_files(&[("Deep.java".into(), src)], &CheckOptions::default())
 }
@@ -183,7 +194,12 @@ fn hostile_nesting_is_a_frontend_error_not_a_stack_overflow() {
         "(".repeat(5_000),
         ")".repeat(5_000)
     );
-    for src in [parens, nested_synchronized(20_000)] {
+    let chains = [
+        chain("n = 1", " + 1", 100_000),
+        chain("b = b", " && b", 100_000),
+        chain("s = s", ".concat(s)", 100_000),
+    ];
+    for src in [parens, nested_synchronized(20_000)].into_iter().chain(chains) {
         let out = check_one(src);
         assert_eq!(out.exit_code(), 2, "{}", out.output);
         assert_eq!(out.front_errors, 1, "{}", out.output);
@@ -202,6 +218,12 @@ fn nesting_at_the_limit_still_lints_on_a_default_test_thread() {
     assert_eq!(out.front_errors, 0, "{}", out.output);
     assert_ne!(out.exit_code(), 2, "{}", out.output);
     let out = check_one(nested_synchronized(MAX_NESTING_DEPTH));
+    assert_eq!(out.exit_code(), 2, "{}", out.output);
+    // The statement and its expression take two levels; each fold one more.
+    let out = check_one(chain("n = 1", " + 1", MAX_NESTING_DEPTH - 2));
+    assert_eq!(out.front_errors, 0, "{}", out.output);
+    assert_ne!(out.exit_code(), 2, "{}", out.output);
+    let out = check_one(chain("n = 1", " + 1", MAX_NESTING_DEPTH - 1));
     assert_eq!(out.exit_code(), 2, "{}", out.output);
 }
 
@@ -282,8 +304,13 @@ proptest! {
         for (a, b) in unit_a.classes.iter().zip(unit_b.classes.iter()) {
             let la = lower_class(a);
             let lb = lower_class(b);
-            prop_assert_eq!(print_component(&la.component), print_component(&lb.component));
+            let printed = print_component(&la.component);
+            prop_assert_eq!(&printed, &print_component(&lb.component));
             prop_assert_eq!(&la.diags, &lb.diags);
+            // What lowers cleanly prints as Java that lowers back to it.
+            if diags_a.is_empty() && la.diags.is_empty() {
+                prop_assert_eq!(parse_component(&printed).unwrap(), la.component);
+            }
         }
         let opts = CheckOptions::default();
         let out_a = check_files(&[("G.java".into(), src.clone())], &opts);

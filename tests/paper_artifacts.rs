@@ -116,6 +116,21 @@ fn figure2_behaviour_via_vm() {
     assert_eq!(received, "hello");
 }
 
+/// Figure 2 as `fig2_monitor` prints it is Java that `jcc check` accepts
+/// clean and that lowers back to the built-in component.
+#[test]
+fn figure2_prints_as_java_that_checks_clean_and_lowers_back() {
+    use jcc_core::javasrc::check::{check_files, CheckOptions};
+    let printed = jcc_core::model::pretty::print_component(&examples::producer_consumer());
+    let out = check_files(
+        &[("ProducerConsumer.java".into(), printed.clone())],
+        &CheckOptions::default(),
+    );
+    assert_eq!(out.exit_code(), 0, "{}", out.output);
+    let lowered = jcc_core::model::parse_component(&printed).unwrap();
+    assert_eq!(lowered, examples::producer_consumer());
+}
+
 #[test]
 fn figure3_arcs_regenerate() {
     let component = examples::producer_consumer();

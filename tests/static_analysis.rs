@@ -61,9 +61,9 @@ fn unlocked_field_access_flags_the_racy_counter_only() {
     // Negative: the same counter with both methods synchronized.
     let safe = parse_component(
         "class SafeCounter {
-           var count: int = 0;
-           synchronized fn increment() { count = count + 1; }
-           synchronized fn get() -> int { return count; }
+           int count = 0;
+           synchronized void increment() { count = count + 1; }
+           synchronized int get() { return count; }
          }",
     )
     .unwrap();
@@ -75,16 +75,16 @@ fn unlocked_field_access_flags_the_racy_counter_only() {
 fn monitor_not_held_flags_unsynchronized_wait_only() {
     // Positive: wait without the monitor (validate() would reject this too;
     // the analyzer localizes it with a class and severity).
-    let bad = parse_component("class W { fn m() { wait; } }").unwrap();
+    let bad = parse_component("class W { void m() { wait(); } }").unwrap();
     let r = analyze(&bad);
     assert!(codes(&r, Severity::High).contains("monitor-not-held"), "{}", r.render());
     assert!(r.classes(Severity::High).contains("FF-T1"));
     // Negative: a disciplined guarded wait with a notifier.
     let good = parse_component(
         "class G {
-           var ready: bool = false;
-           synchronized fn consume() { while (!ready) { wait; } ready = false; }
-           synchronized fn produce() { ready = true; notifyAll; }
+           boolean ready = false;
+           synchronized void consume() { while (!ready) { wait(); } ready = false; }
+           synchronized void produce() { ready = true; notifyAll(); }
          }",
     )
     .unwrap();
@@ -98,14 +98,14 @@ fn nested_monitor_wait_flags_wait_holding_a_second_lock() {
     // nested-monitor deadlock (FF-T2).
     let bad = parse_component(
         "class N {
-           lock a;
-           var ready: bool = false;
-           synchronized fn m() {
+           final Object a = new Object();
+           boolean ready = false;
+           synchronized void m() {
              synchronized (a) {
-               while (!ready) { wait; }
+               while (!ready) { wait(); }
              }
            }
-           synchronized fn poke() { ready = true; notifyAll; }
+           synchronized void poke() { ready = true; notifyAll(); }
          }",
     )
     .unwrap();
@@ -124,8 +124,8 @@ fn unconditional_wait_flags_bare_wait_only() {
     // Positive: a wait with no guard predicate at all (EF-T3).
     let bad = parse_component(
         "class U {
-           synchronized fn park() { wait; }
-           synchronized fn poke() { notifyAll; }
+           synchronized void park() { wait(); }
+           synchronized void poke() { notifyAll(); }
          }",
     )
     .unwrap();
@@ -145,9 +145,9 @@ fn wait_not_in_loop_flags_if_guarded_wait_only() {
     // (EF-T5). Subsumption: NOT also reported as unconditional.
     let bad = parse_component(
         "class OneShot {
-           var fired: bool = false;
-           synchronized fn arm() { if (!fired) { wait; } }
-           synchronized fn fire() { fired = true; notifyAll; }
+           boolean fired = false;
+           synchronized void arm() { if (!fired) { wait(); } }
+           synchronized void fire() { fired = true; notifyAll(); }
          }",
     )
     .unwrap();
@@ -166,8 +166,8 @@ fn no_notifier_for_wait_flags_orphaned_waiters_only() {
     // Positive: nothing in the component ever notifies the waited lock.
     let bad = parse_component(
         "class Orphan {
-           var ready: bool = false;
-           synchronized fn consume() { while (!ready) { wait; } }
+           boolean ready = false;
+           synchronized void consume() { while (!ready) { wait(); } }
          }",
     )
     .unwrap();

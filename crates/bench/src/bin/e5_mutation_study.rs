@@ -80,6 +80,10 @@ fn main() {
         grand_random.1,
         100.0 * grand_random.0 as f64 / grand_random.1 as f64,
     );
+    // The corpus's known totals: a change to suite construction, mutant
+    // generation or the oracle that moves them must say so here.
+    assert_eq!(grand_directed, (195, 247), "directed suite detections");
+    assert_eq!(grand_random, (167, 247), "random suite detections");
     reporter.set_derived("components_scored", components_scored as f64);
     reporter.set_derived("behavioural_mutants", grand_directed.1 as f64);
     reporter.set_derived("detected_directed_total", grand_directed.0 as f64);

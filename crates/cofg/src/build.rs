@@ -452,7 +452,7 @@ mod tests {
     fn receive_arc_conditions_match_figure_3() {
         let c = examples::producer_consumer();
         let g = build_cofg(&c, c.method("receive").unwrap());
-        let wait = g.node_by_path(&jcc_model::ast::StmtPath(vec![0, 0])).unwrap();
+        let wait = g.node_at(&[0, 0], false).unwrap();
         // start -> wait requires the while condition true.
         let a = &g.arcs[g.arc_between(g.start(), wait).unwrap()];
         assert_eq!(a.witnesses.len(), 1);

@@ -5,6 +5,19 @@
 //! [`SiteId`] markers as threads pass concurrency statements. The tracker
 //! keeps, per thread, the last concurrency node of its active method
 //! invocation; each new marker covers the arc between the two.
+//!
+//! The tracker folds markers in one of two ways, over one arc walk:
+//!
+//! * **A stream** ([`CoverageTracker::record`], [`CoverageTracker::observe`]):
+//!   each marker's arc is credited at once, against per-thread cursors
+//!   that persist across calls.
+//! * **A search path** ([`CoverageTracker::advance`],
+//!   [`CoverageTracker::retreat`]): an explorer's DFS folds each step's
+//!   events onto the current path and backs out of steps again. The path
+//!   has its own cursors, on an undo log, and a step's arcs and strays are
+//!   credited only when the search backs out of it, once per observed path
+//!   end reached meanwhile — what replaying each observed path from fresh
+//!   cursors would credit.
 
 use std::collections::HashMap;
 
@@ -25,6 +38,23 @@ pub enum Marker {
     Stmt(StmtPath),
     /// The exit side of the explicit `synchronized` block at this path.
     SyncExit(StmtPath),
+}
+
+impl Marker {
+    fn mark(&self) -> Mark<'_> {
+        match self {
+            Marker::Start => Mark::Start,
+            Marker::End => Mark::End,
+            Marker::Stmt(path) => Mark::Stmt {
+                path: &path.0,
+                exit: false,
+            },
+            Marker::SyncExit(path) => Mark::Stmt {
+                path: &path.0,
+                exit: true,
+            },
+        }
+    }
 }
 
 /// A runtime coverage marker: method plus position.
@@ -62,15 +92,83 @@ impl SiteId {
     }
 }
 
+/// A marker as the arc walk reads it, borrowed from a [`Marker`] or an
+/// event.
+#[derive(Clone, Copy)]
+enum Mark<'a> {
+    Start,
+    End,
+    Stmt { path: &'a [usize], exit: bool },
+}
+
+/// The method and marker an event carries, if it is a marker at all.
+fn event_mark(event: &Event) -> Option<(&str, Mark<'_>)> {
+    match &event.kind {
+        EventKind::MethodStart { method } => Some((method, Mark::Start)),
+        EventKind::MethodEnd { method } => Some((method, Mark::End)),
+        EventKind::Site { method, path, exit } => Some((method, Mark::Stmt { path, exit: *exit })),
+        _ => None,
+    }
+}
+
+/// A thread's place in its arc walk: its method (an index into the
+/// tracker's methods) and the last concurrency node it passed.
+type Cursor = (usize, NodeId);
+
+/// What one marker credits, besides moving its thread's cursor.
+#[derive(Debug, Clone, Copy)]
+enum Hit {
+    Nothing,
+    Arc { method: usize, arc: usize },
+    Stray,
+}
+
+/// One method's CoFG and the coverage of its arcs.
+#[derive(Debug, Clone)]
+struct MethodArcs {
+    cofg: Cofg,
+    covered: Vec<bool>,
+    /// Arc traversal counts, indexed like `covered`.
+    hits: Vec<u64>,
+}
+
+/// The path fold's state along the current search path.
+#[derive(Debug, Clone, Default)]
+struct PathWalk {
+    /// Each thread seen on the path, with its cursor.
+    threads: Vec<(u64, Option<Cursor>)>,
+    /// Cursor changes, undone on retreat: (slot in `threads`, cursor
+    /// before).
+    undo: Vec<(usize, Option<Cursor>)>,
+    /// The hits of the steps on the path, credited on retreat.
+    hits: Vec<Hit>,
+    /// Per step on the path: the lengths of `undo` and `hits` before it.
+    steps: Vec<(usize, usize)>,
+}
+
+impl PathWalk {
+    /// `thread`'s slot in `threads`, added on first sight.
+    fn slot(&mut self, thread: u64) -> usize {
+        match self.threads.iter().position(|&(t, _)| t == thread) {
+            Some(slot) => slot,
+            None => {
+                self.threads.push((thread, None));
+                self.threads.len() - 1
+            }
+        }
+    }
+}
+
 /// Tracks CoFG arc coverage over one component's methods.
 #[derive(Debug, Clone)]
 pub struct CoverageTracker {
-    cofgs: HashMap<String, Cofg>,
-    covered: HashMap<String, Vec<bool>>,
-    /// Per-method arc traversal counts (same indexing as `covered`).
-    hits: HashMap<String, Vec<u64>>,
-    /// Active invocation per thread: (method, last node).
-    last: HashMap<u64, (String, NodeId)>,
+    /// One entry per method, sorted by name.
+    methods: Vec<MethodArcs>,
+    /// Method name → index into `methods`.
+    index: HashMap<String, usize>,
+    /// The stream fold's cursor per thread (active invocation).
+    last: HashMap<u64, Cursor>,
+    path: PathWalk,
     /// Events that could not be attributed to an arc (unknown method,
     /// no active invocation, or no matching arc).
     pub strays: usize,
@@ -79,19 +177,30 @@ pub struct CoverageTracker {
 impl CoverageTracker {
     /// Build a tracker over the given per-method CoFGs.
     pub fn new(cofgs: impl IntoIterator<Item = Cofg>) -> Self {
-        let mut map = HashMap::new();
-        let mut covered = HashMap::new();
-        let mut hits = HashMap::new();
+        let mut by_name = HashMap::new();
         for g in cofgs {
-            covered.insert(g.method.clone(), vec![false; g.arcs.len()]);
-            hits.insert(g.method.clone(), vec![0; g.arcs.len()]);
-            map.insert(g.method.clone(), g);
+            let arcs = g.arcs.len();
+            by_name.insert(
+                g.method.clone(),
+                MethodArcs {
+                    cofg: g,
+                    covered: vec![false; arcs],
+                    hits: vec![0; arcs],
+                },
+            );
         }
+        let mut methods: Vec<MethodArcs> = by_name.into_values().collect();
+        methods.sort_by(|a, b| a.cofg.method.cmp(&b.cofg.method));
+        let index = methods
+            .iter()
+            .enumerate()
+            .map(|(i, m)| (m.cofg.method.clone(), i))
+            .collect();
         CoverageTracker {
-            cofgs: map,
-            covered,
-            hits,
+            methods,
+            index,
             last: HashMap::new(),
+            path: PathWalk::default(),
             strays: 0,
         }
     }
@@ -99,99 +208,130 @@ impl CoverageTracker {
     /// Record one marker from `thread`, returning the index (in the
     /// method's CoFG arc list) of the arc it covered, if any.
     pub fn record(&mut self, thread: u64, site: &SiteId) -> Option<usize> {
-        let Some(cofg) = self.cofgs.get(&site.method) else {
-            self.strays += 1;
-            return None;
-        };
-        match &site.marker {
-            Marker::Start => {
-                self.last
-                    .insert(thread, (site.method.clone(), cofg.start()));
-                None
-            }
-            Marker::Stmt(path) | Marker::SyncExit(path) => {
-                let want_exit = matches!(site.marker, Marker::SyncExit(_));
-                let found = if want_exit {
-                    cofg.sync_exit_by_path(path)
-                } else {
-                    cofg.node_by_path(path)
-                };
-                let Some(node) = found else {
-                    self.strays += 1;
-                    return None;
-                };
-                match self.last.get(&thread).cloned() {
-                    Some((method, prev)) if method == site.method => {
-                        let arc = self.cover(&method, prev, node);
-                        self.last.insert(thread, (method, node));
-                        arc
-                    }
-                    _ => {
-                        self.strays += 1;
-                        self.last.insert(thread, (site.method.clone(), node));
-                        None
-                    }
-                }
-            }
-            Marker::End => match self.last.remove(&thread) {
-                Some((method, prev)) if method == site.method => {
-                    let end = self.cofgs[&method].end();
-                    self.cover(&method, prev, end)
-                }
-                _ => {
-                    self.strays += 1;
-                    None
-                }
-            },
-        }
-    }
-
-    fn cover(&mut self, method: &str, from: NodeId, to: NodeId) -> Option<usize> {
-        let cofg = &self.cofgs[method];
-        let idx = cofg.arc_between(from, to);
-        match idx {
-            Some(idx) => {
-                self.covered.get_mut(method).unwrap()[idx] = true;
-                self.hits.get_mut(method).unwrap()[idx] += 1;
-            }
-            None => self.strays += 1,
-        }
-        idx
+        self.record_mark(thread, &site.method, site.marker.mark())
     }
 
     /// Fold one event: method starts and ends and coverage sites become
     /// markers of the event's thread; every other kind is ignored. Returns
     /// the index of the arc the event covered, as [`CoverageTracker::record`].
     pub fn observe(&mut self, event: &Event) -> Option<usize> {
-        let site = match &event.kind {
-            EventKind::MethodStart { method } => SiteId::start(method.clone()),
-            EventKind::MethodEnd { method } => SiteId::end(method.clone()),
-            EventKind::Site { method, path, exit } => {
-                let path = StmtPath(path.clone());
-                SiteId {
-                    method: method.clone(),
-                    marker: if *exit {
-                        Marker::SyncExit(path)
-                    } else {
-                        Marker::Stmt(path)
-                    },
-                }
-            }
-            _ => return None,
+        let (method, mark) = event_mark(event)?;
+        self.record_mark(event.thread, method, mark)
+    }
+
+    fn record_mark(&mut self, thread: u64, method: &str, mark: Mark<'_>) -> Option<usize> {
+        let cursor = self.last.get(&thread).copied();
+        let (next, hit) = self.walk(cursor, method, mark);
+        match next {
+            Some(cursor) => self.last.insert(thread, cursor),
+            None => self.last.remove(&thread),
         };
-        self.record(event.thread, &site)
+        self.credit(hit, 1)
+    }
+
+    /// Fold one search step's events onto the current path: move the
+    /// path's thread cursors and keep the step's arcs and strays pending
+    /// until [`CoverageTracker::retreat`] backs out of it. The first step
+    /// of a path starts from no active invocation on any thread.
+    pub fn advance(&mut self, events: &[Event]) {
+        self.path
+            .steps
+            .push((self.path.undo.len(), self.path.hits.len()));
+        for e in events {
+            let Some((method, mark)) = event_mark(e) else {
+                continue;
+            };
+            let slot = self.path.slot(e.thread);
+            let cursor = self.path.threads[slot].1;
+            let (next, hit) = self.walk(cursor, method, mark);
+            self.path.undo.push((slot, cursor));
+            self.path.threads[slot].1 = next;
+            if !matches!(hit, Hit::Nothing) {
+                self.path.hits.push(hit);
+            }
+        }
+    }
+
+    /// Back out of the last step [`CoverageTracker::advance`] folded,
+    /// crediting its arcs and strays `ends` times: once per observed path
+    /// end reached while it was on the path. With `ends == 0` it leaves no
+    /// trace.
+    ///
+    /// # Panics
+    /// When no step is on the path.
+    pub fn retreat(&mut self, ends: u64) {
+        let (undo, hits) = self.path.steps.pop().expect("a step to retreat from");
+        if ends > 0 {
+            for i in hits..self.path.hits.len() {
+                self.credit(self.path.hits[i], ends);
+            }
+        }
+        let path = &mut self.path;
+        path.hits.truncate(hits);
+        for (slot, cursor) in path.undo.drain(undo..).rev() {
+            path.threads[slot].1 = cursor;
+        }
+    }
+
+    /// One marker's move in a thread's arc walk from `cursor`: the
+    /// thread's next cursor and what the move credits.
+    fn walk(&self, cursor: Option<Cursor>, method: &str, mark: Mark<'_>) -> (Option<Cursor>, Hit) {
+        let Some(&m) = self.index.get(method) else {
+            return (cursor, Hit::Stray);
+        };
+        let g = &self.methods[m].cofg;
+        let to = match mark {
+            Mark::Start => return (Some((m, g.start())), Hit::Nothing),
+            Mark::End => g.end(),
+            Mark::Stmt { path, exit } => match g.node_at(path, exit) {
+                Some(node) => node,
+                None => return (cursor, Hit::Stray),
+            },
+        };
+        let hit = match cursor {
+            Some((current, from)) if current == m => g
+                .arc_between(from, to)
+                .map_or(Hit::Stray, |arc| Hit::Arc { method: m, arc }),
+            _ => Hit::Stray,
+        };
+        let next = match mark {
+            Mark::End => None,
+            _ => Some((m, to)),
+        };
+        (next, hit)
+    }
+
+    /// Credit `hit` `times` times; the covered arc's index, if any.
+    fn credit(&mut self, hit: Hit, times: u64) -> Option<usize> {
+        match hit {
+            Hit::Nothing => None,
+            Hit::Arc { method, arc } => {
+                let m = &mut self.methods[method];
+                m.covered[arc] = true;
+                m.hits[arc] += times;
+                Some(arc)
+            }
+            Hit::Stray => {
+                self.strays += times as usize;
+                None
+            }
+        }
+    }
+
+    fn method_arcs(&self, method: &str) -> Option<&MethodArcs> {
+        self.index.get(method).map(|&i| &self.methods[i])
     }
 
     /// Total arcs across all methods.
     pub fn total_arcs(&self) -> usize {
-        self.covered.values().map(Vec::len).sum()
+        self.methods.iter().map(|m| m.covered.len()).sum()
     }
 
     /// Covered arcs across all methods.
     pub fn covered_arcs(&self) -> usize {
-        self.covered
-            .values()
-            .map(|v| v.iter().filter(|&&b| b).count())
+        self.methods
+            .iter()
+            .map(|m| m.covered.iter().filter(|&&b| b).count())
             .sum()
     }
 
@@ -213,13 +353,10 @@ impl CoverageTracker {
     /// Human-readable list of uncovered arcs: `(method, arc description)`.
     pub fn uncovered(&self) -> Vec<(String, String)> {
         let mut out = Vec::new();
-        let mut methods: Vec<&String> = self.covered.keys().collect();
-        methods.sort();
-        for method in methods {
-            let cofg = &self.cofgs[method];
-            for (i, &c) in self.covered[method].iter().enumerate() {
+        for m in &self.methods {
+            for (i, &c) in m.covered.iter().enumerate() {
                 if !c {
-                    out.push((method.clone(), cofg.describe_arc(i)));
+                    out.push((m.cofg.method.clone(), m.cofg.describe_arc(i)));
                 }
             }
         }
@@ -228,65 +365,56 @@ impl CoverageTracker {
 
     /// Per-method `(covered, total)` pairs, sorted by method name.
     pub fn per_method(&self) -> Vec<(String, usize, usize)> {
-        let mut out: Vec<(String, usize, usize)> = self
-            .covered
+        self.methods
             .iter()
-            .map(|(m, v)| (m.clone(), v.iter().filter(|&&b| b).count(), v.len()))
-            .collect();
-        out.sort();
-        out
+            .map(|m| {
+                let covered = m.covered.iter().filter(|&&b| b).count();
+                (m.cofg.method.clone(), covered, m.covered.len())
+            })
+            .collect()
     }
 
     /// Per-arc traversal counts for `method`, indexed like the CoFG's arc
     /// list. `None` for an unknown method.
     pub fn arc_hits(&self, method: &str) -> Option<&[u64]> {
-        self.hits.get(method).map(Vec::as_slice)
+        self.method_arcs(method).map(|m| m.hits.as_slice())
     }
 
     /// Whether `method`'s arc `idx` has been covered.
     pub fn arc_covered(&self, method: &str, idx: usize) -> bool {
-        self.covered
-            .get(method)
-            .and_then(|v| v.get(idx))
+        self.method_arcs(method)
+            .and_then(|m| m.covered.get(idx))
             .copied()
             .unwrap_or(false)
     }
 
     /// The CoFG this tracker holds for `method`, when known.
     pub fn cofg(&self, method: &str) -> Option<&Cofg> {
-        self.cofgs.get(method)
+        self.method_arcs(method).map(|m| &m.cofg)
     }
 
     /// Method names this tracker covers, sorted.
     pub fn methods(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = self.covered.keys().map(String::as_str).collect();
-        out.sort_unstable();
-        out
+        self.methods
+            .iter()
+            .map(|m| m.cofg.method.as_str())
+            .collect()
     }
 
     /// Merge coverage from another tracker over the same CoFGs.
     pub fn merge(&mut self, other: &CoverageTracker) {
-        for (method, bits) in &other.covered {
-            if let Some(mine) = self.covered.get_mut(method) {
-                for (a, b) in mine.iter_mut().zip(bits) {
+        for theirs in &other.methods {
+            if let Some(&i) = self.index.get(&theirs.cofg.method) {
+                let mine = &mut self.methods[i];
+                for (a, b) in mine.covered.iter_mut().zip(&theirs.covered) {
                     *a |= b;
                 }
-            }
-        }
-        for (method, counts) in &other.hits {
-            if let Some(mine) = self.hits.get_mut(method) {
-                for (a, b) in mine.iter_mut().zip(counts) {
+                for (a, b) in mine.hits.iter_mut().zip(&theirs.hits) {
                     *a += b;
                 }
             }
         }
         self.strays += other.strays;
-    }
-
-    /// Reset per-thread state (e.g. between schedules) without losing
-    /// accumulated coverage.
-    pub fn reset_threads(&mut self) {
-        self.last.clear();
     }
 }
 

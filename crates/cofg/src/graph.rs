@@ -127,22 +127,16 @@ impl Cofg {
         &self.nodes[id.0]
     }
 
-    /// Find the node for a statement path, if any. For an explicit
-    /// `synchronized` block (which has two nodes on the same path) this is
-    /// the *entry* node; see [`sync_exit_by_path`](Self::sync_exit_by_path).
-    pub fn node_by_path(&self, path: &StmtPath) -> Option<NodeId> {
+    /// Find the node for a statement path, if any. An explicit
+    /// `synchronized` block has two nodes on the same path: `exit` picks its
+    /// `SyncExit` node instead of its entry node.
+    pub fn node_at(&self, path: &[usize], exit: bool) -> Option<NodeId> {
         self.nodes
             .iter()
-            .position(|n| n.path.as_ref() == Some(path) && n.kind != NodeKind::SyncExit)
-            .map(NodeId)
-    }
-
-    /// Find the `SyncExit` node of the explicit `synchronized` block at
-    /// `path`, if any.
-    pub fn sync_exit_by_path(&self, path: &StmtPath) -> Option<NodeId> {
-        self.nodes
-            .iter()
-            .position(|n| n.path.as_ref() == Some(path) && n.kind == NodeKind::SyncExit)
+            .position(|n| {
+                n.path.as_ref().is_some_and(|p| p.0 == path)
+                    && (n.kind == NodeKind::SyncExit) == exit
+            })
             .map(NodeId)
     }
 
@@ -275,8 +269,9 @@ mod tests {
     #[test]
     fn node_by_path() {
         let g = tiny();
-        assert_eq!(g.node_by_path(&StmtPath(vec![0, 0])), Some(NodeId(1)));
-        assert_eq!(g.node_by_path(&StmtPath(vec![9])), None);
+        assert_eq!(g.node_at(&[0, 0], false), Some(NodeId(1)));
+        assert_eq!(g.node_at(&[0, 0], true), None);
+        assert_eq!(g.node_at(&[9], false), None);
     }
 
     #[test]

@@ -248,6 +248,63 @@ fn keyword(word: &str) -> Option<Tok> {
     })
 }
 
+/// The string literal whose opening quote is at `start`: its unescaped
+/// contents and the offset just past it. Runs of plain characters are
+/// copied as UTF-8; each ends at an ASCII byte, so on a char boundary.
+fn string_literal(src: &str, start: usize, diags: &mut Vec<FrontDiag>) -> (String, usize) {
+    let bytes = src.as_bytes();
+    let mut s = String::new();
+    let mut j = start + 1;
+    loop {
+        match bytes.get(j) {
+            None => {
+                diags.push(FrontDiag::new(
+                    Phase::Parse,
+                    Span::new(start, j),
+                    "unterminated string literal",
+                ));
+                return (s, j);
+            }
+            Some(&b'"') => return (s, j + 1),
+            Some(&b'\n') => {
+                diags.push(FrontDiag::new(
+                    Phase::Parse,
+                    Span::new(start, j),
+                    "newline in string literal",
+                ));
+                return (s, j);
+            }
+            Some(&b'\\') => {
+                // The escaped character, whole: a non-ASCII one spans
+                // several bytes.
+                let escaped = src[j + 1..].chars().next().map_or(1, char::len_utf8);
+                match bytes.get(j + 1) {
+                    Some(&b'n') => s.push('\n'),
+                    Some(&b't') => s.push('\t'),
+                    Some(&b'"') => s.push('"'),
+                    Some(&b'\\') => s.push('\\'),
+                    _ => diags.push(FrontDiag::new(
+                        Phase::Parse,
+                        Span::new(j, j + 1 + escaped),
+                        "unknown escape sequence",
+                    )),
+                }
+                j += 1 + escaped;
+            }
+            Some(_) => {
+                let run = j;
+                while bytes
+                    .get(j)
+                    .is_some_and(|b| !matches!(b, b'"' | b'\n' | b'\\'))
+                {
+                    j += 1;
+                }
+                s.push_str(&src[run..j]);
+            }
+        }
+    }
+}
+
 /// Tokenize `src`. Always returns a token stream ending in [`Tok::Eof`];
 /// unlexable input is reported in the diagnostic list and skipped.
 pub fn lex(src: &str) -> (Vec<Token>, Vec<FrontDiag>) {
@@ -343,56 +400,12 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<FrontDiag>) {
                 i += 1;
             }
             b'"' => {
-                let start = i;
-                let mut s = String::new();
-                let mut j = i + 1;
-                loop {
-                    match bytes.get(j) {
-                        None => {
-                            diags.push(FrontDiag::new(
-                                Phase::Parse,
-                                Span::new(start, j),
-                                "unterminated string literal",
-                            ));
-                            break;
-                        }
-                        Some(&b'"') => {
-                            j += 1;
-                            break;
-                        }
-                        Some(&b'\n') => {
-                            diags.push(FrontDiag::new(
-                                Phase::Parse,
-                                Span::new(start, j),
-                                "newline in string literal",
-                            ));
-                            break;
-                        }
-                        Some(&b'\\') => {
-                            match bytes.get(j + 1) {
-                                Some(&b'n') => s.push('\n'),
-                                Some(&b't') => s.push('\t'),
-                                Some(&b'"') => s.push('"'),
-                                Some(&b'\\') => s.push('\\'),
-                                _ => diags.push(FrontDiag::new(
-                                    Phase::Parse,
-                                    Span::new(j, j + 2),
-                                    "unknown escape sequence",
-                                )),
-                            }
-                            j += 2;
-                        }
-                        Some(&b) => {
-                            s.push(b as char);
-                            j += 1;
-                        }
-                    }
-                }
+                let (lit, end) = string_literal(src, i, &mut diags);
                 tokens.push(Token {
-                    kind: Tok::StrLit(s),
-                    span: Span::new(start, j),
+                    kind: Tok::StrLit(lit),
+                    span: Span::new(i, end),
                 });
-                i = j;
+                i = end;
             }
             b'0'..=b'9' => {
                 let start = i;
@@ -530,6 +543,25 @@ mod tests {
                 Tok::Eof
             ]
         );
+    }
+
+    #[test]
+    fn string_literals_decode_utf8_around_escapes() {
+        assert_eq!(
+            kinds(r#""é" "\t😀\"é\\" "a𝄞\nb""#),
+            vec![
+                Tok::StrLit("é".into()),
+                Tok::StrLit("\t😀\"é\\".into()),
+                Tok::StrLit("a𝄞\nb".into()),
+                Tok::Eof
+            ]
+        );
+        // An unknown escape of a non-ASCII character skips the whole
+        // character, and the literal goes on after it.
+        let (toks, diags) = lex(r#""a\éb""#);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].span, Span::new(2, 5));
+        assert_eq!(toks[0].kind, Tok::StrLit("ab".into()));
     }
 
     #[test]

@@ -120,6 +120,23 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_string_literals_lower_to_the_same_text() {
+        let c = parse_component(
+            "class S { String s = \"é\"; String clef = \"𝄞 é\"; \
+             String m() { return \"é\"; } }",
+        )
+        .unwrap();
+        assert_eq!(c.fields[0].init, crate::ast::Expr::Str("é".into()));
+        assert_eq!(c.fields[1].init, crate::ast::Expr::Str("𝄞 é".into()));
+        // Printing and reparsing is a fixed point.
+        let printed = crate::pretty::print_component(&c);
+        assert!(printed.contains("\"𝄞 é\""), "{printed}");
+        let again = parse_component(&printed).unwrap();
+        assert_eq!(again, c);
+        assert_eq!(crate::pretty::print_component(&again), printed);
+    }
+
+    #[test]
     fn exactly_one_class_is_a_component() {
         let err = parse_component("class X { } class Y { }").unwrap_err();
         assert!(err.message.contains("exactly one class, found 2"), "{err}");

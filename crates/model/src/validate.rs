@@ -6,7 +6,7 @@
 //! synchronization, and many more) live in `jcc_analyze::analyze`, which
 //! reports them as severity-ranked, failure-class-keyed diagnostics.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::ast::{
@@ -159,9 +159,12 @@ pub fn validate(component: &Component) -> Vec<ValidationError> {
         }
     }
 
+    // Named locks, looked up once per `synchronized` entry and monitor call.
+    let locks: HashSet<&str> = component.locks.iter().map(String::as_str).collect();
+
     // Field initializers must be literals of the declared type.
     for field in &component.fields {
-        let mut ctx = MethodCtx::new(component, "<field init>", &mut errors);
+        let mut ctx = MethodCtx::new(component, &locks, "<field init>", &mut errors);
         if let Some(t) = ctx.expr_type(&field.init) {
             if t != field.ty {
                 ctx.errors.push(ValidationError::TypeMismatch {
@@ -175,13 +178,15 @@ pub fn validate(component: &Component) -> Vec<ValidationError> {
     }
 
     for method in &component.methods {
-        check_method(component, method, &mut errors);
+        check_method(component, &locks, method, &mut errors);
     }
     errors
 }
 
 struct MethodCtx<'a> {
     component: &'a Component,
+    /// The component's named locks.
+    locks: &'a HashSet<&'a str>,
     method_name: &'a str,
     locals: HashMap<String, Type>,
     errors: &'a mut Vec<ValidationError>,
@@ -190,11 +195,13 @@ struct MethodCtx<'a> {
 impl<'a> MethodCtx<'a> {
     fn new(
         component: &'a Component,
+        locks: &'a HashSet<&'a str>,
         method_name: &'a str,
         errors: &'a mut Vec<ValidationError>,
     ) -> Self {
         MethodCtx {
             component,
+            locks,
             method_name,
             locals: HashMap::new(),
             errors,
@@ -330,7 +337,12 @@ impl<'a> MethodCtx<'a> {
     }
 }
 
-fn check_method(component: &Component, method: &Method, errors: &mut Vec<ValidationError>) {
+fn check_method(
+    component: &Component,
+    locks: &HashSet<&str>,
+    method: &Method,
+    errors: &mut Vec<ValidationError>,
+) {
     // Duplicate params.
     let mut seen = HashMap::new();
     for p in &method.params {
@@ -341,7 +353,7 @@ fn check_method(component: &Component, method: &Method, errors: &mut Vec<Validat
             });
         }
     }
-    let mut ctx = MethodCtx::new(component, &method.name, errors);
+    let mut ctx = MethodCtx::new(component, locks, &method.name, errors);
     ctx.locals = seen;
 
     // Initial held-locks: the receiver's monitor for synchronized methods.
@@ -352,10 +364,10 @@ fn check_method(component: &Component, method: &Method, errors: &mut Vec<Validat
     check_block(&method.body, method, &mut ctx, &mut held);
 }
 
-fn lock_declared(component: &Component, lock: &LockRef) -> bool {
+fn lock_declared(locks: &HashSet<&str>, lock: &LockRef) -> bool {
     match lock {
         LockRef::This => true,
-        LockRef::Named(n) => component.locks.iter().any(|l| l == n),
+        LockRef::Named(n) => locks.contains(n.as_str()),
     }
 }
 
@@ -386,7 +398,7 @@ fn check_block(
                     Stmt::Notify { .. } => "notify",
                     _ => "notifyAll",
                 };
-                if !lock_declared(ctx.component, lock) {
+                if !lock_declared(ctx.locks, lock) {
                     ctx.errors.push(ValidationError::UnknownLock {
                         name: lock.to_string(),
                         method: method.name.clone(),
@@ -475,7 +487,7 @@ fn check_block(
                 (None, None) => {}
             },
             Stmt::Synchronized { lock, body } => {
-                if !lock_declared(ctx.component, lock) {
+                if !lock_declared(ctx.locks, lock) {
                     ctx.errors.push(ValidationError::UnknownLock {
                         name: lock.to_string(),
                         method: method.name.clone(),

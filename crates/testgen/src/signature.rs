@@ -6,7 +6,8 @@
 use std::collections::BTreeSet;
 
 use jcc_vm::{
-    explore_observed, CallResult, ExploreConfig, PathEnd, RunOutcome, Value, Verdict, Vm,
+    explore_observed, CallResult, ExploreConfig, PathEnd, PathObserver, RunOutcome, Value, Verdict,
+    Vm,
 };
 
 /// How a run ended, abstracted for comparison.
@@ -92,8 +93,17 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
         max_depth: limits.max_depth,
         ..ExploreConfig::default()
     };
-    let mut signatures = BTreeSet::new();
-    let result = explore_observed(vm, &config, |vm, _, end| {
+    let mut signatures = Signatures::default();
+    let result = explore_observed(vm, &config, &mut signatures);
+    (signatures.0, result.truncated)
+}
+
+/// The signature set a search's path ends reach.
+#[derive(Default)]
+struct Signatures(BTreeSet<Signature>);
+
+impl PathObserver for Signatures {
+    fn path_end(&mut self, vm: &Vm, end: PathEnd<'_>) {
         let end = match end {
             PathEnd::Terminal(Verdict::Completed) => EndState::Completed,
             PathEnd::Terminal(Verdict::Deadlock { .. }) => EndState::Deadlock,
@@ -101,9 +111,8 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
             PathEnd::Terminal(Verdict::StepLimit) | PathEnd::Cycle => EndState::NoProgress,
             PathEnd::Join => return,
         };
-        signatures.insert(signature(end, &vm.results()));
-    });
-    (signatures, result.truncated)
+        self.0.insert(signature(end, &vm.results()));
+    }
 }
 
 #[cfg(test)]

@@ -32,7 +32,8 @@
 //!   `on_path` (cycle detection) is one bit per state id.
 //! * **One path trace.** States carry no trace: each step's events are
 //!   moved onto a single path trace, which is truncated on backtrack. Only
-//!   witnesses copy it, and observers see it as a slice.
+//!   witnesses copy it; observers see each step's events once, on the DFS
+//!   edge.
 //! * **Clone only for siblings, into spare buffers.** A state's last
 //!   successor takes the state itself instead of a clone, and a clone
 //!   overwrites a machine the search no longer needs (a joined, cyclic or
@@ -41,9 +42,11 @@
 //!   timed into the `vm.explore.clone_ns`, `vm.explore.step_ns` and
 //!   `vm.explore.intern_ns` histograms.
 //!
-//! [`explore_observed`] exposes every path end to an observer; signature
-//! enumeration (`jcc_testgen::signature`) and coverage-directed suite
-//! search are folds over it.
+//! [`explore_observed`] drives a [`PathObserver`] along the DFS: one call
+//! per transition on the way down, one per backtrack on the way up, and
+//! one per observed path end. Arc coverage ([`explore`]'s tracker),
+//! signature enumeration (`jcc_testgen::signature`) and coverage-directed
+//! suite search are folds over it.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -56,7 +59,6 @@ use jcc_petri::state::StateId;
 
 use crate::machine::state::StateTable;
 use crate::machine::{RunOutcome, Verdict, Vm};
-use crate::trace::apply_trace;
 
 /// Exploration limits.
 #[derive(Debug, Clone)]
@@ -186,8 +188,56 @@ impl ExploreResult {
     }
 }
 
+/// A fold over the explorer's DFS, the shape of a model checker's search
+/// listener: it sees each transition's events once, on the DFS edge, is
+/// told when the search backs out of a transition, and is told where paths
+/// end. Every method defaults to doing nothing.
+///
+/// Only Terminal, Cycle and Join ends are observed; a path cut by the depth
+/// bound or by `max_states` is not. So a fold that counts what paths see
+/// keeps each step's effects pending and credits them on backtrack, once
+/// per observed end reached while the step was on the path — `ends`. That
+/// is what a replay of each observed path's whole trace would count, at
+/// amortised O(1) per transition.
+pub trait PathObserver {
+    /// The search took a transition that emitted `events` (possibly
+    /// none); the current path is one step longer.
+    fn step(&mut self, events: &[Event]) {
+        let _ = events;
+    }
+
+    /// The search backed out of the most recent step not yet backed out
+    /// of. `ends` path ends were observed while that step was on the path.
+    fn backtrack(&mut self, ends: u64) {
+        let _ = ends;
+    }
+
+    /// The current path ends at `vm`, as `end` says.
+    fn path_end(&mut self, vm: &Vm, end: PathEnd<'_>) {
+        let _ = (vm, end);
+    }
+}
+
+/// Arc coverage is the union over observed paths: each step's arcs and
+/// strays are credited once per observed end, as a whole-trace replay
+/// with fresh thread cursors at every end would.
+impl PathObserver for CoverageTracker {
+    fn step(&mut self, events: &[Event]) {
+        self.advance(events);
+    }
+
+    fn backtrack(&mut self, ends: u64) {
+        self.retreat(ends);
+    }
+}
+
+/// The observer of an unobserved exploration; its hooks inline away.
+struct Unobserved;
+
+impl PathObserver for Unobserved {}
+
 /// Explore every schedule of `vm` (consumed as the initial state). When
-/// `coverage` is provided, the union of CoFG coverage over all explored
+/// `coverage` is provided, the union of CoFG coverage over all observed
 /// paths is accumulated into it.
 pub fn explore(
     vm: Vm,
@@ -195,24 +245,22 @@ pub fn explore(
     coverage: Option<&mut CoverageTracker>,
 ) -> ExploreResult {
     match coverage {
-        Some(tracker) => explore_observed(vm, config, |_, trace, _| {
-            tracker.reset_threads();
-            apply_trace(trace, tracker);
-        }),
-        None => explore_observed(vm, config, |_, _, _| {}),
+        Some(tracker) => explore_observed(vm, config, tracker),
+        None => explore_observed(vm, config, &mut Unobserved),
     }
 }
 
-/// Like [`explore`], but calls `observer` at the end of every maximal path
-/// prefix — terminal states, cycle closures and first revisits of shared
-/// states, told apart by [`PathEnd`] — with the VM there and the path's
-/// event trace from the initial state. These are the points where a
-/// path's trace is complete enough to measure path properties such as
-/// coverage, waiter profiles or behavioural signatures.
-pub fn explore_observed(
+/// Like [`explore`], but drives `observer` along the search (see
+/// [`PathObserver`]): each transition's events as the DFS takes it, each
+/// backtrack, and the end of every maximal path prefix — terminal states,
+/// cycle closures and first revisits of shared states, told apart by
+/// [`PathEnd`] — with the VM there. Folds over these measure path
+/// properties such as coverage, waiter profiles or behavioural signatures
+/// without replaying a path's trace at its end.
+pub fn explore_observed<O: PathObserver>(
     vm: Vm,
     config: &ExploreConfig,
-    observer: impl FnMut(&Vm, &[Event], PathEnd<'_>),
+    observer: &mut O,
 ) -> ExploreResult {
     let _span = jcc_obs::span!("vm.explore");
     // Live progress is publish-only (a mailbox watcher threads read).
@@ -235,6 +283,7 @@ pub fn explore_observed(
         spare: Vec::new(),
         pending: None,
         timers: jcc_obs::enabled().then(LayerTimers::new),
+        ends: 0,
         observer,
         result: ExploreResult {
             states: 1,
@@ -344,6 +393,8 @@ struct Frame {
     id: StateId,
     /// Length of the path trace at this state.
     trace_len: usize,
+    /// Observed path ends before the step into this state.
+    ends: u64,
     /// This state's successor threads are `succ[next..end]`.
     next: usize,
     end: usize,
@@ -354,7 +405,7 @@ struct Frame {
 type Successor = (Vm, StateId, bool);
 
 /// The explicit-stack DFS and everything it threads through the search.
-struct Dfs<'c, O> {
+struct Dfs<'c, 'o, O> {
     config: &'c ExploreConfig,
     table: StateTable,
     /// One bit per state id: is the state on the current path?
@@ -376,15 +427,17 @@ struct Dfs<'c, O> {
     /// The top frame's ample successor, stepped while choosing it.
     pending: Option<Successor>,
     timers: Option<LayerTimers>,
-    observer: O,
+    /// Observed path ends so far.
+    ends: u64,
+    observer: &'o mut O,
     result: ExploreResult,
 }
 
-impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
+impl<O: PathObserver> Dfs<'_, '_, O> {
     /// Search from `root` (already interned as `id`, its section ids in
     /// `next_ids`).
     fn run(&mut self, root: Vm, id: StateId) {
-        self.enter(root, id);
+        self.enter(root, id, 0);
         while let Some(top) = self.stack.last_mut() {
             self.trace.truncate(top.trace_len);
             let next = match self.pending.take() {
@@ -400,6 +453,10 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
                     self.set_on_path(done.id, false);
                     self.succ.truncate(self.stack.last().map_or(0, |f| f.end));
                     self.ids.truncate(self.stack.len() * self.width);
+                    if !self.stack.is_empty() {
+                        // Every frame but the root was entered by a step.
+                        self.observer.backtrack(self.ends - done.ends);
+                    }
                     continue;
                 }
             };
@@ -452,10 +509,14 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
         }
     }
 
-    /// Process one successor of the top frame: count the transition,
-    /// classify cycle / already-seen / fresh, and enter fresh states.
+    /// Take the step to one successor of the top frame: show its events to
+    /// the observer, count the transition, classify cycle / already-seen /
+    /// fresh, and enter fresh states. Unless the successor's frame was
+    /// pushed, back out of the step again at once.
     fn visit(&mut self, (mut next, id, fresh): Successor) {
+        let (from, ends) = (self.trace.len(), self.ends);
         next.drain_trace_into(&mut self.trace);
+        self.observer.step(&self.trace[from..]);
         self.result.transitions += 1;
         if self.is_on_path(id) {
             // The path closed a loop on itself: it can repeat forever.
@@ -463,45 +524,54 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
             if next.runnable().len() == 1 {
                 self.result.inescapable_cycles += 1;
             }
-            (self.observer)(&next, &self.trace, PathEnd::Cycle);
+            self.end_path(&next, PathEnd::Cycle);
             if self.result.cycle_witness.is_none() {
                 self.result.cycle_witness =
                     Some(next.outcome_with_trace(Verdict::StepLimit, self.trace.clone()));
             }
             self.recycle(next);
-            return;
-        }
-        if !fresh {
+        } else if !fresh {
             // Reached a state first visited on another path: its subtree is
-            // observed from there; report this path's prefix only.
-            (self.observer)(&next, &self.trace, PathEnd::Join);
+            // observed from there; end this path's prefix here.
+            self.end_path(&next, PathEnd::Join);
             self.recycle(next);
-            return;
-        }
-        if self.result.states >= self.config.max_states {
+        } else if self.result.states >= self.config.max_states {
             self.result.truncated = true;
             self.recycle(next);
-            return;
+        } else {
+            self.result.states += 1;
+            if self.result.states & 1023 == 0 && jcc_obs::progress_enabled() {
+                // The DFS has no frontier width; publish the explicit stack's
+                // depth (the current schedule prefix length) as the frontier.
+                jcc_obs::explore_progress().publish(
+                    self.result.states as u64,
+                    self.stack.len() as u64,
+                    (self.stack.len() - 1) as u64,
+                );
+            }
+            let depth = self.stack.len();
+            self.enter(next, id, ends);
+            if self.stack.len() > depth {
+                // The step stays on the path until its frame is popped.
+                return;
+            }
         }
-        self.result.states += 1;
-        if self.result.states & 1023 == 0 && jcc_obs::progress_enabled() {
-            // The DFS has no frontier width; publish the explicit stack's
-            // depth (the current schedule prefix length) as the frontier.
-            jcc_obs::explore_progress().publish(
-                self.result.states as u64,
-                self.stack.len() as u64,
-                (self.stack.len() - 1) as u64,
-            );
-        }
-        self.enter(next, id);
+        self.observer.backtrack(self.ends - ends);
+    }
+
+    /// Tell the observer the current path ends at `vm`.
+    fn end_path(&mut self, vm: &Vm, end: PathEnd<'_>) {
+        self.ends += 1;
+        self.observer.path_end(vm, end);
     }
 
     /// Arrive at a newly counted state at depth `self.stack.len()` (its
-    /// section ids in `next_ids`): record a terminal verdict or the depth
-    /// bound, or push a frame with the successors to expand.
-    fn enter(&mut self, vm: Vm, id: StateId) {
+    /// section ids in `next_ids`, `ends` path ends observed before the step
+    /// into it): record a terminal verdict or the depth bound, or push a
+    /// frame with the successors to expand.
+    fn enter(&mut self, vm: Vm, id: StateId, ends: u64) {
         if let Some(verdict) = vm.current_verdict() {
-            (self.observer)(&vm, &self.trace, PathEnd::Terminal(&verdict));
+            self.end_path(&vm, PathEnd::Terminal(&verdict));
             let r = &mut self.result;
             let slot = match &verdict {
                 Verdict::Completed => {
@@ -555,6 +625,7 @@ impl<O: FnMut(&Vm, &[Event], PathEnd<'_>)> Dfs<'_, O> {
             vm: Some(vm),
             id,
             trace_len: self.trace.len(),
+            ends,
             next: start,
             end: self.succ.len(),
         });
@@ -707,6 +778,176 @@ mod tests {
             "uncovered: {:?}",
             tracker.uncovered()
         );
+    }
+
+    /// The fold [`PathObserver`] replaced, kept as a reference: it rebuilds
+    /// the path trace from the steps and, at every observed path end,
+    /// replays all of it from fresh thread cursors.
+    struct Replay {
+        trace: Vec<Event>,
+        marks: Vec<usize>,
+        fresh: CoverageTracker,
+        total: CoverageTracker,
+        /// The rebuilt trace at the first end of each kind: deadlock,
+        /// fault, cycle.
+        firsts: [Option<Vec<Event>>; 3],
+    }
+
+    impl Replay {
+        fn new(tracker: CoverageTracker) -> Replay {
+            Replay {
+                trace: Vec::new(),
+                marks: Vec::new(),
+                fresh: tracker.clone(),
+                total: tracker,
+                firsts: [None, None, None],
+            }
+        }
+    }
+
+    impl PathObserver for Replay {
+        fn step(&mut self, events: &[Event]) {
+            self.marks.push(self.trace.len());
+            self.trace.extend_from_slice(events);
+        }
+
+        fn backtrack(&mut self, _ends: u64) {
+            let mark = self.marks.pop().expect("a step to back out of");
+            self.trace.truncate(mark);
+        }
+
+        fn path_end(&mut self, _vm: &Vm, end: PathEnd<'_>) {
+            let mut fresh = self.fresh.clone();
+            crate::trace::apply_trace(&self.trace, &mut fresh);
+            self.total.merge(&fresh);
+            let kind = match end {
+                PathEnd::Terminal(Verdict::Deadlock { .. }) => 0,
+                PathEnd::Terminal(Verdict::Faulted { .. }) => 1,
+                PathEnd::Cycle => 2,
+                _ => return,
+            };
+            self.firsts[kind].get_or_insert_with(|| self.trace.clone());
+        }
+    }
+
+    /// Everything a coverage fold accumulates.
+    fn coverage_census(t: &CoverageTracker) -> String {
+        let hits: Vec<(&str, &[u64])> = t
+            .methods()
+            .into_iter()
+            .map(|m| (m, t.arc_hits(m).unwrap()))
+            .collect();
+        format!(
+            "{:?} {:?} {hits:?} strays {}",
+            t.per_method(),
+            t.uncovered(),
+            t.strays
+        )
+    }
+
+    #[test]
+    fn path_steps_rebuild_the_witness_traces() {
+        // The steps and backtracks an observer sees rebuild the explorer's
+        // own path trace: the witnesses are copies of it.
+        let lock_order = examples::lock_order_deadlock();
+        let lock_threads = vec![
+            ThreadSpec {
+                name: "f".into(),
+                calls: vec![CallSpec::new("forward", vec![])],
+            },
+            ThreadSpec {
+                name: "b".into(),
+                calls: vec![CallSpec::new("backward", vec![])],
+            },
+        ];
+        let cases = [
+            (lock_order, lock_threads),
+            (skip_wait_mutant(), pc_threads()),
+        ];
+        for (component, threads) in cases {
+            let mut replay = Replay::new(CoverageTracker::new(build_component_cofgs(&component)));
+            let vm = Vm::new(compile(&component).unwrap(), threads);
+            let r = explore_observed(vm, &ExploreConfig::default(), &mut replay);
+            assert!(replay.marks.is_empty() && replay.trace.is_empty());
+            let witnesses = [&r.deadlock_witness, &r.fault_witness, &r.cycle_witness];
+            for (witness, rebuilt) in witnesses.into_iter().zip(&replay.firsts) {
+                assert_eq!(witness.as_ref().map(|w| &w.trace), rebuilt.as_ref());
+            }
+            assert!(r.found_failure());
+        }
+    }
+
+    #[test]
+    fn coverage_fold_matches_the_replay_fold() {
+        let pc = examples::producer_consumer();
+        let pc_tracker = || CoverageTracker::new(build_component_cofgs(&pc));
+        // e8's ladder: one producer, 1..=3 consumers, one tracker.
+        let ladder = |consumers: usize| {
+            let mut threads = vec![ThreadSpec {
+                name: "p".into(),
+                calls: vec![CallSpec::new(
+                    "send",
+                    vec![Value::Str("x".repeat(consumers).into())],
+                )],
+            }];
+            for i in 0..consumers {
+                threads.push(ThreadSpec {
+                    name: format!("c{i}"),
+                    calls: vec![CallSpec::new("receive", vec![])],
+                });
+            }
+            Vm::new(compile(&pc).unwrap(), threads)
+        };
+        let mut folded = pc_tracker();
+        let mut replay = Replay::new(pc_tracker());
+        for consumers in 1..=3 {
+            let config = ExploreConfig::default();
+            let a = explore(ladder(consumers), &config, Some(&mut folded));
+            let b = explore_observed(ladder(consumers), &config, &mut replay);
+            assert_eq!(a.tally(), b.tally());
+        }
+        assert_eq!(coverage_census(&folded), coverage_census(&replay.total));
+        assert!(folded.covered_arcs() > 0);
+
+        // Forced budgets: paths cut by `max_states` or by the depth bound
+        // are not observed, so they must contribute nothing.
+        let states = explore(ladder(2), &ExploreConfig::default(), None).states;
+        let budgets = [
+            ExploreConfig {
+                max_states: states - 1,
+                ..ExploreConfig::default()
+            },
+            ExploreConfig {
+                max_depth: 12,
+                ..ExploreConfig::default()
+            },
+        ];
+        for config in budgets {
+            let mut folded = pc_tracker();
+            let mut replay = Replay::new(pc_tracker());
+            let a = explore(ladder(2), &config, Some(&mut folded));
+            let b = explore_observed(ladder(2), &config, &mut replay);
+            assert!(a.truncated, "{config:?}");
+            assert_eq!(a.tally(), b.tally());
+            assert_eq!(coverage_census(&folded), coverage_census(&replay.total));
+        }
+
+        // E11 sizes 1 and 2.
+        for size in 1..=2 {
+            let (component, threads) = e11_scenario(size);
+            let tracker = || CoverageTracker::new(build_component_cofgs(&component));
+            let make = || Vm::new(compile(&component).unwrap(), threads.clone());
+            let mut folded = tracker();
+            let mut replay = Replay::new(tracker());
+            explore(make(), &ExploreConfig::default(), Some(&mut folded));
+            explore_observed(make(), &ExploreConfig::default(), &mut replay);
+            assert_eq!(
+                coverage_census(&folded),
+                coverage_census(&replay.total),
+                "E11 size {size}"
+            );
+            assert!(folded.covered_arcs() > 0, "E11 size {size}");
+        }
     }
 
     #[test]

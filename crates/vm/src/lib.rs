@@ -35,7 +35,7 @@ pub mod trace;
 pub mod value;
 
 pub use compile::{compile, CompileError, CompiledComponent};
-pub use explore::{explore, explore_observed, ExploreConfig, ExploreResult, PathEnd};
+pub use explore::{explore, explore_observed, ExploreConfig, ExploreResult, PathEnd, PathObserver};
 pub use jcc_petri::Parallelism;
 pub use machine::{
     CallResult, CallSpec, RunConfig, RunOutcome, Scheduler, ThreadSpec, Verdict, Vm,

@@ -16,8 +16,7 @@ use jcc_core::obs::{self, RunReport};
 use jcc_core::report::render_coverage;
 use jcc_core::testgen::scenario::{describe, ScenarioSpace};
 use jcc_core::testgen::suite::GreedyConfig;
-use jcc_core::vm::trace::apply_trace;
-use jcc_core::vm::{compile, explore_observed, CallSpec, ExploreConfig, Value, Vm};
+use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, Value, Vm};
 
 fn main() {
     // Record the whole run: exploration publishes its own counters and the
@@ -45,10 +44,7 @@ fn main() {
     println!("building up coverage scenario by scenario:\n");
     for (i, scenario) in suite.scenarios.iter().enumerate() {
         let vm = Vm::new(compiled.clone(), scenario.clone());
-        let _ = explore_observed(vm, &ExploreConfig::default(), |_, trace, _| {
-            tracker.reset_threads();
-            apply_trace(trace, &mut tracker);
-        });
+        let _ = explore(vm, &ExploreConfig::default(), Some(&mut tracker));
         reg.gauge("coverage.ProducerConsumer.covered_arcs")
             .set(tracker.covered_arcs() as u64);
         reg.gauge("coverage.ProducerConsumer.total_arcs")

@@ -47,7 +47,7 @@ fn main() {
         stats.deadlocks,
         g.is_k_bounded(1)
     );
-    for (i, m) in g.markings().iter().enumerate() {
+    for (i, m) in g.markings().enumerate() {
         say!("  s{i}: {}", dot::marking_label(net, m));
     }
 
@@ -64,7 +64,7 @@ fn main() {
         let names: Vec<&str> = path.iter().map(|&t| net.transition_name(t)).collect();
         say!(
             "  dead: {} via firing sequence {}",
-            dot::marking_label(net, &gf.markings()[s]),
+            dot::marking_label(net, gf.marking(s)),
             names.join(", ")
         );
     }

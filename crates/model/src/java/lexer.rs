@@ -305,6 +305,23 @@ fn string_literal(src: &str, start: usize, diags: &mut Vec<FrontDiag>) -> (Strin
     }
 }
 
+/// The end of the identifier whose first character ends at `i`: Java
+/// identifiers go on with ASCII letters, digits, `_` and `$`, and with
+/// non-ASCII letters and digits.
+fn ident_end(src: &str, mut i: usize) -> usize {
+    let bytes = src.as_bytes();
+    loop {
+        match bytes.get(i) {
+            Some(b) if b.is_ascii_alphanumeric() || *b == b'_' || *b == b'$' => i += 1,
+            Some(b) if !b.is_ascii() => match src[i..].chars().next() {
+                Some(ch) if ch.is_alphanumeric() => i += ch.len_utf8(),
+                _ => return i,
+            },
+            _ => return i,
+        }
+    }
+}
+
 /// Tokenize `src`. Always returns a token stream ending in [`Tok::Eof`];
 /// unlexable input is reported in the diagnostic list and skipped.
 pub fn lex(src: &str) -> (Vec<Token>, Vec<FrontDiag>) {
@@ -431,16 +448,31 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<FrontDiag>) {
             }
             c if c.is_ascii_alphabetic() || c == b'_' || c == b'$' => {
                 let start = i;
-                while i < bytes.len()
-                    && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_' || bytes[i] == b'$')
-                {
-                    i += 1;
-                }
+                i = ident_end(src, i + 1);
                 let word = &src[start..i];
                 tokens.push(Token {
                     kind: keyword(word).unwrap_or_else(|| Tok::Ident(word.to_string())),
                     span: Span::new(start, i),
                 });
+            }
+            c if !c.is_ascii() => {
+                // A whole UTF-8 character: `i` is always on a boundary.
+                let ch = src[i..].chars().next().expect("non-empty rest");
+                if ch.is_alphabetic() {
+                    let start = i;
+                    i = ident_end(src, i + ch.len_utf8());
+                    tokens.push(Token {
+                        kind: Tok::Ident(src[start..i].to_string()),
+                        span: Span::new(start, i),
+                    });
+                } else {
+                    diags.push(FrontDiag::new(
+                        Phase::Parse,
+                        Span::new(i, i + ch.len_utf8()),
+                        format!("unexpected character `{ch}`"),
+                    ));
+                    i += ch.len_utf8();
+                }
             }
             other => {
                 diags.push(FrontDiag::new(
@@ -575,6 +607,48 @@ mod tests {
             .filter(|t| matches!(t.kind, Tok::Ident(_)))
             .count();
         assert_eq!(idents, 3, "all three identifiers survive");
+    }
+
+    #[test]
+    fn non_ascii_letters_and_digits_make_identifiers() {
+        assert_eq!(
+            kinds("class Café { int ñ1 = 0; } é_$٣"),
+            vec![
+                Tok::Class,
+                Tok::Ident("Café".into()),
+                Tok::LBrace,
+                Tok::Int,
+                Tok::Ident("ñ1".into()),
+                Tok::Assign,
+                Tok::IntLit(0),
+                Tok::Semi,
+                Tok::RBrace,
+                Tok::Ident("é_$٣".into()),
+                Tok::Eof
+            ]
+        );
+    }
+
+    #[test]
+    fn other_non_ascii_characters_are_reported_once_each() {
+        // `€` is three bytes: one diagnostic spanning all of them, naming
+        // the character, and lexing resumes right after it.
+        let src = "class A { int x = 0 € 1; }";
+        let (toks, diags) = lex(src);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].span, Span::new(20, 23));
+        assert_eq!(diags[0].message, "unexpected character `€`");
+        let map = super::super::span::SourceMap::new("A.java", src);
+        assert_eq!(map.line_col(diags[0].span.lo), (1, 21));
+        assert!(toks
+            .iter()
+            .any(|t| t.kind == Tok::IntLit(1) && t.span == Span::new(24, 25)));
+        // A digit cannot start an identifier, a letter after one can.
+        let (toks, diags) = lex("x٣ ٣x");
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].span, Span::new(4, 6));
+        assert_eq!(toks[0].kind, Tok::Ident("x٣".into()));
+        assert_eq!(toks[1].kind, Tok::Ident("x".into()));
     }
 
     #[test]

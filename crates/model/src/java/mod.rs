@@ -137,6 +137,16 @@ mod tests {
     }
 
     #[test]
+    fn non_ascii_identifiers_lower() {
+        let c = parse_component("class Café { int ñ = 0; void m() { ñ = 1; } }").unwrap();
+        assert_eq!(c.name, "Café");
+        assert_eq!(c.fields[0].name, "ñ");
+        assert_eq!(c.methods[0].name, "m");
+        let printed = crate::pretty::print_component(&c);
+        assert_eq!(parse_component(&printed).unwrap(), c);
+    }
+
+    #[test]
     fn exactly_one_class_is_a_component() {
         let err = parse_component("class X { } class Y { }").unwrap_err();
         assert!(err.message.contains("exactly one class, found 2"), "{err}");

@@ -70,12 +70,12 @@ pub fn net_to_dot(net: &Net, marking: &Marking) -> String {
 pub fn reach_to_dot(net: &Net, graph: &ReachGraph) -> String {
     let mut out = String::new();
     out.push_str("digraph reach {\n  rankdir=LR;\n");
-    for (i, m) in graph.markings().iter().enumerate() {
+    for (i, m) in graph.markings().enumerate() {
         let label = marking_label(net, m);
         let style = if i == 0 { ", penwidth=2" } else { "" };
         let _ = writeln!(out, "  s{i} [shape=ellipse, label=\"{label}\"{style}];");
     }
-    for (i, _) in graph.markings().iter().enumerate() {
+    for i in 0..graph.stats().states {
         for &(t, next) in graph.successors(i) {
             let _ = writeln!(
                 out,
@@ -90,12 +90,12 @@ pub fn reach_to_dot(net: &Net, graph: &ReachGraph) -> String {
 
 /// Human-readable marking label: comma-separated `place×count` for marked
 /// places, `∅` for the empty marking.
-pub fn marking_label(net: &Net, m: &Marking) -> String {
+pub fn marking_label(net: &Net, m: &[u32]) -> String {
     let parts: Vec<String> = net
         .places()
-        .filter(|&p| m.tokens(p) > 0)
+        .filter(|&p| m[p.index()] > 0)
         .map(|p| {
-            let n = m.tokens(p);
+            let n = m[p.index()];
             if n == 1 {
                 net.place_name(p).to_string()
             } else {
@@ -150,9 +150,8 @@ mod tests {
         let j = JavaNet::new(1);
         let net = j.net();
         let m0 = net.initial_marking();
-        assert_eq!(marking_label(net, &m0), "E,A");
-        let empty = Marking(vec![0; net.num_places()].into_boxed_slice());
-        assert_eq!(marking_label(net, &empty), "∅");
+        assert_eq!(marking_label(net, &m0.0), "E,A");
+        assert_eq!(marking_label(net, &vec![0; net.num_places()]), "∅");
     }
 
     #[test]
@@ -163,6 +162,6 @@ mod tests {
         let net = b.build().unwrap();
         let dot = net_to_dot(&net, &net.initial_marking());
         assert!(dot.contains("big\\n10"));
-        assert_eq!(marking_label(&net, &net.initial_marking()), "big×10");
+        assert_eq!(marking_label(&net, &net.initial_marking().0), "big×10");
     }
 }

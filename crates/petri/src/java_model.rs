@@ -19,7 +19,7 @@
 //! net over-approximates Java in one respect the paper calls out with the
 //! dashed arc into T5: a waiting thread cannot wake *itself*; in the net,
 //! `T5` is structurally enabled whenever `D` is marked. The
-//! [`JavaNet::notified_reach_limits`] helper and the VM crate impose the
+//! [`JavaNet::notify_side_condition`] filter and the VM crate impose the
 //! extra condition when it matters.
 
 use crate::net::{Marking, Net, NetBuilder, PlaceId, TransId};
@@ -69,6 +69,8 @@ pub struct JavaNet {
     place_ids: Vec<[PlaceId; 4]>,
     // thread-major: trans_ids[thread][transition]
     trans_ids: Vec<[TransId; 5]>,
+    // by transition index: the thread and model transition it belongs to
+    trans_class: Vec<(usize, Transition)>,
 }
 
 impl JavaNet {
@@ -108,12 +110,19 @@ impl JavaNet {
             trans_ids.push([t1, t2, t3, t4, t5]);
         }
         let net = b.build().expect("generated names are unique");
+        let mut trans_class = vec![(0, Transition::T1); net.num_transitions()];
+        for (th, row) in trans_ids.iter().enumerate() {
+            for (i, t) in row.iter().enumerate() {
+                trans_class[t.index()] = (th, Transition::from_index(i));
+            }
+        }
         JavaNet {
             net,
             threads,
             lock_place,
             place_ids,
             trans_ids,
+            trans_class,
         }
     }
 
@@ -163,20 +172,15 @@ impl JavaNet {
 
     /// Which thread and model transition a raw [`TransId`] belongs to.
     pub fn classify_transition(&self, id: TransId) -> Option<(usize, Transition)> {
-        for (th, row) in self.trans_ids.iter().enumerate() {
-            if let Some(i) = row.iter().position(|&t| t == id) {
-                return Some((th, Transition::from_index(i)));
-            }
-        }
-        None
+        self.trans_class.get(id.index()).copied()
     }
 
     /// Where `thread` currently is in `marking`, if it is in exactly one
     /// place (always true for markings reachable from the initial one).
-    pub fn thread_state(&self, marking: &Marking, thread: usize) -> Option<ThreadPlace> {
+    pub fn thread_state(&self, marking: &[u32], thread: usize) -> Option<ThreadPlace> {
         let mut found = None;
         for place in ThreadPlace::ALL {
-            if marking.tokens(self.place(thread, place)) > 0 {
+            if marking[self.place(thread, place).index()] > 0 {
                 if found.is_some() {
                     return None;
                 }
@@ -187,8 +191,8 @@ impl JavaNet {
     }
 
     /// True if the object lock is available in `marking`.
-    pub fn lock_available(&self, marking: &Marking) -> bool {
-        marking.tokens(self.lock_place) > 0
+    pub fn lock_available(&self, marking: &[u32]) -> bool {
+        marking[self.lock_place.index()] > 0
     }
 
     /// The mutual-exclusion P-invariant: `E + Σᵢ Cᵢ` is conserved (and equals
@@ -217,11 +221,14 @@ impl JavaNet {
     /// a thread's `T5` may only fire when *another* thread is inside the
     /// critical section (only a lock-holding thread can call `notify`).
     /// Pass to [`crate::reach::ReachGraph::explore_filtered`].
+    ///
+    /// T1–T4 pass in O(1); T5 scans the other threads' `C` places.
     pub fn notify_side_condition(&self) -> impl Fn(&Marking, TransId) -> bool + '_ {
         move |marking, id| match self.classify_transition(id) {
-            Some((th, Transition::T5)) => (0..self.threads).any(|other| {
+            Some((th, Transition::T5)) => self.place_ids.iter().enumerate().any(|(other, row)| {
                 other != th
-                    && self.thread_state(marking, other) == Some(ThreadPlace::Critical)
+                    && marking.0[row[2].index()] > 0
+                    && self.thread_state(&marking.0, other) == Some(ThreadPlace::Critical)
             }),
             _ => true,
         }
@@ -237,7 +244,7 @@ impl JavaNet {
     /// suspended in `D` — the model-level picture of the paper's FF-T5 "no
     /// other thread calls notify whilst this thread is in the wait state"
     /// (including the one-thread wait-forever case).
-    pub fn all_threads_stuck(&self, marking: &Marking) -> bool {
+    pub fn all_threads_stuck(&self, marking: &[u32]) -> bool {
         (0..self.threads)
             .all(|th| self.thread_state(marking, th) == Some(ThreadPlace::Waiting))
     }
@@ -267,19 +274,19 @@ mod tests {
         let m0 = net.initial_marking();
         // T1: A -> B
         let m1 = net.fire(&m0, j.transition(0, T::T1)).unwrap();
-        assert_eq!(j.thread_state(&m1, 0), Some(ThreadPlace::Requesting));
-        assert!(j.lock_available(&m1));
+        assert_eq!(j.thread_state(&m1.0, 0), Some(ThreadPlace::Requesting));
+        assert!(j.lock_available(&m1.0));
         // T2: B + E -> C
         let m2 = net.fire(&m1, j.transition(0, T::T2)).unwrap();
-        assert_eq!(j.thread_state(&m2, 0), Some(ThreadPlace::Critical));
-        assert!(!j.lock_available(&m2));
+        assert_eq!(j.thread_state(&m2.0, 0), Some(ThreadPlace::Critical));
+        assert!(!j.lock_available(&m2.0));
         // T3: C -> D + E
         let m3 = net.fire(&m2, j.transition(0, T::T3)).unwrap();
-        assert_eq!(j.thread_state(&m3, 0), Some(ThreadPlace::Waiting));
-        assert!(j.lock_available(&m3));
+        assert_eq!(j.thread_state(&m3.0, 0), Some(ThreadPlace::Waiting));
+        assert!(j.lock_available(&m3.0));
         // T5: D -> B
         let m4 = net.fire(&m3, j.transition(0, T::T5)).unwrap();
-        assert_eq!(j.thread_state(&m4, 0), Some(ThreadPlace::Requesting));
+        assert_eq!(j.thread_state(&m4.0, 0), Some(ThreadPlace::Requesting));
         // T2 then T4 returns to the initial marking.
         let m5 = net.fire(&m4, j.transition(0, T::T2)).unwrap();
         let m6 = net.fire(&m5, j.transition(0, T::T4)).unwrap();
@@ -308,6 +315,34 @@ mod tests {
             for t in T::ALL {
                 let id = j.transition(th, t);
                 assert_eq!(j.classify_transition(id), Some((th, t)));
+            }
+        }
+    }
+
+    #[test]
+    fn classify_transition_rejects_foreign_ids() {
+        let j = JavaNet::new(2);
+        assert_eq!(j.classify_transition(TransId(9)), Some((1, T::T5)));
+        assert_eq!(j.classify_transition(TransId(10)), None);
+    }
+
+    #[test]
+    fn side_condition_matches_its_definition() {
+        // Every 0/1 marking of the two-thread net, reachable or not: T5
+        // passes exactly when another thread is in C and nowhere else.
+        let j = JavaNet::new(2);
+        let filter = j.notify_side_condition();
+        let places = j.net().num_places();
+        for bits in 0u32..1 << places {
+            let m = Marking((0..places).map(|p| bits >> p & 1).collect());
+            for t in j.net().transitions() {
+                let (th, kind) = j.classify_transition(t).unwrap();
+                let want = kind != T::T5
+                    || (0..2).any(|other| {
+                        other != th
+                            && j.thread_state(&m.0, other) == Some(ThreadPlace::Critical)
+                    });
+                assert_eq!(filter(&m, t), want, "{m:?} {t:?}");
             }
         }
     }
@@ -357,9 +392,9 @@ mod tests {
         let m = net.fire(&m, j.transition(0, T::T3)).unwrap();
         // In the raw net T5 is structurally enabled; under the dashed-arc
         // side condition the lone waiting thread can never be woken.
-        assert_eq!(j.thread_state(&m, 0), Some(ThreadPlace::Waiting));
-        assert!(j.all_threads_stuck(&m));
-        assert!(!j.all_threads_stuck(&net.initial_marking()));
+        assert_eq!(j.thread_state(&m.0, 0), Some(ThreadPlace::Waiting));
+        assert!(j.all_threads_stuck(&m.0));
+        assert!(!j.all_threads_stuck(&net.initial_marking().0));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Generic place/transition nets with weighted arcs and firing semantics.
 //!
 //! The representation is dense and index-based: places and transitions are
-//! small integers, markings are token-count vectors. This keeps reachability
-//! exploration allocation-light (the hot path clones one `Box<[u32]>` per
-//! discovered state and nothing else).
+//! small integers, markings are token-count vectors. Reachability lays the
+//! net out once more for its inner loop (see [`crate::reach`]) and
+//! allocates nothing per discovered state.
 
 use std::fmt;
 

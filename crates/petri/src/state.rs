@@ -5,17 +5,19 @@
 //! and SipHash-hashed) their own copies. [`StateStore`] replaces that with
 //! an append-only flat arena: each interned marking is a `stride`-long run
 //! of `u32`s stored exactly once, addressed by a dense `u32` [`StateId`].
-//! Dedup goes through an FxHash → newest-id index with a per-id collision
+//! Dedup goes through a hash → newest-id index with a per-id collision
 //! chain, comparing token slices only on a (deterministic) hash match.
+//! Callers compute the hash: the VM explorer uses FxHash, and the petri
+//! BFS an incremental weighted sum; it keeps the arena as its graph's
+//! markings ([`StateStore::into_arena`]).
 //! [`SliceStore`] is its variable-length sibling, which the VM explorer
 //! interns its state sections into.
 //!
-//! Both stores are *deterministic by construction*: FxHash has no
+//! Both stores are *deterministic by construction*: neither hash has a
 //! per-process seed, arena ids are assigned in insertion order, and at most
 //! one candidate on a hash chain can match — so the sequential engines
 //! produce identical ids on every run.
 
-use crate::net::Marking;
 use fxhash::FxHashMap;
 
 /// A dense identifier of an interned marking inside a [`StateStore`].
@@ -113,23 +115,19 @@ impl StateStore {
         &self.arena[start..start + self.stride]
     }
 
-    /// Look up `tokens` without interning.
-    pub fn get(&self, tokens: &[u32]) -> Option<StateId> {
+    /// Look up `tokens` without interning, under `hash`: the function of
+    /// the slice the states were interned under (see
+    /// [`intern_hashed`](Self::intern_hashed)).
+    pub fn get_hashed(&self, tokens: &[u32], hash: u64) -> Option<StateId> {
         debug_assert_eq!(tokens.len(), self.stride);
-        self.chains
-            .find(fxhash::hash64(tokens), |id| self.tokens(id) == tokens)
+        self.chains.find(hash, |id| self.tokens(id) == tokens)
     }
 
-    /// Intern `tokens`: return its id and whether it was newly inserted.
-    pub fn intern(&mut self, tokens: &[u32]) -> (StateId, bool) {
-        self.intern_hashed(tokens, fxhash::hash64(tokens))
-    }
-
-    /// [`intern`](Self::intern) under a hash the caller computed. Any
-    /// function of the slice will do — a weak one only lengthens the
-    /// collision chains, because every hit is confirmed against the full
-    /// slice. Callers that hash with their own function (and tests that
-    /// truncate it to force collisions) use this entry point.
+    /// Intern `tokens` under a hash the caller computed: return its id and
+    /// whether it was newly inserted. Any function of the slice will do —
+    /// a weak one only lengthens the collision chains, because every hit
+    /// is confirmed against the full slice (tests truncate it to force
+    /// collisions).
     pub fn intern_hashed(&mut self, tokens: &[u32], hash: u64) -> (StateId, bool) {
         debug_assert_eq!(tokens.len(), self.stride);
         if let Some(id) = self.chains.find(hash, |id| self.tokens(id) == tokens) {
@@ -139,13 +137,10 @@ impl StateStore {
         (self.chains.push(hash), true)
     }
 
-    /// Materialize every interned state as a [`Marking`], in id order —
-    /// the one allocation per state the final [`crate::reach::ReachGraph`]
-    /// still makes.
-    pub fn to_markings(&self) -> Vec<Marking> {
-        (0..self.len())
-            .map(|i| Marking(self.tokens(StateId(i as u32)).to_vec().into_boxed_slice()))
-            .collect()
+    /// The arena itself: state `i`'s tokens are `[i * stride..(i + 1) *
+    /// stride]`. The dedup index is dropped.
+    pub fn into_arena(self) -> Vec<u32> {
+        self.arena
     }
 }
 
@@ -184,38 +179,42 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn marking(tokens: &[u32]) -> Marking {
-        Marking(tokens.to_vec().into_boxed_slice())
+    /// Intern under FxHash, as the VM explorer does.
+    fn intern(store: &mut StateStore, tokens: &[u32]) -> (StateId, bool) {
+        store.intern_hashed(tokens, fxhash::hash64(tokens))
     }
 
     #[test]
     fn store_interns_once_and_preserves_order() {
         let mut store = StateStore::new(3);
-        let (a, new_a) = store.intern(&[1, 2, 3]);
-        let (b, new_b) = store.intern(&[4, 5, 6]);
-        let (a2, new_a2) = store.intern(&[1, 2, 3]);
+        let (a, new_a) = intern(&mut store, &[1, 2, 3]);
+        let (b, new_b) = intern(&mut store, &[4, 5, 6]);
+        let (a2, new_a2) = intern(&mut store, &[1, 2, 3]);
         assert!(new_a && new_b && !new_a2);
         assert_eq!(a, a2);
         assert_eq!(a, StateId(0));
         assert_eq!(b, StateId(1));
         assert_eq!(store.len(), 2);
         assert_eq!(store.tokens(b), &[4, 5, 6]);
-        assert_eq!(store.get(&[1, 2, 3]), Some(a));
-        assert_eq!(store.get(&[9, 9, 9]), None);
         assert_eq!(
-            store.to_markings(),
-            vec![marking(&[1, 2, 3]), marking(&[4, 5, 6])]
+            store.get_hashed(&[1, 2, 3], fxhash::hash64(&[1, 2, 3])),
+            Some(a)
         );
+        assert_eq!(
+            store.get_hashed(&[9, 9, 9], fxhash::hash64(&[9, 9, 9])),
+            None
+        );
+        assert_eq!(store.into_arena(), [1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
     fn store_handles_zero_stride_nets() {
         let mut store = StateStore::new(0);
         assert!(store.is_empty());
-        let (id, new) = store.intern(&[]);
+        let (id, new) = intern(&mut store, &[]);
         assert!(new);
         assert_eq!(id, StateId(0));
-        let (id2, new2) = store.intern(&[]);
+        let (id2, new2) = intern(&mut store, &[]);
         assert!(!new2);
         assert_eq!(id2, id);
         assert_eq!(store.len(), 1);
@@ -258,7 +257,7 @@ mod tests {
             let mut store = StateStore::new(4);
             let mut reference: Vec<Vec<u32>> = Vec::new();
             for s in &slices {
-                let (id, new) = store.intern(s);
+                let (id, new) = intern(&mut store, s);
                 match reference.iter().position(|r| r == s) {
                     Some(pos) => {
                         prop_assert!(!new);

@@ -45,12 +45,12 @@ fn with_obs<T>(level: obs::ObsLevel, span_tree: bool, f: impl FnOnce() -> T) -> 
 type GraphFingerprint = (Vec<Vec<u32>>, Vec<Vec<(usize, usize)>>, Vec<usize>);
 
 fn graph_fingerprint(g: &ReachGraph) -> GraphFingerprint {
-    let markings = g.markings().iter().map(|m| m.0.to_vec()).collect::<Vec<_>>();
-    let successors = (0..g.markings().len())
+    let markings = g.markings().map(<[u32]>::to_vec).collect::<Vec<_>>();
+    let successors = (0..g.stats().states)
         .map(|i| {
             g.successors(i)
                 .iter()
-                .map(|(t, j)| (t.index(), *j))
+                .map(|&(t, j)| (t.index(), j as usize))
                 .collect::<Vec<_>>()
         })
         .collect::<Vec<_>>();

@@ -43,7 +43,7 @@ fn figure1_invariants_and_reachability() {
         for m in g.markings() {
             let in_critical = (0..threads)
                 .filter(|&t| {
-                    m.tokens(j.place(t, jcc_core::petri::ThreadPlace::Critical)) > 0
+                    m[j.place(t, jcc_core::petri::ThreadPlace::Critical).index()] > 0
                 })
                 .count();
             assert!(in_critical <= 1);
@@ -172,5 +172,5 @@ fn wait_forever_dead_state_under_side_condition() {
     );
     let dead = g.dead_states();
     assert_eq!(dead.len(), 1);
-    assert!(j.all_threads_stuck(&g.markings()[dead[0]]));
+    assert!(j.all_threads_stuck(g.marking(dead[0])));
 }

@@ -158,13 +158,13 @@ fn reduced_reach_graph_is_deterministic_across_runs() {
         let reference = ReachGraph::explore(j.net(), limits);
         let full = ReachGraph::explore(j.net(), ReachLimits::default());
         assert!(
-            reference.markings().len() < full.markings().len(),
+            reference.stats().states < full.stats().states,
             "n={n}: reduction must shrink the graph"
         );
         let g = ReachGraph::explore(j.net(), limits);
         assert_eq!(g.stats(), reference.stats(), "n={n}");
-        assert_eq!(g.markings(), reference.markings(), "n={n}");
-        for i in 0..reference.markings().len() {
+        assert!(g.markings().eq(reference.markings()), "n={n}");
+        for i in 0..reference.stats().states {
             assert_eq!(g.successors(i), reference.successors(i), "n={n} state {i}");
         }
     }

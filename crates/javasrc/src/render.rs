@@ -42,17 +42,18 @@ fn snippet_block(out: &mut String, sm: &SourceMap, span: Span) {
     let gutter = line.to_string().len().max(2);
     let _ = writeln!(out, "{:gutter$} |", "");
     let _ = writeln!(out, "{line:gutter$} | {text}");
-    // Underline from the start column to the span end, clamped to this
-    // line (multi-line spans underline their first line only).
-    let line_len = text.len() as u32;
+    // Underline from the start column to the span end, one caret per
+    // character, clamped to this line (multi-line spans underline their
+    // first line only).
     let start = col - 1;
-    let width = span.len().clamp(1, line_len.saturating_sub(start).max(1));
+    let first_line = sm.snippet(span).split('\n').next().unwrap_or("");
+    let width = first_line.trim_end_matches('\r').chars().count().max(1);
     let _ = writeln!(
         out,
         "{:gutter$} | {:start$}{}",
         "",
         "",
-        "^".repeat(width as usize),
+        "^".repeat(width),
         start = start as usize,
     );
     let _ = writeln!(out, "{:gutter$} |", "");
@@ -148,6 +149,28 @@ mod tests {
             text.contains("= note: monitor-not-held (severity high) in method `m`"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn non_ascii_sources_get_character_columns_and_one_caret_per_character() {
+        // `é` is two bytes and `€` three; the `€` is the 24th character.
+        let src = "class Café { int x = 0 € 1; }";
+        let out = crate::check::check_source("Café.java", src, &Default::default());
+        assert_eq!(out.front_errors, 2, "{}", out.output);
+        let expected = format!(
+            "error[parse]: unexpected character `€`\n\
+             \x20 --> Café.java:1:24\n\
+             \x20  |\n\
+             \x201 | {src}\n\
+             \x20  | {}^\n\
+             \x20  |\n",
+            " ".repeat(23)
+        );
+        assert!(out.output.starts_with(&expected), "{}", out.output);
+        // A span over several non-ASCII characters gets one caret each.
+        let sm = SourceMap::new("C.java", "int é€x;");
+        let d = FrontDiag::new(Phase::Parse, Span::new(4, 9), "boom");
+        assert!(render_front_diag(&sm, &d).contains("1 | int é€x;\n   |     ^^\n"));
     }
 
     #[test]

@@ -109,15 +109,23 @@ impl SourceMap {
         }
     }
 
-    /// Convert a byte offset to 1-based `(line, column)`. Offsets past the
-    /// end of the text land on the last line.
+    /// Convert a byte offset to 1-based `(line, column)`, the column
+    /// counted in characters. Offsets past the end of the text land on the
+    /// last line, one column per byte past the end.
     pub fn line_col(&self, offset: u32) -> (u32, u32) {
         let line_idx = match self.line_starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
-        let col = offset - self.line_starts[line_idx] + 1;
-        (line_idx as u32 + 1, col)
+        let start = self.line_starts[line_idx] as usize;
+        // An offset inside a character lands on that character.
+        let mut end = (offset as usize).min(self.src.len());
+        while !self.src.is_char_boundary(end) {
+            end -= 1;
+        }
+        let chars = self.src[start..end].chars().count();
+        let past_end = (offset as usize).saturating_sub(self.src.len());
+        (line_idx as u32 + 1, (chars + past_end) as u32 + 1)
     }
 
     /// The text of 1-based `line`, without its trailing newline.
@@ -180,6 +188,18 @@ mod tests {
         assert_eq!(sm.line_col(7), (3, 1));
         assert_eq!(sm.line_col(8), (4, 1));
         assert_eq!(sm.line_count(), 4);
+    }
+
+    #[test]
+    fn columns_count_characters_not_bytes() {
+        // `é` is two bytes and `€` three: the `€` is the 24th character.
+        let src = "class Café { int x = 0 € 1; }";
+        let sm = SourceMap::new("Café.java", src);
+        assert_eq!(sm.line_col(src.find('€').unwrap() as u32), (1, 24));
+        assert_eq!(sm.line_col(src.find('1').unwrap() as u32), (1, 26));
+        // An offset inside a character lands on that character.
+        assert_eq!(sm.line_col(src.find('€').unwrap() as u32 + 1), (1, 24));
+        assert_eq!(sm.line_col(src.len() as u32 + 2), (1, 32));
     }
 
     #[test]

@@ -80,23 +80,30 @@ impl SymmetrySpec {
                 return false;
             }
         }
-        // Sorted-arc signature of a transition under a place remapping.
-        type Sig = (Vec<(usize, u32)>, Vec<(usize, u32)>);
-        let sig = |t: TransId, map: &dyn Fn(usize) -> usize| -> Sig {
-            let remap = |arcs: &[(crate::net::PlaceId, u32)]| {
-                let mut v: Vec<(usize, u32)> =
-                    arcs.iter().map(|&(p, wt)| (map(p.index()), wt)).collect();
-                v.sort_unstable();
-                v
-            };
-            (remap(net.inputs(t)), remap(net.outputs(t)))
-        };
-        let mut identity: FxHashMap<Sig, i64> = FxHashMap::default();
+        // The multiset of transition signatures must be invariant under
+        // each swap. Every transition's signature is computed once and
+        // numbered by class; a swap's image of each transition is built in
+        // one reused buffer and taken off its class's multiplicity.
+        let mut pairs = Vec::new();
+        let mut words = Vec::new();
+        let mut bounds = vec![0];
         for t in net.transitions() {
-            *identity.entry(sig(t, &|p| p)).or_insert(0) += 1;
+            arc_signature(net, t, |p| p, &mut pairs, &mut words);
+            bounds.push(words.len());
         }
+        let mut classes: FxHashMap<&[u32], usize> = FxHashMap::default();
+        let mut multiplicity: Vec<usize> = Vec::new();
+        for sig in bounds.windows(2).map(|b| &words[b[0]..b[1]]) {
+            let next = classes.len();
+            let class = *classes.entry(sig).or_insert(next);
+            if class == multiplicity.len() {
+                multiplicity.push(0);
+            }
+            multiplicity[class] += 1;
+        }
+        let (mut image, mut left) = (Vec::new(), Vec::new());
         for g in 0..n - 1 {
-            let map = |p: usize| -> usize {
+            let swap = |p: usize| -> usize {
                 if p < first || p >= first + n * w {
                     return p;
                 }
@@ -108,15 +115,14 @@ impl SymmetrySpec {
                 };
                 first + swapped * w + off
             };
-            let mut counts = identity.clone();
+            left.clone_from(&multiplicity);
             for t in net.transitions() {
-                match counts.get_mut(&sig(t, &map)) {
-                    Some(c) => *c -= 1,
-                    None => return false,
+                image.clear();
+                arc_signature(net, t, swap, &mut pairs, &mut image);
+                match classes.get(&image[..]) {
+                    Some(&class) if left[class] > 0 => left[class] -= 1,
+                    _ => return false,
                 }
-            }
-            if counts.values().any(|&c| c != 0) {
-                return false;
             }
         }
         true
@@ -383,6 +389,25 @@ impl StubbornSets {
     }
 }
 
+/// Append `t`'s arc signature with places renamed by `map` to `out`: per
+/// side, inputs then outputs, the arc count and then the sorted
+/// `(place, weight)` pairs. `pairs` is scratch.
+fn arc_signature(
+    net: &Net,
+    t: TransId,
+    map: impl Fn(usize) -> usize,
+    pairs: &mut Vec<(u32, u32)>,
+    out: &mut Vec<u32>,
+) {
+    for arcs in [net.inputs(t), net.outputs(t)] {
+        pairs.clear();
+        pairs.extend(arcs.iter().map(|&(p, wt)| (map(p.index()) as u32, wt)));
+        pairs.sort_unstable();
+        out.push(pairs.len() as u32);
+        out.extend(pairs.iter().flat_map(|&(p, wt)| [p, wt]));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,6 +423,106 @@ mod tests {
         for n in 1..=6 {
             let j = JavaNet::new(n);
             assert!(j.thread_symmetry().is_automorphism(j.net()), "n={n}");
+        }
+    }
+
+    /// The check before its signatures were computed once per call: a map
+    /// of sorted-arc `Vec` signatures, rebuilt for every lane swap.
+    fn reference_is_automorphism(spec: &SymmetrySpec, net: &Net) -> bool {
+        let (first, n, w) = (
+            spec.first_place as usize,
+            spec.lanes as usize,
+            spec.lane_width as usize,
+        );
+        if n == 0 || w == 0 || spec.end_place() > net.num_places() {
+            return false;
+        }
+        let m0 = net.initial_marking();
+        let lane0 = &m0.0[first..first + w];
+        if (1..n).any(|k| &m0.0[first + k * w..first + (k + 1) * w] != lane0) {
+            return false;
+        }
+        type Sig = (Vec<(usize, u32)>, Vec<(usize, u32)>);
+        let sig = |t: TransId, map: &dyn Fn(usize) -> usize| -> Sig {
+            let remap = |arcs: &[(crate::net::PlaceId, u32)]| {
+                let mut v: Vec<(usize, u32)> =
+                    arcs.iter().map(|&(p, wt)| (map(p.index()), wt)).collect();
+                v.sort_unstable();
+                v
+            };
+            (remap(net.inputs(t)), remap(net.outputs(t)))
+        };
+        let mut identity: FxHashMap<Sig, i64> = FxHashMap::default();
+        for t in net.transitions() {
+            *identity.entry(sig(t, &|p| p)).or_insert(0) += 1;
+        }
+        (0..n.saturating_sub(1)).all(|g| {
+            let map = |p: usize| -> usize {
+                if p < first || p >= first + n * w {
+                    return p;
+                }
+                let (lane, off) = ((p - first) / w, (p - first) % w);
+                let swapped = match lane {
+                    l if l == g => g + 1,
+                    l if l == g + 1 => g,
+                    l => l,
+                };
+                first + swapped * w + off
+            };
+            let mut counts = identity.clone();
+            net.transitions().all(|t| match counts.get_mut(&sig(t, &map)) {
+                Some(c) => {
+                    *c -= 1;
+                    true
+                }
+                None => false,
+            }) && counts.values().all(|&c| c == 0)
+        })
+    }
+
+    /// `net` rebuilt with the weight of transition `bumped`'s first input
+    /// arc raised by one.
+    fn with_bumped_weight(net: &Net, bumped: TransId) -> Net {
+        let mut b = NetBuilder::new();
+        let m0 = net.initial_marking();
+        for p in net.places() {
+            b.place(net.place_name(p), m0.0[p.index()]);
+        }
+        for t in net.transitions() {
+            let mut inputs = net.inputs(t).to_vec();
+            if t == bumped {
+                inputs[0].1 += 1;
+            }
+            b.weighted_transition(net.transition_name(t), &inputs, net.outputs(t));
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn automorphism_verdicts_match_the_reference_and_see_one_perturbed_arc() {
+        for n in 1..=10 {
+            let j = JavaNet::new(n);
+            let spec = j.thread_symmetry();
+            assert!(spec.is_automorphism(j.net()), "n={n}");
+            assert!(reference_is_automorphism(&spec, j.net()), "n={n}");
+            if n == 1 {
+                continue; // one lane: the trivial group, whatever the arcs
+            }
+            // Perturb each transition of one lane in turn: the lanes are no
+            // longer interchangeable.
+            for t in j.net().transitions() {
+                let touches_lane = |arcs: &[(crate::net::PlaceId, u32)]| {
+                    arcs.iter().any(|&(p, _)| {
+                        (spec.first_place as usize..spec.end_place()).contains(&p.index())
+                    })
+                };
+                if j.net().inputs(t).is_empty() || !touches_lane(j.net().inputs(t)) {
+                    continue;
+                }
+                let perturbed = with_bumped_weight(j.net(), t);
+                assert!(!spec.is_automorphism(&perturbed), "n={n}, {t:?}");
+                assert!(!reference_is_automorphism(&spec, &perturbed), "n={n}, {t:?}");
+            }
         }
     }
 

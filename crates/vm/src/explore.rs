@@ -34,13 +34,15 @@
 //!   moved onto a single path trace, which is truncated on backtrack. Only
 //!   witnesses copy it; observers see each step's events once, on the DFS
 //!   edge.
-//! * **Clone only for siblings, into spare buffers.** A state's last
-//!   successor takes the state itself instead of a clone, and a clone
-//!   overwrites a machine the search no longer needs (a joined, cyclic or
-//!   terminal successor) instead of allocating a new one.
+//! * **One machine, stepped and undone.** The search never copies a
+//!   state. Each successor is stepped in place through
+//!   `Vm::step_logged`, which first saves the step's footprint on an undo
+//!   log (`machine::undo` says what that is). A joined, cyclic, truncated
+//!   or terminal successor is undone at once; a pushed frame keeps its
+//!   undo mark and is undone when it pops.
 //! * **A per-layer split.** With observation on, one transition in 64 is
-//!   timed into the `vm.explore.clone_ns`, `vm.explore.step_ns` and
-//!   `vm.explore.intern_ns` histograms.
+//!   timed into the `vm.explore.step_ns` and `vm.explore.intern_ns`
+//!   histograms, and one undo in 64 into `vm.explore.undo_ns`.
 //!
 //! [`explore_observed`] drives a [`PathObserver`] along the DFS: one call
 //! per transition on the way down, one per backtrack on the way up, and
@@ -58,7 +60,7 @@ use jcc_petri::parallel::Parallelism;
 use jcc_petri::state::StateId;
 
 use crate::machine::state::StateTable;
-use crate::machine::{RunOutcome, Verdict, Vm};
+use crate::machine::{RunOutcome, UndoLog, Verdict, Vm};
 
 /// Exploration limits.
 #[derive(Debug, Clone)]
@@ -272,6 +274,8 @@ pub fn explore_observed<O: PathObserver>(
     let (root, _) = table.intern_all(&vm, &mut next_ids);
     let mut dfs = Dfs {
         config,
+        vm,
+        log: UndoLog::default(),
         table,
         on_path: Vec::new(),
         trace: Vec::new(),
@@ -280,7 +284,6 @@ pub fn explore_observed<O: PathObserver>(
         width: next_ids.len(),
         ids: Vec::new(),
         next_ids,
-        spare: Vec::new(),
         pending: None,
         timers: jcc_obs::enabled().then(LayerTimers::new),
         ends: 0,
@@ -302,7 +305,7 @@ pub fn explore_observed<O: PathObserver>(
             full_expansions: 0,
         },
     };
-    dfs.run(vm, root);
+    dfs.run(root);
     let result = dfs.result;
     if jcc_obs::enabled() {
         flush_explore_stats(&result);
@@ -353,44 +356,54 @@ fn flush_explore_stats(result: &ExploreResult) {
 const SAMPLE_EVERY: usize = 64;
 
 /// The per-layer split of exploration time, published as the
-/// `vm.explore.clone_ns`, `vm.explore.step_ns` and `vm.explore.intern_ns`
-/// histograms: copying the parent state, executing the step, and
-/// encoding and interning the successor. Only present when observation
-/// is on, and only one transition in [`SAMPLE_EVERY`] is timed.
+/// `vm.explore.step_ns`, `vm.explore.intern_ns` and `vm.explore.undo_ns`
+/// histograms: saving the step's footprint and executing it, encoding and
+/// interning the successor, and restoring the parent. Only present when
+/// observation is on, and only one transition and one undo in
+/// [`SAMPLE_EVERY`] are timed.
 struct LayerTimers {
-    clone: Arc<Histogram>,
     step: Arc<Histogram>,
     intern: Arc<Histogram>,
+    undo: Arc<Histogram>,
+    /// Undos so far.
+    undos: usize,
 }
 
 impl LayerTimers {
     fn new() -> LayerTimers {
         let reg = jcc_obs::global();
         LayerTimers {
-            clone: reg.histogram("vm.explore.clone_ns"),
             step: reg.histogram("vm.explore.step_ns"),
             intern: reg.histogram("vm.explore.intern_ns"),
+            undo: reg.histogram("vm.explore.undo_ns"),
+            undos: 0,
         }
     }
 
-    /// Record one sampled transition from the instants before cloning,
-    /// before stepping, before interning and after interning.
-    fn record(&self, [start, cloned, stepped, interned]: [Instant; 4]) {
-        let ns = |from: Instant, to: Instant| to.duration_since(from).as_nanos() as u64;
-        self.clone.record(ns(start, cloned));
-        self.step.record(ns(cloned, stepped));
+    /// Record one sampled transition from the instants before stepping,
+    /// before interning and after interning.
+    fn record(&self, [start, stepped, interned]: [Instant; 3]) {
+        self.step.record(ns(start, stepped));
         self.intern.record(ns(stepped, interned));
+    }
+
+    /// Count an undo: is it one to time?
+    fn sample_undo(&mut self) -> bool {
+        let sampled = self.undos.is_multiple_of(SAMPLE_EVERY);
+        self.undos += 1;
+        sampled
     }
 }
 
-/// Most machines [`Dfs::spare`] keeps for reuse.
-const SPARE_LIMIT: usize = 16;
+fn ns(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos() as u64
+}
 
 /// One state on the current DFS path.
 struct Frame {
-    /// The state, kept until its last successor takes it.
-    vm: Option<Vm>,
     id: StateId,
+    /// The undo-log mark before the step into this state.
+    mark: usize,
     /// Length of the path trace at this state.
     trace_len: usize,
     /// Observed path ends before the step into this state.
@@ -400,13 +413,18 @@ struct Frame {
     end: usize,
 }
 
-/// A stepped successor with its interned id and whether the id is new.
-/// Its section ids are in [`Dfs::next_ids`].
-type Successor = (Vm, StateId, bool);
+/// A successor the machine has stepped into: its interned id, whether the
+/// id is new, and the undo-log mark that restores its parent. Its section
+/// ids are in [`Dfs::next_ids`].
+type Successor = (StateId, bool, usize);
 
 /// The explicit-stack DFS and everything it threads through the search.
 struct Dfs<'c, 'o, O> {
     config: &'c ExploreConfig,
+    /// The one machine: at the state being visited, stepped forward into
+    /// each successor and back out of it through `log`.
+    vm: Vm,
+    log: UndoLog,
     table: StateTable,
     /// One bit per state id: is the state on the current path?
     on_path: Vec<u64>,
@@ -422,9 +440,7 @@ struct Dfs<'c, 'o, O> {
     ids: Vec<u32>,
     /// The section ids of the successor being visited.
     next_ids: Vec<u32>,
-    /// Machines no longer needed, kept so a clone can reuse their buffers.
-    spare: Vec<Vm>,
-    /// The top frame's ample successor, stepped while choosing it.
+    /// The top frame's ample successor, stepped into while choosing it.
     pending: Option<Successor>,
     timers: Option<LayerTimers>,
     /// Observed path ends so far.
@@ -434,10 +450,10 @@ struct Dfs<'c, 'o, O> {
 }
 
 impl<O: PathObserver> Dfs<'_, '_, O> {
-    /// Search from `root` (already interned as `id`, its section ids in
-    /// `next_ids`).
-    fn run(&mut self, root: Vm, id: StateId) {
-        self.enter(root, id, 0);
+    /// Search from the machine's state (already interned as `id`, its
+    /// section ids in `next_ids`).
+    fn run(&mut self, id: StateId) {
+        self.enter(id, 0, self.log.mark());
         while let Some(top) = self.stack.last_mut() {
             self.trace.truncate(top.trace_len);
             let next = match self.pending.take() {
@@ -445,8 +461,7 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                 None if top.next < top.end => {
                     let t = self.succ[top.next];
                     top.next += 1;
-                    let last = top.next == top.end;
-                    self.successor(t, last)
+                    self.successor(t)
                 }
                 None => {
                     let done = self.stack.pop().expect("non-empty stack");
@@ -455,6 +470,7 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                     self.ids.truncate(self.stack.len() * self.width);
                     if !self.stack.is_empty() {
                         // Every frame but the root was entered by a step.
+                        self.undo(done.mark);
                         self.observer.backtrack(self.ends - done.ends);
                     }
                     continue;
@@ -464,48 +480,35 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
         }
     }
 
-    /// Step the top frame's state by thread `t` — the state itself when
-    /// `take`, else a copy — and intern the result, re-encoding only the
-    /// sections the step changed.
-    fn successor(&mut self, t: usize, take: bool) -> Successor {
+    /// Step the machine from the top frame's state by thread `t` and
+    /// intern the result, re-encoding only the sections the step changed.
+    fn successor(&mut self, t: usize) -> Successor {
         let sampled = self.timers.is_some() && self.result.transitions.is_multiple_of(SAMPLE_EVERY);
         let start = sampled.then(Instant::now);
-        let top = self.stack.last_mut().expect("a frame to expand");
-        let mut vm = if take {
-            top.vm.take().expect("state kept until its last successor")
-        } else {
-            let parent = top
-                .vm
-                .as_ref()
-                .expect("state kept until its last successor");
-            match self.spare.pop() {
-                Some(mut spare) => {
-                    spare.clone_from(parent);
-                    spare
-                }
-                None => parent.clone(),
-            }
-        };
-        let cloned = sampled.then(Instant::now);
-        vm.step(t);
+        let mark = self.log.mark();
+        self.vm.step_logged(t, &mut self.log);
         let stepped = sampled.then(Instant::now);
         let base = (self.stack.len() - 1) * self.width;
         self.next_ids.clear();
         self.next_ids
             .extend_from_slice(&self.ids[base..base + self.width]);
-        let (id, fresh) = self.table.intern_step(&vm, &mut self.next_ids);
-        if let (Some(timers), Some(start), Some(cloned), Some(stepped)) =
-            (&self.timers, start, cloned, stepped)
-        {
-            timers.record([start, cloned, stepped, Instant::now()]);
+        let (id, fresh) = self.table.intern_step(&self.vm, &mut self.next_ids);
+        if let (Some(timers), Some(start), Some(stepped)) = (&self.timers, start, stepped) {
+            timers.record([start, stepped, Instant::now()]);
         }
-        (vm, id, fresh)
+        (id, fresh, mark)
     }
 
-    /// Keep `vm`'s buffers for a later clone.
-    fn recycle(&mut self, vm: Vm) {
-        if self.spare.len() < SPARE_LIMIT {
-            self.spare.push(vm);
+    /// Step the machine back to the state it was in at `mark`.
+    fn undo(&mut self, mark: usize) {
+        let start = self
+            .timers
+            .as_mut()
+            .is_some_and(LayerTimers::sample_undo)
+            .then(Instant::now);
+        self.vm.undo(&mut self.log, mark);
+        if let (Some(timers), Some(start)) = (&self.timers, start) {
+            timers.undo.record(ns(start, Instant::now()));
         }
     }
 
@@ -513,31 +516,31 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
     /// the observer, count the transition, classify cycle / already-seen /
     /// fresh, and enter fresh states. Unless the successor's frame was
     /// pushed, back out of the step again at once.
-    fn visit(&mut self, (mut next, id, fresh): Successor) {
+    fn visit(&mut self, (id, fresh, mark): Successor) {
         let (from, ends) = (self.trace.len(), self.ends);
-        next.drain_trace_into(&mut self.trace);
+        self.vm.drain_trace_into(&mut self.trace);
         self.observer.step(&self.trace[from..]);
         self.result.transitions += 1;
         if self.is_on_path(id) {
             // The path closed a loop on itself: it can repeat forever.
             self.result.cycle_paths += 1;
-            if next.runnable().len() == 1 {
+            let runnable = (0..self.vm.thread_count()).filter(|&i| self.vm.is_runnable(i));
+            if runnable.count() == 1 {
                 self.result.inescapable_cycles += 1;
             }
-            self.end_path(&next, PathEnd::Cycle);
+            self.end_path(PathEnd::Cycle);
             if self.result.cycle_witness.is_none() {
-                self.result.cycle_witness =
-                    Some(next.outcome_with_trace(Verdict::StepLimit, self.trace.clone()));
+                self.result.cycle_witness = Some(
+                    self.vm
+                        .outcome_with_trace(Verdict::StepLimit, self.trace.clone()),
+                );
             }
-            self.recycle(next);
         } else if !fresh {
             // Reached a state first visited on another path: its subtree is
             // observed from there; end this path's prefix here.
-            self.end_path(&next, PathEnd::Join);
-            self.recycle(next);
+            self.end_path(PathEnd::Join);
         } else if self.result.states >= self.config.max_states {
             self.result.truncated = true;
-            self.recycle(next);
         } else {
             self.result.states += 1;
             if self.result.states & 1023 == 0 && jcc_obs::progress_enabled() {
@@ -549,35 +552,34 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                     (self.stack.len() - 1) as u64,
                 );
             }
-            let depth = self.stack.len();
-            self.enter(next, id, ends);
-            if self.stack.len() > depth {
+            if self.enter(id, ends, mark) {
                 // The step stays on the path until its frame is popped.
                 return;
             }
         }
+        self.undo(mark);
         self.observer.backtrack(self.ends - ends);
     }
 
-    /// Tell the observer the current path ends at `vm`.
-    fn end_path(&mut self, vm: &Vm, end: PathEnd<'_>) {
+    /// Tell the observer the current path ends at the machine's state.
+    fn end_path(&mut self, end: PathEnd<'_>) {
         self.ends += 1;
-        self.observer.path_end(vm, end);
+        self.observer.path_end(&self.vm, end);
     }
 
     /// Arrive at a newly counted state at depth `self.stack.len()` (its
     /// section ids in `next_ids`, `ends` path ends observed before the step
-    /// into it): record a terminal verdict or the depth bound, or push a
-    /// frame with the successors to expand.
-    fn enter(&mut self, vm: Vm, id: StateId, ends: u64) {
-        if let Some(verdict) = vm.current_verdict() {
-            self.end_path(&vm, PathEnd::Terminal(&verdict));
+    /// into it, `mark` the undo-log mark before that step): record a
+    /// terminal verdict or the depth bound, or push a frame with the
+    /// successors to expand. True when a frame was pushed.
+    fn enter(&mut self, id: StateId, ends: u64, mark: usize) -> bool {
+        if let Some(verdict) = self.vm.current_verdict() {
+            self.end_path(PathEnd::Terminal(&verdict));
             let r = &mut self.result;
             let slot = match &verdict {
                 Verdict::Completed => {
                     r.completed_paths += 1;
-                    self.recycle(vm);
-                    return;
+                    return false;
                 }
                 Verdict::Faulted { .. } => {
                     r.fault_paths += 1;
@@ -590,19 +592,18 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                 Verdict::StepLimit => unreachable!("explorer does not use step budgets"),
             };
             if slot.is_none() {
-                *slot = Some(vm.outcome_with_trace(verdict, self.trace.clone()));
+                *slot = Some(self.vm.outcome_with_trace(verdict, self.trace.clone()));
             }
-            self.recycle(vm);
-            return;
+            return false;
         }
         if self.stack.len() >= self.config.max_depth {
             self.result.depth_limited_paths += 1;
             self.result.truncated = true;
-            self.recycle(vm);
-            return;
+            return false;
         }
         self.set_on_path(id, true);
         let start = self.succ.len();
+        let vm = &self.vm;
         self.succ
             .extend((0..vm.thread_count()).filter(|&i| vm.is_runnable(i)));
         let runnable = self.succ.len() - start;
@@ -622,29 +623,27 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
             .flatten();
         self.ids.extend_from_slice(&self.next_ids);
         self.stack.push(Frame {
-            vm: Some(vm),
             id,
+            mark,
             trace_len: self.trace.len(),
             ends,
             next: start,
             end: self.succ.len(),
         });
         if let Some(cand) = ample {
-            let (next, next_id, fresh) = self.successor(cand, false);
+            let (next_id, fresh, next_mark) = self.successor(cand);
             if self.is_on_path(next_id) {
                 self.result.full_expansions += 1;
-                self.recycle(next);
+                self.undo(next_mark);
             } else {
                 // The ample successor stands in for every other one.
                 self.result.ample_pruned += runnable - 1;
                 self.succ.truncate(start);
-                let top = self.stack.last_mut().expect("frame just pushed");
-                top.end = start;
-                let parent = top.vm.take().expect("frame just pushed");
-                self.recycle(parent);
-                self.pending = Some((next, next_id, fresh));
+                self.stack.last_mut().expect("frame just pushed").end = start;
+                self.pending = Some((next_id, fresh, next_mark));
             }
         }
+        true
     }
 
     fn is_on_path(&self, id: StateId) -> bool {

@@ -22,6 +22,9 @@ use crate::compile::{CompiledComponent, Instr, Operand, Site, SiteId};
 use crate::value::{eval, Env, Scope, Slot, Value};
 
 pub(crate) mod state;
+mod undo;
+
+pub(crate) use undo::UndoLog;
 
 /// Cached obs counter handles for the five Figure-1 transitions. The global
 /// registry resets metrics *in place*, so these handles stay valid across
@@ -319,10 +322,11 @@ fn resolve_call(component: &CompiledComponent, call: &CallSpec) -> Result<usize,
     Ok(mi)
 }
 
-/// The virtual machine. Clone it to snapshot the whole execution state
-/// (used by the exhaustive explorer): a clone copies the flat state
-/// buffers and shares everything else. The machine keeps only the events
-/// of its last step, and a clone does not copy even those.
+/// The virtual machine. Clone it to snapshot the whole execution state: a
+/// clone copies the flat state buffers and shares everything else. The
+/// machine keeps only the events of its last step, and a clone does not
+/// copy even those. The exhaustive explorer does not clone: it steps one
+/// machine forward and back (`undo` says how).
 #[derive(Debug)]
 pub struct Vm {
     program: Arc<Program>,
@@ -362,25 +366,6 @@ impl Clone for Vm {
             next_ticket: self.next_ticket,
             dirty: self.dirty,
         }
-    }
-
-    /// Overwrite `self` with a snapshot of `source`, reusing `self`'s
-    /// buffers: no allocation when both machines run the same program.
-    fn clone_from(&mut self, source: &Self) {
-        if !Arc::ptr_eq(&self.program, &source.program) {
-            self.program = Arc::clone(&source.program);
-        }
-        self.fields.clone_from(&source.fields);
-        self.locals.clone_from(&source.locals);
-        self.threads.clone_from(&source.threads);
-        self.locks.clone_from(&source.locks);
-        self.calls.clone_from(&source.calls);
-        self.events.clear();
-        self.steps = source.steps;
-        self.fault.clone_from(&source.fault);
-        self.last_scheduled = source.last_scheduled;
-        self.next_ticket = source.next_ticket;
-        self.dirty = source.dirty;
     }
 }
 

@@ -195,13 +195,14 @@ fn vm_transition_counters_populated_under_observation() {
 
 #[test]
 fn explore_layer_split_is_sampled_only_under_observation() {
-    // One transition in 64 is timed into the clone / step / intern
-    // histograms — under observation only, and without touching the search.
+    // One transition in 64 is timed into the step / intern histograms and
+    // one undo in 64 into the undo histogram — under observation only, and
+    // without touching the search.
     let _guard = obs_lock();
     let layers = [
-        "vm.explore.clone_ns",
         "vm.explore.step_ns",
         "vm.explore.intern_ns",
+        "vm.explore.undo_ns",
     ];
     let counts = || layers.map(|name| obs::global().histogram(name).snapshot().count);
     let off = with_level(obs::ObsLevel::Off, || {

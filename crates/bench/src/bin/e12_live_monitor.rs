@@ -6,7 +6,7 @@
 //!
 //! 1. **Overhead** — per-event capture cost against an uninstrumented
 //!    baseline doing the identical synthetic work, timed by the shared
-//!    warmed, interleaved best-of-3 harness (`obs::ab_best_of_3`).
+//!    calibrated, alternating harness (`obs::ab_best_of_blocks`).
 //!    Budget: < 5% at `summary` level, the ledger's overhead budget.
 //! 2. **Losslessness** — at sampling rate 1 with a live collector the CI
 //!    smoke workload must complete with **zero drops**, and the online
@@ -22,6 +22,7 @@ use std::time::Instant;
 
 use jcc_core::components::zoo::full_corpus;
 use jcc_core::detect::OnlineMonitor;
+use jcc_core::obs::bench::AB_BLOCKS;
 use jcc_core::petri::{Event, EventKind};
 use jcc_core::runtime::EventLog;
 use jcc_core::testgen::corpus::space_for;
@@ -45,6 +46,13 @@ const EVENTS_PER_PRODUCER: usize = 20_000;
 /// a core-starved host) lands inside the 5% budget rather than dominating
 /// the loop.
 const WORK_ROUNDS: u64 = 3_500;
+
+/// How often the live collector drains the rings. Between drains it
+/// sleeps instead of spinning: on a core-starved host a spinning collector
+/// takes its CPU from the producers. A ring of `1 << 15` words holds
+/// thousands of events, and a producer captures one per few µs of work,
+/// so a millisecond between drains stays far from a full ring.
+const COLLECT_EVERY: std::time::Duration = std::time::Duration::from_millis(1);
 
 fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -127,7 +135,7 @@ fn run_instrumented(master: &Arc<Vec<EventKind>>, reps: usize) -> (f64, u64, u64
             let mut online = OnlineMonitor::default();
             while !done.load(Ordering::Acquire) {
                 log.drain_for_each(|e| online.observe(&e));
-                std::thread::yield_now();
+                std::thread::sleep(COLLECT_EVERY);
             }
             log.drain_for_each(|e| online.observe(&e));
             online
@@ -214,12 +222,12 @@ fn main() {
     reporter.set_derived("online_findings", online_findings as f64);
 
     // --- saturation: capture overhead vs uninstrumented baseline ---
-    // The warmed, interleaved best-of-3 harness. Every instrumented run,
-    // the warm-up included, is tallied for the losslessness gates.
+    // The shared calibrated, alternating harness. Every instrumented run,
+    // the warm-up block included, is tallied for the losslessness gates.
     let mut total_drops = 0u64;
     let mut total_captured = 0u64;
     let mut total_produced = 0u64;
-    let ab = jcc_core::obs::ab_best_of_3(
+    let ab = jcc_core::obs::ab_best_of_blocks(
         || run_baseline(&master, reps),
         || {
             let (wall, drops, captured) = run_instrumented(&master, reps);
@@ -243,7 +251,7 @@ fn main() {
     let ns_per_event = best_on * 1e9 / events_per_run as f64;
     let drop_rate_pct = total_drops as f64 / total_produced as f64 * 100.0;
     say!(
-        "\n--- saturation (warmed, best of 3) ---\n\
+        "\n--- saturation (arms alternating in calibrated blocks, warmed, best of {AB_BLOCKS}) ---\n\
          baseline: {best_off:.4}s, instrumented: {best_on:.4}s \
          -> overhead {overhead_pct:.2}% (noise floor {noise_floor_pct:.2}%, budget < 5%)\n\
          {events_per_sec:.0} events/s across {PRODUCERS} producers \

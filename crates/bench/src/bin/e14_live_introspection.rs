@@ -3,8 +3,8 @@
 //! exploration workload, against the same workload with the stack off.
 //!
 //! The claim under test: watching a run live is free enough to leave on.
-//! Both arms go through the shared warmed, interleaved best-of-3 harness
-//! (`obs::ab_best_of_3`, as in e8 and e12). The off arm still records at
+//! Both arms go through the shared calibrated, alternating harness
+//! (`obs::ab_best_of_blocks`, as in e8 and e12). The off arm still records at
 //! `summary` level — the subtraction isolates what the *live* additions
 //! (tree + heartbeat + progress publication) cost on
 //! top of ordinary metrics. Acceptance: every arm's graph, warm-ups
@@ -15,6 +15,7 @@
 use std::time::{Duration, Instant};
 
 use jcc_core::obs;
+use jcc_core::obs::bench::AB_BLOCKS;
 use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits};
 
 fn main() {
@@ -60,7 +61,7 @@ fn main() {
     };
 
     let mut on_wall = 0.0f64;
-    let ab = obs::ab_best_of_3(
+    let ab = obs::ab_best_of_blocks(
         // OFF arm: live features disabled, no watcher threads.
         || {
             obs::set_span_tree(false);
@@ -95,7 +96,8 @@ fn main() {
     let (best_off, best_on) = (ab.best_off, ab.best_on);
     let (overhead_pct, noise_floor_pct) = (ab.overhead_pct(), ab.noise_floor_pct());
     say!(
-        "--- introspection overhead (petri reach N={n}, {states} states, warmed, best of 3) ---\n\
+        "--- introspection overhead (petri reach N={n}, {states} states, arms alternating in \
+         calibrated blocks, warmed, best of {AB_BLOCKS}) ---\n\
          off: {best_off:.4}s, live: {best_on:.4}s -> overhead {overhead_pct:.2}% \
          (noise floor {noise_floor_pct:.2}%, budget: < 5%)"
     );

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use jcc_core::cofg::{build_component_cofgs, CoverageTracker};
 use jcc_core::model::examples;
-use jcc_core::obs::AbTiming;
+use jcc_core::obs::bench::{ab_best_of_blocks, AB_BLOCKS, AB_BLOCK_SECS};
 use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits, ReachStats};
 use jcc_core::vm::{
     compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, RunConfig, ThreadSpec, Value,
@@ -234,54 +234,21 @@ fn main() {
     // --- obs overhead self-measurement ---
     // The same N=6 reachability, observed vs unobserved. The acceptance
     // bar for the obs subsystem is < 5% at `summary` level. One
-    // exploration takes about a millisecond, and a shared host runs the
-    // same exploration at speeds a third apart for tens of milliseconds at
-    // a time, so a best-of-3 of single runs, or of back-to-back blocks of
-    // one arm, measures the host. Instead the arms alternate run by run
-    // through blocks of `reps` runs each, so both see the same host, each
-    // block lasts at least `SAMPLE_SECS` per arm, and each arm keeps its
-    // best of `BLOCKS` blocks after one warm-up block.
-    const SAMPLE_SECS: f64 = 0.025;
-    const BLOCKS: usize = 9;
+    // exploration takes about a millisecond, so the shared harness times
+    // the arms run by run, alternating, in calibrated blocks.
     let saved_level = reporter.level();
-    let explore_n6 = || ReachGraph::explore(big.net(), ReachLimits::default());
-    jcc_core::obs::set_level(jcc_core::obs::ObsLevel::Off);
-    explore_n6();
-    let one = (0..10)
-        .map(|_| {
-            let t0 = Instant::now();
-            explore_n6();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min);
-    let reps = (SAMPLE_SECS / one.max(1e-6)).ceil() as usize;
     let timed_at = |level, stats: &mut Option<ReachStats>| {
         jcc_core::obs::set_level(level);
         let t0 = Instant::now();
-        let g = explore_n6();
+        let g = ReachGraph::explore(big.net(), ReachLimits::default());
         let secs = t0.elapsed().as_secs_f64();
         *stats = Some(g.stats().clone());
         secs
     };
     let (mut stats_off, mut stats_on) = (None, None);
-    let mut block = || {
-        let (mut off, mut on) = (0.0, 0.0);
-        for _ in 0..reps {
-            off += timed_at(jcc_core::obs::ObsLevel::Off, &mut stats_off);
-            on += timed_at(jcc_core::obs::ObsLevel::Summary, &mut stats_on);
-        }
-        (off, on)
-    };
-    block();
-    let ab = (0..BLOCKS).map(|_| block()).fold(
-        AbTiming {
-            best_off: f64::INFINITY,
-            best_on: f64::INFINITY,
-        },
-        |best, (off, on)| AbTiming {
-            best_off: best.best_off.min(off),
-            best_on: best.best_on.min(on),
-        },
+    let ab = ab_best_of_blocks(
+        || timed_at(jcc_core::obs::ObsLevel::Off, &mut stats_off),
+        || timed_at(jcc_core::obs::ObsLevel::Summary, &mut stats_on),
     );
     jcc_core::obs::set_level(saved_level);
     assert_eq!(stats_off, stats_on, "observation must not change results");
@@ -291,10 +258,15 @@ fn main() {
     // so a noisy host is visible, but never as negative overhead.
     let (overhead_pct, noise_floor_pct) = (ab.overhead_pct(), ab.noise_floor_pct());
     say!(
-        "\n--- obs overhead (petri reach N=6, {} states, arms alternating in blocks of {reps} runs, \
-         warmed, best of {BLOCKS}) ---\n\
+        "\n--- obs overhead (petri reach N=6, {} states, arms alternating in blocks of >= {} ms, \
+         warmed, best of {AB_BLOCKS}) ---\n\
          off: {:.4}s, summary: {:.4}s -> overhead {:.2}% (noise floor {:.2}%, budget: < 5%)",
-        states_off, ab.best_off, ab.best_on, overhead_pct, noise_floor_pct
+        states_off,
+        AB_BLOCK_SECS * 1e3,
+        ab.best_off,
+        ab.best_on,
+        overhead_pct,
+        noise_floor_pct
     );
     reporter.set_derived("obs_overhead_pct", overhead_pct);
     reporter.set_derived("obs_noise_floor_pct", noise_floor_pct);

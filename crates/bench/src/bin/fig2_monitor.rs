@@ -1,14 +1,13 @@
-//! E3 — regenerate Figure 2: the producer–consumer monitor, exercised both
-//! natively (real threads, abstract clock) and on the VM (deterministic
-//! schedules).
+//! E3 — regenerate Figure 2: the producer–consumer monitor, one MIR
+//! definition exercised both on the VM (deterministic schedules) and
+//! natively (real threads, abstract clock).
 
 use std::sync::Arc;
 
 use jcc_core::clock::{Schedule, TestDriver};
-use jcc_core::components::ProducerConsumer;
 use jcc_core::model::examples;
 use jcc_core::model::pretty::print_component;
-use jcc_core::runtime::EventLog;
+use jcc_core::runtime::{EventLog, NativeComponent};
 use jcc_core::vm::{compile, CallSpec, RunConfig, ThreadSpec, Value, Vm};
 
 fn main() {
@@ -54,22 +53,21 @@ fn main() {
 
     say!("\n--- Native run under the abstract clock ---");
     let log = EventLog::new();
-    let pc = Arc::new(ProducerConsumer::new(&log));
-    let c1 = Arc::clone(&pc);
-    let c2 = Arc::clone(&pc);
+    let pc = Arc::new(NativeComponent::new(compile(&component).expect("compiles"), &log));
+    let receive = |expected: &'static str| {
+        let pc = Arc::clone(&pc);
+        move |_: &_| {
+            let got = pc.call("receive", &[]).expect("guarded receive");
+            assert_eq!(got, Some(Value::Str(expected.into())));
+        }
+    };
     let p = Arc::clone(&pc);
     let schedule = Schedule::new()
-        .call("receive#1", 1, move |_| {
-            let ch = c1.receive().expect("guarded receive");
-            assert_eq!(ch, 'h');
-        })
+        .call("receive#1", 1, receive("h"))
         .call("send(hi)", 2, move |_| {
-            p.send("hi").expect("guarded send");
+            p.call("send", &[Value::Str("hi".into())]).expect("guarded send");
         })
-        .call("receive#2", 3, move |_| {
-            let ch = c2.receive().expect("guarded receive");
-            assert_eq!(ch, 'i');
-        });
+        .call("receive#2", 3, receive("i"));
     let (records, clock) = TestDriver::new().run(schedule);
     say!("final clock time: {}", clock.time());
     for r in &records {

@@ -1,53 +1,36 @@
 //! # jcc-components — the concurrent component corpus
 //!
 //! The paper's future work calls for applying the method to "a range of
-//! concurrent components". This crate provides that range, each component
-//! in two forms:
+//! concurrent components". This crate provides that range as Monitor IR:
+//! each component has one definition, which the VM explores, the CoFG
+//! builder and the mutation study read, and `jcc_runtime::NativeComponent`
+//! runs on real threads.
 //!
-//! * a **native** implementation on [`jcc_runtime::JavaMonitor`] with real
-//!   threads — instrumented with the same coverage markers as its model, so
-//!   the CoFGs built from the model measure the native runs too, and
-//! * a **model** (Monitor IR) form re-exported from
-//!   [`jcc_model::examples`], used by the VM, the CoFG builder and the
-//!   mutation study.
-//!
-//! Components: the paper's Figure-2 producer–consumer ([`producer_consumer`]),
-//! a one-slot bounded buffer ([`bounded_buffer`]), a counting semaphore
-//! ([`semaphore`]), a readers–writers monitor ([`readers_writers`]), a
-//! cyclic barrier ([`barrier`]), and — as a library extension with no model
-//! twin — a generic ring buffer ([`ring_buffer`]).
-//!
-//! Beyond the native/model pairs, two corpus extensions double the
-//! evaluation surface:
-//!
+//! * [`model`] — the seed components of [`jcc_model::examples`]: the
+//!   paper's Figure-2 producer–consumer, a one-slot bounded buffer, a
+//!   counting semaphore, a readers–writers monitor, a cyclic barrier and
+//!   the lock-order and race specimens.
 //! * [`zoo`] — seven `java.util.concurrent`-shaped monitor families
 //!   (thread pool, future cell, cyclic barrier with generations, fair and
 //!   barging semaphores, read–write lock with upgrade/downgrade,
-//!   exchanger, bounded stack), each model-only, validated, analyzer-clean
-//!   and mutation-ready; [`zoo::full_corpus`] is the seed corpus plus the
+//!   exchanger, bounded stack), each validated, analyzer-clean and
+//!   mutation-ready; [`zoo::full_corpus`] is the seed corpus plus the
 //!   zoo.
 //! * [`gen`] — a seeded, fully deterministic component generator whose
 //!   output is valid by construction, parameterised over guard / wait-site
 //!   / lock / padding counts; the E11 scaling sweep is built on it.
 //!
-//! Native components take fault-injection configs mirroring the model-level
-//! mutation operators, so the completion-time experiments (E6) can seed the
-//! same Table-1 failure classes in real threads.
+//! Faults are seeded with `jcc_model::mutate`, on the VM and natively
+//! alike, so the completion-time experiment (E6) seeds the same Table-1
+//! failure classes in real threads as the mutation study does in the VM.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod barrier;
-pub mod bounded_buffer;
-pub mod coverage;
 pub mod gen;
-pub mod producer_consumer;
-pub mod readers_writers;
-pub mod ring_buffer;
-pub mod semaphore;
 pub mod zoo;
 
-/// The Monitor IR twins of the native components.
+/// The seed components.
 pub mod model {
     pub use jcc_model::examples::{
         barrier, bounded_buffer, corpus, lock_order_deadlock, producer_consumer, racy_counter,
@@ -55,7 +38,86 @@ pub mod model {
     };
 }
 
-pub use producer_consumer::{PcFaults, ProducerConsumer};
+// The seed components on real threads, one test module per component:
+// each runs the component's MIR through `jcc_runtime::NativeComponent`.
+#[cfg(test)]
+mod barrier {
+    mod tests;
+}
+#[cfg(test)]
+mod bounded_buffer {
+    mod tests;
+}
+#[cfg(test)]
+mod coverage {
+    mod tests;
+}
+#[cfg(test)]
+mod producer_consumer {
+    mod tests;
+}
+#[cfg(test)]
+mod readers_writers {
+    mod tests;
+}
+#[cfg(test)]
+mod semaphore {
+    mod tests;
+}
+
+/// Test support for the native test modules.
+#[cfg(test)]
+mod native {
+    use std::sync::{Arc, Mutex};
+
+    use jcc_clock::{CallRecord, Schedule, TestDriver};
+    use jcc_model::ast::Component;
+    use jcc_model::mutate::{apply_mutation, enumerate_mutations, MutationKind};
+    use jcc_runtime::{EventLog, NativeComponent};
+    use jcc_vm::Value;
+
+    /// `component` compiled and instantiated natively on a fresh log.
+    pub fn native(component: &Component) -> Arc<NativeComponent> {
+        let compiled = jcc_vm::compile(component).expect("a seed component compiles");
+        Arc::new(NativeComponent::new(compiled, &EventLog::new()))
+    }
+
+    /// The first `kind` mutation of `method` applied to `component`.
+    pub fn mutant(component: &Component, kind: MutationKind, method: &str) -> Component {
+        let m = enumerate_mutations(component)
+            .into_iter()
+            .find(|m| m.kind == kind && m.method == method)
+            .expect("the mutation applies");
+        apply_mutation(component, &m).expect("a valid mutant")
+    }
+
+    /// Call `method`, which must not fault; what it returned.
+    pub fn call(c: &NativeComponent, method: &str, args: &[Value]) -> Option<Value> {
+        c.call(method, args).unwrap_or_else(|e| panic!("{method} faulted: {e}"))
+    }
+
+    /// `calls` — `(method, release time, args)` — against `c` under the
+    /// ConAn abstract clock: each call's completion record (labelled by
+    /// its method) and what each completed call returned.
+    pub fn clocked(
+        c: &Arc<NativeComponent>,
+        calls: &[(&str, u64, &[Value])],
+    ) -> (Vec<CallRecord>, Vec<Option<Value>>) {
+        let returned = Arc::new(Mutex::new(vec![None; calls.len()]));
+        let mut schedule = Schedule::new();
+        for (i, &(method, at, args)) in calls.iter().enumerate() {
+            let (c, returned) = (Arc::clone(c), Arc::clone(&returned));
+            let (method, args) = (method.to_string(), args.to_vec());
+            schedule = schedule.call(method.clone(), at, move |_| {
+                let value = c.call(&method, &args).ok().flatten();
+                returned.lock().unwrap()[i] = value;
+            });
+        }
+        let (records, _) = TestDriver::new().run(schedule);
+        let returned = returned.lock().unwrap().clone();
+        (records, returned)
+    }
+}
 
 #[cfg(test)]
 mod tests {

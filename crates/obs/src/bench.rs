@@ -10,8 +10,8 @@
 //! (prefix = bin name up to the first `_`, e.g. `BENCH_e8.json`), and
 //! prints the summary unless quiet.
 //!
-//! [`ab_best_of_3`] is the one A/B timing harness the overhead and
-//! representation comparisons share.
+//! [`ab_best_of_blocks`] is the one A/B timing harness the overhead
+//! budgets share.
 
 use std::path::PathBuf;
 use std::time::Instant;
@@ -146,7 +146,7 @@ impl BenchReporter {
     }
 }
 
-/// The best wall time of each arm of an [`ab_best_of_3`] comparison.
+/// The best block time of each arm of an [`ab_best_of_blocks`] comparison.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AbTiming {
     /// Best seconds of the reference ("off") arm.
@@ -174,20 +174,53 @@ impl AbTiming {
     }
 }
 
-/// Time two arms, each a closure returning the seconds it measured: both
-/// run once untimed first (whichever arm runs first in a cold process pays
-/// allocator and cache warm-up for both), then three interleaved rounds
-/// (off, on) keep each arm's best — the standard defence against one-off
-/// scheduler noise.
-pub fn ab_best_of_3(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> AbTiming {
+/// Each arm runs at least this long in one block, in seconds.
+pub const AB_BLOCK_SECS: f64 = 0.025;
+
+/// Blocks timed after the warm-up block; each arm keeps its best.
+pub const AB_BLOCKS: usize = 9;
+
+/// Timed runs of the off arm that size a block.
+const AB_CALIBRATION_RUNS: usize = 10;
+
+/// Time two arms, each a closure that does one run and returns the seconds
+/// it measured. A shared host runs the same work at speeds a third apart
+/// for tens of milliseconds at a time, so a best-of-3 of single runs, or
+/// of back-to-back blocks of one arm, measures the host. Instead:
+///
+/// 1. the off arm runs once untimed, then [`AB_CALIBRATION_RUNS`] times;
+///    a block holds as many runs of each arm as the fastest of those fits
+///    in [`AB_BLOCK_SECS`] (at least one);
+/// 2. within a block the arms alternate run by run (off, on, off, on, …),
+///    so both see the same host, and a block's time per arm is the sum of
+///    its runs;
+/// 3. one warm-up block is discarded, then each arm keeps its best of
+///    [`AB_BLOCKS`] blocks.
+pub fn ab_best_of_blocks(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f64) -> AbTiming {
     off();
-    on();
-    let (mut best_off, mut best_on) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        best_off = best_off.min(off());
-        best_on = best_on.min(on());
+    let fastest = (0..AB_CALIBRATION_RUNS)
+        .map(|_| off())
+        .fold(f64::INFINITY, f64::min);
+    let reps = (AB_BLOCK_SECS / fastest.max(1e-9)).ceil().max(1.0) as usize;
+    let mut block = || {
+        let (mut off_secs, mut on_secs) = (0.0, 0.0);
+        for _ in 0..reps {
+            off_secs += off();
+            on_secs += on();
+        }
+        (off_secs, on_secs)
+    };
+    block();
+    let mut best = AbTiming {
+        best_off: f64::INFINITY,
+        best_on: f64::INFINITY,
+    };
+    for _ in 0..AB_BLOCKS {
+        let (off_secs, on_secs) = block();
+        best.best_off = best.best_off.min(off_secs);
+        best.best_on = best.best_on.min(on_secs);
     }
-    AbTiming { best_off, best_on }
+    best
 }
 
 #[cfg(test)]
@@ -224,37 +257,60 @@ mod tests {
     }
 
     #[test]
-    fn ab_keeps_the_best_of_three_after_one_warm_up_each() {
-        // The warm-up runs are the fastest here, and must still not count.
-        let mut off_times = [0.1, 2.0, 1.5, 3.0].into_iter();
-        let mut on_times = [0.1, 2.4, 1.8, 1.6].into_iter();
+    fn ab_calibrates_warms_up_and_alternates_the_arms_in_blocks() {
+        // The off arm's runs take 10 ms: blocks of 3 runs fill 25 ms. The
+        // untimed run and the calibration runs are the fastest here, and
+        // must still not count.
+        let mut off_times = [
+            0.001, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01, 0.01,
+        ]
+        .into_iter()
+        .chain(std::iter::repeat(0.02));
+        let mut on_runs = 0;
         let order = std::cell::RefCell::new(Vec::new());
-        let t = ab_best_of_3(
+        let t = ab_best_of_blocks(
             || {
                 order.borrow_mut().push('o');
                 off_times.next().unwrap()
             },
             || {
                 order.borrow_mut().push('n');
-                on_times.next().unwrap()
+                on_runs += 1;
+                // The warm-up block is the fastest on run, and discarded.
+                if on_runs <= 3 {
+                    0.001
+                } else {
+                    0.03
+                }
             },
         );
-        let order = order.into_inner();
-        assert_eq!(t, AbTiming { best_off: 1.5, best_on: 1.6 });
-        assert_eq!(order.len(), 8, "one warm-up plus three rounds per arm");
-        assert!(order.chunks(2).all(|pair| pair == ['o', 'n']), "interleaved: {order:?}");
+        let order: String = order.into_inner().into_iter().collect();
+        let calibration = "o".repeat(1 + AB_CALIBRATION_RUNS);
+        let blocks = "on".repeat(3 * (1 + AB_BLOCKS));
+        assert_eq!(order, calibration + &blocks);
+        assert!((t.best_off - 0.06).abs() < 1e-9, "{t:?}");
+        assert!((t.best_on - 0.09).abs() < 1e-9, "{t:?}");
     }
 
     #[test]
     fn overhead_is_clamped_and_the_residue_is_the_noise_floor() {
-        let slower = AbTiming { best_off: 2.0, best_on: 2.1 };
+        let slower = AbTiming {
+            best_off: 2.0,
+            best_on: 2.1,
+        };
         assert!((slower.overhead_pct() - 5.0).abs() < 1e-9);
         assert_eq!(slower.noise_floor_pct(), 0.0);
-        let faster = AbTiming { best_off: 2.0, best_on: 1.9 };
+        let faster = AbTiming {
+            best_off: 2.0,
+            best_on: 1.9,
+        };
         assert_eq!(faster.overhead_pct(), 0.0);
         assert!((faster.noise_floor_pct() - 5.0).abs() < 1e-9);
         // A zero off time is guarded, not a division by zero.
-        let instant = AbTiming { best_off: 0.0, best_on: 1e-9 };
+        let instant = AbTiming {
+            best_off: 0.0,
+            best_on: 1e-9,
+        };
         assert!((instant.overhead_pct() - 100.0).abs() < 1e-6);
         assert!(instant.overhead_pct().is_finite());
     }

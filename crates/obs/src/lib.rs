@@ -35,7 +35,7 @@
 //! * [`bench`] — [`BenchReporter`], the front door for the `jcc-bench`
 //!   binaries: parses the shared `--quiet` / `JCC_OBS=off|summary`
 //!   knob, times the run, and writes `BENCH_<bin>.json`; and
-//!   [`ab_best_of_3`], the warmed, interleaved A/B timing harness behind
+//!   [`ab_best_of_blocks`], the calibrated A/B timing harness behind
 //!   every overhead figure.
 //!
 //! Determinism contract: observation never feeds back into exploration.
@@ -75,7 +75,7 @@ pub mod report;
 pub mod span;
 pub mod timeline;
 
-pub use bench::{ab_best_of_3, parse_knobs, AbTiming, BenchReporter};
+pub use bench::{ab_best_of_blocks, parse_knobs, AbTiming, BenchReporter};
 pub use expose::{fetch_metrics, render_prometheus, ExposeServer};
 pub use ledger::Ledger;
 pub use level::{enabled, level, set_level, ObsLevel};

@@ -584,6 +584,16 @@ impl EventLog {
         self.capture(None, kind);
     }
 
+    /// The calling thread's dense id in this log (allocated here when the
+    /// thread has not logged yet): the `thread` of its events.
+    pub(crate) fn thread_id(&self) -> u64 {
+        PRODUCERS.with(|cell| {
+            let mut slots = cell.borrow_mut();
+            let slot = self.slot_index(&mut slots);
+            slots[slot].dense_id(&self.shared)
+        })
+    }
+
     /// Append an event attributed to an explicit thread id (used by the VM,
     /// whose logical threads are not OS threads). Explicit ids bypass the
     /// per-log allocator; the calling OS thread's ring carries the event.

@@ -1,4 +1,4 @@
-//! # jcc-runtime — an instrumented Java-style monitor for native threads
+//! # jcc-runtime — Java-style monitors and Monitor IR on native threads
 //!
 //! Rust's `Mutex`/`Condvar` differ from the Java monitor model in three ways
 //! that matter to the paper: Java object locks are *reentrant*, every object
@@ -10,9 +10,12 @@
 //! [`EventLog`] that the detectors (`jcc-detect`) and coverage tracking
 //! (`jcc-cofg`) consume — the same event type the VM's traces use.
 //!
-//! The log also accepts *data-access* events (for the Eraser-style lockset
+//! [`NativeComponent`] (module [`exec`]) runs a compiled Monitor IR
+//! component on real threads with one `JavaMonitor` per lock, so every
+//! component the VM explores also runs natively, from the same definition.
+//! Its log also carries *data-access* events (for the Eraser-style lockset
 //! race detector) and *method/statement markers* (for CoFG arc coverage).
-
+//!
 //! # Example
 //!
 //! ```
@@ -26,7 +29,9 @@
 //!     let slot = Arc::clone(&slot);
 //!     std::thread::spawn(move || {
 //!         let guard = slot.enter();
-//!         guard.wait_while(|v| v.is_none()); // the Figure-2 idiom
+//!         while guard.with(|v| v.is_none()) {
+//!             guard.wait(); // the Figure-2 idiom
+//!         }
 //!         guard.with(|v| v.take().unwrap())
 //!     })
 //! };
@@ -44,11 +49,13 @@
 #![warn(missing_docs)]
 
 pub mod events;
+pub mod exec;
 pub mod live;
 pub mod monitor;
 pub mod ring;
 
 pub use events::{current_thread_id, EventLog, MonitorId};
+pub use exec::NativeComponent;
 pub use live::LiveTimeline;
 pub use monitor::{JavaMonitor, MonitorGuard};
 pub use ring::SpscRing;

@@ -13,8 +13,8 @@
 //! Reentrant `enter` while already owning the lock emits no transitions —
 //! in the model the thread is already in place C.
 
-use std::sync::{Condvar, Mutex, PoisonError};
-use std::time::{Duration, Instant};
+use std::collections::BTreeSet;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use jcc_petri::event::EventKind;
 use jcc_petri::Transition;
@@ -22,19 +22,26 @@ use jcc_petri::Transition;
 use crate::events::{current_thread_id, EventLog, MonitorId};
 use crate::lock;
 
+/// A thread in the wait set: its wait ticket and its OS-thread token.
+#[derive(Debug, Clone, Copy)]
+struct Waiter {
+    ticket: u64,
+    thread: u64,
+}
+
 #[derive(Debug)]
 struct State<T> {
     owner: Option<u64>,
     hold_count: u32,
-    /// Tickets of threads currently in the wait set, in wait order.
-    /// Notifications are *ticketed*, not counted: an anonymous permit
-    /// counter would let a thread that waits later steal a wake-up issued
-    /// to an earlier waiter (a lost wake-up this crate's own test suite
-    /// caught). A notified ticket moves to `notified` and is removed from
-    /// both sets when its owner leaves the wait.
-    wait_set: Vec<u64>,
+    /// Threads currently in the wait set, in wait order. Notifications
+    /// are *ticketed*, not counted: an anonymous permit counter would let
+    /// a thread that waits later steal a wake-up issued to an earlier
+    /// waiter (a lost wake-up this crate's own test suite caught). A
+    /// notified ticket moves to `notified` and is removed from both sets
+    /// when its owner leaves the wait.
+    wait_set: Vec<Waiter>,
     /// Tickets whose wake-up has been issued.
-    notified: std::collections::BTreeSet<u64>,
+    notified: BTreeSet<u64>,
     /// Next wait ticket.
     next_ticket: u64,
     data: T,
@@ -73,23 +80,13 @@ impl<T> JavaMonitor<T> {
                 owner: None,
                 hold_count: 0,
                 wait_set: Vec::new(),
-                notified: std::collections::BTreeSet::new(),
+                notified: BTreeSet::new(),
                 next_ticket: 0,
                 data,
             }),
             entry: Condvar::new(),
             waitset: Condvar::new(),
         }
-    }
-
-    /// This monitor's id in the event log.
-    pub fn id(&self) -> MonitorId {
-        self.id
-    }
-
-    /// The event log this monitor reports to.
-    pub fn log(&self) -> &EventLog {
-        &self.log
     }
 
     /// Enter the monitor (Java: start of a `synchronized` region), blocking
@@ -111,40 +108,10 @@ impl<T> JavaMonitor<T> {
         MonitorGuard { monitor: self }
     }
 
-    /// Try to enter without blocking; `None` if another thread owns the
-    /// lock. Emits T1/T2 only on success.
-    pub fn try_enter(&self) -> Option<MonitorGuard<'_, T>> {
-        let me = current_thread_id();
-        let mut s = lock(&self.state);
-        if s.owner == Some(me) {
-            s.hold_count += 1;
-            return Some(MonitorGuard { monitor: self });
-        }
-        if s.owner.is_some() {
-            return None;
-        }
-        self.log.transition(self.id, Transition::T1);
-        s.owner = Some(me);
-        s.hold_count = 1;
-        self.log.transition(self.id, Transition::T2);
-        Some(MonitorGuard { monitor: self })
-    }
-
-    /// Read `data` *without* holding the lock — deliberately racy, for
-    /// FF-T1 (interference) experiments. Logs a `Read` event with an empty
-    /// lockset context.
-    pub fn unsync_read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
-        self.log.log(EventKind::Read { var: var.to_string() });
-        let s = lock(&self.state);
-        f(&s.data)
-    }
-
-    /// Write `data` *without* holding the lock — deliberately racy, for
-    /// FF-T1 experiments.
-    pub fn unsync_write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
-        self.log.log(EventKind::Write { var: var.to_string() });
-        let mut s = lock(&self.state);
-        f(&mut s.data)
+    /// Freeze the monitor's state until the result is dropped (the
+    /// executor's quiescence check; it freezes monitors in one order).
+    pub(crate) fn freeze(&self) -> Frozen<'_, T> {
+        Frozen(lock(&self.state))
     }
 
     fn exit(&self) {
@@ -160,6 +127,27 @@ impl<T> JavaMonitor<T> {
     }
 }
 
+/// A monitor's state, frozen while this lives.
+pub(crate) struct Frozen<'a, T>(MutexGuard<'a, State<T>>);
+
+impl<T> Frozen<'_, T> {
+    /// True when the OS thread `thread` sits in the wait set un-notified.
+    pub(crate) fn waits(&self, thread: u64) -> bool {
+        let s = &self.0;
+        s.wait_set
+            .iter()
+            .any(|w| w.thread == thread && !s.notified.contains(&w.ticket))
+    }
+
+    /// True when `thread`, inside `enter` or `wait` on this monitor,
+    /// cannot return until some other thread acts: it waits un-notified,
+    /// or another thread owns the lock it needs.
+    pub(crate) fn blocks(&self, thread: u64) -> bool {
+        let owner = self.0.owner;
+        owner != Some(thread) && (self.waits(thread) || owner.is_some())
+    }
+}
+
 /// An entered monitor. Dropping it leaves the synchronized region
 /// (emitting T4 when the outermost hold is released).
 #[derive(Debug)]
@@ -168,101 +156,42 @@ pub struct MonitorGuard<'a, T> {
 }
 
 impl<T> MonitorGuard<'_, T> {
-    /// Access the protected data immutably, logging a `Read` of `var`.
-    pub fn read<R>(&self, var: &str, f: impl FnOnce(&T) -> R) -> R {
-        let m = self.monitor;
-        m.log.log(EventKind::Read { var: var.to_string() });
-        let s = lock(&m.state);
-        debug_assert_eq!(s.owner, Some(current_thread_id()));
-        f(&s.data)
-    }
-
-    /// Access the protected data mutably, logging a `Write` of `var`.
-    pub fn write<R>(&self, var: &str, f: impl FnOnce(&mut T) -> R) -> R {
-        let m = self.monitor;
-        m.log.log(EventKind::Write { var: var.to_string() });
-        let mut s = lock(&m.state);
-        debug_assert_eq!(s.owner, Some(current_thread_id()));
-        f(&mut s.data)
-    }
-
-    /// Access without logging (for bookkeeping the detectors should not see).
+    /// Access the protected data without logging.
     pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
         let mut s = lock(&self.monitor.state);
         f(&mut s.data)
     }
 
-    /// Java `wait()`: release the lock, join the wait set, and on
-    /// notification re-acquire the lock. Emits T3, then T5 + T2.
-    ///
-    /// Panics if the guard is held reentrantly (`wait` inside a nested
-    /// `synchronized (this)` would need to release all holds; Java releases
-    /// only the waited monitor once per `wait`, and this runtime keeps the
-    /// stricter rule to surface suspect designs early).
+    /// Java `wait()`: release the lock — every hold of a reentrant owner,
+    /// as Java does — join the wait set, and on notification re-acquire
+    /// the lock with the same hold count. Emits T3, then T5 + T2.
     pub fn wait(&self) {
-        self.wait_internal(None);
-    }
-
-    /// Like [`wait`](Self::wait) but gives up after `timeout` of real time
-    /// (Java's `wait(long)`); returns `true` if notified, `false` on
-    /// timeout. Either way the lock is re-acquired before returning.
-    pub fn wait_for(&self, timeout: Duration) -> bool {
-        self.wait_internal(Some(timeout))
-    }
-
-    fn wait_internal(&self, timeout: Option<Duration>) -> bool {
         let m = self.monitor;
         let me = current_thread_id();
         let mut s = lock(&m.state);
         assert_eq!(s.owner, Some(me), "wait by non-owner");
-        assert_eq!(
-            s.hold_count, 1,
-            "wait while holding the monitor reentrantly"
-        );
         // T3: suspend and release the lock.
+        let holds = s.hold_count;
         s.owner = None;
         s.hold_count = 0;
         let ticket = s.next_ticket;
         s.next_ticket += 1;
-        s.wait_set.push(ticket);
+        s.wait_set.push(Waiter { ticket, thread: me });
         m.log.transition(m.id, Transition::T3);
         m.entry.notify_one();
-
-        let deadline = timeout.map(|t| Instant::now() + t);
-        let mut notified = true;
         while !s.notified.contains(&ticket) {
-            match deadline {
-                None => s = m.waitset.wait(s).unwrap_or_else(PoisonError::into_inner),
-                Some(d) => {
-                    let now = Instant::now();
-                    let timed_out = now >= d || {
-                        let (g, r) = m
-                            .waitset
-                            .wait_timeout(s, d - now)
-                            .unwrap_or_else(PoisonError::into_inner);
-                        s = g;
-                        r.timed_out()
-                    };
-                    if timed_out {
-                        notified = s.notified.contains(&ticket);
-                        break;
-                    }
-                }
-            }
+            s = m.waitset.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s.notified.remove(&ticket);
-        if let Some(pos) = s.wait_set.iter().position(|&t| t == ticket) {
-            s.wait_set.remove(pos);
-        }
-        // T5: woken (or timed out) — back to requesting the lock.
+        s.wait_set.retain(|w| w.ticket != ticket);
+        // T5: woken — back to requesting the lock.
         m.log.transition(m.id, Transition::T5);
         while s.owner.is_some() {
             s = m.entry.wait(s).unwrap_or_else(PoisonError::into_inner);
         }
         s.owner = Some(me);
-        s.hold_count = 1;
+        s.hold_count = holds;
         m.log.transition(m.id, Transition::T2);
-        notified
     }
 
     /// Java `notify()`: wake one arbitrary waiter (no-op if none).
@@ -282,7 +211,7 @@ impl<T> MonitorGuard<'_, T> {
         let target = s
             .wait_set
             .iter()
-            .copied()
+            .map(|w| w.ticket)
             .find(|t| !s.notified.contains(t));
         if let Some(t) = target {
             s.notified.insert(t);
@@ -294,35 +223,16 @@ impl<T> MonitorGuard<'_, T> {
     pub fn notify_all(&self) {
         let m = self.monitor;
         let mut s = lock(&m.state);
-        assert_eq!(
-            s.owner,
-            Some(current_thread_id()),
-            "notifyAll by non-owner"
-        );
+        assert_eq!(s.owner, Some(current_thread_id()), "notifyAll by non-owner");
         let waiters = s.unnotified();
         m.log.log(EventKind::Notify {
             lock: m.id.0,
             all: true,
             waiters,
         });
-        let all: Vec<u64> = s.wait_set.clone();
+        let all: Vec<u64> = s.wait_set.iter().map(|w| w.ticket).collect();
         s.notified.extend(all);
         m.waitset.notify_all();
-    }
-
-    /// Wait until `pred` over the protected data holds (re-checking after
-    /// every wake-up — the while-loop idiom the paper's Figure 2 uses).
-    pub fn wait_while(&self, mut blocked_when: impl FnMut(&T) -> bool) {
-        loop {
-            let blocked = {
-                let s = lock(&self.monitor.state);
-                blocked_when(&s.data)
-            };
-            if !blocked {
-                return;
-            }
-            self.wait();
-        }
     }
 }
 
@@ -338,6 +248,21 @@ mod tests {
     use jcc_petri::Transition as T;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
+
+    /// The Figure-2 idiom: wait until `ready` holds over the data.
+    fn wait_until<D>(g: &MonitorGuard<'_, D>, ready: impl Fn(&D) -> bool) {
+        while !g.with(|d| ready(d)) {
+            g.wait();
+        }
+    }
+
+    /// Spin until `log` has seen `n` firings of `t`.
+    fn await_firings(log: &EventLog, t: T, n: usize) {
+        while log.count_transition(t) < n {
+            thread::sleep(Duration::from_millis(1));
+        }
+    }
 
     #[test]
     fn enter_exit_emits_t1_t2_t4() {
@@ -345,7 +270,7 @@ mod tests {
         let m = JavaMonitor::new("m", &log, 0u32);
         {
             let g = m.enter();
-            g.write("v", |d| *d = 1);
+            g.with(|d| *d = 1);
         }
         let kinds: Vec<_> = log
             .snapshot()
@@ -373,15 +298,30 @@ mod tests {
     }
 
     #[test]
-    fn try_enter_fails_when_contended() {
+    fn reentrant_wait_releases_every_hold_and_restores_them() {
         let log = EventLog::new();
-        let m = Arc::new(JavaMonitor::new("m", &log, ()));
-        let g = m.enter();
+        let m = Arc::new(JavaMonitor::new("m", &log, false));
         let m2 = Arc::clone(&m);
-        let h = thread::spawn(move || m2.try_enter().is_none());
-        assert!(h.join().unwrap());
+        let waiter = thread::spawn(move || {
+            let outer = m2.enter();
+            let inner = m2.enter();
+            wait_until(&inner, |&ready| ready);
+            drop(inner);
+            // Still held once: this exit is the final one.
+            drop(outer);
+        });
+        await_firings(&log, T::T3, 1);
+        {
+            // The waiter's two holds are both released, so this enters.
+            let g = m.enter();
+            g.with(|d| *d = true);
+            g.notify_all();
+        }
+        waiter.join().unwrap();
+        let g = m.enter();
+        assert!(g.with(|d| *d));
         drop(g);
-        assert!(m.try_enter().is_some());
+        assert_eq!(log.count_transition(T::T4), 3, "one final exit per owner");
     }
 
     #[test]
@@ -391,7 +331,7 @@ mod tests {
         let m2 = Arc::clone(&m);
         let consumer = thread::spawn(move || {
             let g = m2.enter();
-            g.wait_while(|d| d.is_none());
+            wait_until(&g, Option::is_some);
             g.with(|d| d.take().unwrap())
         });
         // Let the consumer block.
@@ -410,18 +350,17 @@ mod tests {
     #[test]
     fn notify_with_no_waiters_is_lost() {
         let log = EventLog::new();
-        let m = Arc::new(JavaMonitor::new("m", &log, false));
-        {
-            let g = m.enter();
-            g.notify(); // lost: nobody waits
-        }
+        let m = Arc::new(JavaMonitor::new("m", &log, ()));
+        m.enter().notify(); // lost: nobody waits
         let m2 = Arc::clone(&m);
-        let h = thread::spawn(move || {
-            let g = m2.enter();
-            // The earlier notify must NOT satisfy this wait.
-            g.wait_for(Duration::from_millis(40))
-        });
-        assert!(!h.join().unwrap(), "pre-wait notify must be lost");
+        let h = thread::spawn(move || m2.enter().wait());
+        await_firings(&log, T::T3, 1);
+        thread::sleep(Duration::from_millis(40));
+        // The earlier notify must NOT satisfy this wait.
+        assert!(!h.is_finished(), "pre-wait notify must be lost");
+        assert_eq!(log.count_transition(T::T5), 0);
+        m.enter().notify();
+        h.join().unwrap();
     }
 
     #[test]
@@ -431,25 +370,21 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let m = Arc::clone(&m);
-                thread::spawn(move || {
-                    let g = m.enter();
-                    g.wait_while(|&ready| !ready);
-                    true
-                })
+                thread::spawn(move || wait_until(&m.enter(), |&ready| ready))
             })
             .collect();
-        thread::sleep(Duration::from_millis(30));
+        await_firings(&log, T::T3, 4);
         {
             let g = m.enter();
             g.with(|d| *d = true);
             g.notify_all();
         }
         for h in handles {
-            assert!(h.join().unwrap());
+            h.join().unwrap();
         }
-        let waiters_seen = log.snapshot().iter().any(|e| {
-            matches!(e.kind, EventKind::Notify { all: true, waiters, .. } if waiters == 4)
-        });
+        let waiters_seen = log.snapshot().iter().any(
+            |e| matches!(e.kind, EventKind::Notify { all: true, waiters, .. } if waiters == 4),
+        );
         assert!(waiters_seen, "notifyAll should have seen 4 waiters");
     }
 
@@ -462,24 +397,23 @@ mod tests {
                 let m = Arc::clone(&m);
                 thread::spawn(move || {
                     let g = m.enter();
-                    let woke = g.wait_for(Duration::from_millis(120));
-                    if woke {
-                        g.with(|d| *d += 1);
-                    }
-                    woke
+                    g.wait();
+                    g.with(|d| *d += 1);
                 })
             })
             .collect();
-        thread::sleep(Duration::from_millis(30));
-        {
-            let g = m.enter();
-            g.notify();
+        await_firings(&log, T::T3, 3);
+        m.enter().notify();
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(
+            m.enter().with(|d| *d),
+            1,
+            "notify must wake exactly one of three waiters"
+        );
+        m.enter().notify_all();
+        for h in handles {
+            h.join().unwrap();
         }
-        let woken: usize = handles
-            .into_iter()
-            .map(|h| usize::from(h.join().unwrap()))
-            .sum();
-        assert_eq!(woken, 1, "notify must wake exactly one of three waiters");
     }
 
     #[test]
@@ -507,44 +441,5 @@ mod tests {
         }
         let g = m.enter();
         assert_eq!(g.with(|d| d.0), 800);
-    }
-
-    #[test]
-    fn wait_timeout_reacquires_lock() {
-        let log = EventLog::new();
-        let m = JavaMonitor::new("m", &log, 5u8);
-        let g = m.enter();
-        let notified = g.wait_for(Duration::from_millis(10));
-        assert!(!notified);
-        // Still owner: data accessible, and a further exit works.
-        assert_eq!(g.with(|d| *d), 5);
-    }
-
-    #[test]
-    fn guarded_accesses_sit_between_acquire_and_release() {
-        let log = EventLog::new();
-        let m = JavaMonitor::new("m", &log, 0u32);
-        {
-            let g = m.enter();
-            g.write("v", |d| *d = 1);
-            g.read("v", |d| *d);
-        }
-        let kinds: Vec<EventKind> = log.snapshot().into_iter().map(|e| e.kind).collect();
-        let lock = m.id().0;
-        assert_eq!(kinds[1].acquired(), Some(lock));
-        assert!(matches!(kinds[2], EventKind::Write { ref var } if var == "v"));
-        assert!(matches!(kinds[3], EventKind::Read { ref var } if var == "v"));
-        assert_eq!(kinds[4].released(), Some(lock));
-    }
-
-    #[test]
-    fn unsync_access_logs_reads_and_writes() {
-        let log = EventLog::new();
-        let m = JavaMonitor::new("m", &log, 1u32);
-        m.unsync_write("v", |d| *d = 2);
-        assert_eq!(m.unsync_read("v", |d| *d), 2);
-        let events = log.snapshot();
-        assert!(matches!(events[0].kind, EventKind::Write { ref var } if var == "v"));
-        assert!(matches!(events[1].kind, EventKind::Read { ref var } if var == "v"));
     }
 }

@@ -8,15 +8,14 @@
 use std::sync::Arc;
 
 use jcc_core::clock::{Schedule, TestDriver};
-use jcc_core::components::ProducerConsumer;
 use jcc_core::detect::completion::{check_completions, CompletionExpectation, Expectation};
 use jcc_core::model::examples;
 use jcc_core::pipeline::Pipeline;
-use jcc_core::runtime::EventLog;
+use jcc_core::runtime::{EventLog, NativeComponent};
 use jcc_core::testgen::conan::to_conan_script;
 use jcc_core::testgen::scenario::{describe, ScenarioSpace};
 use jcc_core::testgen::suite::GreedyConfig;
-use jcc_core::vm::{CallSpec, Value};
+use jcc_core::vm::{compile, CallSpec, Value};
 
 fn main() {
     // Record the whole run with jcc-obs: the JSON report printed at the end
@@ -59,15 +58,17 @@ fn main() {
     // canonical "receive blocks until send" test.
     println!("--- native deterministic run ---");
     let log = EventLog::new();
-    let pc = Arc::new(ProducerConsumer::new(&log));
+    let compiled = compile(&pipeline.component).expect("Figure 2 compiles");
+    let pc = Arc::new(NativeComponent::new(compiled, &log));
     let consumer = Arc::clone(&pc);
     let producer = Arc::clone(&pc);
     let schedule = Schedule::new()
         .call("receive", 1, move |_| {
-            assert_eq!(consumer.receive().unwrap(), 'z');
+            let got = consumer.call("receive", &[]).unwrap();
+            assert_eq!(got, Some(Value::Str("z".into())));
         })
         .call("send", 2, move |_| {
-            producer.send("z").unwrap();
+            producer.call("send", &[Value::Str("z".into())]).unwrap();
         });
     let (records, _) = TestDriver::new().run(schedule);
     let violations = check_completions(

@@ -1,4 +1,4 @@
-//! Readers–writers: native execution with writer preference, plus the
+//! Readers–writers: its MIR run natively with writer preference, plus the
 //! model-level demonstration that `notify` instead of `notifyAll` is fatal
 //! here — waiters wait on *different* predicates, so a single wake-up can
 //! be consumed by a thread that just re-waits (FF-T5).
@@ -7,40 +7,41 @@
 
 use std::sync::Arc;
 
-use jcc_core::components::readers_writers::ReadersWriters;
 use jcc_core::detect::classify::classify_explore;
 use jcc_core::model::examples;
 use jcc_core::model::mutate::{apply_mutation, enumerate_mutations, MutationKind};
-use jcc_core::runtime::EventLog;
-use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Vm};
+use jcc_core::runtime::{EventLog, NativeComponent};
+use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, ThreadSpec, Value, Vm};
 
 fn main() {
     // --- native: three readers share, a writer excludes ---
+    let component = examples::readers_writers();
     let log = EventLog::new();
-    let rw = Arc::new(ReadersWriters::new(&log));
+    let rw = Arc::new(NativeComponent::new(compile(&component).unwrap(), &log));
+    let op = |rw: &NativeComponent, method: &str| rw.call(method, &[]).unwrap();
+    let writing = |rw: &NativeComponent| rw.field("writing") == Some(Value::Bool(true));
     let readers: Vec<_> = (0..3)
         .map(|i| {
             let rw = Arc::clone(&rw);
             std::thread::spawn(move || {
-                rw.start_read();
-                let snapshot = rw.snapshot();
-                rw.end_read();
+                op(&rw, "startRead");
+                let snapshot = (rw.field("readers").unwrap(), writing(&rw));
+                op(&rw, "endRead");
                 (i, snapshot)
             })
         })
         .collect();
     for h in readers {
-        let (i, (readers_now, writing, _)) = h.join().unwrap();
+        let (i, (readers_now, writing)) = h.join().unwrap();
         println!("reader {i} saw {readers_now} concurrent reader(s), writing={writing}");
         assert!(!writing);
     }
-    rw.start_write();
-    assert_eq!(rw.snapshot(), (0, true, 0));
-    rw.end_write();
+    op(&rw, "startWrite");
+    assert!(writing(&rw));
+    op(&rw, "endWrite");
     println!("writer held exclusive access\n");
 
     // --- model: the notify-for-notifyAll mutation is a real FF-T5 here ---
-    let component = examples::readers_writers();
     let mutation = enumerate_mutations(&component)
         .into_iter()
         .find(|m| {

@@ -4,41 +4,37 @@
 //! checking call completion times detects each fault and narrows it to the
 //! classes the paper predicts.
 
-use std::sync::Arc;
-
-use jcc_core::clock::{CallRecord, Schedule, TestDriver};
-use jcc_core::detect::completion::{check_completions, CompletionExpectation, Expectation};
+use jcc_core::detect::completion::{
+    check_completions, CallRecord, CompletionExpectation, Expectation,
+};
 use jcc_core::model::ast::Component;
 use jcc_core::model::examples;
 use jcc_core::model::mutate::{apply_mutation, enumerate_mutations, MutationKind};
-use jcc_core::runtime::{EventLog, NativeComponent};
-use jcc_core::vm::{compile, Value};
+use jcc_core::runtime::exec::{run_clocked, Release};
+use jcc_core::vm::{compile, CallSpec, Value};
 
 fn run_schedule(component: &Component) -> Vec<CallRecord> {
-    let log = EventLog::new();
-    let pc = Arc::new(NativeComponent::new(
-        compile(component).expect("compiles"),
-        &log,
-    ));
-    let call = |method: &'static str, args: Vec<Value>| {
-        let pc = Arc::clone(&pc);
-        move |_: &_| drop(pc.call(method, &args))
-    };
     // The canonical deterministic test: a consumer that must block at t=1,
     // a producer that releases it at t=2, a second consumer at t=3 that
     // must block forever (only one character was sent).
-    let schedule = Schedule::new()
-        .call("receive#1", 1, call("receive", vec![]))
-        .call("send(x)", 2, call("send", vec![Value::Str("x".into())]))
-        .call("receive#2", 3, call("receive", vec![]));
-    TestDriver::new().run(schedule).0
+    let receive = || CallSpec::new("receive", vec![]);
+    let schedule = [
+        Release::new("receive#1", 1, receive()),
+        Release::new(
+            "send(x)",
+            2,
+            CallSpec::new("send", vec![Value::Str("x".into())]),
+        ),
+        Release::new("receive#2", 3, receive()),
+    ];
+    run_clocked(&compile(component).expect("compiles"), &schedule).records
 }
 
 fn expectations() -> Vec<Expectation> {
     vec![
         // The first receive completes exactly when the send wakes it.
-        Expectation::new("receive#1", CompletionExpectation::Between(2, 3)),
-        Expectation::new("send(x)", CompletionExpectation::Between(2, 3)),
+        Expectation::new("receive#1", CompletionExpectation::At(2)),
+        Expectation::new("send(x)", CompletionExpectation::At(2)),
         // The second receive must stay suspended.
         Expectation::new("receive#2", CompletionExpectation::Never),
     ]

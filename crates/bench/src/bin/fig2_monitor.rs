@@ -2,12 +2,10 @@
 //! definition exercised both on the VM (deterministic schedules) and
 //! natively (real threads, abstract clock).
 
-use std::sync::Arc;
-
-use jcc_core::clock::{Schedule, TestDriver};
 use jcc_core::model::examples;
 use jcc_core::model::pretty::print_component;
-use jcc_core::runtime::{EventLog, NativeComponent};
+use jcc_core::petri::{EventKind, Transition};
+use jcc_core::runtime::exec::{run_clocked, Release};
 use jcc_core::vm::{compile, CallSpec, RunConfig, ThreadSpec, Value, Vm};
 
 fn main() {
@@ -52,37 +50,54 @@ fn main() {
     }
 
     say!("\n--- Native run under the abstract clock ---");
-    let log = EventLog::new();
-    let pc = Arc::new(NativeComponent::new(compile(&component).expect("compiles"), &log));
-    let receive = |expected: &'static str| {
-        let pc = Arc::clone(&pc);
-        move |_: &_| {
-            let got = pc.call("receive", &[]).expect("guarded receive");
-            assert_eq!(got, Some(Value::Str(expected.into())));
-        }
-    };
-    let p = Arc::clone(&pc);
-    let schedule = Schedule::new()
-        .call("receive#1", 1, receive("h"))
-        .call("send(hi)", 2, move |_| {
-            p.call("send", &[Value::Str("hi".into())]).expect("guarded send");
-        })
-        .call("receive#2", 3, receive("i"));
-    let (records, clock) = TestDriver::new().run(schedule);
-    say!("final clock time: {}", clock.time());
-    for r in &records {
+    let receive = || CallSpec::new("receive", vec![]);
+    let schedule = [
+        Release::new("receive#1", 1, receive()),
+        Release::new(
+            "send(hi)",
+            2,
+            CallSpec::new("send", vec![Value::Str("hi".into())]),
+        ),
+        Release::new("receive#2", 3, receive()),
+    ];
+    let run = run_clocked(&compile(&component).expect("compiles"), &schedule);
+    say!("final clock time: {}", run.time);
+    for r in &run.records {
         say!(
             "  {} released at t={} completed at {:?}",
             r.label, r.released_at, r.completed_at
         );
     }
+    let tally = [
+        Transition::T1,
+        Transition::T2,
+        Transition::T3,
+        Transition::T4,
+        Transition::T5,
+    ]
+    .map(|t| {
+        let fired = |e: &&_| matches!(e, EventKind::Transition { t: f, .. } if *f == t);
+        let kinds = run.outcome.trace.iter().map(|e| &e.kind);
+        kinds.filter(fired).count()
+    });
     say!(
         "\nmonitor transitions logged natively: T1={} T2={} T3={} T4={} T5={}",
-        log.count_transition(jcc_core::petri::Transition::T1),
-        log.count_transition(jcc_core::petri::Transition::T2),
-        log.count_transition(jcc_core::petri::Transition::T3),
-        log.count_transition(jcc_core::petri::Transition::T4),
-        log.count_transition(jcc_core::petri::Transition::T5),
+        tally[0],
+        tally[1],
+        tally[2],
+        tally[3],
+        tally[4]
     );
+    // What EXPERIMENTS E3 states: receive#1 waits until the send at tick 2,
+    // receive#2 takes the second character at tick 3, and the clock stops
+    // at the last release.
+    let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
+    assert_eq!(completed, [Some(2), Some(2), Some(3)], "{:?}", run.records);
+    let results = run.outcome.results.iter();
+    let returned: Vec<_> = results.map(|c| c[0].returned.clone()).collect();
+    let ch = |s: &str| Some(Value::Str(s.into()));
+    assert_eq!(returned, [ch("h"), None, ch("i")]);
+    assert_eq!(run.time, 3, "the clock ends at the last release");
+    assert_eq!(tally, [3, 4, 1, 3, 1], "T1..T5");
     reporter.finish();
 }

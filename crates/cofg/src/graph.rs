@@ -59,14 +59,6 @@ pub struct Node {
     pub lock: String,
 }
 
-impl Node {
-    /// Figure-3 style label, e.g. `wait` or `wait#2` when a method contains
-    /// several statements of the same kind (disambiguated by the graph).
-    pub fn base_label(&self) -> &'static str {
-        self.kind.display()
-    }
-}
-
 /// A branch/loop condition with the polarity required to traverse an arc.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Condition {

@@ -1,8 +1,8 @@
 //! Causal schedule timelines folded from event streams.
 //!
 //! [`TimelineFold`] is the one producer of causal timelines: the VM's
-//! witness timelines, the runtime log's post-hoc timeline and the live
-//! alert-fed timeline all feed their events through it. Each event becomes
+//! witness timelines and the runtime log's post-hoc timeline both feed
+//! their events through it. Each event becomes
 //! the [`TimelineBuilder`] verb of the Figure-1 transition it fires
 //! (T1 → requesting, T2 → critical section, T3 → waiting, T5 →
 //! re-acquiring), on the lane of its thread. With a [`CoverageTracker`]
@@ -80,11 +80,6 @@ impl TimelineFold {
         }
         timeline_verb(&mut self.builder, lane, e, lock_name);
         lane
-    }
-
-    /// Attach a free-form note to `lane` at clock value `at`.
-    pub fn note(&mut self, lane: usize, at: u64, text: &str) {
-        self.builder.note(lane, at, text);
     }
 
     /// Close every lane at `horizon` and return the timeline, with the

@@ -16,19 +16,24 @@ fn put_take_roundtrip() {
 
 #[test]
 fn take_blocks_until_put() {
-    let b = native(&bounded_buffer());
-    let (records, got) = clocked(&b, &[("take", 1, &[]), ("put", 2, &[Value::Int(7)])]);
-    assert!(records[0].completed_at.unwrap() >= 2);
+    let (records, got) = clocked(
+        &bounded_buffer(),
+        &[("take", 1, &[]), ("put", 2, &[Value::Int(7)])],
+    );
+    assert_eq!(records[0].completed_at, Some(2), "{records:?}");
     assert_eq!(got[0], Some(Value::Int(7)));
 }
 
 #[test]
 fn second_put_blocks_until_take() {
-    let b = native(&bounded_buffer());
-    call(&b, "put", &[Value::Int(1)]);
-    let (records, got) = clocked(&b, &[("put", 1, &[Value::Int(2)]), ("take", 2, &[])]);
-    assert!(records[0].completed_at.unwrap() >= 2, "{records:?}");
-    assert_eq!(got[1], Some(Value::Int(1)));
+    let calls: [(&str, u64, &[Value]); 3] = [
+        ("put", 0, &[Value::Int(1)]),
+        ("put", 1, &[Value::Int(2)]),
+        ("take", 2, &[]),
+    ];
+    let (records, got) = clocked(&bounded_buffer(), &calls);
+    assert_eq!(records[1].completed_at, Some(2), "{records:?}");
+    assert_eq!(got[2], Some(Value::Int(1)));
 }
 
 #[test]

@@ -68,13 +68,14 @@ mod semaphore {
 /// Test support for the native test modules.
 #[cfg(test)]
 mod native {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    use jcc_clock::{CallRecord, Schedule, TestDriver};
+    use jcc_detect::completion::CallRecord;
     use jcc_model::ast::Component;
     use jcc_model::mutate::{apply_mutation, enumerate_mutations, MutationKind};
+    use jcc_runtime::exec::{run_clocked, Release};
     use jcc_runtime::{EventLog, NativeComponent};
-    use jcc_vm::Value;
+    use jcc_vm::{CallSpec, Value};
 
     /// `component` compiled and instantiated natively on a fresh log.
     pub fn native(component: &Component) -> Arc<NativeComponent> {
@@ -96,26 +97,24 @@ mod native {
         c.call(method, args).unwrap_or_else(|e| panic!("{method} faulted: {e}"))
     }
 
-    /// `calls` — `(method, release time, args)` — against `c` under the
-    /// ConAn abstract clock: each call's completion record (labelled by
-    /// its method) and what each completed call returned.
+    /// `calls` — `(method, release tick, args)` — against a fresh
+    /// `component` under the ConAn abstract clock: each call's completion
+    /// record (labelled by its method) and what each call returned.
     pub fn clocked(
-        c: &Arc<NativeComponent>,
+        component: &Component,
         calls: &[(&str, u64, &[Value])],
     ) -> (Vec<CallRecord>, Vec<Option<Value>>) {
-        let returned = Arc::new(Mutex::new(vec![None; calls.len()]));
-        let mut schedule = Schedule::new();
-        for (i, &(method, at, args)) in calls.iter().enumerate() {
-            let (c, returned) = (Arc::clone(c), Arc::clone(&returned));
-            let (method, args) = (method.to_string(), args.to_vec());
-            schedule = schedule.call(method.clone(), at, move |_| {
-                let value = c.call(&method, &args).ok().flatten();
-                returned.lock().unwrap()[i] = value;
-            });
-        }
-        let (records, _) = TestDriver::new().run(schedule);
-        let returned = returned.lock().unwrap().clone();
-        (records, returned)
+        let compiled = jcc_vm::compile(component).expect("a seed component compiles");
+        let schedule: Vec<Release> = calls
+            .iter()
+            .map(|&(method, at, args)| {
+                Release::new(method, at, CallSpec::new(method, args.to_vec()))
+            })
+            .collect();
+        let run = run_clocked(&compiled, &schedule);
+        let returned = run.outcome.results.iter();
+        let returned = returned.map(|calls| calls.first().and_then(|c| c.returned.clone()));
+        (run.records, returned.collect())
     }
 }
 

@@ -20,39 +20,34 @@ fn single_threaded_roundtrip() {
 
 #[test]
 fn consumer_blocks_until_producer_arrives() {
-    let pc = native(&producer_consumer());
-    let (records, got) = clocked(&pc, &[("receive", 1, &[]), ("send", 2, &[s("x")])]);
-    // The receive completes only after the send released it: >= 2.
-    assert!(records[0].completed_at.unwrap() >= 2, "{records:?}");
-    assert!(records[1].completed_by(3));
+    let calls: [(&str, u64, &[Value]); 2] = [("receive", 1, &[]), ("send", 2, &[s("x")])];
+    let (records, got) = clocked(&producer_consumer(), &calls);
+    // The receive completes when the send releases it, at 2.
+    assert_eq!(records[0].completed_at, Some(2), "{records:?}");
+    assert_eq!(records[1].completed_at, Some(2), "{records:?}");
     assert_eq!(got[0], Some(s("x")));
 }
 
 #[test]
 fn producer_blocks_while_buffer_nonempty() {
-    let pc = native(&producer_consumer());
-    call(&pc, "send", &[s("ab")]);
-    let calls: [(&str, u64, &[Value]); 3] = [
+    let calls: [(&str, u64, &[Value]); 4] = [
+        ("send", 0, &[s("ab")]),
         ("send", 1, &[s("cd")]),
         ("receive", 2, &[]),
         ("receive", 3, &[]),
     ];
-    let (records, got) = clocked(&pc, &calls);
-    // The second send can only complete after both receives drained the buffer.
-    assert!(records[0].completed_at.unwrap() >= 3, "{records:?}");
-    assert_eq!(got[1..], [Some(s("a")), Some(s("b"))]);
+    let (records, got) = clocked(&producer_consumer(), &calls);
+    // The second send completes once both receives drained the buffer, at 3.
+    assert_eq!(records[1].completed_at, Some(3), "{records:?}");
+    assert_eq!(got[2..], [Some(s("a")), Some(s("b"))]);
 }
 
 #[test]
 fn drop_notify_fault_leaves_consumer_suspended() {
-    let pc = native(&mutant(
-        &producer_consumer(),
-        MutationKind::DropNotify,
-        "send",
-    ));
+    let pc = mutant(&producer_consumer(), MutationKind::DropNotify, "send");
     let (records, _) = clocked(&pc, &[("receive", 1, &[]), ("send", 2, &[s("x")])]);
     assert!(records[0].suspended(), "consumer must never be woken");
-    assert!(!records[1].suspended());
+    assert_eq!(records[1].completed_at, Some(2), "{records:?}");
 }
 
 #[test]
@@ -60,15 +55,16 @@ fn notify_not_all_loses_distinct_waiters() {
     // Two consumers wait; a one-character send with `notify` wakes at most
     // one of them, and only one character is there to take.
     let kind = MutationKind::NotifyInsteadOfNotifyAll;
-    let pc = native(&mutant(&producer_consumer(), kind, "send"));
+    let pc = mutant(&producer_consumer(), kind, "send");
     let calls: [(&str, u64, &[Value]); 3] = [
         ("receive", 1, &[]),
         ("receive", 1, &[]),
         ("send", 3, &[s("x")]),
     ];
     let (records, _) = clocked(&pc, &calls);
-    let suspended = records.iter().filter(|r| r.suspended()).count();
-    assert_eq!(suspended, 1, "{records:?}");
+    let mut completed: Vec<_> = records.iter().map(|r| r.completed_at).collect();
+    completed.sort_unstable();
+    assert_eq!(completed, [None, Some(3), Some(3)], "{records:?}");
 }
 
 #[test]

@@ -35,26 +35,28 @@ fn readers_share_writers_exclude() {
 
 #[test]
 fn writer_waits_for_readers() {
-    let rw = native(&readers_writers());
-    call(&rw, "startRead", &[]);
-    let (records, _) = clocked(&rw, &[("startWrite", 1, &[]), ("endRead", 3, &[])]);
-    assert!(records[0].completed_at.unwrap() >= 3, "{records:?}");
+    let calls: [(&str, u64, &[Value]); 3] = [
+        ("startRead", 0, &[]),
+        ("startWrite", 1, &[]),
+        ("endRead", 3, &[]),
+    ];
+    let (records, _) = clocked(&readers_writers(), &calls);
+    assert_eq!(records[1].completed_at, Some(3), "{records:?}");
 }
 
 #[test]
 fn waiting_writer_blocks_new_readers() {
-    let rw = native(&readers_writers());
-    call(&rw, "startRead", &[]);
-    let calls: [(&str, u64, &[Value]); 3] = [
+    let calls: [(&str, u64, &[Value]); 4] = [
+        ("startRead", 0, &[]),
         ("startWrite", 1, &[]),
         ("startRead", 2, &[]),
         ("endRead", 4, &[]),
     ];
-    let (records, _) = clocked(&rw, &calls);
+    let (records, _) = clocked(&readers_writers(), &calls);
     // The second reader must not slip in before the waiting writer: the
-    // writer gets in at >= 4, and holds off the reader from then on.
-    assert!(records[0].completed_at.unwrap() >= 4, "{records:?}");
-    assert!(records[1].suspended(), "{records:?}");
+    // writer gets in at 4, and holds off the reader from then on.
+    assert_eq!(records[1].completed_at, Some(4), "{records:?}");
+    assert!(records[2].suspended(), "{records:?}");
 }
 
 #[test]

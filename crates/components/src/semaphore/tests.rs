@@ -26,9 +26,13 @@ fn acquire_release_counts() {
 
 #[test]
 fn acquire_blocks_at_zero() {
-    let s = with_permits(0);
-    let (records, _) = clocked(&s, &[("acquire", 1, &[]), ("release", 3, &[])]);
-    assert!(records[0].completed_at.unwrap() >= 3, "{records:?}");
+    let calls: [(&str, u64, &[Value]); 3] = [
+        ("init", 0, &[Value::Int(0)]),
+        ("acquire", 1, &[]),
+        ("release", 3, &[]),
+    ];
+    let (records, _) = clocked(&semaphore(), &calls);
+    assert_eq!(records[1].completed_at, Some(3), "{records:?}");
 }
 
 #[test]

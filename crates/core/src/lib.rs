@@ -64,7 +64,6 @@ pub use pipeline::{
 // The whole workspace, re-exported for downstream users: `jcc_core::vm`,
 // `jcc_core::cofg`, … give one-stop access to the substrates.
 pub use jcc_analyze as analyze;
-pub use jcc_clock as clock;
 pub use jcc_cofg as cofg;
 pub use jcc_components as components;
 pub use jcc_detect as detect;

@@ -2,7 +2,8 @@
 //! detection technique Table 1 lists for T3, T4 and T5 failures.
 //!
 //! The tester states, per scheduled call, when it should complete on the
-//! abstract clock; deviations are classified:
+//! abstract clock (`jcc_runtime::exec::run_clocked` records the tick);
+//! deviations are classified:
 //!
 //! * completed **too early** — the thread did not wait when it should have
 //!   (FF-T3), or re-entered the critical section prematurely (EF-T5),
@@ -13,8 +14,26 @@
 //! * completed although it should have stayed suspended — FF-T3 again (the
 //!   call barged through its guard).
 
-use jcc_clock::CallRecord;
 use jcc_petri::{Deviation, FailureClass, Transition};
+
+/// The outcome of one call of a clocked schedule.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CallRecord {
+    /// The schedule label.
+    pub label: String,
+    /// The tick at which the call was released.
+    pub released_at: u64,
+    /// The tick at which the call returned or faulted, or `None` if it was
+    /// still blocked when the schedule ended (permanently suspended).
+    pub completed_at: Option<u64>,
+}
+
+impl CallRecord {
+    /// True if the call never completed.
+    pub fn suspended(&self) -> bool {
+        self.completed_at.is_none()
+    }
+}
 
 /// When a call is expected to complete (in abstract clock units).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,6 +298,12 @@ mod tests {
         );
         assert_eq!(v[0].deviation, CompletionDeviation::MissingRecord);
         assert!(v[0].candidate_classes().is_empty());
+    }
+
+    #[test]
+    fn record_helpers() {
+        assert!(!record("x", Some(3)).suspended());
+        assert!(record("y", None).suspended());
     }
 
     #[test]

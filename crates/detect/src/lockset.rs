@@ -69,11 +69,6 @@ impl LocksetAnalyzer {
         a.races
     }
 
-    /// Locks currently held by `thread` as far as the analyzer has seen.
-    pub fn held_by(&self, thread: u64) -> BTreeSet<u64> {
-        self.held.get(&thread).cloned().unwrap_or_default()
-    }
-
     /// The race reports so far, one per variable, in report order.
     pub fn races(&self) -> &[RaceReport] {
         &self.races

@@ -153,6 +153,8 @@ pub struct AbTiming {
     pub best_off: f64,
     /// Best seconds of the measured ("on") arm.
     pub best_on: f64,
+    /// Runs of each arm in one block: a best time covers this many runs.
+    pub runs_per_block: usize,
 }
 
 impl AbTiming {
@@ -214,6 +216,7 @@ pub fn ab_best_of_blocks(mut off: impl FnMut() -> f64, mut on: impl FnMut() -> f
     let mut best = AbTiming {
         best_off: f64::INFINITY,
         best_on: f64::INFINITY,
+        runs_per_block: reps,
     };
     for _ in 0..AB_BLOCKS {
         let (off_secs, on_secs) = block();
@@ -290,6 +293,7 @@ mod tests {
         assert_eq!(order, calibration + &blocks);
         assert!((t.best_off - 0.06).abs() < 1e-9, "{t:?}");
         assert!((t.best_on - 0.09).abs() < 1e-9, "{t:?}");
+        assert_eq!(t.runs_per_block, 3);
     }
 
     #[test]
@@ -297,12 +301,14 @@ mod tests {
         let slower = AbTiming {
             best_off: 2.0,
             best_on: 2.1,
+            runs_per_block: 1,
         };
         assert!((slower.overhead_pct() - 5.0).abs() < 1e-9);
         assert_eq!(slower.noise_floor_pct(), 0.0);
         let faster = AbTiming {
             best_off: 2.0,
             best_on: 1.9,
+            runs_per_block: 1,
         };
         assert_eq!(faster.overhead_pct(), 0.0);
         assert!((faster.noise_floor_pct() - 5.0).abs() < 1e-9);
@@ -310,6 +316,7 @@ mod tests {
         let instant = AbTiming {
             best_off: 0.0,
             best_on: 1e-9,
+            runs_per_block: 1,
         };
         assert!((instant.overhead_pct() - 100.0).abs() < 1e-6);
         assert!(instant.overhead_pct().is_finite());

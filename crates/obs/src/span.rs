@@ -46,16 +46,6 @@ pub fn span_enter(name: &'static str) -> SpanGuard {
     }
 }
 
-impl SpanGuard {
-    /// The span's elapsed time so far (zero when recording is off).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map(|s| s.start.elapsed().as_nanos() as u64)
-            .unwrap_or(0)
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else {

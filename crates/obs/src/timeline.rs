@@ -629,15 +629,6 @@ impl TimelineBuilder {
         self.lanes[lane].last_arc = Some(arc.to_string());
     }
 
-    /// Attach a free-text note to a lane.
-    pub fn note(&mut self, lane: usize, at: u64, text: &str) {
-        self.notes.push(Note {
-            lane,
-            at,
-            text: text.to_string(),
-        });
-    }
-
     /// Close every lane at `horizon` and return the finished timeline.
     pub fn finish(self, horizon: u64) -> Timeline {
         let TimelineBuilder {

@@ -751,11 +751,6 @@ impl EventLog {
         self.shared.sample_shift.load(Ordering::Relaxed) as u32
     }
 
-    /// Current sampling rate (`1 << shift`).
-    pub fn sampling_rate(&self) -> u64 {
-        1u64 << self.sampling_shift()
-    }
-
     /// Events skipped by the sampling knob since the last clear.
     pub fn sampled_out_count(&self) -> u64 {
         self.shared.sampled_out.load(Ordering::Relaxed)

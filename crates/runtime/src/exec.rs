@@ -23,11 +23,19 @@
 //! [`run`] is the native counterpart of `Vm::run`: one OS thread per
 //! [`ThreadSpec`], run until every thread has finished or none can move.
 //! Threads still blocked then stay blocked; the run returns without them.
+//!
+//! [`run_clocked`] is the same run under ConAn's abstract clock (`await(t)`,
+//! `tick`, `time`): each [`Release`] is one call on its own thread, held
+//! until the clock reaches its tick. The clock ticks only when no thread
+//! can move, to the next pending release, so each call's completion tick
+//! is exact: the oracle of `jcc_detect::completion`. [`run`] is that loop
+//! with every thread released at tick 0.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
+use jcc_detect::completion::CallRecord;
 use jcc_petri::event::EventKind;
 use jcc_vm::compile::{CompiledComponent, CompiledMethod, Instr, Operand, Site, SiteId};
 use jcc_vm::value::{eval, Env, Scope, Slot, Value};
@@ -278,10 +286,19 @@ impl NativeComponent {
         eval(&operand.expr, &env).map_err(|e| e.message)
     }
 
-    /// Thread `i` of a run: its calls in order, up to the first fault.
+    /// Thread `i` of a run: once the clock releases it, its calls in
+    /// order, up to the first fault.
     fn work(&self, board: &Board, i: usize, calls: &[CallSpec]) {
         let (token, log_id) = (current_thread_id(), self.log.thread_id());
-        board.update(i, |w| (w.token, w.log_id) = (token, log_id));
+        let mut tally = lock(&board.tally);
+        (tally.workers[i].token, tally.workers[i].log_id) = (token, log_id);
+        while let Activity::Awaiting(_) = tally.workers[i].activity {
+            tally = board
+                .released
+                .wait(tally)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        drop(tally);
         for call in calls {
             let outcome = self.resolve(&call.method, &call.args).and_then(|method| {
                 let started_step = self.steps.load(Ordering::Relaxed);
@@ -310,14 +327,19 @@ impl NativeComponent {
                 }
             }
         }
-        board.update(i, |w| w.activity = Activity::Done);
+        let mut tally = lock(&board.tally);
+        let time = tally.time;
+        let me = &mut tally.workers[i];
+        (me.activity, me.done_at) = (Activity::Done, Some(time));
+        board.changed.notify_all();
     }
 }
 
 /// Where one thread of a [`run`] is, for the quiescence check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Activity {
-    #[default]
+    /// Not yet released: awaiting the clock's tick.
+    Awaiting(u64),
     Running,
     /// In `enter` on the lock.
     Entering(usize),
@@ -330,7 +352,7 @@ enum Activity {
 }
 
 /// One thread of a [`run`], as it reports itself.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Worker {
     /// Its OS-thread token (0 until it starts), as monitors know it.
     token: u64,
@@ -338,6 +360,8 @@ struct Worker {
     log_id: u64,
     activity: Activity,
     results: Vec<CallResult>,
+    /// The tick at which it finished its calls or faulted.
+    done_at: Option<u64>,
 }
 
 #[derive(Debug)]
@@ -345,13 +369,17 @@ struct Tally {
     workers: Vec<Worker>,
     /// The first fault: thread and message.
     fault: Option<(usize, String)>,
+    /// The abstract clock's time.
+    time: u64,
 }
 
-/// What a run's threads report to the thread waiting for the run's end.
+/// What a run's threads report to the thread driving the run, and how it
+/// releases them.
 #[derive(Debug)]
 struct Board {
     tally: Mutex<Tally>,
     changed: Condvar,
+    released: Condvar,
 }
 
 impl Board {
@@ -382,14 +410,104 @@ const POLL: Duration = Duration::from_millis(1);
 /// another thread owns or a notification nobody is left to send. Threads
 /// still blocked then stay blocked for the rest of the process.
 pub fn run(component: &CompiledComponent, threads: &[ThreadSpec]) -> RunOutcome {
+    drive(component, threads, &vec![0; threads.len()]).0
+}
+
+/// One call of a clocked schedule: run on its own thread, released when
+/// the clock reaches tick `at`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Release {
+    /// The label of the call's [`CallRecord`].
+    pub label: String,
+    /// The tick that releases the call.
+    pub at: u64,
+    /// The call.
+    pub call: CallSpec,
+}
+
+impl Release {
+    /// `call`, labelled `label`, released at tick `at`.
+    pub fn new(label: impl Into<String>, at: u64, call: CallSpec) -> Self {
+        Release {
+            label: label.into(),
+            at,
+            call,
+        }
+    }
+}
+
+/// What [`run_clocked`] observed.
+#[derive(Debug, Clone)]
+pub struct ClockedRun {
+    /// The run in [`run`]'s terms: thread `i` is release `i`, named by its
+    /// label.
+    pub outcome: RunOutcome,
+    /// One record per release, in schedule order.
+    pub records: Vec<CallRecord>,
+    /// The clock's time when the run ended.
+    pub time: u64,
+}
+
+/// Run `schedule` against a fresh instance of `component` under the
+/// abstract clock, which starts at tick 0. Whenever no thread can move
+/// (the quiescence check of [`run`]), the clock moves to the earliest
+/// pending release and releases its calls; with none pending, the run
+/// ends. A call completes at the tick it returned or faulted at; a call
+/// still blocked at the end never completes.
+pub fn run_clocked(component: &CompiledComponent, schedule: &[Release]) -> ClockedRun {
+    let threads: Vec<ThreadSpec> = schedule
+        .iter()
+        .map(|r| ThreadSpec {
+            name: r.label.clone(),
+            calls: vec![r.call.clone()],
+        })
+        .collect();
+    let release: Vec<u64> = schedule.iter().map(|r| r.at).collect();
+    let (outcome, done_at, time) = drive(component, &threads, &release);
+    let records = schedule
+        .iter()
+        .zip(done_at)
+        .map(|(r, completed_at)| CallRecord {
+            label: r.label.clone(),
+            released_at: r.at,
+            completed_at,
+        })
+        .collect();
+    ClockedRun {
+        outcome,
+        records,
+        time,
+    }
+}
+
+/// The loop behind [`run`] and [`run_clocked`]: thread `i` runs
+/// `threads[i]` from tick `release[i]`. Returns the outcome, the tick at
+/// which each thread finished (if it did) and the final tick.
+fn drive(
+    component: &CompiledComponent,
+    threads: &[ThreadSpec],
+    release: &[u64],
+) -> (RunOutcome, Vec<Option<u64>>, u64) {
     let log = EventLog::new();
     let native = Arc::new(NativeComponent::new(component.clone(), &log));
+    let workers = release
+        .iter()
+        .map(|&at| Worker {
+            token: 0,
+            log_id: 0,
+            activity: Activity::Awaiting(at),
+            results: Vec::new(),
+            done_at: None,
+        })
+        .collect();
     let board = Arc::new(Board {
         tally: Mutex::new(Tally {
-            workers: vec![Worker::default(); threads.len()],
+            workers,
             fault: None,
+            time: 0,
         }),
         changed: Condvar::new(),
+        released: Condvar::new(),
     });
     for (i, spec) in threads.iter().enumerate() {
         let (native, board, calls) = (Arc::clone(&native), Arc::clone(&board), spec.calls.clone());
@@ -402,7 +520,23 @@ pub fn run(component: &CompiledComponent, threads: &[ThreadSpec]) -> RunOutcome 
     let verdict = loop {
         let frozen: Vec<_> = native.monitors.iter().map(JavaMonitor::freeze).collect();
         if let Some(verdict) = quiescent(&tally, &frozen) {
-            break verdict;
+            let pending = tally.workers.iter().filter_map(|w| match w.activity {
+                Activity::Awaiting(at) => Some(at),
+                _ => None,
+            });
+            let Some(next) = pending.min() else {
+                break verdict;
+            };
+            // Tick and mark the released threads running in one critical
+            // section: no check can see them idle before they start.
+            tally.time = next;
+            for w in &mut tally.workers {
+                if w.activity == Activity::Awaiting(next) {
+                    w.activity = Activity::Running;
+                }
+            }
+            board.released.notify_all();
+            continue;
         }
         drop(frozen);
         tally = board
@@ -423,23 +557,25 @@ pub fn run(component: &CompiledComponent, threads: &[ThreadSpec]) -> RunOutcome 
             *lock -= 1;
         }
     }
-    RunOutcome {
+    let outcome = RunOutcome {
         verdict,
         steps: native.steps.load(Ordering::Relaxed),
         trace,
         results: tally.workers.iter().map(|w| w.results.clone()).collect(),
         thread_names: threads.iter().map(|t| t.name.clone()).collect(),
         lock_names: component.locks.clone(),
-    }
+    };
+    let done_at = tally.workers.iter().map(|w| w.done_at).collect();
+    (outcome, done_at, tally.time)
 }
 
-/// The run's verdict if no thread can move again, else `None`.
+/// The run's verdict if no released thread can move again, else `None`.
 fn quiescent(tally: &Tally, frozen: &[crate::monitor::Frozen<'_, ()>]) -> Option<Verdict> {
     let (mut waiting, mut blocked, mut parked) = (Vec::new(), Vec::new(), false);
     for (i, w) in tally.workers.iter().enumerate() {
         match w.activity {
             Activity::Running => return None,
-            Activity::Done => {}
+            Activity::Awaiting(_) | Activity::Done => {}
             Activity::Parked => parked = true,
             Activity::Entering(l) | Activity::Waiting(l) => {
                 if !frozen[l].blocks(w.token) {
@@ -602,5 +738,90 @@ mod tests {
         );
         let missing = NativeComponent::new(c, &EventLog::new()).call("gone", &[]);
         assert_eq!(missing, Err("no such method `gone`".to_string()));
+    }
+
+    /// `(label, tick, method)` as a schedule of argument-free calls.
+    fn schedule(calls: &[(&str, u64, &str)]) -> Vec<Release> {
+        calls
+            .iter()
+            .map(|&(label, at, method)| Release::new(label, at, CallSpec::new(method, vec![])))
+            .collect()
+    }
+
+    const GATE: &str = "class Gate { int n = 0;
+                                     synchronized void pass() { wait(); n = n + 1; }
+                                     synchronized void bump() { n = n + 1; } }";
+
+    #[test]
+    fn calls_release_in_clock_order() {
+        let c = compiled(GATE);
+        let run = run_clocked(
+            &c,
+            &schedule(&[("second", 2, "bump"), ("first", 1, "bump")]),
+        );
+        let starts: Vec<u64> = run
+            .outcome
+            .trace
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::MethodStart { .. }))
+            .map(|e| e.thread)
+            .collect();
+        assert_eq!(starts, [1, 0], "the tick-1 call starts first");
+        let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
+        assert_eq!(completed, [Some(2), Some(1)]);
+        assert_eq!(run.time, 2);
+        assert_eq!(run.outcome.verdict, Verdict::Completed);
+    }
+
+    #[test]
+    fn blocked_call_recorded_as_suspended() {
+        let c = compiled(GATE);
+        let run = run_clocked(&c, &schedule(&[("stuck", 1, "pass"), ("bump", 2, "bump")]));
+        assert!(run.records[0].suspended(), "{:?}", run.records);
+        assert_eq!(run.records[1].completed_at, Some(2));
+        let (waiting, blocked) = (vec![0], vec![]);
+        assert_eq!(run.outcome.verdict, Verdict::Deadlock { waiting, blocked });
+    }
+
+    #[test]
+    fn empty_schedule_runs() {
+        let run = run_clocked(&compiled(GATE), &[]);
+        assert!(run.records.is_empty());
+        assert_eq!((run.time, run.outcome.verdict), (0, Verdict::Completed));
+        assert!(run.outcome.trace.is_empty());
+    }
+
+    #[test]
+    fn producer_consumer_style_handoff() {
+        let c = jcc_vm::compile(&producer_consumer()).unwrap();
+        let x = || Value::Str("x".into());
+        let run = run_clocked(
+            &c,
+            &[
+                Release::new("receive", 1, CallSpec::new("receive", vec![])),
+                Release::new("send", 2, CallSpec::new("send", vec![x()])),
+            ],
+        );
+        // The consumer blocks at tick 1; the send at tick 2 releases it.
+        let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
+        assert_eq!(completed, [Some(2), Some(2)]);
+        assert_eq!(run.outcome.results[0][0].returned, Some(x()));
+    }
+
+    #[test]
+    fn a_faulting_call_completes_at_its_tick() {
+        let c = compiled(
+            "class Bad { int n = 0;
+                         synchronized void bad() { if (n) { n = 1; } }
+                         synchronized void ok() { n = 2; } }",
+        );
+        let run = run_clocked(&c, &schedule(&[("bad", 1, "bad"), ("ok", 3, "ok")]));
+        let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
+        assert_eq!(completed, [Some(1), Some(3)]);
+        assert!(
+            matches!(run.outcome.verdict, Verdict::Faulted { thread: 0, .. }),
+            "{:?}",
+            run.outcome.verdict
+        );
     }
 }

@@ -50,13 +50,11 @@
 
 pub mod events;
 pub mod exec;
-pub mod live;
 pub mod monitor;
 pub mod ring;
 
 pub use events::{current_thread_id, EventLog, MonitorId};
 pub use exec::NativeComponent;
-pub use live::LiveTimeline;
 pub use monitor::{JavaMonitor, MonitorGuard};
 pub use ring::SpscRing;
 

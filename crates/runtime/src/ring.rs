@@ -75,11 +75,6 @@ impl SpscRing {
         }
     }
 
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Producer: publish one whole record, or fail without blocking.
     ///
     /// Only the owning thread may call this. Returns `false` when the
@@ -119,12 +114,6 @@ impl SpscRing {
     /// High-water mark of occupied words.
     pub fn occupancy_hwm(&self) -> u64 {
         self.occupancy_hwm.load(Ordering::Relaxed)
-    }
-
-    /// Words currently occupied (consumer view; approximate while the
-    /// producer is live).
-    pub fn len_words(&self) -> u64 {
-        self.tail.load(Ordering::Acquire) - self.head.load(Ordering::Acquire)
     }
 
     /// Consumer: pop the next whole record into `buf`. Returns `false`
@@ -199,7 +188,7 @@ mod tests {
             assert!(r.pop_record(&mut buf));
             assert_eq!(buf, vec![header(1), i, 1, 0, i * i]);
         }
-        assert_eq!(r.len_words(), 0);
+        assert!(!r.pop_record(&mut buf), "every record was drained");
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! The ConAn tool (Long, Hoffman & Strooper 2001) drives monitor tests from
 //! a script of time-stamped calls over the abstract clock. This module
 //! renders a scenario in that style — one `#thread` block per logical
-//! thread, each call released at its own tick — and builds the matching
-//! [`jcc_clock::Schedule`] expectations skeleton.
+//! thread, each call released at its own tick. [`release_tick`] gives a
+//! call's tick, which is the `at` of its `jcc_runtime::exec::Release` when
+//! the scenario runs natively under the clock.
 
 use std::fmt::Write as _;
 

@@ -5,13 +5,10 @@
 //!
 //! Run with `cargo run --example producer_consumer`.
 
-use std::sync::Arc;
-
-use jcc_core::clock::{Schedule, TestDriver};
 use jcc_core::detect::completion::{check_completions, CompletionExpectation, Expectation};
 use jcc_core::model::examples;
 use jcc_core::pipeline::Pipeline;
-use jcc_core::runtime::{EventLog, NativeComponent};
+use jcc_core::runtime::exec::{run_clocked, Release};
 use jcc_core::testgen::conan::to_conan_script;
 use jcc_core::testgen::scenario::{describe, ScenarioSpace};
 use jcc_core::testgen::suite::GreedyConfig;
@@ -57,25 +54,22 @@ fn main() {
     // Deterministic native execution with completion-time checks: the
     // canonical "receive blocks until send" test.
     println!("--- native deterministic run ---");
-    let log = EventLog::new();
     let compiled = compile(&pipeline.component).expect("Figure 2 compiles");
-    let pc = Arc::new(NativeComponent::new(compiled, &log));
-    let consumer = Arc::clone(&pc);
-    let producer = Arc::clone(&pc);
-    let schedule = Schedule::new()
-        .call("receive", 1, move |_| {
-            let got = consumer.call("receive", &[]).unwrap();
-            assert_eq!(got, Some(Value::Str("z".into())));
-        })
-        .call("send", 2, move |_| {
-            producer.call("send", &[Value::Str("z".into())]).unwrap();
-        });
-    let (records, _) = TestDriver::new().run(schedule);
+    let z = Value::Str("z".into());
+    let run = run_clocked(
+        &compiled,
+        &[
+            Release::new("receive", 1, CallSpec::new("receive", vec![])),
+            Release::new("send", 2, CallSpec::new("send", vec![z.clone()])),
+        ],
+    );
+    assert_eq!(run.outcome.results[0][0].returned, Some(z));
+    let records = run.records;
     let violations = check_completions(
         &records,
         &[
-            Expectation::new("receive", CompletionExpectation::Between(2, 3)),
-            Expectation::new("send", CompletionExpectation::Between(2, 3)),
+            Expectation::new("receive", CompletionExpectation::At(2)),
+            Expectation::new("send", CompletionExpectation::At(2)),
         ],
     );
     for r in &records {

@@ -8,22 +8,21 @@
 //! reaches under some schedule, and the arcs it covers must be arcs the
 //! exhaustive exploration covers, with no stray.
 
-use std::sync::Arc;
-
-use jcc_core::clock::{Schedule, TestDriver};
 use jcc_core::cofg::{build_component_cofgs, CoverageTracker};
 use jcc_core::components::zoo::full_corpus;
 use jcc_core::model::ast::Component;
 use jcc_core::model::examples;
 use jcc_core::model::mutate::{apply_mutation, enumerate_mutations, MutationKind};
-use jcc_core::petri::{EventKind, Transition};
-use jcc_core::runtime::exec::run;
+use jcc_core::petri::{Event, EventKind, Transition};
+use jcc_core::runtime::exec::{run, run_clocked, Release};
 use jcc_core::runtime::{EventLog, NativeComponent};
 use jcc_core::testgen::corpus::{registered, space_for};
 use jcc_core::testgen::scenario::{describe, single_session_scenarios, Scenario};
 use jcc_core::testgen::signature::{enumerate_signatures, run_signature, EnumLimits};
 use jcc_core::vm::trace::apply_trace;
-use jcc_core::vm::{compile, explore, CallSpec, ExploreConfig, RunConfig, ThreadSpec, Value, Vm};
+use jcc_core::vm::{
+    compile, explore, CallSpec, ExploreConfig, RunConfig, Scheduler, ThreadSpec, Value, Vm,
+};
 
 /// Run `scenario` natively once and check it against the VM's exhaustive
 /// view. Returns how many of the run's threads it left blocked or parked.
@@ -152,7 +151,56 @@ fn reentrant_wait_in_a_redundant_sync_mutant_agrees_with_the_vm() {
     let scenario = pc_threads(("receive", vec![]), ("send", vec![Value::Str("x".into())]));
     assert_eq!(agrees("receive redundant sync", &mutant, &scenario), 0);
     // Forced: the consumer waits, holding `this` twice, before the send.
-    assert_eq!(forced_figure_2(&mutant).count_transition(Transition::T3), 1);
+    assert_eq!(fired(&forced_figure_2(&mutant), Transition::T3), 1);
+}
+
+/// How many times `trace` fires `t`.
+fn fired(trace: &[Event], t: Transition) -> usize {
+    let is_t = |e: &&Event| matches!(e.kind, EventKind::Transition { t: f, .. } if f == t);
+    trace.iter().filter(is_t).count()
+}
+
+/// One `notify` wakes one waiter, natively under the clock as on the VM:
+/// waiters released at ticks 1 and 2, one `notify` at tick 3. Signatures
+/// and arcs cannot tell `notify` from `notifyAll` here; the T5 count can.
+#[test]
+fn one_notify_wakes_one_clocked_waiter_as_on_the_vm() {
+    let gate = compile(
+        &jcc_core::model::parse_component(
+            "class Gate { int n = 0;
+                          synchronized void pass() { wait(); n = n + 1; }
+                          synchronized void one() { notify(); } }",
+        )
+        .expect("parses"),
+    )
+    .expect("compiles");
+    let call = |method: &str| CallSpec::new(method, vec![]);
+    let schedule = [
+        Release::new("pass#1", 1, call("pass")),
+        Release::new("pass#2", 2, call("pass")),
+        Release::new("one", 3, call("one")),
+    ];
+    let native = run_clocked(&gate, &schedule);
+    assert_eq!(fired(&native.outcome.trace, Transition::T5), 1);
+    let completed: Vec<_> = native.records.iter().map(|r| r.completed_at).collect();
+    assert_eq!(completed, [Some(3), None, Some(3)], "{:?}", native.records);
+
+    // The VM, each thread run to its block in release order.
+    let threads = schedule
+        .iter()
+        .map(|r| ThreadSpec {
+            name: r.label.clone(),
+            calls: vec![r.call.clone()],
+        })
+        .collect();
+    let fixed = RunConfig {
+        scheduler: Scheduler::Fixed(vec![]),
+        ..RunConfig::default()
+    };
+    let vm = Vm::new(gate, threads).run(&fixed);
+    assert_eq!(fired(&vm.trace, Transition::T5), 1);
+    assert_eq!(fired(&vm.trace, Transition::T3), 2);
+    assert_eq!(run_signature(&vm), run_signature(&native.outcome));
 }
 
 fn pc_threads(first: (&str, Vec<Value>), second: (&str, Vec<Value>)) -> Scenario {
@@ -167,22 +215,19 @@ fn pc_threads(first: (&str, Vec<Value>), second: (&str, Vec<Value>)) -> Scenario
 }
 
 /// Figure 2 (or a mutant) natively under the abstract clock: a consumer
-/// released at t=1, a producer sending `x` at t=2; both must complete.
-fn forced_figure_2(component: &Component) -> EventLog {
-    let log = EventLog::new();
-    let compiled = compile(component).unwrap();
-    let pc = Arc::new(NativeComponent::new(compiled, &log));
-    let (c, p) = (Arc::clone(&pc), Arc::clone(&pc));
-    let schedule = Schedule::new()
-        .call("receive", 1, move |_| {
-            assert_eq!(c.call("receive", &[]), Ok(Some(Value::Str("x".into()))));
-        })
-        .call("send", 2, move |_| {
-            p.call("send", &[Value::Str("x".into())]).unwrap();
-        });
-    let (records, _) = TestDriver::new().run(schedule);
-    assert!(records.iter().all(|r| !r.suspended()), "{records:?}");
-    log
+/// released at t=1, a producer sending `x` at t=2; both complete at t=2.
+/// The run's trace.
+fn forced_figure_2(component: &Component) -> Vec<Event> {
+    let x = Value::Str("x".into());
+    let schedule = [
+        Release::new("receive", 1, CallSpec::new("receive", vec![])),
+        Release::new("send", 2, CallSpec::new("send", vec![x.clone()])),
+    ];
+    let run = run_clocked(&compile(component).unwrap(), &schedule);
+    let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
+    assert_eq!(completed, [Some(2), Some(2)], "{:?}", run.records);
+    assert_eq!(run.outcome.results[0][0].returned, Some(x));
+    run.outcome.trace
 }
 
 /// Run the same logical test natively and on the VM; both must cover the
@@ -196,7 +241,7 @@ fn coverage_agrees_between_native_and_vm() {
     apply_trace(&out.trace, &mut vm_cov);
 
     let mut native_cov = CoverageTracker::new(build_component_cofgs(&component));
-    apply_trace(&forced_figure_2(&component).snapshot(), &mut native_cov);
+    apply_trace(&forced_figure_2(&component), &mut native_cov);
 
     assert_eq!(native_cov.strays, 0);
     assert_eq!(
@@ -214,7 +259,7 @@ fn coverage_agrees_between_native_and_vm() {
 /// re-acquire), T4 (release).
 #[test]
 fn native_transition_sequence_matches_model() {
-    let events = forced_figure_2(&examples::producer_consumer()).snapshot();
+    let events = forced_figure_2(&examples::producer_consumer());
     let waiter = events
         .iter()
         .find_map(|e| match e.kind {

@@ -323,61 +323,6 @@ fn explore_verdicts_unchanged_by_live_introspection() {
 }
 
 #[test]
-fn live_timeline_byte_matches_posthoc_on_the_gate_walkthrough() {
-    // The alert-fed live timeline, built while events stream in, must be
-    // the post-hoc timeline plus the alert notes — and incremental vs
-    // batch construction must agree byte-for-byte on the FF-T5 Gate
-    // walkthrough (the paper's lost-notification schedule).
-    use jcc_core::petri::{EventKind, Transition as T};
-    use jcc_core::runtime::{EventLog, LiveTimeline};
-    let log = EventLog::new();
-    let gate = log.register_monitor("gate").0;
-    let fire = |thread, t| log.log_as(thread, EventKind::Transition { t, lock: gate });
-    fire(2, T::T2);
-    log.log_as(
-        2,
-        EventKind::Write {
-            var: "open".to_string(),
-        },
-    );
-    log.log_as(
-        2,
-        EventKind::Notify {
-            lock: gate,
-            all: false,
-            waiters: 0,
-        },
-    );
-    fire(2, T::T4);
-    fire(1, T::T2);
-    fire(1, T::T3);
-
-    // Live, one event at a time — as the watcher drains the stream.
-    let mut live = LiveTimeline::new();
-    for e in log.snapshot() {
-        live.observe(&log, &e);
-    }
-    assert!(live.alerts_stamped() >= 1, "FF-T5 fires mid-run");
-    let live_t = live.finish();
-    // Post-hoc, all at once from the same log.
-    let posthoc_t = LiveTimeline::from_log(&log).finish();
-    assert_eq!(live_t.render_ascii(), posthoc_t.render_ascii());
-    assert_eq!(live_t.to_chrome_string(), posthoc_t.to_chrome_string());
-    // The live rendering carries the alert where the plain post-hoc
-    // timeline only carries the builder's lost-notification note.
-    let ascii = live_t.render_ascii();
-    assert!(ascii.contains("ALERT FF-T5"), "{ascii}");
-    let plain = log.timeline().render_ascii();
-    assert!(!plain.contains("ALERT"), "{plain}");
-    // Lanes, intervals and edges are identical to the plain timeline —
-    // the alert notes are a pure addition.
-    let plain_t = log.timeline();
-    assert_eq!(live_t.lanes, plain_t.lanes);
-    assert_eq!(live_t.edges, plain_t.edges);
-    assert_eq!(live_t.horizon, plain_t.horizon);
-}
-
-#[test]
 fn observation_off_records_nothing() {
     let _guard = obs_lock();
     obs::set_level(obs::ObsLevel::Off);

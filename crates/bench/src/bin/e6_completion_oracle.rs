@@ -27,7 +27,9 @@ fn run_schedule(component: &Component) -> Vec<CallRecord> {
         ),
         Release::new("receive#2", 3, receive()),
     ];
-    run_clocked(&compile(component).expect("compiles"), &schedule).records
+    run_clocked(&compile(component).expect("compiles"), &schedule)
+        .expect("a small schedule")
+        .records
 }
 
 fn expectations() -> Vec<Expectation> {

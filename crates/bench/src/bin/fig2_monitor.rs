@@ -60,7 +60,8 @@ fn main() {
         ),
         Release::new("receive#2", 3, receive()),
     ];
-    let run = run_clocked(&compile(&component).expect("compiles"), &schedule);
+    let run = run_clocked(&compile(&component).expect("compiles"), &schedule)
+        .expect("a small schedule");
     say!("final clock time: {}", run.time);
     for r in &run.records {
         say!(

@@ -111,7 +111,7 @@ mod native {
                 Release::new(method, at, CallSpec::new(method, args.to_vec()))
             })
             .collect();
-        let run = run_clocked(&compiled, &schedule);
+        let run = run_clocked(&compiled, &schedule).expect("a small schedule");
         let returned = run.outcome.results.iter();
         let returned = returned.map(|calls| calls.first().and_then(|c| c.returned.clone()));
         (run.records, returned.collect())

@@ -137,6 +137,19 @@ impl StateStore {
         (self.chains.push(hash), true)
     }
 
+    /// File `tokens` under `hash` without probing, when the caller knows
+    /// no state holds them (the VM explorer's states that contain a section
+    /// interned just now): their new id.
+    pub fn push_absent(&mut self, tokens: &[u32], hash: u64) -> StateId {
+        debug_assert_eq!(tokens.len(), self.stride);
+        debug_assert!(
+            self.get_hashed(tokens, hash).is_none(),
+            "push_absent of an interned state"
+        );
+        self.arena.extend_from_slice(tokens);
+        self.chains.push(hash)
+    }
+
     /// The arena itself: state `i`'s tokens are `[i * stride..(i + 1) *
     /// stride]`. The dedup index is dropped.
     pub fn into_arena(self) -> Vec<u32> {

@@ -23,6 +23,8 @@
 //! [`run`] is the native counterpart of `Vm::run`: one OS thread per
 //! [`ThreadSpec`], run until every thread has finished or none can move.
 //! Threads still blocked then stay blocked; the run returns without them.
+//! A run asks for at most [`MAX_RUN_THREADS`] threads; a larger one is
+//! refused with [`TooManyThreads`] before any thread starts.
 //!
 //! [`run_clocked`] is the same run under ConAn's abstract clock (`await(t)`,
 //! `tick`, `time`): each [`Release`] is one call on its own thread, held
@@ -31,6 +33,7 @@
 //! is exact: the oracle of `jcc_detect::completion`. [`run`] is that loop
 //! with every thread released at tick 0.
 
+use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
@@ -394,6 +397,40 @@ impl Board {
 /// nothing more until it is woken.
 const POLL: Duration = Duration::from_millis(1);
 
+/// The most OS threads one [`run`] or [`run_clocked`] starts. A scenario
+/// is a handful of threads; a spec list past this bound is hostile input,
+/// and each run thread that ends blocked stays blocked for the rest of
+/// the process.
+pub const MAX_RUN_THREADS: usize = 64;
+
+/// A run refused before it started any thread: it asked for more than
+/// [`MAX_RUN_THREADS`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyThreads {
+    /// The threads the run asked for.
+    pub requested: usize,
+}
+
+impl fmt::Display for TooManyThreads {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "a native run of {} threads exceeds the limit of {MAX_RUN_THREADS}",
+            self.requested
+        )
+    }
+}
+
+impl std::error::Error for TooManyThreads {}
+
+/// Refuse a run of more than [`MAX_RUN_THREADS`] threads.
+fn check_thread_count(requested: usize) -> Result<(), TooManyThreads> {
+    if requested > MAX_RUN_THREADS {
+        return Err(TooManyThreads { requested });
+    }
+    Ok(())
+}
+
 /// Run `threads` against a fresh instance of `component`, one OS thread
 /// per spec, until every thread has finished or none can move — the
 /// native counterpart of `Vm::run`, with the outcome in the VM's terms:
@@ -409,8 +446,12 @@ const POLL: Duration = Duration::from_millis(1);
 /// no thread is running, and each thread in `enter` or `wait` needs a lock
 /// another thread owns or a notification nobody is left to send. Threads
 /// still blocked then stay blocked for the rest of the process.
-pub fn run(component: &CompiledComponent, threads: &[ThreadSpec]) -> RunOutcome {
-    drive(component, threads, &vec![0; threads.len()]).0
+pub fn run(
+    component: &CompiledComponent,
+    threads: &[ThreadSpec],
+) -> Result<RunOutcome, TooManyThreads> {
+    check_thread_count(threads.len())?;
+    Ok(drive(component, threads, &vec![0; threads.len()]).0)
 }
 
 /// One call of a clocked schedule: run on its own thread, released when
@@ -454,7 +495,11 @@ pub struct ClockedRun {
 /// pending release and releases its calls; with none pending, the run
 /// ends. A call completes at the tick it returned or faulted at; a call
 /// still blocked at the end never completes.
-pub fn run_clocked(component: &CompiledComponent, schedule: &[Release]) -> ClockedRun {
+pub fn run_clocked(
+    component: &CompiledComponent,
+    schedule: &[Release],
+) -> Result<ClockedRun, TooManyThreads> {
+    check_thread_count(schedule.len())?;
     let threads: Vec<ThreadSpec> = schedule
         .iter()
         .map(|r| ThreadSpec {
@@ -473,11 +518,11 @@ pub fn run_clocked(component: &CompiledComponent, schedule: &[Release]) -> Clock
             completed_at,
         })
         .collect();
-    ClockedRun {
+    Ok(ClockedRun {
         outcome,
         records,
         time,
-    }
+    })
 }
 
 /// The loop behind [`run`] and [`run_clocked`]: thread `i` runs
@@ -647,7 +692,7 @@ mod tests {
     #[test]
     fn a_run_ends_in_its_deadlock_with_vm_numbering() {
         let c = jcc_vm::compile(&producer_consumer()).unwrap();
-        let out = run(&c, &threads(&["receive", "receive"]));
+        let out = run(&c, &threads(&["receive", "receive"])).unwrap();
         let (waiting, blocked) = (vec![0, 1], vec![]);
         assert_eq!(out.verdict, Verdict::Deadlock { waiting, blocked });
         assert!(out.results.iter().all(|calls| calls[0].suspended()));
@@ -708,7 +753,7 @@ mod tests {
                           void poke() { while (started == 0) { Thread.yield(); }
                                         synchronized (this) { started = 2; } } }",
         );
-        let out = run(&c, &threads(&["spin", "poke"]));
+        let out = run(&c, &threads(&["spin", "poke"])).unwrap();
         assert_eq!(out.verdict, Verdict::StepLimit);
         assert!(out.results[0][0].suspended());
         // poke never got the lock: it is still blocked, not running.
@@ -725,7 +770,7 @@ mod tests {
         );
         let mut specs = threads(&["bad", "ok"]);
         specs[0].calls.push(CallSpec::new("ok", vec![]));
-        let out = run(&c, &specs);
+        let out = run(&c, &specs).unwrap();
         assert!(
             matches!(out.verdict, Verdict::Faulted { thread: 0, .. }),
             "{:?}",
@@ -758,7 +803,8 @@ mod tests {
         let run = run_clocked(
             &c,
             &schedule(&[("second", 2, "bump"), ("first", 1, "bump")]),
-        );
+        )
+        .unwrap();
         let starts: Vec<u64> = run
             .outcome
             .trace
@@ -776,7 +822,8 @@ mod tests {
     #[test]
     fn blocked_call_recorded_as_suspended() {
         let c = compiled(GATE);
-        let run = run_clocked(&c, &schedule(&[("stuck", 1, "pass"), ("bump", 2, "bump")]));
+        let stuck = schedule(&[("stuck", 1, "pass"), ("bump", 2, "bump")]);
+        let run = run_clocked(&c, &stuck).unwrap();
         assert!(run.records[0].suspended(), "{:?}", run.records);
         assert_eq!(run.records[1].completed_at, Some(2));
         let (waiting, blocked) = (vec![0], vec![]);
@@ -785,7 +832,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_runs() {
-        let run = run_clocked(&compiled(GATE), &[]);
+        let run = run_clocked(&compiled(GATE), &[]).unwrap();
         assert!(run.records.is_empty());
         assert_eq!((run.time, run.outcome.verdict), (0, Verdict::Completed));
         assert!(run.outcome.trace.is_empty());
@@ -801,11 +848,26 @@ mod tests {
                 Release::new("receive", 1, CallSpec::new("receive", vec![])),
                 Release::new("send", 2, CallSpec::new("send", vec![x()])),
             ],
-        );
+        )
+        .unwrap();
         // The consumer blocks at tick 1; the send at tick 2 releases it.
         let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
         assert_eq!(completed, [Some(2), Some(2)]);
         assert_eq!(run.outcome.results[0][0].returned, Some(x()));
+    }
+
+    #[test]
+    fn a_run_over_the_thread_limit_starts_no_thread() {
+        // Both drivers refuse before they build a log or spawn: the specs
+        // name no method, so a run that started would fault, not refuse.
+        let c = compiled(GATE);
+        let requested = MAX_RUN_THREADS + 1;
+        let err = run(&c, &threads(&vec!["missing"; requested])).unwrap_err();
+        assert_eq!(err, TooManyThreads { requested });
+        let call = CallSpec::new("missing", vec![]);
+        let releases = vec![Release::new("x", 0, call); requested];
+        assert_eq!(run_clocked(&c, &releases).unwrap_err(), err);
+        assert!(err.to_string().contains("limit of 64"), "{err}");
     }
 
     #[test]
@@ -815,7 +877,7 @@ mod tests {
                          synchronized void bad() { if (n) { n = 1; } }
                          synchronized void ok() { n = 2; } }",
         );
-        let run = run_clocked(&c, &schedule(&[("bad", 1, "bad"), ("ok", 3, "ok")]));
+        let run = run_clocked(&c, &schedule(&[("bad", 1, "bad"), ("ok", 3, "ok")])).unwrap();
         let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
         assert_eq!(completed, [Some(1), Some(3)]);
         assert!(

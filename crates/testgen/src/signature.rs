@@ -98,11 +98,14 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
     (signatures.0, result.truncated)
 }
 
-/// The signature set a search's path ends reach.
+/// The signature set a search's path ends reach. It reads only the
+/// machine at each path end, so the search builds no events for it.
 #[derive(Default)]
 struct Signatures(BTreeSet<Signature>);
 
 impl PathObserver for Signatures {
+    const READS_EVENTS: bool = false;
+
     fn path_end(&mut self, vm: &Vm, end: PathEnd<'_>) {
         let end = match end {
             PathEnd::Terminal(Verdict::Completed) => EndState::Completed,

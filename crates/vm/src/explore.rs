@@ -30,10 +30,15 @@
 //! * **An explicit stack.** The DFS keeps one frame per state on the
 //!   current path, so a path of any depth costs heap, not call stack.
 //!   `on_path` (cycle detection) is one bit per state id.
-//! * **One path trace.** States carry no trace: each step's events are
-//!   moved onto a single path trace, which is truncated on backtrack. Only
-//!   witnesses copy it; observers see each step's events once, on the DFS
-//!   edge.
+//! * **Events only for observers that read them.** States carry no trace.
+//!   When the observer reads events, each step's events are moved onto a
+//!   single path trace, which is truncated on backtrack; the observer sees
+//!   them once, on the DFS edge, and a witness copies the trace. When it
+//!   reads none ([`PathObserver::READS_EVENTS`], as for [`explore`] with no
+//!   tracker), the machine builds no event at all, and each witness is
+//!   rebuilt by replaying its path (the threads of the undo log's steps)
+//!   on a copy of the initial machine, as a model checker rebuilds an
+//!   error trace from its search path.
 //! * **One machine, stepped and undone.** The search never copies a
 //!   state. Each successor is stepped in place through
 //!   `Vm::step_logged`, which first saves the step's footprint on an undo
@@ -41,8 +46,9 @@
 //!   or terminal successor is undone at once; a pushed frame keeps its
 //!   undo mark and is undone when it pops.
 //! * **A per-layer split.** With observation on, one transition in 64 is
-//!   timed into the `vm.explore.step_ns` and `vm.explore.intern_ns`
-//!   histograms, and one undo in 64 into `vm.explore.undo_ns`.
+//!   timed into the `vm.explore.step_ns`, `vm.explore.encode_ns` and
+//!   `vm.explore.dedup_ns` histograms, and one undo in 64 into
+//!   `vm.explore.undo_ns`.
 //!
 //! [`explore_observed`] drives a [`PathObserver`] along the DFS: one call
 //! per transition on the way down, one per backtrack on the way up, and
@@ -60,7 +66,7 @@ use jcc_petri::parallel::Parallelism;
 use jcc_petri::state::StateId;
 
 use crate::machine::state::StateTable;
-use crate::machine::{RunOutcome, UndoLog, Verdict, Vm};
+use crate::machine::{Recording, RunOutcome, UndoLog, Verdict, Vm};
 
 /// Exploration limits.
 #[derive(Debug, Clone)]
@@ -195,6 +201,10 @@ impl ExploreResult {
 /// told when the search backs out of a transition, and is told where paths
 /// end. Every method defaults to doing nothing.
 ///
+/// An observer whose type declares [`READS_EVENTS`](Self::READS_EVENTS)
+/// false is shown no events: `step` gets an empty slice, and the search
+/// builds none (its witnesses are rebuilt by replaying their paths).
+///
 /// Only Terminal, Cycle and Join ends are observed; a path cut by the depth
 /// bound or by `max_states` is not. So a fold that counts what paths see
 /// keeps each step's effects pending and credits them on backtrack, once
@@ -202,6 +212,11 @@ impl ExploreResult {
 /// is what a replay of each observed path's whole trace would count, at
 /// amortised O(1) per transition.
 pub trait PathObserver {
+    /// Does [`step`](Self::step) read its events? An observer that only
+    /// counts steps or reads [`path_end`](Self::path_end)'s machine
+    /// declares `false`, and the search runs without building events.
+    const READS_EVENTS: bool = true;
+
     /// The search took a transition that emitted `events` (possibly
     /// none); the current path is one step longer.
     fn step(&mut self, events: &[Event]) {
@@ -236,7 +251,9 @@ impl PathObserver for CoverageTracker {
 /// The observer of an unobserved exploration; its hooks inline away.
 struct Unobserved;
 
-impl PathObserver for Unobserved {}
+impl PathObserver for Unobserved {
+    const READS_EVENTS: bool = false;
+}
 
 /// Explore every schedule of `vm` (consumed as the initial state). When
 /// `coverage` is provided, the union of CoFG coverage over all observed
@@ -253,10 +270,10 @@ pub fn explore(
 }
 
 /// Like [`explore`], but drives `observer` along the search (see
-/// [`PathObserver`]): each transition's events as the DFS takes it, each
-/// backtrack, and the end of every maximal path prefix — terminal states,
-/// cycle closures and first revisits of shared states, told apart by
-/// [`PathEnd`] — with the VM there. Folds over these measure path
+/// [`PathObserver`]): each transition's events as the DFS takes it (if it
+/// reads them), each backtrack, and the end of every maximal path prefix
+/// — terminal states, cycle closures and first revisits of shared states,
+/// told apart by [`PathEnd`] — with the VM there. Folds over these measure path
 /// properties such as coverage, waiter profiles or behavioural signatures
 /// without replaying a path's trace at its end.
 pub fn explore_observed<O: PathObserver>(
@@ -272,9 +289,16 @@ pub fn explore_observed<O: PathObserver>(
     let mut table = StateTable::new(&vm, config.symmetry);
     let mut next_ids = Vec::new();
     let (root, _) = table.intern_all(&vm, &mut next_ids);
+    let mut vm = vm;
+    // A clone records events, whatever the machine it copies.
+    let initial = (!O::READS_EVENTS).then(|| vm.clone());
+    if initial.is_some() {
+        vm.set_recording(Recording::CountsOnly);
+    }
     let mut dfs = Dfs {
         config,
         vm,
+        initial,
         log: UndoLog::default(),
         table,
         on_path: Vec::new(),
@@ -356,14 +380,16 @@ fn flush_explore_stats(result: &ExploreResult) {
 const SAMPLE_EVERY: usize = 64;
 
 /// The per-layer split of exploration time, published as the
-/// `vm.explore.step_ns`, `vm.explore.intern_ns` and `vm.explore.undo_ns`
-/// histograms: saving the step's footprint and executing it, encoding and
-/// interning the successor, and restoring the parent. Only present when
-/// observation is on, and only one transition and one undo in
+/// `vm.explore.step_ns`, `vm.explore.encode_ns`, `vm.explore.dedup_ns`
+/// and `vm.explore.undo_ns` histograms: saving the step's footprint and
+/// executing it, encoding the successor's changed sections, hashing and
+/// interning them and the state, and restoring the parent. Only present
+/// when observation is on, and only one transition and one undo in
 /// [`SAMPLE_EVERY`] are timed.
 struct LayerTimers {
     step: Arc<Histogram>,
-    intern: Arc<Histogram>,
+    encode: Arc<Histogram>,
+    dedup: Arc<Histogram>,
     undo: Arc<Histogram>,
     /// Undos so far.
     undos: usize,
@@ -374,17 +400,19 @@ impl LayerTimers {
         let reg = jcc_obs::global();
         LayerTimers {
             step: reg.histogram("vm.explore.step_ns"),
-            intern: reg.histogram("vm.explore.intern_ns"),
+            encode: reg.histogram("vm.explore.encode_ns"),
+            dedup: reg.histogram("vm.explore.dedup_ns"),
             undo: reg.histogram("vm.explore.undo_ns"),
             undos: 0,
         }
     }
 
     /// Record one sampled transition from the instants before stepping,
-    /// before interning and after interning.
-    fn record(&self, [start, stepped, interned]: [Instant; 3]) {
+    /// before encoding, before deduplicating and after.
+    fn record(&self, [start, stepped, encoded, interned]: [Instant; 4]) {
         self.step.record(ns(start, stepped));
-        self.intern.record(ns(stepped, interned));
+        self.encode.record(ns(stepped, encoded));
+        self.dedup.record(ns(encoded, interned));
     }
 
     /// Count an undo: is it one to time?
@@ -424,11 +452,16 @@ struct Dfs<'c, 'o, O> {
     /// The one machine: at the state being visited, stepped forward into
     /// each successor and back out of it through `log`.
     vm: Vm,
+    /// A recording copy of the initial machine when `vm` records no
+    /// events: witnesses replay their paths on it.
+    initial: Option<Vm>,
+    /// The steps from the initial state to `vm`'s, which make its path.
     log: UndoLog,
     table: StateTable,
     /// One bit per state id: is the state on the current path?
     on_path: Vec<u64>,
-    /// The event trace from the initial state to the state being visited.
+    /// The event trace from the initial state to the state being visited
+    /// (empty when `vm` records no events).
     trace: Vec<Event>,
     stack: Vec<Frame>,
     /// The frames' successor thread lists, stacked like the frames.
@@ -484,17 +517,22 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
     /// intern the result, re-encoding only the sections the step changed.
     fn successor(&mut self, t: usize) -> Successor {
         let sampled = self.timers.is_some() && self.result.transitions.is_multiple_of(SAMPLE_EVERY);
-        let start = sampled.then(Instant::now);
+        let now = || sampled.then(Instant::now);
+        let start = now();
         let mark = self.log.mark();
         self.vm.step_logged(t, &mut self.log);
-        let stepped = sampled.then(Instant::now);
+        let stepped = now();
         let base = (self.stack.len() - 1) * self.width;
         self.next_ids.clear();
         self.next_ids
             .extend_from_slice(&self.ids[base..base + self.width]);
-        let (id, fresh) = self.table.intern_step(&self.vm, &mut self.next_ids);
-        if let (Some(timers), Some(start), Some(stepped)) = (&self.timers, start, stepped) {
-            timers.record([start, stepped, Instant::now()]);
+        self.table.encode_step(&self.vm);
+        let encoded = now();
+        let (id, fresh) = self.table.dedup(&self.vm, &mut self.next_ids);
+        if let (Some(timers), Some(start), Some(stepped), Some(encoded)) =
+            (&self.timers, start, stepped, encoded)
+        {
+            timers.record([start, stepped, encoded, Instant::now()]);
         }
         (id, fresh, mark)
     }
@@ -530,10 +568,13 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
             }
             self.end_path(PathEnd::Cycle);
             if self.result.cycle_witness.is_none() {
-                self.result.cycle_witness = Some(
-                    self.vm
-                        .outcome_with_trace(Verdict::StepLimit, self.trace.clone()),
-                );
+                self.result.cycle_witness = Some(witness(
+                    &self.vm,
+                    self.initial.as_ref(),
+                    &self.log,
+                    &self.trace,
+                    Verdict::StepLimit,
+                ));
             }
         } else if !fresh {
             // Reached a state first visited on another path: its subtree is
@@ -592,7 +633,13 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                 Verdict::StepLimit => unreachable!("explorer does not use step budgets"),
             };
             if slot.is_none() {
-                *slot = Some(self.vm.outcome_with_trace(verdict, self.trace.clone()));
+                *slot = Some(witness(
+                    &self.vm,
+                    self.initial.as_ref(),
+                    &self.log,
+                    &self.trace,
+                    verdict,
+                ));
             }
             return false;
         }
@@ -663,6 +710,31 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
             self.on_path[word] &= !bit;
         }
     }
+}
+
+/// The run from the initial state to `vm`'s along the steps on `log`,
+/// ending as `verdict`. With no `initial` machine, `trace` holds the path's
+/// events; otherwise the path is replayed on a recording copy of
+/// `initial`, whose steps leave the obs counters alone (`vm` counted them).
+fn witness(
+    vm: &Vm,
+    initial: Option<&Vm>,
+    log: &UndoLog,
+    trace: &[Event],
+    verdict: Verdict,
+) -> RunOutcome {
+    let Some(initial) = initial else {
+        return vm.outcome_with_trace(verdict, trace.to_vec());
+    };
+    let mut replay = initial.clone();
+    replay.set_recording(Recording::EventsOnly);
+    let mut trace = Vec::new();
+    for t in log.threads() {
+        replay.step(t);
+        replay.drain_trace_into(&mut trace);
+    }
+    debug_assert_eq!(replay.state_key(), vm.state_key(), "replay strayed");
+    replay.outcome_with_trace(verdict, trace)
 }
 
 #[cfg(test)]
@@ -1181,6 +1253,75 @@ mod tests {
             assert!(full.states > 8, "{label}: too small to collide");
             assert_eq!(census(&weak), census(&full), "{label}");
         }
+    }
+
+    /// A recording observer: it reads every step's events.
+    struct CountEvents(usize);
+
+    impl PathObserver for CountEvents {
+        fn step(&mut self, events: &[Event]) {
+            self.0 += events.len();
+        }
+    }
+
+    #[test]
+    fn witness_replay_stays_exact_under_a_truncated_hash() {
+        // An event-free search rebuilds its witnesses by replaying the
+        // undo log's threads. Under a three-bit hash nearly every intern
+        // walks a collision chain, and every state with a fresh section is
+        // filed unprobed; the report must still equal a recording search's
+        // under the full hash, deadlock, fault and cycle witnesses alike.
+        let lock_order = examples::lock_order_deadlock();
+        let lock_threads = vec![
+            ThreadSpec {
+                name: "f".into(),
+                calls: vec![CallSpec::new("forward", vec![])],
+            },
+            ThreadSpec {
+                name: "b".into(),
+                calls: vec![CallSpec::new("backward", vec![])],
+            },
+        ];
+        let faulty = jcc_model::parse_component(
+            "class Bad { int n = 0; boolean b = false; \
+             synchronized void bad() { while (!b) { wait(); } if (n) { n = 1; } } \
+             synchronized void ok() { n = 2; b = true; notifyAll(); } }",
+        )
+        .unwrap();
+        let faulty_threads = ["bad", "ok", "bad"]
+            .map(|m| ThreadSpec {
+                name: "w".into(),
+                calls: vec![CallSpec::new(m, vec![])],
+            })
+            .to_vec();
+        let (e11, e11_threads) = e11_scenario(1);
+        let reduced = ExploreConfig {
+            ample: true,
+            symmetry: true,
+            ..ExploreConfig::default()
+        };
+        let cases = [
+            ("lock-order deadlock", &lock_order, lock_threads),
+            ("SkipWait mutant", &skip_wait_mutant(), pc_threads()),
+            ("faulting waiter", &faulty, faulty_threads),
+            ("E11 size 1", &e11, e11_threads),
+        ];
+        let mut witnesses = [0; 3];
+        for (label, component, threads) in cases {
+            for config in [ExploreConfig::default(), reduced.clone()] {
+                let make = || Vm::new(compile(component).unwrap(), threads.clone());
+                let recorded = explore_observed(make(), &config, &mut CountEvents(0));
+                crate::machine::state::force_collisions(3);
+                let free = explore(make(), &config, None);
+                crate::machine::state::force_collisions(64);
+                assert_eq!(census(&free), census(&recorded), "{label} {config:?}");
+                let all = [&free.deadlock_witness, &free.fault_witness, &free.cycle_witness];
+                for (n, w) in witnesses.iter_mut().zip(all) {
+                    *n += usize::from(w.is_some());
+                }
+            }
+        }
+        assert!(witnesses.iter().all(|&n| n > 0), "{witnesses:?}");
     }
 
     #[test]

@@ -44,6 +44,21 @@ fn transition_counter(t: Transition) -> &'static jcc_obs::Counter {
     &counters[t.index()]
 }
 
+/// What a machine's steps leave besides the new state: each step's
+/// events, and its Figure-1 firings in the obs `vm.transition.*` counters
+/// (while observation is on).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Recording {
+    /// Both: every machine starts so, and a clone is always so.
+    Full,
+    /// Only the counters: the explorer's machine when its observer reads
+    /// no events. Its steps build no event at all.
+    CountsOnly,
+    /// Only the events: a replay of steps already counted, which rebuilds
+    /// a witness's trace.
+    EventsOnly,
+}
+
 /// One method call a logical thread will perform.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CallSpec {
@@ -325,8 +340,9 @@ fn resolve_call(component: &CompiledComponent, call: &CallSpec) -> Result<usize,
 /// The virtual machine. Clone it to snapshot the whole execution state: a
 /// clone copies the flat state buffers and shares everything else. The
 /// machine keeps only the events of its last step, and a clone does not
-/// copy even those. The exhaustive explorer does not clone: it steps one
-/// machine forward and back (`undo` says how).
+/// copy even those; a clone always records them. The exhaustive explorer
+/// does not clone: it steps one machine forward and back (`undo` says
+/// how).
 #[derive(Debug)]
 pub struct Vm {
     program: Arc<Program>,
@@ -348,6 +364,7 @@ pub struct Vm {
     next_ticket: u64,
     /// The sections the last step changed (everything, for a new machine).
     dirty: Dirty,
+    recording: Recording,
 }
 
 impl Clone for Vm {
@@ -365,6 +382,7 @@ impl Clone for Vm {
             last_scheduled: self.last_scheduled,
             next_ticket: self.next_ticket,
             dirty: self.dirty,
+            recording: Recording::Full,
         }
     }
 }
@@ -419,6 +437,7 @@ impl Vm {
             last_scheduled: usize::MAX,
             next_ticket: 0,
             dirty: Dirty::ALL,
+            recording: Recording::Full,
             program: Arc::new(program),
         }
     }
@@ -443,6 +462,11 @@ impl Vm {
     pub fn field(&self, name: &str) -> Option<&Value> {
         let slot = self.program.component.field_slot(name)?;
         self.fields[slot].as_ref()
+    }
+
+    /// Set what this machine's steps record from the next step on.
+    pub(crate) fn set_recording(&mut self, recording: Recording) {
+        self.recording = recording;
     }
 
     /// Move the last step's events onto the end of `out` (the explorer
@@ -499,28 +523,27 @@ impl Vm {
             .all(|t| matches!(t.status, Status::Finished | Status::Faulted))
     }
 
-    fn emit(&mut self, thread: usize, kind: EventKind) {
-        if jcc_obs::enabled() {
-            if let EventKind::Transition { t, .. } = &kind {
-                transition_counter(*t).inc();
-            }
+    /// Log an event of thread `thread`, built by `kind` only when this
+    /// machine records events.
+    fn emit(&mut self, thread: usize, kind: impl FnOnce() -> EventKind) {
+        if self.recording != Recording::CountsOnly {
+            self.events.push(Event {
+                seq: self.steps as u64,
+                thread: thread as u64,
+                kind: kind(),
+            });
         }
-        self.events.push(Event {
-            seq: self.steps as u64,
-            thread: thread as u64,
-            kind,
-        });
     }
 
     /// Record a Figure-1 firing of `t` on `lock` by thread `idx`.
     fn fire(&mut self, idx: usize, t: Transition, lock: usize) {
-        self.emit(
-            idx,
-            EventKind::Transition {
-                t,
-                lock: lock as u64,
-            },
-        );
+        if jcc_obs::enabled() && self.recording != Recording::EventsOnly {
+            transition_counter(t).inc();
+        }
+        self.emit(idx, || EventKind::Transition {
+            t,
+            lock: lock as u64,
+        });
     }
 
     /// Thread `idx` passes the synchronization site `id`.
@@ -529,14 +552,11 @@ impl Vm {
         let Some(Site::Stmt { method, path, exit }) = program.component.site(id) else {
             unreachable!("instructions name statement sites");
         };
-        self.emit(
-            idx,
-            EventKind::Site {
-                method: program.component.methods[*method].name.clone(),
-                path: path.clone(),
-                exit: *exit,
-            },
-        );
+        self.emit(idx, || EventKind::Site {
+            method: program.component.methods[*method].name.clone(),
+            path: path.clone(),
+            exit: *exit,
+        });
         self.threads[idx].marker = id;
     }
 
@@ -640,12 +660,9 @@ impl Vm {
         for (&slot, arg) in method.param_slots.iter().zip(&spec.args) {
             slots[slot] = Some(arg.clone());
         }
-        self.emit(
-            idx,
-            EventKind::MethodStart {
-                method: spec.method.clone(),
-            },
-        );
+        self.emit(idx, || EventKind::MethodStart {
+            method: spec.method.clone(),
+        });
         self.calls[call].started_step = Some(self.steps);
         let thread = &mut self.threads[idx];
         thread.marker = method.start_site;
@@ -674,12 +691,9 @@ impl Vm {
     }
 
     fn fault_thread(&mut self, idx: usize, message: String) {
-        self.emit(
-            idx,
-            EventKind::Fault {
-                message: message.clone(),
-            },
-        );
+        self.emit(idx, || EventKind::Fault {
+            message: message.clone(),
+        });
         // Release anything the thread holds so others can continue —
         // mirrors Java unwinding synchronized blocks on an exception.
         for li in 0..self.locks.len() {
@@ -704,8 +718,9 @@ impl Vm {
         let program = Arc::clone(&self.program);
         let component = &program.component;
         for &slot in &operand.reads {
-            let var = component.fields[slot].clone();
-            self.emit(idx, EventKind::Read { var });
+            self.emit(idx, || EventKind::Read {
+                var: component.fields[slot].clone(),
+            });
         }
         let frame = self.threads[idx].frame.expect("running frame");
         let method = &component.methods[frame.method_idx];
@@ -831,14 +846,11 @@ impl Vm {
                         self.dirty.mark(i);
                     }
                 }
-                self.emit(
-                    idx,
-                    EventKind::Notify {
-                        lock: lock as u64,
-                        all,
-                        waiters,
-                    },
-                );
+                self.emit(idx, || EventKind::Notify {
+                    lock: lock as u64,
+                    all,
+                    waiters,
+                });
                 let woken = if all { waiters } else { waiters.min(1) };
                 for _ in 0..woken {
                     let w = self.longest_waiter(lock).expect("a counted waiter");
@@ -852,8 +864,9 @@ impl Vm {
             }
             Instr::StoreField { slot, value } => {
                 if let Some(v) = self.eval_in_frame(idx, value) {
-                    let var = program.component.fields[*slot].clone();
-                    self.emit(idx, EventKind::Write { var });
+                    self.emit(idx, || EventKind::Write {
+                        var: program.component.fields[*slot].clone(),
+                    });
                     self.fields[*slot] = Some(v);
                     self.dirty.global = true;
                     self.advance(idx);
@@ -887,12 +900,9 @@ impl Vm {
                 self.advance(idx);
             }
             Instr::Ret => {
-                self.emit(
-                    idx,
-                    EventKind::MethodEnd {
-                        method: method.name.clone(),
-                    },
-                );
+                self.emit(idx, || EventKind::MethodEnd {
+                    method: method.name.clone(),
+                });
                 let call_idx = self.threads[idx].call_idx;
                 let record = &mut self.calls[program.call_base[idx] + call_idx];
                 record.completed_step = Some(self.steps);

@@ -45,7 +45,9 @@
 //! every incremental intern is checked against a full re-encoding.
 //!
 //! Every store confirms a hash hit against the full word slice, so dedup
-//! is exact: a collision costs a comparison, never a pruned subtree.
+//! is exact: a collision costs a comparison, never a pruned subtree. A
+//! state that contains a section interned just now cannot be stored yet,
+//! so it is filed without a probe.
 //!
 //! Thread symmetry: threads with identical specs (one
 //! [`Vm::symmetry_groups`] group) are interchangeable, and because
@@ -181,11 +183,6 @@ fn encode_slot(slot: &Slot, out: &mut Vec<u32>) {
     }
 }
 
-/// A section's id in `store`.
-fn intern(store: &mut SliceStore, section: &[u32]) -> u32 {
-    store.intern_hashed(section, hash_words(section)).0 .0
-}
-
 /// The explorer's seen-set: every state interned once, as a vector of
 /// section ids, and quotiented by thread symmetry when asked.
 #[derive(Debug)]
@@ -195,7 +192,12 @@ pub(crate) struct StateTable {
     roots: StateStore,
     /// Symmetry groups whose section ids are sorted (empty = no quotient).
     groups: Vec<Vec<usize>>,
+    /// The encoded sections of the state being interned, back to back.
     scratch: Vec<u32>,
+    /// Per encoded section: its slot in the state's section ids (0 for
+    /// the global section, `1 + i` for thread `i`'s) and its end in
+    /// `scratch`.
+    encoded: Vec<(usize, usize)>,
     root: Vec<u32>,
     sorted: Vec<u32>,
 }
@@ -214,6 +216,7 @@ impl StateTable {
                 Vec::new()
             },
             scratch: Vec::new(),
+            encoded: Vec::new(),
             root: Vec::new(),
             sorted: Vec::new(),
         }
@@ -224,28 +227,49 @@ impl StateTable {
     /// order (before any symmetry sort).
     pub(crate) fn intern_all(&mut self, vm: &Vm, ids: &mut Vec<u32>) -> (StateId, bool) {
         ids.resize(1 + vm.thread_count(), 0);
-        self.intern_sections(vm, Dirty::ALL, ids)
+        self.encode(vm, Dirty::ALL);
+        self.dedup(vm, ids)
     }
 
-    /// Intern `vm`, one step past the state whose section ids `ids` holds:
-    /// only the sections that step changed are re-encoded and re-interned,
-    /// and `ids` is left holding `vm`'s own.
-    pub(crate) fn intern_step(&mut self, vm: &Vm, ids: &mut [u32]) -> (StateId, bool) {
-        self.intern_sections(vm, vm.dirty, ids)
+    /// Intern `vm`, one step past the state whose section ids `ids` holds,
+    /// in two halves: this one encodes only the sections that step
+    /// changed, and [`dedup`](Self::dedup) finishes.
+    pub(crate) fn encode_step(&mut self, vm: &Vm) {
+        self.encode(vm, vm.dirty);
     }
 
-    fn intern_sections(&mut self, vm: &Vm, dirty: Dirty, ids: &mut [u32]) -> (StateId, bool) {
+    fn encode(&mut self, vm: &Vm, dirty: Dirty) {
+        self.scratch.clear();
+        self.encoded.clear();
         if dirty.global {
-            self.scratch.clear();
             vm.encode_global(&mut self.scratch);
-            ids[0] = intern(&mut self.globals, &self.scratch);
+            self.encoded.push((0, self.scratch.len()));
         }
         for i in 0..vm.thread_count() {
             if dirty.has_thread(i) {
-                self.scratch.clear();
                 vm.encode_thread(i, &mut self.scratch);
-                ids[1 + i] = intern(&mut self.threads, &self.scratch);
+                self.encoded.push((1 + i, self.scratch.len()));
             }
+        }
+    }
+
+    /// Intern the sections just encoded from `vm` into `ids`, and then
+    /// the state: its id and whether it is new. `ids` is left holding
+    /// `vm`'s own section ids.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn dedup(&mut self, vm: &Vm, ids: &mut [u32]) -> (StateId, bool) {
+        let (mut start, mut fresh) = (0, false);
+        for &(slot, end) in &self.encoded {
+            let section = &self.scratch[start..end];
+            let store = if slot == 0 {
+                &mut self.globals
+            } else {
+                &mut self.threads
+            };
+            let (id, new) = store.intern_hashed(section, hash_words(section));
+            ids[slot] = id.0;
+            fresh |= new;
+            start = end;
         }
         #[cfg(debug_assertions)]
         self.assert_sections(vm, ids);
@@ -259,7 +283,13 @@ impl StateTable {
                 self.root[1 + slot] = id;
             }
         }
-        self.roots.intern_hashed(&self.root, hash_words(&self.root))
+        let hash = hash_words(&self.root);
+        if fresh {
+            // No stored state contains a section interned just now.
+            (self.roots.push_absent(&self.root, hash), true)
+        } else {
+            self.roots.intern_hashed(&self.root, hash)
+        }
     }
 
     /// The differential guard for incremental interning: every section id

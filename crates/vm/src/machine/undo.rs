@@ -68,6 +68,11 @@ impl UndoLog {
     pub(crate) fn mark(&self) -> usize {
         self.records.len()
     }
+
+    /// The thread of each logged step not yet undone, oldest first.
+    pub(crate) fn threads(&self) -> impl Iterator<Item = usize> + '_ {
+        self.records.iter().map(|record| record.thread)
+    }
 }
 
 impl Vm {

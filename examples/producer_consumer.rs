@@ -62,7 +62,8 @@ fn main() {
             Release::new("receive", 1, CallSpec::new("receive", vec![])),
             Release::new("send", 2, CallSpec::new("send", vec![z.clone()])),
         ],
-    );
+    )
+    .expect("a small schedule");
     assert_eq!(run.outcome.results[0][0].returned, Some(z));
     let records = run.records;
     let violations = check_completions(

@@ -36,7 +36,7 @@ fn agrees(label: &str, component: &Component, scenario: &Scenario) -> usize {
     let explored = explore(vm, &ExploreConfig::default(), Some(&mut vm_cov));
     assert!(!explored.truncated, "{label}: exploration truncated");
 
-    let out = run(&compiled, scenario);
+    let out = run(&compiled, scenario).expect("a small scenario");
     let signature = run_signature(&out);
     assert!(
         signatures.contains(&signature),
@@ -180,7 +180,7 @@ fn one_notify_wakes_one_clocked_waiter_as_on_the_vm() {
         Release::new("pass#2", 2, call("pass")),
         Release::new("one", 3, call("one")),
     ];
-    let native = run_clocked(&gate, &schedule);
+    let native = run_clocked(&gate, &schedule).expect("a small schedule");
     assert_eq!(fired(&native.outcome.trace, Transition::T5), 1);
     let completed: Vec<_> = native.records.iter().map(|r| r.completed_at).collect();
     assert_eq!(completed, [Some(3), None, Some(3)], "{:?}", native.records);
@@ -223,7 +223,7 @@ fn forced_figure_2(component: &Component) -> Vec<Event> {
         Release::new("receive", 1, CallSpec::new("receive", vec![])),
         Release::new("send", 2, CallSpec::new("send", vec![x.clone()])),
     ];
-    let run = run_clocked(&compile(component).unwrap(), &schedule);
+    let run = run_clocked(&compile(component).unwrap(), &schedule).expect("a small schedule");
     let completed: Vec<_> = run.records.iter().map(|r| r.completed_at).collect();
     assert_eq!(completed, [Some(2), Some(2)], "{:?}", run.records);
     assert_eq!(run.outcome.results[0][0].returned, Some(x));

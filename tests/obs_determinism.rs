@@ -194,28 +194,68 @@ fn vm_transition_counters_populated_under_observation() {
 }
 
 #[test]
+fn transition_counters_do_not_count_witness_replays() {
+    // An event-free exploration rebuilds its deadlock witness by replaying
+    // the path; the replay's firings were counted when the search took
+    // them, so the counters match a recording exploration's exactly.
+    let _guard = obs_lock();
+    let c = examples::lock_order_deadlock();
+    let make_vm = || {
+        let thread = |name: &str, method: &str| ThreadSpec {
+            name: name.into(),
+            calls: vec![CallSpec::new(method, vec![])],
+        };
+        Vm::new(
+            compile(&c).unwrap(),
+            vec![thread("f", "forward"), thread("b", "backward")],
+        )
+    };
+    let counters = || {
+        ["T1", "T2", "T3", "T4", "T5"]
+            .map(|t| obs::global().counter(&format!("vm.transition.{t}")).get())
+    };
+    let (free, free_counts) = with_level(obs::ObsLevel::Summary, || {
+        (explore(make_vm(), &ExploreConfig::default(), None), counters())
+    });
+    let cofgs = jcc_core::cofg::build_component_cofgs(&c);
+    let mut tracker = jcc_core::cofg::CoverageTracker::new(cofgs);
+    let (recorded, recorded_counts) = with_level(obs::ObsLevel::Summary, || {
+        let r = explore(make_vm(), &ExploreConfig::default(), Some(&mut tracker));
+        (r, counters())
+    });
+    assert!(free.deadlock_witness.is_some());
+    assert_eq!(
+        format!("{:?}", free.deadlock_witness),
+        format!("{:?}", recorded.deadlock_witness)
+    );
+    assert!(free_counts[1] > 0, "{free_counts:?}");
+    assert_eq!(free_counts, recorded_counts);
+}
+
+#[test]
 fn explore_layer_split_is_sampled_only_under_observation() {
-    // One transition in 64 is timed into the step / intern histograms and
-    // one undo in 64 into the undo histogram — under observation only, and
-    // without touching the search.
+    // One transition in 64 is timed into the step / encode / dedup
+    // histograms and one undo in 64 into the undo histogram — under
+    // observation only, and without touching the search.
     let _guard = obs_lock();
     let layers = [
         "vm.explore.step_ns",
-        "vm.explore.intern_ns",
+        "vm.explore.encode_ns",
+        "vm.explore.dedup_ns",
         "vm.explore.undo_ns",
     ];
     let counts = || layers.map(|name| obs::global().histogram(name).snapshot().count);
     let off = with_level(obs::ObsLevel::Off, || {
         explore(pc_vm(), &ExploreConfig::default(), None)
     });
-    assert_eq!(counts(), [0; 3]);
+    assert_eq!(counts(), [0; 4]);
     let on = with_level(obs::ObsLevel::Summary, || {
         explore(pc_vm(), &ExploreConfig::default(), None)
     });
     assert_eq!(on.tally(), off.tally());
     let sampled = on.transitions.div_ceil(64) as u64;
     assert!(sampled > 1, "{} transitions", on.transitions);
-    assert_eq!(counts(), [sampled; 3]);
+    assert_eq!(counts(), [sampled; 4]);
 }
 
 #[test]

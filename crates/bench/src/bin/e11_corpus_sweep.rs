@@ -11,6 +11,9 @@
 //! * `size<n>_states` / `size<n>_transitions` — the exhaustive census,
 //! * `size<n>_states_per_sec` — sequential exploration throughput,
 //! * `size<n>_diag_count` — total analyzer diagnostics (all severities),
+//! * `size<n>_memo_hits` / `size<n>_stepless_joins` — the exploration's
+//!   lock-free steps whose successor sections were memoized, and the joins
+//!   among them settled without stepping the machine,
 //!
 //! plus the usual auto-derived aggregate `states_per_sec`, which the
 //! ledger's floor rule gates (with the ladder's `reduction_factor`) via
@@ -83,9 +86,13 @@ fn symmetric_scenario_vm(cfg: &GenConfig) -> Vm {
     Vm::new(compiled, threads)
 }
 
+/// One size's figures: `(size, states, seconds, diag_count, memo_hits,
+/// stepless_joins)`.
+type Figures = (usize, usize, f64, usize, usize, usize);
+
 /// One pass over the ladder. Returns the canonical (timing-free) curve and
-/// the per-size figures `(states, seconds, diag_count)`.
-fn sweep() -> (String, Vec<(usize, usize, f64, usize)>) {
+/// the per-size figures.
+fn sweep() -> (String, Vec<Figures>) {
     let mut curve = String::new();
     let mut figures = Vec::new();
     for &n in &SIZES {
@@ -132,7 +139,14 @@ fn sweep() -> (String, Vec<(usize, usize, f64, usize)>) {
             seq.completed_paths,
         )
         .unwrap();
-        figures.push((n, seq.states, secs, diag_count));
+        figures.push((
+            n,
+            seq.states,
+            secs,
+            diag_count,
+            seq.memo_hits,
+            seq.stepless_joins,
+        ));
     }
     (curve, figures)
 }
@@ -154,9 +168,10 @@ fn main() {
     say!("curve artifact written to ./BENCH_e11_curve.txt");
 
     let mut prev_states = 0usize;
-    for (n, states, secs, diags) in &figures {
+    for (n, states, secs, diags, memo_hits, stepless) in &figures {
         say!(
-            "size {n}: {states} states in {secs:.3}s ({:.0} states/sec), {diags} diagnostics",
+            "size {n}: {states} states in {secs:.3}s ({:.0} states/sec), {diags} diagnostics, \
+             {memo_hits} memo hits, {stepless} stepless joins",
             *states as f64 / secs
         );
         assert!(
@@ -170,6 +185,8 @@ fn main() {
             *states as f64 / secs,
         );
         reporter.set_derived(&format!("size{n}_diag_count"), *diags as f64);
+        reporter.set_derived(&format!("size{n}_memo_hits"), *memo_hits as f64);
+        reporter.set_derived(&format!("size{n}_stepless_joins"), *stepless as f64);
     }
     // --- reduction on/off: ample + symmetry across the ladder ---
     // Each size explored full and reduced; the failure-class existence

@@ -199,7 +199,8 @@ fn fatal_validation_errors(lowered: &crate::lower::Lowered) -> Vec<FrontDiag> {
                 | ValidationError::UnknownLock { method, .. }
                 | ValidationError::TypeMismatch { method, .. }
                 | ValidationError::ArityMismatch { method, .. }
-                | ValidationError::ReturnMismatch { method, .. } => Some(method.as_str()),
+                | ValidationError::ReturnMismatch { method, .. }
+                | ValidationError::TooDeep { method } => Some(method.as_str()),
                 _ => None,
             };
             let span = anchor_span(&lowered.map, method);

@@ -13,6 +13,17 @@ use crate::ast::{
     Block, Component, Expr, LValue, LockRef, Method, Stmt, Type, UnOp,
 };
 
+/// How deep statements and expressions may nest in a component: a
+/// method's statements are one level deep, and a statement's nested
+/// statements and expressions, like an expression's operands, one level
+/// deeper than it. Validation, compilation, analysis and the CoFG builder
+/// walk the tree recursively, so [`validate`] rejects a deeper component
+/// before any of those walks. The Java parser bounds its input at
+/// [`crate::java::parser::MAX_NESTING_DEPTH`]; lowering and mutation add a
+/// few levels to what it admits, well inside this bound, so only a
+/// component built deeper through the API is rejected.
+pub const MAX_NESTING_DEPTH: usize = 2 * crate::java::parser::MAX_NESTING_DEPTH;
+
 /// A validation error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ValidationError {
@@ -77,6 +88,12 @@ pub enum ValidationError {
         /// Human-readable detail.
         detail: String,
     },
+    /// Statements and expressions nest deeper than [`MAX_NESTING_DEPTH`].
+    /// A component with this error is checked for nothing else.
+    TooDeep {
+        /// Method (or `<field init>`) in which it occurred.
+        method: String,
+    },
 }
 
 impl fmt::Display for ValidationError {
@@ -120,6 +137,10 @@ impl fmt::Display for ValidationError {
             ValidationError::ReturnMismatch { method, detail } => {
                 write!(f, "return mismatch in method `{method}`: {detail}")
             }
+            ValidationError::TooDeep { method } => write!(
+                f,
+                "nesting deeper than {MAX_NESTING_DEPTH} levels in method `{method}`"
+            ),
         }
     }
 }
@@ -128,6 +149,27 @@ impl std::error::Error for ValidationError {}
 
 /// Validate a component. Returns all errors found (empty = valid).
 pub fn validate(component: &Component) -> Vec<ValidationError> {
+    // The checks below recurse once per nesting level: measure it first.
+    let mut stack = Vec::new();
+    let mut too_deep = Vec::new();
+    for field in &component.fields {
+        if nests_too_deep([Nested::Expr(&field.init)], &mut stack) {
+            too_deep.push(ValidationError::TooDeep {
+                method: "<field init>".into(),
+            });
+        }
+    }
+    for method in &component.methods {
+        if nests_too_deep(method.body.iter().map(Nested::Stmt), &mut stack) {
+            too_deep.push(ValidationError::TooDeep {
+                method: method.name.clone(),
+            });
+        }
+    }
+    if !too_deep.is_empty() {
+        return too_deep;
+    }
+
     let mut errors = Vec::new();
 
     // Duplicate declarations.
@@ -181,6 +223,66 @@ pub fn validate(component: &Component) -> Vec<ValidationError> {
         check_method(component, &locks, method, &mut errors);
     }
     errors
+}
+
+/// A node of a method's tree, for [`nests_too_deep`].
+enum Nested<'a> {
+    Stmt(&'a Stmt),
+    Expr(&'a Expr),
+}
+
+/// Do the trees under `roots` (one level deep each) nest deeper than
+/// [`MAX_NESTING_DEPTH`]? An iterative walk on `stack`, which it leaves
+/// empty, and which stops below the limit.
+fn nests_too_deep<'a>(
+    roots: impl IntoIterator<Item = Nested<'a>>,
+    stack: &mut Vec<(Nested<'a>, usize)>,
+) -> bool {
+    stack.extend(roots.into_iter().map(|n| (n, 1)));
+    while let Some((node, depth)) = stack.pop() {
+        if depth > MAX_NESTING_DEPTH {
+            stack.clear();
+            return true;
+        }
+        let below = depth + 1;
+        let stmts = |block: &'a Block| block.iter().map(move |s| (Nested::Stmt(s), below));
+        match node {
+            Nested::Stmt(Stmt::While { cond, body }) => {
+                stack.push((Nested::Expr(cond), below));
+                stack.extend(stmts(body));
+            }
+            Nested::Stmt(Stmt::If {
+                cond,
+                then_branch,
+                else_branch,
+            }) => {
+                stack.push((Nested::Expr(cond), below));
+                stack.extend(stmts(then_branch).chain(stmts(else_branch)));
+            }
+            Nested::Stmt(Stmt::Synchronized { body, .. }) => stack.extend(stmts(body)),
+            Nested::Stmt(
+                Stmt::Assign { value: e, .. } | Stmt::Local { init: e, .. } | Stmt::Return(Some(e)),
+            ) => stack.push((Nested::Expr(e), below)),
+            Nested::Expr(Expr::Unary(_, e)) => stack.push((Nested::Expr(e), below)),
+            Nested::Expr(Expr::Binary(_, a, b)) => {
+                stack.extend([(Nested::Expr(a), below), (Nested::Expr(b), below)]);
+            }
+            Nested::Expr(Expr::Call(_, args)) => {
+                stack.extend(args.iter().map(|e| (Nested::Expr(e), below)));
+            }
+            Nested::Stmt(
+                Stmt::Wait { .. }
+                | Stmt::Notify { .. }
+                | Stmt::NotifyAll { .. }
+                | Stmt::Return(None)
+                | Stmt::Skip,
+            )
+            | Nested::Expr(
+                Expr::Int(_) | Expr::Bool(_) | Expr::Str(_) | Expr::Var(_) | Expr::Field(_),
+            ) => {}
+        }
+    }
+    false
 }
 
 struct MethodCtx<'a> {

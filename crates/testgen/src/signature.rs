@@ -99,7 +99,8 @@ pub fn enumerate_signatures(vm: Vm, limits: EnumLimits) -> (BTreeSet<Signature>,
 }
 
 /// The signature set a search's path ends reach. It reads only the
-/// machine at each path end, so the search builds no events for it.
+/// machine at each terminal or cycle end (a join adds no signature), so
+/// the search builds no events for it.
 #[derive(Default)]
 struct Signatures(BTreeSet<Signature>);
 
@@ -112,7 +113,6 @@ impl PathObserver for Signatures {
             PathEnd::Terminal(Verdict::Deadlock { .. }) => EndState::Deadlock,
             PathEnd::Terminal(Verdict::Faulted { .. }) => EndState::Faulted,
             PathEnd::Terminal(Verdict::StepLimit) | PathEnd::Cycle => EndState::NoProgress,
-            PathEnd::Join => return,
         };
         self.0.insert(signature(end, &vm.results()));
     }

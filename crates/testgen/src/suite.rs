@@ -747,6 +747,10 @@ mod tests {
         }
 
         fn path_end(&mut self, _vm: &Vm, _end: jcc_vm::PathEnd<'_>) {
+            self.join();
+        }
+
+        fn join(&mut self) {
             replay_coverage(&mut self.coverage, &self.empty, &self.trace);
             replay_goals(&mut self.goals, &self.trace);
         }

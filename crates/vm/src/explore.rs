@@ -45,20 +45,35 @@
 //!   log (`machine::undo` says what that is). A joined, cyclic, truncated
 //!   or terminal successor is undone at once; a pushed frame keeps its
 //!   undo mark and is undone when it pops.
-//! * **A per-layer split.** With observation on, one transition in 64 is
-//!   timed into the `vm.explore.step_ns`, `vm.explore.encode_ns` and
+//! * **Memoized lock-free steps.** Figure 1's transitions fire only at
+//!   lock operations. Any other step (a call start, a local or field
+//!   store, a branch, a return) reads only its thread's section and the
+//!   global one, and unless it faults changes nothing else, so one
+//!   exploration memoizes `[thread, its section id, global section id]`
+//!   before such a step to the two ids after it, from steps that did not
+//!   fault. On a memo hit the successor's section ids are known before the
+//!   machine moves, and nothing is encoded or interned but the state
+//!   vector. When the observer also reads no events, the state store is
+//!   probed first, and a hit on a state off the current path is settled
+//!   as a join without stepping, encoding or undoing anything (in debug
+//!   builds the step is re-taken and checked to land there). Cycles, new
+//!   states and event-reading observers still step the machine.
+//! * **A per-layer split.** With observation on, one stepped transition in
+//!   64 is timed into the `vm.explore.step_ns`, `vm.explore.encode_ns` and
 //!   `vm.explore.dedup_ns` histograms, and one undo in 64 into
-//!   `vm.explore.undo_ns`.
+//!   `vm.explore.undo_ns`; a join settled without a step is in neither.
 //!
 //! [`explore_observed`] drives a [`PathObserver`] along the DFS: one call
 //! per transition on the way down, one per backtrack on the way up, and
-//! one per observed path end. Arc coverage ([`explore`]'s tracker),
+//! one per observed path end (a join shows no machine, since it may not
+//! have been stepped into). Arc coverage ([`explore`]'s tracker),
 //! signature enumeration (`jcc_testgen::signature`) and coverage-directed
 //! suite search are folds over it.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use fxhash::FxHashMap;
 use jcc_cofg::coverage::CoverageTracker;
 use jcc_obs::Histogram;
 use jcc_petri::event::Event;
@@ -115,9 +130,6 @@ pub enum PathEnd<'a> {
     Terminal(&'a Verdict),
     /// The last step closed a cycle on the path: it can repeat forever.
     Cycle,
-    /// The last step reached a state first explored on another path; its
-    /// continuations are observed from there.
-    Join,
 }
 
 /// Aggregated result of exploring all schedules.
@@ -158,6 +170,16 @@ pub struct ExploreResult {
     /// States where the ample candidate would have closed a cycle on the
     /// current path and the cycle proviso forced a full expansion.
     pub full_expansions: usize,
+    /// Lock-free transitions whose successor sections the search already
+    /// knew from an earlier step of the same thread from the same thread
+    /// and field sections, so it encoded and interned no section for
+    /// them. Like the two counts above, it describes the search, not the
+    /// verdict, and stays out of [`tally`](Self::tally).
+    pub memo_hits: usize,
+    /// Memo hits into a stored state off the current path that the search
+    /// settled as joins without stepping the machine at all (only when the
+    /// observer reads no events). Excluded from [`tally`](Self::tally).
+    pub stepless_joins: usize,
 }
 
 impl ExploreResult {
@@ -211,6 +233,10 @@ impl ExploreResult {
 /// per observed end reached while the step was on the path — `ends`. That
 /// is what a replay of each observed path's whole trace would count, at
 /// amortised O(1) per transition.
+///
+/// A join ([`join`](Self::join)) shows no machine: an event-free search
+/// settles a join it can predict without stepping into it, so the machine
+/// may still be at the step's parent.
 pub trait PathObserver {
     /// Does [`step`](Self::step) read its events? An observer that only
     /// counts steps or reads [`path_end`](Self::path_end)'s machine
@@ -233,6 +259,10 @@ pub trait PathObserver {
     fn path_end(&mut self, vm: &Vm, end: PathEnd<'_>) {
         let _ = (vm, end);
     }
+
+    /// The last step reached a state first explored on another path, which
+    /// ends the current path: its continuations are observed from there.
+    fn join(&mut self) {}
 }
 
 /// Arc coverage is the union over observed paths: each step's arcs and
@@ -271,11 +301,12 @@ pub fn explore(
 
 /// Like [`explore`], but drives `observer` along the search (see
 /// [`PathObserver`]): each transition's events as the DFS takes it (if it
-/// reads them), each backtrack, and the end of every maximal path prefix
-/// — terminal states, cycle closures and first revisits of shared states,
-/// told apart by [`PathEnd`] — with the VM there. Folds over these measure path
-/// properties such as coverage, waiter profiles or behavioural signatures
-/// without replaying a path's trace at its end.
+/// reads them), each backtrack, and the end of every maximal path prefix:
+/// terminal states and cycle closures with the VM there, told apart by
+/// [`PathEnd`], and revisits of states first explored on other paths
+/// (joins). Folds over these measure path properties such as coverage,
+/// waiter profiles or behavioural signatures without replaying a path's
+/// trace at its end.
 pub fn explore_observed<O: PathObserver>(
     vm: Vm,
     config: &ExploreConfig,
@@ -301,6 +332,7 @@ pub fn explore_observed<O: PathObserver>(
         initial,
         log: UndoLog::default(),
         table,
+        memo: FxHashMap::default(),
         on_path: Vec::new(),
         trace: Vec::new(),
         stack: Vec::new(),
@@ -327,6 +359,8 @@ pub fn explore_observed<O: PathObserver>(
             truncated: false,
             ample_pruned: 0,
             full_expansions: 0,
+            memo_hits: 0,
+            stepless_joins: 0,
         },
     };
     dfs.run(root);
@@ -374,6 +408,10 @@ fn flush_explore_stats(result: &ExploreResult) {
         reg.counter("vm.explore.full_expansions")
             .add(result.full_expansions as u64);
     }
+    reg.counter("vm.explore.memo_hits")
+        .add(result.memo_hits as u64);
+    reg.counter("vm.explore.stepless_joins")
+        .add(result.stepless_joins as u64);
 }
 
 /// One transition in this many is timed by [`LayerTimers`].
@@ -382,9 +420,10 @@ const SAMPLE_EVERY: usize = 64;
 /// The per-layer split of exploration time, published as the
 /// `vm.explore.step_ns`, `vm.explore.encode_ns`, `vm.explore.dedup_ns`
 /// and `vm.explore.undo_ns` histograms: saving the step's footprint and
-/// executing it, encoding the successor's changed sections, hashing and
-/// interning them and the state, and restoring the parent. Only present
-/// when observation is on, and only one transition and one undo in
+/// executing it; encoding the successor's changed sections; hashing and
+/// interning them and the state (or probing for the state before the step
+/// and filing it after); and restoring the parent. Only present when
+/// observation is on, and only one stepped transition and one undo in
 /// [`SAMPLE_EVERY`] are timed.
 struct LayerTimers {
     step: Arc<Histogram>,
@@ -407,12 +446,13 @@ impl LayerTimers {
         }
     }
 
-    /// Record one sampled transition from the instants before stepping,
-    /// before encoding, before deduplicating and after.
-    fn record(&self, [start, stepped, encoded, interned]: [Instant; 4]) {
-        self.step.record(ns(start, stepped));
+    /// Record one sampled transition from the instants before it, after
+    /// the store probe (if any), after stepping, after encoding and after
+    /// interning.
+    fn record(&self, [start, probed, stepped, encoded, interned]: [Instant; 5]) {
+        self.step.record(ns(probed, stepped));
         self.encode.record(ns(stepped, encoded));
-        self.dedup.record(ns(encoded, interned));
+        self.dedup.record(ns(start, probed) + ns(encoded, interned));
     }
 
     /// Count an undo: is it one to time?
@@ -441,10 +481,14 @@ struct Frame {
     end: usize,
 }
 
-/// A successor the machine has stepped into: its interned id, whether the
-/// id is new, and the undo-log mark that restores its parent. Its section
-/// ids are in [`Dfs::next_ids`].
-type Successor = (StateId, bool, usize);
+/// A successor of the top frame's state: its interned id, whether the id
+/// is new, and, when the machine has stepped into it, the undo-log mark
+/// that restores its parent. Its section ids are in [`Dfs::next_ids`].
+type Successor = (StateId, bool, Option<usize>);
+
+/// The memo of lock-free steps: `[thread, its section id, global section
+/// id]` before the step to `[its section id, global section id]` after.
+type Memo = FxHashMap<(u32, u32, u32), (u32, u32)>;
 
 /// The explicit-stack DFS and everything it threads through the search.
 struct Dfs<'c, 'o, O> {
@@ -458,6 +502,9 @@ struct Dfs<'c, 'o, O> {
     /// The steps from the initial state to `vm`'s, which make its path.
     log: UndoLog,
     table: StateTable,
+    /// The successor sections of every lock-free step taken so far that
+    /// did not fault.
+    memo: Memo,
     /// One bit per state id: is the state on the current path?
     on_path: Vec<u64>,
     /// The event trace from the initial state to the state being visited
@@ -473,7 +520,7 @@ struct Dfs<'c, 'o, O> {
     ids: Vec<u32>,
     /// The section ids of the successor being visited.
     next_ids: Vec<u32>,
-    /// The top frame's ample successor, stepped into while choosing it.
+    /// The top frame's ample successor, found while choosing it.
     pending: Option<Successor>,
     timers: Option<LayerTimers>,
     /// Observed path ends so far.
@@ -513,28 +560,94 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
         }
     }
 
-    /// Step the machine from the top frame's state by thread `t` and
+    /// Find the top frame's successor by thread `t`: step the machine and
     /// intern the result, re-encoding only the sections the step changed.
+    /// A lock-free step the memo knows needs no encoding; and when the
+    /// observer reads no events and the memo's successor is a stored state
+    /// off the current path, the machine does not step at all: the
+    /// transition is a join.
     fn successor(&mut self, t: usize) -> Successor {
-        let sampled = self.timers.is_some() && self.result.transitions.is_multiple_of(SAMPLE_EVERY);
+        let stepped_so_far = self.result.transitions - self.result.stepless_joins;
+        let sampled = self.timers.is_some() && stepped_so_far.is_multiple_of(SAMPLE_EVERY);
         let now = || sampled.then(Instant::now);
         let start = now();
+        let base = (self.stack.len() - 1) * self.width;
+        let parent = &self.ids[base..base + self.width];
+        let key = self
+            .vm
+            .is_lock_free_step(t)
+            .then(|| (t as u32, parent[1 + t], parent[0]));
+        self.next_ids.clear();
+        self.next_ids.extend_from_slice(parent);
+        let known = key.and_then(|key| self.memo.get(&key).copied());
+        if let Some((own, global)) = known {
+            self.result.memo_hits += 1;
+            self.next_ids[1 + t] = own;
+            self.next_ids[0] = global;
+        }
+        // With events unread, a known successor is looked up first.
+        let probed =
+            (known.is_some() && !O::READS_EVENTS).then(|| self.table.probe(&self.next_ids));
+        if let Some(Some(id)) = probed {
+            if !self.is_on_path(id) {
+                #[cfg(debug_assertions)]
+                self.assert_stepless(t, id);
+                self.result.stepless_joins += 1;
+                return (id, false, None);
+            }
+        }
+        let probe_end = if probed.is_some() { now() } else { start };
         let mark = self.log.mark();
         self.vm.step_logged(t, &mut self.log);
         let stepped = now();
-        let base = (self.stack.len() - 1) * self.width;
-        self.next_ids.clear();
-        self.next_ids
-            .extend_from_slice(&self.ids[base..base + self.width]);
-        self.table.encode_step(&self.vm);
-        let encoded = now();
-        let (id, fresh) = self.table.dedup(&self.vm, &mut self.next_ids);
-        if let (Some(timers), Some(start), Some(stepped), Some(encoded)) =
-            (&self.timers, start, stepped, encoded)
+        let mut encoded = stepped;
+        let (id, fresh) = match (probed, known) {
+            // A cycle: the probe found the state on the path.
+            (Some(Some(id)), _) => {
+                #[cfg(debug_assertions)]
+                self.table.assert_sections(&self.vm, &self.next_ids);
+                (id, false)
+            }
+            (Some(None), _) => (self.table.file_probed(&self.vm, &self.next_ids), true),
+            (None, Some(_)) => self.table.dedup_known(&self.vm, &self.next_ids),
+            (None, None) => {
+                self.table.encode_step(&self.vm);
+                encoded = now();
+                let interned = self.table.dedup(&self.vm, &mut self.next_ids);
+                if let Some(key) = key.filter(|_| !self.vm.is_faulted(t)) {
+                    self.memo
+                        .insert(key, (self.next_ids[1 + t], self.next_ids[0]));
+                }
+                interned
+            }
+        };
+        if let (Some(timers), Some(start), Some(probe_end), Some(stepped), Some(encoded)) =
+            (&self.timers, start, probe_end, stepped, encoded)
         {
-            timers.record([start, stepped, encoded, Instant::now()]);
+            timers.record([start, probe_end, stepped, encoded, Instant::now()]);
         }
-        (id, fresh, mark)
+        (id, fresh, Some(mark))
+    }
+
+    /// The differential guard for stepless joins: take the step after all,
+    /// without counting its firings, check that it does not fault and that
+    /// it interns to `id`, and undo it.
+    #[cfg(debug_assertions)]
+    fn assert_stepless(&mut self, t: usize, id: StateId) {
+        let base = (self.stack.len() - 1) * self.width;
+        let mut ids = self.ids[base..base + self.width].to_vec();
+        let mark = self.log.mark();
+        self.vm.set_recording(Recording::EventsOnly);
+        self.vm.step_logged(t, &mut self.log);
+        assert!(
+            !self.vm.is_faulted(t),
+            "stepless join over a fault of thread {t}"
+        );
+        self.table.encode_step(&self.vm);
+        let stepped = self.table.dedup(&self.vm, &mut ids);
+        assert_eq!(stepped, (id, false), "stepless join of thread {t} strayed");
+        self.vm.undo(&mut self.log, mark);
+        self.vm.set_recording(Recording::CountsOnly);
     }
 
     /// Step the machine back to the state it was in at `mark`.
@@ -579,7 +692,8 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
         } else if !fresh {
             // Reached a state first visited on another path: its subtree is
             // observed from there; end this path's prefix here.
-            self.end_path(PathEnd::Join);
+            self.ends += 1;
+            self.observer.join();
         } else if self.result.states >= self.config.max_states {
             self.result.truncated = true;
         } else {
@@ -593,12 +707,15 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
                     (self.stack.len() - 1) as u64,
                 );
             }
+            let mark = mark.expect("a new state is stepped into");
             if self.enter(id, ends, mark) {
                 // The step stays on the path until its frame is popped.
                 return;
             }
         }
-        self.undo(mark);
+        if let Some(mark) = mark {
+            self.undo(mark);
+        }
         self.observer.backtrack(self.ends - ends);
     }
 
@@ -681,7 +798,7 @@ impl<O: PathObserver> Dfs<'_, '_, O> {
             let (next_id, fresh, next_mark) = self.successor(cand);
             if self.is_on_path(next_id) {
                 self.result.full_expansions += 1;
-                self.undo(next_mark);
+                self.undo(next_mark.expect("a cycle is stepped into"));
             } else {
                 // The ample successor stands in for every other one.
                 self.result.ample_pruned += runnable - 1;
@@ -888,16 +1005,20 @@ mod tests {
         }
 
         fn path_end(&mut self, _vm: &Vm, end: PathEnd<'_>) {
-            let mut fresh = self.fresh.clone();
-            crate::trace::apply_trace(&self.trace, &mut fresh);
-            self.total.merge(&fresh);
+            self.join();
             let kind = match end {
                 PathEnd::Terminal(Verdict::Deadlock { .. }) => 0,
                 PathEnd::Terminal(Verdict::Faulted { .. }) => 1,
                 PathEnd::Cycle => 2,
-                _ => return,
+                PathEnd::Terminal(_) => return,
             };
             self.firsts[kind].get_or_insert_with(|| self.trace.clone());
+        }
+
+        fn join(&mut self) {
+            let mut fresh = self.fresh.clone();
+            crate::trace::apply_trace(&self.trace, &mut fresh);
+            self.total.merge(&fresh);
         }
     }
 
@@ -1322,6 +1443,55 @@ mod tests {
             }
         }
         assert!(witnesses.iter().all(|&n| n > 0), "{witnesses:?}");
+    }
+
+    #[test]
+    fn stepless_joins_stay_exact_under_a_truncated_hash() {
+        // With events unread, a memo hit into a stored state off the path
+        // is settled by a probe of the state store alone, without a step.
+        // Under a three-bit hash nearly every probe walks a collision
+        // chain; the report must still equal a recording search's, which
+        // steps every transition, under the full hash. (Debug builds also
+        // re-take every stepless join and check where it lands.)
+        let lock_order = examples::lock_order_deadlock();
+        let lock_threads = vec![
+            ThreadSpec {
+                name: "f".into(),
+                calls: vec![CallSpec::new("forward", vec![])],
+            },
+            ThreadSpec {
+                name: "b".into(),
+                calls: vec![CallSpec::new("backward", vec![])],
+            },
+        ];
+        let pc = examples::producer_consumer();
+        let (e11, e11_threads) = e11_scenario(1);
+        let reduced = ExploreConfig {
+            ample: true,
+            symmetry: true,
+            ..ExploreConfig::default()
+        };
+        let cases = [
+            ("lock-order deadlock", &lock_order, lock_threads),
+            ("SkipWait mutant", &skip_wait_mutant(), pc_threads()),
+            ("symmetric 3-thread", &pc, symmetric_pc_threads()),
+            ("E11 size 1", &e11, e11_threads),
+        ];
+        let mut stepless = 0;
+        for (label, component, threads) in cases {
+            for config in [ExploreConfig::default(), reduced.clone()] {
+                let make = || Vm::new(compile(component).unwrap(), threads.clone());
+                let recorded = explore_observed(make(), &config, &mut CountEvents(0));
+                crate::machine::state::force_collisions(3);
+                let free = explore(make(), &config, None);
+                crate::machine::state::force_collisions(64);
+                assert_eq!(census(&free), census(&recorded), "{label} {config:?}");
+                assert_eq!(free.memo_hits, recorded.memo_hits, "{label} {config:?}");
+                assert_eq!(recorded.stepless_joins, 0, "{label} {config:?}");
+                stepless += free.stepless_joins;
+            }
+        }
+        assert!(stepless > 0);
     }
 
     #[test]

@@ -615,6 +615,35 @@ impl Vm {
         }
     }
 
+    /// True when thread `i`'s next step is *lock-free*: a call start, or a
+    /// running step whose instruction is no lock operation (`EnterSync`,
+    /// `ExitSync`, `Wait`, `Notify`). Such a step reads only `i`'s own
+    /// state section and the fields, and unless it faults it changes
+    /// nothing else and fires no Figure-1 transition, so the explorer
+    /// memoizes it by those two sections.
+    pub(crate) fn is_lock_free_step(&self, i: usize) -> bool {
+        let t = &self.threads[i];
+        match t.status {
+            Status::Idle => true,
+            Status::Running => {
+                let frame = t.frame.expect("running frame");
+                !matches!(
+                    self.program.component.methods[frame.method_idx].code[frame.pc],
+                    Instr::EnterSync { .. }
+                        | Instr::ExitSync { .. }
+                        | Instr::Wait { .. }
+                        | Instr::Notify { .. }
+                )
+            }
+            _ => false,
+        }
+    }
+
+    /// True when thread `i` has faulted.
+    pub(crate) fn is_faulted(&self, i: usize) -> bool {
+        self.threads[i].status == Status::Faulted
+    }
+
     /// Execute one step of thread `idx`. Panics if the thread is not
     /// runnable (callers choose from [`runnable`](Self::runnable)).
     pub fn step(&mut self, idx: usize) {

@@ -47,7 +47,10 @@
 //! Every store confirms a hash hit against the full word slice, so dedup
 //! is exact: a collision costs a comparison, never a pruned subtree. A
 //! state that contains a section interned just now cannot be stored yet,
-//! so it is filed without a probe.
+//! so it is filed without a probe. A state whose section ids the explorer
+//! already knows (from its memo of lock-free steps) can be looked up before
+//! the machine steps into it, and, when absent, is filed after the step
+//! without a second probe.
 //!
 //! Thread symmetry: threads with identical specs (one
 //! [`Vm::symmetry_groups`] group) are interchangeable, and because
@@ -198,8 +201,11 @@ pub(crate) struct StateTable {
     /// the global section, `1 + i` for thread `i`'s) and its end in
     /// `scratch`.
     encoded: Vec<(usize, usize)>,
+    /// The symmetry-sorted state vector of the last intern or probe.
     root: Vec<u32>,
     sorted: Vec<u32>,
+    /// The hash of `root` as the last [`probe`](Self::probe) left it.
+    probed: u64,
 }
 
 impl StateTable {
@@ -219,6 +225,7 @@ impl StateTable {
             encoded: Vec::new(),
             root: Vec::new(),
             sorted: Vec::new(),
+            probed: 0,
         }
     }
 
@@ -256,7 +263,6 @@ impl StateTable {
     /// Intern the sections just encoded from `vm` into `ids`, and then
     /// the state: its id and whether it is new. `ids` is left holding
     /// `vm`'s own section ids.
-    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
     pub(crate) fn dedup(&mut self, vm: &Vm, ids: &mut [u32]) -> (StateId, bool) {
         let (mut start, mut fresh) = (0, false);
         for &(slot, end) in &self.encoded {
@@ -271,8 +277,48 @@ impl StateTable {
             fresh |= new;
             start = end;
         }
+        if fresh {
+            #[cfg(debug_assertions)]
+            self.assert_sections(vm, ids);
+            // No stored state contains a section interned just now.
+            let hash = self.canonical(ids);
+            (self.roots.push_absent(&self.root, hash), true)
+        } else {
+            self.dedup_known(vm, ids)
+        }
+    }
+
+    /// Intern `vm`'s state, whose section ids `ids` already holds (all of
+    /// them interned): its id and whether it is new.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn dedup_known(&mut self, vm: &Vm, ids: &[u32]) -> (StateId, bool) {
         #[cfg(debug_assertions)]
         self.assert_sections(vm, ids);
+        let hash = self.canonical(ids);
+        self.roots.intern_hashed(&self.root, hash)
+    }
+
+    /// Look up the state whose section ids `ids` holds (all of them
+    /// interned) without interning it. On a miss,
+    /// [`file_probed`](Self::file_probed) files it once the machine is in
+    /// it.
+    pub(crate) fn probe(&mut self, ids: &[u32]) -> Option<StateId> {
+        self.probed = self.canonical(ids);
+        self.roots.get_hashed(&self.root, self.probed)
+    }
+
+    /// File the state the last [`probe`](Self::probe) missed, `vm`'s
+    /// (whose section ids `ids` holds): its new id.
+    #[cfg_attr(not(debug_assertions), allow(unused_variables))]
+    pub(crate) fn file_probed(&mut self, vm: &Vm, ids: &[u32]) -> StateId {
+        #[cfg(debug_assertions)]
+        self.assert_sections(vm, ids);
+        self.roots.push_absent(&self.root, self.probed)
+    }
+
+    /// Put the state vector of section ids `ids` into `root`, each
+    /// symmetry group's ids sorted: its hash.
+    fn canonical(&mut self, ids: &[u32]) -> u64 {
         self.root.clear();
         self.root.extend_from_slice(ids);
         for group in &self.groups {
@@ -283,19 +329,13 @@ impl StateTable {
                 self.root[1 + slot] = id;
             }
         }
-        let hash = hash_words(&self.root);
-        if fresh {
-            // No stored state contains a section interned just now.
-            (self.roots.push_absent(&self.root, hash), true)
-        } else {
-            self.roots.intern_hashed(&self.root, hash)
-        }
+        hash_words(&self.root)
     }
 
     /// The differential guard for incremental interning: every section id
     /// in `ids` names exactly the words a full re-encoding of `vm` gives.
     #[cfg(debug_assertions)]
-    fn assert_sections(&mut self, vm: &Vm, ids: &[u32]) {
+    pub(crate) fn assert_sections(&mut self, vm: &Vm, ids: &[u32]) {
         self.scratch.clear();
         vm.encode_global(&mut self.scratch);
         assert_eq!(

@@ -8,11 +8,13 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use jcc_core::model::examples;
+use jcc_core::model::ast::Component;
+use jcc_core::model::{examples, parse_component};
 use jcc_core::obs;
 use jcc_core::petri::{JavaNet, ReachGraph, ReachLimits, Reduction, SymmetrySpec};
 use jcc_core::vm::{
-    compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, ThreadSpec, Value, Vm,
+    compile, explore, timeline_of_outcome, CallSpec, ExploreConfig, ExploreResult, ThreadSpec,
+    Value, Vm,
 };
 
 /// Serializes tests in this binary: they flip the process-global obs level.
@@ -173,6 +175,20 @@ fn explore_tally_unchanged_by_observation() {
             reg.counter("vm.explore.completed_paths").get(),
             reference.completed_paths as u64
         );
+        // The search's own counts are exact too, and observation leaves
+        // them alone.
+        assert_eq!(
+            (observed.memo_hits, observed.stepless_joins),
+            (reference.memo_hits, reference.stepless_joins)
+        );
+        assert_eq!(
+            reg.counter("vm.explore.memo_hits").get(),
+            reference.memo_hits as u64
+        );
+        assert_eq!(
+            reg.counter("vm.explore.stepless_joins").get(),
+            reference.stepless_joins as u64
+        );
     }
 }
 
@@ -193,36 +209,73 @@ fn vm_transition_counters_populated_under_observation() {
     }
 }
 
+/// Explore `threads` on `c` event-free and with a coverage tracker (which
+/// reads events), each under observation: both results with the
+/// `vm.transition.T1`–`T5` counters they left.
+fn free_and_recorded(c: &Component, threads: Vec<ThreadSpec>) -> [(ExploreResult, [u64; 5]); 2] {
+    let make_vm = || Vm::new(compile(c).unwrap(), threads.clone());
+    let counts = || {
+        ["T1", "T2", "T3", "T4", "T5"]
+            .map(|t| obs::global().counter(&format!("vm.transition.{t}")).get())
+    };
+    let free = with_level(obs::ObsLevel::Summary, || {
+        (
+            explore(make_vm(), &ExploreConfig::default(), None),
+            counts(),
+        )
+    });
+    let cofgs = jcc_core::cofg::build_component_cofgs(c);
+    let mut tracker = jcc_core::cofg::CoverageTracker::new(cofgs);
+    let recorded = with_level(obs::ObsLevel::Summary, || {
+        let r = explore(make_vm(), &ExploreConfig::default(), Some(&mut tracker));
+        (r, counts())
+    });
+    [free, recorded]
+}
+
+#[test]
+fn stepless_joins_skip_no_firings() {
+    // An event-free search settles some joins without stepping, but only
+    // over lock-free steps that do not fault, which fire no Figure-1
+    // transition: its counts equal a recording search's, which steps
+    // every transition. Here `bad` faults while it holds the monitor,
+    // which releases it (T4), on paths that also join.
+    let _guard = obs_lock();
+    let c = parse_component(
+        "class Bad { int n = 0; boolean b = false; \
+         synchronized void bad() { while (!b) { wait(); } if (n) { n = 1; } } \
+         synchronized void ok() { n = 2; b = true; notifyAll(); } }",
+    )
+    .unwrap();
+    let threads = ["bad", "ok", "bad"]
+        .map(|m| ThreadSpec {
+            name: m.into(),
+            calls: vec![CallSpec::new(m, vec![])],
+        })
+        .to_vec();
+    let [(free, free_counts), (recorded, recorded_counts)] = free_and_recorded(&c, threads);
+    assert_eq!(free.tally(), recorded.tally());
+    assert!(free.fault_paths > 0 && free.stepless_joins > 0, "{free:?}");
+    assert_eq!(recorded.stepless_joins, 0);
+    assert_eq!(free.memo_hits, recorded.memo_hits);
+    assert!(free_counts[3] > 0, "{free_counts:?}");
+    assert_eq!(free_counts, recorded_counts);
+}
+
 #[test]
 fn transition_counters_do_not_count_witness_replays() {
     // An event-free exploration rebuilds its deadlock witness by replaying
     // the path; the replay's firings were counted when the search took
     // them, so the counters match a recording exploration's exactly.
     let _guard = obs_lock();
-    let c = examples::lock_order_deadlock();
-    let make_vm = || {
-        let thread = |name: &str, method: &str| ThreadSpec {
-            name: name.into(),
-            calls: vec![CallSpec::new(method, vec![])],
-        };
-        Vm::new(
-            compile(&c).unwrap(),
-            vec![thread("f", "forward"), thread("b", "backward")],
-        )
+    let thread = |name: &str, method: &str| ThreadSpec {
+        name: name.into(),
+        calls: vec![CallSpec::new(method, vec![])],
     };
-    let counters = || {
-        ["T1", "T2", "T3", "T4", "T5"]
-            .map(|t| obs::global().counter(&format!("vm.transition.{t}")).get())
-    };
-    let (free, free_counts) = with_level(obs::ObsLevel::Summary, || {
-        (explore(make_vm(), &ExploreConfig::default(), None), counters())
-    });
-    let cofgs = jcc_core::cofg::build_component_cofgs(&c);
-    let mut tracker = jcc_core::cofg::CoverageTracker::new(cofgs);
-    let (recorded, recorded_counts) = with_level(obs::ObsLevel::Summary, || {
-        let r = explore(make_vm(), &ExploreConfig::default(), Some(&mut tracker));
-        (r, counters())
-    });
+    let [(free, free_counts), (recorded, recorded_counts)] = free_and_recorded(
+        &examples::lock_order_deadlock(),
+        vec![thread("f", "forward"), thread("b", "backward")],
+    );
     assert!(free.deadlock_witness.is_some());
     assert_eq!(
         format!("{:?}", free.deadlock_witness),
@@ -234,9 +287,10 @@ fn transition_counters_do_not_count_witness_replays() {
 
 #[test]
 fn explore_layer_split_is_sampled_only_under_observation() {
-    // One transition in 64 is timed into the step / encode / dedup
-    // histograms and one undo in 64 into the undo histogram — under
-    // observation only, and without touching the search.
+    // One stepped transition in 64 is timed into the step / encode /
+    // dedup histograms and one undo in 64 into the undo histogram — under
+    // observation only, and without touching the search. A join settled
+    // without stepping is neither stepped nor undone.
     let _guard = obs_lock();
     let layers = [
         "vm.explore.step_ns",
@@ -253,7 +307,8 @@ fn explore_layer_split_is_sampled_only_under_observation() {
         explore(pc_vm(), &ExploreConfig::default(), None)
     });
     assert_eq!(on.tally(), off.tally());
-    let sampled = on.transitions.div_ceil(64) as u64;
+    assert!(on.stepless_joins > 0, "{on:?}");
+    let sampled = (on.transitions - on.stepless_joins).div_ceil(64) as u64;
     assert!(sampled > 1, "{} transitions", on.transitions);
     assert_eq!(counts(), [sampled; 4]);
 }

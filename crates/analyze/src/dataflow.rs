@@ -2,20 +2,24 @@
 //!
 //! The MIR is structured (no goto, `synchronized` regions are properly
 //! nested blocks), so forward analysis is a single pre-order walk that
-//! threads a lattice value through each statement, forks it at `if`,
-//! re-joins after both branches, and iterates loop bodies to a fixpoint.
-//! The framework is generic over a [`JoinSemiLattice`]; the analyzer's
-//! workhorse instance is [`LockState`], the must-hold locks lattice with
-//! reentrancy counts, combined with reachability tracking (whether an
-//! unconditional `return` or a `while (true)` that never returns cuts off
-//! the statements that follow).
+//! threads a lattice value through each statement. The analyzer's
+//! lattice is [`LockState`], the must-hold locks lattice with reentrancy
+//! counts, combined with reachability tracking (whether an unconditional
+//! `return` or a `while (true)` that never returns cuts off the
+//! statements that follow). Structured `synchronized` releases every
+//! monitor it acquires before its block ends, so the lock state after any
+//! block equals the state before it: the walker threads one state through
+//! the whole method, without copies at `if` forks or loop fixpoints, and
+//! debug builds check that balance (the [`JoinSemiLattice`] merge of the
+//! two states is then the identity).
 //!
-//! Checks subscribe as a visitor: for every statement they receive a
-//! [`FlowEvent`] carrying the statement, its [`StmtPath`], the lock state
-//! *before* it executes, the enclosing-loop depth and reachability.
+//! Checks subscribe as a [`FlowVisitor`]: for every statement they
+//! receive a [`FlowEvent`] carrying the statement, its path (borrowed
+//! from the walker), the lock state *before* it executes, the enclosing
+//! `while`/`if` conditions and reachability; after a `while` body they
+//! get the loop's event again. The walk allocates nothing per statement.
 
-use jcc_model::ast::{Block, Expr, Method, Stmt, StmtPath, ELSE_OFFSET};
-use std::collections::BTreeMap;
+use jcc_model::ast::{Block, Component, Expr, Method, Stmt, ELSE_OFFSET};
 
 use crate::locks::{LockId, LockTable};
 
@@ -31,9 +35,12 @@ pub trait JoinSemiLattice: Clone + PartialEq {
 /// program point, with reentrancy counts. `synchronized` on an
 /// already-held monitor bumps the count (Java monitors are reentrant);
 /// leaving the region decrements it, releasing only at zero.
+///
+/// A method holds few monitors at once, so the state is a short vector of
+/// `(lock, depth)` pairs sorted by lock id.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct LockState {
-    held: BTreeMap<LockId, u32>,
+    held: Vec<(LockId, u32)>,
 }
 
 impl LockState {
@@ -42,29 +49,36 @@ impl LockState {
         LockState::default()
     }
 
+    fn find(&self, id: LockId) -> Result<usize, usize> {
+        self.held.binary_search_by_key(&id, |&(h, _)| h)
+    }
+
     /// Acquire `id` (entering a synchronized region).
     pub fn acquire(&mut self, id: LockId) {
-        *self.held.entry(id).or_insert(0) += 1;
+        match self.find(id) {
+            Ok(i) => self.held[i].1 += 1,
+            Err(i) => self.held.insert(i, (id, 1)),
+        }
     }
 
     /// Release `id` (leaving a synchronized region).
     pub fn release(&mut self, id: LockId) {
-        if let Some(n) = self.held.get_mut(&id) {
-            *n -= 1;
-            if *n == 0 {
-                self.held.remove(&id);
+        if let Ok(i) = self.find(id) {
+            self.held[i].1 -= 1;
+            if self.held[i].1 == 0 {
+                self.held.remove(i);
             }
         }
     }
 
     /// Whether `id` is definitely held.
     pub fn holds(&self, id: LockId) -> bool {
-        self.held.contains_key(&id)
+        self.find(id).is_ok()
     }
 
     /// Reentrancy depth of `id` (0 when not held).
     pub fn depth(&self, id: LockId) -> u32 {
-        self.held.get(&id).copied().unwrap_or(0)
+        self.find(id).map_or(0, |i| self.held[i].1)
     }
 
     /// Whether any monitor is held.
@@ -74,7 +88,11 @@ impl LockState {
 
     /// The held monitors, in `LockId` order.
     pub fn held_ids(&self) -> impl Iterator<Item = LockId> + '_ {
-        self.held.keys().copied()
+        self.held.iter().map(|&(id, _)| id)
+    }
+
+    fn clear(&mut self) {
+        self.held.clear();
     }
 }
 
@@ -82,32 +100,48 @@ impl JoinSemiLattice for LockState {
     /// Must-analysis: a lock is held after a join only if both paths hold
     /// it, at the smaller reentrancy depth.
     fn join(&mut self, other: &Self) -> bool {
+        let before = self.held.len();
         let mut changed = false;
-        let mut merged = BTreeMap::new();
-        for (&id, &n) in &self.held {
-            if let Some(&m) = other.held.get(&id) {
-                merged.insert(id, n.min(m));
+        self.held.retain_mut(|(id, n)| match other.find(*id) {
+            Ok(j) => {
+                let m = other.held[j].1;
+                if m < *n {
+                    *n = m;
+                    changed = true;
+                }
+                true
             }
-        }
-        if merged != self.held {
-            self.held = merged;
-            changed = true;
-        }
-        changed
+            Err(_) => false,
+        });
+        changed || self.held.len() != before
     }
+}
+
+/// An enclosing `while` or `if` condition of a statement.
+#[derive(Debug, Clone, Copy)]
+pub struct Guard<'a> {
+    /// The condition.
+    pub cond: &'a Expr,
+    /// `true` for a `while` loop, `false` for an `if`.
+    pub is_loop: bool,
 }
 
 /// What a check's visitor sees for each statement.
 #[derive(Debug)]
-pub struct FlowEvent<'a> {
-    /// Path of the statement within the method body.
-    pub path: StmtPath,
+pub struct FlowEvent<'a, 'w> {
+    /// Path of the statement within the method body (the steps of a
+    /// `StmtPath`), borrowed from the walker.
+    pub path: &'w [usize],
     /// The statement itself.
     pub stmt: &'a Stmt,
+    /// The statement's own monitor (`synchronized`, `wait`, `notify`,
+    /// `notifyAll`) resolved through the lock table; `None` for other
+    /// statements and for locks the component never declared.
+    pub lock: Option<LockId>,
     /// Monitors definitely held immediately before the statement.
-    pub locks: &'a LockState,
-    /// Number of enclosing `while` loops.
-    pub loop_depth: usize,
+    pub locks: &'w LockState,
+    /// The enclosing `while`/`if` conditions, outermost first.
+    pub guards: &'w [Guard<'a>],
     /// Whether control can reach this statement.
     pub reachable: bool,
     /// `true` for the first unreachable statement of its block — the
@@ -119,6 +153,22 @@ pub struct FlowEvent<'a> {
     pub dead_by_loop: bool,
 }
 
+/// A check fed by the walk.
+pub trait FlowVisitor<'a> {
+    /// Before a method's first statement.
+    fn begin_method(&mut self, _method: &'a Method) {}
+
+    /// Every statement, in pre-order, with the state *before* it.
+    fn stmt(&mut self, ev: &FlowEvent<'a, '_>);
+
+    /// After a `while` statement's body: the loop's own event again (its
+    /// lock state is the entry state, since the body is balanced).
+    fn loop_exit(&mut self, _ev: &FlowEvent<'a, '_>) {}
+
+    /// After a method's last statement.
+    fn end_method(&mut self) {}
+}
+
 /// Reachability as it flows through a block: whether control is live and,
 /// when it is not, whether the cut was a non-terminating loop.
 #[derive(Clone, Copy)]
@@ -127,61 +177,124 @@ struct Reach {
     by_loop: bool,
 }
 
-struct Walker<'a, F: FnMut(&FlowEvent<'_>)> {
-    table: &'a LockTable,
-    visit: F,
+/// The walk's scratch state — the path prefix, the lock state and the
+/// guard stack — reused across the methods of one component, so walking
+/// a method allocates only when it nests deeper than any before it.
+pub struct Walker<'a, 't> {
+    table: &'t LockTable,
+    prefix: Vec<usize>,
+    state: LockState,
+    guards: Vec<Guard<'a>>,
 }
 
-impl<F: FnMut(&FlowEvent<'_>)> Walker<'_, F> {
-    /// Walk `block`, threading `state` through it. `offset` is 0 for
-    /// ordinary blocks and [`ELSE_OFFSET`] when the block is an
-    /// else-branch (so emitted paths address the right branch). Returns
-    /// whether control can fall off the end of the block (`false` when an
-    /// unconditional `return` or a non-returning `while (true)`
-    /// intervenes).
-    fn walk_block(
+impl<'a, 't> Walker<'a, 't> {
+    /// A walker resolving locks through `table`.
+    pub fn new(table: &'t LockTable) -> Walker<'a, 't> {
+        Walker {
+            table,
+            prefix: Vec::new(),
+            state: LockState::empty(),
+            guards: Vec::new(),
+        }
+    }
+
+    /// Run the forward walk over one method, feeding `visit` once per
+    /// statement in pre-order with the state *before* that statement.
+    /// A `synchronized` method starts with the receiver monitor held.
+    pub fn walk(&mut self, method: &'a Method, visit: &mut impl FlowVisitor<'a>) {
+        self.prefix.clear();
+        self.guards.clear();
+        self.state.clear();
+        if method.synchronized {
+            self.state.acquire(LockId::THIS);
+        }
+        visit.begin_method(method);
+        self.block(
+            &method.body,
+            0,
+            visit,
+            Reach {
+                live: true,
+                by_loop: false,
+            },
+        );
+        visit.end_method();
+    }
+
+    /// Walk every method of `component`, in declaration order.
+    pub fn walk_component(&mut self, component: &'a Component, visit: &mut impl FlowVisitor<'a>) {
+        for method in &component.methods {
+            self.walk(method, visit);
+        }
+    }
+
+    fn event<'w>(
+        &'w self,
+        stmt: &'a Stmt,
+        lock: Option<LockId>,
+        reach: Reach,
+        first_unreachable: bool,
+    ) -> FlowEvent<'a, 'w> {
+        FlowEvent {
+            path: &self.prefix,
+            stmt,
+            lock,
+            locks: &self.state,
+            guards: &self.guards,
+            reachable: reach.live,
+            first_unreachable,
+            dead_by_loop: reach.by_loop,
+        }
+    }
+
+    /// Walk `block`. `offset` is 0 for ordinary blocks and
+    /// [`ELSE_OFFSET`] when the block is an else-branch (so emitted paths
+    /// address the right branch). Returns whether control can fall off
+    /// the end of the block (`false` when an unconditional `return` or a
+    /// non-returning `while (true)` intervenes).
+    fn block(
         &mut self,
-        block: &Block,
+        block: &'a Block,
         offset: usize,
-        prefix: &mut Vec<usize>,
-        state: &mut LockState,
-        loop_depth: usize,
+        visit: &mut impl FlowVisitor<'a>,
         mut reach: Reach,
     ) -> bool {
+        #[cfg(debug_assertions)]
+        let entry = self.state.clone();
         let mut was_reachable = reach.live;
         for (i, stmt) in block.iter().enumerate() {
-            prefix.push(offset + i);
+            self.prefix.push(offset + i);
             let first_unreachable = was_reachable && !reach.live;
             was_reachable = reach.live;
-            (self.visit)(&FlowEvent {
-                path: StmtPath(prefix.clone()),
-                stmt,
-                locks: state,
-                loop_depth,
-                reachable: reach.live,
-                first_unreachable,
-                dead_by_loop: reach.by_loop,
-            });
+            let lock = match stmt {
+                Stmt::Synchronized { lock, .. }
+                | Stmt::Wait { lock }
+                | Stmt::Notify { lock }
+                | Stmt::NotifyAll { lock } => self.table.resolve(lock),
+                _ => None,
+            };
+            let entry_reach = reach;
+            visit.stmt(&self.event(stmt, lock, entry_reach, first_unreachable));
             match stmt {
-                Stmt::Synchronized { lock, body } => {
-                    let id = self.table.resolve(lock);
-                    if let Some(id) = id {
-                        state.acquire(id);
+                Stmt::Synchronized { body, .. } => {
+                    if let Some(id) = lock {
+                        self.state.acquire(id);
                     }
-                    self.walk_block(body, 0, prefix, state, loop_depth, reach);
-                    if let Some(id) = id {
-                        state.release(id);
+                    self.block(body, 0, visit, reach);
+                    if let Some(id) = lock {
+                        self.state.release(id);
                     }
                 }
                 Stmt::While { cond, body } => {
-                    // Fixpoint over the loop body. Structured sync keeps
-                    // the lock state balanced across a block, so this
-                    // converges on the first iteration; the join is kept
-                    // for generality (and checked in debug builds).
-                    let entry = state.clone();
-                    self.walk_block(body, 0, prefix, state, loop_depth + 1, reach);
-                    let changed = state.join(&entry);
-                    debug_assert!(!changed, "lock state must be balanced across a loop body");
+                    // The body leaves the lock state as it found it, so the
+                    // loop's fixpoint is its entry state.
+                    self.guards.push(Guard {
+                        cond,
+                        is_loop: true,
+                    });
+                    self.block(body, 0, visit, reach);
+                    self.guards.pop();
+                    visit.loop_exit(&self.event(stmt, lock, entry_reach, first_unreachable));
                     // `while (true)` has no false exit: everything after it
                     // is unreachable. A `return` in the body exits the
                     // whole method, not just the loop, so it cannot make
@@ -194,16 +307,17 @@ impl<F: FnMut(&FlowEvent<'_>)> Walker<'_, F> {
                     }
                 }
                 Stmt::If {
+                    cond,
                     then_branch,
                     else_branch,
-                    ..
                 } => {
-                    let mut then_state = state.clone();
-                    let then_falls =
-                        self.walk_block(then_branch, 0, prefix, &mut then_state, loop_depth, reach);
-                    let else_falls =
-                        self.walk_block(else_branch, ELSE_OFFSET, prefix, state, loop_depth, reach);
-                    let _ = state.join(&then_state);
+                    self.guards.push(Guard {
+                        cond,
+                        is_loop: false,
+                    });
+                    let then_falls = self.block(then_branch, 0, visit, reach);
+                    let else_falls = self.block(else_branch, ELSE_OFFSET, visit, reach);
+                    self.guards.pop();
                     if reach.live && !then_falls && !else_falls && !else_branch.is_empty() {
                         reach = Reach {
                             live: false,
@@ -219,39 +333,109 @@ impl<F: FnMut(&FlowEvent<'_>)> Walker<'_, F> {
                 }
                 _ => {}
             }
-            prefix.pop();
+            self.prefix.pop();
         }
+        #[cfg(debug_assertions)]
+        debug_assert_eq!(
+            self.state, entry,
+            "lock state must be balanced across a block"
+        );
         reach.live
     }
 }
 
-/// Run the forward walk over one method, invoking `visit` once per
-/// statement in pre-order with the state *before* that statement.
-/// A `synchronized` method starts with the receiver monitor held.
-pub fn walk_method(table: &LockTable, method: &Method, visit: impl FnMut(&FlowEvent<'_>)) {
-    let mut state = LockState::empty();
-    if method.synchronized {
-        state.acquire(LockId::THIS);
+/// The expression a statement evaluates *itself* (not those of statements
+/// nested in its blocks, which get their own flow events): a loop or
+/// branch condition, an assigned value, a local's initializer or a
+/// returned value.
+pub(crate) fn own_expr(stmt: &Stmt) -> Option<&Expr> {
+    match stmt {
+        Stmt::While { cond, .. } | Stmt::If { cond, .. } => Some(cond),
+        Stmt::Assign { value, .. } => Some(value),
+        Stmt::Local { init, .. } => Some(init),
+        Stmt::Return(e) => e.as_ref(),
+        _ => None,
     }
-    let mut w = Walker { table, visit };
-    let mut prefix = Vec::new();
-    w.walk_block(
-        &method.body,
-        0,
-        &mut prefix,
-        &mut state,
-        0,
-        Reach {
-            live: true,
-            by_loop: false,
-        },
-    );
+}
+
+/// Call `f` with every field `expr` reads, in evaluation order (repeats
+/// included).
+pub(crate) fn for_each_field<'a>(expr: &'a Expr, f: &mut impl FnMut(&'a str)) {
+    match expr {
+        Expr::Field(name) => f(name),
+        Expr::Unary(_, a) => for_each_field(a, f),
+        Expr::Binary(_, a, b) => {
+            for_each_field(a, f);
+            for_each_field(b, f);
+        }
+        Expr::Call(_, args) => args.iter().for_each(|a| for_each_field(a, f)),
+        _ => {}
+    }
+}
+
+/// Whether `expr` reads the field (`field == true`) or local named `name`.
+pub(crate) fn reads_name(expr: &Expr, name: &str, field: bool) -> bool {
+    match expr {
+        Expr::Field(n) => field && n == name,
+        Expr::Var(n) => !field && n == name,
+        Expr::Unary(_, a) => reads_name(a, name, field),
+        Expr::Binary(_, a, b) => reads_name(a, name, field) || reads_name(b, name, field),
+        Expr::Call(_, args) => args.iter().any(|a| reads_name(a, name, field)),
+        _ => false,
+    }
+}
+
+/// Statement paths a check keeps past the walk, packed end to end in one
+/// buffer so that keeping one costs no allocation of its own.
+#[derive(Debug, Default)]
+pub(crate) struct Paths {
+    steps: Vec<usize>,
+}
+
+/// A path stored in [`Paths`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PathRef {
+    start: usize,
+    len: usize,
+}
+
+impl Paths {
+    /// Keep `path`.
+    pub(crate) fn push(&mut self, path: &[usize]) -> PathRef {
+        let start = self.steps.len();
+        self.steps.extend_from_slice(path);
+        PathRef {
+            start,
+            len: path.len(),
+        }
+    }
+
+    /// The steps of a kept path.
+    pub(crate) fn get(&self, r: PathRef) -> &[usize] {
+        &self.steps[r.start..r.start + r.len]
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use jcc_model::ast::{Component, LockRef, Method};
+    use jcc_model::ast::{Component, LockRef, Method, StmtPath};
+
+    /// Walk one method with a fresh [`Walker`], calling `visit` for every
+    /// statement.
+    fn walk_method<'a>(
+        table: &LockTable,
+        method: &'a Method,
+        visit: impl FnMut(&FlowEvent<'a, '_>),
+    ) {
+        struct Each<F>(F);
+        impl<'a, F: FnMut(&FlowEvent<'a, '_>)> FlowVisitor<'a> for Each<F> {
+            fn stmt(&mut self, ev: &FlowEvent<'a, '_>) {
+                (self.0)(ev)
+            }
+        }
+        Walker::new(table).walk(method, &mut Each(visit));
+    }
 
     fn table() -> LockTable {
         LockTable::new(&Component {
@@ -279,7 +463,7 @@ mod tests {
         let mut out = Vec::new();
         walk_method(t, m, |ev| {
             out.push((
-                ev.path.clone(),
+                StmtPath(ev.path.to_vec()),
                 ev.reachable,
                 ev.locks.held_ids().collect(),
                 ev.locks.depth(LockId::THIS),

@@ -6,7 +6,7 @@
 //! [`AnalysisReport`], which renders as human-readable text or as the
 //! stable machine-readable `jcc-analyze/v1` JSON document.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use jcc_model::ast::StmtPath;
@@ -209,25 +209,26 @@ impl Diagnostic {
         }
     }
 
-    /// The sort/dedup key: deterministic, independent of discovery order.
-    fn sort_key(&self) -> (String, Vec<usize>, CheckId, String) {
-        (
-            self.method.clone(),
-            self.path.as_ref().map(|p| p.0.clone()).unwrap_or_default(),
-            self.check,
-            self.message.clone(),
-        )
-    }
-
     /// The source-aware sort prefix: `(file, span, check)`. Diagnostics
     /// without a source location (no `LowerMap`) all share the minimal key,
     /// so their relative order is still decided by the declaration-order
     /// key — the pre-existing byte-identical ordering.
-    fn src_key(&self) -> (String, (u32, u32), CheckId) {
+    fn src_key(&self) -> (&str, (u32, u32), CheckId) {
         match &self.src {
-            Some(s) => (s.file.clone(), s.span, self.check),
-            None => (String::new(), (0, 0), CheckId::ALL[0]),
+            Some(s) => (&s.file, s.span, self.check),
+            None => ("", (0, 0), CheckId::ALL[0]),
         }
+    }
+
+    /// The declaration-order sort/dedup key after the method's rank:
+    /// deterministic, independent of discovery order.
+    fn sort_key(&self) -> (&str, &[usize], CheckId, &str) {
+        (
+            &self.method,
+            self.path.as_ref().map_or(&[][..], |p| &p.0),
+            self.check,
+            &self.message,
+        )
     }
 }
 
@@ -261,23 +262,42 @@ impl AnalysisReport {
     /// order, so rendering follows the source.
     pub fn new(
         component: &str,
-        mut diagnostics: Vec<Diagnostic>,
+        diagnostics: Vec<Diagnostic>,
         method_order: &[String],
     ) -> AnalysisReport {
-        let rank = |m: &str| {
-            method_order
-                .iter()
-                .position(|x| x == m)
-                .unwrap_or(method_order.len())
-        };
-        diagnostics.sort_by(|a, b| {
-            (a.src_key(), rank(&a.method), a.sort_key())
-                .cmp(&(b.src_key(), rank(&b.method), b.sort_key()))
+        AnalysisReport::sorted(
+            component,
+            diagnostics,
+            method_order.iter().map(String::as_str),
+        )
+    }
+
+    /// [`AnalysisReport::new`] over borrowed method names. Each
+    /// diagnostic's method rank (the first declaration of its name, or
+    /// after every method when it names none) is looked up once, and the
+    /// sort compares borrowed keys.
+    pub(crate) fn sorted<'m>(
+        component: &str,
+        diagnostics: Vec<Diagnostic>,
+        method_order: impl IntoIterator<Item = &'m str>,
+    ) -> AnalysisReport {
+        let mut ranks: HashMap<&str, usize> = HashMap::new();
+        let mut methods = 0;
+        for (i, m) in method_order.into_iter().enumerate() {
+            ranks.entry(m).or_insert(i);
+            methods = i + 1;
+        }
+        let mut ranked: Vec<(usize, Diagnostic)> = diagnostics
+            .into_iter()
+            .map(|d| (ranks.get(d.method.as_str()).copied().unwrap_or(methods), d))
+            .collect();
+        ranked.sort_by(|(ra, a), (rb, b)| {
+            (a.src_key(), ra, a.sort_key()).cmp(&(b.src_key(), rb, b.sort_key()))
         });
-        diagnostics.dedup();
+        ranked.dedup_by(|(_, a), (_, b)| a == b);
         AnalysisReport {
             component: component.to_string(),
-            diagnostics,
+            diagnostics: ranked.into_iter().map(|(_, d)| d).collect(),
         }
     }
 
@@ -291,7 +311,8 @@ impl AnalysisReport {
         }
         // Stable sort on the source key alone: diagnostics left without a
         // location (all ties) keep their declaration-order positions.
-        self.diagnostics.sort_by_key(|a| a.src_key());
+        self.diagnostics
+            .sort_by(|a, b| a.src_key().cmp(&b.src_key()));
     }
 
     /// Diagnostics at or above `min` severity.

@@ -1,12 +1,19 @@
 //! Checks powered by the locks-held dataflow: monitor discipline, field
 //! protection, redundant regions, spin loops and dead code.
+//!
+//! The checks are a [`FlowVisitor`] fed by the analyzer's one walk per
+//! method. Discipline, spin-loop and dead-code findings are local to a
+//! statement or method and are pushed as soon as they are known; the
+//! protected-field check needs the whole component (which fields are ever
+//! accessed under a lock), so it keeps the unlocked accesses until the
+//! component is walked.
 
-use std::collections::BTreeSet;
-
-use jcc_model::ast::{visit_stmts, Block, Component, Expr, LValue, Stmt, StmtPath};
+use jcc_model::ast::{Component, Expr, LValue, Method, Stmt, StmtPath};
 use jcc_petri::{Deviation, FailureClass, Transition};
 
-use crate::dataflow::walk_method;
+use crate::dataflow::{
+    for_each_field, own_expr, reads_name, FlowEvent, FlowVisitor, PathRef, Paths, Walker,
+};
 use crate::diag::{CheckId, Diagnostic, Severity};
 use crate::locks::LockTable;
 
@@ -14,310 +21,369 @@ fn class(d: Deviation, t: Transition) -> FailureClass {
     FailureClass::new(d, t)
 }
 
-/// Fields an expression reads.
-fn expr_fields(expr: &Expr, out: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Field(name) => {
-            out.insert(name.clone());
+/// A field access made with no lock held.
+struct Access<'a> {
+    method: &'a str,
+    path: PathRef,
+    field: &'a str,
+    write: bool,
+}
+
+/// The dataflow-backed checks, fed one method at a time.
+pub(crate) struct FlowChecks<'a, 't> {
+    table: &'t LockTable,
+    /// The method being walked.
+    method: &'a str,
+    /// Fields accessed with some monitor held, anywhere in the component
+    /// (sorted and deduplicated by [`FlowChecks::finish`]).
+    locked: Vec<&'a str>,
+    /// Accesses with no monitor held, checked against `locked` at the end.
+    unlocked: Vec<Access<'a>>,
+    paths: Paths,
+    /// Per open `while` loop, innermost last: whether its body so far can
+    /// make progress (waits, returns, or assigns what the condition reads).
+    loops: Vec<bool>,
+    /// The method's first-dead-statement anchors.
+    dead_anchors: Vec<StmtPath>,
+    /// Whether the method has an unreachable notification.
+    dead_notify: bool,
+    diags: Vec<Diagnostic>,
+}
+
+impl<'a, 't> FlowChecks<'a, 't> {
+    /// Checks that name locks through `table`.
+    pub(crate) fn new(table: &'t LockTable) -> FlowChecks<'a, 't> {
+        FlowChecks {
+            table,
+            method: "",
+            locked: Vec::new(),
+            unlocked: Vec::new(),
+            paths: Paths::default(),
+            loops: Vec::new(),
+            dead_anchors: Vec::new(),
+            dead_notify: false,
+            diags: Vec::new(),
         }
-        Expr::Unary(_, a) => expr_fields(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_fields(a, out);
-            expr_fields(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_fields(a, out);
-            }
-        }
-        _ => {}
     }
-}
 
-/// Locals an expression reads.
-fn expr_vars(expr: &Expr, out: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Var(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Unary(_, a) => expr_vars(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_vars(a, out);
-            expr_vars(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_vars(a, out);
-            }
-        }
-        _ => {}
-    }
-}
-
-/// The field accesses a single statement performs *itself* (its own
-/// expressions — not those of statements nested inside its blocks, which
-/// get their own flow events). Returns (reads, writes).
-fn stmt_field_accesses(stmt: &Stmt) -> (BTreeSet<String>, BTreeSet<String>) {
-    let mut reads = BTreeSet::new();
-    let mut writes = BTreeSet::new();
-    match stmt {
-        Stmt::While { cond, .. } | Stmt::If { cond, .. } => expr_fields(cond, &mut reads),
-        Stmt::Assign { target, value } => {
-            expr_fields(value, &mut reads);
-            if let LValue::Field(name) = target {
-                writes.insert(name.clone());
-            }
-        }
-        Stmt::Local { init, .. } => expr_fields(init, &mut reads),
-        Stmt::Return(Some(e)) => expr_fields(e, &mut reads),
-        _ => {}
-    }
-    (reads, writes)
-}
-
-/// A loop body "makes progress" towards changing `cond` if it contains a
-/// `wait` (suspending is progress: another thread runs), a `return`, or an
-/// assignment to any field/local the condition reads.
-fn loop_can_make_progress(cond: &Expr, body: &Block) -> bool {
-    let mut cond_fields = BTreeSet::new();
-    let mut cond_vars = BTreeSet::new();
-    expr_fields(cond, &mut cond_fields);
-    expr_vars(cond, &mut cond_vars);
-    let mut progress = false;
-    visit_stmts(body, &mut |s| match s {
-        Stmt::Wait { .. } | Stmt::Return(_) => progress = true,
-        Stmt::Assign { target, .. } => match target {
-            LValue::Field(f) if cond_fields.contains(f) => progress = true,
-            LValue::Local(v) if cond_vars.contains(v) => progress = true,
-            _ => {}
-        },
-        _ => {}
-    });
-    progress
-}
-
-/// Run every dataflow-backed check over the component.
-pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
-    let _span = jcc_obs::span!("analyze.dataflow");
-
-    // Pass 1: which fields are ever accessed under a lock / with none held
-    // (for the protected-field interference check).
-    let mut locked_fields: BTreeSet<String> = BTreeSet::new();
-    let mut unlocked: Vec<(String, StmtPath, String, bool)> = Vec::new(); // (method, path, field, is_write)
-    for method in &component.methods {
-        walk_method(table, method, |ev| {
-            let (reads, writes) = stmt_field_accesses(ev.stmt);
-            if ev.locks.any_held() {
-                locked_fields.extend(reads);
-                locked_fields.extend(writes);
-            } else {
-                for f in reads {
-                    unlocked.push((method.name.clone(), ev.path.clone(), f, false));
-                }
-                for f in writes {
-                    unlocked.push((method.name.clone(), ev.path.clone(), f, true));
-                }
-            }
+    fn push(
+        &mut self,
+        check: CheckId,
+        class: FailureClass,
+        severity: Severity,
+        path: Option<StmtPath>,
+        message: String,
+    ) {
+        self.diags.push(Diagnostic {
+            check,
+            class,
+            severity,
+            src: None,
+            method: self.method.to_string(),
+            path,
+            message,
         });
     }
-    for (method, path, field, is_write) in unlocked {
-        if locked_fields.contains(&field) {
-            let kind = if is_write { "written" } else { "read" };
+
+    /// Record the field accesses the statement itself makes (reachable or
+    /// not) as locked or unlocked.
+    fn field_accesses(&mut self, ev: &FlowEvent<'a, '_>) {
+        let write = match ev.stmt {
+            Stmt::Assign {
+                target: LValue::Field(f),
+                ..
+            } => Some(f.as_str()),
+            _ => None,
+        };
+        let read = own_expr(ev.stmt);
+        if ev.locks.any_held() {
+            if let Some(e) = read {
+                for_each_field(e, &mut |f| self.locked.push(f));
+            }
+            self.locked.extend(write);
+            return;
+        }
+        let mut path = None;
+        let mut access = |this: &mut Self, field, write| {
+            let path = *path.get_or_insert_with(|| this.paths.push(ev.path));
+            this.unlocked.push(Access {
+                method: this.method,
+                path,
+                field,
+                write,
+            });
+        };
+        if let Some(e) = read {
+            for_each_field(e, &mut |f| access(self, f, false));
+        }
+        if let Some(f) = write {
+            access(self, f, true);
+        }
+    }
+
+    /// Loop progress: a `wait` or `return` moves every enclosing loop; an
+    /// assignment moves the loops whose condition reads its target.
+    fn progress(&mut self, ev: &FlowEvent<'a, '_>) {
+        let target = match ev.stmt {
+            Stmt::Wait { .. } | Stmt::Return(_) => {
+                self.loops.iter_mut().for_each(|p| *p = true);
+                return;
+            }
+            Stmt::Assign { target, .. } => target,
+            _ => return,
+        };
+        let (name, field) = match target {
+            LValue::Field(f) => (f, true),
+            LValue::Local(v) => (v, false),
+        };
+        let conds = ev.guards.iter().filter(|g| g.is_loop);
+        for (p, g) in self.loops.iter_mut().zip(conds) {
+            if !*p && reads_name(g.cond, name, field) {
+                *p = true;
+            }
+        }
+    }
+
+    /// Monitor discipline on a live statement.
+    fn discipline(&mut self, ev: &FlowEvent<'a, '_>) {
+        match ev.stmt {
+            Stmt::Wait { lock } | Stmt::Notify { lock } | Stmt::NotifyAll { lock } => {
+                let op = match ev.stmt {
+                    Stmt::Wait { .. } => "wait",
+                    Stmt::Notify { .. } => "notify",
+                    _ => "notifyAll",
+                };
+                let id = ev.lock;
+                match id {
+                    Some(id) if ev.locks.holds(id) => {}
+                    _ => self.push(
+                        CheckId::MonitorNotHeld,
+                        class(Deviation::FailureToFire, Transition::T1),
+                        Severity::High,
+                        Some(StmtPath(ev.path.to_vec())),
+                        format!(
+                            "`{op}` on `{lock}` without holding its monitor \
+                             (IllegalMonitorStateException at run time)"
+                        ),
+                    ),
+                }
+                // Nested-monitor lockout: suspending while holding a
+                // second lock means nothing can reach the notifier.
+                if matches!(ev.stmt, Stmt::Wait { .. })
+                    && ev.locks.held_ids().any(|h| Some(h) != id)
+                {
+                    let others: Vec<&str> = ev
+                        .locks
+                        .held_ids()
+                        .filter(|h| Some(*h) != id)
+                        .map(|h| self.table.name(h))
+                        .collect();
+                    self.push(
+                        CheckId::NestedMonitorWait,
+                        class(Deviation::FailureToFire, Transition::T2),
+                        Severity::High,
+                        Some(StmtPath(ev.path.to_vec())),
+                        format!(
+                            "`wait` on `{lock}` while still holding `{}` — \
+                             a nested-monitor lockout: waiters keep the outer \
+                             lock, so the notifier can never run",
+                            others.join("`, `")
+                        ),
+                    );
+                }
+            }
+            Stmt::Synchronized { lock, .. } => {
+                if let Some(id) = ev.lock {
+                    if ev.locks.holds(id) {
+                        self.push(
+                            CheckId::RedundantSync,
+                            class(Deviation::ErroneousFiring, Transition::T1),
+                            Severity::Medium,
+                            Some(StmtPath(ev.path.to_vec())),
+                            format!(
+                                "`synchronized ({lock})` while `{}` is already \
+                                 held — reentrancy makes this a redundant region",
+                                self.table.name(id)
+                            ),
+                        );
+                    }
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// A live loop whose body can make no progress.
+    fn spin(&mut self, ev: &FlowEvent<'a, '_>, cond: &Expr) {
+        let literal_spin = matches!(cond, Expr::Bool(true));
+        if !literal_spin {
+            self.push(
+                CheckId::GuardLoopWithoutWait,
+                class(Deviation::FailureToFire, Transition::T3),
+                Severity::Medium,
+                Some(StmtPath(ev.path.to_vec())),
+                "guard loop never waits: the body neither \
+                 suspends nor changes anything the condition \
+                 reads"
+                    .into(),
+            );
+        }
+        if !ev.locks.any_held() {
+            if literal_spin {
+                self.push(
+                    CheckId::LoopHoldsLockForever,
+                    class(Deviation::FailureToFire, Transition::T4),
+                    Severity::Medium,
+                    Some(StmtPath(ev.path.to_vec())),
+                    "`while (true)` with no `wait` or `return` \
+                     in the body never terminates"
+                        .into(),
+                );
+            }
+        } else {
+            let held: Vec<&str> = ev.locks.held_ids().map(|h| self.table.name(h)).collect();
+            self.push(
+                CheckId::LoopHoldsLockForever,
+                class(Deviation::FailureToFire, Transition::T4),
+                Severity::High,
+                Some(StmtPath(ev.path.to_vec())),
+                format!(
+                    "loop can never terminate while holding `{}`: the \
+                     body neither waits nor changes the condition, and \
+                     no other thread can enter the monitor to do so",
+                    held.join("`, `")
+                ),
+            );
+        }
+    }
+
+    /// Report the dead code of the method just walked.
+    fn dead_code(&mut self) {
+        let anchors = std::mem::take(&mut self.dead_anchors);
+        for anchor in anchors {
+            if self.dead_notify {
+                self.push(
+                    CheckId::UnreachableAfterReturn,
+                    class(Deviation::ErroneousFiring, Transition::T4),
+                    Severity::High,
+                    Some(anchor.clone()),
+                    "unreachable code after `return` includes a notification: \
+                     the monitor is released before waiters can ever be woken"
+                        .into(),
+                );
+                self.push(
+                    CheckId::UnreachableAfterReturn,
+                    class(Deviation::FailureToFire, Transition::T5),
+                    Severity::Medium,
+                    Some(anchor),
+                    "a notification that can never execute is a lost \
+                     notification for every waiter depending on it"
+                        .into(),
+                );
+            } else {
+                self.push(
+                    CheckId::UnreachableAfterReturn,
+                    class(Deviation::ErroneousFiring, Transition::T4),
+                    Severity::Low,
+                    Some(anchor),
+                    "statements after an unconditional `return` can never \
+                     execute"
+                        .into(),
+                );
+            }
+        }
+        self.dead_notify = false;
+        debug_assert!(
+            self.loops.is_empty(),
+            "every loop exits before its method ends"
+        );
+    }
+
+    /// The component is walked: report unlocked accesses to fields that
+    /// some monitor protects elsewhere, and hand over every finding.
+    pub(crate) fn finish(mut self, out: &mut Vec<Diagnostic>) {
+        out.append(&mut self.diags);
+        if self.unlocked.is_empty() {
+            return;
+        }
+        self.locked.sort_unstable();
+        self.locked.dedup();
+        for a in &self.unlocked {
+            if self.locked.binary_search(&a.field).is_err() {
+                continue;
+            }
+            let kind = if a.write { "written" } else { "read" };
             out.push(Diagnostic {
                 check: CheckId::UnlockedFieldAccess,
                 class: class(Deviation::FailureToFire, Transition::T1),
-                severity: if is_write { Severity::High } else { Severity::Medium },
+                severity: if a.write {
+                    Severity::High
+                } else {
+                    Severity::Medium
+                },
                 src: None,
-                method,
-                path: Some(path),
+                method: a.method.to_string(),
+                path: Some(StmtPath(self.paths.get(a.path).to_vec())),
                 message: format!(
-                    "field `{field}` is {kind} with no lock held, but is \
-                     protected by a monitor elsewhere in the component"
+                    "field `{}` is {kind} with no lock held, but is \
+                     protected by a monitor elsewhere in the component",
+                    a.field
                 ),
             });
         }
     }
+}
 
-    // Pass 2: per-statement monitor-discipline, spin-loop and dead-code
-    // checks.
-    for method in &component.methods {
-        // (first-dead-stmt anchors, any unreachable notify?) per method.
-        let mut dead_anchors: Vec<StmtPath> = Vec::new();
-        let mut dead_notify = false;
-        walk_method(table, method, |ev| {
-            if !ev.reachable {
-                // Loop-caused dead code is the non-terminating loop's
-                // fault, and that loop already gets its own FF-T4
-                // diagnostic — don't pile dead-code reports on top.
-                if !ev.dead_by_loop {
-                    if ev.first_unreachable {
-                        dead_anchors.push(ev.path.clone());
-                    }
-                    if matches!(ev.stmt, Stmt::Notify { .. } | Stmt::NotifyAll { .. }) {
-                        dead_notify = true;
-                    }
+impl<'a> FlowVisitor<'a> for FlowChecks<'a, '_> {
+    fn begin_method(&mut self, method: &'a Method) {
+        self.method = &method.name;
+    }
+
+    fn stmt(&mut self, ev: &FlowEvent<'a, '_>) {
+        self.field_accesses(ev);
+        self.progress(ev);
+        if matches!(ev.stmt, Stmt::While { .. }) {
+            self.loops.push(false);
+        }
+        if !ev.reachable {
+            // Loop-caused dead code is the non-terminating loop's
+            // fault, and that loop already gets its own FF-T4
+            // diagnostic — don't pile dead-code reports on top.
+            if !ev.dead_by_loop {
+                if ev.first_unreachable {
+                    self.dead_anchors.push(StmtPath(ev.path.to_vec()));
                 }
-                return; // discipline checks only apply to live code
+                if matches!(ev.stmt, Stmt::Notify { .. } | Stmt::NotifyAll { .. }) {
+                    self.dead_notify = true;
+                }
             }
-            match ev.stmt {
-                Stmt::Wait { lock } | Stmt::Notify { lock } | Stmt::NotifyAll { lock } => {
-                    let op = match ev.stmt {
-                        Stmt::Wait { .. } => "wait",
-                        Stmt::Notify { .. } => "notify",
-                        _ => "notifyAll",
-                    };
-                    let id = table.resolve(lock);
-                    match id {
-                        Some(id) if ev.locks.holds(id) => {}
-                        _ => out.push(Diagnostic {
-                            check: CheckId::MonitorNotHeld,
-                            class: class(Deviation::FailureToFire, Transition::T1),
-                            severity: Severity::High,
-                            src: None,
-                            method: method.name.clone(),
-                            path: Some(ev.path.clone()),
-                            message: format!(
-                                "`{op}` on `{lock}` without holding its monitor \
-                                 (IllegalMonitorStateException at run time)"
-                            ),
-                        }),
-                    }
-                    // Nested-monitor lockout: suspending while holding a
-                    // second lock means nothing can reach the notifier.
-                    if matches!(ev.stmt, Stmt::Wait { .. }) {
-                        let others: Vec<&str> = ev
-                            .locks
-                            .held_ids()
-                            .filter(|h| Some(*h) != id)
-                            .map(|h| table.name(h))
-                            .collect();
-                        if !others.is_empty() {
-                            out.push(Diagnostic {
-                                check: CheckId::NestedMonitorWait,
-                                class: class(Deviation::FailureToFire, Transition::T2),
-                                severity: Severity::High,
-                                src: None,
-                                method: method.name.clone(),
-                                path: Some(ev.path.clone()),
-                                message: format!(
-                                    "`wait` on `{lock}` while still holding `{}` — \
-                                     a nested-monitor lockout: waiters keep the outer \
-                                     lock, so the notifier can never run",
-                                    others.join("`, `")
-                                ),
-                            });
-                        }
-                    }
-                }
-                Stmt::Synchronized { lock, .. } => {
-                    if let Some(id) = table.resolve(lock) {
-                        if ev.locks.holds(id) {
-                            out.push(Diagnostic {
-                                check: CheckId::RedundantSync,
-                                class: class(Deviation::ErroneousFiring, Transition::T1),
-                                severity: Severity::Medium,
-                                src: None,
-                                method: method.name.clone(),
-                                path: Some(ev.path.clone()),
-                                message: format!(
-                                    "`synchronized ({lock})` while `{}` is already \
-                                     held — reentrancy makes this a redundant region",
-                                    table.name(id)
-                                ),
-                            });
-                        }
-                    }
-                }
-                Stmt::While { cond, body } if !loop_can_make_progress(cond, body) => {
-                    let literal_spin = matches!(cond, Expr::Bool(true));
-                    let held: Vec<&str> = ev.locks.held_ids().map(|h| table.name(h)).collect();
-                    if !literal_spin {
-                        out.push(Diagnostic {
-                            check: CheckId::GuardLoopWithoutWait,
-                            class: class(Deviation::FailureToFire, Transition::T3),
-                            severity: Severity::Medium,
-                            src: None,
-                            method: method.name.clone(),
-                            path: Some(ev.path.clone()),
-                            message: "guard loop never waits: the body neither \
-                                      suspends nor changes anything the condition \
-                                      reads"
-                                .into(),
-                        });
-                    }
-                    if held.is_empty() {
-                        if literal_spin {
-                            out.push(Diagnostic {
-                                check: CheckId::LoopHoldsLockForever,
-                                class: class(Deviation::FailureToFire, Transition::T4),
-                                severity: Severity::Medium,
-                                src: None,
-                                method: method.name.clone(),
-                                path: Some(ev.path.clone()),
-                                message: "`while (true)` with no `wait` or `return` \
-                                          in the body never terminates"
-                                    .into(),
-                            });
-                        }
-                    } else {
-                        out.push(Diagnostic {
-                            check: CheckId::LoopHoldsLockForever,
-                            class: class(Deviation::FailureToFire, Transition::T4),
-                            severity: Severity::High,
-                            src: None,
-                            method: method.name.clone(),
-                            path: Some(ev.path.clone()),
-                            message: format!(
-                                "loop can never terminate while holding `{}`: the \
-                                 body neither waits nor changes the condition, and \
-                                 no other thread can enter the monitor to do so",
-                                held.join("`, `")
-                            ),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        });
-        for anchor in dead_anchors {
-            if dead_notify {
-                out.push(Diagnostic {
-                    check: CheckId::UnreachableAfterReturn,
-                    class: class(Deviation::ErroneousFiring, Transition::T4),
-                    severity: Severity::High,
-                    src: None,
-                    method: method.name.clone(),
-                    path: Some(anchor.clone()),
-                    message: "unreachable code after `return` includes a notification: \
-                              the monitor is released before waiters can ever be woken"
-                        .into(),
-                });
-                out.push(Diagnostic {
-                    check: CheckId::UnreachableAfterReturn,
-                    class: class(Deviation::FailureToFire, Transition::T5),
-                    severity: Severity::Medium,
-                    src: None,
-                    method: method.name.clone(),
-                    path: Some(anchor),
-                    message: "a notification that can never execute is a lost \
-                              notification for every waiter depending on it"
-                        .into(),
-                });
-            } else {
-                out.push(Diagnostic {
-                    check: CheckId::UnreachableAfterReturn,
-                    class: class(Deviation::ErroneousFiring, Transition::T4),
-                    severity: Severity::Low,
-                    src: None,
-                    method: method.name.clone(),
-                    path: Some(anchor),
-                    message: "statements after an unconditional `return` can never \
-                              execute"
-                        .into(),
-                });
+            return; // discipline checks only apply to live code
+        }
+        self.discipline(ev);
+    }
+
+    fn loop_exit(&mut self, ev: &FlowEvent<'a, '_>) {
+        let progress = self
+            .loops
+            .pop()
+            .expect("loop_exit follows its loop's statement");
+        if let Stmt::While { cond, .. } = ev.stmt {
+            if ev.reachable && !progress {
+                self.spin(ev, cond);
             }
         }
     }
+
+    fn end_method(&mut self) {
+        self.dead_code();
+    }
+}
+
+/// Run every dataflow-backed check over the component on its own.
+pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
+    let mut checks = FlowChecks::new(table);
+    Walker::new(table).walk_component(component, &mut checks);
+    checks.finish(out);
 }
 
 #[cfg(test)]

@@ -15,12 +15,13 @@
 //! - waits not re-checked in a loop (EF-T5) and waits under no condition
 //!   at all (EF-T3).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
-use jcc_model::ast::{Block, Component, Expr, LValue, Stmt, StmtPath, ELSE_OFFSET};
+use jcc_model::ast::{Component, Expr, LValue, Method, Stmt, StmtPath};
 use jcc_model::pretty::print_expr;
 use jcc_petri::{Deviation, FailureClass, Transition};
 
+use crate::dataflow::{for_each_field, own_expr, FlowEvent, FlowVisitor, PathRef, Paths, Walker};
 use crate::diag::{CheckId, Diagnostic, Severity};
 use crate::locks::{LockId, LockTable};
 
@@ -30,332 +31,111 @@ fn class(d: Deviation, t: Transition) -> FailureClass {
 
 /// One `wait` statement and its guarding context.
 #[derive(Debug)]
-struct WaitSite {
-    method: String,
-    path: StmtPath,
+struct WaitSite<'a> {
+    method: &'a str,
+    path: PathRef,
     lock: LockId,
-    /// Canonical text of the nearest enclosing loop (else branch) condition;
-    /// `None` for an unconditional wait.
-    predicate: Option<String>,
-    /// Fields the predicate reads.
-    guard_fields: BTreeSet<String>,
+    /// The nearest enclosing loop condition (else the nearest `if`
+    /// condition); `None` for an unconditional wait.
+    predicate: Option<&'a Expr>,
     /// Whether some enclosing statement is a `while` loop.
     in_loop: bool,
 }
 
 /// One `notify`/`notifyAll` statement.
 #[derive(Debug)]
-struct NotifySite {
-    method: String,
-    path: StmtPath,
+struct NotifySite<'a> {
+    method: &'a str,
+    path: PathRef,
     lock: LockId,
     all: bool,
 }
 
-#[derive(Debug, Default)]
-struct Collected {
-    waits: Vec<WaitSite>,
-    notifies: Vec<NotifySite>,
-    /// Fields each method assigns (anywhere in its body).
-    assigns: BTreeMap<String, BTreeSet<String>>,
+/// What one method contributes to the missed-notification check.
+#[derive(Debug)]
+struct MethodSites<'a> {
+    name: &'a str,
+    /// Its notifications, as a range of [`GuardChecks::notifies`].
+    notifies: Range<usize>,
+    /// The fields it assigns, sorted and deduplicated, as a range of
+    /// [`GuardChecks::assigns`].
+    assigns: Range<usize>,
 }
 
-fn expr_fields(expr: &Expr, out: &mut BTreeSet<String>) {
-    match expr {
-        Expr::Field(name) => {
-            out.insert(name.clone());
-        }
-        Expr::Unary(_, a) => expr_fields(a, out),
-        Expr::Binary(_, a, b) => {
-            expr_fields(a, out);
-            expr_fields(b, out);
-        }
-        Expr::Call(_, args) => {
-            for a in args {
-                expr_fields(a, out);
-            }
-        }
-        _ => {}
-    }
+/// The guard-predicate checks, fed one method at a time: waits, notifies
+/// and field assignments are collected during the walk, per-method
+/// findings are reported at the end of each method, and the
+/// component-wide ones by [`GuardChecks::finish`].
+#[derive(Debug)]
+pub(crate) struct GuardChecks<'a, 't> {
+    table: &'t LockTable,
+    method: Option<&'a Method>,
+    waits: Vec<WaitSite<'a>>,
+    notifies: Vec<NotifySite<'a>>,
+    /// Fields assigned, grouped by method (see [`MethodSites::assigns`]).
+    assigns: Vec<&'a str>,
+    /// `(lock, field)` for every field some wait on `lock` guards on.
+    guard_fields: Vec<(LockId, &'a str)>,
+    paths: Paths,
+    methods: Vec<MethodSites<'a>>,
+    /// Per-method facts for the unnecessary-sync lint.
+    uses_monitor: bool,
+    reads_fields: bool,
+    first_notify: usize,
+    first_assign: usize,
+    diags: Vec<Diagnostic>,
 }
 
-/// Guard entries are the enclosing `while`/`if` conditions, innermost last.
-struct Guard<'a> {
-    cond: &'a Expr,
-    is_loop: bool,
-}
-
-fn collect_block<'a>(
-    block: &'a Block,
-    offset: usize,
-    method: &str,
-    table: &LockTable,
-    prefix: &mut Vec<usize>,
-    guards: &mut Vec<Guard<'a>>,
-    out: &mut Collected,
-) {
-    for (i, stmt) in block.iter().enumerate() {
-        prefix.push(offset + i);
-        match stmt {
-            Stmt::Wait { lock } => {
-                if let Some(id) = table.resolve(lock) {
-                    // The predicate is the nearest enclosing *loop*
-                    // condition when one exists (the re-checked guard),
-                    // otherwise the nearest `if` condition.
-                    let guard = guards
-                        .iter()
-                        .rev()
-                        .find(|g| g.is_loop)
-                        .or_else(|| guards.last());
-                    let mut guard_fields = BTreeSet::new();
-                    if let Some(g) = guard {
-                        expr_fields(g.cond, &mut guard_fields);
-                    }
-                    out.waits.push(WaitSite {
-                        method: method.to_string(),
-                        path: StmtPath(prefix.clone()),
-                        lock: id,
-                        predicate: guard.map(|g| print_expr(g.cond)),
-                        guard_fields,
-                        in_loop: guards.iter().any(|g| g.is_loop),
-                    });
-                }
-            }
-            Stmt::Notify { lock } | Stmt::NotifyAll { lock } => {
-                if let Some(id) = table.resolve(lock) {
-                    out.notifies.push(NotifySite {
-                        method: method.to_string(),
-                        path: StmtPath(prefix.clone()),
-                        lock: id,
-                        all: matches!(stmt, Stmt::NotifyAll { .. }),
-                    });
-                }
-            }
-            Stmt::Assign {
-                target: LValue::Field(f),
-                ..
-            } => {
-                out.assigns
-                    .entry(method.to_string())
-                    .or_default()
-                    .insert(f.clone());
-            }
-            Stmt::While { cond, body } => {
-                guards.push(Guard { cond, is_loop: true });
-                collect_block(body, 0, method, table, prefix, guards, out);
-                guards.pop();
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                guards.push(Guard {
-                    cond,
-                    is_loop: false,
-                });
-                collect_block(then_branch, 0, method, table, prefix, guards, out);
-                collect_block(else_branch, ELSE_OFFSET, method, table, prefix, guards, out);
-                guards.pop();
-            }
-            Stmt::Synchronized { body, .. } => {
-                collect_block(body, 0, method, table, prefix, guards, out);
-            }
-            _ => {}
-        }
-        prefix.pop();
-    }
-}
-
-fn collect(component: &Component, table: &LockTable) -> Collected {
-    let mut out = Collected::default();
-    for method in &component.methods {
-        let mut prefix = Vec::new();
-        let mut guards = Vec::new();
-        collect_block(
-            &method.body,
-            0,
-            &method.name,
+impl<'a, 't> GuardChecks<'a, 't> {
+    /// Checks that name locks through `table`.
+    pub(crate) fn new(table: &'t LockTable) -> GuardChecks<'a, 't> {
+        GuardChecks {
             table,
-            &mut prefix,
-            &mut guards,
-            &mut out,
-        );
-    }
-    out
-}
-
-/// Run the guard-predicate checks over the component.
-pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
-    let _span = jcc_obs::span!("analyze.guards");
-    let info = collect(component, table);
-
-    // Which monitors have any notifier, deduped through the lock table
-    // (a BTreeSet of dense ids — two spellings of the same monitor
-    // collapse, distinct monitors with equal display names do not).
-    let notified: BTreeSet<LockId> = info.notifies.iter().map(|n| n.lock).collect();
-
-    // Guard fields / distinct predicates per monitor.
-    let mut guard_fields_by_lock: BTreeMap<LockId, BTreeSet<String>> = BTreeMap::new();
-    let mut predicates_by_lock: BTreeMap<LockId, BTreeSet<String>> = BTreeMap::new();
-    for w in &info.waits {
-        guard_fields_by_lock
-            .entry(w.lock)
-            .or_default()
-            .extend(w.guard_fields.iter().cloned());
-        predicates_by_lock.entry(w.lock).or_default().insert(
-            w.predicate
-                .clone()
-                .unwrap_or_else(|| "<unconditional>".to_string()),
-        );
-    }
-
-    for w in &info.waits {
-        // FF-T5 structural: a wait nothing can ever wake.
-        if !notified.contains(&w.lock) {
-            out.push(Diagnostic {
-                check: CheckId::NoNotifierForWait,
-                class: class(Deviation::FailureToFire, Transition::T5),
-                severity: Severity::High,
-                src: None,
-                method: w.method.clone(),
-                path: Some(w.path.clone()),
-                message: format!(
-                    "`wait` on `{}` but no statement in the component ever \
-                     notifies that monitor — every waiter is suspended forever",
-                    table.name(w.lock)
-                ),
-            });
-        }
-        // EF-T3 / EF-T5: unguarded or un-re-checked waits. An
-        // unconditional wait subsumes the weaker wait-not-in-loop finding
-        // for the same statement.
-        if w.predicate.is_none() {
-            out.push(Diagnostic {
-                check: CheckId::UnconditionalWait,
-                class: class(Deviation::ErroneousFiring, Transition::T3),
-                severity: Severity::High,
-                src: None,
-                method: w.method.clone(),
-                path: Some(w.path.clone()),
-                message: "`wait` under no condition at all: the thread suspends \
-                          regardless of the component's state"
-                    .into(),
-            });
-        } else if !w.in_loop {
-            out.push(Diagnostic {
-                check: CheckId::WaitNotInLoop,
-                class: class(Deviation::ErroneousFiring, Transition::T5),
-                severity: Severity::Medium,
-                src: None,
-                method: w.method.clone(),
-                path: Some(w.path.clone()),
-                message: format!(
-                    "`wait` guarded by `if ({})` is not re-checked in a loop: a \
-                     premature wake-up re-enters the critical section with the \
-                     predicate still false",
-                    w.predicate.as_deref().unwrap_or("?")
-                ),
-            });
+            method: None,
+            waits: Vec::new(),
+            notifies: Vec::new(),
+            assigns: Vec::new(),
+            guard_fields: Vec::new(),
+            paths: Paths::default(),
+            methods: Vec::new(),
+            uses_monitor: false,
+            reads_fields: false,
+            first_notify: 0,
+            first_assign: 0,
+            diags: Vec::new(),
         }
     }
 
-    // FF-T5 heuristic: a method moves a waiter's guard state but never
-    // notifies the waiter's monitor. Skipped when the monitor has no
-    // notifier at all (the structural check above already fires).
-    for method in &component.methods {
-        let Some(assigned) = info.assigns.get(&method.name) else {
-            continue;
+    fn method_name(&self) -> &'a str {
+        self.method.map_or("", |m| m.name.as_str())
+    }
+
+    /// Close the method just walked. EF-T1 candidate (migrated lint): a
+    /// synchronized method that neither uses the monitor nor touches
+    /// shared state.
+    fn close_method(&mut self) {
+        let Some(method) = self.method.take() else {
+            return;
         };
-        let notifies_here: BTreeSet<LockId> = info
-            .notifies
-            .iter()
-            .filter(|n| n.method == method.name)
-            .map(|n| n.lock)
-            .collect();
-        for (&lock, guard_fields) in &guard_fields_by_lock {
-            if !notified.contains(&lock) || notifies_here.contains(&lock) {
-                continue;
-            }
-            let touched: Vec<&str> = assigned
-                .intersection(guard_fields)
-                .map(String::as_str)
-                .collect();
-            if !touched.is_empty() {
-                out.push(Diagnostic {
-                    check: CheckId::MissedNotification,
-                    class: class(Deviation::FailureToFire, Transition::T5),
-                    severity: Severity::Medium,
-                    src: None,
-                    method: method.name.clone(),
-                    path: None,
-                    message: format!(
-                        "assigns `{}` — guard state of waiters on `{}` — without \
-                         notifying that monitor: a waiter whose predicate just \
-                         became true is never woken",
-                        touched.join("`, `"),
-                        table.name(lock)
-                    ),
-                });
+        let assigns = &mut self.assigns[self.first_assign..];
+        assigns.sort_unstable();
+        let mut kept = 0;
+        for i in 0..assigns.len() {
+            if i == 0 || assigns[i] != assigns[kept - 1] {
+                assigns[kept] = assigns[i];
+                kept += 1;
             }
         }
-    }
-
-    // FF-T5: single notify with heterogeneous waiters; advisory style note
-    // when the waiters are uniform.
-    for n in info.notifies.iter().filter(|n| !n.all) {
-        let Some(predicates) = predicates_by_lock.get(&n.lock) else {
-            continue; // no waiters on this monitor
-        };
-        if predicates.len() >= 2 {
-            let preds: Vec<&str> = predicates.iter().map(String::as_str).collect();
-            out.push(Diagnostic {
-                check: CheckId::NotifySingleHeterogeneous,
-                class: class(Deviation::FailureToFire, Transition::T5),
-                severity: Severity::Medium,
-                src: None,
-                method: n.method.clone(),
-                path: Some(n.path.clone()),
-                message: format!(
-                    "single `notify` on `{}` whose waiters guard on different \
-                     predicates ({}): the one wake-up can be consumed by a \
-                     waiter that cannot proceed, losing the notification",
-                    table.name(n.lock),
-                    preds.join("; ")
-                ),
-            });
-        } else {
-            out.push(Diagnostic {
-                check: CheckId::NotifyInsteadOfNotifyAllStyle,
-                class: class(Deviation::FailureToFire, Transition::T5),
-                severity: Severity::Low,
-                src: None,
-                method: n.method.clone(),
-                path: Some(n.path.clone()),
-                message: format!(
-                    "single `notify` on `{}`: waiters are uniform today, but \
-                     `notifyAll` is robust to future waiter diversity",
-                    table.name(n.lock)
-                ),
+        self.assigns.truncate(self.first_assign + kept);
+        if kept > 0 {
+            self.methods.push(MethodSites {
+                name: &method.name,
+                notifies: self.first_notify..self.notifies.len(),
+                assigns: self.first_assign..self.assigns.len(),
             });
         }
-    }
-
-    // EF-T1 candidate (migrated lint): a synchronized method that neither
-    // uses the monitor nor touches shared state.
-    for method in &component.methods {
-        if !method.synchronized {
-            continue;
-        }
-        let uses_monitor = info
-            .waits
-            .iter()
-            .any(|w| w.method == method.name)
-            || info.notifies.iter().any(|n| n.method == method.name);
-        let touches_shared = info.assigns.contains_key(&method.name)
-            || method_reads_fields(method);
-        if !uses_monitor && !touches_shared {
-            out.push(Diagnostic {
+        if method.synchronized && !self.uses_monitor && kept == 0 && !self.reads_fields {
+            self.diags.push(Diagnostic {
                 check: CheckId::PossiblyUnnecessarySync,
                 class: class(Deviation::ErroneousFiring, Transition::T1),
                 severity: Severity::Low,
@@ -368,30 +148,245 @@ pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) 
             });
         }
     }
+
+    /// The component is walked: report every wait, notify and
+    /// missed-notification finding, and hand over every finding.
+    pub(crate) fn finish(mut self, out: &mut Vec<Diagnostic>) {
+        out.append(&mut self.diags);
+        let table = self.table;
+        let path = |r: PathRef| Some(StmtPath(self.paths.get(r).to_vec()));
+
+        // Which monitors have any notifier, by dense id (two spellings of
+        // the same monitor collapse, distinct monitors with equal display
+        // names do not).
+        let mut notified = vec![false; table.len()];
+        for n in &self.notifies {
+            notified[n.lock.0] = true;
+        }
+
+        for w in &self.waits {
+            // FF-T5 structural: a wait nothing can ever wake.
+            if !notified[w.lock.0] {
+                out.push(Diagnostic {
+                    check: CheckId::NoNotifierForWait,
+                    class: class(Deviation::FailureToFire, Transition::T5),
+                    severity: Severity::High,
+                    src: None,
+                    method: w.method.to_string(),
+                    path: path(w.path),
+                    message: format!(
+                        "`wait` on `{}` but no statement in the component ever \
+                         notifies that monitor — every waiter is suspended forever",
+                        table.name(w.lock)
+                    ),
+                });
+            }
+            // EF-T3 / EF-T5: unguarded or un-re-checked waits. An
+            // unconditional wait subsumes the weaker wait-not-in-loop
+            // finding for the same statement.
+            match w.predicate {
+                None => out.push(Diagnostic {
+                    check: CheckId::UnconditionalWait,
+                    class: class(Deviation::ErroneousFiring, Transition::T3),
+                    severity: Severity::High,
+                    src: None,
+                    method: w.method.to_string(),
+                    path: path(w.path),
+                    message: "`wait` under no condition at all: the thread suspends \
+                              regardless of the component's state"
+                        .into(),
+                }),
+                Some(cond) if !w.in_loop => out.push(Diagnostic {
+                    check: CheckId::WaitNotInLoop,
+                    class: class(Deviation::ErroneousFiring, Transition::T5),
+                    severity: Severity::Medium,
+                    src: None,
+                    method: w.method.to_string(),
+                    path: path(w.path),
+                    message: format!(
+                        "`wait` guarded by `if ({})` is not re-checked in a loop: a \
+                         premature wake-up re-enters the critical section with the \
+                         predicate still false",
+                        print_expr(cond)
+                    ),
+                }),
+                Some(_) => {}
+            }
+        }
+
+        // FF-T5 heuristic: a method moves a waiter's guard state but never
+        // notifies the waiter's monitor. Skipped when the monitor has no
+        // notifier at all (the structural check above already fires).
+        self.guard_fields.sort_unstable();
+        self.guard_fields.dedup();
+        let by_lock = self.guard_fields.chunk_by(|a, b| a.0 == b.0);
+        let mut touched: Vec<&str> = Vec::new();
+        for m in &self.methods {
+            let assigned = &self.assigns[m.assigns.clone()];
+            let notifies_here = &self.notifies[m.notifies.clone()];
+            for group in by_lock.clone() {
+                let lock = group[0].0;
+                if !notified[lock.0] || notifies_here.iter().any(|n| n.lock == lock) {
+                    continue;
+                }
+                touched.clear();
+                touched.extend(assigned.iter().copied().filter(|f| {
+                    group.binary_search_by(|&(_, g)| g.cmp(f)).is_ok()
+                }));
+                if !touched.is_empty() {
+                    out.push(Diagnostic {
+                        check: CheckId::MissedNotification,
+                        class: class(Deviation::FailureToFire, Transition::T5),
+                        severity: Severity::Medium,
+                        src: None,
+                        method: m.name.to_string(),
+                        path: None,
+                        message: format!(
+                            "assigns `{}` — guard state of waiters on `{}` — without \
+                             notifying that monitor: a waiter whose predicate just \
+                             became true is never woken",
+                            touched.join("`, `"),
+                            table.name(lock)
+                        ),
+                    });
+                }
+            }
+        }
+
+        // FF-T5: single notify with heterogeneous waiters; advisory style
+        // note when the waiters are uniform. A monitor's distinct
+        // predicates are printed once, the first time a single notify on
+        // it needs them.
+        let mut predicates: Vec<(LockId, Vec<String>)> = Vec::new();
+        for n in self.notifies.iter().filter(|n| !n.all) {
+            let i = match predicates.iter().position(|(l, _)| *l == n.lock) {
+                Some(i) => i,
+                None => {
+                    let mut texts: Vec<String> = self
+                        .waits
+                        .iter()
+                        .filter(|w| w.lock == n.lock)
+                        .map(|w| {
+                            w.predicate
+                                .map_or_else(|| "<unconditional>".to_string(), print_expr)
+                        })
+                        .collect();
+                    texts.sort_unstable();
+                    texts.dedup();
+                    predicates.push((n.lock, texts));
+                    predicates.len() - 1
+                }
+            };
+            let texts = &predicates[i].1;
+            if texts.is_empty() {
+                continue; // no waiters on this monitor
+            }
+            let (check, severity, message) = if texts.len() >= 2 {
+                (
+                    CheckId::NotifySingleHeterogeneous,
+                    Severity::Medium,
+                    format!(
+                        "single `notify` on `{}` whose waiters guard on different \
+                         predicates ({}): the one wake-up can be consumed by a \
+                         waiter that cannot proceed, losing the notification",
+                        table.name(n.lock),
+                        texts.join("; ")
+                    ),
+                )
+            } else {
+                (
+                    CheckId::NotifyInsteadOfNotifyAllStyle,
+                    Severity::Low,
+                    format!(
+                        "single `notify` on `{}`: waiters are uniform today, but \
+                         `notifyAll` is robust to future waiter diversity",
+                        table.name(n.lock)
+                    ),
+                )
+            };
+            out.push(Diagnostic {
+                check,
+                class: class(Deviation::FailureToFire, Transition::T5),
+                severity,
+                src: None,
+                method: n.method.to_string(),
+                path: path(n.path),
+                message,
+            });
+        }
+    }
 }
 
-fn method_reads_fields(method: &jcc_model::ast::Method) -> bool {
-    fn block_reads(block: &Block) -> bool {
-        block.iter().any(|stmt| match stmt {
-            Stmt::While { cond, body } => reads(cond) || block_reads(body),
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => reads(cond) || block_reads(then_branch) || block_reads(else_branch),
-            Stmt::Assign { value, .. } => reads(value),
-            Stmt::Local { init, .. } => reads(init),
-            Stmt::Return(Some(e)) => reads(e),
-            Stmt::Synchronized { body, .. } => block_reads(body),
-            _ => false,
-        })
+impl<'a> FlowVisitor<'a> for GuardChecks<'a, '_> {
+    fn begin_method(&mut self, method: &'a Method) {
+        self.method = Some(method);
+        self.uses_monitor = false;
+        self.reads_fields = false;
+        self.first_notify = self.notifies.len();
+        self.first_assign = self.assigns.len();
     }
-    fn reads(e: &Expr) -> bool {
-        let mut fields = BTreeSet::new();
-        expr_fields(e, &mut fields);
-        !fields.is_empty()
+
+    fn stmt(&mut self, ev: &FlowEvent<'a, '_>) {
+        let method = self.method_name();
+        match ev.stmt {
+            Stmt::Wait { .. } => {
+                if let Some(id) = ev.lock {
+                    self.uses_monitor = true;
+                    // The predicate is the nearest enclosing *loop*
+                    // condition when one exists (the re-checked guard),
+                    // otherwise the nearest `if` condition.
+                    let guard = ev
+                        .guards
+                        .iter()
+                        .rev()
+                        .find(|g| g.is_loop)
+                        .or_else(|| ev.guards.last());
+                    if let Some(g) = guard {
+                        for_each_field(g.cond, &mut |f| self.guard_fields.push((id, f)));
+                    }
+                    self.waits.push(WaitSite {
+                        method,
+                        path: self.paths.push(ev.path),
+                        lock: id,
+                        predicate: guard.map(|g| g.cond),
+                        in_loop: ev.guards.iter().any(|g| g.is_loop),
+                    });
+                }
+            }
+            Stmt::Notify { .. } | Stmt::NotifyAll { .. } => {
+                if let Some(id) = ev.lock {
+                    self.uses_monitor = true;
+                    self.notifies.push(NotifySite {
+                        method,
+                        path: self.paths.push(ev.path),
+                        lock: id,
+                        all: matches!(ev.stmt, Stmt::NotifyAll { .. }),
+                    });
+                }
+            }
+            Stmt::Assign {
+                target: LValue::Field(f),
+                ..
+            } => self.assigns.push(f),
+            _ => {}
+        }
+        if !self.reads_fields {
+            if let Some(e) = own_expr(ev.stmt) {
+                for_each_field(e, &mut |_| self.reads_fields = true);
+            }
+        }
     }
-    block_reads(&method.body)
+
+    fn end_method(&mut self) {
+        self.close_method();
+    }
+}
+
+/// Run the guard-predicate checks over the component on their own.
+pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
+    let mut checks = GuardChecks::new(table);
+    Walker::new(table).walk_component(component, &mut checks);
+    checks.finish(out);
 }
 
 #[cfg(test)]

@@ -53,25 +53,73 @@ pub use diag::{AnalysisReport, CheckId, Diagnostic, Severity, SrcLoc, SCHEMA};
 pub use lockorder::LockOrderGraph;
 pub use locks::{LockId, LockTable};
 
-use jcc_model::ast::Component;
+use jcc_model::ast::{Component, Method};
+
+use dataflow::{FlowEvent, FlowVisitor, Walker};
+use flow_checks::FlowChecks;
+use guards::GuardChecks;
+
+/// The one walk's visitor: every check sees each statement once.
+struct Scan<'a, 't> {
+    flow: FlowChecks<'a, 't>,
+    order: LockOrderGraph<'a>,
+    guards: GuardChecks<'a, 't>,
+}
+
+impl<'a> FlowVisitor<'a> for Scan<'a, '_> {
+    fn begin_method(&mut self, method: &'a Method) {
+        self.flow.begin_method(method);
+        self.order.begin_method(method);
+        self.guards.begin_method(method);
+    }
+
+    fn stmt(&mut self, ev: &FlowEvent<'a, '_>) {
+        self.flow.stmt(ev);
+        self.order.stmt(ev);
+        self.guards.stmt(ev);
+    }
+
+    fn loop_exit(&mut self, ev: &FlowEvent<'a, '_>) {
+        self.flow.loop_exit(ev);
+    }
+
+    fn end_method(&mut self) {
+        self.flow.end_method();
+        self.guards.end_method();
+    }
+}
 
 /// Run every static check over `component` and return the sorted,
 /// deduplicated report. Deterministic: equal inputs produce byte-identical
 /// rendered/JSON output.
+///
+/// Each method body is walked once ([`dataflow::Walker`]); every check
+/// takes what it needs from that walk (span `analyze.walk`), and the
+/// component-wide checks and the report's sort run afterwards (span
+/// `analyze.report`).
 pub fn analyze(component: &Component) -> AnalysisReport {
     let _span = jcc_obs::span!("analyze.component");
     let table = LockTable::new(component);
+    let mut scan = Scan {
+        flow: FlowChecks::new(&table),
+        order: LockOrderGraph::default(),
+        guards: GuardChecks::new(&table),
+    };
+    {
+        let _walk = jcc_obs::span!("analyze.walk");
+        Walker::new(&table).walk_component(component, &mut scan);
+    }
+    let _report = jcc_obs::span!("analyze.report");
     let mut diagnostics = Vec::new();
-    flow_checks::run(component, &table, &mut diagnostics);
-    lockorder::run(component, &table, &mut diagnostics);
-    guards::run(component, &table, &mut diagnostics);
-
-    let method_order: Vec<String> = component
-        .methods
-        .iter()
-        .map(|m| m.name.clone())
-        .collect();
-    let report = AnalysisReport::new(&component.name, diagnostics, &method_order);
+    scan.flow.finish(&mut diagnostics);
+    scan.order.settle();
+    scan.order.report(&component.name, &table, &mut diagnostics);
+    scan.guards.finish(&mut diagnostics);
+    let report = AnalysisReport::sorted(
+        &component.name,
+        diagnostics,
+        component.methods.iter().map(|m| m.name.as_str()),
+    );
 
     let obs = jcc_obs::global();
     obs.counter("analyze.components").inc();

@@ -10,73 +10,68 @@
 //! monitor is reported once, with the methods that contribute its edges
 //! as evidence.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use jcc_model::ast::Component;
+use jcc_model::ast::{Component, Method, Stmt};
 use jcc_petri::scc::tarjan_scc;
 use jcc_petri::{Deviation, FailureClass, Transition};
 
-use crate::dataflow::walk_method;
+use crate::dataflow::{FlowEvent, FlowVisitor, Walker};
 use crate::diag::{CheckId, Diagnostic, Severity};
 use crate::locks::{LockId, LockTable};
 
-/// The lock-order graph: `edges[(a, b)]` = methods that acquire `b` while
-/// holding `a`.
+/// The lock-order graph: one `(held, acquired, method)` record per method
+/// that acquires `acquired` while holding `held`, sorted and deduplicated
+/// once the component is walked.
 #[derive(Debug, Default)]
-pub struct LockOrderGraph {
-    edges: BTreeMap<(LockId, LockId), BTreeSet<String>>,
+pub struct LockOrderGraph<'a> {
+    edges: Vec<(LockId, LockId, &'a str)>,
+    /// The method being walked.
+    method: &'a str,
 }
 
-impl LockOrderGraph {
+impl<'a> LockOrderGraph<'a> {
     /// Build the graph from every `synchronized` entry in the component.
     /// Reentrant re-acquisition (`a` while holding `a`) is not an ordering
     /// edge.
-    pub fn build(component: &Component, table: &LockTable) -> LockOrderGraph {
+    pub fn build(component: &'a Component, table: &LockTable) -> LockOrderGraph<'a> {
         let mut graph = LockOrderGraph::default();
-        for method in &component.methods {
-            walk_method(table, method, |ev| {
-                if !ev.reachable {
-                    return;
-                }
-                if let jcc_model::ast::Stmt::Synchronized { lock, .. } = ev.stmt {
-                    if let Some(acquired) = table.resolve(lock) {
-                        for held in ev.locks.held_ids() {
-                            if held != acquired {
-                                graph
-                                    .edges
-                                    .entry((held, acquired))
-                                    .or_default()
-                                    .insert(method.name.clone());
-                            }
-                        }
-                    }
-                }
-            });
-        }
+        Walker::new(table).walk_component(component, &mut graph);
+        graph.settle();
         graph
     }
 
-    /// All edges, in deterministic order.
-    pub fn edges(&self) -> impl Iterator<Item = (LockId, LockId, &BTreeSet<String>)> {
-        self.edges.iter().map(|(&(a, b), ms)| (a, b, ms))
+    /// Sort and deduplicate the records once every method is walked.
+    pub(crate) fn settle(&mut self) {
+        self.edges.sort_unstable();
+        self.edges.dedup();
+    }
+
+    /// All edges `held → acquired`, each once, in deterministic order.
+    pub fn edges(&self) -> impl Iterator<Item = (LockId, LockId)> + '_ {
+        let mut last = None;
+        self.edges
+            .iter()
+            .map(|&(a, b, _)| (a, b))
+            .filter(move |&edge| {
+                let new = last != Some(edge);
+                last = Some(edge);
+                new
+            })
     }
 
     /// Strongly connected components with ≥ 2 monitors (an SCC of one
     /// monitor cannot deadlock: reentrancy edges are excluded), each as a
     /// sorted lock set. Deterministic order by smallest member.
     pub fn cycles(&self) -> Vec<Vec<LockId>> {
-        let nodes: Vec<LockId> = self
-            .edges
-            .keys()
-            .flat_map(|&(a, b)| [a, b])
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let index_of: BTreeMap<LockId, usize> =
-            nodes.iter().enumerate().map(|(i, &n)| (n, i)).collect();
+        if self.edges.is_empty() {
+            return Vec::new();
+        }
+        let mut nodes: Vec<LockId> = self.edges.iter().flat_map(|&(a, b, _)| [a, b]).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let index_of = |id: LockId| nodes.binary_search(&id).expect("an edge endpoint");
         let mut adj = vec![Vec::new(); nodes.len()];
-        for &(a, b) in self.edges.keys() {
-            adj[index_of[&a]].push(index_of[&b]);
+        for (a, b) in self.edges() {
+            adj[index_of(a)].push(index_of(b));
         }
         let mut sccs: Vec<Vec<LockId>> = tarjan_scc(&adj)
             .into_iter()
@@ -90,37 +85,59 @@ impl LockOrderGraph {
         sccs.sort();
         sccs
     }
+
+    /// Report every cycle of the settled graph.
+    pub(crate) fn report(&self, component: &str, table: &LockTable, out: &mut Vec<Diagnostic>) {
+        for cycle in self.cycles() {
+            let in_cycle = |id: LockId| cycle.binary_search(&id).is_ok();
+            let names: Vec<&str> = cycle.iter().map(|&id| table.name(id)).collect();
+            let mut witnesses: Vec<&str> = self
+                .edges
+                .iter()
+                .filter(|&&(a, b, _)| in_cycle(a) && in_cycle(b))
+                .map(|&(_, _, m)| m)
+                .collect();
+            witnesses.sort_unstable();
+            witnesses.dedup();
+            out.push(Diagnostic {
+                check: CheckId::LockOrderCycle,
+                class: FailureClass::new(Deviation::FailureToFire, Transition::T2),
+                severity: Severity::High,
+                src: None,
+                method: format!("<{component}>"),
+                path: None,
+                message: format!(
+                    "locks `{}` are acquired in inconsistent orders (methods {}): \
+                     circular wait — a deadlock candidate",
+                    names.join("`, `"),
+                    witnesses.join(", ")
+                ),
+            });
+        }
+    }
 }
 
-/// Run the lock-order cycle check.
-pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
-    let _span = jcc_obs::span!("analyze.lockorder");
-    let graph = LockOrderGraph::build(component, table);
-    for cycle in graph.cycles() {
-        let in_cycle: BTreeSet<LockId> = cycle.iter().copied().collect();
-        let names: Vec<&str> = cycle.iter().map(|&id| table.name(id)).collect();
-        let mut witnesses: BTreeSet<&str> = BTreeSet::new();
-        for (a, b, methods) in graph.edges() {
-            if in_cycle.contains(&a) && in_cycle.contains(&b) {
-                witnesses.extend(methods.iter().map(String::as_str));
+impl<'a> FlowVisitor<'a> for LockOrderGraph<'a> {
+    fn begin_method(&mut self, method: &'a Method) {
+        self.method = &method.name;
+    }
+
+    /// Add the edges a live `synchronized` entry makes.
+    fn stmt(&mut self, ev: &FlowEvent<'a, '_>) {
+        if !ev.reachable {
+            return;
+        }
+        if let (Stmt::Synchronized { .. }, Some(acquired)) = (ev.stmt, ev.lock) {
+            for held in ev.locks.held_ids().filter(|&h| h != acquired) {
+                self.edges.push((held, acquired, self.method));
             }
         }
-        let witness_list: Vec<&str> = witnesses.into_iter().collect();
-        out.push(Diagnostic {
-            check: CheckId::LockOrderCycle,
-            class: FailureClass::new(Deviation::FailureToFire, Transition::T2),
-            severity: Severity::High,
-            src: None,
-            method: format!("<{}>", component.name),
-            path: None,
-            message: format!(
-                "locks `{}` are acquired in inconsistent orders (methods {}): \
-                 circular wait — a deadlock candidate",
-                names.join("`, `"),
-                witness_list.join(", ")
-            ),
-        });
     }
+}
+
+/// Run the lock-order cycle check on its own.
+pub fn run(component: &Component, table: &LockTable, out: &mut Vec<Diagnostic>) {
+    LockOrderGraph::build(component, table).report(&component.name, table, out);
 }
 
 #[cfg(test)]

@@ -14,15 +14,18 @@
 //! comparing rendered text and JSON byte-for-byte. Throughput is
 //! published as `java_loc_per_sec` (lines of code through the full
 //! pipeline per second, measured over repeated in-memory sweeps) and
-//! gated by the ledger's floor rule via
+//! `analyze_loc_per_sec` (the same lines through the `analyze` calls
+//! alone, over components lowered once), both gated by the ledger's
+//! floor rule via
 //! `jcc-report ci/bench_baseline_e13.json BENCH_e13.json --gate`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::time::Instant;
 
-use jcc_core::analyze::Severity;
+use jcc_core::analyze::{analyze, Severity};
 use jcc_core::javasrc::check::{check_files, check_paths, CheckOptions, Format};
+use jcc_core::javasrc::{lower_class, parse};
 use jcc_core::obs::BenchReporter;
 
 /// Seeded per-class diagnostic counts `(high, medium, low)` — the
@@ -169,7 +172,39 @@ fn main() {
         loc_per_sec
     );
 
+    // The analyzer layer alone: the same sweeps over components lowered
+    // once up front, timing only the `analyze` calls.
+    let components: Vec<_> = inputs
+        .iter()
+        .flat_map(|(_, src)| {
+            let (unit, _) = parse(src);
+            unit.classes
+                .iter()
+                .map(|class| lower_class(class).component)
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let analyze_iters = 25 * iters;
+    let start = Instant::now();
+    let mut analyzed = 0usize;
+    for _ in 0..analyze_iters {
+        for c in &components {
+            analyzed += analyze(c).diagnostics.len();
+        }
+    }
+    let analyze_elapsed = start.elapsed();
+    assert_eq!(analyzed % analyze_iters, 0, "analysis must be deterministic");
+    let analyze_loc_per_sec =
+        (total_loc * analyze_iters) as f64 / analyze_elapsed.as_secs_f64().max(1e-9);
+    say!(
+        "analyzer: {analyze_iters} sweeps x {} components in {:.1} ms -> {:.0} analyze_loc_per_sec",
+        components.len(),
+        analyze_elapsed.as_secs_f64() * 1e3,
+        analyze_loc_per_sec
+    );
+
     reporter.set_derived("java_loc_per_sec", loc_per_sec);
+    reporter.set_derived("analyze_loc_per_sec", analyze_loc_per_sec);
     reporter.set_derived("java_files", inputs.len() as f64);
     reporter.set_derived("java_loc", total_loc as f64);
     reporter.set_derived("java_findings_total", (findings / iters) as f64);

@@ -40,19 +40,19 @@ pub struct LowerMap {
     pub class_span: Span,
     /// Span of each method's name, by method name.
     pub methods: HashMap<String, Span>,
-    /// Span of each lowered statement, by (method name, statement path).
-    pub stmts: HashMap<(String, Vec<usize>), Span>,
+    /// Span of each lowered statement, by method name, then statement
+    /// path.
+    pub stmts: HashMap<String, HashMap<Vec<usize>, Span>>,
 }
 
 impl LowerMap {
     /// Resolve a MIR location to the most precise span available.
     pub fn resolve(&self, method: &str, path: Option<&[usize]>) -> Span {
-        if let Some(p) = path {
-            if let Some(s) = self.stmts.get(&(method.to_string(), p.to_vec())) {
-                return *s;
-            }
+        let stmt = path.and_then(|p| self.stmts.get(method)?.get(p));
+        match stmt {
+            Some(s) => *s,
+            None => self.methods.get(method).copied().unwrap_or(self.class_span),
         }
-        self.methods.get(method).copied().unwrap_or(self.class_span)
     }
 }
 
@@ -74,6 +74,7 @@ pub fn lower_class(class: &ClassDecl) -> Lowered {
             ..LowerMap::default()
         },
         diags: Vec::new(),
+        stmts: HashMap::new(),
         locks: HashSet::new(),
         fields: HashSet::new(),
         locals: HashSet::new(),
@@ -124,6 +125,19 @@ pub fn lower_class(class: &ClassDecl) -> Lowered {
             // Constructor: initial state lives in the field initializers.
             continue;
         }
+        if cx.map.methods.contains_key(&m.name) {
+            // Overloads are outside the subset: the first declaration is
+            // the component's method, and its spans stay its own.
+            cx.diags.push(
+                FrontDiag::new(
+                    Phase::Lower,
+                    m.name_span,
+                    format!("duplicate method `{}`", m.name),
+                )
+                .with_help("overloaded methods are not in the subset; rename one"),
+            );
+            continue;
+        }
         cx.map.methods.insert(m.name.clone(), m.name_span);
         cx.locals.clear();
         let mut params = Vec::new();
@@ -157,7 +171,9 @@ pub fn lower_class(class: &ClassDecl) -> Lowered {
             },
         };
         let mut path = Vec::new();
-        let body = cx.lower_block(&m.name, &m.body, &mut path, 0);
+        let body = cx.lower_block(&m.body, &mut path, 0);
+        let stmts = std::mem::take(&mut cx.stmts);
+        cx.map.stmts.insert(m.name.clone(), stmts);
         component.methods.push(Method {
             name: m.name.clone(),
             params,
@@ -185,6 +201,8 @@ fn default_init(ty: Type) -> Expr {
 struct Lower {
     map: LowerMap,
     diags: Vec<FrontDiag>,
+    /// Statement spans of the method being lowered, by path.
+    stmts: HashMap<Vec<usize>, Span>,
     locks: HashSet<String>,
     fields: HashSet<String>,
     /// Parameters and locals of the method currently being lowered.
@@ -225,21 +243,13 @@ impl Lower {
     /// Lower a statement list. `path` is the prefix addressing this block;
     /// `else_offset` is [`ELSE_OFFSET`] when the block is an else-branch
     /// (the MIR's statement-path convention), 0 otherwise.
-    fn lower_block(
-        &mut self,
-        method: &str,
-        stmts: &[JStmt],
-        path: &mut Vec<usize>,
-        else_offset: usize,
-    ) -> Block {
+    fn lower_block(&mut self, stmts: &[JStmt], path: &mut Vec<usize>, else_offset: usize) -> Block {
         let mut out = Block::new();
         for s in stmts {
             let idx = out.len() + else_offset;
             path.push(idx);
-            if let Some(lowered) = self.lower_stmt(method, s, path) {
-                self.map
-                    .stmts
-                    .insert((method.to_string(), path.clone()), s.span);
+            if let Some(lowered) = self.lower_stmt(s, path) {
+                self.stmts.insert(path.clone(), s.span);
                 out.push(lowered);
             }
             path.pop();
@@ -247,12 +257,12 @@ impl Lower {
         out
     }
 
-    fn lower_stmt(&mut self, method: &str, s: &JStmt, path: &mut Vec<usize>) -> Option<Stmt> {
+    fn lower_stmt(&mut self, s: &JStmt, path: &mut Vec<usize>) -> Option<Stmt> {
         Some(match &s.kind {
             JStmtKind::Empty => return None,
             JStmtKind::While { cond, body } => Stmt::While {
                 cond: self.lower_expr(cond),
-                body: self.lower_block(method, body, path, 0),
+                body: self.lower_block(body, path, 0),
             },
             JStmtKind::If {
                 cond,
@@ -260,8 +270,8 @@ impl Lower {
                 else_branch,
             } => Stmt::If {
                 cond: self.lower_expr(cond),
-                then_branch: self.lower_block(method, then_branch, path, 0),
-                else_branch: self.lower_block(method, else_branch, path, ELSE_OFFSET),
+                then_branch: self.lower_block(then_branch, path, 0),
+                else_branch: self.lower_block(else_branch, path, ELSE_OFFSET),
             },
             JStmtKind::Synchronized {
                 recv,
@@ -269,7 +279,7 @@ impl Lower {
                 body,
             } => Stmt::Synchronized {
                 lock: self.lock_ref(recv, *recv_span),
-                body: self.lower_block(method, body, path, 0),
+                body: self.lower_block(body, path, 0),
             },
             JStmtKind::Wait { recv } => Stmt::Wait {
                 lock: self.lock_ref(recv, s.span),
@@ -471,7 +481,7 @@ mod tests {
         let m = &l.component.methods[0];
         assert!(matches!(m.body[0], Stmt::While { .. }));
         // The wait statement at path [0, 0] maps back to its source span.
-        let span = l.map.stmts[&("await".to_string(), vec![0, 0])];
+        let span = l.map.stmts["await"][&vec![0, 0]];
         assert_eq!(&src[span.lo as usize..span.hi as usize], "wait();");
     }
 
@@ -481,8 +491,8 @@ mod tests {
              if (b) { n = 1; } else { n = 2; } } }";
         let l = lower_src(src);
         assert!(l.diags.is_empty(), "{:?}", l.diags);
-        let then_span = l.map.stmts[&("m".to_string(), vec![0, 0])];
-        let else_span = l.map.stmts[&("m".to_string(), vec![0, ELSE_OFFSET])];
+        let then_span = l.map.stmts["m"][&vec![0, 0]];
+        let else_span = l.map.stmts["m"][&vec![0, ELSE_OFFSET]];
         assert_eq!(&src[then_span.lo as usize..then_span.hi as usize], "n = 1;");
         assert_eq!(&src[else_span.lo as usize..else_span.hi as usize], "n = 2;");
     }

@@ -161,6 +161,42 @@ fn parse_error_recovers_and_still_flags_the_rest() {
     assert!(!report.diagnostics.is_empty(), "{}", out.output);
 }
 
+/// A repeated method name is a frontend error at the repeat's name, and
+/// only the first declaration is lowered: its findings keep their own
+/// lines instead of taking the second declaration's spans.
+#[test]
+fn duplicate_method_keeps_the_first_declaration_and_its_lines() {
+    let src = "class Over {\n  private int n = 0;\n\n  \
+               public synchronized void put(int x) {\n    wait();\n    n = x;\n  }\n\n  \
+               public synchronized void put() {\n    n = 1;\n    notifyAll();\n  }\n}\n";
+    let opts = CheckOptions {
+        deny: Severity::Low,
+        ..CheckOptions::default()
+    };
+    let out = check_files(&[("Over.java".into(), src.into())], &opts);
+    assert_eq!(out.exit_code(), 2, "{}", out.output);
+    assert_eq!(out.front_errors, 1, "{}", out.output);
+    assert!(
+        out.output.contains("duplicate method `put`"),
+        "{}",
+        out.output
+    );
+    assert!(out.output.contains("Over.java:9:28"), "{}", out.output);
+    let report = &out.files[0].reports[0];
+    let wait = report
+        .diagnostics
+        .iter()
+        .find(|d| d.check == CheckId::UnconditionalWait)
+        .unwrap_or_else(|| panic!("EF-T3 expected:\n{}", out.output));
+    assert_eq!(
+        wait.src.as_ref().expect("a source location").line,
+        5,
+        "{}",
+        out.output
+    );
+    assert_eq!(lower_one(src).component.methods.len(), 1);
+}
+
 // ---------- hostile nesting ----------
 
 /// A class whose method nests `levels` synchronized blocks around `n++;`.

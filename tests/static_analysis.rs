@@ -378,3 +378,104 @@ proptest! {
         );
     }
 }
+
+// ---------- pinned output ----------
+
+/// FNV-1a, for stable output fingerprints without a hasher dependency.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// `(render, to_json_string)` fingerprints over a component set.
+fn report_fingerprints(components: &[Component]) -> (u64, u64) {
+    let (mut text, mut json) = (String::new(), String::new());
+    for c in components {
+        let r = analyze(c);
+        text.push_str(&r.render());
+        json.push_str(&r.to_json_string());
+    }
+    (fnv1a(text.as_bytes()), fnv1a(json.as_bytes()))
+}
+
+/// The analyzer's text and JSON reports over the 17 built-ins, every
+/// mutant of the full corpus and generated monitors at the `lint`
+/// workload's sizes. The values were computed before the analyzer was
+/// rewritten as one walk per method; any drift is a behaviour change.
+#[test]
+fn analyzer_reports_are_pinned() {
+    use jcc_core::components::gen::{generate, GenConfig};
+    let mut builtins = vec![
+        examples::producer_consumer(),
+        examples::bounded_buffer(),
+        examples::semaphore(),
+        examples::readers_writers(),
+        examples::barrier(),
+        examples::lock_order_deadlock(),
+        examples::dining_deadlock(),
+        examples::dining_ordered(),
+        examples::racy_counter(),
+    ];
+    builtins.extend(jcc_core::components::zoo::zoo().into_iter().map(|(_, c)| c));
+    assert_eq!(builtins.len(), 17);
+    let mutants: Vec<Component> = full_corpus()
+        .iter()
+        .flat_map(|(_, c)| all_mutants(c).into_iter().map(|(_, m)| m))
+        .collect();
+    let mut generated = Vec::new();
+    for seed in 1..=3 {
+        for guards in [1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48, 64] {
+            generated.push(generate(&GenConfig {
+                guards,
+                wait_sites: 2 * guards,
+                locks: guards.min(8),
+                padding: 2 * guards,
+                threads: 3,
+                seed,
+            }));
+        }
+    }
+    let actual = [
+        report_fingerprints(&builtins),
+        report_fingerprints(&mutants),
+        report_fingerprints(&generated),
+    ];
+    let expected: [(u64, u64); 3] = [
+        (0x2629_6404_1976_4ea1, 0x1440_28e2_bf74_b376),
+        (0x29bc_e2fc_aabf_96ff, 0x8ea2_67e3_d470_df55),
+        (0x1db3_e802_6fc3_c3c2, 0x8581_e6e0_4f25_5913),
+    ];
+    assert_eq!(actual, expected);
+}
+
+/// `jcc check --deny=low` text and JSON over `tests/java_corpus`, pinned
+/// like the reports above (file names relative to the corpus root).
+#[test]
+fn check_output_over_the_java_corpus_is_pinned() {
+    use jcc_core::javasrc::check::{check_files, collect_java_files, CheckOptions, Format};
+    let root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../tests/java_corpus");
+    let mut inputs = Vec::new();
+    for sub in ["clean", "buggy", "invalid"] {
+        for f in collect_java_files(&[root.join(sub)]).expect("list corpus") {
+            let name = f.strip_prefix(&root).expect("under the corpus root");
+            let src = std::fs::read_to_string(&f).expect("read corpus file");
+            inputs.push((name.display().to_string(), src));
+        }
+    }
+    assert_eq!(inputs.len(), 16);
+    let run = |format| {
+        let opts = CheckOptions {
+            deny: Severity::Low,
+            format,
+        };
+        let out = check_files(&inputs, &opts);
+        (fnv1a(out.output.as_bytes()), out.exit_code())
+    };
+    let actual = [run(Format::Text), run(Format::Json)];
+    let expected: [(u64, i32); 2] = [(0xd1d0_55c4_00de_64e6, 2), (0xd976_69a3_706a_8e60, 2)];
+    assert_eq!(actual, expected);
+}

@@ -330,7 +330,7 @@ impl AnalysisReport {
 
     /// The distinct failure-class codes predicted at or above `min`
     /// severity.
-    pub fn classes(&self, min: Severity) -> BTreeSet<String> {
+    pub fn classes(&self, min: Severity) -> BTreeSet<&'static str> {
         self.at_least(min).map(|d| d.class.code()).collect()
     }
 
@@ -340,7 +340,7 @@ impl AnalysisReport {
     /// identity of an unrelated pre-existing diagnostic.
     pub fn identities(&self, min: Severity) -> BTreeSet<(String, String, String)> {
         self.at_least(min)
-            .map(|d| (d.check.code().to_string(), d.class.code(), d.method.clone()))
+            .map(|d| (d.check.code().to_string(), d.class.code().to_string(), d.method.clone()))
             .collect()
     }
 
@@ -374,7 +374,7 @@ impl AnalysisReport {
             .map(|d| {
                 let mut pairs = vec![
                     ("check".to_string(), Json::Str(d.check.code().to_string())),
-                    ("class".to_string(), Json::Str(d.class.code())),
+                    ("class".to_string(), Json::Str(d.class.code().to_string())),
                     (
                         "severity".to_string(),
                         Json::Str(d.severity.name().to_string()),

@@ -73,7 +73,7 @@ fn dynamic_classes(component: &Component, scenarios: &[Scenario]) -> BTreeSet<St
     for scenario in scenarios {
         let result = explore(Vm::new(compiled.clone(), scenario.clone()), &config, None);
         for finding in jcc_core::detect::classify::classify_explore(&result) {
-            out.insert(finding.class.code());
+            out.insert(finding.class.code().to_string());
         }
     }
     out
@@ -154,7 +154,7 @@ fn main() {
         for (mutation, mutant) in all_mutants(&parent) {
             mutants_total += 1;
             let predicted = predicted_delta(&parent_ids, &mutant, &mut analyze_clock);
-            let seeded = mutation.kind.seeded_class().code();
+            let seeded = mutation.kind.seeded_class().code().to_string();
 
             let compiled = compile(&mutant).ok();
             let detected = compiled.as_ref().is_some_and(|mc| {

@@ -88,7 +88,7 @@ fn main() {
         assert!(!violations.is_empty(), "{label}: the fault went unnoticed");
         faults_flagged += 1;
         for v in &violations {
-            let candidates: Vec<String> = v.candidate_classes().iter().map(|c| c.code()).collect();
+            let candidates: Vec<&str> = v.candidate_classes().iter().map(|c| c.code()).collect();
             say!(
                 "  oracle: FAIL on {} — {:?}; candidate classes: {}",
                 v.label,

@@ -254,7 +254,7 @@ mod tests {
     fn ten_rows_in_paper_order() {
         let rows = table();
         assert_eq!(rows.len(), 10);
-        let codes: Vec<String> = rows.iter().map(|r| r.class.code()).collect();
+        let codes: Vec<&str> = rows.iter().map(|r| r.class.code()).collect();
         assert_eq!(
             codes,
             vec![

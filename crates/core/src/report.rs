@@ -209,16 +209,11 @@ fn render_comparison(analysis: &AnalysisReport, dynamic: &[Finding], none: &str)
         }
     }
     let static_classes = analysis.classes(Severity::Medium);
-    let dynamic_classes: std::collections::BTreeSet<String> =
+    let dynamic_classes: std::collections::BTreeSet<&str> =
         dynamic.iter().map(|f| f.class.code()).collect();
-    let confirmed: Vec<&String> = dynamic_classes
+    let (confirmed, missed): (Vec<&str>, Vec<&str>) = dynamic_classes
         .iter()
-        .filter(|c| static_classes.contains(*c))
-        .collect();
-    let missed: Vec<&String> = dynamic_classes
-        .iter()
-        .filter(|c| !static_classes.contains(*c))
-        .collect();
+        .partition(|c| static_classes.contains(*c));
     let _ = writeln!(
         out,
         "Agreement: {} class(es) predicted and observed{}{}",
@@ -228,7 +223,7 @@ fn render_comparison(analysis: &AnalysisReport, dynamic: &[Finding], none: &str)
         } else {
             format!(
                 " ({})",
-                confirmed.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(", ")
+                confirmed.join(", ")
             )
         },
         if missed.is_empty() {
@@ -236,7 +231,7 @@ fn render_comparison(analysis: &AnalysisReport, dynamic: &[Finding], none: &str)
         } else {
             format!(
                 "; observed but not predicted: {}",
-                missed.iter().map(|s| s.as_str()).collect::<Vec<_>>().join(", ")
+                missed.join(", ")
             )
         }
     );

@@ -252,13 +252,13 @@ mod tests {
             &[Expectation::new("a", CompletionExpectation::By(5))],
         );
         assert_eq!(v[0].deviation, CompletionDeviation::NeverCompleted);
-        let codes: Vec<String> = v[0]
+        let codes: Vec<&str> = v[0]
             .candidate_classes()
             .iter()
             .map(|c| c.code())
             .collect();
-        assert!(codes.contains(&"FF-T5".to_string()));
-        assert!(codes.contains(&"FF-T2".to_string()));
+        assert!(codes.contains(&"FF-T5"));
+        assert!(codes.contains(&"FF-T2"));
     }
 
     #[test]

@@ -146,8 +146,12 @@ impl FailureClass {
     }
 
     /// The paper's short code, e.g. `"FF-T1"`.
-    pub fn code(self) -> String {
-        format!("{}-{}", self.deviation.code(), self.transition)
+    pub fn code(self) -> &'static str {
+        const CODES: [&str; 10] = [
+            "FF-T1", "EF-T1", "FF-T2", "EF-T2", "FF-T3", "EF-T3", "FF-T4", "EF-T4", "FF-T5",
+            "EF-T5",
+        ];
+        CODES[self.index()]
     }
 
     /// Dense index 0..10 ordered (T1..T5) × (FF, EF), matching Table 1's
@@ -181,7 +185,7 @@ impl FailureClass {
 
 impl fmt::Display for FailureClass {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.code())
+        f.write_str(self.code())
     }
 }
 
@@ -249,6 +253,10 @@ mod tests {
         let ef_t5 = FailureClass::new(Deviation::ErroneousFiring, Transition::T5);
         assert_eq!(ef_t5.code(), "EF-T5");
         assert_eq!(ef_t5.to_string(), "EF-T5");
+        for fc in ALL_FAILURE_CLASSES {
+            let spelled = format!("{}-{}", fc.deviation.code(), fc.transition);
+            assert_eq!(fc.code(), spelled);
+        }
     }
 
     #[test]
